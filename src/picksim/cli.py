@@ -74,6 +74,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _weeks(text: str) -> int:
+    """argparse type for --weeks: an integer of at least 1."""
+    try:
+        weeks = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if weeks < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {weeks}")
+    return weeks
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="picksim", description="warehouse picking simulator")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -97,7 +108,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--items", type=int, default=10)
     gen.add_argument("--slots", type=int, default=48)
     gen.add_argument("--lines", type=int, default=120)
-    gen.add_argument("--weeks", type=int, default=4)
+    gen.add_argument("--weeks", type=_weeks, default=4)
 
     st = sub.add_parser("stats", help="summarize weekly metric files")
     st.add_argument("--weekly", nargs="+", required=True, metavar="FILE",
@@ -116,7 +127,7 @@ def _common_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--picking", choices=[m.value for m in PickingMode],
                    default=PickingMode.AREA.value,
                    help="picking mode (default area)")
-    p.add_argument("--weeks", type=int, default=4)
+    p.add_argument("--weeks", type=_weeks, default=4)
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--out", default=None, help="directory for result CSVs")
     p.add_argument("--audit", action="store_true",

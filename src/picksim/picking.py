@@ -199,6 +199,7 @@ class PickingSession:
         self.entrance = warehouse.location(ENTRANCE_ID)
         self.dropoff = warehouse.location(SPECIAL_AREA_ID)
         self.completions: list[float | None] = [None] * len(plan)
+        self._unfinished = len(plan)
         self._active: int | None = None
         self._pos = 0
         self._at_stop: int | None = None
@@ -206,7 +207,7 @@ class PickingSession:
 
     @property
     def all_complete(self) -> bool:
-        return all(c is not None for c in self.completions)
+        return self._unfinished == 0
 
     # -- event handlers ----------------------------------------------------
 
@@ -303,6 +304,7 @@ class PickingSession:
 
         if m is None:
             self.completions[i] = t
+            self._unfinished -= 1
             self._active = None
             if i + 1 < len(self.plan):
                 return [(t, StartPickOrder(i + 1))]

@@ -90,11 +90,8 @@ class Replenisher:
 
     def _select(self) -> str | None:
         """Eligible product with the lowest stock; ties by item code."""
-        best: tuple[int, str] | None = None
-        for code in self.warehouse.items:
-            if not self.policy.has_vacancy(code):
-                continue
-            key = (self.warehouse.total_on_hand(code), code)
-            if best is None or key < best:
-                best = key
+        has_vacancy = self.policy.has_vacancy
+        on_hand = self.warehouse.total_on_hand
+        best = min(((on_hand(code), code) for code in self.warehouse.items
+                    if has_vacancy(code)), default=None)
         return best[1] if best else None

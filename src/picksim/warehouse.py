@@ -11,7 +11,9 @@ the same arithmetic as slot-to-slot travel.
 Inventory is one pallet record per slot at most.  Picking always
 consumes the oldest manufacturing date first (ties broken by route
 position), and a record is removed the moment its quantity reaches
-zero, which frees the slot.
+zero, which frees the slot.  A per-item on-hand counter moves with every
+placement and pick, and registered watchers (the storage policies' slot
+indices) are told about every slot that is filled or drained.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputDataError, ParseError
 
@@ -197,6 +199,10 @@ class Warehouse:
 
         self.records: dict[LocationId, PalletRecord] = {}
         self._slots_by_item: dict[str, set[LocationId]] = {}
+        self._on_hand: dict[str, int] = dict.fromkeys(self.items, 0)
+        # objects with _slot_filled(loc_id) / _slot_drained(loc_id), told
+        # after every place() and after every pick() that empties a slot
+        self._watchers: list = []
 
         self.audit = audit
         self._initial: dict[str, int] = {}
@@ -223,14 +229,11 @@ class Warehouse:
             raise InputDataError(f"unknown storage slot {loc_id}")
         return loc_id not in self.records
 
-    def vacant_slots(self) -> Iterator[Location]:
-        for loc_id, loc in self.storage.items():
-            if loc_id not in self.records:
-                yield loc
-
     def total_on_hand(self, item_code: str) -> int:
-        self.item(item_code)
-        return sum(self.records[lid].qty for lid in self._slots_by_item.get(item_code, ()))
+        on_hand = self._on_hand.get(item_code)
+        if on_hand is None:
+            self.item(item_code)  # raises for an unknown code
+        return on_hand
 
     def on_hand_by_item(self) -> dict[str, int]:
         return {code: self.total_on_hand(code) for code in self.items}
@@ -252,6 +255,9 @@ class Warehouse:
         record = PalletRecord(loc_id, item_code, qty, mfg_date)
         self.records[loc_id] = record
         self._slots_by_item.setdefault(item_code, set()).add(loc_id)
+        self._on_hand[item_code] += qty
+        for watcher in self._watchers:
+            watcher._slot_filled(loc_id)
         if self.audit:
             bucket = self._initial if source == "initial" else self._replenished
             bucket[item_code] = bucket.get(item_code, 0) + qty
@@ -284,10 +290,13 @@ class Warehouse:
                 )
             taken = min(remaining, record.qty)
             record.qty -= taken
+            self._on_hand[item_code] -= taken
             drained = record.qty == 0
             if drained:
                 del self.records[record.location]
                 self._slots_by_item[item_code].discard(record.location)
+                for watcher in self._watchers:
+                    watcher._slot_drained(record.location)
             touches.append(PalletTouch(record.location, item_code, taken, drained, record.mfg_date))
             remaining -= taken
             if self.audit:
@@ -300,16 +309,28 @@ class Warehouse:
         return touches
 
     def verify_conservation(self) -> None:
-        """Assert initial + replenished - picked == on-hand for every item."""
+        """Assert initial + replenished - picked == on-hand for every item.
+
+        On-hand is summed from the pallet records, not read from the
+        running counter, so the check stays independent of the counter;
+        the counter is then checked against that sum as well.
+        """
+        held = dict.fromkeys(self.items, 0)
+        for record in self.records.values():
+            held[record.item] += record.qty
         for code in self.items:
             expected = (
                 self._initial.get(code, 0)
                 + self._replenished.get(code, 0)
                 - self._picked.get(code, 0)
             )
-            actual = self.total_on_hand(code)
+            actual = held[code]
             assert expected == actual, (
                 f"conservation broken for {code}: expected {expected}, on hand {actual}"
+            )
+            assert self._on_hand[code] == actual, (
+                f"on-hand counter drift for {code}: counter {self._on_hand[code]}, "
+                f"pallet records {actual}"
             )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,18 @@ def test_missing_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "gen-data"])
+@pytest.mark.parametrize("weeks", ["0", "-1"])
+def test_weeks_below_one_exits_2_at_parse_time(dataset, tmp_path, capsys, command, weeks):
+    where = ["--out", str(tmp_path)] if command == "gen-data" else ["--data", dataset]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *where, "--weeks", weeks])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: argument --weeks: must be at least 1, got {weeks}\n"
+    assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
+
+
 def test_missing_dataset_exits_2(tmp_path, capsys):
     assert main(["simulate", "--data", str(tmp_path / "nope"),
                  "--weeks", "1"]) == 2
@@ -259,3 +272,39 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "orders:" in proc.stdout
+
+
+# -- README ---------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quick_start_commands() -> list[str]:
+    """Commands of the README's quick-start block, continuation lines joined."""
+    section = README.read_text().split("## Quick start", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands: list[str] = []
+    pending = ""
+    for line in block.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.endswith("\\"):
+            pending += line[:-1]
+            continue
+        commands.append(pending + line)
+        pending = ""
+    return commands
+
+
+def test_readme_quick_start_runs(tmp_path, capsys, monkeypatch):
+    commands = _quick_start_commands()
+    assert sum(c.startswith("picksim ") for c in commands) == 4
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        if command.startswith("picksim "):
+            assert main(shlex.split(command)[1:]) == 0, command
+        else:
+            subprocess.run(command, shell=True, check=True)
+    printed = capsys.readouterr().out.splitlines()[-3:]
+    assert "\n".join(printed) in README.read_text(), "the README shows what step 4 prints"

@@ -1,0 +1,156 @@
+"""The storage and stock indices agree with brute-force scans.
+
+Random sequences of placements, picks, put-aways and waiting-list
+re-attempts run against all three storage policies.  After every step,
+each item's ``has_vacancy`` and ``nearest_vacant`` must equal a scan of
+its ``candidate_slots``, and ``total_on_hand`` must equal the sum of the
+item's pallet records.  The fixed slot map gives one slot to two items,
+some runs stock the warehouse before the policy exists, and a step may
+build a fresh policy over the stocked warehouse mid-run.
+"""
+
+from __future__ import annotations
+
+from datetime import date
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import ELEVATOR, anchors, make_item, slot
+from picksim import (
+    Equipment,
+    InputDataError,
+    PolicyKind,
+    SimConfig,
+    StoragePolicy,
+    Warehouse,
+    aisle_turns,
+    place_initial,
+    travel_time,
+)
+from picksim.warehouse import InventoryRow
+
+CFG = SimConfig()
+MFG = date(2024, 5, 1)
+CODES = ("A", "B", "C")
+
+
+def _world() -> tuple[Warehouse, list]:
+    """Three rows of four slots on two levels; rows alternate zones."""
+    slots = []
+    for r in range(3):
+        for s in range(4):
+            slots.append(slot(r, s % 2, s, 300.0 + 400.0 * r, 100.0 + 150.0 * (s // 2),
+                              z=120.0 * (s % 2), zone=("Z1", "Z2")[r % 2],
+                              seq=4 * r + s))
+    items = [make_item("A", zone="Z1", qpp=6), make_item("B", zone="Z2", qpp=6),
+             make_item("C", zone="Z1", qpp=6)]
+    return Warehouse(anchors() + slots, items), slots
+
+
+def _slot_map(slots) -> dict:
+    # slot 5 belongs to both A and B
+    return {"A": [slots[0].id, slots[5].id, slots[9].id],
+            "B": [slots[5].id, slots[2].id],
+            "C": [slots[3].id, slots[7].id, slots[11].id, slots[1].id]}
+
+
+def _policy(kind: PolicyKind, wh: Warehouse, slots) -> StoragePolicy:
+    slot_map = _slot_map(slots) if kind is PolicyKind.FIXED else None
+    return StoragePolicy(kind, wh, CFG.stacker(), slot_map=slot_map)
+
+
+def _brute_nearest(pol: StoragePolicy, code: str):
+    receiving = pol.warehouse.location(ELEVATOR)
+    vacant = [loc for loc in pol.candidate_slots(code) if pol.warehouse.is_vacant(loc.id)]
+    if not vacant:
+        return None
+    return min(vacant, key=lambda loc: (
+        travel_time(receiving, loc, pol.equipment, aisle_turns(receiving, loc)), loc.seq_no))
+
+
+def _check(pol: StoragePolicy) -> None:
+    wh = pol.warehouse
+    for code in CODES:
+        candidates = pol.candidate_slots(code)
+        assert pol.has_vacancy(code) == any(wh.is_vacant(loc.id) for loc in candidates)
+        assert pol.nearest_vacant(code) == _brute_nearest(pol, code)
+        held = sum(rec.qty for rec in wh.records.values() if rec.item == code)
+        assert wh.total_on_hand(code) == held
+
+
+STEP = st.one_of(
+    st.tuples(st.just("place"), st.integers(0, 11), st.sampled_from(CODES),
+              st.integers(1, 6)),
+    st.tuples(st.just("pick"), st.sampled_from(CODES), st.integers(1, 14)),
+    st.tuples(st.just("put_away"), st.sampled_from(CODES), st.integers(1, 6)),
+    st.tuples(st.just("freed")),
+    st.tuples(st.just("new_policy")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(PolicyKind)),
+       prestock=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(CODES)),
+                         max_size=8),
+       steps=st.lists(STEP, max_size=40))
+def test_indices_match_brute_force(kind, prestock, steps):
+    wh, slots = _world()
+    for index, code in prestock:
+        if wh.is_vacant(slots[index].id):
+            wh.place(slots[index].id, code, 3, MFG)
+    pol = _policy(kind, wh, slots)
+    _check(pol)
+    now = 0.0
+    for step in steps:
+        now += 1.0
+        op = step[0]
+        if op == "place":
+            _, index, code, qty = step
+            if wh.is_vacant(slots[index].id):
+                wh.place(slots[index].id, code, qty, MFG, source="replenish")
+        elif op == "pick":
+            _, code, qty = step
+            stock = wh.total_on_hand(code)
+            if stock:
+                wh.pick(code, min(qty, stock))
+        elif op == "put_away":
+            _, code, qty = step
+            pol.put_away(code, qty, MFG, now)
+        elif op == "freed":
+            pol.on_slot_freed(now)
+        else:
+            # a policy built over the stocked warehouse; the old one
+            # keeps watching it too
+            pol = _policy(kind, wh, slots)
+        _check(pol)
+
+
+def test_unreachable_vacant_candidate_still_raises():
+    """Equipment that cannot lift fails on a vacant slot above the floor,
+    and only while that slot is vacant."""
+    wh, slots = _world()
+    no_lift = Equipment("handlift", 1, 100.0, 0.0, 2.0, frozenset())
+    pol = StoragePolicy(PolicyKind.FIXED, wh, no_lift, slot_map=_slot_map(slots))
+    # A's slots 5 and 9 are 120 cm up; slot 0 is on the floor
+    with pytest.raises(InputDataError, match="cannot lift"):
+        pol.nearest_vacant("A")
+    wh.place(slots[9].id, "A", 1, MFG)
+    wh.place(slots[5].id, "B", 1, MFG)
+    assert pol.nearest_vacant("A").id == slots[0].id
+    assert pol.has_vacancy("B") is True  # slot 2 is on the floor
+    wh.pick("B", 1)
+    with pytest.raises(InputDataError, match="cannot lift"):
+        pol.nearest_vacant("B")
+
+
+def test_place_initial_fallback_uses_the_nearest_slot_anywhere():
+    wh, slots = _world()
+    pol = StoragePolicy(PolicyKind.FIXED, wh, CFG.stacker(), slot_map={
+        "A": [slots[0].id], "B": [slots[2].id], "C": [slots[1].id]})
+    rows = [InventoryRow((0, 0, 0), "A", 1, MFG)] * 3
+    assert place_initial(pol, rows, {"A": 1.0}) == 2
+    receiving = wh.location(ELEVATOR)
+    nearest_others = sorted(slots[1:], key=lambda loc: (
+        travel_time(receiving, loc, CFG.stacker(), aisle_turns(receiving, loc)), loc.seq_no))
+    assert set(wh.records) == {slots[0].id, nearest_others[0].id, nearest_others[1].id}

@@ -116,7 +116,7 @@ def test_place_and_on_hand():
     wh.place((0, 1, 0), "A", 7, date(2024, 5, 1))
     assert wh.total_on_hand("A") == 7
     assert not wh.is_vacant((0, 1, 0))
-    assert {loc.id for loc in wh.vacant_slots()} == {(0, 1, 1), (1, 1, 0)}
+    assert {lid for lid in wh.storage if wh.is_vacant(lid)} == {(0, 1, 1), (1, 1, 0)}
 
 
 def test_place_rejects_occupied_slot_and_bad_qty():
@@ -177,6 +177,24 @@ def test_audit_tracks_conservation_across_sources():
     wh.pick("A", 6)
     wh.verify_conservation()
     assert wh.total_on_hand("A") == 8
+
+
+def test_audit_catches_on_hand_counter_drift():
+    wh = _wh(audit=True)
+    wh.place((0, 1, 0), "A", 5, date(2024, 5, 1), source="initial")
+    wh.pick("A", 2)
+    wh.verify_conservation()
+    wh._on_hand["A"] += 1  # the running counter drifts; the records do not
+    assert wh.total_on_hand("A") == 4
+    with pytest.raises(AssertionError, match="counter drift for A"):
+        wh.verify_conservation()
+
+
+def test_total_on_hand_of_unknown_item_is_an_error():
+    wh = _wh()
+    assert wh.total_on_hand("B") == 0
+    with pytest.raises(InputDataError, match="unknown item code ZZZ"):
+        wh.total_on_hand("ZZZ")
 
 
 def test_audit_catches_fifo_violation_via_direct_tampering():
