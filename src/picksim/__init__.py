@@ -9,16 +9,7 @@ picking time.  Runs are discrete-event simulations that are bit-for-bit
 reproducible for a given seed.
 """
 
-from .allocation import (
-    AbcClass,
-    AllocationRule,
-    SlotMap,
-    abc_classify,
-    allocate_slots,
-    assign_physical_slots,
-    load_slot_map,
-    save_slot_map,
-)
+from .allocation import AllocationRule, SlotMap, allocate_slots, assign_physical_slots
 from .config import (
     ReplenishSettings,
     SimConfig,
@@ -71,15 +62,7 @@ from .picking import (
 )
 from .replenishment import Replenisher, ReplenishmentSampler
 from .stats import PairedTest, StatsSummary, gap, paired_test, summarize
-from .storage import (
-    Assignment,
-    InboundLine,
-    PolicyKind,
-    StoragePolicy,
-    load_inbound,
-    place_initial,
-    save_inbound,
-)
+from .storage import Assignment, PolicyKind, StoragePolicy, place_initial
 from .warehouse import (
     ELEVATOR_ID,
     ENTRANCE_ID,
@@ -105,8 +88,7 @@ from .warehouse import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbcClass", "AllocationRule", "SlotMap", "abc_classify", "allocate_slots",
-    "assign_physical_slots", "load_slot_map", "save_slot_map",
+    "AllocationRule", "SlotMap", "allocate_slots", "assign_physical_slots",
     "ReplenishSettings", "SimConfig", "WalkSettings", "config_from_dict",
     "config_to_dict", "load_config", "save_config",
     "generate_data",
@@ -121,8 +103,7 @@ __all__ = [
     "RouteStop", "handling_time", "load_orders", "prepare_orders", "save_orders",
     "Replenisher", "ReplenishmentSampler",
     "PairedTest", "StatsSummary", "gap", "paired_test", "summarize",
-    "Assignment", "InboundLine", "PolicyKind", "StoragePolicy", "load_inbound",
-    "place_initial", "save_inbound",
+    "Assignment", "PolicyKind", "StoragePolicy", "place_initial",
     "ELEVATOR_ID", "ENTRANCE_ID", "SPECIAL_AREA_ID", "Equipment", "InventoryRow",
     "Item", "Location", "PalletRecord", "PalletTouch", "ProcessTotals",
     "Warehouse", "aisle_turns", "load_inventory", "load_items", "load_layout",

@@ -15,11 +15,9 @@ entrance by travel time.
 
 from __future__ import annotations
 
-import csv
 import enum
-from dataclasses import dataclass
 
-from .errors import InputDataError, ParseError
+from .errors import InputDataError
 from .warehouse import Equipment, Location, LocationId, aisle_turns, travel_time
 
 
@@ -77,84 +75,4 @@ def assign_physical_slots(counts: dict[str, int], slots: list[Location],
         take = counts[code]
         slot_map[code] = [loc.id for loc in ranked[cursor:cursor + take]]
         cursor += take
-    return slot_map
-
-
-@dataclass(frozen=True)
-class AbcClass:
-    classes: dict[str, str]
-    thresholds: tuple[float, float]
-
-    def of(self, code: str) -> str:
-        return self.classes[code]
-
-    def counts(self) -> dict[str, int]:
-        out = {"A": 0, "B": 0, "C": 0}
-        for cls in self.classes.values():
-            out[cls] += 1
-        return out
-
-
-def abc_classify(demand: dict[str, float],
-                 thresholds: tuple[float, float] = (0.80, 0.95)) -> AbcClass:
-    """Classify products by cumulative demand share.
-
-    Products are ranked by descending demand (ties by code).  A product
-    falls in class A while the share accumulated *before* it is below
-    the first threshold, in B below the second, otherwise C.  Products
-    with zero demand are always C.
-    """
-    if not demand:
-        raise InputDataError("cannot classify an empty catalog")
-    total = sum(demand.values())
-    if total <= 0:
-        raise InputDataError("ABC classification needs at least one product with demand > 0")
-    a_cut, b_cut = thresholds
-    if not (0 < a_cut < b_cut <= 1.0):
-        raise InputDataError(f"bad ABC thresholds {thresholds}")
-    ranked = sorted(demand, key=lambda c: (-demand[c], c))
-    classes: dict[str, str] = {}
-    cum_before = 0.0
-    for code in ranked:
-        share = demand[code] / total
-        if demand[code] <= 0:
-            classes[code] = "C"
-        elif cum_before < a_cut:
-            classes[code] = "A"
-        elif cum_before < b_cut:
-            classes[code] = "B"
-        else:
-            classes[code] = "C"
-        cum_before += share
-    return AbcClass(classes, thresholds)
-
-
-SLOT_MAP_HEADER = ["item_code", "row", "layer", "slot"]
-
-
-def save_slot_map(slot_map: SlotMap, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SLOT_MAP_HEADER)
-        for code, locs in slot_map.items():
-            for row, layer, slot in locs:
-                writer.writerow([code, row, layer, slot])
-
-
-def load_slot_map(path: str) -> SlotMap:
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SLOT_MAP_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(SLOT_MAP_HEADER)}")
-        slot_map: SlotMap = {}
-        for i, row in enumerate(reader, start=2):
-            try:
-                loc = (int(row["row"]), int(row["layer"]), int(row["slot"]))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{i}: {exc}") from exc
-            slot_map.setdefault(row["item_code"], []).append(loc)
     return slot_map

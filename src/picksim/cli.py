@@ -12,7 +12,7 @@ Subcommands:
     t-test, and write ``results.csv`` / ``summary.csv`` / ``paired.csv``.
 ``gen-data``
     Emit a deterministic synthetic dataset (layout, items, inventory,
-    orders, inbound) of a requested scale.
+    orders) of a requested scale.
 ``stats``
     Aggregate one or two weekly-metric CSV files (``week,metric``)
     without running any simulation.
@@ -29,14 +29,12 @@ variable, then the built-in default 12345.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from pathlib import Path
 
 from .allocation import AllocationRule
-from .config import SimConfig, config_from_dict
+from .config import SimConfig, _read_json_object, config_from_dict
 from .datagen import generate_data
 from .errors import (
     InputDataError,
@@ -61,6 +59,7 @@ from .experiment import (
 from .picking import PickingMode
 from .stats import paired_test, summarize
 from .storage import PolicyKind
+from .warehouse import _open_reader
 
 DEFAULT_SEED = 12345
 WEEKLY_HEADER = ["week", "metric"]
@@ -134,37 +133,21 @@ def _common_run_args(p: argparse.ArgumentParser) -> None:
                    help="verify stock conservation after every event")
 
 
-def _load_config(path: str | None) -> tuple[SimConfig, bool]:
-    """Config plus whether the file pinned replenish.seed explicitly."""
-    if path is None:
-        return SimConfig(), False
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"config {path} must hold a JSON object")
+def _config_and_seed(args) -> tuple[SimConfig, int]:
+    """The ``--config`` file (defaults without one) and the master seed."""
+    raw = {} if args.config is None else _read_json_object(args.config)
     cfg = config_from_dict(raw)
-    cfg.validate()
-    explicit = isinstance(raw.get("replenish"), dict) and "seed" in raw["replenish"]
-    return cfg, explicit
-
-
-def _resolve_seed(flag: int | None, cfg: SimConfig, cfg_explicit: bool) -> int:
-    if flag is not None:
-        return flag
-    if cfg_explicit:
-        return cfg.replenish.seed
+    if args.seed is not None:
+        return cfg, args.seed
+    if "seed" in (raw.get("replenish") or {}):
+        return cfg, cfg.replenish.seed
     env = os.environ.get("PICKSIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"PICKSIM_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if env is None:
+        return cfg, DEFAULT_SEED
+    try:
+        return cfg, int(env)
+    except ValueError as exc:
+        raise ParseError(f"PICKSIM_SEED must be an integer, got {env!r}") from exc
 
 
 def _print_result(res: RunResult) -> None:
@@ -184,8 +167,7 @@ def _print_summaries(summaries, paired=None) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg, explicit = _load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg, explicit)
+    cfg, seed = _config_and_seed(args)
     name = args.name or f"{args.policy}-{args.allocation}-{args.picking}"
     spec = ScenarioSpec(
         name=name,
@@ -214,8 +196,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg, explicit = _load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg, explicit)
+    cfg, seed = _config_and_seed(args)
     common = dict(
         policy=PolicyKind(args.policy),
         picking=PickingMode(args.picking),
@@ -246,33 +227,27 @@ def _cmd_compare(args) -> int:
 def _cmd_gen_data(args) -> int:
     paths = generate_data(args.out, args.seed, args.items, args.slots,
                           args.lines, args.weeks)
-    for role in ("layout", "items", "inventory", "orders", "inbound"):
-        print(f"{role}: {paths[role]}")
+    for role, path in paths.items():
+        print(f"{role}: {path}")
     return 0
 
 
 def _read_weekly(path: str) -> tuple[str, list[float]]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != WEEKLY_HEADER:
+    fh, reader = _open_reader(path, WEEKLY_HEADER)
+    values = []
+    with fh:
+        for row in reader:
+            # DictReader files surplus cells under None and fills missing ones with None
+            cells = [v for k, v in row.items() if k is not None and v is not None]
+            columns = len(cells) + len(row.get(None, ()))
+            if columns != 2:
+                raise ParseError(f"{path}:{reader.line_num}: expected 2 columns, got {columns}")
+            try:
+                values.append(float(row["metric"]))
+            except ValueError as exc:
                 raise ParseError(
-                    f"{path}: expected header {','.join(WEEKLY_HEADER)}, "
-                    f"got {','.join(header) if header else 'empty file'}"
-                )
-            values = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-                try:
-                    values.append(float(row[1]))
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: metric {row[1]!r} is not a number") from exc
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+                    f"{path}:{reader.line_num}: metric {row['metric']!r} is not a number"
+                ) from exc
     return Path(path).stem, values
 
 

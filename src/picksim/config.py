@@ -1,44 +1,25 @@
 """Simulation configuration: one JSON document, one dataclass.
 
 Field names follow the operating-parameter shorthand used by warehouse
-practitioners for this model family (equipment counts/speeds, per
-sub-process base and unit times, plan durations).  Every field has a
-documented default, so ``{}`` is a valid config.  Meanings:
+practitioners for this model family (equipment speeds, per sub-process
+base and unit times).  Every field has a documented default, so ``{}``
+is a valid config.  Meanings:
 
-==========  =============================================================
-``h``       number of handlifts (hand pallet trucks)
-``s``       number of stackers
-``oh``      operators per handlift
-``os``      operators per stacker
-``puh``     handlift may serve put-away
-``pus``     stacker may serve put-away
-``pah``     handlift may serve picking
-``pas``     stacker may serve picking
-``tfh``     handlift may serve transfers
-``tfs``     stacker may serve transfers
-``sph``     handlift travel speed, cm/s
-``sps``     stacker travel speed, cm/s
-``Lsps``    stacker lift speed, cm/s
-``tth``     handlift turn time, s per aisle change
-``tts``     stacker turn time, s per aisle change
-``BTpu``    base time charged once per picking visit, s
-``BTpa``    base time charged once per put-away, s
-``BTs``     base time charged once per sorting action, s (sorting not simulated)
-``PMpu``    handling time per master carton picked, s
-``PMs``     handling time per master carton sorted, s (sorting not simulated)
-``PPpu``    handling time per pallet touched while picking, s
-``PPpa``    handling time per pallet placed at put-away, s
-``PPs``     handling time per pallet sorted, s (sorting not simulated)
-``PDpu``    daily picking plan duration, hours
-``PDpa``    daily put-away plan duration, hours
-``PDs``     daily sorting plan duration, hours
-``EAT``     equipment available throughout the plan window
-``MPW``     maximum pallet weight, kg
-``MPV``     maximum pallet volume utilisation, percent
-``WI``      waiting-list re-check interval, s (informational)
-``OIFW``    order-interleaving fill threshold, percent (informational)
-``LR``      lunch/rest allowance, hours per day
-==========  =============================================================
+=====================  ==================================================
+``sph``                handlift travel speed, cm/s
+``sps``                stacker travel speed, cm/s
+``Lsps``               stacker lift speed, cm/s
+``tth``                handlift turn time, s per aisle change
+``tts``                stacker turn time, s per aisle change
+``BTpu``               base time charged once per picking visit, s
+``BTpa``               base time charged once per put-away, s
+``PMpu``               handling time per master carton picked, s
+``PPpu``               handling time per pallet touched while picking, s
+``PPpa``               handling time per pallet placed at put-away, s
+``pieces_per_master``  pieces per master carton
+``metric_unit``        unit of the weekly metric: seconds, minutes, hours
+``horizon_s``          simulated-time ceiling of one weekly run, s
+=====================  ==================================================
 
 ``walking`` selects how per-order travel is charged: ``constant`` mode
 charges ``constant_s`` once per route segment, ``distance`` mode walks
@@ -46,30 +27,39 @@ the route with the selected equipment.  ``replenish`` controls the
 interval between restocking visits: ``constant`` mode uses ``mu_s``
 exactly, ``sampled`` draws Normal(mu_s, sigma_s) clamped to at least
 ``t_min_s``.
+
+Files written for earlier versions may still name equipment counts,
+capability flags, plan durations and other fields no simulation reads
+(``LEGACY_KEYS``); they load, and the keys are dropped with a warning.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from .errors import ParseError, ValidationError
-from .warehouse import (
-    CAN_PICK,
-    CAN_PUT_AWAY,
-    CAN_TRANSFER,
-    Equipment,
-    HANDLIFT,
-    STACKER,
-)
+from .warehouse import Equipment, HANDLIFT, STACKER
+
+log = logging.getLogger("picksim.config")
 
 WALK_CONSTANT = "constant"
 WALK_DISTANCE = "distance"
 REPLENISH_CONSTANT = "constant"
 REPLENISH_SAMPLED = "sampled"
 METRIC_UNITS = {"seconds": 1.0, "minutes": 1.0 / 60.0, "hours": 1.0 / 3600.0}
+
+# Documented top-level keys of earlier versions that no simulation reads:
+# equipment counts and operators (h s oh os), capability flags (puh pus
+# pah pas tfh tfs), sorting times (BTs PMs PPs), plan durations (PDpu PDpa
+# PDs), EAT, pallet limits (MPW MPV), WI, OIFW and the break allowance LR.
+LEGACY_KEYS = frozenset({
+    "h", "s", "oh", "os", "puh", "pus", "pah", "pas", "tfh", "tfs",
+    "BTs", "PMs", "PPs", "PDpu", "PDpa", "PDs", "EAT", "MPW", "MPV", "WI", "OIFW", "LR",
+})
 
 
 @dataclass
@@ -94,16 +84,6 @@ class ReplenishSettings:
 
 @dataclass
 class SimConfig:
-    h: int = 2
-    s: int = 2
-    oh: int = 1
-    os: int = 1
-    puh: bool = False
-    pus: bool = True
-    pah: bool = True
-    pas: bool = True
-    tfh: bool = True
-    tfs: bool = True
     sph: float = 100.0
     sps: float = 90.0
     Lsps: float = 30.0
@@ -111,21 +91,9 @@ class SimConfig:
     tts: float = 3.0
     BTpu: float = 10.0
     BTpa: float = 10.0
-    BTs: float = 0.0
     PMpu: float = 2.0
-    PMs: float = 0.0
     PPpu: float = 15.0
     PPpa: float = 15.0
-    PPs: float = 0.0
-    PDpu: float = 2.0
-    PDpa: float = 3.0
-    PDs: float = 3.0
-    EAT: bool = True
-    MPW: float = 1200.0
-    MPV: float = 100.0
-    WI: float = 30.0
-    OIFW: float = 80.0
-    LR: float = 1.0
     pieces_per_master: int = 10
     metric_unit: str = "minutes"
     horizon_s: float = 2_592_000.0
@@ -135,34 +103,16 @@ class SimConfig:
     # -- equipment builders ------------------------------------------------
 
     def handlift(self) -> Equipment:
-        caps = set()
-        if self.puh:
-            caps.add(CAN_PUT_AWAY)
-        if self.pah:
-            caps.add(CAN_PICK)
-        if self.tfh:
-            caps.add(CAN_TRANSFER)
-        return Equipment(HANDLIFT, self.h, self.sph, 0.0, self.tth, frozenset(caps), self.oh)
+        return Equipment(HANDLIFT, self.sph, 0.0, self.tth)
 
     def stacker(self) -> Equipment:
-        caps = set()
-        if self.pus:
-            caps.add(CAN_PUT_AWAY)
-        if self.pas:
-            caps.add(CAN_PICK)
-        if self.tfs:
-            caps.add(CAN_TRANSFER)
-        return Equipment(STACKER, self.s, self.sps, self.Lsps, self.tts, frozenset(caps), self.os)
+        return Equipment(STACKER, self.sps, self.Lsps, self.tts)
 
     def walking_equipment(self) -> Equipment:
         return self.handlift() if self.walking.equipment == HANDLIFT else self.stacker()
 
     def metric_factor(self) -> float:
         return METRIC_UNITS[self.metric_unit]
-
-    def plan_seconds_per_week(self) -> float:
-        """Net weekly picking-plan seconds (7 days of plan hours minus breaks)."""
-        return 7.0 * max(self.PDpu - self.LR, 0.0) * 3600.0
 
     def validate(self) -> list[str]:
         """Collect every constraint violation; empty list means valid."""
@@ -172,22 +122,10 @@ class SimConfig:
             if not cond:
                 errors.append(message)
 
-        for name in ("h", "s", "oh", "os"):
-            check(isinstance(getattr(self, name), int) and getattr(self, name) >= 0,
-                  f"{name} must be a non-negative integer")
-        for name in ("puh", "pus", "pah", "pas", "tfh", "tfs", "EAT"):
-            check(isinstance(getattr(self, name), bool), f"{name} must be a boolean")
         for name in ("sph", "sps", "Lsps"):
             check(_is_pos(getattr(self, name)), f"{name} must be a positive number")
-        for name in ("tth", "tts", "BTpu", "BTpa", "BTs", "PMpu", "PMs",
-                     "PPpu", "PPpa", "PPs", "WI", "LR"):
+        for name in ("tth", "tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa"):
             check(_is_nonneg(getattr(self, name)), f"{name} must be a non-negative number")
-        for name in ("PDpu", "PDpa", "PDs"):
-            v = getattr(self, name)
-            check(_is_nonneg(v) and v <= 24.0, f"{name} must be within 0..24 hours")
-        check(_is_pos(self.MPW), "MPW must be a positive number")
-        check(_is_pos(self.MPV) and self.MPV <= 100.0, "MPV must be within (0, 100]")
-        check(_is_nonneg(self.OIFW) and self.OIFW <= 100.0, "OIFW must be within 0..100")
         check(isinstance(self.pieces_per_master, int) and self.pieces_per_master >= 1,
               "pieces_per_master must be an integer >= 1")
         check(self.metric_unit in METRIC_UNITS,
@@ -215,35 +153,27 @@ def _is_nonneg(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v >= 0
 
 
-_TOP_LEVEL = {f.name for f in fields(SimConfig)} - {"walking", "replenish"}
-_WALK_KEYS = {f.name for f in fields(WalkSettings)}
-_REPLENISH_KEYS = {f.name for f in fields(ReplenishSettings)}
+_NESTED = {"walking": WalkSettings, "replenish": ReplenishSettings}
+_TOP_LEVEL = {f.name for f in fields(SimConfig)} - set(_NESTED)
 
 
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
     """Build a config from a JSON-shaped dict, applying defaults and
-    validating; raises ValidationError listing every problem found."""
+    validating; raises ValidationError listing every problem found.
+    Keys in ``LEGACY_KEYS`` are dropped with one warning."""
     errors: list[str] = []
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
-        if key == "walking":
+        if key in _NESTED:
             if not isinstance(value, dict):
-                errors.append("walking must be an object")
+                errors.append(f"{key} must be an object")
                 continue
-            unknown = set(value) - _WALK_KEYS
-            errors.extend(f"unknown config field walking.{k}" for k in sorted(unknown))
-            kwargs["walking"] = WalkSettings(**{k: v for k, v in value.items() if k in _WALK_KEYS})
-        elif key == "replenish":
-            if not isinstance(value, dict):
-                errors.append("replenish must be an object")
-                continue
-            unknown = set(value) - _REPLENISH_KEYS
-            errors.extend(f"unknown config field replenish.{k}" for k in sorted(unknown))
-            kwargs["replenish"] = ReplenishSettings(
-                **{k: v for k, v in value.items() if k in _REPLENISH_KEYS})
+            known = {f.name for f in fields(_NESTED[key])}
+            errors.extend(f"unknown config field {key}.{k}" for k in sorted(set(value) - known))
+            kwargs[key] = _NESTED[key](**{k: v for k, v in value.items() if k in known})
         elif key in _TOP_LEVEL:
             kwargs[key] = value
-        else:
+        elif key not in LEGACY_KEYS:
             errors.append(f"unknown config field {key}")
     if errors:
         raise ValidationError(errors)
@@ -251,35 +181,32 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
     problems = cfg.validate()
     if problems:
         raise ValidationError(problems)
+    dropped = sorted(LEGACY_KEYS.intersection(data))
+    if dropped:
+        log.warning("config fields %s are no longer used and were ignored", ", ".join(dropped))
     return cfg
 
 
 def config_to_dict(cfg: SimConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for f in fields(SimConfig):
-        if f.name == "walking":
-            w = cfg.walking
-            out["walking"] = {"mode": w.mode, "constant_s": w.constant_s, "equipment": w.equipment}
-        elif f.name == "replenish":
-            r = cfg.replenish
-            out["replenish"] = {"mode": r.mode, "mu_s": r.mu_s, "sigma_s": r.sigma_s,
-                                "t_min_s": r.t_min_s, "seed": r.seed}
-        else:
-            out[f.name] = getattr(cfg, f.name)
-    return out
+    return asdict(cfg)
 
 
-def load_config(path: str) -> SimConfig:
+def _read_json_object(path: str) -> dict[str, Any]:
+    """The decoded JSON object of a config file; ParseError otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
-    return config_from_dict(data)
+        raise ParseError(f"config {path} must hold a JSON object")
+    return data
+
+
+def load_config(path: str) -> SimConfig:
+    return config_from_dict(_read_json_object(path))
 
 
 def save_config(cfg: SimConfig, path: str) -> None:

@@ -1,4 +1,4 @@
-"""Synthetic dataset generator: layout, items, stock, orders, inbound.
+"""Synthetic dataset generator: layout, items, stock, orders.
 
 Produces a self-consistent warehouse dataset of a requested scale,
 byte-deterministic for a given seed.  The layout is a rack grid (rows
@@ -8,7 +8,9 @@ demand follows a Pareto-like skew so a small share of products carries
 most picks.  Every item starts with at least one full pallet, weekly
 order quantities are kept within what starting stock plus replenishment
 can supply, and item home zones are sized to zone capacity, which keeps
-generated scenarios terminating.
+generated scenarios terminating.  A scale that cannot meet these bounds,
+or whose order times would run past the end of their week, is rejected
+with ``InputDataError``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from .config import SimConfig
 from .errors import InputDataError
-from .storage import InboundLine, PolicyKind, StoragePolicy, place_initial, save_inbound
+from .storage import PolicyKind, StoragePolicy, place_initial
 from .warehouse import (
     ELEVATOR_ID,
     ENTRANCE_ID,
@@ -40,6 +42,7 @@ START_DATE = date(2024, 6, 3)  # a Monday
 CATEGORIES = ["beverage", "snack", "dairy", "household", "care"]
 PALLET_SIZES = [40, 60, 80, 100, 120]
 POSITIONS_PER_ROW = 6  # aisle depth; each position has two sides
+MAX_PALLET_KG = 1200.0  # item weights are capped so a full pallet stays below this
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,7 @@ def _make_orders(rng: random.Random, items: list[Item], demand: dict[str, float]
     for w in range(scale.weeks):
         lines_left = base + (1 if w < extra else 0)
         week_start = START_DATE + timedelta(days=7 * w)
+        week_end = datetime.combine(week_start + timedelta(days=7), time())
         k = 0
         while lines_left > 0:
             size = min(rng.randint(1, min(6, len(codes))), lines_left)
@@ -163,6 +167,11 @@ def _make_orders(rng: random.Random, items: list[Item], demand: dict[str, float]
             day = k % 5
             when = datetime.combine(week_start + timedelta(days=day), time(9, 0)) \
                 + timedelta(seconds=7 * (k // 5))
+            if when >= week_end:
+                raise InputDataError(
+                    f"week {w + 1}: order {k + 1} would start at {when}, past the end of "
+                    f"its week; generate fewer lines per week"
+                )
             truck = f"TRK-W{w + 1}D{day + 1}-{rng.randrange(3) + 1}"
             lines = []
             for code in chosen:
@@ -205,20 +214,22 @@ def _check_feasibility(items: list[Item], pallets: dict[str, list[tuple[int, dat
             item = by_code[code]
             start_qty = sum(q for q, _ in pallets[code])
             supply = start_qty + visit_budget * item.qty_per_pallet
-            assert need <= supply, (
-                f"week {w + 1} demand {need} for {code} exceeds plausible supply {supply}"
-            )
+            if need > supply:
+                raise InputDataError(
+                    f"week {w + 1} demand {need} for {code} exceeds plausible supply {supply}"
+                )
             short = max(0, need - start_qty)
             total_pallets += -(-short // item.qty_per_pallet)
-        assert total_pallets <= visit_budget, (
-            f"week {w + 1} needs {total_pallets} restocked pallets; the "
-            f"default horizon only fits {visit_budget} visits"
-        )
+        if total_pallets > visit_budget:
+            raise InputDataError(
+                f"week {w + 1} needs {total_pallets} restocked pallets; the "
+                f"default horizon only fits {visit_budget} visits"
+            )
 
 
 def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
                   n_lines: int, weeks: int) -> dict[str, str]:
-    """Write the five dataset files; returns their paths keyed by role."""
+    """Write the four dataset files; returns their paths keyed by role."""
     if n_items < 1 or n_lines < 0 or weeks < 1:
         raise InputDataError("scale values must be positive (items, weeks) and lines >= 0")
     if n_slots < n_items:
@@ -230,8 +241,7 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
 
     layout = _make_layout(n_slots)
     slots = [loc for loc in layout if not loc.is_anchor]
-    cfg = SimConfig()
-    items, demand = _make_items(rng, scale, slots, cfg.MPW)
+    items, demand = _make_items(rng, scale, slots, MAX_PALLET_KG)
     pallets = _make_initial(rng, items, n_slots)
     orders = _make_orders(rng, items, demand, scale)
     _check_feasibility(items, pallets, orders, scale)
@@ -239,7 +249,7 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
     # place starting stock through the zone policy so the file holds a
     # realistic arrangement (reset per run under the active policy anyway)
     warehouse = Warehouse(layout, items)
-    policy = StoragePolicy(PolicyKind.FIXED_ZONE, warehouse, cfg.stacker())
+    policy = StoragePolicy(PolicyKind.FIXED_ZONE, warehouse, SimConfig().stacker())
     rows = []
     for item in items:
         for qty, mfg in pallets[item.code]:
@@ -250,19 +260,6 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
         for loc_id, rec in sorted(warehouse.records.items())
     ]
 
-    inbound = []
-    for w in range(weeks):
-        week_start = START_DATE + timedelta(days=7 * w)
-        for i, item in enumerate(items, start=1):
-            inbound.append(InboundLine(
-                putaway_datetime=datetime.combine(week_start, time(8, 30)),
-                order_no=f"IN-W{w + 1}-{i:04d}",
-                item_code=item.code,
-                qty=item.qty_per_pallet,
-                total_weight_kg=round(item.qty_per_pallet * item.weight_kg, 2),
-                mfg_date=week_start - timedelta(days=1),
-            ))
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -270,11 +267,9 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
         "items": str(out / "items.csv"),
         "inventory": str(out / "initial_inventory.csv"),
         "orders": str(out / "orders.csv"),
-        "inbound": str(out / "inbound.csv"),
     }
     save_layout(layout, paths["layout"])
     save_items(items, paths["items"])
     save_inventory(inventory, paths["inventory"])
     save_orders(orders, paths["orders"])
-    save_inbound(inbound, paths["inbound"])
     return paths

@@ -89,9 +89,6 @@ class Engine:
         times = [t for t, _, k in self._heap if isinstance(k, kind)]
         return min(times) if times else None
 
-    def pending(self) -> int:
-        return len(self._heap)
-
     def run(self, horizon: float = math.inf) -> list[Event]:
         """Execute events in (time, seq) order until the list is empty or
         the next event lies beyond the horizon.  Returns the executed trace."""

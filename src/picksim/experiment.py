@@ -155,7 +155,8 @@ def build_slot_map(spec: ScenarioSpec, layout: list[Location], avg_picks: dict[s
 
 def run_scenario(spec: ScenarioSpec, audit: bool = False,
                  trace_dir: str | None = None) -> RunResult:
-    """Run every week of a scenario; raises on starvation or horizon overrun.
+    """Run every week of a scenario; raises on starvation or horizon overrun,
+    and raises ``InputDataError`` before any run if a week has no orders.
 
     With ``trace_dir`` set, the executed event log of week N is written to
     ``<trace_dir>/trace_<scenario>_week<N>.csv``.
@@ -166,9 +167,16 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
     initial = load_inventory(spec.data.inventory)
     item_index = {i.code: i for i in items}
     all_orders = load_orders(spec.data.orders, item_index)
+    buckets = split_weeks(all_orders, spec.weeks)
+    empty = next((w for w, bucket in enumerate(buckets, start=1) if not bucket), None)
+    if empty is not None:
+        start = min((o.order_datetime for o in all_orders), default=None)
+        spanned = max((week_index(o, start.date()) + 1 for o in all_orders), default=0)
+        raise InputDataError(
+            f"week {empty} has no orders: {spec.data.orders} spans {spanned} week(s)"
+        )
     avg_picks = demand_per_week(all_orders, spec.weeks)
     slot_map = build_slot_map(spec, layout, avg_picks, [i.code for i in items])
-    buckets = split_weeks(all_orders, spec.weeks)
 
     outcomes: list[WeekOutcome] = []
     for week_no, week_orders in enumerate(buckets, start=1):
@@ -189,9 +197,6 @@ def _run_week(spec: ScenarioSpec, cfg: SimConfig, layout: list[Location], items,
               week_orders: list[Order], week_no: int, audit: bool,
               trace_path: str | None = None) -> WeekOutcome:
     metrics = ProcessTotals()
-    if not week_orders:
-        return WeekOutcome(week_no, 0.0, metrics)
-
     warehouse = Warehouse(layout, items, audit=audit)
     policy = StoragePolicy(
         spec.policy, warehouse, cfg.stacker(), slot_map=slot_map,

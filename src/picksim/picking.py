@@ -47,6 +47,7 @@ from .warehouse import (
     PalletTouch,
     ProcessTotals,
     Warehouse,
+    _open_reader,
     aisle_turns,
     travel_time,
 )
@@ -70,14 +71,6 @@ class OrderLine:
         if self.qty < 1:
             raise InputDataError(f"order line of {self.item}: qty must be >= 1")
         self.remaining = self.qty
-
-    @property
-    def status(self) -> str:
-        if self.remaining == 0:
-            return "picked"
-        if self.remaining < self.qty:
-            return "partial"
-        return "pending"
 
 
 @dataclass
@@ -417,15 +410,9 @@ ORDERS_HEADER = ["order_datetime", "order_no", "truck_id", "item_code", "qty", "
 
 
 def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    fh, reader = _open_reader(path, ORDERS_HEADER)
     orders: dict[str, Order] = {}
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ORDERS_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(ORDERS_HEADER)}")
         for i, row in enumerate(reader, start=2):
             try:
                 when = datetime.fromisoformat(row["order_datetime"])

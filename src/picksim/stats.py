@@ -12,8 +12,6 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from scipy.stats import t as student_t
-
 from .errors import InputDataError
 
 
@@ -38,6 +36,9 @@ def summarize(values: list[float], confidence: float = 0.95) -> StatsSummary:
         raise InputDataError(f"confidence interval needs at least 2 values, got {n}")
     if not 0 < confidence < 1:
         raise InputDataError(f"confidence level must be in (0, 1), got {confidence}")
+    # deferred: loading scipy.stats costs about 1 s of CPU that runs without statistics skip
+    from scipy.stats import t as student_t
+
     mean = statistics.fmean(values)
     sd = statistics.stdev(values)
     quantile = float(student_t.ppf(0.5 + confidence / 2.0, n - 1))
@@ -73,5 +74,7 @@ def paired_test(a: list[float], b: list[float]) -> PairedTest:
             return PairedTest(0.0, df, 1.0)
         return PairedTest(math.copysign(math.inf, mean_d), df, 0.0)
     statistic = mean_d / (sd / math.sqrt(n))
+    from scipy.stats import t as student_t  # deferred, as in summarize
+
     p = 2.0 * float(student_t.sf(abs(statistic), df))
     return PairedTest(statistic, df, p)

@@ -40,20 +40,18 @@ the rest so arrival order is never overtaken.
 
 from __future__ import annotations
 
-import csv
 import enum
 import heapq
 import logging
 from collections import deque
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 
 from .allocation import SlotMap
-from .errors import InputDataError, ParseError
+from .errors import InputDataError
 from .warehouse import (
     ELEVATOR_ID,
     Equipment,
-    Item,
     Location,
     LocationId,
     Warehouse,
@@ -71,18 +69,6 @@ class PolicyKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class InboundLine:
-    """One arriving pallet from the inbound file."""
-
-    putaway_datetime: datetime
-    order_no: str
-    item_code: str
-    qty: int
-    total_weight_kg: float
-    mfg_date: date
-
-
-@dataclass(frozen=True)
 class Assignment:
     """A completed put-away: where the pallet went and what it cost."""
 
@@ -93,10 +79,6 @@ class Assignment:
     travel_s: float
     handle_s: float
     turns: int
-
-    @property
-    def duration_s(self) -> float:
-        return self.travel_s + self.handle_s
 
 
 @dataclass
@@ -314,57 +296,3 @@ def place_initial(policy: StoragePolicy, rows: list, priority: dict[str, float])
                         row.item)
         wh.place(slot.id, row.item, row.qty, row.mfg_date, source="initial")
     return fallbacks
-
-
-# -- inbound file --------------------------------------------------------
-
-INBOUND_HEADER = ["putaway_datetime", "order_no", "item_code", "qty",
-                  "total_weight_kg", "mfg_date"]
-
-
-def load_inbound(path: str, items: dict[str, Item], max_pallet_kg: float) -> list[InboundLine]:
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    lines: list[InboundLine] = []
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != INBOUND_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(INBOUND_HEADER)}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                line = InboundLine(
-                    putaway_datetime=datetime.fromisoformat(row["putaway_datetime"]),
-                    order_no=row["order_no"],
-                    item_code=row["item_code"],
-                    qty=int(row["qty"]),
-                    total_weight_kg=float(row["total_weight_kg"]),
-                    mfg_date=date.fromisoformat(row["mfg_date"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{i}: {exc}") from exc
-            if line.item_code not in items:
-                raise InputDataError(f"{path}:{i}: unknown item {line.item_code}")
-            if line.qty > items[line.item_code].qty_per_pallet:
-                raise InputDataError(
-                    f"{path}:{i}: {line.qty} pieces exceed one pallet of {line.item_code}"
-                )
-            if line.total_weight_kg > max_pallet_kg:
-                raise InputDataError(
-                    f"{path}:{i}: pallet weight {line.total_weight_kg} kg exceeds limit "
-                    f"{max_pallet_kg} kg"
-                )
-            lines.append(line)
-    return lines
-
-
-def save_inbound(lines: list[InboundLine], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(INBOUND_HEADER)
-        for ln in lines:
-            writer.writerow([
-                ln.putaway_datetime.isoformat(sep=" "), ln.order_no, ln.item_code,
-                ln.qty, ln.total_weight_kg, ln.mfg_date.isoformat(),
-            ])

@@ -19,8 +19,8 @@ indices) are told about every slot that is filled or drained.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from datetime import date, datetime
+from dataclasses import dataclass
+from datetime import date
 from typing import Iterable
 
 from .errors import InputDataError, ParseError
@@ -35,11 +35,6 @@ ANCHOR_ZONE = "anchor"
 
 HANDLIFT = "handlift"
 STACKER = "stacker"
-
-CAN_PUT_AWAY = "put_away"
-CAN_PICK = "pick"
-CAN_TRANSFER = "transfer"
-
 
 @dataclass(frozen=True)
 class Location:
@@ -96,17 +91,13 @@ class Equipment:
 
     ``speed_cm_s`` is planar travel speed, ``lift_speed_cm_s`` vertical
     speed (zero means the equipment cannot lift), ``turn_time_s`` the
-    fixed cost per aisle change.  ``capabilities`` lists which processes
-    the equipment may serve.
+    fixed cost per aisle change.
     """
 
     kind: str
-    count: int
     speed_cm_s: float
     lift_speed_cm_s: float
     turn_time_s: float
-    capabilities: frozenset[str]
-    operators_per_unit: int = 1
 
 
 @dataclass
@@ -234,9 +225,6 @@ class Warehouse:
         if on_hand is None:
             self.item(item_code)  # raises for an unknown code
         return on_hand
-
-    def on_hand_by_item(self) -> dict[str, int]:
-        return {code: self.total_on_hand(code) for code in self.items}
 
     # -- mutations -------------------------------------------------------
 

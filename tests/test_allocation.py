@@ -1,4 +1,4 @@
-"""Slot allocation: counting rules, physical assignment, ABC classes."""
+"""Slot allocation: counting rules and physical assignment."""
 
 from __future__ import annotations
 
@@ -12,14 +12,11 @@ from picksim import (
     AllocationRule,
     Equipment,
     InputDataError,
-    abc_classify,
     allocate_slots,
     assign_physical_slots,
-    load_slot_map,
-    save_slot_map,
 )
 
-EQ = Equipment("stacker", 1, 90.0, 30.0, 3.0, frozenset({"put_away"}))
+EQ = Equipment("stacker", 90.0, 30.0, 3.0)
 
 
 # -- counting -------------------------------------------------------------
@@ -147,43 +144,3 @@ def test_assignment_overflow_is_an_error():
     with pytest.raises(InputDataError, match="available"):
         assign_physical_slots({"A": 3}, _line_of_slots(2), {"A": 1.0},
                               anchors()[0], EQ)
-
-
-def test_slot_map_round_trip(tmp_path):
-    slot_map = {"A": [(0, 1, 0), (0, 1, 1)], "B": [(1, 2, 3)]}
-    path = tmp_path / "slots.csv"
-    save_slot_map(slot_map, str(path))
-    assert load_slot_map(str(path)) == slot_map
-
-
-# -- ABC classes ----------------------------------------------------------
-
-
-def test_abc_textbook_split():
-    abc = abc_classify({"A": 80.0, "B": 15.0, "C": 5.0})
-    assert abc.of("A") == "A" and abc.of("B") == "B" and abc.of("C") == "C"
-    assert abc.counts() == {"A": 1, "B": 1, "C": 1}
-
-
-def test_abc_five_equal_products():
-    abc = abc_classify({f"P{i}": 10.0 for i in range(5)})
-    # shares 20% each: the first four start below 80%, the fifth at 80%
-    assert [abc.of(f"P{i}") for i in range(5)] == ["A", "A", "A", "A", "B"]
-
-
-def test_abc_zero_demand_is_class_c():
-    abc = abc_classify({"A": 10.0, "Z": 0.0})
-    assert abc.of("Z") == "C"
-
-
-def test_abc_single_product_is_a():
-    assert abc_classify({"ONLY": 3.0}).of("ONLY") == "A"
-
-
-def test_abc_errors():
-    with pytest.raises(InputDataError, match="empty"):
-        abc_classify({})
-    with pytest.raises(InputDataError, match="demand > 0"):
-        abc_classify({"A": 0.0})
-    with pytest.raises(InputDataError, match="thresholds"):
-        abc_classify({"A": 1.0}, thresholds=(0.9, 0.5))

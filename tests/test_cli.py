@@ -37,16 +37,23 @@ def _weekly_file(tmp_path: Path, name: str, values: list[float]) -> str:
 # -- gen-data -------------------------------------------------------------
 
 
-def test_gen_data_prints_all_five_paths(tmp_path, capsys):
+def test_gen_data_prints_all_four_paths(tmp_path, capsys):
     rc = main(["gen-data", "--out", str(tmp_path), "--items", "4",
                "--slots", "12", "--lines", "10", "--weeks", "1"])
     out = capsys.readouterr().out
     assert rc == 0
     roles = [line.split(":")[0] for line in out.splitlines()]
-    assert roles == ["layout", "items", "inventory", "orders", "inbound"]
-    for f in ("layout.csv", "items.csv", "initial_inventory.csv",
-              "orders.csv", "inbound.csv"):
-        assert (tmp_path / f).is_file()
+    assert roles == ["layout", "items", "inventory", "orders"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "initial_inventory.csv", "items.csv", "layout.csv", "orders.csv"]
+
+
+def test_gen_data_beyond_supply_exits_3(tmp_path, capsys):
+    assert main(["gen-data", "--out", str(tmp_path), "--items", "1", "--slots", "1",
+                 "--lines", "20000", "--weeks", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: week 1 demand ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
 
 
 # -- simulate -------------------------------------------------------------
@@ -244,6 +251,34 @@ def test_unknown_config_key_exits_3(dataset, tmp_path, capsys):
     assert "unknown config field walk_speed" in capsys.readouterr().err
 
 
+def test_legacy_config_keys_load_with_one_warning(dataset, tmp_path):
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({"h": 3, "LR": 2}))
+    plain = tmp_path / "plain.json"
+    plain.write_text("{}")
+    runs = []
+    for cfg in (legacy, plain):
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "picksim.cli", "simulate", "--data", dataset,
+             "--weeks", "1", "--config", str(cfg)],
+            capture_output=True, text=True,
+        ))
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stderr == "config fields LR, h are no longer used and were ignored\n"
+    assert runs[1].stderr == ""
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_weeks_beyond_the_data_exit_3(dataset, tmp_path, capsys):
+    assert main(["simulate", "--data", dataset, "--weeks", "3",
+                 "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: week 3 has no orders: ")
+    assert captured.err.endswith(" spans 2 week(s)\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_not_json_exits_2(dataset, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -272,6 +307,13 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "orders:" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, picksim.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # -- README ---------------------------------------------------------------

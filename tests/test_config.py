@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import logging
+from dataclasses import fields
 
 import pytest
 
 from picksim import (
+    Equipment,
     SimConfig,
     ValidationError,
     config_from_dict,
@@ -14,6 +17,7 @@ from picksim import (
     load_config,
     save_config,
 )
+from picksim.config import LEGACY_KEYS
 
 
 def test_empty_dict_gives_full_defaults():
@@ -21,7 +25,7 @@ def test_empty_dict_gives_full_defaults():
     assert cfg == SimConfig()
     assert cfg.sph == 100.0 and cfg.sps == 90.0 and cfg.Lsps == 30.0
     assert cfg.BTpu == 10.0 and cfg.PPpu == 15.0 and cfg.PMpu == 2.0
-    assert cfg.MPW == 1200.0 and cfg.pieces_per_master == 10
+    assert cfg.pieces_per_master == 10
     assert cfg.metric_unit == "minutes"
     assert cfg.horizon_s == 2_592_000.0
     assert cfg.walking.mode == "constant" and cfg.walking.constant_s == 120.0
@@ -50,12 +54,12 @@ def test_validation_collects_every_violation():
         config_from_dict({
             "sph": -5,
             "BTpu": -1,
-            "MPV": 150,
+            "horizon_s": -1,
             "metric_unit": "days",
             "replenish": {"mu_s": 0},
         })
     messages = exc.value.messages
-    for needle in ("sph", "BTpu", "MPV", "metric_unit", "replenish.mu_s"):
+    for needle in ("sph", "BTpu", "horizon_s", "metric_unit", "replenish.mu_s"):
         assert any(needle in m for m in messages), f"no message about {needle}"
     assert len(messages) >= 5
 
@@ -65,15 +69,27 @@ def test_booleans_are_not_numbers():
         config_from_dict({"sph": True})
 
 
-def test_equipment_builders_reflect_capability_flags():
-    cfg = config_from_dict({"puh": True, "pas": False})
-    h = cfg.handlift()
-    s = cfg.stacker()
-    assert h.kind == "handlift" and h.speed_cm_s == 100.0 and h.lift_speed_cm_s == 0.0
-    assert s.kind == "stacker" and s.lift_speed_cm_s == 30.0
-    assert "put_away" in h.capabilities
-    assert "pick" not in s.capabilities
-    assert "pick" in h.capabilities
+def test_equipment_builders_read_speed_lift_and_turn():
+    cfg = config_from_dict({"sph": 80.0, "tts": 4.0})
+    assert cfg.handlift() == Equipment("handlift", 80.0, 0.0, 2.0)
+    assert cfg.stacker() == Equipment("stacker", 90.0, 30.0, 4.0)
+
+
+def test_legacy_keys_load_with_one_warning(caplog):
+    assert len(LEGACY_KEYS) == 22 and not LEGACY_KEYS & {f.name for f in fields(SimConfig)}
+    with caplog.at_level(logging.WARNING, logger="picksim.config"):
+        cfg = config_from_dict({**dict.fromkeys(LEGACY_KEYS, 1), "sph": 80.0})
+    assert cfg == config_from_dict({"sph": 80.0})
+    assert [r.getMessage() for r in caplog.records] == [
+        f"config fields {', '.join(sorted(LEGACY_KEYS))} are no longer used and were ignored"]
+
+
+def test_legacy_keys_do_not_hide_unknown_ones(caplog):
+    with caplog.at_level(logging.WARNING, logger="picksim.config"):
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict({"MPV": 100, "MPX": 1})
+    assert exc.value.messages == ["unknown config field MPX"]
+    assert not caplog.records, "a rejected config logs no legacy warning"
 
 
 def test_metric_factor():
@@ -113,8 +129,3 @@ def test_bad_json_is_a_parse_error(tmp_path):
     path2.write_text("[1, 2]")
     with pytest.raises(ParseError, match="object"):
         load_config(str(path2))
-
-
-def test_plan_seconds_per_week_subtracts_breaks():
-    cfg = SimConfig()  # 2 h picking plan minus 1 h break, 7 days
-    assert cfg.plan_seconds_per_week() == 7.0 * 1.0 * 3600.0

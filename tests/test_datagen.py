@@ -8,9 +8,7 @@ import pytest
 
 from picksim import (
     InputDataError,
-    SimConfig,
     Warehouse,
-    load_inbound,
     load_inventory,
     load_items,
     load_layout,
@@ -62,9 +60,6 @@ def test_dataset_loads_into_warehouse(tmp_path):
     for row in initial:
         wh.place(row.location, row.item, row.qty, row.mfg_date,
                  source="initial")
-    inbound = load_inbound(paths["inbound"], {i.code: i for i in items},
-                           SimConfig().MPW)
-    assert len(inbound) == 15 * 2  # one pallet per item per week
     # stock never exceeds a pallet per slot and stays within item bounds
     for loc_id, rec in wh.records.items():
         assert 1 <= rec.qty <= wh.item(rec.item).qty_per_pallet

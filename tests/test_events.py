@@ -100,7 +100,8 @@ def test_horizon_stops_before_late_events():
         eng.schedule(t, Replenish())
     eng.run(horizon=5.0)
     assert [t for t, _, _ in log] == [1.0, 4.0, 5.0]
-    assert eng.pending() == 2  # 5.5 and 9.0 stay queued
+    eng.run()  # 5.5 and 9.0 stayed queued
+    assert [t for t, _, _ in log] == [1.0, 4.0, 5.0, 5.5, 9.0]
 
 
 def test_missing_handler_aborts():

@@ -144,10 +144,18 @@ def test_tiny_horizon_raises_infeasible(small_dataset):
         run_scenario(_spec(small_dataset, cfg=cfg))
 
 
-def test_empty_trailing_week_scores_zero(small_dataset):
-    res = run_scenario(_spec(small_dataset, weeks=3))
-    assert len(res.weeks) == 3
-    assert res.weeks[2].metric == 0.0
+def test_weeks_beyond_the_data_are_an_input_error(small_dataset):
+    with pytest.raises(InputDataError, match=r"week 3 has no orders: .* spans 2 week\(s\)"):
+        run_scenario(_spec(small_dataset, weeks=3))
+
+
+def test_a_gap_week_is_an_input_error(tmp_path):
+    generate_data(str(tmp_path), 21, n_items=8, n_slots=30, n_lines=90, weeks=3)
+    orders = tmp_path / "orders.csv"
+    header, *rows = orders.read_text().splitlines()
+    orders.write_text("\n".join([header, *(r for r in rows if "-W2-" not in r)]) + "\n")
+    with pytest.raises(InputDataError, match=r"week 2 has no orders: .* spans 3 week\(s\)"):
+        run_scenario(_spec(str(tmp_path), weeks=3))
 
 
 # -- aggregation and serialization ---------------------------------------

@@ -130,7 +130,7 @@ def test_unreachable_vacant_candidate_still_raises():
     """Equipment that cannot lift fails on a vacant slot above the floor,
     and only while that slot is vacant."""
     wh, slots = _world()
-    no_lift = Equipment("handlift", 1, 100.0, 0.0, 2.0, frozenset())
+    no_lift = Equipment("handlift", 100.0, 0.0, 2.0)
     pol = StoragePolicy(PolicyKind.FIXED, wh, no_lift, slot_map=_slot_map(slots))
     # A's slots 5 and 9 are 120 cm up; slot 0 is on the floor
     with pytest.raises(InputDataError, match="cannot lift"):

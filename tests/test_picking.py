@@ -171,12 +171,11 @@ def test_multi_pallet_line_over_several_restocks():
 
 def test_order_line_statuses_progress():
     line = OrderLine("A", 5, 1.0)
-    assert line.status == "pending"
-    line.remaining = 2
-    assert line.status == "partial"
-    line.remaining = 0
-    assert line.status == "picked"
     order = Order("O1", DT, "T", [line])
+    assert line.remaining == 5 and not order.complete
+    line.remaining = 2
+    assert not order.complete
+    line.remaining = 0
     assert order.complete
 
 

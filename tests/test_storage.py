@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from datetime import date, datetime
+from datetime import date
 
 import pytest
 
@@ -15,13 +15,10 @@ from picksim import (
     SimConfig,
     StoragePolicy,
     Warehouse,
-    load_inbound,
     place_initial,
-    save_inbound,
     travel_time,
     aisle_turns,
 )
-from picksim.storage import InboundLine
 
 CFG = SimConfig()
 MFG = date(2024, 5, 1)
@@ -211,29 +208,3 @@ def test_place_initial_overflow_is_an_error():
             InventoryRow((0, 0, 0), "A", 2, MFG)]
     with pytest.raises(InputDataError, match="capacity"):
         place_initial(pol, rows, priority={})
-
-
-# -- inbound file ---------------------------------------------------------
-
-
-def test_inbound_round_trip_and_validation(tmp_path):
-    items = {"A": make_item("A", qpp=10, weight=2.0)}
-    good = InboundLine(datetime(2024, 6, 3, 8, 30), "IN-1", "A", 10, 20.0, MFG)
-    path = tmp_path / "inbound.csv"
-    save_inbound([good], str(path))
-    assert load_inbound(str(path), items, max_pallet_kg=1200.0) == [good]
-
-    too_many = InboundLine(datetime(2024, 6, 3, 8, 30), "IN-2", "A", 11, 22.0, MFG)
-    save_inbound([too_many], str(path))
-    with pytest.raises(InputDataError, match="exceed one pallet"):
-        load_inbound(str(path), items, max_pallet_kg=1200.0)
-
-    heavy = InboundLine(datetime(2024, 6, 3, 8, 30), "IN-3", "A", 10, 1500.0, MFG)
-    save_inbound([heavy], str(path))
-    with pytest.raises(InputDataError, match="weight"):
-        load_inbound(str(path), items, max_pallet_kg=1200.0)
-
-    unknown = InboundLine(datetime(2024, 6, 3, 8, 30), "IN-4", "ZZ", 1, 2.0, MFG)
-    save_inbound([unknown], str(path))
-    with pytest.raises(InputDataError, match="unknown item"):
-        load_inbound(str(path), items, max_pallet_kg=1200.0)

@@ -24,8 +24,8 @@ from picksim import (
     save_layout,
 )
 
-STACKER = Equipment("stacker", 1, 90.0, 30.0, 3.0, frozenset({"pick"}))
-HANDLIFT = Equipment("handlift", 1, 100.0, 0.0, 2.0, frozenset({"pick"}))
+STACKER = Equipment("stacker", 90.0, 30.0, 3.0)
+HANDLIFT = Equipment("handlift", 100.0, 0.0, 2.0)
 
 
 def _wh(slots=None, items=None, audit=False):
