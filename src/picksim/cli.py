@@ -57,7 +57,7 @@ from .experiment import (
     write_summary_csv,
 )
 from .picking import PickingMode
-from .stats import paired_test, summarize
+from .stats import paired_test
 from .storage import PolicyKind
 from .warehouse import _open_reader
 
@@ -184,14 +184,16 @@ def _cmd_simulate(args) -> int:
         raise ParseError("--trace requires --out to know where to write traces")
     result = run_scenario(spec, audit=args.audit, trace_dir=trace_dir)
     _print_result(result)
+    summaries = None
     if len(result.weeks) >= 2:
-        _print_summaries(summarize_results([result]))
+        summaries = summarize_results([(result.scenario, result.weekly_metrics)])
+        _print_summaries(summaries)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_results_csv([result], str(out / "results.csv"))
-        if len(result.weeks) >= 2:
-            write_summary_csv(summarize_results([result]), str(out / "summary.csv"))
+        if summaries is not None:
+            write_summary_csv(summaries, str(out / "summary.csv"))
     return 0
 
 
@@ -258,14 +260,7 @@ def _cmd_stats(args) -> int:
     for name, values in series:
         if len(values) < 2:
             raise InputDataError(f"{name}: need at least two weekly values, got {len(values)}")
-    summaries = []
-    baseline_total = sum(series[0][1])
-    from .experiment import ScenarioSummary
-    from .stats import gap
-
-    for name, values in series:
-        summaries.append(ScenarioSummary(name, summarize(values), sum(values),
-                                         gap(baseline_total, sum(values))))
+    summaries = summarize_results(series)
     paired = None
     if len(series) == 2:
         paired = paired_test(series[0][1], series[1][1])

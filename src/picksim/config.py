@@ -78,7 +78,8 @@ class ReplenishSettings:
     seed: int = 12345
 
     def __post_init__(self) -> None:
-        if self.t_min_s is None:
+        # with a bad mu_s or sigma_s the floor stays unset; validate() names the field
+        if self.t_min_s is None and _is_num(self.mu_s) and _is_num(self.sigma_s):
             self.t_min_s = max(1.0, self.mu_s - 3.0 * self.sigma_s)
 
 
@@ -128,7 +129,7 @@ class SimConfig:
             check(_is_nonneg(getattr(self, name)), f"{name} must be a non-negative number")
         check(isinstance(self.pieces_per_master, int) and self.pieces_per_master >= 1,
               "pieces_per_master must be an integer >= 1")
-        check(self.metric_unit in METRIC_UNITS,
+        check(isinstance(self.metric_unit, str) and self.metric_unit in METRIC_UNITS,
               f"metric_unit must be one of {sorted(METRIC_UNITS)}")
         check(_is_pos(self.horizon_s), "horizon_s must be a positive number")
         check(self.walking.mode in (WALK_CONSTANT, WALK_DISTANCE),
@@ -140,17 +141,22 @@ class SimConfig:
               "replenish.mode must be 'constant' or 'sampled'")
         check(_is_pos(self.replenish.mu_s), "replenish.mu_s must be a positive number")
         check(_is_nonneg(self.replenish.sigma_s), "replenish.sigma_s must be non-negative")
-        check(_is_pos(self.replenish.t_min_s or 0.0), "replenish.t_min_s must be a positive number")
+        check(self.replenish.t_min_s is None or _is_pos(self.replenish.t_min_s),
+              "replenish.t_min_s must be a positive number")
         check(isinstance(self.replenish.seed, int), "replenish.seed must be an integer")
         return errors
 
 
+def _is_num(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _is_pos(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+    return _is_num(v) and v > 0
 
 
 def _is_nonneg(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v >= 0
+    return _is_num(v) and v >= 0
 
 
 _NESTED = {"walking": WalkSettings, "replenish": ReplenishSettings}

@@ -206,20 +206,16 @@ def _run_week(spec: ScenarioSpec, cfg: SimConfig, layout: list[Location], items,
     start_date = min(o.order_datetime for o in week_orders).date()
 
     plan = prepare_orders(week_orders, spec.picking, warehouse, policy)
-    session = PickingSession(warehouse, policy, cfg, plan, metrics)
+    session = PickingSession(warehouse, cfg, plan, metrics)
     sampler = ReplenishmentSampler.from_config(
         cfg, derive_seed(spec.seed, spec.name, week_no))
     replenisher = Replenisher(policy, cfg, sampler, session, metrics, start_date)
 
     engine = Engine()
-    if audit:
-        engine.register(StartPickOrder, _audited(session.handle_spo, warehouse))
-        engine.register(PartialPick, _audited(session.handle_pp, warehouse))
-        engine.register(Replenish, _audited(replenisher.handle_rp, warehouse))
-    else:
-        engine.register(StartPickOrder, session.handle_spo)
-        engine.register(PartialPick, session.handle_pp)
-        engine.register(Replenish, replenisher.handle_rp)
+    for kind, handler in ((StartPickOrder, session.handle_spo),
+                          (PartialPick, session.handle_pp),
+                          (Replenish, replenisher.handle_rp)):
+        engine.register(kind, _audited(handler, warehouse) if audit else handler)
     engine.schedule(0.0, StartPickOrder(0))
     engine.schedule(sampler.draw(), Replenish())
     engine.run(horizon=cfg.horizon_s)
@@ -265,32 +261,30 @@ class Comparison:
     paired: PairedTest | None
 
 
-def summarize_results(results: list[RunResult]) -> list[ScenarioSummary]:
-    """Per-scenario mean/CI/total plus gap against the first scenario."""
-    if not results:
+def summarize_results(series: list[tuple[str, list[float]]]) -> list[ScenarioSummary]:
+    """Mean/CI/total per ``(name, weekly values)`` pair, plus the gap of
+    each total against the first one."""
+    if not series:
         raise InputDataError("nothing to summarize")
-    baseline = results[0].total
-    out = []
-    for res in results:
-        out.append(ScenarioSummary(res.scenario, summarize(res.weekly_metrics),
-                                   res.total, gap(baseline, res.total)))
-    return out
+    baseline = sum(series[0][1])
+    return [ScenarioSummary(name, summarize(values), sum(values),
+                            gap(baseline, sum(values)))
+            for name, values in series]
 
 
 def compare_scenarios(base: ScenarioSpec, other: ScenarioSpec,
                       audit: bool = False) -> Comparison:
     res_a = run_scenario(base, audit=audit)
     res_b = run_scenario(other, audit=audit)
-    summaries = summarize_results([res_a, res_b])
+    summaries = summarize_results([(r.scenario, r.weekly_metrics) for r in (res_a, res_b)])
     paired = paired_test(res_a.weekly_metrics, res_b.weekly_metrics)
     return Comparison([res_a, res_b], summaries, paired)
 
 
 # -- serialization -------------------------------------------------------
 
-RESULTS_HEADER = ["scenario", "week", "metric", "pick_full_s", "pick_partial_s",
-                  "put_full_s", "put_partial_s", "move_s", "sort_full_s",
-                  "sort_partial_s", "waiting_s", "turns"]
+RESULTS_HEADER = ["scenario", "week", "metric", "walk_s", "handle_s", "wait_s",
+                  "put_travel_s", "put_handle_s", "turns"]
 SUMMARY_HEADER = ["scenario", "mean", "ci_low", "ci_high", "total", "gap_pct"]
 PAIRED_HEADER = ["statistic", "df", "p_value"]
 
@@ -303,11 +297,9 @@ def write_results_csv(results: list[RunResult], path: str) -> None:
             for wk in res.weeks:
                 t = wk.totals
                 writer.writerow([
-                    res.scenario, wk.week, repr(wk.metric),
-                    repr(t.pick_full_s), repr(t.pick_partial_s),
-                    repr(t.put_full_s), repr(t.put_partial_s), repr(t.move_s),
-                    repr(t.sort_full_s), repr(t.sort_partial_s),
-                    repr(t.waiting_s), t.turns,
+                    res.scenario, wk.week, repr(wk.metric), repr(t.walk_s),
+                    repr(t.handle_s), repr(t.wait_s), repr(t.put_travel_s),
+                    repr(t.put_handle_s), t.turns,
                 ])
 
 

@@ -22,8 +22,12 @@ restocking visit.
 Time accounting convention (kept identical in the brute-force test
 oracle, so do not reorder): every milestone timestamp is built as
 ``now``, plus each walking leg in route order, plus each per-sublist
-handling total in route order.  Handling for a quantity is charged
-exactly once, when that quantity is physically taken.
+handling total in route order.  Handling is charged for the quantity a
+traversal takes, once per sublist visit.  The pieces grabbed at a stall
+are charged nothing: the resume visit charges handling for the rest of
+the line only.  Every term is booked in ``ProcessTotals`` where it is
+added to the clock, so per week the last completion equals walking plus
+handling plus stall waiting.
 """
 
 from __future__ import annotations
@@ -181,10 +185,9 @@ class PickingSession:
     the (single) picker inside the active order's route.
     """
 
-    def __init__(self, warehouse: Warehouse, policy: StoragePolicy, cfg: SimConfig,
-                 plan: PickPlan, metrics: ProcessTotals):
+    def __init__(self, warehouse: Warehouse, cfg: SimConfig, plan: PickPlan,
+                 metrics: ProcessTotals):
         self.warehouse = warehouse
-        self.policy = policy
         self.cfg = cfg
         self.plan = plan
         self.metrics = metrics
@@ -234,17 +237,16 @@ class PickingSession:
         if avail >= line.remaining:
             return self._advance(sim, event.time)
         if avail > 0:
-            touches = self.warehouse.pick(line.item, avail)
+            # taken while waiting: the clock charges no handling for it
+            self.warehouse.pick(line.item, avail)
             line.remaining -= avail
-            self._record_call([touches])
-            self._drain_freed(touches, event.time)
         t_rp = sim.next_time_of(Replenish)
         if t_rp is None:
             raise StarvationError(
                 f"order {entry.order.order_no} line {kind.line} ({line.item}) is short "
                 f"{line.remaining} pieces and no replenishment is scheduled"
             )
-        self.metrics.waiting_s += t_rp - event.time
+        self.metrics.wait_s += t_rp - event.time
         return [(t_rp, kind)]
 
     # -- core traversal ----------------------------------------------------
@@ -252,10 +254,10 @@ class PickingSession:
     def _advance(self, sim: Engine, now: float) -> list[tuple[float, object]]:
         """Work the active order forward from the picker's position.
 
-        Picks every line up to (not including) the first short one,
-        accumulates walking legs and per-sublist handling, and returns
-        either the next order's start event (order done) or the resume
-        event at the short line's slot.
+        Picks every line up to (not including) the first short one, adds
+        walking legs and per-sublist handling to the clock and to the
+        totals, and returns either the next order's start event (order
+        done) or the resume event at the short line's slot.
         """
         i = self._active
         assert i is not None
@@ -266,7 +268,7 @@ class PickingSession:
         target = m if m is not None else len(route)
 
         # one picking visit ("call") per sublist touched, in route order
-        calls: list[tuple[list[PalletTouch], list[tuple[int, int]]]] = []
+        calls: list[list[tuple[int, int]]] = []
         current_seg = -1
         for p in range(pos, target):
             stop = route[p]
@@ -276,24 +278,20 @@ class PickingSession:
             touches = self.warehouse.pick(line.item, line.remaining)
             line.remaining = 0
             if entry.seg_of[p] != current_seg:
-                calls.append(([], []))
+                calls.append([])
                 current_seg = entry.seg_of[p]
-            calls[-1][0].extend(touches)
-            calls[-1][1].append(_entry_of(touches))
+            calls[-1].append(_entry_of(touches))
         legs = self._walk_legs(entry, pos, target, complete=(m is None))
 
+        metrics = self.metrics
         t = now
         for leg in legs:
             t += leg
-        for _, entries in calls:
-            t += handling_time(entries, self.cfg)
-
-        for leg in legs:
-            self.metrics.move_s += leg
-        for touches, _ in calls:
-            self._record_call([touches])
-        for touches, _ in calls:
-            self._drain_freed(touches, now)
+            metrics.walk_s += leg
+        for entries in calls:
+            handle = handling_time(entries, self.cfg)
+            t += handle
+            metrics.handle_s += handle
 
         if m is None:
             self.completions[i] = t
@@ -364,44 +362,6 @@ class PickingSession:
         turns = aisle_turns(a, b)
         self.metrics.turns += turns
         return travel_time(a, b, self.walk_eq, turns)
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def _record_call(self, calls: list[list[PalletTouch]]) -> None:
-        """Accumulate handling labor per picking visit.
-
-        A touch that drains its pallet counts as a full-pallet pick, any
-        other as a partial pick with its pieces handled in master
-        cartons; the per-visit base time follows the first touch's class.
-        """
-        cfg = self.cfg
-        for touches in calls:
-            if not touches:
-                continue
-            if touches[0].drained:
-                self.metrics.pick_full_s += cfg.BTpu
-            else:
-                self.metrics.pick_partial_s += cfg.BTpu
-            loose = 0
-            for t in touches:
-                if t.drained:
-                    self.metrics.pick_full_s += cfg.PPpu
-                else:
-                    self.metrics.pick_partial_s += cfg.PPpu
-                    loose += t.taken
-            masters = -(-loose // cfg.pieces_per_master)
-            self.metrics.pick_partial_s += cfg.PMpu * masters
-
-    def _drain_freed(self, touches: list[PalletTouch], now: float) -> None:
-        if not any(t.drained for t in touches):
-            return
-        if not self.policy.waiting:
-            return
-        for entry, assignment in self.policy.on_slot_freed(now):
-            self.metrics.put_full_s += assignment.handle_s
-            self.metrics.move_s += assignment.travel_s
-            self.metrics.turns += assignment.turns
-            self.metrics.waiting_s += now - entry.enqueued_at
 
 
 # -- orders file ---------------------------------------------------------

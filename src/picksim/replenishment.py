@@ -79,12 +79,10 @@ class Replenisher:
             log.info("replenishment at t=%s skipped: no product has a vacant slot", event.time)
         else:
             item = self.warehouse.item(code)
-            assignment = self.policy.put_away(
-                code, item.qty_per_pallet, self.sim_date(event.time), event.time
-            )
-            assert assignment is not None, "eligibility guaranteed a vacant slot"
-            self.metrics.put_full_s += assignment.handle_s
-            self.metrics.move_s += assignment.travel_s
+            assignment = self.policy.put_away(code, item.qty_per_pallet,
+                                              self.sim_date(event.time))
+            self.metrics.put_travel_s += assignment.travel_s
+            self.metrics.put_handle_s += assignment.handle_s
             self.metrics.turns += assignment.turns
         return [(event.time + gap, Replenish())]
 

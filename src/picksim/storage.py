@@ -32,10 +32,6 @@ every placement and ``_slot_drained`` after every pick that empties a
 slot, which decrement and increment ``vacant`` of every set holding the
 slot and push the slot back onto their heaps.  A slot may sit in several
 sets, for instance when a user slot map gives it to two items.
-
-When no candidate is vacant the pallet joins a FIFO waiting list that
-is re-attempted whenever a slot frees up; the head of the list blocks
-the rest so arrival order is never overtaken.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from __future__ import annotations
 import enum
 import heapq
 import logging
-from collections import deque
 from dataclasses import dataclass
 from datetime import date
 
@@ -81,14 +76,6 @@ class Assignment:
     turns: int
 
 
-@dataclass
-class WaitingEntry:
-    item: str
-    qty: int
-    mfg_date: date
-    enqueued_at: float
-
-
 class _SlotSet:
     """One candidate set: its slots, vacancy count and lazy min-heap."""
 
@@ -103,7 +90,7 @@ class _SlotSet:
 
 
 class StoragePolicy:
-    """Slot chooser plus waiting list for one warehouse and one policy kind."""
+    """Slot chooser for one warehouse and one policy kind."""
 
     def __init__(self, kind: PolicyKind, warehouse: Warehouse, equipment: Equipment,
                  slot_map: SlotMap | None = None, receiving_id: LocationId = ELEVATOR_ID,
@@ -117,7 +104,6 @@ class StoragePolicy:
         self.receiving = warehouse.location(receiving_id)
         self.base_time_s = base_time_s
         self.per_pallet_s = per_pallet_s
-        self.waiting: deque[WaitingEntry] = deque()
         self._set_of_item: dict[str, _SlotSet] = {}
         self._zone_sets: dict[str, _SlotSet] = {}
         self._all: _SlotSet | None = None
@@ -232,44 +218,22 @@ class StoragePolicy:
 
     # -- put-away ----------------------------------------------------------
 
-    def put_away(self, item_code: str, qty: int, mfg_date: date,
-                 now: float, source: str = "replenish") -> Assignment | None:
-        """Place one pallet, or enqueue it and return None when no slot fits."""
+    def put_away(self, item_code: str, qty: int, mfg_date: date) -> Assignment:
+        """Place one pallet in the nearest vacant candidate slot.
+
+        The caller makes sure the item has one (``has_vacancy``).
+        """
         item = self.warehouse.item(item_code)
         if not 1 <= qty <= item.qty_per_pallet:
             raise InputDataError(
                 f"put-away of {item_code} must hold 1..{item.qty_per_pallet} pieces, got {qty}"
             )
         slot = self.nearest_vacant(item_code)
-        if slot is None:
-            self.waiting.append(WaitingEntry(item_code, qty, mfg_date, now))
-            log.info("put-away of %s waiting: no vacant candidate slot", item_code)
-            return None
-        return self._place(slot, item_code, qty, mfg_date, source)
-
-    def _place(self, slot: Location, item_code: str, qty: int, mfg_date: date,
-               source: str) -> Assignment:
-        self.warehouse.place(slot.id, item_code, qty, mfg_date, source=source)
+        assert slot is not None, f"put-away of {item_code} without a vacant candidate slot"
+        self.warehouse.place(slot.id, item_code, qty, mfg_date, source="replenish")
         travel, turns = self._travel(slot)
         return Assignment(slot.id, item_code, qty, mfg_date, travel,
                           self.base_time_s + self.per_pallet_s, turns)
-
-    def on_slot_freed(self, now: float) -> list[tuple[WaitingEntry, Assignment]]:
-        """Re-attempt the waiting list head-first after a slot was vacated.
-
-        Stops at the first entry that still has nowhere to go, so later
-        entries can never overtake the head.
-        """
-        done: list[tuple[WaitingEntry, Assignment]] = []
-        while self.waiting:
-            entry = self.waiting[0]
-            slot = self.nearest_vacant(entry.item)
-            if slot is None:
-                break
-            self.waiting.popleft()
-            done.append((entry, self._place(slot, entry.item, entry.qty, entry.mfg_date,
-                                            "replenish")))
-        return done
 
 
 def place_initial(policy: StoragePolicy, rows: list, priority: dict[str, float]) -> int:

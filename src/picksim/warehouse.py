@@ -113,16 +113,19 @@ class PalletTouch:
 
 @dataclass
 class ProcessTotals:
-    """Accumulated labor seconds per sub-process for one weekly run."""
+    """Seconds of one weekly run, each booked where it is charged.
 
-    pick_full_s: float = 0.0
-    pick_partial_s: float = 0.0
-    put_full_s: float = 0.0
-    put_partial_s: float = 0.0
-    move_s: float = 0.0
-    sort_full_s: float = 0.0
-    sort_partial_s: float = 0.0
-    waiting_s: float = 0.0
+    The picker's walking, handling and stall waiting add up to the last
+    order's completion time; the replenisher's put-away travel and
+    handling run beside the picker's clock.  ``turns`` counts the aisle
+    changes of both.
+    """
+
+    walk_s: float = 0.0
+    handle_s: float = 0.0
+    wait_s: float = 0.0
+    put_travel_s: float = 0.0
+    put_handle_s: float = 0.0
     turns: int = 0
 
 

@@ -41,7 +41,7 @@ def engine_run(layout, items, initial, policy_kind, slot_map, orders, mode,
     ]
     plan = prepare_orders(built, PickingMode(mode), warehouse, policy)
     metrics = ProcessTotals()
-    session = PickingSession(warehouse, policy, cfg, plan, metrics)
+    session = PickingSession(warehouse, cfg, plan, metrics)
     sampler = ReplenishmentSampler.from_config(cfg, seed)
     replenisher = Replenisher(policy, cfg, sampler, session, metrics, start)
 

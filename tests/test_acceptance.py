@@ -7,6 +7,7 @@ states its own tolerance and runtime budget and fails loudly when missed.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -100,9 +101,24 @@ def test_criterion_3_oracle_equivalence_on_sixty_worlds():
             oc, on, ow = oracle_run(*args)
             assert en == on, f"world {k}: plan order diverged"
             assert ec == oc, f"world {k}: completion times diverged"
-            assert metrics.waiting_s == ow, f"world {k}: waiting diverged"
+            assert metrics.wait_s == ow, f"world {k}: waiting diverged"
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f} s"
+
+
+# -- 3b: the picker's time breakdown adds up ------------------------------
+
+
+def test_criterion_3b_picker_time_adds_up_on_sixty_worlds():
+    with criterion(3, "60 desk-scale fixtures: walking + handling + waiting "
+                      "equals the last completion within 1e-12"):
+        for k in range(60):
+            w = build_world(k)
+            completions, _, t, _ = engine_run(
+                w["layout"], w["items"], w["initial"], w["policy"], w["slot_map"],
+                w["orders"], w["mode"], w["cfg"], w["seed"], w["start"])
+            assert math.isclose(completions[-1], t.walk_s + t.handle_s + t.wait_s,
+                                rel_tol=1e-12), f"world {k}: breakdown does not add up"
 
 
 # -- 4: conservation and FIFO invariants ----------------------------------
@@ -215,8 +231,7 @@ def test_criterion_6_policy_containment(tmp_path):
                         wh.pick(c, wh.total_on_hand(c))
                     continue
                 qty = rng.randint(1, wh.item(code).qty_per_pallet)
-                a = pol.put_away(code, qty, date(2024, 6, 1), float(placed))
-                assert a is not None
+                a = pol.put_away(code, qty, date(2024, 6, 1))
                 placed += 1
                 if kind is PolicyKind.FIXED:
                     assert a.location in dedicated[code], \
@@ -259,6 +274,10 @@ def test_criterion_7_full_scale_determinism(tmp_path):
         write_results_csv([second], str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert sum(len(w.completions) for w in first.weeks) > 0
+        for week in first.weeks:
+            t = week.totals
+            assert math.isclose(week.completions[-1], t.walk_s + t.handle_s + t.wait_s,
+                                rel_tol=1e-12), f"week {week.week}: breakdown does not add up"
 
 
 # -- 8: source-data limits are documented ---------------------------------

@@ -243,6 +243,20 @@ def test_invalid_config_value_exits_3(dataset, tmp_path, capsys):
     assert "sph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"replenish": {"mu_s": "x"}}, "replenish.mu_s"),
+    ({"replenish": {"sigma_s": None}}, "replenish.sigma_s"),
+    ({"metric_unit": []}, "metric_unit"),
+])
+def test_config_value_of_the_wrong_type_exits_3(dataset, tmp_path, capsys, config, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--data", dataset, "--config", str(cfg),
+                 "--weeks", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+
+
 def test_unknown_config_key_exits_3(dataset, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"walk_speed": 2}))

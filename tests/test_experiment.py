@@ -161,6 +161,9 @@ def test_a_gap_week_is_an_input_error(tmp_path):
 # -- aggregation and serialization ---------------------------------------
 
 
+SERIES = [("base", [100.0, 110.0]), ("alt", [90.0, 96.0])]
+
+
 def _fake_results() -> list[RunResult]:
     mk = lambda w, m: WeekOutcome(w, m, ProcessTotals())
     return [
@@ -170,7 +173,7 @@ def _fake_results() -> list[RunResult]:
 
 
 def test_summarize_results_gap_is_relative_to_first():
-    base, alt = summarize_results(_fake_results())
+    base, alt = summarize_results(SERIES)
     assert base.gap_pct == 0.0
     assert alt.gap_pct == pytest.approx(100 * (186 - 210) / 210)
     assert base.stats.mean == 105.0 and alt.total == 186.0
@@ -184,16 +187,15 @@ def test_results_csv_schema_and_float_fidelity(tmp_path):
     results[0].weeks[0].metric = 0.1 + 0.2  # not exactly 0.3
     write_results_csv(results, str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == ("scenario,week,metric,pick_full_s,pick_partial_s,"
-                        "put_full_s,put_partial_s,move_s,sort_full_s,"
-                        "sort_partial_s,waiting_s,turns")
+    assert lines[0] == ("scenario,week,metric,walk_s,handle_s,wait_s,"
+                        "put_travel_s,put_handle_s,turns")
     assert len(lines) == 5
     # repr round-trip keeps every bit of the float
     assert lines[1].split(",")[2] == "0.30000000000000004"
 
 
 def test_summary_and_paired_csv_formats(tmp_path):
-    summaries = summarize_results(_fake_results())
+    summaries = summarize_results(SERIES)
     spath, ppath = tmp_path / "s.csv", tmp_path / "p.csv"
     write_summary_csv(summaries, str(spath))
     slines = spath.read_text().splitlines()

@@ -33,17 +33,23 @@ def test_hand_trace_engine_completions(three_slot_world):
     (ec, en, metrics, _), _ = _run_both(three_slot_world)
     assert en == ["O3", "O2", "O1"]
     assert ec == [55.0, 125.0, 180.0]
-    assert metrics.waiting_s == 15.0
-    assert metrics.pick_full_s == 50.0
-    assert metrics.pick_partial_s == 50.0
-    assert metrics.put_full_s == 25.0  # one restock: base 10 + 15 per pallet
+    # three sublists walked at 30 s; one visit per order at 10 + 15 s (the
+    # 5 pieces of B grabbed at the stall are not charged); waiting 85..100
+    assert metrics.walk_s == 90.0
+    assert metrics.handle_s == 75.0
+    assert metrics.wait_s == 15.0
+    assert metrics.walk_s + metrics.handle_s + metrics.wait_s == ec[-1]
+    # one restock of B: base 10 + 15 per pallet, and 140 cm at 90 cm/s
+    # plus one 3 s turn from the elevator
+    assert metrics.put_handle_s == 25.0
+    assert metrics.put_travel_s == pytest.approx(140.0 / 90.0 + 3.0)
 
 
 def test_hand_trace_oracle_agrees(three_slot_world):
     (ec, en, metrics, _), (oc, on, ow) = _run_both(three_slot_world)
     assert on == en
     assert oc == ec
-    assert ow == metrics.waiting_s
+    assert ow == metrics.wait_s
 
 
 def test_hand_trace_event_sequence(three_slot_world):
@@ -209,7 +215,7 @@ def test_engine_matches_oracle_bitwise(k):
     assert en == on, "plan order diverged"
     assert all(c is not None for c in ec), "engine left orders unfinished"
     assert ec == oc, "per-order completion times diverged"
-    assert metrics.waiting_s == ow, "stock-out waiting time diverged"
+    assert metrics.wait_s == ow, "stock-out waiting time diverged"
 
 
 @pytest.mark.parametrize("k", range(0, N_WORLDS, 7))

@@ -149,7 +149,7 @@ def test_single_line_stockout_waits_for_restock():
     # walk 30 -> resume planned at 30; grab 4 on hand, wait until t=100;
     # restock lands 10 (t=100), take remaining 5: 100 + (10 + 15) = 125
     assert completions == [125.0]
-    assert metrics.waiting_s == 70.0
+    assert metrics.wait_s == 70.0
     kinds = [type(ev.kind).__name__ for ev in engine.trace]
     assert kinds == ["StartPickOrder", "PartialPick", "Replenish", "PartialPick",
                      "Replenish"]
@@ -166,7 +166,7 @@ def test_multi_pallet_line_over_several_restocks():
     # resume at 200: all 20 remaining... only 10 on hand -> wait to 300
     assert completions is not None and completions[0] is not None
     assert completions[0] > 200.0
-    assert metrics.pick_full_s > 0
+    assert metrics.handle_s > 0
 
 
 def test_order_line_statuses_progress():

@@ -92,7 +92,7 @@ def test_restock_ties_break_by_item_code():
     # B lands on the t=200 visit and the pick finishes at 200 + 25.
     # A B-first tiebreak would have finished at 125 instead.
     assert completions == [225.0]
-    assert metrics.waiting_s == 170.0  # 30..100 and 100..200
+    assert metrics.wait_s == 170.0  # 30..100 and 100..200
     rp_times = [ev.time for ev in engine.trace
                 if isinstance(ev.kind, Replenish)]
     assert rp_times == [100.0, 200.0, 300.0]  # final visit sees all done
@@ -125,7 +125,7 @@ def test_starvation_without_any_restock_chain_aborts():
     pol = StoragePolicy(PolicyKind.RANDOM, wh, SimConfig().stacker())
     orders = [Order("O1", datetime(2024, 6, 3), "T", [OrderLine("A", 2, 1.0)])]
     plan = prepare_orders(orders, PickingMode.AREA, wh, pol)
-    session = PickingSession(wh, pol, trace_cfg(), plan, ProcessTotals())
+    session = PickingSession(wh, trace_cfg(), plan, ProcessTotals())
     eng = Engine()
     eng.register(StartPickOrder, session.handle_spo)
     eng.register(PartialPick, session.handle_pp)

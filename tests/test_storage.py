@@ -1,4 +1,4 @@
-"""Storage policies: candidate sets, nearest-vacant choice, waiting list."""
+"""Storage policies: candidate sets, nearest-vacant choice, put-away, initial stock."""
 
 from __future__ import annotations
 
@@ -79,11 +79,11 @@ def test_zone_candidates_are_the_home_zone():
 def test_put_away_takes_nearest_vacant_from_receiving():
     wh, slots = _world()
     pol = _policy(wh, PolicyKind.RANDOM)
-    a1 = pol.put_away("A", 10, MFG, now=0.0)
+    a1 = pol.put_away("A", 10, MFG)
     # slot (0,1,0) at (300,100) is closest to the elevator at (60,0)
     assert a1.location == (0, 1, 0)
     assert a1.handle_s == CFG.BTpa + CFG.PPpa
-    a2 = pol.put_away("A", 10, MFG, now=0.0)
+    a2 = pol.put_away("A", 10, MFG)
     assert a2.location == (0, 1, 1)  # next nearest, first one now occupied
 
 
@@ -91,7 +91,7 @@ def test_put_away_qty_bounds():
     wh, _ = _world()
     pol = _policy(wh, PolicyKind.RANDOM)
     with pytest.raises(InputDataError, match="1..10"):
-        pol.put_away("A", 11, MFG, now=0.0)
+        pol.put_away("A", 11, MFG)
 
 
 def test_nearest_vacant_matches_brute_force():
@@ -120,52 +120,27 @@ def test_primary_location_fixed_and_shared():
     assert zoned.primary_location("B").zone == "Z2"
 
 
-# -- waiting list ---------------------------------------------------------
-
-
-def test_full_candidates_enqueue_and_release_fifo():
-    wh, slots = _world(n_rows=1, per_row=2, zones=("Z1",))
-    pol = _policy(wh, PolicyKind.RANDOM)
-    assert pol.put_away("A", 10, MFG, now=0.0) is not None
-    assert pol.put_away("A", 10, MFG, now=1.0) is not None
-    assert pol.put_away("A", 10, MFG, now=2.0) is None  # warehouse full
-    assert pol.put_away("B", 10, MFG, now=3.0) is None
-    assert [w.item for w in pol.waiting] == ["A", "B"]
-
-    wh.pick("A", 10)  # drains one pallet, frees one slot
-    placed = pol.on_slot_freed(now=10.0)
-    assert [(w.item, a.location is not None) for w, a in placed] == [("A", True)]
-    assert [w.item for w in pol.waiting] == ["B"]  # head went first, B still waits
-
-
-def test_head_of_line_blocks_later_entries():
-    wh, slots = _world(n_rows=2, per_row=1, zones=("Z1", "Z2"))
-    pol = _policy(wh, PolicyKind.FIXED_ZONE)
-    wh.place(slots[0].id, "A", 5, MFG)   # Z1 full
-    wh.place(slots[1].id, "B", 5, MFG)   # Z2 full
-    assert pol.put_away("A", 10, MFG, now=0.0) is None   # A waits for Z1
-    assert pol.put_away("B", 10, MFG, now=1.0) is None   # B waits for Z2
-    # Z2 frees up, but the head of the queue (A) still has nowhere to go:
-    # nothing may overtake it, so B keeps waiting too
-    wh.pick("B", 5)
-    assert pol.on_slot_freed(now=2.0) == []
-    assert [w.item for w in pol.waiting] == ["A", "B"]
-    wh.pick("A", 5)  # now Z1 has room: the whole queue drains in order
-    placed = pol.on_slot_freed(now=3.0)
-    assert [entry.item for entry, _ in placed] == ["A", "B"]
-    assert [a.location for _, a in placed] == [slots[0].id, slots[1].id]
-    assert not pol.waiting
+# -- put-away under load --------------------------------------------------
 
 
 def test_policy_containment_under_load():
     wh, slots = _world(n_rows=4, per_row=4, zones=("Z1", "Z2", "Z1", "Z2"))
     pol = _policy(wh, PolicyKind.FIXED_ZONE)
-    for i in range(12):
-        a = pol.put_away("A", 10, MFG, now=float(i))
-        assert a is None or wh.location(a.location).zone == "Z1"
-    # eight Z1 slots exist, so exactly eight placements succeeded
-    assert len(pol.waiting) == 4
+    # eight Z1 slots exist: eight put-aways fill them, and no more fit
+    for _ in range(8):
+        a = pol.put_away("A", 10, MFG)
+        assert wh.location(a.location).zone == "Z1"
+    assert not pol.has_vacancy("A")
+    assert pol.has_vacancy("B")
     assert all(wh.records[lid].item == "A" for lid in wh.records)
+
+
+def test_put_away_without_a_vacant_candidate_is_a_caller_bug():
+    wh, slots = _world(n_rows=1, per_row=1, zones=("Z1",))
+    pol = _policy(wh, PolicyKind.RANDOM)
+    pol.put_away("A", 10, MFG)
+    with pytest.raises(AssertionError, match="without a vacant candidate slot"):
+        pol.put_away("A", 10, MFG)
 
 
 # -- initial placement ----------------------------------------------------
