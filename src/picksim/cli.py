@@ -40,7 +40,6 @@ from .errors import (
     InputDataError,
     ParseError,
     PicksimError,
-    SimulationAbort,
     ValidationError,
 )
 from .experiment import (
@@ -277,25 +276,16 @@ def _cmd_stats(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"simulate": _cmd_simulate, "compare": _cmd_compare,
+                "gen-data": _cmd_gen_data, "stats": _cmd_stats}
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "gen-data":
-            return _cmd_gen_data(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        raise ParseError(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, InputDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SimulationAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PicksimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ from .allocation import (
     allocate_slots,
     assign_physical_slots,
 )
-from .config import SimConfig
+from .config import WALK_DISTANCE, SimConfig
 from .errors import InfeasibleRunError, InputDataError
 from .events import Engine, PartialPick, Replenish, StartPickOrder, write_trace_csv
 from .picking import (
@@ -44,6 +44,7 @@ from .stats import PairedTest, StatsSummary, gap, paired_test, summarize
 from .storage import PolicyKind, StoragePolicy, place_initial
 from .warehouse import (
     ENTRANCE_ID,
+    SPECIAL_AREA_ID,
     Location,
     ProcessTotals,
     Warehouse,
@@ -175,8 +176,11 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
         raise InputDataError(
             f"week {empty} has no orders: {spec.data.orders} spans {spanned} week(s)"
         )
-    avg_picks = demand_per_week(all_orders, spec.weeks)
-    slot_map = build_slot_map(spec, layout, avg_picks, [i.code for i in items])
+    _check_walking(cfg, layout)
+    avg_picks = demand_per_week([o for bucket in buckets for o in bucket], spec.weeks)
+    slot_map = None
+    if spec.policy is PolicyKind.FIXED:
+        slot_map = build_slot_map(spec, layout, avg_picks, [i.code for i in items])
 
     outcomes: list[WeekOutcome] = []
     for week_no, week_orders in enumerate(buckets, start=1):
@@ -192,16 +196,28 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
     return RunResult(spec.name, cfg.metric_unit, outcomes)
 
 
+def _check_walking(cfg: SimConfig, layout: list[Location]) -> None:
+    """Distance walking with equipment that cannot lift fails on the first
+    leg between heights; refuse such a run before any week starts."""
+    if cfg.walking.mode != WALK_DISTANCE or cfg.walking_equipment().lift_speed_cm_s > 0:
+        return
+    wh = Warehouse(layout, [])
+    walked = [*wh.storage.values(), wh.anchors[ENTRANCE_ID], wh.anchors[SPECIAL_AREA_ID]]
+    heights = {loc.z_cm for loc in walked}
+    if len(heights) > 1:
+        raise InputDataError(
+            f"walking.equipment={cfg.walking.equipment} cannot lift, but distance walking "
+            f"on this layout spans {len(heights)} heights; use walking.equipment=stacker"
+        )
+
+
 def _run_week(spec: ScenarioSpec, cfg: SimConfig, layout: list[Location], items,
-              initial, slot_map: SlotMap, avg_picks: dict[str, float],
+              initial, slot_map: SlotMap | None, avg_picks: dict[str, float],
               week_orders: list[Order], week_no: int, audit: bool,
               trace_path: str | None = None) -> WeekOutcome:
     metrics = ProcessTotals()
     warehouse = Warehouse(layout, items, audit=audit)
-    policy = StoragePolicy(
-        spec.policy, warehouse, cfg.stacker(), slot_map=slot_map,
-        base_time_s=cfg.BTpa, per_pallet_s=cfg.PPpa,
-    )
+    policy = StoragePolicy(spec.policy, warehouse, cfg.stacker(), slot_map=slot_map)
     place_initial(policy, initial, avg_picks)
     start_date = min(o.order_datetime for o in week_orders).date()
 

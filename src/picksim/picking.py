@@ -97,11 +97,11 @@ class RouteStop:
 
 @dataclass
 class PlanEntry:
-    """One order with its resolved visiting route, split into sublists."""
+    """One order with its resolved visiting route; ``seg_of[p]`` is the
+    sublist that route stop ``p`` belongs to."""
 
     order: Order
     route: list[RouteStop]
-    segments: list[tuple[int, int]]
     seg_of: list[int]
 
 
@@ -142,19 +142,16 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse,
         stops.append(RouteStop(idx, loc))
     if mode is PickingMode.AREA:
         stops.sort(key=lambda st: (st.location.seq_no, st.line_index))
-        segments = [(0, len(stops))]
         seg_of = [0] * len(stops)
     else:
         stops.sort(key=lambda st: (st.location.zone, st.location.seq_no, st.line_index))
-        segments = []
         seg_of = []
+        seg = -1
         for i, st in enumerate(stops):
-            if not segments or st.location.zone != stops[i - 1].location.zone:
-                segments.append((i, i + 1))
-            else:
-                segments[-1] = (segments[-1][0], i + 1)
-            seg_of.append(len(segments) - 1)
-    return PlanEntry(order, stops, segments, seg_of)
+            if i == 0 or st.location.zone != stops[i - 1].location.zone:
+                seg += 1
+            seg_of.append(seg)
+    return PlanEntry(order, stops, seg_of)
 
 
 def handling_time(entries: list[tuple[int, int]], cfg: SimConfig) -> float:

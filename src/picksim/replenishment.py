@@ -82,7 +82,7 @@ class Replenisher:
             assignment = self.policy.put_away(code, item.qty_per_pallet,
                                               self.sim_date(event.time))
             self.metrics.put_travel_s += assignment.travel_s
-            self.metrics.put_handle_s += assignment.handle_s
+            self.metrics.put_handle_s += self.cfg.BTpa + self.cfg.PPpa
             self.metrics.turns += assignment.turns
         return [(event.time + gap, Replenish())]
 

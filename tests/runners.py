@@ -30,10 +30,8 @@ def engine_run(layout, items, initial, policy_kind, slot_map, orders, mode,
     warehouse = Warehouse(layout, items, audit=audit)
     for lid, code, qty, mfg in initial:
         warehouse.place(lid, code, qty, mfg, source="initial")
-    policy = StoragePolicy(
-        PolicyKind(policy_kind), warehouse, cfg.stacker(), slot_map=slot_map,
-        base_time_s=cfg.BTpa, per_pallet_s=cfg.PPpa,
-    )
+    policy = StoragePolicy(PolicyKind(policy_kind), warehouse, cfg.stacker(),
+                           slot_map=slot_map)
     built = [
         Order(no, datetime.combine(start, time(9, 0)), truck,
               [OrderLine(code, qty, 1.0) for code, qty in lines])

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
+import shutil
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -257,6 +260,19 @@ def test_config_value_of_the_wrong_type_exits_3(dataset, tmp_path, capsys, confi
     assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
 
 
+def test_distance_walking_with_a_handlift_on_several_levels_exits_3(dataset, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"walking": {"mode": "distance", "equipment": "handlift"}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--data", dataset, "--config", str(cfg), "--weeks", "2",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: walking.equipment=handlift cannot lift")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_3(dataset, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"walk_speed": 2}))
@@ -307,6 +323,31 @@ def test_infeasible_horizon_exits_1(dataset, tmp_path, capsys):
     assert main(["simulate", "--data", dataset, "--config", str(cfg),
                  "--weeks", "2"]) == 1
     assert "horizon" in capsys.readouterr().err
+
+
+def test_weeks_cut_short_ignore_the_later_orders(tmp_path):
+    """``--weeks 2`` on four weeks of orders runs as on a file that holds
+    only the first two: the dropped weeks size no slot map and rank no
+    initial pallet."""
+    full = tmp_path / "full"
+    assert main(["gen-data", "--out", str(full), "--seed", "5", "--items", "25",
+                 "--slots", "120", "--lines", "600", "--weeks", "4"]) == 0
+    cut = tmp_path / "cut"
+    shutil.copytree(full, cut)
+    header, *rows = (full / "orders.csv").read_text().splitlines(keepends=True)
+    start = min(date.fromisoformat(row[:10]) for row in rows)
+    kept = [row for row in rows if (date.fromisoformat(row[:10]) - start).days < 14]
+    assert 0 < len(kept) < len(rows)
+    (cut / "orders.csv").write_text(header + "".join(kept))
+    for policy in ("fixed", "random"):
+        written = []
+        for data in (full, cut):
+            out = tmp_path / f"{policy}-{data.name}"
+            assert main(["simulate", "--data", str(data), "--policy", policy,
+                         "--allocation", "demand", "--weeks", "2", "--seed", "7",
+                         "--out", str(out)]) == 0
+            written.append((out / "results.csv").read_bytes())
+        assert written[0] == written[1], policy
 
 
 # -- installed console script --------------------------------------------
@@ -364,3 +405,19 @@ def test_readme_quick_start_runs(tmp_path, capsys, monkeypatch):
             subprocess.run(command, shell=True, check=True)
     printed = capsys.readouterr().out.splitlines()[-3:]
     assert "\n".join(printed) in README.read_text(), "the README shows what step 4 prints"
+
+
+def test_stats_example_script_prints_the_readme_figures():
+    """``scripts/stats_example.py`` runs and reproduces the gap and p-value
+    that the README quotes for the two reference series."""
+    root = README.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "stats_example.py")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "gap of totals (B vs A): 20.86%\n" in proc.stdout
+    assert "paired t-test: statistic=2.4102 df=3 p=0.0950\n" in proc.stdout
+    readme = README.read_text()
+    assert "gap=20.86%" in readme and "statistic=2.4102 df=3 p=0.0950" in readme

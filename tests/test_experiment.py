@@ -31,6 +31,7 @@ from picksim import (
     write_results_csv,
     write_summary_csv,
 )
+from picksim import experiment
 from picksim.datagen import generate_data
 from picksim.warehouse import ProcessTotals
 
@@ -114,6 +115,17 @@ def test_run_scenario_is_deterministic(small_dataset, tmp_path):
     write_results_csv([res1], str(p1))
     write_results_csv([res2], str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_only_the_fixed_policy_builds_a_slot_map(small_dataset, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_slot_map called")
+
+    monkeypatch.setattr(experiment, "build_slot_map", refuse)
+    for policy in (PolicyKind.RANDOM, PolicyKind.FIXED_ZONE):
+        assert len(run_scenario(_spec(small_dataset, policy=policy)).weeks) == 2
+    with pytest.raises(AssertionError, match="build_slot_map called"):
+        run_scenario(_spec(small_dataset, policy=PolicyKind.FIXED))
 
 
 def test_run_scenario_audit_mode_matches_plain(small_dataset):

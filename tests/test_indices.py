@@ -2,11 +2,12 @@
 
 Random sequences of placements, picks and put-aways run against all
 three storage policies.  After every step, each item's ``has_vacancy``
-and ``nearest_vacant`` must equal a scan of its ``candidate_slots``, and
-``total_on_hand`` must equal the sum of the item's pallet records.  The
-fixed slot map gives one slot to two items, some runs stock the
-warehouse before the policy exists, and a step may build a fresh policy
-over the stocked warehouse mid-run.
+and ``nearest_vacant`` must equal a scan of its ``candidate_slots``,
+``total_on_hand`` must equal the sum of the item's pallet records, and
+no slot may sit in two candidate sets.  The fixed slot map leaves some
+slots to no item, some runs stock the warehouse before the policy
+exists, and a step may build a fresh policy over the stocked warehouse
+mid-run.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def _world() -> tuple[Warehouse, list]:
 
 
 def _slot_map(slots) -> dict:
-    # slot 5 belongs to both A and B
+    # disjoint; slots 4, 8 and 10 belong to no item
     return {"A": [slots[0].id, slots[5].id, slots[9].id],
-            "B": [slots[5].id, slots[2].id],
+            "B": [slots[6].id, slots[2].id],
             "C": [slots[3].id, slots[7].id, slots[11].id, slots[1].id]}
 
 
@@ -71,6 +72,10 @@ def _brute_nearest(pol: StoragePolicy, code: str):
 
 def _check(pol: StoragePolicy) -> None:
     wh = pol.warehouse
+    # the candidate sets partition the slots: distinct sets share no slot
+    distinct = {id(s): s for s in map(pol.candidate_slots, CODES)}.values()
+    ids = [loc.id for candidates in distinct for loc in candidates]
+    assert len(ids) == len(set(ids))
     for code in CODES:
         candidates = pol.candidate_slots(code)
         assert pol.has_vacancy(code) == any(wh.is_vacant(loc.id) for loc in candidates)
@@ -122,22 +127,25 @@ def test_indices_match_brute_force(kind, prestock, steps):
         _check(pol)
 
 
-def test_unreachable_vacant_candidate_still_raises():
-    """Equipment that cannot lift fails on a vacant slot above the floor,
-    and only while that slot is vacant."""
+def test_non_lifting_equipment_on_two_levels_raises_at_construction():
+    """Every slot's travel key is computed up front, so equipment that
+    cannot reach the upper level fails before any query, under every policy."""
     wh, slots = _world()
     no_lift = Equipment("handlift", 100.0, 0.0, 2.0)
-    pol = StoragePolicy(PolicyKind.FIXED, wh, no_lift, slot_map=_slot_map(slots))
-    # A's slots 5 and 9 are 120 cm up; slot 0 is on the floor
-    with pytest.raises(InputDataError, match="cannot lift"):
-        pol.nearest_vacant("A")
-    wh.place(slots[9].id, "A", 1, MFG)
-    wh.place(slots[5].id, "B", 1, MFG)
-    assert pol.nearest_vacant("A").id == slots[0].id
-    assert pol.has_vacancy("B") is True  # slot 2 is on the floor
-    wh.pick("B", 1)
-    with pytest.raises(InputDataError, match="cannot lift"):
-        pol.nearest_vacant("B")
+    for kind in PolicyKind:
+        slot_map = _slot_map(slots) if kind is PolicyKind.FIXED else None
+        with pytest.raises(InputDataError, match="handlift cannot lift"):
+            StoragePolicy(kind, wh, no_lift, slot_map=slot_map)
+
+
+def test_overlapping_slot_map_is_an_input_error():
+    wh, slots = _world()
+    overlapping = {"A": [slots[0].id, slots[5].id], "B": [slots[5].id]}
+    with pytest.raises(InputDataError, match=r"slot \(1, 1, 1\) more than once"):
+        StoragePolicy(PolicyKind.FIXED, wh, CFG.stacker(), slot_map=overlapping)
+    twice = {"A": [slots[0].id, slots[0].id]}
+    with pytest.raises(InputDataError, match="more than once"):
+        StoragePolicy(PolicyKind.FIXED, wh, CFG.stacker(), slot_map=twice)
 
 
 def test_place_initial_fallback_uses_the_nearest_slot_anywhere():

@@ -78,7 +78,6 @@ def test_area_route_sorts_by_route_position():
                           PickingMode.AREA, wh, pol)
     entry = plan[0]
     assert [s.location.seq_no for s in entry.route] == [0, 2, 3]
-    assert entry.segments == [(0, 3)]
     assert entry.seg_of == [0, 0, 0]
 
 
@@ -88,7 +87,6 @@ def test_zoning_route_groups_zones_into_sublists():
                           PickingMode.ZONING, wh, pol)
     entry = plan[0]
     assert [s.location.zone for s in entry.route] == ["Z1", "Z1", "Z2", "Z2"]
-    assert entry.segments == [(0, 2), (2, 4)]
     assert entry.seg_of == [0, 0, 1, 1]
 
 

@@ -39,8 +39,7 @@ def _world(n_rows=2, per_row=3, zones=("Z1", "Z2")):
 
 
 def _policy(wh, kind, slot_map=None):
-    return StoragePolicy(kind, wh, CFG.stacker(), slot_map=slot_map,
-                         base_time_s=CFG.BTpa, per_pallet_s=CFG.PPpa)
+    return StoragePolicy(kind, wh, CFG.stacker(), slot_map=slot_map)
 
 
 # -- candidate sets -------------------------------------------------------
@@ -82,7 +81,6 @@ def test_put_away_takes_nearest_vacant_from_receiving():
     a1 = pol.put_away("A", 10, MFG)
     # slot (0,1,0) at (300,100) is closest to the elevator at (60,0)
     assert a1.location == (0, 1, 0)
-    assert a1.handle_s == CFG.BTpa + CFG.PPpa
     a2 = pol.put_away("A", 10, MFG)
     assert a2.location == (0, 1, 1)  # next nearest, first one now occupied
 
