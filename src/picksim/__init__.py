@@ -15,9 +15,7 @@ from .config import (
     SimConfig,
     WalkSettings,
     config_from_dict,
-    config_to_dict,
     load_config,
-    save_config,
 )
 from .datagen import generate_data
 from .errors import (
@@ -90,7 +88,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationRule", "SlotMap", "allocate_slots", "assign_physical_slots",
     "ReplenishSettings", "SimConfig", "WalkSettings", "config_from_dict",
-    "config_to_dict", "load_config", "save_config",
+    "load_config",
     "generate_data",
     "InfeasibleRunError", "InputDataError", "ParseError", "PicksimError",
     "SchedulePastError", "SimulationAbort", "StarvationError", "ValidationError",

@@ -29,6 +29,7 @@ variable, then the built-in default 12345.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -58,7 +59,7 @@ from .experiment import (
 from .picking import PickingMode
 from .stats import paired_test
 from .storage import PolicyKind
-from .warehouse import _open_reader
+from .warehouse import _read_csv
 
 DEFAULT_SEED = 12345
 WEEKLY_HEADER = ["week", "metric"]
@@ -233,23 +234,15 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _weekly_metric(cells: list[str]) -> float:
+    value = float(cells[1])
+    if not math.isfinite(value):
+        raise ValueError(f"metric {cells[1]!r} is not a finite number")
+    return value
+
+
 def _read_weekly(path: str) -> tuple[str, list[float]]:
-    fh, reader = _open_reader(path, WEEKLY_HEADER)
-    values = []
-    with fh:
-        for row in reader:
-            # DictReader files surplus cells under None and fills missing ones with None
-            cells = [v for k, v in row.items() if k is not None and v is not None]
-            columns = len(cells) + len(row.get(None, ()))
-            if columns != 2:
-                raise ParseError(f"{path}:{reader.line_num}: expected 2 columns, got {columns}")
-            try:
-                values.append(float(row["metric"]))
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}:{reader.line_num}: metric {row['metric']!r} is not a number"
-                ) from exc
-    return Path(path).stem, values
+    return Path(path).stem, _read_csv(path, WEEKLY_HEADER, _weekly_metric)
 
 
 def _cmd_stats(args) -> int:

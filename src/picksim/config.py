@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .errors import ParseError, ValidationError
@@ -193,10 +193,6 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
     return cfg
 
 
-def config_to_dict(cfg: SimConfig) -> dict[str, Any]:
-    return asdict(cfg)
-
-
 def _read_json_object(path: str) -> dict[str, Any]:
     """The decoded JSON object of a config file; ParseError otherwise."""
     try:
@@ -204,7 +200,9 @@ def _read_json_object(path: str) -> dict[str, Any]:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also a number too long, nesting too deep
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"config {path} must hold a JSON object")
@@ -213,9 +211,3 @@ def _read_json_object(path: str) -> dict[str, Any]:
 
 def load_config(path: str) -> SimConfig:
     return config_from_dict(_read_json_object(path))
-
-
-def save_config(cfg: SimConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")

@@ -15,13 +15,13 @@ here as plain payload dataclasses.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import SchedulePastError, SimulationAbort
+from .warehouse import _write_csv
 
 LocationId = tuple[int, int, int]
 
@@ -122,8 +122,6 @@ def _payload_text(kind: EventKind) -> str:
 
 def write_trace_csv(trace: list[Event], path: str) -> None:
     """Serialize an executed trace with columns time,seq,kind,payload."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "seq", "kind", "payload"])
-        for ev in trace:
-            writer.writerow([repr(ev.time), ev.seq, type(ev.kind).__name__, _payload_text(ev.kind)])
+    _write_csv(path, ["time", "seq", "kind", "payload"], (
+        [repr(ev.time), ev.seq, type(ev.kind).__name__, _payload_text(ev.kind)] for ev in trace
+    ))

@@ -16,7 +16,6 @@ runs are reproducible bit for bit and independent of execution order.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import logging
 from dataclasses import dataclass, field
@@ -48,6 +47,7 @@ from .warehouse import (
     Location,
     ProcessTotals,
     Warehouse,
+    _write_csv,
     load_inventory,
     load_items,
     load_layout,
@@ -306,17 +306,12 @@ PAIRED_HEADER = ["statistic", "df", "p_value"]
 
 
 def write_results_csv(results: list[RunResult], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for res in results:
-            for wk in res.weeks:
-                t = wk.totals
-                writer.writerow([
-                    res.scenario, wk.week, repr(wk.metric), repr(t.walk_s),
-                    repr(t.handle_s), repr(t.wait_s), repr(t.put_travel_s),
-                    repr(t.put_handle_s), t.turns,
-                ])
+    _write_csv(path, RESULTS_HEADER, (
+        [res.scenario, wk.week, repr(wk.metric), repr(wk.totals.walk_s),
+         repr(wk.totals.handle_s), repr(wk.totals.wait_s), repr(wk.totals.put_travel_s),
+         repr(wk.totals.put_handle_s), wk.totals.turns]
+        for res in results for wk in res.weeks
+    ))
 
 
 def summary_rows(summaries: list[ScenarioSummary]) -> list[list[str]]:
@@ -330,14 +325,9 @@ def summary_rows(summaries: list[ScenarioSummary]) -> list[list[str]]:
 
 
 def write_summary_csv(summaries: list[ScenarioSummary], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        writer.writerows(summary_rows(summaries))
+    _write_csv(path, SUMMARY_HEADER, summary_rows(summaries))
 
 
 def write_paired_csv(paired: PairedTest, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PAIRED_HEADER)
-        writer.writerow([f"{paired.statistic:.4f}", paired.df, f"{paired.p_value:.4f}"])
+    _write_csv(path, PAIRED_HEADER,
+               [[f"{paired.statistic:.4f}", paired.df, f"{paired.p_value:.4f}"]])

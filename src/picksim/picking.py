@@ -32,14 +32,13 @@ handling plus stall waiting.
 
 from __future__ import annotations
 
-import csv
 import enum
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime
 
 from .config import SimConfig, WALK_CONSTANT
-from .errors import InputDataError, ParseError, StarvationError
+from .errors import InputDataError, StarvationError
 from .events import Engine, Event, PartialPick, Replenish, StartPickOrder
 from .storage import StoragePolicy
 from .warehouse import (
@@ -51,7 +50,8 @@ from .warehouse import (
     PalletTouch,
     ProcessTotals,
     Warehouse,
-    _open_reader,
+    _read_csv,
+    _write_csv,
     aisle_turns,
     travel_time,
 )
@@ -367,31 +367,25 @@ ORDERS_HEADER = ["order_datetime", "order_no", "truck_id", "item_code", "qty", "
 
 
 def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
-    fh, reader = _open_reader(path, ORDERS_HEADER)
     orders: dict[str, Order] = {}
-    with fh:
-        for i, row in enumerate(reader, start=2):
-            try:
-                when = datetime.fromisoformat(row["order_datetime"])
-                line = OrderLine(row["item_code"], int(row["qty"]), float(row["weight_kg"]))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{i}: {exc}") from exc
-            if line.item not in items:
-                raise InputDataError(f"{path}:{i}: unknown item {line.item}")
-            no = row["order_no"]
-            if no not in orders:
-                orders[no] = Order(no, when, row["truck_id"], [])
-            orders[no].lines.append(line)
+
+    def add_line(cells: list[str]) -> None:
+        order_datetime, order_no, truck_id, item_code, qty, weight_kg = cells
+        when = datetime.fromisoformat(order_datetime)
+        line = OrderLine(item_code, int(qty), float(weight_kg))
+        if item_code not in items:
+            raise InputDataError(f"unknown item {item_code}")
+        if order_no not in orders:
+            orders[order_no] = Order(order_no, when, truck_id, [])
+        orders[order_no].lines.append(line)
+
+    _read_csv(path, ORDERS_HEADER, add_line)
     return list(orders.values())
 
 
 def save_orders(orders: list[Order], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ORDERS_HEADER)
-        for order in orders:
-            for line in order.lines:
-                writer.writerow([
-                    order.order_datetime.isoformat(sep=" "), order.order_no,
-                    order.truck_id, line.item, line.qty, line.weight_kg,
-                ])
+    _write_csv(path, ORDERS_HEADER, (
+        [order.order_datetime.isoformat(sep=" "), order.order_no, order.truck_id,
+         line.item, line.qty, line.weight_kg]
+        for order in orders for line in order.lines
+    ))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from .errors import InputDataError
 
+_CONFIDENCE = 0.95  # two-sided level of every interval summarize reports
+
 
 @dataclass(frozen=True)
 class StatsSummary:
@@ -29,19 +31,17 @@ class PairedTest:
     p_value: float
 
 
-def summarize(values: list[float], confidence: float = 0.95) -> StatsSummary:
+def summarize(values: list[float]) -> StatsSummary:
     """Mean and two-sided t confidence interval of weekly metrics."""
     n = len(values)
     if n < 2:
         raise InputDataError(f"confidence interval needs at least 2 values, got {n}")
-    if not 0 < confidence < 1:
-        raise InputDataError(f"confidence level must be in (0, 1), got {confidence}")
     # deferred: loading scipy.stats costs about 1 s of CPU that runs without statistics skip
     from scipy.stats import t as student_t
 
     mean = statistics.fmean(values)
     sd = statistics.stdev(values)
-    quantile = float(student_t.ppf(0.5 + confidence / 2.0, n - 1))
+    quantile = float(student_t.ppf(0.5 + _CONFIDENCE / 2.0, n - 1))
     half = quantile * sd / math.sqrt(n)
     return StatsSummary(mean, mean - half, mean + half)
 

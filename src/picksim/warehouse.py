@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InputDataError, ParseError
 
@@ -332,85 +332,92 @@ ITEMS_HEADER = ["item_code", "category", "weight_kg", "home_zone", "qty_per_pall
 INVENTORY_HEADER = ["row", "layer", "slot", "item_code", "qty", "mfg_date"]
 
 
-def _open_reader(path: str, expected_header: list[str]) -> tuple[object, csv.DictReader]:
+def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], object]) -> list:
+    """``parse(cells)`` of every data row of a CSV file, in file order.
+
+    The first row must be ``header``; blank lines are skipped and every
+    other row must have one cell per header column.  A file that cannot
+    be opened or decoded, a malformed row and a ``ValueError`` from
+    ``parse`` raise a one-line ``ParseError`` naming ``path:line``; an
+    ``InputDataError`` from ``parse`` gets the same prefix.  Rows are
+    read and parsed one at a time.
+    """
+    parsed = []
+    line = 1
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh, strict=True)
+            try:
+                first = next(reader, None)
+                if first != header:
+                    raise ParseError(
+                        f"{path}: expected header {','.join(header)}, got "
+                        f"{','.join(first or ['<empty>'])}"
+                    )
+                line = reader.line_num + 1
+                for cells in reader:
+                    if cells:
+                        if len(cells) != len(header):
+                            raise ParseError(
+                                f"{path}:{line}: expected {len(header)} cells, got {len(cells)}"
+                            )
+                        parsed.append(parse(cells))
+                    line = reader.line_num + 1  # where the next row starts
+            except UnicodeDecodeError as exc:
+                # text is decoded a block ahead of the reader: find the line in the bytes
+                fh.buffer.seek(0)
+                for line, raw in enumerate(fh.buffer, start=1):
+                    try:
+                        raw.decode("utf-8")
+                    except UnicodeDecodeError:
+                        break
+                raise ParseError(f"{path}:{line}: not UTF-8 text") from exc
+            except (ValueError, csv.Error) as exc:
+                raise ParseError(f"{path}:{line}: {exc}") from exc
+            except InputDataError as exc:
+                raise InputDataError(f"{path}:{line}: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(fh)
-    if reader.fieldnames != expected_header:
-        fh.close()
-        raise ParseError(
-            f"{path}: expected header {','.join(expected_header)}, got "
-            f"{','.join(reader.fieldnames or ['<empty>'])}"
-        )
-    return fh, reader
+    return parsed
 
 
-def _parse_date(text: str, path: str, line: int) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError as exc:
-        raise ParseError(f"{path}:{line}: bad ISO date {text!r}") from exc
+def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and then ``rows`` as UTF-8 CSV with ``\\n`` line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_layout(path: str) -> list[Location]:
-    fh, reader = _open_reader(path, LAYOUT_HEADER)
-    locations: list[Location] = []
-    with fh:
-        for i, row in enumerate(reader, start=2):
-            try:
-                loc = Location(
-                    id=(int(row["row"]), int(row["layer"]), int(row["slot"])),
-                    x_cm=float(row["x_cm"]),
-                    y_cm=float(row["y_cm"]),
-                    z_cm=float(row["z_cm"]),
-                    zone=row["zone"],
-                    seq_no=int(row["seq_no"]),
-                    direction=row["direction"],
-                    parent=row["parent"],
-                )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{i}: {exc}") from exc
-            locations.append(loc)
-    return locations
+    def location(cells: list[str]) -> Location:
+        row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no, direction, parent = cells
+        return Location((int(row), int(layer), int(slot)), float(x_cm), float(y_cm),
+                        float(z_cm), zone, int(seq_no), direction, parent)
+
+    return _read_csv(path, LAYOUT_HEADER, location)
 
 
 def save_layout(locations: Iterable[Location], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LAYOUT_HEADER)
-        for loc in locations:
-            r, layer, s = loc.id
-            writer.writerow([r, layer, s, loc.x_cm, loc.y_cm, loc.z_cm,
-                             loc.zone, loc.seq_no, loc.direction, loc.parent])
+    _write_csv(path, LAYOUT_HEADER, (
+        [*loc.id, loc.x_cm, loc.y_cm, loc.z_cm, loc.zone, loc.seq_no, loc.direction, loc.parent]
+        for loc in locations
+    ))
 
 
 def load_items(path: str) -> list[Item]:
-    fh, reader = _open_reader(path, ITEMS_HEADER)
-    items: list[Item] = []
-    with fh:
-        for i, row in enumerate(reader, start=2):
-            try:
-                items.append(Item(
-                    code=row["item_code"],
-                    category=row["category"],
-                    weight_kg=float(row["weight_kg"]),
-                    home_zone=row["home_zone"],
-                    qty_per_pallet=int(row["qty_per_pallet"]),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{i}: {exc}") from exc
-    return items
+    def item(cells: list[str]) -> Item:
+        code, category, weight_kg, home_zone, qty_per_pallet = cells
+        return Item(code, category, float(weight_kg), home_zone, int(qty_per_pallet))
+
+    return _read_csv(path, ITEMS_HEADER, item)
 
 
 def save_items(items: Iterable[Item], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ITEMS_HEADER)
-        for item in items:
-            writer.writerow([item.code, item.category, item.weight_kg,
-                             item.home_zone, item.qty_per_pallet])
+    _write_csv(path, ITEMS_HEADER, (
+        [item.code, item.category, item.weight_kg, item.home_zone, item.qty_per_pallet]
+        for item in items
+    ))
 
 
 @dataclass(frozen=True)
@@ -422,26 +429,15 @@ class InventoryRow:
 
 
 def load_inventory(path: str) -> list[InventoryRow]:
-    fh, reader = _open_reader(path, INVENTORY_HEADER)
-    rows: list[InventoryRow] = []
-    with fh:
-        for i, row in enumerate(reader, start=2):
-            try:
-                rows.append(InventoryRow(
-                    location=(int(row["row"]), int(row["layer"]), int(row["slot"])),
-                    item=row["item_code"],
-                    qty=int(row["qty"]),
-                    mfg_date=_parse_date(row["mfg_date"], path, i),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{i}: {exc}") from exc
-    return rows
+    def inventory_row(cells: list[str]) -> InventoryRow:
+        row, layer, slot, item_code, qty, mfg_date = cells
+        return InventoryRow((int(row), int(layer), int(slot)), item_code, int(qty),
+                            date.fromisoformat(mfg_date))
+
+    return _read_csv(path, INVENTORY_HEADER, inventory_row)
 
 
 def save_inventory(rows: Iterable[InventoryRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(INVENTORY_HEADER)
-        for r in rows:
-            row, layer, slot = r.location
-            writer.writerow([row, layer, slot, r.item, r.qty, r.mfg_date.isoformat()])
+    _write_csv(path, INVENTORY_HEADER, (
+        [*r.location, r.item, r.qty, r.mfg_date.isoformat()] for r in rows
+    ))

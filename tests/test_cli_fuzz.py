@@ -70,7 +70,8 @@ def _flag(name: str, values: st.SearchStrategy) -> st.SearchStrategy:
 RUN_REQUIRED = [_flag("--data", st.sampled_from(["{data}", "{data}", "{data}", "{tmp}/missing"])),
                 _flag("--weeks", WEEKS)]
 RUN_OPTIONAL = [
-    _flag("--config", st.sampled_from(["{config}", "{config}", "{tmp}/missing.json"])),
+    _flag("--config", st.sampled_from(["{config}", "{config}", "{tmp}/missing.json",
+                                       "{latin1_config}"])),
     _flag("--policy", st.sampled_from(["fixed", "random", "fixed-zone", "nope"])),
     _flag("--picking", st.sampled_from(["area", "zoning", "nope"])),
     _flag("--seed", SEEDS),
@@ -93,8 +94,8 @@ COMMANDS = {
         _flag("--weeks", WEEKS),
     ]),
     "stats": ([st.sampled_from([1, 2] * 3 + [3]).flatmap(lambda n: st.lists(
-                  st.sampled_from(["{weekly}", "{weekly2}"] * 3 + ["{short}", "{bad}",
-                                                                   "{tmp}/missing.csv"]),
+                  st.sampled_from(["{weekly}", "{weekly2}"] * 3 + [
+                      "{short}", "{bad}", "{nan}", "{latin1}", "{tmp}/missing.csv"]),
                   min_size=n, max_size=n)).map(lambda files: ["--weekly", *files])],
               [_flag("--out", st.just("{tmp}/stats"))]),
 }
@@ -127,6 +128,9 @@ def tiny(tmp_path_factory):
     (root / "weekly2.csv").write_text("week,metric\n1,9\n2,14\n3,11.5\n")
     (root / "short.csv").write_text("week,metric\n1,10\n")
     (root / "bad.csv").write_text("week,metric\n1,ten\n")
+    (root / "nan.csv").write_text("week,metric\n1,nan\n2,3\n")
+    (root / "latin1.csv").write_bytes(b"week,metric\n1,10\n2,3\xff\n")
+    (root / "latin1.json").write_bytes(b'{"sph": 1\xff00}')
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("PICKSIM_SEED", raising=False)
         yield root
@@ -140,7 +144,8 @@ def test_every_call_ends_in_a_documented_exit_code(tiny, argv, config):
         config_path.write_text(json.dumps(config))
         names = {"data": tiny / "data", "config": config_path, "tmp": tmp,
                  "weekly": tiny / "weekly.csv", "weekly2": tiny / "weekly2.csv", "short": tiny / "short.csv",
-                 "bad": tiny / "bad.csv"}
+                 "bad": tiny / "bad.csv", "nan": tiny / "nan.csv", "latin1": tiny / "latin1.csv",
+                 "latin1_config": tiny / "latin1.json"}
         args = [a.format(**names) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,8 +1,7 @@
-"""Configuration: defaults, validation, JSON round-trip."""
+"""Configuration: defaults, validation, reading JSON files."""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import fields
 
@@ -13,9 +12,7 @@ from picksim import (
     SimConfig,
     ValidationError,
     config_from_dict,
-    config_to_dict,
     load_config,
-    save_config,
 )
 from picksim.config import LEGACY_KEYS
 
@@ -98,27 +95,6 @@ def test_metric_factor():
     assert config_from_dict({"metric_unit": "hours"}).metric_factor() == 1.0 / 3600.0
 
 
-def test_json_round_trip_is_byte_identical(tmp_path):
-    cfg = config_from_dict({"sph": 120, "walking": {"mode": "distance"},
-                            "replenish": {"mode": "sampled", "seed": 99}})
-    p1 = tmp_path / "a.json"
-    p2 = tmp_path / "b.json"
-    save_config(cfg, str(p1))
-    again = load_config(str(p1))
-    assert config_to_dict(again) == config_to_dict(cfg)
-    save_config(again, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_config_file_is_plain_json(tmp_path):
-    path = tmp_path / "cfg.json"
-    save_config(SimConfig(), str(path))
-    data = json.loads(path.read_text())
-    assert data["sph"] == 100.0
-    assert data["replenish"]["seed"] == 12345
-    assert path.read_text().endswith("\n")
-
-
 def test_bad_json_is_a_parse_error(tmp_path):
     from picksim import ParseError
     path = tmp_path / "broken.json"
@@ -129,3 +105,11 @@ def test_bad_json_is_a_parse_error(tmp_path):
     path2.write_text("[1, 2]")
     with pytest.raises(ParseError, match="object"):
         load_config(str(path2))
+    path3 = tmp_path / "latin1.json"
+    path3.write_bytes(b'{"sph": 1\xff00}')
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_config(str(path3))
+    for text in ['{"sph": ' + "1" * 5000 + "}", '{"sph": ' + "[" * 100_000 + "]" * 100_000 + "}"]:
+        path.write_text(text)
+        with pytest.raises(ParseError, match="JSON"):
+            load_config(str(path))

@@ -198,6 +198,6 @@ def test_orders_round_trip(tmp_path):
 
 def test_orders_unknown_item_rejected(tmp_path):
     path = tmp_path / "orders.csv"
-    save_orders([_order("O1", "T", ("ZZZ", 1))], str(path))
-    with pytest.raises(InputDataError, match="unknown item"):
+    save_orders([_order("O1", "T", ("A", 1), ("ZZZ", 1))], str(path))
+    with pytest.raises(InputDataError, match=r"orders\.csv:3: unknown item ZZZ"):
         load_orders(str(path), {"A": make_item("A")})

@@ -40,8 +40,6 @@ def test_summary_matches_scipy_interval():
 def test_summary_needs_two_values():
     with pytest.raises(InputDataError, match="at least 2"):
         summarize([5.0])
-    with pytest.raises(InputDataError, match="confidence"):
-        summarize(SERIES_A, confidence=1.5)
 
 
 def test_gap_frozen_value():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from datetime import date
 
 import pytest
@@ -13,16 +14,19 @@ from picksim import (
     InventoryRow,
     Item,
     Location,
+    ParseError,
     Warehouse,
     aisle_turns,
     travel_time,
     load_inventory,
     load_items,
     load_layout,
+    load_orders,
     save_inventory,
     save_items,
     save_layout,
 )
+from picksim.cli import _read_weekly
 
 STACKER = Equipment("stacker", 90.0, 30.0, 3.0)
 HANDLIFT = Equipment("handlift", 100.0, 0.0, 2.0)
@@ -235,15 +239,68 @@ def test_inventory_round_trip(tmp_path):
     assert load_inventory(str(path)) == rows
 
 
-def test_bad_header_is_a_parse_error(tmp_path):
-    path = tmp_path / "layout.csv"
-    path.write_text("not,a,layout\n1,2,3\n")
-    from picksim import ParseError
+# name -> (reader, header line, two valid data rows)
+READERS = {
+    "layout": (load_layout, b"row,layer,slot,x_cm,y_cm,z_cm,zone,seq_no,direction,parent",
+               [b"0,1,0,100.0,100.0,0.0,Z1,1,L,R00", b"0,1,1,100.0,200.0,0.0,Z1,2,L,R00"]),
+    "items": (load_items, b"item_code,category,weight_kg,home_zone,qty_per_pallet",
+              [b"A,snack,2.5,Z1,12", b"B,dairy,1.0,Z2,10"]),
+    "inventory": (load_inventory, b"row,layer,slot,item_code,qty,mfg_date",
+                  [b"0,1,0,A,5,2024-05-01", b"0,1,1,B,3,2024-05-02"]),
+    "orders": (lambda path: load_orders(path, {"A": make_item("A"), "B": make_item("B")}),
+               b"order_datetime,order_no,truck_id,item_code,qty,weight_kg",
+               [b"2024-05-06 08:00:00,O1,T1,A,2,5.0", b"2024-05-06 08:00:00,O1,T1,B,1,2.0"]),
+    "weekly": (_read_weekly, b"week,metric", [b"1,10", b"2,12.5"]),
+}
+
+
+def _open_quote_in_last_cell(row: bytes) -> bytes:
+    head, _, last = row.rpartition(b",")
+    return head + b',"' + last
+
+
+# each turns a valid data row into a malformed one
+MALFORMED = {
+    "extra cell": lambda row: row + b",x",
+    "missing trailing cell": lambda row: row.rpartition(b",")[0],
+    "unterminated quote": _open_quote_in_last_cell,
+    "non-UTF-8 byte": lambda row: row.replace(b",", b"\xff,", 1),
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_bad_header_is_a_parse_error(tmp_path, name):
+    read, _, rows = READERS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(b"not,a,header\n" + rows[0] + b"\n")
     with pytest.raises(ParseError, match="expected header"):
-        load_layout(str(path))
+        read(str(path))
 
 
-def test_missing_file_is_a_parse_error(tmp_path):
-    from picksim import ParseError
+@pytest.mark.parametrize("name", READERS)
+def test_missing_file_is_a_parse_error(tmp_path, name):
     with pytest.raises(ParseError, match="cannot read"):
-        load_items(str(tmp_path / "nope.csv"))
+        READERS[name][0](str(tmp_path / "nope.csv"))
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("name", READERS)
+def test_malformed_row_is_a_parse_error_naming_its_line(tmp_path, name, case):
+    read, header, (first, second) = READERS[name]
+    path = tmp_path / f"{name}.csv"
+    # the bad row is line 3; an unterminated quote there swallows line 4
+    path.write_bytes(b"\n".join([header, first, MALFORMED[case](second), first, b""]))
+    with pytest.raises(ParseError, match=re.escape(f"{name}.csv:3: ")):
+        read(str(path))
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_blank_lines_are_skipped(tmp_path, name):
+    read, header, (first, second) = READERS[name]
+    plain = tmp_path / "plain" / f"{name}.csv"
+    spaced = tmp_path / "spaced" / f"{name}.csv"
+    plain.parent.mkdir()
+    spaced.parent.mkdir()
+    plain.write_bytes(b"\n".join([header, first, second, b""]))
+    spaced.write_bytes(b"\n".join([header, b"", first, b"", b"", second, b"", b""]))
+    assert read(str(spaced)) == read(str(plain))
