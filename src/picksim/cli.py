@@ -29,7 +29,6 @@ variable, then the built-in default 12345.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -59,7 +58,7 @@ from .experiment import (
 from .picking import PickingMode
 from .stats import paired_test
 from .storage import PolicyKind
-from .warehouse import _read_csv
+from .warehouse import _finite, _read_csv
 
 DEFAULT_SEED = 12345
 WEEKLY_HEADER = ["week", "metric"]
@@ -234,15 +233,8 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _weekly_metric(cells: list[str]) -> float:
-    value = float(cells[1])
-    if not math.isfinite(value):
-        raise ValueError(f"metric {cells[1]!r} is not a finite number")
-    return value
-
-
 def _read_weekly(path: str) -> tuple[str, list[float]]:
-    return Path(path).stem, _read_csv(path, WEEKLY_HEADER, _weekly_metric)
+    return Path(path).stem, _read_csv(path, WEEKLY_HEADER, lambda cells: _finite(cells[1]))
 
 
 def _cmd_stats(args) -> int:

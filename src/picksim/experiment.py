@@ -157,7 +157,8 @@ def build_slot_map(spec: ScenarioSpec, layout: list[Location], avg_picks: dict[s
 def run_scenario(spec: ScenarioSpec, audit: bool = False,
                  trace_dir: str | None = None) -> RunResult:
     """Run every week of a scenario; raises on starvation or horizon overrun,
-    and raises ``InputDataError`` before any run if a week has no orders.
+    and raises ``InputDataError`` before any run if a week has no orders or
+    an initial pallet holds an item missing from the catalog.
 
     With ``trace_dir`` set, the executed event log of week N is written to
     ``<trace_dir>/trace_<scenario>_week<N>.csv``.
@@ -167,6 +168,9 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
     items = load_items(spec.data.items)
     initial = load_inventory(spec.data.inventory)
     item_index = {i.code: i for i in items}
+    unknown = next((row.item for row in initial if row.item not in item_index), None)
+    if unknown is not None:
+        raise InputDataError(f"{spec.data.inventory}: unknown item {unknown}")
     all_orders = load_orders(spec.data.orders, item_index)
     buckets = split_weeks(all_orders, spec.weeks)
     empty = next((w for w, bucket in enumerate(buckets, start=1) if not bucket), None)

@@ -50,6 +50,7 @@ from .warehouse import (
     PalletTouch,
     ProcessTotals,
     Warehouse,
+    _finite,
     _read_csv,
     _write_csv,
     aisle_turns,
@@ -372,7 +373,7 @@ def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
     def add_line(cells: list[str]) -> None:
         order_datetime, order_no, truck_id, item_code, qty, weight_kg = cells
         when = datetime.fromisoformat(order_datetime)
-        line = OrderLine(item_code, int(qty), float(weight_kg))
+        line = OrderLine(item_code, int(qty), _finite(weight_kg))
         if item_code not in items:
             raise InputDataError(f"unknown item {item_code}")
         if order_no not in orders:

@@ -19,6 +19,7 @@ indices) are told about every slot that is filled or drained.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Iterable
@@ -69,8 +70,8 @@ class Item:
     qty_per_pallet: int
 
     def __post_init__(self) -> None:
-        if self.weight_kg <= 0:
-            raise InputDataError(f"item {self.code}: weight must be positive")
+        if not (math.isfinite(self.weight_kg) and self.weight_kg > 0):
+            raise InputDataError(f"item {self.code}: weight must be positive and finite")
         if self.qty_per_pallet < 1:
             raise InputDataError(f"item {self.code}: qty_per_pallet must be >= 1")
 
@@ -381,6 +382,15 @@ def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], object]
     return parsed
 
 
+def _finite(cell: str) -> float:
+    """A numeric cell that must be a finite number; ``_read_csv`` reports its
+    ``ValueError`` at ``path:line``."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return value
+
+
 def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
     """Write ``header`` and then ``rows`` as UTF-8 CSV with ``\\n`` line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -392,8 +402,8 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
 def load_layout(path: str) -> list[Location]:
     def location(cells: list[str]) -> Location:
         row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no, direction, parent = cells
-        return Location((int(row), int(layer), int(slot)), float(x_cm), float(y_cm),
-                        float(z_cm), zone, int(seq_no), direction, parent)
+        return Location((int(row), int(layer), int(slot)), _finite(x_cm), _finite(y_cm),
+                        _finite(z_cm), zone, int(seq_no), direction, parent)
 
     return _read_csv(path, LAYOUT_HEADER, location)
 
@@ -408,7 +418,7 @@ def save_layout(locations: Iterable[Location], path: str) -> None:
 def load_items(path: str) -> list[Item]:
     def item(cells: list[str]) -> Item:
         code, category, weight_kg, home_zone, qty_per_pallet = cells
-        return Item(code, category, float(weight_kg), home_zone, int(qty_per_pallet))
+        return Item(code, category, _finite(weight_kg), home_zone, int(qty_per_pallet))
 
     return _read_csv(path, ITEMS_HEADER, item)
 
@@ -426,6 +436,10 @@ class InventoryRow:
     item: str
     qty: int
     mfg_date: date
+
+    def __post_init__(self) -> None:
+        if self.qty < 1:
+            raise InputDataError(f"initial pallet of {self.item}: qty must be >= 1, got {self.qty}")
 
 
 def load_inventory(path: str) -> list[InventoryRow]:

@@ -273,6 +273,58 @@ def test_distance_walking_with_a_handlift_on_several_levels_exits_3(dataset, tmp
     assert not out.exists()
 
 
+def _edited_dataset(dataset: str, tmp_path: Path, name: str, line: int,
+                    edit) -> Path:
+    """A copy of ``dataset`` whose file ``name`` has line ``line`` replaced by
+    ``edit(cells)`` of that line's cells."""
+    copy = tmp_path / "edited"
+    shutil.copytree(dataset, copy)
+    lines = (copy / name).read_text().splitlines()
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    (copy / name).write_text("\n".join(lines) + "\n")
+    return copy
+
+
+@pytest.mark.parametrize("name, column, value", [
+    ("items.csv", 2, "nan"),
+    ("items.csv", 2, "inf"),
+    ("layout.csv", 3, "nan"),
+    ("orders.csv", 5, "inf"),
+])
+def test_non_finite_number_in_a_dataset_exits_2(dataset, tmp_path, capsys, name, column, value):
+    def edit(cells):
+        cells[column] = value
+        return cells
+
+    data = _edited_dataset(dataset, tmp_path, name, 3, edit)
+    assert main(["simulate", "--data", str(data), "--policy", "random", "--weeks", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {data / name}:3: '{value}' is not a finite number\n"
+
+
+@pytest.mark.parametrize("policy", ["fixed", "random"])
+def test_initial_pallet_of_an_unknown_item_exits_3(dataset, tmp_path, capsys, policy):
+    data = _edited_dataset(dataset, tmp_path, "initial_inventory.csv", 3,
+                           lambda cells: cells[:3] + ["NOPE"] + cells[4:])
+    out = tmp_path / "out"
+    assert main(["simulate", "--data", str(data), "--policy", policy, "--weeks", "1",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {data / 'initial_inventory.csv'}: unknown item NOPE\n"
+    assert not out.exists()
+
+
+def test_initial_pallet_of_no_pieces_exits_3_naming_its_line(dataset, tmp_path, capsys):
+    data = _edited_dataset(dataset, tmp_path, "initial_inventory.csv", 3,
+                           lambda cells: cells[:4] + ["0"] + cells[5:])
+    assert main(["simulate", "--data", str(data), "--weeks", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'initial_inventory.csv'}:3: initial pallet of ")
+    assert err.endswith(": qty must be >= 1, got 0\n")
+
+
 def test_unknown_config_key_exits_3(dataset, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"walk_speed": 2}))
@@ -369,6 +421,51 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+_BLOCKED_SCIPY_RUN = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+from picksim.cli import main
+
+codes = [
+    main(["gen-data", "--out", "data", "--seed", "3", "--items", "6", "--slots", "30",
+          "--lines", "80", "--weeks", "4"]),
+    main(["compare", "--data", "data", "--weeks", "4", "--out", "cmp"]),
+]
+for name, values in (("a", [103, 143, 122, 97]), ("b", [148, 150, 129, 135])):
+    with open(f"{name}.csv", "w") as fh:
+        fh.write("week,metric\\n" + "".join(f"{w},{v}\\n" for w, v in enumerate(values, 1)))
+codes.append(main(["stats", "--weekly", "a.csv", "b.csv"]))
+print(codes, "scipy" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    """gen-data, compare and stats run with scipy unimportable, load no part of
+    it and print what they print with it importable."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    stdout = {}
+    for mode in ("block", "allow"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _BLOCKED_SCIPY_RUN, mode], cwd=cwd,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[0, 0, 0] False\n", proc.stderr
+        stdout[mode] = proc.stdout
+    assert "paired t-test: statistic=2.4102 df=3 p=0.0950" in stdout["block"]
+    assert stdout["block"] == stdout["allow"]
 
 
 # -- README ---------------------------------------------------------------

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
-from picksim import InputDataError, gap, paired_test, summarize
+from picksim import InputDataError, gap, paired_test, stats, summarize
 
 # reference weekly series used throughout the docs and examples
 SERIES_A = [103.0, 143.0, 122.0, 97.0]
@@ -85,3 +87,76 @@ def test_paired_test_validation():
         paired_test([1.0, 2.0], [1.0])
     with pytest.raises(InputDataError, match="at least 2"):
         paired_test([1.0], [2.0])
+
+
+# -- Student t from the standard library, against scipy ---------------------
+
+LEVELS = (0.80, 0.90, 0.95, 0.99, 0.999)
+DFS = st.integers(0, 600).map(lambda k: round(10 ** (k / 100)))  # 1 .. 10**6, log-spaced
+
+
+def _rel(value, ref):
+    return abs(value - ref) / abs(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(df=DFS, log_t=st.floats(-4.0, 4.0), sign=st.sampled_from([1.0, -1.0]))
+def test_t_quantile_and_p_value_match_scipy(df, log_t, sign):
+    for level in LEVELS:
+        for p in (0.5 + level / 2, 0.5 - level / 2):
+            assert _rel(stats._t_ppf(p, df), scipy.stats.t.ppf(p, df)) <= 1e-12, (p, df)
+    t = sign * 10.0 ** log_t
+    ref = 2.0 * scipy.stats.t.sf(abs(t), df)
+    if ref >= 1e-300:
+        assert _rel(2.0 * stats._t_sf(abs(t), df), ref) <= 1e-10
+    one_sided = scipy.stats.t.sf(t, df)
+    if one_sided >= 1e-300:
+        assert _rel(stats._t_sf(t, df), one_sided) <= 1e-10
+
+
+def test_t_with_one_degree_of_freedom_is_cauchy():
+    for level in LEVELS:
+        p = 0.5 + level / 2
+        assert _rel(stats._t_ppf(p, 1), math.tan(math.pi * (p - 0.5))) <= 1e-12
+    for t in (1e-3, 0.1, 1.0, 3.0, 10.0, 100.0):
+        assert _rel(stats._t_sf(t, 1), 0.5 - math.atan(t) / math.pi) <= 1e-12
+    for t in (1e6, 1e200):  # 1/2 - atan(t)/pi cancels here; atan(1/t)/pi does not
+        assert _rel(stats._t_sf(t, 1), math.atan(1.0 / t) / math.pi) <= 1e-12
+
+
+def test_t_near_the_normal_limit_converges_in_few_terms(monkeypatch):
+    """At df = 10**6 the large-df expansion needs at most four terms, and the
+    tail is the normal tail up to its first correction, of order t^4 / df."""
+    monkeypatch.setattr(stats, "_SINHC_COEFFICIENTS", stats._SINHC_COEFFICIENTS[:4])
+    normal = NormalDist()
+    for t in (0.01, 0.5, 1.0, 1.96, 3.0, 5.0, 8.0):
+        normal_tail = 0.5 * math.erfc(t / math.sqrt(2.0))
+        assert _rel(stats._t_sf(t, 10**6), normal_tail) <= (1.0 + t**4) / 10**6
+    q = stats._t_ppf(0.975, 10**6)
+    assert normal.inv_cdf(0.975) < q < normal.inv_cdf(0.975) + 1e-5
+
+
+def test_t_fraction_converges_within_its_bound(monkeypatch):
+    """Below df = 1000 the continued fraction needs fewer than 50 steps."""
+    monkeypatch.setattr(stats, "_MAX_TERMS", 50)
+    for df in (1, 2, 3, 7, 30, 106, 300, 999):
+        for k in range(-40, 41):
+            assert 0.0 <= stats._t_sf(10 ** (k / 10), df) <= 0.5
+
+
+def test_t_p_value_underflows_to_zero_and_never_below():
+    for t in (1e6, 1e200):
+        for df in (1, 2, 3, 10, 100, 1000, 10**6):
+            p = 2.0 * stats._t_sf(t, df)
+            assert 0.0 <= p < 1e-6 and 0.5 < stats._t_sf(-t, df) <= 1.0, (t, df)
+            if df >= (2 if t == 1e200 else 100):  # the true p is below the smallest double
+                assert p == 0.0, (t, df)
+    nearly_constant = paired_test([0.0] * 40, [1.0 + (k % 2) * 1e-9 for k in range(40)])
+    assert nearly_constant.statistic > 1e9 and nearly_constant.p_value == 0.0
+
+
+def test_t_at_zero_gives_p_one():
+    for df in (1, 3, 999, 1000, 10**6):
+        assert stats._t_sf(0.0, df) == 0.5 and stats._t_sf(-0.0, df) == 0.5
+    res = paired_test([1.0, 2.0, 3.0], [2.0, 1.0, 3.0])  # differences 1, -1, 0
+    assert res.statistic == 0.0 and res.p_value == 1.0

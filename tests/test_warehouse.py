@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from datetime import date
 
@@ -103,6 +104,17 @@ def test_item_validation():
         Item("X", "misc", 0.0, "Z1", 10)
     with pytest.raises(InputDataError, match="qty_per_pallet"):
         Item("X", "misc", 1.0, "Z1", 0)
+
+
+def test_item_weight_must_be_finite():
+    for weight in (math.nan, math.inf):
+        with pytest.raises(InputDataError, match="weight"):
+            Item("X", "misc", weight, "Z1", 10)
+
+
+def test_initial_pallet_needs_at_least_one_piece():
+    with pytest.raises(InputDataError, match="qty must be >= 1, got 0"):
+        InventoryRow((0, 1, 0), "A", 0, date(2024, 5, 1))
 
 
 def test_default_anchors_always_exist():
@@ -304,3 +316,30 @@ def test_blank_lines_are_skipped(tmp_path, name):
     plain.write_bytes(b"\n".join([header, first, second, b""]))
     spaced.write_bytes(b"\n".join([header, b"", first, b"", b"", second, b"", b""]))
     assert read(str(spaced)) == read(str(plain))
+
+
+# reader name -> positions of its numeric cells that must be finite
+FLOAT_CELLS = {"layout": (3, 4, 5), "items": (2,), "orders": (5,), "weekly": (1,)}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name,column",
+                         [(name, column) for name, columns in FLOAT_CELLS.items()
+                          for column in columns])
+def test_non_finite_number_is_a_parse_error_naming_its_line(tmp_path, name, column, value):
+    read, header, (first, second) = READERS[name]
+    cells = second.split(b",")
+    cells[column] = value.encode()
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(b"\n".join([header, first, b",".join(cells), b""]))
+    with pytest.raises(ParseError,
+                       match=re.escape(f"{name}.csv:3: '{value}' is not a finite number")):
+        read(str(path))
+
+
+def test_inventory_qty_below_one_is_an_input_error_naming_its_line(tmp_path):
+    read, header, (first, second) = READERS["inventory"]
+    path = tmp_path / "inventory.csv"
+    path.write_bytes(b"\n".join([header, first, second.replace(b",3,", b",0,"), b""]))
+    with pytest.raises(InputDataError, match=re.escape("inventory.csv:3: initial pallet of B")):
+        read(str(path))
