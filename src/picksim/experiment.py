@@ -158,7 +158,8 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
                  trace_dir: str | None = None) -> RunResult:
     """Run every week of a scenario; raises on starvation or horizon overrun,
     and raises ``InputDataError`` before any run if a week has no orders or
-    an initial pallet holds an item missing from the catalog.
+    an initial pallet holds an item missing from the catalog or more pieces
+    than its item's ``qty_per_pallet``.
 
     With ``trace_dir`` set, the executed event log of week N is written to
     ``<trace_dir>/trace_<scenario>_week<N>.csv``.
@@ -168,9 +169,15 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
     items = load_items(spec.data.items)
     initial = load_inventory(spec.data.inventory)
     item_index = {i.code: i for i in items}
-    unknown = next((row.item for row in initial if row.item not in item_index), None)
-    if unknown is not None:
-        raise InputDataError(f"{spec.data.inventory}: unknown item {unknown}")
+    for row in initial:
+        item = item_index.get(row.item)
+        if item is None:
+            raise InputDataError(f"{spec.data.inventory}: unknown item {row.item}")
+        if row.qty > item.qty_per_pallet:
+            raise InputDataError(
+                f"{spec.data.inventory}: pallet of {row.item} must hold "
+                f"1..{item.qty_per_pallet} pieces, got {row.qty}"
+            )
     all_orders = load_orders(spec.data.orders, item_index)
     buckets = split_weeks(all_orders, spec.weeks)
     empty = next((w for w, bucket in enumerate(buckets, start=1) if not bucket), None)

@@ -4,7 +4,10 @@ A replenishment operator visits the storage area at sampled intervals.
 Each visit restocks the product with the lowest total on-hand quantity
 among those that currently have a vacant candidate slot under the
 active storage policy (ties go to the smallest item code), placing one
-full pallet manufactured on the current simulation date.  If nothing is
+full pallet manufactured on the current simulation date.  The policy
+makes that choice (``StoragePolicy.restock_choice``) from a lazy min-heap
+of on-hand counts that the warehouse keeps current, so a visit costs
+O(log items) amortised instead of a scan of the catalog.  If nothing is
 eligible the visit is skipped, but the next one is always scheduled: a
 full warehouse is not a terminal state.
 
@@ -74,7 +77,7 @@ class Replenisher:
             # the week's work is done; let the event list drain
             return []
         gap = self.sampler.draw()
-        code = self._select()
+        code = self.policy.restock_choice()
         if code is None:
             log.info("replenishment at t=%s skipped: no product has a vacant slot", event.time)
         else:
@@ -85,11 +88,3 @@ class Replenisher:
             self.metrics.put_handle_s += self.cfg.BTpa + self.cfg.PPpa
             self.metrics.turns += assignment.turns
         return [(event.time + gap, Replenish())]
-
-    def _select(self) -> str | None:
-        """Eligible product with the lowest stock; ties by item code."""
-        has_vacancy = self.policy.has_vacancy
-        on_hand = self.warehouse.total_on_hand
-        best = min(((on_hand(code), code) for code in self.warehouse.items
-                    if has_vacancy(code)), default=None)
-        return best[1] if best else None

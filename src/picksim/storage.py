@@ -16,7 +16,7 @@ The candidate sets partition the storage slots: one set per mapped item
 under fixed, one per zone under fixed-zone, a single set under random,
 and no slot in two sets.  A slot map that gives a slot to two items is
 an input error.  The policy builds every set at construction, along with
-the ``(travel_s, seq_no, loc_id)`` key of every storage slot, so
+the ``(travel_s, seq_no, loc_id, turns)`` key of every storage slot, so
 equipment that cannot reach a slot fails there.  Each set keeps
 
 * ``vacant`` - how many of its slots are vacant, so a vacancy check is
@@ -25,12 +25,27 @@ equipment that cannot reach a slot fails there.  Each set keeps
   that fills stays in the heap and is popped when it reaches the top
   while occupied.  Invariant: every vacant slot of the set has at least
   one entry in the heap, so after popping occupied heads the top is the
-  nearest vacant slot.
+  nearest vacant slot;
+* ``parked`` - the items found at the top of the stock heap (below)
+  while the set had no vacancy.
 
-The warehouse keeps the sets current: it calls ``_slot_filled`` after
-every placement and ``_slot_drained`` after every pick that empties a
-slot, which decrement and increment ``vacant`` of the slot's set and
-push the slot back onto its heap.
+The policy also keeps the stock heap, a min-heap of ``(on_hand, code)``
+over the catalog items that have a candidate set, from which
+``restock_choice`` picks the product each replenishment visit restocks.
+Deletion is lazy here too: an entry whose quantity differs from the
+item's on-hand count is stale and is popped when it reaches the top.
+Invariant: every item either has an entry equal to its on-hand count or
+is parked on its set, so the first fresh entry whose set has a vacancy
+is the eligible item with the least stock (ties by code).  Items found
+on top while their set is full are popped and parked; when the set gets
+a vacant slot again they are pushed back at their current count.
+
+The warehouse keeps both indices current: it calls ``_slot_filled``
+after every placement and ``_slot_drained`` after every pick that
+empties a slot, which decrement and increment ``vacant`` of the slot's
+set, push the slot back onto its heap and un-park the set's items; and
+``_stock_changed`` after every change of an item's on-hand count, which
+pushes the item's fresh entry.
 """
 
 from __future__ import annotations
@@ -75,14 +90,16 @@ class Assignment:
 
 
 class _SlotSet:
-    """One candidate set: its slots, vacancy count and lazy min-heap."""
+    """One candidate set: its slots, vacancy count, lazy min-heap and the
+    items parked on it while it is full."""
 
-    __slots__ = ("slots", "vacant", "heap")
+    __slots__ = ("slots", "vacant", "heap", "parked")
 
     def __init__(self, slots: list[Location]):
         self.slots = slots
         self.vacant = 0
-        self.heap: list[tuple[float, int, LocationId]] = []
+        self.heap: list[tuple[float, int, LocationId, int]] = []
+        self.parked: set[str] = set()
 
 
 class StoragePolicy:
@@ -96,8 +113,7 @@ class StoragePolicy:
         self.warehouse = warehouse
         self.equipment = equipment
         self.receiving = warehouse.location(ELEVATOR_ID)
-        self._keys = {lid: (self._travel(loc)[0], loc.seq_no, lid)
-                      for lid, loc in warehouse.storage.items()}
+        self._keys = {lid: self._key(loc) for lid, loc in warehouse.storage.items()}
         self._set_of_slot: dict[LocationId, _SlotSet] = {}
         self._set_of_item: dict[str, _SlotSet] = {}
         if kind is PolicyKind.FIXED:
@@ -116,6 +132,11 @@ class StoragePolicy:
         else:
             every = self._build(list(warehouse.storage.values()))
             self._set_of_item = dict.fromkeys(warehouse.items, every)
+        # catalog items without a candidate set, in catalog order
+        self._homeless = [code for code in warehouse.items if code not in self._set_of_item]
+        self._stock = [(on_hand, code) for code, on_hand in warehouse._on_hand.items()
+                       if code in self._set_of_item]
+        heapq.heapify(self._stock)
         warehouse._watchers.append(self)
 
     def _build(self, slots: list[Location]) -> _SlotSet:
@@ -163,10 +184,35 @@ class StoragePolicy:
             raise InputDataError(f"home zone {zone!r} of item {item_code} has no slots")
         return found
 
-    def _travel(self, loc: Location) -> tuple[float, int]:
-        """Travel seconds and aisle turns from receiving to a slot."""
+    def _key(self, loc: Location) -> tuple[float, int, LocationId, int]:
+        """Heap key of a slot: travel seconds from receiving, route
+        position and id, then the aisle turns of that travel."""
         turns = aisle_turns(self.receiving, loc)
-        return travel_time(self.receiving, loc, self.equipment, turns), turns
+        return travel_time(self.receiving, loc, self.equipment, turns), loc.seq_no, loc.id, turns
+
+    # -- replenishment choice ----------------------------------------------
+
+    def restock_choice(self) -> str | None:
+        """The item with the least stock among those with a vacant candidate
+        slot (ties by item code); None if no item has one.
+
+        A catalog item without a candidate set is an input error here,
+        reported for the first such item in catalog order.
+        """
+        if self._homeless:
+            self._set_for(self._homeless[0])
+        stock = self._stock
+        on_hand = self.warehouse._on_hand
+        set_of_item = self._set_of_item
+        while stock:
+            qty, code = stock[0]
+            if qty == on_hand[code]:
+                slot_set = set_of_item[code]
+                if slot_set.vacant:
+                    return code
+                slot_set.parked.add(code)
+            heapq.heappop(stock)
+        return None
 
     # -- warehouse notifications -------------------------------------------
 
@@ -180,13 +226,21 @@ class StoragePolicy:
         if slot_set is not None:
             slot_set.vacant += 1
             heapq.heappush(slot_set.heap, self._keys[loc_id])
+            if slot_set.parked:
+                on_hand = self.warehouse._on_hand
+                for code in slot_set.parked:
+                    heapq.heappush(self._stock, (on_hand[code], code))
+                slot_set.parked.clear()
+
+    def _stock_changed(self, item_code: str, on_hand: int) -> None:
+        heapq.heappush(self._stock, (on_hand, item_code))
 
     # -- put-away ----------------------------------------------------------
 
     def put_away(self, item_code: str, qty: int, mfg_date: date) -> Assignment:
         """Place one pallet in the nearest vacant candidate slot.
 
-        The caller makes sure the item has one (``has_vacancy``).
+        The caller makes sure the item has one, as ``restock_choice`` does.
         """
         item = self.warehouse.item(item_code)
         if not 1 <= qty <= item.qty_per_pallet:
@@ -196,7 +250,7 @@ class StoragePolicy:
         slot = self.nearest_vacant(item_code)
         assert slot is not None, f"put-away of {item_code} without a vacant candidate slot"
         self.warehouse.place(slot.id, item_code, qty, mfg_date, source="replenish")
-        travel, turns = self._travel(slot)
+        travel, _, _, turns = self._keys[slot.id]
         return Assignment(slot.id, item_code, qty, mfg_date, travel, turns)
 
 

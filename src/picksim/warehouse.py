@@ -13,7 +13,8 @@ consumes the oldest manufacturing date first (ties broken by route
 position), and a record is removed the moment its quantity reaches
 zero, which frees the slot.  A per-item on-hand counter moves with every
 placement and pick, and registered watchers (the storage policies' slot
-indices) are told about every slot that is filled or drained.
+and stock indices) are told about every slot that is filled or drained
+and about every change of an item's on-hand count.
 """
 
 from __future__ import annotations
@@ -196,7 +197,9 @@ class Warehouse:
         self._slots_by_item: dict[str, set[LocationId]] = {}
         self._on_hand: dict[str, int] = dict.fromkeys(self.items, 0)
         # objects with _slot_filled(loc_id) / _slot_drained(loc_id), told
-        # after every place() and after every pick() that empties a slot
+        # after every place() and after every pick() that empties a slot,
+        # and _stock_changed(item_code, on_hand), told after every place()
+        # and after every pallet a pick() takes from
         self._watchers: list = []
 
         self.audit = audit
@@ -248,8 +251,10 @@ class Warehouse:
         self.records[loc_id] = record
         self._slots_by_item.setdefault(item_code, set()).add(loc_id)
         self._on_hand[item_code] += qty
+        on_hand = self._on_hand[item_code]
         for watcher in self._watchers:
             watcher._slot_filled(loc_id)
+            watcher._stock_changed(item_code, on_hand)
         if self.audit:
             bucket = self._initial if source == "initial" else self._replenished
             bucket[item_code] = bucket.get(item_code, 0) + qty
@@ -283,12 +288,15 @@ class Warehouse:
             taken = min(remaining, record.qty)
             record.qty -= taken
             self._on_hand[item_code] -= taken
+            on_hand = self._on_hand[item_code]
             drained = record.qty == 0
             if drained:
                 del self.records[record.location]
                 self._slots_by_item[item_code].discard(record.location)
-                for watcher in self._watchers:
+            for watcher in self._watchers:
+                if drained:
                     watcher._slot_drained(record.location)
+                watcher._stock_changed(item_code, on_hand)
             touches.append(PalletTouch(record.location, item_code, taken, drained, record.mfg_date))
             remaining -= taken
             if self.audit:

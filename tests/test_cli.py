@@ -325,6 +325,21 @@ def test_initial_pallet_of_no_pieces_exits_3_naming_its_line(dataset, tmp_path, 
     assert err.endswith(": qty must be >= 1, got 0\n")
 
 
+def test_initial_pallet_over_a_full_pallet_exits_3_naming_its_file(dataset, tmp_path, capsys):
+    data = _edited_dataset(dataset, tmp_path, "initial_inventory.csv", 3,
+                           lambda cells: cells[:4] + ["5000"] + cells[5:])
+    code = (data / "initial_inventory.csv").read_text().splitlines()[2].split(",")[3]
+    per_pallet = next(line.split(",")[4] for line in (data / "items.csv").read_text().splitlines()
+                      if line.startswith(code + ","))
+    out = tmp_path / "out"
+    assert main(["simulate", "--data", str(data), "--weeks", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {data / 'initial_inventory.csv'}: pallet of {code} "
+                            f"must hold 1..{per_pallet} pieces, got 5000\n")
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_3(dataset, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"walk_speed": 2}))

@@ -3,11 +3,13 @@
 Random sequences of placements, picks and put-aways run against all
 three storage policies.  After every step, each item's ``has_vacancy``
 and ``nearest_vacant`` must equal a scan of its ``candidate_slots``,
-``total_on_hand`` must equal the sum of the item's pallet records, and
-no slot may sit in two candidate sets.  The fixed slot map leaves some
-slots to no item, some runs stock the warehouse before the policy
-exists, and a step may build a fresh policy over the stocked warehouse
-mid-run.
+``total_on_hand`` must equal the sum of the item's pallet records,
+``restock_choice`` must equal the least ``(on_hand, code)`` over the
+items with a vacant candidate slot, and no slot may sit in two
+candidate sets.  A step may put away into an item's candidate set until
+it is full, the fixed slot map leaves some slots to no item, some runs
+stock the warehouse before the policy exists, and a step may build a
+fresh policy over the stocked warehouse mid-run.
 """
 
 from __future__ import annotations
@@ -82,6 +84,15 @@ def _check(pol: StoragePolicy) -> None:
         assert pol.nearest_vacant(code) == _brute_nearest(pol, code)
         held = sum(rec.qty for rec in wh.records.values() if rec.item == code)
         assert wh.total_on_hand(code) == held
+    assert pol.restock_choice() == _brute_choice(pol)
+
+
+def _brute_choice(pol: StoragePolicy):
+    wh = pol.warehouse
+    eligible = [(sum(rec.qty for rec in wh.records.values() if rec.item == code), code)
+                for code in CODES
+                if any(wh.is_vacant(loc.id) for loc in pol.candidate_slots(code))]
+    return min(eligible)[1] if eligible else None
 
 
 STEP = st.one_of(
@@ -89,6 +100,7 @@ STEP = st.one_of(
               st.integers(1, 6)),
     st.tuples(st.just("pick"), st.sampled_from(CODES), st.integers(1, 14)),
     st.tuples(st.just("put_away"), st.sampled_from(CODES), st.integers(1, 6)),
+    st.tuples(st.just("fill"), st.sampled_from(CODES)),
     st.tuples(st.just("new_policy")),
 )
 
@@ -120,11 +132,38 @@ def test_indices_match_brute_force(kind, prestock, steps):
             _, code, qty = step
             if pol.has_vacancy(code):
                 pol.put_away(code, qty, MFG)
+        elif op == "fill":
+            # one-piece pallets until the item's candidate set is full
+            _, code = step
+            while pol.has_vacancy(code):
+                pol.put_away(code, 1, MFG)
         else:
             # a policy built over the stocked warehouse; the old one
             # keeps watching it too
             pol = _policy(kind, wh, slots)
         _check(pol)
+
+
+def test_full_building_parks_every_item_until_a_slot_drains():
+    """Under random storage a full building leaves no item eligible, so
+    every item is parked on the one candidate set; the pick that drains a
+    slot brings them all back at their current stock."""
+    wh, slots = _world()
+    pol = _policy(PolicyKind.RANDOM, wh, slots)
+    for index, loc in enumerate(slots):
+        wh.place(loc.id, CODES[index % 3], 1 + index % 3, MFG)
+    assert pol.restock_choice() is None
+    shared = pol._set_of_item["A"]
+    assert shared.parked == set(CODES)
+    assert pol._stock == []
+    wh.pick("C", 3)  # drains one of C's four 3-piece pallets
+    assert shared.parked == set()
+    assert pol.restock_choice() == _brute_choice(pol) == "A"  # A 4, B 8, C 9
+    pol.put_away("A", 6, MFG)  # fills the building again
+    assert pol.restock_choice() is None
+    assert shared.parked == set(CODES)
+    wh.pick("B", 8)  # drains B's four pallets
+    assert pol.restock_choice() == _brute_choice(pol) == "B"  # A 10, B 0, C 9
 
 
 def test_non_lifting_equipment_on_two_levels_raises_at_construction():

@@ -3,14 +3,30 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from datetime import date
 
 import pytest
 
 from conftest import anchors, make_item, slot, trace_cfg
 from runners import engine_run
-from picksim import Replenish, SimConfig, StarvationError
+from picksim import (
+    AllocationRule,
+    DataPaths,
+    InputDataError,
+    PickingMode,
+    PolicyKind,
+    Replenish,
+    Replenisher,
+    ScenarioSpec,
+    SimConfig,
+    StarvationError,
+    StoragePolicy,
+    Warehouse,
+    run_scenario,
+)
 from picksim.config import ReplenishSettings
+from picksim.datagen import generate_data
 from picksim.replenishment import ReplenishmentSampler
 
 START = date(2024, 6, 3)
@@ -148,3 +164,70 @@ def test_restock_mfg_date_follows_simulation_day():
     assert completions[0] is not None
     # the finishing pick consumed pallets made on later simulated days
     assert engine.now >= 2 * 86_400.0
+
+
+def test_item_without_candidate_slots_fails_the_first_visit():
+    """Under fixed-zone, items whose home zone has no slots make the first
+    visit fail, naming the first such item in catalog order, even though a
+    lower-coded item with no stock is eligible."""
+    layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, zone="Z1", seq=1),
+                          slot(0, 1, 1, 100.0, 200.0, zone="Z1", seq=2)]
+    items = [make_item("A", zone="Z1"), make_item("C", zone="Z9"), make_item("B", zone="Z8")]
+    orders = [("O1", "T", [("A", 4)])]
+    with pytest.raises(InputDataError, match=r"^home zone 'Z9' of item C has no slots$"):
+        engine_run(layout, items, [], "fixed-zone", None, orders, "area", trace_cfg(), 1, START)
+
+
+LINES = 600
+
+
+@pytest.fixture(scope="module")
+def catalogs(tmp_path_factory):
+    """Two demo-scale datasets that differ in the number of items."""
+    dirs = []
+    for n_items in (25, 100):
+        out = tmp_path_factory.mktemp(f"items{n_items}")
+        generate_data(str(out), 3, n_items=n_items, n_slots=240, n_lines=LINES, weeks=4)
+        dirs.append(str(out))
+    return dirs
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_visit_cost_does_not_grow_with_the_catalog(catalogs, monkeypatch, policy):
+    """Replenishment reads no vacancy and no stock count per item: over four
+    weeks it calls ``has_vacancy`` never, and the run's ``total_on_hand``
+    calls are bounded by its order lines and visits, whatever the number
+    of items."""
+    counts = Counter()
+    replenishing = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name, bool(replenishing)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    handle_rp = Replenisher.handle_rp
+
+    def visit(self, sim, event):
+        counts["visits"] += 1
+        replenishing.append(event)
+        try:
+            return handle_rp(self, sim, event)
+        finally:
+            replenishing.pop()
+
+    monkeypatch.setattr(StoragePolicy, "has_vacancy",
+                        counted("has_vacancy", StoragePolicy.has_vacancy))
+    monkeypatch.setattr(Warehouse, "total_on_hand",
+                        counted("total_on_hand", Warehouse.total_on_hand))
+    monkeypatch.setattr(Replenisher, "handle_rp", visit)
+    for data in catalogs:
+        counts.clear()
+        run_scenario(ScenarioSpec("s", policy, AllocationRule.HOMOGENEOUS, PickingMode.AREA,
+                                  4, 1, SimConfig(), DataPaths.from_dir(data)))
+        assert counts["visits"] > 0
+        assert counts["has_vacancy", True] == 0
+        assert counts["total_on_hand", True] <= counts["visits"]
+        calls = counts["total_on_hand", False] + counts["total_on_hand", True]
+        assert calls <= 2 * (LINES + counts["visits"])
