@@ -39,10 +39,8 @@ from .warehouse import (
 from .picking import Order, OrderLine, save_orders
 
 START_DATE = date(2024, 6, 3)  # a Monday
-CATEGORIES = ["beverage", "snack", "dairy", "household", "care"]
 PALLET_SIZES = [40, 60, 80, 100, 120]
 POSITIONS_PER_ROW = 6  # aisle depth; each position has two sides
-MAX_PALLET_KG = 1200.0  # item weights are capped so a full pallet stays below this
 
 
 @dataclass(frozen=True)
@@ -79,15 +77,13 @@ def _make_layout(n_slots: int) -> list[Location]:
                         z_cm=170.0 * (layer - 1),
                         zone=zone,
                         seq_no=seq,
-                        direction="L" if side == 0 else "R",
-                        parent=f"R{row:02d}",
                     ))
                     seq += 1
     return locations
 
 
-def _make_items(rng: random.Random, scale: GenScale, slots: list[Location],
-                max_pallet_kg: float) -> tuple[list[Item], dict[str, float]]:
+def _make_items(rng: random.Random, scale: GenScale,
+                slots: list[Location]) -> tuple[list[Item], dict[str, float]]:
     """Items plus their demand weights, home zones sized to zone capacity."""
     # heavy-tailed popularity, capped so no single item can outrun the
     # replenishment chain's weekly pallet budget at any generated scale
@@ -115,11 +111,10 @@ def _make_items(rng: random.Random, scale: GenScale, slots: list[Location],
     for i in range(scale.n_items):
         code = f"SKU{i + 1:04d}"
         qpp = rng.choice(PALLET_SIZES)
-        weight_cap = min(8.0, 0.95 * max_pallet_kg / qpp)
-        weight = round(rng.uniform(0.2, weight_cap), 2)
-        rank = order.index(i)
-        items.append(Item(code, CATEGORIES[i % len(CATEGORIES)], weight,
-                          zone_of_rank[rank], qpp))
+        # this draw once gave the item a weight; it stays so that every
+        # later draw, and so every dataset of a seed, is unchanged
+        rng.random()
+        items.append(Item(code, zone_of_rank[order.index(i)], qpp))
         demand[code] = weights[i]
     return items, demand
 
@@ -183,7 +178,7 @@ def _make_orders(rng: random.Random, items: list[Item], demand: dict[str, float]
                     qty = rng.randint(1, max(1, qpp // 4))
                 else:
                     qty = rng.randint(qpp, 2 * qpp)
-                lines.append(OrderLine(code, qty, round(qty * by_code[code].weight_kg, 2)))
+                lines.append(OrderLine(code, qty))
             orders.append(Order(f"ORD-W{w + 1}-{k + 1:05d}", when, truck, lines))
             lines_left -= size
             k += 1
@@ -241,7 +236,7 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
 
     layout = _make_layout(n_slots)
     slots = [loc for loc in layout if not loc.is_anchor]
-    items, demand = _make_items(rng, scale, slots, MAX_PALLET_KG)
+    items, demand = _make_items(rng, scale, slots)
     pallets = _make_initial(rng, items, n_slots)
     orders = _make_orders(rng, items, demand, scale)
     _check_feasibility(items, pallets, orders, scale)

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import SchedulePastError, SimulationAbort
-from .warehouse import _write_csv
-
-LocationId = tuple[int, int, int]
+from .warehouse import LocationId, _write_csv
 
 
 @dataclass(frozen=True)

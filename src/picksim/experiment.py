@@ -48,6 +48,7 @@ from .warehouse import (
     ProcessTotals,
     Warehouse,
     _write_csv,
+    index_layout,
     load_inventory,
     load_items,
     load_layout,
@@ -146,12 +147,11 @@ def build_slot_map(spec: ScenarioSpec, layout: list[Location], avg_picks: dict[s
                    item_codes: list[str]) -> SlotMap:
     """Allocate the whole storage pool and pin it to concrete slots."""
     demand = {code: avg_picks.get(code, 0.0) for code in item_codes}
-    slots = [loc for loc in layout if not loc.is_anchor]
+    storage, anchors = index_layout(layout)
+    slots = list(storage.values())
     counts = allocate_slots(demand, len(slots), spec.allocation)
-    entrance = next((loc for loc in layout if loc.id == ENTRANCE_ID), None)
-    if entrance is None:
-        entrance = Location(ENTRANCE_ID, 0.0, 0.0, 0.0, "anchor", -3)
-    return assign_physical_slots(counts, slots, demand, entrance, spec.config.stacker())
+    return assign_physical_slots(counts, slots, demand, anchors[ENTRANCE_ID],
+                                 spec.config.stacker())
 
 
 def run_scenario(spec: ScenarioSpec, audit: bool = False,
@@ -212,8 +212,8 @@ def _check_walking(cfg: SimConfig, layout: list[Location]) -> None:
     leg between heights; refuse such a run before any week starts."""
     if cfg.walking.mode != WALK_DISTANCE or cfg.walking_equipment().lift_speed_cm_s > 0:
         return
-    wh = Warehouse(layout, [])
-    walked = [*wh.storage.values(), wh.anchors[ENTRANCE_ID], wh.anchors[SPECIAL_AREA_ID]]
+    storage, anchors = index_layout(layout)
+    walked = [*storage.values(), anchors[ENTRANCE_ID], anchors[SPECIAL_AREA_ID]]
     heights = {loc.z_cm for loc in walked}
     if len(heights) > 1:
         raise InputDataError(

@@ -50,7 +50,6 @@ from .warehouse import (
     PalletTouch,
     ProcessTotals,
     Warehouse,
-    _finite,
     _read_csv,
     _write_csv,
     aisle_turns,
@@ -69,7 +68,6 @@ class PickingMode(enum.Enum):
 class OrderLine:
     item: str
     qty: int
-    weight_kg: float
     remaining: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -364,16 +362,16 @@ class PickingSession:
 
 # -- orders file ---------------------------------------------------------
 
-ORDERS_HEADER = ["order_datetime", "order_no", "truck_id", "item_code", "qty", "weight_kg"]
+ORDERS_HEADER = ["order_datetime", "order_no", "truck_id", "item_code", "qty"]
 
 
 def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
     orders: dict[str, Order] = {}
 
     def add_line(cells: list[str]) -> None:
-        order_datetime, order_no, truck_id, item_code, qty, weight_kg = cells
+        order_datetime, order_no, truck_id, item_code, qty = cells
         when = datetime.fromisoformat(order_datetime)
-        line = OrderLine(item_code, int(qty), _finite(weight_kg))
+        line = OrderLine(item_code, int(qty))
         if item_code not in items:
             raise InputDataError(f"unknown item {item_code}")
         if order_no not in orders:
@@ -387,6 +385,6 @@ def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
 def save_orders(orders: list[Order], path: str) -> None:
     _write_csv(path, ORDERS_HEADER, (
         [order.order_datetime.isoformat(sep=" "), order.order_no, order.truck_id,
-         line.item, line.qty, line.weight_kg]
+         line.item, line.qty]
         for order in orders for line in order.lines
     ))

@@ -157,9 +157,6 @@ class StoragePolicy:
         """All slots the policy would ever consider for this item; read-only."""
         return self._set_for(item_code).slots
 
-    def has_vacancy(self, item_code: str) -> bool:
-        return self._set_for(item_code).vacant > 0
-
     def nearest_vacant(self, item_code: str) -> Location | None:
         """Vacant candidate with the smallest travel time from receiving."""
         heap = self._set_for(item_code).heap

@@ -48,8 +48,6 @@ class Location:
     z_cm: float
     zone: str
     seq_no: int
-    direction: str = ""
-    parent: str = ""
 
     @property
     def row(self) -> int:
@@ -65,14 +63,10 @@ class Item:
     """Catalog entry for one stock-keeping unit."""
 
     code: str
-    category: str
-    weight_kg: float
     home_zone: str
     qty_per_pallet: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.weight_kg) and self.weight_kg > 0):
-            raise InputDataError(f"item {self.code}: weight must be positive and finite")
         if self.qty_per_pallet < 1:
             raise InputDataError(f"item {self.code}: qty_per_pallet must be >= 1")
 
@@ -156,12 +150,24 @@ def travel_time(a: Location, b: Location, eq: Equipment, turns: int) -> float:
     return t + turns * eq.turn_time_s
 
 
-def _default_anchors() -> list[Location]:
-    return [
-        Location(ENTRANCE_ID, 0.0, 0.0, 0.0, ANCHOR_ZONE, -3),
-        Location(SPECIAL_AREA_ID, 0.0, 0.0, 0.0, ANCHOR_ZONE, -2),
-        Location(ELEVATOR_ID, 0.0, 0.0, 0.0, ANCHOR_ZONE, -1),
-    ]
+def index_layout(locations: Iterable[Location]
+                 ) -> tuple[dict[LocationId, Location], dict[LocationId, Location]]:
+    """Storage slots and anchor points of a layout, each keyed by id.
+
+    An anchor the layout lacks stands at the origin.  A repeated id is an
+    error.
+    """
+    storage: dict[LocationId, Location] = {}
+    anchors: dict[LocationId, Location] = {}
+    for loc in locations:
+        target = anchors if loc.is_anchor else storage
+        if loc.id in target:
+            raise InputDataError(f"duplicate location id {loc.id}")
+        target[loc.id] = loc
+    for anchor_id, seq_no in ((ENTRANCE_ID, -3), (SPECIAL_AREA_ID, -2), (ELEVATOR_ID, -1)):
+        if anchor_id not in anchors:
+            anchors[anchor_id] = Location(anchor_id, 0.0, 0.0, 0.0, ANCHOR_ZONE, seq_no)
+    return storage, anchors
 
 
 class Warehouse:
@@ -174,15 +180,7 @@ class Warehouse:
     """
 
     def __init__(self, locations: Iterable[Location], items: Iterable[Item], audit: bool = False):
-        self.storage: dict[LocationId, Location] = {}
-        self.anchors: dict[LocationId, Location] = {}
-        for loc in locations:
-            target = self.anchors if loc.is_anchor else self.storage
-            if loc.id in target:
-                raise InputDataError(f"duplicate location id {loc.id}")
-            target[loc.id] = loc
-        for anchor in _default_anchors():
-            self.anchors.setdefault(anchor.id, anchor)
+        self.storage, self.anchors = index_layout(locations)
         seqs = [loc.seq_no for loc in self.storage.values()]
         if len(set(seqs)) != len(seqs):
             raise InputDataError("seq_no values must be unique across storage slots")
@@ -336,8 +334,8 @@ class Warehouse:
 
 # -- CSV interfaces ------------------------------------------------------
 
-LAYOUT_HEADER = ["row", "layer", "slot", "x_cm", "y_cm", "z_cm", "zone", "seq_no", "direction", "parent"]
-ITEMS_HEADER = ["item_code", "category", "weight_kg", "home_zone", "qty_per_pallet"]
+LAYOUT_HEADER = ["row", "layer", "slot", "x_cm", "y_cm", "z_cm", "zone", "seq_no"]
+ITEMS_HEADER = ["item_code", "home_zone", "qty_per_pallet"]
 INVENTORY_HEADER = ["row", "layer", "slot", "item_code", "qty", "mfg_date"]
 
 
@@ -409,32 +407,30 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
 
 def load_layout(path: str) -> list[Location]:
     def location(cells: list[str]) -> Location:
-        row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no, direction, parent = cells
+        row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no = cells
         return Location((int(row), int(layer), int(slot)), _finite(x_cm), _finite(y_cm),
-                        _finite(z_cm), zone, int(seq_no), direction, parent)
+                        _finite(z_cm), zone, int(seq_no))
 
     return _read_csv(path, LAYOUT_HEADER, location)
 
 
 def save_layout(locations: Iterable[Location], path: str) -> None:
     _write_csv(path, LAYOUT_HEADER, (
-        [*loc.id, loc.x_cm, loc.y_cm, loc.z_cm, loc.zone, loc.seq_no, loc.direction, loc.parent]
-        for loc in locations
+        [*loc.id, loc.x_cm, loc.y_cm, loc.z_cm, loc.zone, loc.seq_no] for loc in locations
     ))
 
 
 def load_items(path: str) -> list[Item]:
     def item(cells: list[str]) -> Item:
-        code, category, weight_kg, home_zone, qty_per_pallet = cells
-        return Item(code, category, _finite(weight_kg), home_zone, int(qty_per_pallet))
+        code, home_zone, qty_per_pallet = cells
+        return Item(code, home_zone, int(qty_per_pallet))
 
     return _read_csv(path, ITEMS_HEADER, item)
 
 
 def save_items(items: Iterable[Item], path: str) -> None:
     _write_csv(path, ITEMS_HEADER, (
-        [item.code, item.category, item.weight_kg, item.home_zone, item.qty_per_pallet]
-        for item in items
+        [item.code, item.home_zone, item.qty_per_pallet] for item in items
     ))
 
 

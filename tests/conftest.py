@@ -23,12 +23,12 @@ def anchors(entrance_xy=(0.0, 0.0), dropoff_xy=(0.0, 60.0), elevator_xy=(60.0, 0
     ]
 
 
-def slot(row, layer, slot_no, x, y, z=0.0, zone="Z1", seq=0, direction="", parent=""):
-    return Location((row, layer, slot_no), x, y, z, zone, seq, direction, parent)
+def slot(row, layer, slot_no, x, y, z=0.0, zone="Z1", seq=0):
+    return Location((row, layer, slot_no), x, y, z, zone, seq)
 
 
-def make_item(code, zone="Z1", qpp=10, weight=1.0, category="misc"):
-    return Item(code, category, weight, zone, qpp)
+def make_item(code, zone="Z1", qpp=10):
+    return Item(code, zone, qpp)
 
 
 def trace_cfg(**overrides) -> SimConfig:

@@ -34,7 +34,7 @@ def engine_run(layout, items, initial, policy_kind, slot_map, orders, mode,
                            slot_map=slot_map)
     built = [
         Order(no, datetime.combine(start, time(9, 0)), truck,
-              [OrderLine(code, qty, 1.0) for code, qty in lines])
+              [OrderLine(code, qty) for code, qty in lines])
         for no, truck, lines in orders
     ]
     plan = prepare_orders(built, PickingMode(mode), warehouse, policy)

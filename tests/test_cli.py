@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from picksim.cli import main
+from picksim.picking import ORDERS_HEADER
+from picksim.warehouse import INVENTORY_HEADER, ITEMS_HEADER, LAYOUT_HEADER
 
 
 @pytest.fixture(autouse=True)
@@ -286,10 +288,10 @@ def _edited_dataset(dataset: str, tmp_path: Path, name: str, line: int,
 
 
 @pytest.mark.parametrize("name, column, value", [
-    ("items.csv", 2, "nan"),
-    ("items.csv", 2, "inf"),
     ("layout.csv", 3, "nan"),
-    ("orders.csv", 5, "inf"),
+    ("layout.csv", 3, "inf"),
+    ("layout.csv", 4, "nan"),
+    ("layout.csv", 5, "inf"),
 ])
 def test_non_finite_number_in_a_dataset_exits_2(dataset, tmp_path, capsys, name, column, value):
     def edit(cells):
@@ -301,6 +303,37 @@ def test_non_finite_number_in_a_dataset_exits_2(dataset, tmp_path, capsys, name,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {data / name}:3: '{value}' is not a finite number\n"
+
+
+# each file whose format an earlier gen-data wrote with more columns ->
+# (that header, a current row's cells -> the row in that format)
+OLD_FORMATS = {
+    "layout.csv": ("row,layer,slot,x_cm,y_cm,z_cm,zone,seq_no,direction,parent",
+                   lambda cells: cells + ["L", "R00"]),
+    "items.csv": ("item_code,category,weight_kg,home_zone,qty_per_pallet",
+                  lambda cells: cells[:1] + ["snack", "2.5"] + cells[1:]),
+    "orders.csv": ("order_datetime,order_no,truck_id,item_code,qty,weight_kg",
+                   lambda cells: cells + ["5.0"]),
+}
+HEADERS = {"layout.csv": LAYOUT_HEADER, "items.csv": ITEMS_HEADER,
+           "initial_inventory.csv": INVENTORY_HEADER, "orders.csv": ORDERS_HEADER}
+
+
+@pytest.mark.parametrize("name", OLD_FORMATS)
+def test_dataset_file_in_the_old_format_exits_2(dataset, tmp_path, capsys, name):
+    old_header, old_row = OLD_FORMATS[name]
+    data = tmp_path / "old"
+    shutil.copytree(dataset, data)
+    rows = (data / name).read_text().splitlines()[1:]
+    (data / name).write_text("\n".join(
+        [old_header] + [",".join(old_row(row.split(","))) for row in rows]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--data", str(data), "--weeks", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {data / name}: expected header "
+                            f"{','.join(HEADERS[name])}, got {old_header}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("policy", ["fixed", "random"])
@@ -329,7 +362,7 @@ def test_initial_pallet_over_a_full_pallet_exits_3_naming_its_file(dataset, tmp_
     data = _edited_dataset(dataset, tmp_path, "initial_inventory.csv", 3,
                            lambda cells: cells[:4] + ["5000"] + cells[5:])
     code = (data / "initial_inventory.csv").read_text().splitlines()[2].split(",")[3]
-    per_pallet = next(line.split(",")[4] for line in (data / "items.csv").read_text().splitlines()
+    per_pallet = next(line.split(",")[2] for line in (data / "items.csv").read_text().splitlines()
                       if line.startswith(code + ","))
     out = tmp_path / "out"
     assert main(["simulate", "--data", str(data), "--weeks", "1", "--out", str(out)]) == 3
@@ -517,6 +550,16 @@ def test_readme_quick_start_runs(tmp_path, capsys, monkeypatch):
             subprocess.run(command, shell=True, check=True)
     printed = capsys.readouterr().out.splitlines()[-3:]
     assert "\n".join(printed) in README.read_text(), "the README shows what step 4 prints"
+
+
+def test_readme_dataset_headers_are_the_loaders_headers():
+    section = README.read_text().split("## Dataset files", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            documented[cells[0].strip("`")] = cells[1].strip("`").split(",")
+    assert documented == HEADERS
 
 
 def test_stats_example_script_prints_the_readme_figures():

@@ -37,7 +37,7 @@ from picksim.warehouse import ProcessTotals
 
 
 def _order(no: str, day: int, hour: int = 9, items=(("A", 1),)) -> Order:
-    lines = [OrderLine(code, qty, 1.0) for code, qty in items]
+    lines = [OrderLine(code, qty) for code, qty in items]
     return Order(no, datetime(2024, 6, 3 + day, hour), "T1", lines)
 
 

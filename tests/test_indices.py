@@ -1,8 +1,9 @@
 """The storage and stock indices agree with brute-force scans.
 
 Random sequences of placements, picks and put-aways run against all
-three storage policies.  After every step, each item's ``has_vacancy``
-and ``nearest_vacant`` must equal a scan of its ``candidate_slots``,
+three storage policies.  After every step, the vacancy counter of each
+item's candidate set and its ``nearest_vacant`` must equal a scan of its
+``candidate_slots``,
 ``total_on_hand`` must equal the sum of the item's pallet records,
 ``restock_choice`` must equal the least ``(on_hand, code)`` over the
 items with a vacant candidate slot, and no slot may sit in two
@@ -80,7 +81,8 @@ def _check(pol: StoragePolicy) -> None:
     assert len(ids) == len(set(ids))
     for code in CODES:
         candidates = pol.candidate_slots(code)
-        assert pol.has_vacancy(code) == any(wh.is_vacant(loc.id) for loc in candidates)
+        assert (pol._set_for(code).vacant > 0) == any(wh.is_vacant(loc.id)
+                                                      for loc in candidates)
         assert pol.nearest_vacant(code) == _brute_nearest(pol, code)
         held = sum(rec.qty for rec in wh.records.values() if rec.item == code)
         assert wh.total_on_hand(code) == held
@@ -130,12 +132,12 @@ def test_indices_match_brute_force(kind, prestock, steps):
                 wh.pick(code, min(qty, stock))
         elif op == "put_away":
             _, code, qty = step
-            if pol.has_vacancy(code):
+            if pol._set_for(code).vacant > 0:
                 pol.put_away(code, qty, MFG)
         elif op == "fill":
             # one-piece pallets until the item's candidate set is full
             _, code = step
-            while pol.has_vacancy(code):
+            while pol._set_for(code).vacant > 0:
                 pol.put_away(code, 1, MFG)
         else:
             # a policy built over the stocked warehouse; the old one

@@ -28,7 +28,7 @@ MFG = date(2024, 5, 1)
 
 
 def _order(no, truck, *lines):
-    return Order(no, DT, truck, [OrderLine(c, q, 1.0) for c, q in lines])
+    return Order(no, DT, truck, [OrderLine(c, q) for c, q in lines])
 
 
 def _zoned_world():
@@ -168,7 +168,7 @@ def test_multi_pallet_line_over_several_restocks():
 
 
 def test_order_line_statuses_progress():
-    line = OrderLine("A", 5, 1.0)
+    line = OrderLine("A", 5)
     order = Order("O1", DT, "T", [line])
     assert line.remaining == 5 and not order.complete
     line.remaining = 2

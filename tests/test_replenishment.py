@@ -139,7 +139,7 @@ def test_starvation_without_any_restock_chain_aborts():
     layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, seq=1)]
     wh = Warehouse(layout, [make_item("A")])
     pol = StoragePolicy(PolicyKind.RANDOM, wh, SimConfig().stacker())
-    orders = [Order("O1", datetime(2024, 6, 3), "T", [OrderLine("A", 2, 1.0)])]
+    orders = [Order("O1", datetime(2024, 6, 3), "T", [OrderLine("A", 2)])]
     plan = prepare_orders(orders, PickingMode.AREA, wh, pol)
     session = PickingSession(wh, trace_cfg(), plan, ProcessTotals())
     eng = Engine()
@@ -194,10 +194,9 @@ def catalogs(tmp_path_factory):
 
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_visit_cost_does_not_grow_with_the_catalog(catalogs, monkeypatch, policy):
-    """Replenishment reads no vacancy and no stock count per item: over four
-    weeks it calls ``has_vacancy`` never, and the run's ``total_on_hand``
-    calls are bounded by its order lines and visits, whatever the number
-    of items."""
+    """Replenishment reads no stock count per item: over four weeks the
+    run's ``total_on_hand`` calls are bounded by its order lines and
+    visits, whatever the number of items."""
     counts = Counter()
     replenishing = []
 
@@ -217,8 +216,6 @@ def test_visit_cost_does_not_grow_with_the_catalog(catalogs, monkeypatch, policy
         finally:
             replenishing.pop()
 
-    monkeypatch.setattr(StoragePolicy, "has_vacancy",
-                        counted("has_vacancy", StoragePolicy.has_vacancy))
     monkeypatch.setattr(Warehouse, "total_on_hand",
                         counted("total_on_hand", Warehouse.total_on_hand))
     monkeypatch.setattr(Replenisher, "handle_rp", visit)
@@ -227,7 +224,6 @@ def test_visit_cost_does_not_grow_with_the_catalog(catalogs, monkeypatch, policy
         run_scenario(ScenarioSpec("s", policy, AllocationRule.HOMOGENEOUS, PickingMode.AREA,
                                   4, 1, SimConfig(), DataPaths.from_dir(data)))
         assert counts["visits"] > 0
-        assert counts["has_vacancy", True] == 0
         assert counts["total_on_hand", True] <= counts["visits"]
         calls = counts["total_on_hand", False] + counts["total_on_hand", True]
         assert calls <= 2 * (LINES + counts["visits"])

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 import re
 from datetime import date
 
 import pytest
 
-from conftest import anchors, make_item, slot
+from conftest import DROPOFF, ELEVATOR, ENTRANCE, anchors, make_item, slot
 from picksim import (
     Equipment,
     InputDataError,
@@ -28,6 +27,7 @@ from picksim import (
     save_layout,
 )
 from picksim.cli import _read_weekly
+from picksim.warehouse import index_layout
 
 STACKER = Equipment("stacker", 90.0, 30.0, 3.0)
 HANDLIFT = Equipment("handlift", 100.0, 0.0, 2.0)
@@ -100,16 +100,8 @@ def test_duplicate_item_code_rejected():
 
 
 def test_item_validation():
-    with pytest.raises(InputDataError, match="weight"):
-        Item("X", "misc", 0.0, "Z1", 10)
     with pytest.raises(InputDataError, match="qty_per_pallet"):
-        Item("X", "misc", 1.0, "Z1", 0)
-
-
-def test_item_weight_must_be_finite():
-    for weight in (math.nan, math.inf):
-        with pytest.raises(InputDataError, match="weight"):
-            Item("X", "misc", weight, "Z1", 10)
+        Item("X", "Z1", 0)
 
 
 def test_initial_pallet_needs_at_least_one_piece():
@@ -122,6 +114,17 @@ def test_default_anchors_always_exist():
     assert wh.location((-1, 0, 0)).zone == "anchor"
     assert wh.location((-1, 0, 1)).seq_no == -2
     assert wh.location((-1, 0, 2)).seq_no == -1
+
+
+def test_index_layout_puts_each_missing_anchor_at_the_origin():
+    entrance = Location(ENTRANCE, 5.0, 7.0, 0.0, "anchor", -3)
+    storage, found = index_layout([slot(0, 1, 0, 1.0, 1.0, seq=1), entrance])
+    assert list(storage) == [(0, 1, 0)]
+    assert found == {
+        ENTRANCE: entrance,
+        DROPOFF: Location(DROPOFF, 0.0, 0.0, 0.0, "anchor", -2),
+        ELEVATOR: Location(ELEVATOR, 0.0, 0.0, 0.0, "anchor", -1),
+    }
 
 
 # -- inventory ------------------------------------------------------------
@@ -227,8 +230,7 @@ def test_audit_catches_fifo_violation_via_direct_tampering():
 
 
 def test_layout_round_trip(tmp_path):
-    layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, zone="Z2", seq=1,
-                               direction="L", parent="R00")]
+    layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, zone="Z2", seq=1)]
     path = tmp_path / "layout.csv"
     save_layout(layout, str(path))
     again = load_layout(str(path))
@@ -238,7 +240,7 @@ def test_layout_round_trip(tmp_path):
 
 
 def test_items_round_trip(tmp_path):
-    items = [make_item("A", qpp=12, weight=2.5), make_item("B", zone="Z9")]
+    items = [make_item("A", qpp=12), make_item("B", zone="Z9")]
     path = tmp_path / "items.csv"
     save_items(items, str(path))
     assert load_items(str(path)) == items
@@ -253,15 +255,14 @@ def test_inventory_round_trip(tmp_path):
 
 # name -> (reader, header line, two valid data rows)
 READERS = {
-    "layout": (load_layout, b"row,layer,slot,x_cm,y_cm,z_cm,zone,seq_no,direction,parent",
-               [b"0,1,0,100.0,100.0,0.0,Z1,1,L,R00", b"0,1,1,100.0,200.0,0.0,Z1,2,L,R00"]),
-    "items": (load_items, b"item_code,category,weight_kg,home_zone,qty_per_pallet",
-              [b"A,snack,2.5,Z1,12", b"B,dairy,1.0,Z2,10"]),
+    "layout": (load_layout, b"row,layer,slot,x_cm,y_cm,z_cm,zone,seq_no",
+               [b"0,1,0,100.0,100.0,0.0,Z1,1", b"0,1,1,100.0,200.0,0.0,Z1,2"]),
+    "items": (load_items, b"item_code,home_zone,qty_per_pallet", [b"A,Z1,12", b"B,Z2,10"]),
     "inventory": (load_inventory, b"row,layer,slot,item_code,qty,mfg_date",
                   [b"0,1,0,A,5,2024-05-01", b"0,1,1,B,3,2024-05-02"]),
     "orders": (lambda path: load_orders(path, {"A": make_item("A"), "B": make_item("B")}),
-               b"order_datetime,order_no,truck_id,item_code,qty,weight_kg",
-               [b"2024-05-06 08:00:00,O1,T1,A,2,5.0", b"2024-05-06 08:00:00,O1,T1,B,1,2.0"]),
+               b"order_datetime,order_no,truck_id,item_code,qty",
+               [b"2024-05-06 08:00:00,O1,T1,A,2", b"2024-05-06 08:00:00,O1,T1,B,1"]),
     "weekly": (_read_weekly, b"week,metric", [b"1,10", b"2,12.5"]),
 }
 
@@ -319,7 +320,7 @@ def test_blank_lines_are_skipped(tmp_path, name):
 
 
 # reader name -> positions of its numeric cells that must be finite
-FLOAT_CELLS = {"layout": (3, 4, 5), "items": (2,), "orders": (5,), "weekly": (1,)}
+FLOAT_CELLS = {"layout": (3, 4, 5), "weekly": (1,)}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
