@@ -25,7 +25,6 @@ from .errors import (
     PicksimError,
     SchedulePastError,
     SimulationAbort,
-    StarvationError,
     ValidationError,
 )
 from .events import Engine, Event, PartialPick, Replenish, StartPickOrder
@@ -91,7 +90,7 @@ __all__ = [
     "load_config",
     "generate_data",
     "InfeasibleRunError", "InputDataError", "ParseError", "PicksimError",
-    "SchedulePastError", "SimulationAbort", "StarvationError", "ValidationError",
+    "SchedulePastError", "SimulationAbort", "ValidationError",
     "Engine", "Event", "PartialPick", "Replenish", "StartPickOrder",
     "Comparison", "DataPaths", "RunResult", "ScenarioSpec", "ScenarioSummary",
     "WeekOutcome", "compare_scenarios", "demand_per_week", "derive_seed",

@@ -17,9 +17,9 @@ Subcommands:
     Aggregate one or two weekly-metric CSV files (``week,metric``)
     without running any simulation.
 
-Exit codes: 0 success, 1 simulation failure (starvation, horizon
-overrun, scheduling bug), 2 malformed command line or unreadable input,
-3 invalid configuration or input data.
+Exit codes: 0 success, 1 simulation failure (horizon overrun), 2
+malformed command line or unreadable input, 3 invalid configuration or
+input data.
 
 The master seed is resolved in order: ``--seed`` flag, explicit
 ``replenish.seed`` in the config file, ``PICKSIM_SEED`` environment
@@ -233,14 +233,29 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _read_weekly(path: str) -> tuple[str, list[float]]:
-    return Path(path).stem, _read_csv(path, WEEKLY_HEADER, lambda cells: _finite(cells[1]))
+def _read_weekly(path: str) -> tuple[str, dict[int, float]]:
+    """File stem and ``{week: metric}`` in file order; each week is an integer
+    that appears once."""
+    weekly: dict[int, float] = {}
+
+    def row(cells: list[str]) -> None:
+        week = int(cells[0])
+        if week in weekly:
+            raise InputDataError(f"week {week} appears twice")
+        weekly[week] = _finite(cells[1])
+
+    _read_csv(path, WEEKLY_HEADER, row)
+    return Path(path).stem, weekly
 
 
 def _cmd_stats(args) -> int:
     if len(args.weekly) not in (1, 2):
         raise ParseError("--weekly takes one or two files")
-    series = [_read_weekly(p) for p in args.weekly]
+    read = [_read_weekly(p) for p in args.weekly]
+    if len(read) == 2 and list(read[0][1]) != list(read[1][1]):
+        raise InputDataError(f"{args.weekly[0]} and {args.weekly[1]} must list the same "
+                             f"weeks in the same order: the paired test pairs their rows")
+    series = [(name, list(weekly.values())) for name, weekly in read]
     for name, values in series:
         if len(values) < 2:
             raise InputDataError(f"{name}: need at least two weekly values, got {len(values)}")

@@ -39,9 +39,5 @@ class SchedulePastError(SimulationAbort):
     """An event was scheduled earlier than the current simulation clock."""
 
 
-class StarvationError(SimulationAbort):
-    """A pick is waiting on stock but no replenishment is scheduled."""
-
-
 class InfeasibleRunError(SimulationAbort):
     """A weekly run ended (horizon reached) with orders still unfinished."""

@@ -1,26 +1,24 @@
-"""Discrete-event kernel: event list, simulation clock, dispatch loop.
+"""Event list of one weekly run: two actors with one pending event each.
 
-The kernel keeps a time-ordered list of pending events and executes them
-one at a time: pop the earliest, advance the clock to its timestamp,
-hand it to the handler registered for its kind, and insert whatever new
-events the handler returns.  Two events with the same timestamp execute
-in insertion order (each scheduled event receives a monotonically
-increasing sequence number, and the list is ordered by ``(time, seq)``),
-so ties never reorder.
-
-The kernel itself is payload-agnostic: all warehouse semantics live in
-the handlers.  The three event kinds used by the simulator are defined
-here as plain payload dataclasses.
+The picker works the pick plan one order at a time; its pending event
+starts the next order (``StartPickOrder``) or resumes a stalled one
+(``PartialPick``).  The replenisher's pending event is its next visit
+(``Replenish``).  So the event list is two slots, the two-process case
+of event scheduling (Law & Kelton, *Simulation Modeling and Analysis*,
+ch. 1).  ``Engine.run`` executes the earlier pending event and asks its
+actor for the successor.  Each scheduled event gets the next sequence
+number and events run in ``(time, seq)`` order, so ties never reorder.
+The visit chain ends with the first visit after the picker is done:
+that visit is traced but not handled.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
-from .errors import SchedulePastError, SimulationAbort
+from .errors import SchedulePastError
 from .warehouse import LocationId, _write_csv
 
 
@@ -48,64 +46,74 @@ class Replenish:
 EventKind = Union[StartPickOrder, PartialPick, Replenish]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """A scheduled event; ``seq`` is unique, so events order by ``(time, seq)``."""
+
     time: float
     seq: int
     kind: EventKind
 
 
-Handler = Callable[["Engine", Event], "list[tuple[float, EventKind]]"]
-
-
 class Engine:
-    """Event executor with a monotone clock starting at zero."""
+    """Executor of one week's two actors with a monotone clock starting at zero.
 
-    def __init__(self) -> None:
+    The picker's handlers ``handle_spo`` and ``handle_pp`` return ``(time,
+    kind)``, or ``None`` once the plan is done; the replenisher's
+    ``handle_rp`` returns the time of its next visit.  Each takes ``(engine,
+    event)``.  ``check``, if given, runs after every handled event.
+    ``next_pick`` and ``next_visit`` are the pending events; a visit is
+    always pending while the picker works.
+    """
+
+    def __init__(self, picker, replenisher, check: Callable[[], None] | None = None) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, EventKind]] = []
-        self._seq = 0
-        self._handlers: dict[type, Handler] = {}
         self.trace: list[Event] = []
+        self._picker = picker
+        self._replenisher = replenisher
+        self._check = check
+        self._seq = 0
+        self.next_pick: Event | None = None
+        self.next_visit: Event | None = None
 
-    def register(self, kind: type, handler: Handler) -> None:
-        self._handlers[kind] = handler
-
-    def schedule(self, time: float, kind: EventKind) -> Event:
+    def schedule(self, time: float, kind: EventKind) -> None:
+        """Make ``kind`` at ``time`` the pending event of its actor."""
         if time < self.now:
             raise SchedulePastError(
                 f"cannot schedule {type(kind).__name__} at t={time!r}: "
                 f"clock is already at t={self.now!r}"
             )
         event = Event(time, self._seq, kind)
-        heapq.heappush(self._heap, (time, self._seq, kind))
         self._seq += 1
-        return event
-
-    def next_time_of(self, kind: type) -> float | None:
-        """Earliest pending timestamp of the given event kind, if any."""
-        times = [t for t, _, k in self._heap if isinstance(k, kind)]
-        return min(times) if times else None
+        if isinstance(kind, Replenish):
+            self.next_visit = event
+        else:
+            self.next_pick = event
 
     def run(self, horizon: float = math.inf) -> list[Event]:
-        """Execute events in (time, seq) order until the list is empty or
-        the next event lies beyond the horizon.  Returns the executed trace."""
-        while self._heap:
-            time, seq, kind = self._heap[0]
-            if time > horizon:
+        """Execute events in (time, seq) order until neither actor has one
+        pending or the next lies beyond the horizon.  Returns the executed trace."""
+        picker, replenisher, check = self._picker, self._replenisher, self._check
+        while True:
+            pick, visit = self.next_pick, self.next_visit
+            event = pick if visit is None or (pick is not None and pick < visit) else visit
+            if event is None or event.time > horizon:
                 break
-            heapq.heappop(self._heap)
-            self.now = time
-            event = Event(time, seq, kind)
+            self.now = event.time
             self.trace.append(event)
-            try:
-                handler = self._handlers[type(kind)]
-            except KeyError:
-                raise SimulationAbort(
-                    f"no handler registered for event kind {type(kind).__name__}"
-                ) from None
-            for new_time, new_kind in handler(self, event):
-                self.schedule(new_time, new_kind)
+            if event is pick:
+                self.next_pick = None
+                handler = (picker.handle_spo if isinstance(event.kind, StartPickOrder)
+                           else picker.handle_pp)
+                successor = handler(self, event)
+                if successor is not None:
+                    self.schedule(*successor)
+            else:
+                self.next_visit = None
+                if pick is None:
+                    continue  # the picker is done: this visit closes the week
+                self.schedule(replenisher.handle_rp(self, event), Replenish())
+            if check is not None:
+                check()
         return self.trace
 
 

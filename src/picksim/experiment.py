@@ -30,7 +30,7 @@ from .allocation import (
 )
 from .config import WALK_DISTANCE, SimConfig
 from .errors import InfeasibleRunError, InputDataError
-from .events import Engine, PartialPick, Replenish, StartPickOrder, write_trace_csv
+from .events import Engine, Replenish, StartPickOrder, write_trace_csv
 from .picking import (
     Order,
     PickingMode,
@@ -156,10 +156,10 @@ def build_slot_map(spec: ScenarioSpec, layout: list[Location], avg_picks: dict[s
 
 def run_scenario(spec: ScenarioSpec, audit: bool = False,
                  trace_dir: str | None = None) -> RunResult:
-    """Run every week of a scenario; raises on starvation or horizon overrun,
-    and raises ``InputDataError`` before any run if a week has no orders or
-    an initial pallet holds an item missing from the catalog or more pieces
-    than its item's ``qty_per_pallet``.
+    """Run every week of a scenario; raises on horizon overrun, and raises
+    ``InputDataError`` before any run if a week has no orders or an initial
+    pallet holds an item missing from the catalog or more pieces than its
+    item's ``qty_per_pallet``.
 
     With ``trace_dir`` set, the executed event log of week N is written to
     ``<trace_dir>/trace_<scenario>_week<N>.csv``.
@@ -236,21 +236,18 @@ def _run_week(spec: ScenarioSpec, cfg: SimConfig, layout: list[Location], items,
     session = PickingSession(warehouse, cfg, plan, metrics)
     sampler = ReplenishmentSampler.from_config(
         cfg, derive_seed(spec.seed, spec.name, week_no))
-    replenisher = Replenisher(policy, cfg, sampler, session, metrics, start_date)
+    replenisher = Replenisher(policy, cfg, sampler, metrics, start_date)
 
-    engine = Engine()
-    for kind, handler in ((StartPickOrder, session.handle_spo),
-                          (PartialPick, session.handle_pp),
-                          (Replenish, replenisher.handle_rp)):
-        engine.register(kind, _audited(handler, warehouse) if audit else handler)
+    engine = Engine(session, replenisher,
+                    check=warehouse.verify_conservation if audit else None)
     engine.schedule(0.0, StartPickOrder(0))
     engine.schedule(sampler.draw(), Replenish())
     engine.run(horizon=cfg.horizon_s)
     if trace_path is not None:
         write_trace_csv(engine.trace, trace_path)
 
-    if not session.all_complete:
-        done = sum(1 for c in session.completions if c is not None)
+    done = sum(1 for c in session.completions if c is not None)
+    if done < len(plan):
         raise InfeasibleRunError(
             f"scenario {spec.name} week {week_no}: only {done}/{len(plan)} orders "
             f"finished within the {cfg.horizon_s} s horizon"
@@ -259,15 +256,6 @@ def _run_week(spec: ScenarioSpec, cfg: SimConfig, layout: list[Location], items,
     metric = metric_s * cfg.metric_factor()
     return WeekOutcome(week_no, metric, metrics,
                        completions=[float(c) for c in session.completions])
-
-
-def _audited(handler, warehouse: Warehouse):
-    def wrapped(sim, event):
-        out = handler(sim, event)
-        warehouse.verify_conservation()
-        return out
-
-    return wrapped
 
 
 # -- comparison ----------------------------------------------------------

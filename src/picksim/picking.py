@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .config import SimConfig, WALK_CONSTANT
-from .errors import InputDataError, StarvationError
-from .events import Engine, Event, PartialPick, Replenish, StartPickOrder
+from .errors import InputDataError
+from .events import Engine, Event, PartialPick, StartPickOrder
 from .storage import StoragePolicy
 from .warehouse import (
     ENTRANCE_ID,
@@ -105,14 +105,18 @@ class PlanEntry:
 
 
 PickPlan = list[PlanEntry]
+PickerEvent = tuple[float, StartPickOrder | PartialPick]
 
 
 def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
                    policy: StoragePolicy) -> PickPlan:
-    """Build the pick plan for a horizon's orders against current stock."""
+    """Build the pick plan for a horizon's orders against current stock;
+    an order without lines raises ``InputDataError``."""
     groups: dict[str, list[Order]] = {}
     group_seq: list[str] = []
     for order in orders:
+        if not order.lines:
+            raise InputDataError(f"order {order.order_no} has no lines")
         key = order.truck_id
         if not key:
             key = f"#solo:{order.order_no}"
@@ -191,34 +195,21 @@ class PickingSession:
         self.entrance = warehouse.location(ENTRANCE_ID)
         self.dropoff = warehouse.location(SPECIAL_AREA_ID)
         self.completions: list[float | None] = [None] * len(plan)
-        self._unfinished = len(plan)
         self._active: int | None = None
         self._pos = 0
         self._at_stop: int | None = None
         self._charged: set[int] = set()
 
-    @property
-    def all_complete(self) -> bool:
-        return self._unfinished == 0
-
     # -- event handlers ----------------------------------------------------
 
-    def handle_spo(self, sim: Engine, event: Event) -> list[tuple[float, object]]:
-        i = event.kind.order
-        if not 0 <= i < len(self.plan):
-            raise InputDataError(f"pick-start event for unknown order index {i}")
-        entry = self.plan[i]
-        if entry.order.complete:
-            log.warning("order %s already complete at its start event; ignoring",
-                        entry.order.order_no)
-            return []
-        self._active = i
+    def handle_spo(self, sim: Engine, event: Event) -> PickerEvent | None:
+        self._active = event.kind.order
         self._pos = 0
         self._at_stop = None
         self._charged = set()
-        return self._advance(sim, event.time)
+        return self._advance(event.time)
 
-    def handle_pp(self, sim: Engine, event: Event) -> list[tuple[float, object]]:
+    def handle_pp(self, sim: Engine, event: Event) -> PickerEvent | None:
         kind = event.kind
         i = kind.order
         assert self._active == i, "resume event for an order that is not in flight"
@@ -231,29 +222,25 @@ class PickingSession:
         assert line.remaining > 0, "resume event for a line that is already picked"
         avail = self.warehouse.total_on_hand(line.item)
         if avail >= line.remaining:
-            return self._advance(sim, event.time)
+            return self._advance(event.time)
         if avail > 0:
             # taken while waiting: the clock charges no handling for it
             self.warehouse.pick(line.item, avail)
             line.remaining -= avail
-        t_rp = sim.next_time_of(Replenish)
-        if t_rp is None:
-            raise StarvationError(
-                f"order {entry.order.order_no} line {kind.line} ({line.item}) is short "
-                f"{line.remaining} pieces and no replenishment is scheduled"
-            )
+        t_rp = sim.next_visit.time
         self.metrics.wait_s += t_rp - event.time
-        return [(t_rp, kind)]
+        return (t_rp, kind)
 
     # -- core traversal ----------------------------------------------------
 
-    def _advance(self, sim: Engine, now: float) -> list[tuple[float, object]]:
+    def _advance(self, now: float) -> PickerEvent | None:
         """Work the active order forward from the picker's position.
 
         Picks every line up to (not including) the first short one, adds
         walking legs and per-sublist handling to the clock and to the
-        totals, and returns either the next order's start event (order
-        done) or the resume event at the short line's slot.
+        totals, and returns the next order's start event (order done),
+        ``None`` (last order done) or the resume event at the short line's
+        slot.
         """
         i = self._active
         assert i is not None
@@ -291,15 +278,14 @@ class PickingSession:
 
         if m is None:
             self.completions[i] = t
-            self._unfinished -= 1
             self._active = None
             if i + 1 < len(self.plan):
-                return [(t, StartPickOrder(i + 1))]
-            return []
+                return (t, StartPickOrder(i + 1))
+            return None
         self._pos = m
         self._at_stop = m
         stop = route[m]
-        return [(t, PartialPick(i, stop.line_index, stop.location.id))]
+        return (t, PartialPick(i, stop.line_index, stop.location.id))
 
     def _first_short(self, entry: PlanEntry, pos: int) -> int | None:
         """First route position whose cumulative item demand exceeds stock."""
@@ -374,9 +360,12 @@ def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
         line = OrderLine(item_code, int(qty))
         if item_code not in items:
             raise InputDataError(f"unknown item {item_code}")
-        if order_no not in orders:
-            orders[order_no] = Order(order_no, when, truck_id, [])
-        orders[order_no].lines.append(line)
+        order = orders.get(order_no)
+        if order is None:
+            order = orders[order_no] = Order(order_no, when, truck_id, [])
+        elif (when, truck_id) != (order.order_datetime, order.truck_id):
+            raise InputDataError(f"order {order_no}: date or truck differs from its first line")
+        order.lines.append(line)
 
     _read_csv(path, ORDERS_HEADER, add_line)
     return list(orders.values())

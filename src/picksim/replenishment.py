@@ -9,7 +9,8 @@ makes that choice (``StoragePolicy.restock_choice``) from a lazy min-heap
 of on-hand counts that the warehouse keeps current, so a visit costs
 O(log items) amortised instead of a scan of the catalog.  If nothing is
 eligible the visit is skipped, but the next one is always scheduled: a
-full warehouse is not a terminal state.
+full warehouse is not a terminal state.  The engine ends the chain at
+the first visit after the picker is done.
 
 Intervals come from a sampler that either returns a constant mean or
 draws Normal(mu, sigma) clamped below by a positive floor, so simulated
@@ -25,8 +26,7 @@ from datetime import date, timedelta
 
 from .config import REPLENISH_SAMPLED, SimConfig
 from .errors import InputDataError
-from .events import Engine, Event, Replenish
-from .picking import PickingSession
+from .events import Engine, Event
 from .storage import StoragePolicy
 from .warehouse import ProcessTotals
 
@@ -60,22 +60,19 @@ class Replenisher:
     """Event handler for replenishment visits in one weekly run."""
 
     def __init__(self, policy: StoragePolicy, cfg: SimConfig, sampler: ReplenishmentSampler,
-                 session: PickingSession, metrics: ProcessTotals, start_date: date):
+                 metrics: ProcessTotals, start_date: date):
         self.policy = policy
         self.warehouse = policy.warehouse
         self.cfg = cfg
         self.sampler = sampler
-        self.session = session
         self.metrics = metrics
         self.start_date = start_date
 
     def sim_date(self, now: float) -> date:
         return self.start_date + timedelta(days=int(now // 86400.0))
 
-    def handle_rp(self, sim: Engine, event: Event) -> list[tuple[float, object]]:
-        if self.session.all_complete:
-            # the week's work is done; let the event list drain
-            return []
+    def handle_rp(self, sim: Engine, event: Event) -> float:
+        """Restock one pallet; returns the time of the next visit."""
         gap = self.sampler.draw()
         code = self.policy.restock_choice()
         if code is None:
@@ -87,4 +84,4 @@ class Replenisher:
             self.metrics.put_travel_s += assignment.travel_s
             self.metrics.put_handle_s += self.cfg.BTpa + self.cfg.PPpa
             self.metrics.turns += assignment.turns
-        return [(event.time + gap, Replenish())]
+        return event.time + gap

@@ -12,7 +12,7 @@ Inventory is one pallet record per slot at most.  Picking always
 consumes the oldest manufacturing date first (ties broken by route
 position), and a record is removed the moment its quantity reaches
 zero, which frees the slot.  A per-item on-hand counter moves with every
-placement and pick, and registered watchers (the storage policies' slot
+placement and pick, and attached watchers (the storage policies' slot
 and stock indices) are told about every slot that is filled or drained
 and about every change of an item's on-hand count.
 """

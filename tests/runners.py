@@ -8,7 +8,6 @@ from picksim import (
     Engine,
     Order,
     OrderLine,
-    PartialPick,
     PickingMode,
     PickingSession,
     PolicyKind,
@@ -41,12 +40,9 @@ def engine_run(layout, items, initial, policy_kind, slot_map, orders, mode,
     metrics = ProcessTotals()
     session = PickingSession(warehouse, cfg, plan, metrics)
     sampler = ReplenishmentSampler.from_config(cfg, seed)
-    replenisher = Replenisher(policy, cfg, sampler, session, metrics, start)
+    replenisher = Replenisher(policy, cfg, sampler, metrics, start)
 
-    engine = Engine()
-    engine.register(StartPickOrder, session.handle_spo)
-    engine.register(PartialPick, session.handle_pp)
-    engine.register(Replenish, replenisher.handle_rp)
+    engine = Engine(session, replenisher)
     if plan:
         engine.schedule(0.0, StartPickOrder(0))
     engine.schedule(sampler.draw(), Replenish())

@@ -11,7 +11,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import pytest

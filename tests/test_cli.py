@@ -32,6 +32,14 @@ def dataset(tmp_path_factory):
     return str(out)
 
 
+def _child_env() -> dict[str, str]:
+    """This environment with the checkout's ``src`` first on ``PYTHONPATH``, so
+    a child interpreter imports the package under test without an install."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def _weekly_file(tmp_path: Path, name: str, values: list[float]) -> str:
     path = tmp_path / f"{name}.csv"
     rows = "\n".join(f"{i},{v}" for i, v in enumerate(values, start=1))
@@ -204,6 +212,32 @@ def test_stats_bad_header_is_a_parse_error(tmp_path, capsys):
     path.write_text("weekno,value\n1,10\n")
     assert main(["stats", "--weekly", str(path)]) == 2
     assert "expected header week,metric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("week", ["foo", ""])
+def test_stats_week_that_is_not_an_integer_exits_2_naming_its_line(tmp_path, capsys, week):
+    path = tmp_path / "a.csv"
+    path.write_text(f"week,metric\n1,10\n{week},12\n3,11\n")
+    assert main(["stats", "--weekly", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}:3: invalid literal for int() with base 10: {week!r}\n"
+
+
+def test_stats_repeated_week_exits_3_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "a.csv"
+    path.write_text("week,metric\n1,10\n2,12\n1,11\n")
+    assert main(["stats", "--weekly", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}:4: week 1 appears twice\n"
+
+
+def test_stats_files_listing_different_weeks_exit_3(tmp_path, capsys):
+    a = _weekly_file(tmp_path, "a", [103.0, 143.0, 122.0, 97.0])
+    b = tmp_path / "b.csv"
+    # the reference series b, its rows listed from week 4 down to week 1
+    b.write_text("week,metric\n4,135\n3,129\n2,150\n1,148\n")
+    assert main(["stats", "--weekly", a, str(b)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {a} and {b} must list the same weeks")
 
 
 # -- exit codes and argument validation -----------------------------------
@@ -391,7 +425,7 @@ def test_legacy_config_keys_load_with_one_warning(dataset, tmp_path):
         runs.append(subprocess.run(
             [sys.executable, "-m", "picksim.cli", "simulate", "--data", dataset,
              "--weeks", "1", "--config", str(cfg)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_child_env(),
         ))
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stderr == "config fields LR, h are no longer used and were ignored\n"
@@ -458,7 +492,7 @@ def test_console_script_runs(tmp_path):
         [sys.executable, "-m", "picksim.cli", "gen-data", "--out",
          str(tmp_path), "--items", "4", "--slots", "12", "--lines", "8",
          "--weeks", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "orders:" in proc.stdout
@@ -466,7 +500,8 @@ def test_console_script_runs(tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, picksim.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 
@@ -500,15 +535,12 @@ print(codes, "scipy" in sys.modules, file=sys.stderr)
 def test_runtime_needs_no_scipy(tmp_path):
     """gen-data, compare and stats run with scipy unimportable, load no part of
     it and print what they print with it importable."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     stdout = {}
     for mode in ("block", "allow"):
         cwd = tmp_path / mode
         cwd.mkdir()
         proc = subprocess.run([sys.executable, "-c", _BLOCKED_SCIPY_RUN, mode], cwd=cwd,
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[0, 0, 0] False\n", proc.stderr
         stdout[mode] = proc.stdout
@@ -565,12 +597,8 @@ def test_readme_dataset_headers_are_the_loaders_headers():
 def test_stats_example_script_prints_the_readme_figures():
     """``scripts/stats_example.py`` runs and reproduces the gap and p-value
     that the README quotes for the two reference series."""
-    root = README.parent
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(root / "scripts" / "stats_example.py")],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, str(README.parent / "scripts" / "stats_example.py")],
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "gap of totals (B vs A): 20.86%\n" in proc.stdout
     assert "paired t-test: statistic=2.4102 df=3 p=0.0950\n" in proc.stdout

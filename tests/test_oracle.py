@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import random
-from datetime import date, timedelta
+from datetime import timedelta
 
 import pytest
 
-from conftest import START, anchors, make_item, slot, trace_cfg
+from conftest import START, anchors, make_item, slot
 from oracle_sim import oracle_run
 from runners import engine_run
 from picksim import PartialPick, Replenish, SimConfig, StartPickOrder

@@ -103,6 +103,13 @@ def test_line_with_zero_qty_rejected():
         _order("O1", "T", ("A", 0))
 
 
+def test_order_without_lines_rejected():
+    wh, pol = _zoned_world()
+    orders = [_order("O1", "T", ("A", 1)), _order("O2", "T"), _order("O3", "T", ("B", 1))]
+    with pytest.raises(InputDataError, match="^order O2 has no lines$"):
+        prepare_orders(orders, PickingMode.AREA, wh, pol)
+
+
 # -- handling arithmetic --------------------------------------------------
 
 
@@ -194,6 +201,17 @@ def test_orders_round_trip(tmp_path):
         ("O1", "T1", [("A", 2), ("B", 3)]),
         ("O2", "", [("A", 1)]),
     ]
+
+
+@pytest.mark.parametrize("second", ["2024-06-24 09:00:00,O1,T1", "2024-06-03 09:00:00,O1,T2"])
+def test_order_line_off_its_orders_date_or_truck_rejected(tmp_path, second):
+    path = tmp_path / "orders.csv"
+    path.write_text("order_datetime,order_no,truck_id,item_code,qty\n"
+                    "2024-06-03 09:00:00,O1,T1,A,1\n"
+                    f"{second},A,2\n")
+    with pytest.raises(InputDataError,
+                       match=r"orders\.csv:3: order O1: date or truck differs from its first line$"):
+        load_orders(str(path), {"A": make_item("A")})
 
 
 def test_orders_unknown_item_rejected(tmp_path):

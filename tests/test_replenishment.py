@@ -20,8 +20,6 @@ from picksim import (
     Replenisher,
     ScenarioSpec,
     SimConfig,
-    StarvationError,
-    StoragePolicy,
     Warehouse,
     run_scenario,
 )
@@ -127,27 +125,6 @@ def test_next_visit_scheduled_even_when_nothing_fits():
     assert completions == [55.0]  # 30 walk + 25 handling, no wait
     rps = [ev for ev in engine.trace if isinstance(ev.kind, Replenish)]
     assert len(rps) == 1 and rps[0].time == 100.0  # fired once, then stopped
-
-
-def test_starvation_without_any_restock_chain_aborts():
-    from picksim import (Engine, PartialPick, PickingMode, PickingSession,
-                         PolicyKind, ProcessTotals, StartPickOrder,
-                         StoragePolicy, Warehouse, prepare_orders)
-    from picksim import Order, OrderLine
-    from datetime import datetime
-
-    layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, seq=1)]
-    wh = Warehouse(layout, [make_item("A")])
-    pol = StoragePolicy(PolicyKind.RANDOM, wh, SimConfig().stacker())
-    orders = [Order("O1", datetime(2024, 6, 3), "T", [OrderLine("A", 2)])]
-    plan = prepare_orders(orders, PickingMode.AREA, wh, pol)
-    session = PickingSession(wh, trace_cfg(), plan, ProcessTotals())
-    eng = Engine()
-    eng.register(StartPickOrder, session.handle_spo)
-    eng.register(PartialPick, session.handle_pp)
-    eng.schedule(0.0, StartPickOrder(0))  # note: no replenishment scheduled
-    with pytest.raises(StarvationError, match="no replenishment"):
-        eng.run()
 
 
 def test_restock_mfg_date_follows_simulation_day():
