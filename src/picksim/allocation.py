@@ -6,7 +6,11 @@ highest dispatching ratio demand/slots-held, until the pool is
 exhausted.  The homogeneous rule uses demand 1 for everyone (and so
 degenerates to round-robin); the demand-based rule uses average picks
 per product.  Exact ratio ties go to the lexicographically smallest
-item code.
+item code.  Phase two keeps every product in a min-heap keyed
+``(-(demand/slots), code)``, the order in which it ranks them: each
+grant pops the head, counts the slot and pushes the product back at its
+new ratio, so a grant costs O(log products) instead of a scan of them
+all.  Codes are unique, so the heap holds no ties.
 
 Physical assignment then lets products claim concrete slots in
 descending demand order, each taking its count of slots closest to the
@@ -16,6 +20,7 @@ entrance by travel time.
 from __future__ import annotations
 
 import enum
+import heapq
 
 from .errors import InputDataError
 from .warehouse import Equipment, Location, LocationId, aisle_turns, travel_time
@@ -46,9 +51,12 @@ def allocate_slots(avg_picks: dict[str, float], n_slots: int,
         for code, picks in avg_picks.items()
     }
     counts = {code: 1 for code in demand}
+    ranked = [(-d, code) for code, d in demand.items()]
+    heapq.heapify(ranked)
     for _ in range(n_slots - len(counts)):
-        winner = min(demand, key=lambda c: (-(demand[c] / counts[c]), c))
+        winner = ranked[0][1]
         counts[winner] += 1
+        heapq.heapreplace(ranked, (-(demand[winner] / counts[winner]), winner))
     return counts
 
 

@@ -197,6 +197,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.weeks < 2:
+        raise ParseError(f"argument --weeks: compare needs at least 2 weeks for its "
+                         f"paired t-test, got {args.weeks}")
     cfg, seed = _config_and_seed(args)
     common = dict(
         policy=PolicyKind(args.policy),

@@ -93,6 +93,7 @@ class Engine:
         """Execute events in (time, seq) order until neither actor has one
         pending or the next lies beyond the horizon.  Returns the executed trace."""
         picker, replenisher, check = self._picker, self._replenisher, self._check
+        visit_kind = Replenish()
         while True:
             pick, visit = self.next_pick, self.next_visit
             event = pick if visit is None or (pick is not None and pick < visit) else visit
@@ -111,7 +112,7 @@ class Engine:
                 self.next_visit = None
                 if pick is None:
                     continue  # the picker is done: this visit closes the week
-                self.schedule(replenisher.handle_rp(self, event), Replenish())
+                self.schedule(replenisher.handle_rp(self, event), visit_kind)
             if check is not None:
                 check()
         return self.trace

@@ -36,6 +36,7 @@ import enum
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime
+from typing import NamedTuple
 
 from .config import SimConfig, WALK_CONSTANT
 from .errors import InputDataError
@@ -47,7 +48,7 @@ from .warehouse import (
     Equipment,
     Item,
     Location,
-    PalletTouch,
+    LocationId,
     ProcessTotals,
     Warehouse,
     _read_csv,
@@ -83,13 +84,8 @@ class Order:
     truck_id: str
     lines: list[OrderLine]
 
-    @property
-    def complete(self) -> bool:
-        return all(line.remaining == 0 for line in self.lines)
 
-
-@dataclass(frozen=True)
-class RouteStop:
+class RouteStop(NamedTuple):
     line_index: int
     location: Location
 
@@ -168,14 +164,12 @@ def handling_time(entries: list[tuple[int, int]], cfg: SimConfig) -> float:
     """
     if not entries:
         return 0.0
-    pallets = sum(e[0] for e in entries)
-    masters = sum(-(-e[1] // cfg.pieces_per_master) for e in entries)
+    per_master = cfg.pieces_per_master
+    pallets = masters = 0
+    for touched, loose in entries:
+        pallets += touched
+        masters += -(-loose // per_master)
     return cfg.BTpu + cfg.PPpu * pallets + cfg.PMpu * masters
-
-
-def _entry_of(touches: list[PalletTouch]) -> tuple[int, int]:
-    loose = sum(t.taken for t in touches if not t.drained)
-    return (len(touches), loose)
 
 
 class PickingSession:
@@ -199,6 +193,8 @@ class PickingSession:
         self._pos = 0
         self._at_stop: int | None = None
         self._charged: set[int] = set()
+        # (from id, to id) -> (aisle turns, travel seconds) of a walking leg
+        self._legs: dict[tuple[LocationId, LocationId], tuple[int, float]] = {}
 
     # -- event handlers ----------------------------------------------------
 
@@ -253,17 +249,23 @@ class PickingSession:
         # one picking visit ("call") per sublist touched, in route order
         calls: list[list[tuple[int, int]]] = []
         current_seg = -1
+        lines = entry.order.lines
+        seg_of = entry.seg_of
+        pick = self.warehouse.pick
         for p in range(pos, target):
-            stop = route[p]
-            line = entry.order.lines[stop.line_index]
+            line = lines[route[p].line_index]
             if line.remaining == 0:
                 continue
-            touches = self.warehouse.pick(line.item, line.remaining)
+            touches = pick(line.item, line.remaining)
             line.remaining = 0
-            if entry.seg_of[p] != current_seg:
+            if seg_of[p] != current_seg:
                 calls.append([])
-                current_seg = entry.seg_of[p]
-            calls[-1].append(_entry_of(touches))
+                current_seg = seg_of[p]
+            loose = 0
+            for touch in touches:
+                if not touch.drained:
+                    loose += touch.taken
+            calls[-1].append((len(touches), loose))
         legs = self._walk_legs(entry, pos, target, complete=(m is None))
 
         metrics = self.metrics
@@ -290,13 +292,17 @@ class PickingSession:
     def _first_short(self, entry: PlanEntry, pos: int) -> int | None:
         """First route position whose cumulative item demand exceeds stock."""
         needs: dict[str, int] = {}
-        for p in range(pos, len(entry.route)):
-            line = entry.order.lines[entry.route[p].line_index]
+        # every plan line's item is in the catalog: prepare_orders looked up its lot
+        on_hand = self.warehouse._on_hand
+        lines = entry.order.lines
+        route = entry.route
+        for p in range(pos, len(route)):
+            line = lines[route[p].line_index]
             if line.remaining == 0:
                 continue
             need = needs.get(line.item, 0) + line.remaining
             needs[line.item] = need
-            if need > self.warehouse.total_on_hand(line.item):
+            if need > on_hand[line.item]:
                 return p
         return None
 
@@ -341,9 +347,15 @@ class PickingSession:
         return legs
 
     def _leg(self, a: Location, b: Location) -> float:
-        turns = aisle_turns(a, b)
-        self.metrics.turns += turns
-        return travel_time(a, b, self.walk_eq, turns)
+        """Seconds of one walking leg, its turns booked; each pair of points
+        is computed once per week."""
+        key = (a.id, b.id)
+        leg = self._legs.get(key)
+        if leg is None:
+            turns = aisle_turns(a, b)
+            leg = self._legs[key] = (turns, travel_time(a, b, self.walk_eq, turns))
+        self.metrics.turns += leg[0]
+        return leg[1]
 
 
 # -- orders file ---------------------------------------------------------
@@ -353,16 +365,23 @@ ORDERS_HEADER = ["order_datetime", "order_no", "truck_id", "item_code", "qty"]
 
 def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
     orders: dict[str, Order] = {}
+    # order_no -> order_datetime text of the order's first line; a later
+    # line with the same text is not parsed again
+    first_text: dict[str, str] = {}
 
     def add_line(cells: list[str]) -> None:
         order_datetime, order_no, truck_id, item_code, qty = cells
-        when = datetime.fromisoformat(order_datetime)
+        order = orders.get(order_no)
+        if order is not None and order_datetime == first_text[order_no]:
+            when = order.order_datetime
+        else:
+            when = datetime.fromisoformat(order_datetime)
         line = OrderLine(item_code, int(qty))
         if item_code not in items:
             raise InputDataError(f"unknown item {item_code}")
-        order = orders.get(order_no)
         if order is None:
             order = orders[order_no] = Order(order_no, when, truck_id, [])
+            first_text[order_no] = order_datetime
         elif (when, truck_id) != (order.order_datetime, order.truck_id):
             raise InputDataError(f"order {order_no}: date or truck differs from its first line")
         order.lines.append(line)

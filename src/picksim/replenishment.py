@@ -67,9 +67,15 @@ class Replenisher:
         self.sampler = sampler
         self.metrics = metrics
         self.start_date = start_date
+        self._day = 0
+        self._date = start_date
 
     def sim_date(self, now: float) -> date:
-        return self.start_date + timedelta(days=int(now // 86400.0))
+        day = int(now // 86400.0)
+        if day != self._day:
+            self._day = day
+            self._date = self.start_date + timedelta(days=day)
+        return self._date
 
     def handle_rp(self, sim: Engine, event: Event) -> float:
         """Restock one pallet; returns the time of the next visit."""

@@ -53,8 +53,8 @@ from __future__ import annotations
 import enum
 import heapq
 import logging
-from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 from .allocation import SlotMap
 from .errors import InputDataError
@@ -77,8 +77,7 @@ class PolicyKind(enum.Enum):
     FIXED_ZONE = "fixed-zone"
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """A completed put-away: where the pallet went and how far it travelled."""
 
     location: LocationId

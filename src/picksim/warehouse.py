@@ -15,11 +15,20 @@ zero, which frees the slot.  A per-item on-hand counter moves with every
 placement and pick, and attached watchers (the storage policies' slot
 and stock indices) are told about every slot that is filled or drained
 and about every change of an item's on-hand count.
+
+Each item's pallets sit in a min-heap of ``(mfg_date, seq_no, record)``,
+its lot heap, so the FIFO lot is the head.  ``place`` pushes onto it.
+The heap is exact, with no stale entries: a record leaves the warehouse
+only when a pick drains it, a pick only ever takes from the head, so
+the drained record is the head and is popped then and there.  Slot
+``seq_no`` values are unique, so two keys never tie and records are
+never compared.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -192,7 +201,9 @@ class Warehouse:
             self.items[item.code] = item
 
         self.records: dict[LocationId, PalletRecord] = {}
-        self._slots_by_item: dict[str, set[LocationId]] = {}
+        # item code -> lot heap of (mfg_date, seq_no, record); see the module docstring
+        self._lots: dict[str, list[tuple[date, int, PalletRecord]]] = {
+            code: [] for code in self.items}
         self._on_hand: dict[str, int] = dict.fromkeys(self.items, 0)
         # objects with _slot_filled(loc_id) / _slot_drained(loc_id), told
         # after every place() and after every pick() that empties a slot,
@@ -247,7 +258,7 @@ class Warehouse:
             )
         record = PalletRecord(loc_id, item_code, qty, mfg_date)
         self.records[loc_id] = record
-        self._slots_by_item.setdefault(item_code, set()).add(loc_id)
+        heapq.heappush(self._lots[item_code], (mfg_date, self.storage[loc_id].seq_no, record))
         self._on_hand[item_code] += qty
         on_hand = self._on_hand[item_code]
         for watcher in self._watchers:
@@ -260,12 +271,10 @@ class Warehouse:
 
     def fifo_lot(self, item_code: str) -> PalletRecord | None:
         """Oldest pallet of the item (ties by route position); None if out of stock."""
-        slots = self._slots_by_item.get(item_code)
-        if not slots:
-            self.item(item_code)
-            return None
-        best = min(slots, key=lambda lid: (self.records[lid].mfg_date, self.storage[lid].seq_no))
-        return self.records[best]
+        lots = self._lots.get(item_code)
+        if lots is None:
+            self.item(item_code)  # raises for an unknown code
+        return lots[0][2] if lots else None
 
     def pick(self, item_code: str, qty: int) -> list[PalletTouch]:
         """Consume ``qty`` pieces oldest-first, splitting across pallets.
@@ -275,22 +284,25 @@ class Warehouse:
         """
         if qty < 1:
             raise InputDataError(f"pick quantity must be >= 1, got {qty}")
+        lots = self._lots.get(item_code)
+        if lots is None:
+            self.item(item_code)  # raises for an unknown code
         touches: list[PalletTouch] = []
         remaining = qty
         while remaining > 0:
-            record = self.fifo_lot(item_code)
-            if record is None:
+            if not lots:
                 raise InputDataError(
                     f"pick of {qty} x {item_code} exceeds stock ({qty - remaining} taken)"
                 )
+            record = lots[0][2]
             taken = min(remaining, record.qty)
             record.qty -= taken
             self._on_hand[item_code] -= taken
             on_hand = self._on_hand[item_code]
             drained = record.qty == 0
             if drained:
+                heapq.heappop(lots)
                 del self.records[record.location]
-                self._slots_by_item[item_code].discard(record.location)
             for watcher in self._watchers:
                 if drained:
                     watcher._slot_drained(record.location)

@@ -81,6 +81,35 @@ def test_allocation_properties(demands, extra, rule):
                 assert counts[b] >= counts[a]
 
 
+def _allocate_by_scan(avg_picks, n_slots, rule):
+    """Reference: each extra slot goes to the ``min`` of ``(-(demand/slots),
+    code)`` over every product, scanned afresh per slot."""
+    demand = {code: (1.0 if rule is AllocationRule.HOMOGENEOUS else float(picks))
+              for code, picks in avg_picks.items()}
+    counts = {code: 1 for code in demand}
+    for _ in range(n_slots - len(counts)):
+        winner = min(demand, key=lambda c: (-(demand[c] / counts[c]), c))
+        counts[winner] += 1
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    demands=st.dictionaries(
+        st.from_regex(r"P[0-9]{2}", fullmatch=True),
+        # small whole numbers tie often, also as ratios (2/2 == 1/1); zeros tie too
+        st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 6.0]),
+                  st.floats(min_value=0.0, max_value=1e4, allow_nan=False)),
+        min_size=1, max_size=40),
+    data=st.data(),
+    rule=st.sampled_from(list(AllocationRule)),
+)
+def test_allocation_matches_the_scan(demands, data, rule):
+    n_slots = data.draw(st.integers(len(demands), 3 * len(demands)), label="n_slots")
+    counts = allocate_slots(demands, n_slots, rule)
+    assert list(counts.items()) == list(_allocate_by_scan(demands, n_slots, rule).items())
+
+
 def test_demand_based_is_exchange_optimal_small():
     """No single slot move can help a higher-pressure product (<= 6 products)."""
     demands = {"A": 41.0, "B": 17.0, "C": 9.0, "D": 9.0, "E": 3.0, "F": 1.0}

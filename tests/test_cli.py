@@ -172,6 +172,20 @@ def test_compare_writes_three_csvs_and_paired_line(dataset, tmp_path, capsys):
     assert summary[1].endswith(",0.00")  # baseline gap is zero
 
 
+@pytest.mark.parametrize("data", ["real", "missing"])
+def test_compare_of_one_week_exits_2_before_reading_data(dataset, tmp_path, capsys, data):
+    """The paired t-test needs two weeks: one week is refused before any
+    file is read, whether or not the dataset exists."""
+    where = dataset if data == "real" else str(tmp_path / "nope")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--data", where, "--weeks", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: argument --weeks: compare needs at least 2 weeks "
+                            "for its paired t-test, got 1\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # -- stats ----------------------------------------------------------------
 
 

@@ -6,11 +6,14 @@ item's candidate set and its ``nearest_vacant`` must equal a scan of its
 ``candidate_slots``,
 ``total_on_hand`` must equal the sum of the item's pallet records,
 ``restock_choice`` must equal the least ``(on_hand, code)`` over the
-items with a vacant candidate slot, and no slot may sit in two
-candidate sets.  A step may put away into an item's candidate set until
-it is full, the fixed slot map leaves some slots to no item, some runs
-stock the warehouse before the policy exists, and a step may build a
-fresh policy over the stocked warehouse mid-run.
+items with a vacant candidate slot, ``fifo_lot`` must be the item's
+record with the least ``(mfg_date, seq_no)``, and no slot may sit in two
+candidate sets.  Placements and put-aways draw their manufacturing date
+from a small set, so lots arrive out of date order and dates tie.  A
+step may put away into an item's candidate set until it is full, the
+fixed slot map leaves some slots to no item, some runs stock the
+warehouse before the policy exists, and a step may build a fresh policy
+over the stocked warehouse mid-run.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from picksim.warehouse import InventoryRow
 
 CFG = SimConfig()
 MFG = date(2024, 5, 1)
+DATES = (date(2024, 4, 30), MFG, date(2024, 5, 2))
 CODES = ("A", "B", "C")
 
 
@@ -86,6 +90,10 @@ def _check(pol: StoragePolicy) -> None:
         assert pol.nearest_vacant(code) == _brute_nearest(pol, code)
         held = sum(rec.qty for rec in wh.records.values() if rec.item == code)
         assert wh.total_on_hand(code) == held
+        lots = [rec for rec in wh.records.values() if rec.item == code]
+        oldest = min(lots, key=lambda rec: (rec.mfg_date, wh.storage[rec.location].seq_no),
+                     default=None)
+        assert wh.fifo_lot(code) is oldest
     assert pol.restock_choice() == _brute_choice(pol)
 
 
@@ -99,10 +107,11 @@ def _brute_choice(pol: StoragePolicy):
 
 STEP = st.one_of(
     st.tuples(st.just("place"), st.integers(0, 11), st.sampled_from(CODES),
-              st.integers(1, 6)),
+              st.integers(1, 6), st.sampled_from(DATES)),
     st.tuples(st.just("pick"), st.sampled_from(CODES), st.integers(1, 14)),
-    st.tuples(st.just("put_away"), st.sampled_from(CODES), st.integers(1, 6)),
-    st.tuples(st.just("fill"), st.sampled_from(CODES)),
+    st.tuples(st.just("put_away"), st.sampled_from(CODES), st.integers(1, 6),
+              st.sampled_from(DATES)),
+    st.tuples(st.just("fill"), st.sampled_from(CODES), st.sampled_from(DATES)),
     st.tuples(st.just("new_policy")),
 )
 
@@ -122,23 +131,23 @@ def test_indices_match_brute_force(kind, prestock, steps):
     for step in steps:
         op = step[0]
         if op == "place":
-            _, index, code, qty = step
+            _, index, code, qty, mfg = step
             if wh.is_vacant(slots[index].id):
-                wh.place(slots[index].id, code, qty, MFG, source="replenish")
+                wh.place(slots[index].id, code, qty, mfg, source="replenish")
         elif op == "pick":
             _, code, qty = step
             stock = wh.total_on_hand(code)
             if stock:
                 wh.pick(code, min(qty, stock))
         elif op == "put_away":
-            _, code, qty = step
+            _, code, qty, mfg = step
             if pol._set_for(code).vacant > 0:
-                pol.put_away(code, qty, MFG)
+                pol.put_away(code, qty, mfg)
         elif op == "fill":
             # one-piece pallets until the item's candidate set is full
-            _, code = step
+            _, code, mfg = step
             while pol._set_for(code).vacant > 0:
-                pol.put_away(code, 1, MFG)
+                pol.put_away(code, 1, mfg)
         else:
             # a policy built over the stocked warehouse; the old one
             # keeps watching it too

@@ -12,6 +12,7 @@ from picksim import (
     Order,
     OrderLine,
     InputDataError,
+    ParseError,
     PickingMode,
     PolicyKind,
     SimConfig,
@@ -177,11 +178,11 @@ def test_multi_pallet_line_over_several_restocks():
 def test_order_line_statuses_progress():
     line = OrderLine("A", 5)
     order = Order("O1", DT, "T", [line])
-    assert line.remaining == 5 and not order.complete
+    assert [l.remaining for l in order.lines] == [5]
     line.remaining = 2
-    assert not order.complete
+    assert [l.remaining for l in order.lines] == [2]
     line.remaining = 0
-    assert order.complete
+    assert [l.remaining for l in order.lines] == [0]
 
 
 # -- orders file ----------------------------------------------------------
@@ -203,15 +204,36 @@ def test_orders_round_trip(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("second", ["2024-06-24 09:00:00,O1,T1", "2024-06-03 09:00:00,O1,T2"])
-def test_order_line_off_its_orders_date_or_truck_rejected(tmp_path, second):
+_OFF = ": order O1: date or truck differs from its first line$"
+
+
+@pytest.mark.parametrize("later, exc, message", [
+    pytest.param(["2024-06-24 09:00:00,O1,T1"], InputDataError, r"orders\.csv:3" + _OFF,
+                 id="2024-06-24 09:00:00,O1,T1"),
+    pytest.param(["2024-06-03 09:00:00,O1,T2"], InputDataError, r"orders\.csv:3" + _OFF,
+                 id="2024-06-03 09:00:00,O1,T2"),
+    # the same instant written differently is the same date
+    pytest.param(["2024-06-03T09:00:00,O1,T1"], None, None, id="2024-06-03T09:00:00,O1,T1"),
+    # a line that repeats the first line's text, then one that differs
+    pytest.param(["2024-06-03 09:00:00,O1,T1", "2024-06-03 09:00:01,O1,T1"], InputDataError,
+                 r"orders\.csv:4" + _OFF, id="repeat-then-2024-06-03 09:00:01"),
+    pytest.param(["2024-06-03 09h,O1,T1"], ParseError,
+                 r"orders\.csv:3: Invalid isoformat string: '2024-06-03 09h'$",
+                 id="malformed-2024-06-03 09h"),
+])
+def test_order_line_off_its_orders_date_or_truck_rejected(tmp_path, later, exc, message):
     path = tmp_path / "orders.csv"
     path.write_text("order_datetime,order_no,truck_id,item_code,qty\n"
                     "2024-06-03 09:00:00,O1,T1,A,1\n"
-                    f"{second},A,2\n")
-    with pytest.raises(InputDataError,
-                       match=r"orders\.csv:3: order O1: date or truck differs from its first line$"):
-        load_orders(str(path), {"A": make_item("A")})
+                    + "".join(f"{cells},A,2\n" for cells in later))
+    catalog = {"A": make_item("A")}
+    if exc is None:
+        (order,) = load_orders(str(path), catalog)
+        assert order.order_datetime == datetime(2024, 6, 3, 9, 0)
+        assert [l.qty for l in order.lines] == [1, 2]
+    else:
+        with pytest.raises(exc, match=message):
+            load_orders(str(path), catalog)
 
 
 def test_orders_unknown_item_rejected(tmp_path):
