@@ -69,7 +69,6 @@ from .warehouse import (
     Item,
     Location,
     PalletRecord,
-    PalletTouch,
     ProcessTotals,
     Warehouse,
     aisle_turns,
@@ -102,8 +101,8 @@ __all__ = [
     "PairedTest", "StatsSummary", "gap", "paired_test", "summarize",
     "Assignment", "PolicyKind", "StoragePolicy", "place_initial",
     "ELEVATOR_ID", "ENTRANCE_ID", "SPECIAL_AREA_ID", "Equipment", "InventoryRow",
-    "Item", "Location", "PalletRecord", "PalletTouch", "ProcessTotals",
-    "Warehouse", "aisle_turns", "load_inventory", "load_items", "load_layout",
-    "save_inventory", "save_items", "save_layout", "travel_time",
+    "Item", "Location", "PalletRecord", "ProcessTotals", "Warehouse", "aisle_turns",
+    "load_inventory", "load_items", "load_layout", "save_inventory", "save_items",
+    "save_layout", "travel_time",
     "__version__",
 ]

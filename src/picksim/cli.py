@@ -149,6 +149,18 @@ def _config_and_seed(args) -> tuple[SimConfig, int]:
         raise ParseError(f"PICKSIM_SEED must be an integer, got {env!r}") from exc
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an ``--out`` that cannot become a directory, such as an
+    existing file or a path below one, before any work starts.  The
+    directory itself is made only when there is something to write."""
+    if not path:
+        return
+    nearest = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not nearest.is_dir():
+        raise ParseError(f"argument --out: cannot make directory {path}: "
+                         f"{nearest} is not a directory")
+
+
 def _print_result(res: RunResult) -> None:
     print(f"scenario {res.scenario} (metric unit: {res.unit})")
     for wk in res.weeks:
@@ -181,6 +193,7 @@ def _cmd_simulate(args) -> int:
     trace_dir = args.out if (args.trace and args.out) else None
     if args.trace and not args.out:
         raise ParseError("--trace requires --out to know where to write traces")
+    _check_out(args.out)
     result = run_scenario(spec, audit=args.audit, trace_dir=trace_dir)
     _print_result(result)
     summaries = None
@@ -200,6 +213,7 @@ def _cmd_compare(args) -> int:
     if args.weeks < 2:
         raise ParseError(f"argument --weeks: compare needs at least 2 weeks for its "
                          f"paired t-test, got {args.weeks}")
+    _check_out(args.out)
     cfg, seed = _config_and_seed(args)
     common = dict(
         policy=PolicyKind(args.policy),
@@ -229,6 +243,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    _check_out(args.out)
     paths = generate_data(args.out, args.seed, args.items, args.slots,
                           args.lines, args.weeks)
     for role, path in paths.items():
@@ -254,6 +269,7 @@ def _read_weekly(path: str) -> tuple[str, dict[int, float]]:
 def _cmd_stats(args) -> int:
     if len(args.weekly) not in (1, 2):
         raise ParseError("--weekly takes one or two files")
+    _check_out(args.out)
     read = [_read_weekly(p) for p in args.weekly]
     if len(read) == 2 and list(read[0][1]) != list(read[1][1]):
         raise InputDataError(f"{args.weekly[0]} and {args.weekly[1]} must list the same "

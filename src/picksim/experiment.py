@@ -289,6 +289,13 @@ def summarize_results(series: list[tuple[str, list[float]]]) -> list[ScenarioSum
 
 def compare_scenarios(base: ScenarioSpec, other: ScenarioSpec,
                       audit: bool = False) -> Comparison:
+    """Run both scenarios and pair their weekly metrics.  A scenario of
+    fewer than 2 weeks raises ``InputDataError`` before any file is read:
+    the paired t-test needs at least two pairs."""
+    for spec in (base, other):
+        if spec.weeks < 2:
+            raise InputDataError(f"scenario {spec.name}: a comparison needs at least 2 "
+                                 f"weeks for its paired t-test, got {spec.weeks}")
     res_a = run_scenario(base, audit=audit)
     res_b = run_scenario(other, audit=audit)
     summaries = summarize_results([(r.scenario, r.weekly_metrics) for r in (res_a, res_b)])

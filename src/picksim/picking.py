@@ -19,6 +19,14 @@ and the picker waits at that slot: whatever is on hand is taken, and
 the rest arrives via replenishment, re-checked immediately after each
 restocking visit.
 
+Each traversal is one pass over the route from the picker's position:
+at every stop it books the walking there, then either finds the line
+short and stops, or picks it in full.  A line is short when it needs
+more than is on hand at that moment.  Every earlier line of the
+traversal was picked in full, so this is the same as asking whether the
+lines of its item up to and including it need more than the stock the
+traversal started with.
+
 Time accounting convention (kept identical in the brute-force test
 oracle, so do not reorder): every milestone timestamp is built as
 ``now``, plus each walking leg in route order, plus each per-sublist
@@ -190,9 +198,8 @@ class PickingSession:
         self.dropoff = warehouse.location(SPECIAL_AREA_ID)
         self.completions: list[float | None] = [None] * len(plan)
         self._active: int | None = None
-        self._pos = 0
+        # route position of the short line the picker waits at, if any
         self._at_stop: int | None = None
-        self._charged: set[int] = set()
         # (from id, to id) -> (aisle turns, travel seconds) of a walking leg
         self._legs: dict[tuple[LocationId, LocationId], tuple[int, float]] = {}
 
@@ -200,9 +207,7 @@ class PickingSession:
 
     def handle_spo(self, sim: Engine, event: Event) -> PickerEvent | None:
         self._active = event.kind.order
-        self._pos = 0
         self._at_stop = None
-        self._charged = set()
         return self._advance(event.time)
 
     def handle_pp(self, sim: Engine, event: Event) -> PickerEvent | None:
@@ -210,7 +215,7 @@ class PickingSession:
         i = kind.order
         assert self._active == i, "resume event for an order that is not in flight"
         entry = self.plan[i]
-        stop = entry.route[self._pos]
+        stop = entry.route[self._at_stop]
         assert stop.line_index == kind.line and stop.location.id == kind.location, (
             "resume event does not match the picker's position"
         )
@@ -230,121 +235,90 @@ class PickingSession:
     # -- core traversal ----------------------------------------------------
 
     def _advance(self, now: float) -> PickerEvent | None:
-        """Work the active order forward from the picker's position.
+        """Work the active order forward from the picker's position in one
+        pass over its route.
 
-        Picks every line up to (not including) the first short one, adds
-        walking legs and per-sublist handling to the clock and to the
-        totals, and returns the next order's start event (order done),
-        ``None`` (last order done) or the resume event at the short line's
-        slot.
+        At each stop the walking there goes onto the clock and the totals;
+        then the line is short, and the traversal stops there, or it is
+        picked in full.  Constant walking charges ``constant_s`` on
+        entering each sublist.  Distance walking walks the concrete path:
+        each sublist starts from the entrance and ends at the drop-off
+        point, and a stalled traversal ends at the short line's slot and
+        resumes from there.  Per-sublist handling is added after the walk.
+        Returns the next order's start event (order done), ``None`` (last
+        order done) or the resume event at the short line's slot.
         """
         i = self._active
         assert i is not None
         entry = self.plan[i]
         route = entry.route
-        pos = self._pos
-        m = self._first_short(entry, pos)
-        target = m if m is not None else len(route)
-
-        # one picking visit ("call") per sublist touched, in route order
-        calls: list[list[tuple[int, int]]] = []
-        current_seg = -1
-        lines = entry.order.lines
         seg_of = entry.seg_of
+        lines = entry.order.lines
+        # every plan line's item is in the catalog: prepare_orders looked up its lot
+        on_hand = self.warehouse._on_hand
         pick = self.warehouse.pick
-        for p in range(pos, target):
-            line = lines[route[p].line_index]
-            if line.remaining == 0:
-                continue
-            touches = pick(line.item, line.remaining)
-            line.remaining = 0
-            if seg_of[p] != current_seg:
-                calls.append([])
-                current_seg = seg_of[p]
-            loose = 0
-            for touch in touches:
-                if not touch.drained:
-                    loose += touch.taken
-            calls[-1].append((len(touches), loose))
-        legs = self._walk_legs(entry, pos, target, complete=(m is None))
-
         metrics = self.metrics
+        walking = self.cfg.walking
+        constant = walking.mode == WALK_CONSTANT
+        start = self._at_stop
+        if start is None:
+            pos, cur_point, cur_seg = 0, self.entrance, -1
+        else:
+            pos, cur_point, cur_seg = start, route[start].location, seg_of[start]
+
         t = now
-        for leg in legs:
-            t += leg
-            metrics.walk_s += leg
+        # one picking visit ("call") per sublist picked from, in route order
+        calls: list[list[tuple[int, int]]] = []
+        call_seg = -1
+        stall: int | None = None
+        for p in range(pos, len(route)):
+            seg = seg_of[p]
+            if constant:
+                # sublists only increase along a route: a new one is entered here
+                if seg != cur_seg:
+                    t += walking.constant_s
+                    metrics.walk_s += walking.constant_s
+            elif p != start:
+                loc = route[p].location
+                if seg != cur_seg and cur_seg != -1:
+                    leg = self._leg(cur_point, self.dropoff)
+                    t += leg
+                    metrics.walk_s += leg
+                    cur_point = self.entrance
+                leg = self._leg(cur_point, loc)
+                t += leg
+                metrics.walk_s += leg
+                cur_point = loc
+            cur_seg = seg
+            line = lines[route[p].line_index]
+            if line.remaining > on_hand[line.item]:
+                stall = p
+                break
+            if seg != call_seg:
+                calls.append([])
+                call_seg = seg
+            calls[-1].append(pick(line.item, line.remaining))
+            line.remaining = 0
+        else:
+            if not constant:
+                leg = self._leg(cur_point, self.dropoff)
+                t += leg
+                metrics.walk_s += leg
+
         for entries in calls:
             handle = handling_time(entries, self.cfg)
             t += handle
             metrics.handle_s += handle
 
-        if m is None:
+        if stall is None:
             self.completions[i] = t
             self._active = None
             if i + 1 < len(self.plan):
                 return (t, StartPickOrder(i + 1))
             return None
-        self._pos = m
-        self._at_stop = m
-        stop = route[m]
+        self._at_stop = stall
+        stop = route[stall]
         return (t, PartialPick(i, stop.line_index, stop.location.id))
-
-    def _first_short(self, entry: PlanEntry, pos: int) -> int | None:
-        """First route position whose cumulative item demand exceeds stock."""
-        needs: dict[str, int] = {}
-        # every plan line's item is in the catalog: prepare_orders looked up its lot
-        on_hand = self.warehouse._on_hand
-        lines = entry.order.lines
-        route = entry.route
-        for p in range(pos, len(route)):
-            line = lines[route[p].line_index]
-            if line.remaining == 0:
-                continue
-            need = needs.get(line.item, 0) + line.remaining
-            needs[line.item] = need
-            if need > on_hand[line.item]:
-                return p
-        return None
-
-    def _walk_legs(self, entry: PlanEntry, pos: int, target: int, complete: bool) -> list[float]:
-        """Walking legs for this traversal, in route order.
-
-        Constant mode charges the per-sublist walking constant the first
-        time each sublist is entered.  Distance mode walks the concrete
-        path: each sublist starts from the entrance and ends at the
-        drop-off point, and a traversal that stalls at a short line ends
-        at that line's slot instead.
-        """
-        route = entry.route
-        visit = list(range(pos, target))
-        if not complete:
-            visit.append(target)
-        if self.cfg.walking.mode == WALK_CONSTANT:
-            legs = []
-            for p in visit:
-                seg = entry.seg_of[p]
-                if seg not in self._charged:
-                    self._charged.add(seg)
-                    legs.append(self.cfg.walking.constant_s)
-            return legs
-
-        legs = []
-        if self._at_stop is None:
-            cur_point, cur_seg = self.entrance, -1
-        else:
-            cur_point, cur_seg = route[self._at_stop].location, entry.seg_of[self._at_stop]
-        for p in visit:
-            if p == self._at_stop:
-                continue
-            seg = entry.seg_of[p]
-            if cur_seg != -1 and seg != cur_seg:
-                legs.append(self._leg(cur_point, self.dropoff))
-                cur_point, cur_seg = self.entrance, -1
-            legs.append(self._leg(cur_point, route[p].location))
-            cur_point, cur_seg = route[p].location, seg
-        if complete and visit:
-            legs.append(self._leg(cur_point, self.dropoff))
-        return legs
 
     def _leg(self, a: Location, b: Location) -> float:
         """Seconds of one walking leg, its turns booked; each pair of points

@@ -19,13 +19,12 @@ an input error.  The policy builds every set at construction, along with
 the ``(travel_s, seq_no, loc_id, turns)`` key of every storage slot, so
 equipment that cannot reach a slot fails there.  Each set keeps
 
-* ``vacant`` - how many of its slots are vacant, so a vacancy check is
-  O(1);
 * ``heap``   - a min-heap of its slots' keys.  Deletion is lazy: a slot
   that fills stays in the heap and is popped when it reaches the top
   while occupied.  Invariant: every vacant slot of the set has at least
   one entry in the heap, so after popping occupied heads the top is the
-  nearest vacant slot;
+  nearest vacant slot, and the heap is empty exactly when the set has
+  no vacant slot;
 * ``parked`` - the items found at the top of the stock heap (below)
   while the set had no vacancy.
 
@@ -40,12 +39,12 @@ is the eligible item with the least stock (ties by code).  Items found
 on top while their set is full are popped and parked; when the set gets
 a vacant slot again they are pushed back at their current count.
 
-The warehouse keeps both indices current: it calls ``_slot_filled``
-after every placement and ``_slot_drained`` after every pick that
-empties a slot, which decrement and increment ``vacant`` of the slot's
-set, push the slot back onto its heap and un-park the set's items; and
-``_stock_changed`` after every change of an item's on-hand count, which
-pushes the item's fresh entry.
+The warehouse keeps both indices current: it calls ``_slot_drained``
+after every pick that empties a slot, which pushes the slot back onto
+its set's heap and un-parks the set's items, and ``_stock_changed``
+after every change of an item's on-hand count, which pushes the item's
+fresh entry.  A placement needs no call of its own: the filled slot is
+popped from its heap once it reaches the top.
 """
 
 from __future__ import annotations
@@ -89,14 +88,13 @@ class Assignment(NamedTuple):
 
 
 class _SlotSet:
-    """One candidate set: its slots, vacancy count, lazy min-heap and the
-    items parked on it while it is full."""
+    """One candidate set: its slots, lazy min-heap and the items parked on
+    it while it is full."""
 
-    __slots__ = ("slots", "vacant", "heap", "parked")
+    __slots__ = ("slots", "heap", "parked")
 
     def __init__(self, slots: list[Location]):
         self.slots = slots
-        self.vacant = 0
         self.heap: list[tuple[float, int, LocationId, int]] = []
         self.parked: set[str] = set()
 
@@ -145,7 +143,6 @@ class StoragePolicy:
                 raise InputDataError(f"slot map gives slot {loc.id} more than once")
             self._set_of_slot[loc.id] = made
             if self.warehouse.is_vacant(loc.id):
-                made.vacant += 1
                 made.heap.append(self._keys[loc.id])
         heapq.heapify(made.heap)
         return made
@@ -158,11 +155,17 @@ class StoragePolicy:
 
     def nearest_vacant(self, item_code: str) -> Location | None:
         """Vacant candidate with the smallest travel time from receiving."""
-        heap = self._set_for(item_code).heap
+        heap = self._vacant_heap(self._set_for(item_code))
+        return self.warehouse.storage[heap[0][2]] if heap else None
+
+    def _vacant_heap(self, slot_set: _SlotSet) -> list[tuple[float, int, LocationId, int]]:
+        """The set's heap with its occupied heads popped: its top is the
+        nearest vacant slot, and it is empty when the set has none."""
+        heap = slot_set.heap
         records = self.warehouse.records
         while heap and heap[0][2] in records:
             heapq.heappop(heap)
-        return self.warehouse.storage[heap[0][2]] if heap else None
+        return heap
 
     def primary_location(self, item_code: str) -> Location:
         """Fallback route stop for an item that is momentarily out of stock."""
@@ -204,7 +207,7 @@ class StoragePolicy:
             qty, code = stock[0]
             if qty == on_hand[code]:
                 slot_set = set_of_item[code]
-                if slot_set.vacant:
+                if self._vacant_heap(slot_set):
                     return code
                 slot_set.parked.add(code)
             heapq.heappop(stock)
@@ -212,15 +215,9 @@ class StoragePolicy:
 
     # -- warehouse notifications -------------------------------------------
 
-    def _slot_filled(self, loc_id: LocationId) -> None:
-        slot_set = self._set_of_slot.get(loc_id)
-        if slot_set is not None:
-            slot_set.vacant -= 1
-
     def _slot_drained(self, loc_id: LocationId) -> None:
         slot_set = self._set_of_slot.get(loc_id)
         if slot_set is not None:
-            slot_set.vacant += 1
             heapq.heappush(slot_set.heap, self._keys[loc_id])
             if slot_set.parked:
                 on_hand = self.warehouse._on_hand

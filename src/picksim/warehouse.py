@@ -13,8 +13,10 @@ consumes the oldest manufacturing date first (ties broken by route
 position), and a record is removed the moment its quantity reaches
 zero, which frees the slot.  A per-item on-hand counter moves with every
 placement and pick, and attached watchers (the storage policies' slot
-and stock indices) are told about every slot that is filled or drained
-and about every change of an item's on-hand count.
+and stock indices) are told about every slot that is drained and about
+every change of an item's on-hand count.  ``pick`` returns how many
+pallets it touched and how many pieces it took loose, the two figures
+the picker's handling time is charged on.
 
 Each item's pallets sit in a min-heap of ``(mfg_date, seq_no, record)``,
 its lot heap, so the FIFO lot is the head.  ``place`` pushes onto it.
@@ -106,17 +108,6 @@ class Equipment:
 
 
 @dataclass
-class PalletTouch:
-    """A single pallet visited while picking one order line."""
-
-    location: LocationId
-    item: str
-    taken: int
-    drained: bool
-    mfg_date: date
-
-
-@dataclass
 class ProcessTotals:
     """Seconds of one weekly run, each booked where it is charged.
 
@@ -205,10 +196,9 @@ class Warehouse:
         self._lots: dict[str, list[tuple[date, int, PalletRecord]]] = {
             code: [] for code in self.items}
         self._on_hand: dict[str, int] = dict.fromkeys(self.items, 0)
-        # objects with _slot_filled(loc_id) / _slot_drained(loc_id), told
-        # after every place() and after every pick() that empties a slot,
-        # and _stock_changed(item_code, on_hand), told after every place()
-        # and after every pallet a pick() takes from
+        # objects with _slot_drained(loc_id), told after every pick() that
+        # empties a slot, and _stock_changed(item_code, on_hand), told after
+        # every place() and after every pallet a pick() takes from
         self._watchers: list = []
 
         self.audit = audit
@@ -262,7 +252,6 @@ class Warehouse:
         self._on_hand[item_code] += qty
         on_hand = self._on_hand[item_code]
         for watcher in self._watchers:
-            watcher._slot_filled(loc_id)
             watcher._stock_changed(item_code, on_hand)
         if self.audit:
             bucket = self._initial if source == "initial" else self._replenished
@@ -276,18 +265,21 @@ class Warehouse:
             self.item(item_code)  # raises for an unknown code
         return lots[0][2] if lots else None
 
-    def pick(self, item_code: str, qty: int) -> list[PalletTouch]:
+    def pick(self, item_code: str, qty: int) -> tuple[int, int]:
         """Consume ``qty`` pieces oldest-first, splitting across pallets.
 
-        Drained pallets are removed, freeing their slots.  Callers must
-        ensure qty <= total_on_hand beforehand.
+        Drained pallets are removed, freeing their slots.  Returns
+        ``(pallets_touched, loose_pieces)``: the loose pieces are those
+        taken from a pallet that is left standing, which only the last
+        pallet touched can be.  Callers must ensure qty <= total_on_hand
+        beforehand.
         """
         if qty < 1:
             raise InputDataError(f"pick quantity must be >= 1, got {qty}")
         lots = self._lots.get(item_code)
         if lots is None:
             self.item(item_code)  # raises for an unknown code
-        touches: list[PalletTouch] = []
+        touched = loose = 0
         remaining = qty
         while remaining > 0:
             if not lots:
@@ -303,11 +295,13 @@ class Warehouse:
             if drained:
                 heapq.heappop(lots)
                 del self.records[record.location]
+            else:
+                loose = taken
             for watcher in self._watchers:
                 if drained:
                     watcher._slot_drained(record.location)
                 watcher._stock_changed(item_code, on_hand)
-            touches.append(PalletTouch(record.location, item_code, taken, drained, record.mfg_date))
+            touched += 1
             remaining -= taken
             if self.audit:
                 self._picked[item_code] = self._picked.get(item_code, 0) + taken
@@ -316,7 +310,7 @@ class Warehouse:
                     f"FIFO violation for {item_code}: consumed {record.mfg_date} after {last}"
                 )
                 self._last_picked_date[item_code] = record.mfg_date
-        return touches
+        return touched, loose
 
     def verify_conservation(self) -> None:
         """Assert initial + replenished - picked == on-hand for every item.

@@ -282,6 +282,26 @@ def test_weeks_below_one_exits_2_at_parse_time(dataset, tmp_path, capsys, comman
     assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "gen-data", "stats"])
+@pytest.mark.parametrize("where", ["file", "below-file"])
+def test_out_that_cannot_be_a_directory_exits_2(dataset, tmp_path, capsys, command, where):
+    """``--out`` naming an existing file, or a path below one, is refused
+    on one line before any work starts."""
+    taken = tmp_path / "weekly.csv"
+    taken.write_text("week,metric\n1,10\n2,12\n")
+    out = str(taken) if where == "file" else str(taken / "x")
+    args = {"simulate": ["--data", dataset, "--weeks", "2", "--trace"],
+            "compare": ["--data", dataset, "--weeks", "2"],
+            "gen-data": [],
+            "stats": ["--weekly", str(taken)]}[command]
+    assert main([command, *args, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: argument --out: cannot make directory {out}: "
+                            f"{taken} is not a directory\n")
+    assert captured.out == ""
+    assert taken.read_text() == "week,metric\n1,10\n2,12\n"
+
+
 def test_missing_dataset_exits_2(tmp_path, capsys):
     assert main(["simulate", "--data", str(tmp_path / "nope"),
                  "--weeks", "1"]) == 2

@@ -229,3 +229,12 @@ def test_compare_scenarios_runs_both_and_pairs(small_dataset):
     assert [r.scenario for r in cmp_.results] == ["homog", "demand"]
     assert cmp_.summaries[0].gap_pct == 0.0
     assert cmp_.paired is not None and cmp_.paired.df == 1
+
+
+@pytest.mark.parametrize("weeks", [(1, 2), (2, 1)], ids=["base", "other"])
+def test_compare_scenarios_of_one_week_refused_before_reading_data(tmp_path, weeks):
+    # the data directory does not exist: reading any file would raise ParseError
+    missing = str(tmp_path / "missing")
+    with pytest.raises(InputDataError, match="needs at least 2 weeks .* got 1"):
+        compare_scenarios(_spec(missing, name="a", weeks=weeks[0]),
+                          _spec(missing, name="b", weeks=weeks[1]))

@@ -85,8 +85,8 @@ def _check(pol: StoragePolicy) -> None:
     assert len(ids) == len(set(ids))
     for code in CODES:
         candidates = pol.candidate_slots(code)
-        assert (pol._set_for(code).vacant > 0) == any(wh.is_vacant(loc.id)
-                                                      for loc in candidates)
+        assert (pol.nearest_vacant(code) is not None) == any(wh.is_vacant(loc.id)
+                                                             for loc in candidates)
         assert pol.nearest_vacant(code) == _brute_nearest(pol, code)
         held = sum(rec.qty for rec in wh.records.values() if rec.item == code)
         assert wh.total_on_hand(code) == held
@@ -141,12 +141,12 @@ def test_indices_match_brute_force(kind, prestock, steps):
                 wh.pick(code, min(qty, stock))
         elif op == "put_away":
             _, code, qty, mfg = step
-            if pol._set_for(code).vacant > 0:
+            if pol.nearest_vacant(code) is not None:
                 pol.put_away(code, qty, mfg)
         elif op == "fill":
             # one-piece pallets until the item's candidate set is full
             _, code, mfg = step
-            while pol._set_for(code).vacant > 0:
+            while pol.nearest_vacant(code) is not None:
                 pol.put_away(code, 1, mfg)
         else:
             # a policy built over the stocked warehouse; the old one

@@ -87,10 +87,17 @@ def test_hand_trace_partial_pick_targets_slot(three_slot_world):
 
 N_WORLDS = 60
 _WORLD_BASE = 20_240_600
+N_REPEAT_WORLDS = 40
+_REPEAT_BASE = 20_261_000
 
 
-def build_world(k: int) -> dict:
+def build_world(k: int, repeats: bool = False) -> dict:
     """Deterministic random world #k: small, feasible, termination-safe.
+
+    With ``repeats`` each order draws its lines' items with replacement
+    from two items, so an order can list one item on several lines.  A
+    line is then short when the lines of its item up to it need more
+    than the stock on hand.
 
     Feasibility rules: every item can always be restocked eventually.
     Fixed storage gives each item dedicated slots (its slots free up when
@@ -98,7 +105,7 @@ def build_world(k: int) -> dict:
     (one per item homed there) so a stock-out can never deadlock the
     restocker.
     """
-    rng = random.Random(_WORLD_BASE + k)
+    rng = random.Random((_REPEAT_BASE if repeats else _WORLD_BASE) + k)
     policy = rng.choice(["fixed", "random", "fixed-zone"])
     mode = rng.choice(["area", "zoning"])
     walk_mode = rng.choice(["constant", "distance"])
@@ -184,7 +191,10 @@ def build_world(k: int) -> dict:
         if n_lines == 0:
             break
         lines_left -= n_lines
-        chosen = rng.sample(codes, n_lines)
+        if repeats:
+            chosen = rng.choices(rng.sample(codes, 2), k=n_lines)
+        else:
+            chosen = rng.sample(codes, n_lines)
         truck = rng.choice(["TA", "TB", "TC", ""])
         lines = []
         for code in chosen:
@@ -208,14 +218,22 @@ def build_world(k: int) -> dict:
                 policy=policy, mode=mode)
 
 
-@pytest.mark.parametrize("k", range(N_WORLDS))
-def test_engine_matches_oracle_bitwise(k):
-    world = build_world(k)
+def _assert_bitwise(world):
     (ec, en, metrics, _), (oc, on, ow) = _run_both(world)
     assert en == on, "plan order diverged"
     assert all(c is not None for c in ec), "engine left orders unfinished"
     assert ec == oc, "per-order completion times diverged"
     assert metrics.wait_s == ow, "stock-out waiting time diverged"
+
+
+@pytest.mark.parametrize("k", range(N_WORLDS))
+def test_engine_matches_oracle_bitwise(k):
+    _assert_bitwise(build_world(k))
+
+
+@pytest.mark.parametrize("k", range(N_REPEAT_WORLDS))
+def test_engine_matches_oracle_bitwise_with_repeated_items(k):
+    _assert_bitwise(build_world(k, repeats=True))
 
 
 @pytest.mark.parametrize("k", range(0, N_WORLDS, 7))

@@ -128,8 +128,8 @@ def test_policy_containment_under_load():
     for _ in range(8):
         a = pol.put_away("A", 10, MFG)
         assert wh.location(a.location).zone == "Z1"
-    assert pol._set_for("A").vacant == 0
-    assert pol._set_for("B").vacant > 0
+    assert pol.nearest_vacant("A") is None
+    assert pol.nearest_vacant("B") is not None
     assert all(wh.records[lid].item == "A" for lid in wh.records)
 
 
