@@ -17,7 +17,6 @@ from .config import (
     config_from_dict,
     load_config,
 )
-from .datagen import generate_data
 from .errors import (
     InfeasibleRunError,
     InputDataError,
@@ -106,3 +105,12 @@ __all__ = [
     "save_layout", "travel_time",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # the dataset generator is loaded on first use, not by every import
+    if name == "generate_data":
+        from .datagen import generate_data
+
+        return generate_data
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,8 +18,8 @@ Subcommands:
     without running any simulation.
 
 Exit codes: 0 success, 1 simulation failure (horizon overrun), 2
-malformed command line or unreadable input, 3 invalid configuration or
-input data.
+malformed command line, unreadable input or an output file that cannot
+be written, 3 invalid configuration or input data.
 
 The master seed is resolved in order: ``--seed`` flag, explicit
 ``replenish.seed`` in the config file, ``PICKSIM_SEED`` environment
@@ -35,7 +35,6 @@ from pathlib import Path
 
 from .allocation import AllocationRule
 from .config import SimConfig, _read_json_object, config_from_dict
-from .datagen import generate_data
 from .errors import (
     InputDataError,
     ParseError,
@@ -237,12 +236,13 @@ def _cmd_compare(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_results_csv(cmp_result.results, str(out / "results.csv"))
         write_summary_csv(cmp_result.summaries, str(out / "summary.csv"))
-        if cmp_result.paired is not None:
-            write_paired_csv(cmp_result.paired, str(out / "paired.csv"))
+        write_paired_csv(cmp_result.paired, str(out / "paired.csv"))
     return 0
 
 
 def _cmd_gen_data(args) -> int:
+    from .datagen import generate_data  # only this command loads the generator
+
     _check_out(args.out)
     paths = generate_data(args.out, args.seed, args.items, args.slots,
                           args.lines, args.weeks)

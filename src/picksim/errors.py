@@ -12,7 +12,8 @@ class PicksimError(Exception):
 
 
 class ParseError(PicksimError):
-    """A file could not be read or decoded (missing file, bad JSON/CSV shape)."""
+    """A file could not be read, decoded or written (missing file, bad
+    JSON/CSV shape, unwritable output)."""
 
 
 class ValidationError(PicksimError):

@@ -12,10 +12,21 @@ durations including any replenishment waits.
 
 Per-week randomness derives from (master seed, scenario name, week), so
 runs are reproducible bit for bit and independent of execution order.
+
+``run_scenario`` pauses CPython's cyclic garbage collector from the first
+CSV load to the end of the last week: otherwise its full passes rescan
+the loaded dataset and the week's plan again and again.  Pausing is safe
+because a run makes no reference cycles, so reference counting alone
+frees all it drops.  The one link that would close a cycle, the storage
+policy watching the warehouse it holds, is dropped when each week ends
+(see ``storage.py``), and the suite checks that a run leaves nothing for
+the collector.  On return and on raise the collector is left as the
+caller had it: enabled again only if it was enabled before.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import logging
 from dataclasses import dataclass, field
@@ -163,7 +174,20 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
 
     With ``trace_dir`` set, the executed event log of week N is written to
     ``<trace_dir>/trace_<scenario>_week<N>.csv``.
+
+    The cyclic garbage collector is paused for the run and left as the
+    caller had it on return or raise (see the module docstring).
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_scenario(spec, audit, trace_dir)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run_scenario(spec: ScenarioSpec, audit: bool, trace_dir: str | None) -> RunResult:
     cfg = spec.config
     layout = load_layout(spec.data.layout)
     items = load_items(spec.data.items)
@@ -229,33 +253,38 @@ def _run_week(spec: ScenarioSpec, cfg: SimConfig, layout: list[Location], items,
     metrics = ProcessTotals()
     warehouse = Warehouse(layout, items, audit=audit)
     policy = StoragePolicy(spec.policy, warehouse, cfg.stacker(), slot_map=slot_map)
-    place_initial(policy, initial, avg_picks)
-    start_date = min(o.order_datetime for o in week_orders).date()
+    try:
+        place_initial(policy, initial, avg_picks)
+        start_date = min(o.order_datetime for o in week_orders).date()
 
-    plan = prepare_orders(week_orders, spec.picking, warehouse, policy)
-    session = PickingSession(warehouse, cfg, plan, metrics)
-    sampler = ReplenishmentSampler.from_config(
-        cfg, derive_seed(spec.seed, spec.name, week_no))
-    replenisher = Replenisher(policy, cfg, sampler, metrics, start_date)
+        plan = prepare_orders(week_orders, spec.picking, warehouse, policy)
+        session = PickingSession(warehouse, cfg, plan, metrics)
+        sampler = ReplenishmentSampler.from_config(
+            cfg, derive_seed(spec.seed, spec.name, week_no))
+        replenisher = Replenisher(policy, cfg, sampler, metrics, start_date)
 
-    engine = Engine(session, replenisher,
-                    check=warehouse.verify_conservation if audit else None)
-    engine.schedule(0.0, StartPickOrder(0))
-    engine.schedule(sampler.draw(), Replenish())
-    engine.run(horizon=cfg.horizon_s)
-    if trace_path is not None:
-        write_trace_csv(engine.trace, trace_path)
+        engine = Engine(session, replenisher,
+                        check=warehouse.verify_conservation if audit else None)
+        engine.schedule(0.0, StartPickOrder(0))
+        engine.schedule(sampler.draw(), Replenish())
+        engine.run(horizon=cfg.horizon_s)
+        if trace_path is not None:
+            write_trace_csv(engine.trace, trace_path)
 
-    done = sum(1 for c in session.completions if c is not None)
-    if done < len(plan):
-        raise InfeasibleRunError(
-            f"scenario {spec.name} week {week_no}: only {done}/{len(plan)} orders "
-            f"finished within the {cfg.horizon_s} s horizon"
-        )
-    metric_s = session.completions[-1]
-    metric = metric_s * cfg.metric_factor()
-    return WeekOutcome(week_no, metric, metrics,
-                       completions=[float(c) for c in session.completions])
+        done = sum(1 for c in session.completions if c is not None)
+        if done < len(plan):
+            raise InfeasibleRunError(
+                f"scenario {spec.name} week {week_no}: only {done}/{len(plan)} orders "
+                f"finished within the {cfg.horizon_s} s horizon"
+            )
+        metric_s = session.completions[-1]
+        metric = metric_s * cfg.metric_factor()
+        return WeekOutcome(week_no, metric, metrics,
+                           completions=[float(c) for c in session.completions])
+    finally:
+        # the policy watches the warehouse it holds: drop that link, so the
+        # week's graph is freed by reference counting (see storage.py)
+        warehouse._watchers.clear()
 
 
 # -- comparison ----------------------------------------------------------
@@ -273,7 +302,7 @@ class ScenarioSummary:
 class Comparison:
     results: list[RunResult]
     summaries: list[ScenarioSummary]
-    paired: PairedTest | None
+    paired: PairedTest
 
 
 def summarize_results(series: list[tuple[str, list[float]]]) -> list[ScenarioSummary]:

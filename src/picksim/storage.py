@@ -45,6 +45,12 @@ its set's heap and un-parks the set's items, and ``_stock_changed``
 after every change of an item's on-hand count, which pushes the item's
 fresh entry.  A placement needs no call of its own: the filled slot is
 popped from its heap once it reaches the top.
+
+The policy joins the warehouse's watcher list at construction and keeps
+the warehouse, so the two form a reference cycle while both are in use.
+The scenario runner (``experiment._run_week``) breaks it when the week
+ends, on return and on raise, by clearing that list; a run then makes no
+cycles, and it can leave the cyclic garbage collector paused.
 """
 
 from __future__ import annotations

@@ -404,11 +404,18 @@ def _finite(cell: str) -> float:
 
 
 def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write ``header`` and then ``rows`` as UTF-8 CSV with ``\\n`` line ends."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write ``header`` and then ``rows`` as UTF-8 CSV with ``\\n`` line ends.
+
+    A file that cannot be written raises a one-line ``ParseError``
+    naming ``path``.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def load_layout(path: str) -> list[Location]:

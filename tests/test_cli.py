@@ -302,6 +302,29 @@ def test_out_that_cannot_be_a_directory_exits_2(dataset, tmp_path, capsys, comma
     assert taken.read_text() == "week,metric\n1,10\n2,12\n"
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("simulate", "results.csv"),
+    ("simulate", "trace_fixed-homogeneous-area_week1.csv"),
+    ("compare", "paired.csv"),
+    ("stats", "summary.csv"),
+    ("gen-data", "layout.csv"),
+])
+def test_output_file_that_cannot_be_written_exits_2(dataset, tmp_path, capsys, command, blocked):
+    """An output path that is taken by a directory ends the command on one
+    ``error:`` line naming it, not in a traceback."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    weekly = _weekly_file(tmp_path, "a", [10.0, 12.0])
+    args = {"simulate": ["--data", dataset, "--weeks", "2", "--trace"],
+            "compare": ["--data", dataset, "--weeks", "2"],
+            "gen-data": ["--items", "4", "--slots", "12", "--lines", "10", "--weeks", "1"],
+            "stats": ["--weekly", weekly]}[command]
+    assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / blocked}: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_dataset_exits_2(tmp_path, capsys):
     assert main(["simulate", "--data", str(tmp_path / "nope"),
                  "--weeks", "1"]) == 2
@@ -538,6 +561,18 @@ def test_cli_import_leaves_scipy_unloaded():
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_leaves_the_dataset_generator_unloaded():
+    """``gen-data`` imports the generator itself; the package still exports
+    ``generate_data`` and every other name in ``__all__``."""
+    code = ("import sys, picksim.cli; print('picksim.datagen' in sys.modules); "
+            "import picksim; print([n for n in picksim.__all__ if not hasattr(picksim, n)]); "
+            "from picksim import generate_data; print(generate_data.__module__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n[]\npicksim.datagen\n"
 
 
 _BLOCKED_SCIPY_RUN = """

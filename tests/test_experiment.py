@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import re
+from collections import Counter
 from datetime import datetime
 
 import pytest
@@ -31,8 +33,10 @@ from picksim import (
     write_summary_csv,
 )
 from picksim import experiment
+from picksim.cli import main
 from picksim.datagen import generate_data
 from picksim.warehouse import ProcessTotals
+from test_golden import DATA_ARGS
 
 
 def _order(no: str, day: int, hour: int = 9, items=(("A", 1),)) -> Order:
@@ -167,6 +171,79 @@ def test_a_gap_week_is_an_input_error(tmp_path):
     orders.write_text("\n".join([header, *(r for r in rows if "-W2-" not in r)]) + "\n")
     with pytest.raises(InputDataError, match=r"week 2 has no orders: .* spans 3 week\(s\)"):
         run_scenario(_spec(str(tmp_path), weeks=3))
+
+
+# -- the cyclic garbage collector ----------------------------------------
+
+
+@pytest.fixture
+def gc_state():
+    """Put the collector's switch, debug flags and ``gc.garbage`` back as
+    they were before the test."""
+    enabled, flags, garbage = gc.isenabled(), gc.get_debug(), list(gc.garbage)
+    yield
+    gc.set_debug(flags)
+    gc.garbage[:] = garbage
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture(scope="module")
+def golden_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_data")
+    assert main(["gen-data", "--out", str(out)] + DATA_ARGS) == 0
+    return str(out)
+
+
+@pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
+@pytest.mark.parametrize("picking", ["area", "zoning"])
+def test_a_run_leaves_nothing_for_the_cyclic_collector(golden_dataset, tmp_path, gc_state,
+                                                       policy, picking):
+    """``run_scenario`` pauses the collector, so a reference cycle made by a
+    run would stay in memory until the next collection; there is none."""
+    spec = ScenarioSpec(name="cycles", policy=PolicyKind(policy),
+                        allocation=AllocationRule.HOMOGENEOUS,
+                        picking=PickingMode(picking), weeks=2, seed=7, config=SimConfig(),
+                        data=DataPaths.from_dir(golden_dataset))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    for kwargs in ({"audit": True}, {"trace_dir": str(tmp_path)}):
+        run_scenario(spec, **kwargs)
+        found = gc.collect()
+        kinds = Counter(type(obj).__name__ for obj in gc.garbage).most_common(5)
+        assert found == 0, f"{kwargs}: {found} unreachable objects, mostly {kinds}"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["returns", "infeasible", "empty-week"])
+def test_run_leaves_the_collector_as_the_caller_had_it(small_dataset, gc_state, monkeypatch,
+                                                      enabled, outcome):
+    loading = []
+    load_layout = experiment.load_layout
+
+    def spy(path):
+        loading.append(gc.isenabled())
+        return load_layout(path)
+
+    monkeypatch.setattr(experiment, "load_layout", spy)
+    spec, raised = {
+        "returns": (_spec(small_dataset), None),
+        "infeasible": (_spec(small_dataset, cfg=SimConfig(horizon_s=10.0)), InfeasibleRunError),
+        "empty-week": (_spec(small_dataset, weeks=3), InputDataError),
+    }[outcome]
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if raised is None:
+        assert len(run_scenario(spec).weeks) == 2
+    else:
+        with pytest.raises(raised):
+            run_scenario(spec)
+    assert loading == [False], "the collector runs during the first CSV load"
+    assert gc.isenabled() is enabled
 
 
 # -- aggregation and serialization ---------------------------------------
