@@ -38,6 +38,7 @@ from .experiment import (
     demand_per_week,
     derive_seed,
     run_scenario,
+    run_week,
     split_weeks,
     summarize_results,
     write_paired_csv,
@@ -92,8 +93,8 @@ __all__ = [
     "Engine", "Event", "PartialPick", "Replenish", "StartPickOrder",
     "Comparison", "DataPaths", "RunResult", "ScenarioSpec", "ScenarioSummary",
     "WeekOutcome", "compare_scenarios", "demand_per_week", "derive_seed",
-    "run_scenario", "split_weeks", "summarize_results", "write_paired_csv",
-    "write_results_csv", "write_summary_csv",
+    "run_scenario", "run_week", "split_weeks", "summarize_results",
+    "write_paired_csv", "write_results_csv", "write_summary_csv",
     "Order", "OrderLine", "PickingMode", "PickingSession", "PlanEntry",
     "RouteStop", "handling_time", "load_orders", "prepare_orders", "save_orders",
     "Replenisher", "ReplenishmentSampler",

@@ -149,12 +149,15 @@ def _config_and_seed(args) -> tuple[SimConfig, int]:
 
 
 def _check_out(path: str | None) -> None:
-    """Refuse an ``--out`` that cannot become a directory, such as an
-    existing file or a path below one, before any work starts.  The
-    directory itself is made only when there is something to write."""
-    if not path:
+    """Refuse an ``--out`` that cannot become a directory, such as an empty
+    path, an existing file, a dangling link or a path below one of them,
+    before any work starts.  The directory itself is made only when there
+    is something to write."""
+    if path is None:
         return
-    nearest = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not path:
+        raise ParseError("argument --out: must name a directory, got ''")
+    nearest = next(p for p in (Path(path), *Path(path).parents) if os.path.lexists(p))
     if not nearest.is_dir():
         raise ParseError(f"argument --out: cannot make directory {path}: "
                          f"{nearest} is not a directory")
@@ -189,10 +192,10 @@ def _cmd_simulate(args) -> int:
         config=cfg,
         data=DataPaths.from_dir(args.data),
     )
-    trace_dir = args.out if (args.trace and args.out) else None
+    _check_out(args.out)
     if args.trace and not args.out:
         raise ParseError("--trace requires --out to know where to write traces")
-    _check_out(args.out)
+    trace_dir = args.out if args.trace else None
     result = run_scenario(spec, audit=args.audit, trace_dir=trace_dir)
     _print_result(result)
     summaries = None
@@ -201,7 +204,6 @@ def _cmd_simulate(args) -> int:
         _print_summaries(summaries)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_results_csv([result], str(out / "results.csv"))
         if summaries is not None:
             write_summary_csv(summaries, str(out / "summary.csv"))
@@ -233,7 +235,6 @@ def _cmd_compare(args) -> int:
     _print_summaries(cmp_result.summaries, cmp_result.paired)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_results_csv(cmp_result.results, str(out / "results.csv"))
         write_summary_csv(cmp_result.summaries, str(out / "summary.csv"))
         write_paired_csv(cmp_result.paired, str(out / "paired.csv"))
@@ -285,7 +286,6 @@ def _cmd_stats(args) -> int:
     _print_summaries(summaries, paired)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_summary_csv(summaries, str(out / "summary.csv"))
         if paired is not None:
             write_paired_csv(paired, str(out / "paired.csv"))

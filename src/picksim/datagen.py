@@ -16,12 +16,12 @@ with ``InputDataError``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, datetime, time, timedelta
-from pathlib import Path
 
 from .config import SimConfig
 from .errors import InputDataError
+from .experiment import DataPaths
 from .storage import PolicyKind, StoragePolicy, place_initial
 from .warehouse import (
     ELEVATOR_ID,
@@ -245,26 +245,17 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
     # realistic arrangement (reset per run under the active policy anyway)
     warehouse = Warehouse(layout, items)
     policy = StoragePolicy(PolicyKind.FIXED_ZONE, warehouse, SimConfig().stacker())
-    rows = []
-    for item in items:
-        for qty, mfg in pallets[item.code]:
-            rows.append(InventoryRow((0, 0, 0), item.code, qty, mfg))
+    rows = [InventoryRow((0, 0, 0), item.code, qty, mfg)
+            for item in items for qty, mfg in pallets[item.code]]
     place_initial(policy, rows, demand)
     inventory = [
         InventoryRow(loc_id, rec.item, rec.qty, rec.mfg_date)
         for loc_id, rec in sorted(warehouse.records.items())
     ]
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "layout": str(out / "layout.csv"),
-        "items": str(out / "items.csv"),
-        "inventory": str(out / "initial_inventory.csv"),
-        "orders": str(out / "orders.csv"),
-    }
-    save_layout(layout, paths["layout"])
-    save_items(items, paths["items"])
-    save_inventory(inventory, paths["inventory"])
-    save_orders(orders, paths["orders"])
-    return paths
+    paths = DataPaths.from_dir(out_dir)
+    save_layout(layout, paths.layout)
+    save_items(items, paths.items)
+    save_inventory(inventory, paths.inventory)
+    save_orders(orders, paths.orders)
+    return asdict(paths)

@@ -5,10 +5,11 @@ picking mode, the week count and the master seed.  Every week is an
 independent terminating run: the warehouse is rebuilt from the same
 initial inventory (placed under the active policy so containment rules
 hold from the start), the week's orders are planned, and the event
-engine runs until every order is complete.  The weekly metric is the
-total picking time, i.e. the completion time of the last order; orders
-chain back to back from time zero, so this equals the sum of per-order
-durations including any replenishment waits.
+engine runs until every order is complete; ``run_week`` is that wiring
+from the stocked warehouse on, and the oracle tests drive it too.  The
+weekly metric is the total picking time, i.e. the completion time of the
+last order; orders chain back to back from time zero, so this equals the
+sum of per-order durations including any replenishment waits.
 
 Per-week randomness derives from (master seed, scenario name, week), so
 runs are reproducible bit for bit and independent of execution order.
@@ -32,6 +33,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import Callable
 
 from .allocation import (
     AllocationRule,
@@ -217,18 +219,11 @@ def _run_scenario(spec: ScenarioSpec, audit: bool, trace_dir: str | None) -> Run
     if spec.policy is PolicyKind.FIXED:
         slot_map = build_slot_map(spec, layout, avg_picks, [i.code for i in items])
 
-    outcomes: list[WeekOutcome] = []
-    for week_no, week_orders in enumerate(buckets, start=1):
-        trace_path = None
-        if trace_dir is not None:
-            Path(trace_dir).mkdir(parents=True, exist_ok=True)
-            trace_path = str(Path(trace_dir) /
-                             f"trace_{spec.name}_week{week_no}.csv")
-        outcomes.append(
-            _run_week(spec, cfg, layout, items, initial, slot_map, avg_picks,
-                      week_orders, week_no, audit, trace_path)
-        )
-    return RunResult(spec.name, cfg.metric_unit, outcomes)
+    return RunResult(spec.name, cfg.metric_unit, [
+        _run_week(spec, layout, items, initial, slot_map, avg_picks, week_orders, week_no,
+                  audit, trace_dir)
+        for week_no, week_orders in enumerate(buckets, start=1)
+    ])
 
 
 def _check_walking(cfg: SimConfig, layout: list[Location]) -> None:
@@ -246,45 +241,58 @@ def _check_walking(cfg: SimConfig, layout: list[Location]) -> None:
         )
 
 
-def _run_week(spec: ScenarioSpec, cfg: SimConfig, layout: list[Location], items,
-              initial, slot_map: SlotMap | None, avg_picks: dict[str, float],
+def _run_week(spec: ScenarioSpec, layout: list[Location], items, initial,
+              slot_map: SlotMap | None, avg_picks: dict[str, float],
               week_orders: list[Order], week_no: int, audit: bool,
-              trace_path: str | None = None) -> WeekOutcome:
-    metrics = ProcessTotals()
+              trace_dir: str | None) -> WeekOutcome:
+    cfg = spec.config
     warehouse = Warehouse(layout, items, audit=audit)
     policy = StoragePolicy(spec.policy, warehouse, cfg.stacker(), slot_map=slot_map)
     try:
         place_initial(policy, initial, avg_picks)
-        start_date = min(o.order_datetime for o in week_orders).date()
-
-        plan = prepare_orders(week_orders, spec.picking, warehouse, policy)
-        session = PickingSession(warehouse, cfg, plan, metrics)
-        sampler = ReplenishmentSampler.from_config(
-            cfg, derive_seed(spec.seed, spec.name, week_no))
-        replenisher = Replenisher(policy, cfg, sampler, metrics, start_date)
-
-        engine = Engine(session, replenisher,
-                        check=warehouse.verify_conservation if audit else None)
-        engine.schedule(0.0, StartPickOrder(0))
-        engine.schedule(sampler.draw(), Replenish())
-        engine.run(horizon=cfg.horizon_s)
-        if trace_path is not None:
-            write_trace_csv(engine.trace, trace_path)
+        session, engine = run_week(
+            warehouse, policy, week_orders, spec.picking, cfg,
+            derive_seed(spec.seed, spec.name, week_no),
+            min(o.order_datetime for o in week_orders).date(),
+            check=warehouse.verify_conservation if audit else None)
+        if trace_dir is not None:
+            write_trace_csv(engine.trace,
+                            str(Path(trace_dir) / f"trace_{spec.name}_week{week_no}.csv"))
 
         done = sum(1 for c in session.completions if c is not None)
-        if done < len(plan):
+        if done < len(session.plan):
             raise InfeasibleRunError(
-                f"scenario {spec.name} week {week_no}: only {done}/{len(plan)} orders "
-                f"finished within the {cfg.horizon_s} s horizon"
+                f"scenario {spec.name} week {week_no}: only {done}/{len(session.plan)} "
+                f"orders finished within the {cfg.horizon_s} s horizon"
             )
-        metric_s = session.completions[-1]
-        metric = metric_s * cfg.metric_factor()
-        return WeekOutcome(week_no, metric, metrics,
+        metric = session.completions[-1] * cfg.metric_factor()
+        return WeekOutcome(week_no, metric, session.metrics,
                            completions=[float(c) for c in session.completions])
     finally:
         # the policy watches the warehouse it holds: drop that link, so the
         # week's graph is freed by reference counting (see storage.py)
         warehouse._watchers.clear()
+
+
+def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],
+             picking: PickingMode, cfg: SimConfig, seed: int, start_date: date,
+             check: Callable[[], None] | None = None) -> tuple[PickingSession, Engine]:
+    """Plan ``orders`` on the stocked ``warehouse`` and run the week to
+    ``cfg.horizon_s``.  The replenisher's sampler is seeded by ``seed`` and
+    its pallets are dated from ``start_date``; ``check`` runs after every
+    event.  Returns the picking session (plan, completions, totals) and
+    the engine (trace, clock).  A week without orders is an input error."""
+    if not orders:
+        raise InputDataError("a week needs at least one order")
+    plan = prepare_orders(orders, picking, warehouse, policy)
+    session = PickingSession(warehouse, cfg, plan, ProcessTotals())
+    sampler = ReplenishmentSampler.from_config(cfg, seed)
+    replenisher = Replenisher(policy, cfg, sampler, session.metrics, start_date)
+    engine = Engine(session, replenisher, check=check)
+    engine.schedule(0.0, StartPickOrder(0))
+    engine.schedule(sampler.draw(), Replenish())
+    engine.run(horizon=cfg.horizon_s)
+    return session, engine
 
 
 # -- comparison ----------------------------------------------------------
@@ -350,13 +358,9 @@ def write_results_csv(results: list[RunResult], path: str) -> None:
 
 
 def summary_rows(summaries: list[ScenarioSummary]) -> list[list[str]]:
-    rows = []
-    for s in summaries:
-        rows.append([
-            s.scenario, f"{s.stats.mean:.2f}", f"{s.stats.ci_low:.2f}",
-            f"{s.stats.ci_high:.2f}", f"{s.total:.2f}", f"{s.gap_pct:.2f}",
-        ])
-    return rows
+    return [[s.scenario, f"{s.stats.mean:.2f}", f"{s.stats.ci_low:.2f}",
+             f"{s.stats.ci_high:.2f}", f"{s.total:.2f}", f"{s.gap_pct:.2f}"]
+            for s in summaries]
 
 
 def write_summary_csv(summaries: list[ScenarioSummary], path: str) -> None:

@@ -34,6 +34,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from datetime import date
+from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import InputDataError, ParseError
@@ -404,12 +405,14 @@ def _finite(cell: str) -> float:
 
 
 def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write ``header`` and then ``rows`` as UTF-8 CSV with ``\\n`` line ends.
+    """Write ``header`` and then ``rows`` as UTF-8 CSV with ``\\n`` line ends,
+    making the file's missing parent directories first.
 
     A file that cannot be written raises a one-line ``ParseError``
     naming ``path``.
     """
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)

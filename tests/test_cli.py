@@ -283,23 +283,35 @@ def test_weeks_below_one_exits_2_at_parse_time(dataset, tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare", "gen-data", "stats"])
-@pytest.mark.parametrize("where", ["file", "below-file"])
-def test_out_that_cannot_be_a_directory_exits_2(dataset, tmp_path, capsys, command, where):
-    """``--out`` naming an existing file, or a path below one, is refused
-    on one line before any work starts."""
+@pytest.mark.parametrize("where", ["file", "below-file", "dangling-link", "empty"])
+def test_out_that_cannot_be_a_directory_exits_2(dataset, tmp_path, capsys, monkeypatch,
+                                                command, where):
+    """``--out`` naming an existing file, a path below one, a dangling
+    symbolic link or nothing at all is refused on one line before any work
+    starts."""
+    monkeypatch.chdir(tmp_path)
     taken = tmp_path / "weekly.csv"
     taken.write_text("week,metric\n1,10\n2,12\n")
-    out = str(taken) if where == "file" else str(taken / "x")
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "nowhere")
+    out = {"file": str(taken), "below-file": str(taken / "x"), "dangling-link": str(link),
+           "empty": ""}[where]
     args = {"simulate": ["--data", dataset, "--weeks", "2", "--trace"],
             "compare": ["--data", dataset, "--weeks", "2"],
             "gen-data": [],
             "stats": ["--weekly", str(taken)]}[command]
     assert main([command, *args, "--out", out]) == 2
     captured = capsys.readouterr()
-    assert captured.err == (f"error: argument --out: cannot make directory {out}: "
-                            f"{taken} is not a directory\n")
+    if where == "empty":
+        reason = "must name a directory, got ''"
+    else:
+        blocker = link if where == "dangling-link" else taken
+        reason = f"cannot make directory {out}: {blocker} is not a directory"
+    assert captured.err == f"error: argument --out: {reason}\n"
     assert captured.out == ""
     assert taken.read_text() == "week,metric\n1,10\n2,12\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "weekly.csv"]
+    assert not link.exists()
 
 
 @pytest.mark.parametrize("command, blocked", [

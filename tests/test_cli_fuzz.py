@@ -75,7 +75,7 @@ RUN_OPTIONAL = [
     _flag("--policy", st.sampled_from(["fixed", "random", "fixed-zone", "nope"])),
     _flag("--picking", st.sampled_from(["area", "zoning", "nope"])),
     _flag("--seed", SEEDS),
-    _flag("--out", st.sampled_from(["{tmp}/out", "{tmp}/out", "{weekly}"])),
+    _flag("--out", st.sampled_from(["{tmp}/out", "{tmp}/out", "{weekly}", ""])),
     st.just(["--audit"]),
 ]
 # command -> (flags always given, flags drawn)
@@ -87,7 +87,7 @@ COMMANDS = {
     ]),
     "compare": (RUN_REQUIRED, RUN_OPTIONAL),
     "gen-data": ([_flag("--out", st.sampled_from(["{tmp}/gen", "{tmp}/gen", "{weekly}",
-                                                  "{weekly}/x"]))], [
+                                                  "{weekly}/x", ""]))], [
         _flag("--seed", SEEDS),
         _flag("--items", st.sampled_from(["-1", "0", "1", "4", "x"])),
         _flag("--slots", st.sampled_from(["-1", "0", "3", "12", "30"])),
@@ -98,7 +98,7 @@ COMMANDS = {
                   st.sampled_from(["{weekly}", "{weekly2}"] * 3 + [
                       "{short}", "{bad}", "{nan}", "{latin1}", "{tmp}/missing.csv"]),
                   min_size=n, max_size=n)).map(lambda files: ["--weekly", *files])],
-              [_flag("--out", st.sampled_from(["{tmp}/stats", "{tmp}/stats", "{weekly}"]))]),
+              [_flag("--out", st.sampled_from(["{tmp}/stats", "{tmp}/stats", "{weekly}", ""]))]),
 }
 
 

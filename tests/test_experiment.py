@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import gc
+import json
 import re
+import subprocess
+import sys
 from collections import Counter
-from datetime import datetime
+from datetime import date, datetime
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +25,14 @@ from picksim import (
     RunResult,
     ScenarioSpec,
     SimConfig,
+    StoragePolicy,
+    Warehouse,
     WeekOutcome,
     compare_scenarios,
     demand_per_week,
     derive_seed,
     run_scenario,
+    run_week,
     split_weeks,
     summarize_results,
     write_paired_csv,
@@ -36,6 +43,8 @@ from picksim import experiment
 from picksim.cli import main
 from picksim.datagen import generate_data
 from picksim.warehouse import ProcessTotals
+from conftest import anchors, make_item, slot
+from test_cli import _child_env
 from test_golden import DATA_ARGS
 
 
@@ -164,6 +173,13 @@ def test_weeks_beyond_the_data_are_an_input_error(small_dataset):
         run_scenario(_spec(small_dataset, weeks=3))
 
 
+def test_run_week_refuses_a_week_without_orders():
+    warehouse = Warehouse(anchors() + [slot(0, 1, 0, 100.0, 100.0, seq=1)], [make_item("A")])
+    policy = StoragePolicy(PolicyKind.RANDOM, warehouse, SimConfig().stacker())
+    with pytest.raises(InputDataError, match="^a week needs at least one order$"):
+        run_week(warehouse, policy, [], PickingMode.AREA, SimConfig(), 1, date(2024, 6, 3))
+
+
 def test_a_gap_week_is_an_input_error(tmp_path):
     generate_data(str(tmp_path), 21, n_items=8, n_slots=30, n_lines=90, weeks=3)
     orders = tmp_path / "orders.csv"
@@ -246,6 +262,20 @@ def test_run_leaves_the_collector_as_the_caller_had_it(small_dataset, gc_state, 
     assert gc.isenabled() is enabled
 
 
+def test_the_benchmark_set_up_probe_runs(golden_dataset, tmp_path):
+    """``perfbench/setup_probe.py`` imports picksim's loaders and slot-map
+    builder by name in a fresh interpreter; it must still run on them."""
+    root = Path(__file__).resolve().parents[1]
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "setup_probe.py"), golden_dataset,
+         str(config), "2", "homogeneous", "demand"],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "setup_s" in json.loads(proc.stdout.splitlines()[-1])
+
+
 # -- aggregation and serialization ---------------------------------------
 
 
@@ -280,6 +310,12 @@ def test_results_csv_schema_and_float_fidelity(tmp_path):
     assert len(lines) == 5
     # repr round-trip keeps every bit of the float
     assert lines[1].split(",")[2] == "0.30000000000000004"
+
+
+def test_results_csv_makes_its_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "results.csv"
+    write_results_csv(_fake_results(), str(path))
+    assert path.read_text().startswith("scenario,week,metric,")
 
 
 def test_summary_and_paired_csv_formats(tmp_path):
