@@ -245,8 +245,10 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
     # realistic arrangement (reset per run under the active policy anyway)
     warehouse = Warehouse(layout, items)
     policy = StoragePolicy(PolicyKind.FIXED_ZONE, warehouse, SimConfig().stacker())
-    rows = [InventoryRow((0, 0, 0), item.code, qty, mfg)
-            for item in items for qty, mfg in pallets[item.code]]
+    rows = []
+    for item in items:
+        for qty, mfg in pallets[item.code]:
+            rows.append(InventoryRow((0, 0, 0), item.code, qty, mfg))
     place_initial(policy, rows, demand)
     inventory = [
         InventoryRow(loc_id, rec.item, rec.qty, rec.mfg_date)

@@ -33,7 +33,6 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Callable
 
 from .allocation import (
     AllocationRule,
@@ -253,8 +252,7 @@ def _run_week(spec: ScenarioSpec, layout: list[Location], items, initial,
         session, engine = run_week(
             warehouse, policy, week_orders, spec.picking, cfg,
             derive_seed(spec.seed, spec.name, week_no),
-            min(o.order_datetime for o in week_orders).date(),
-            check=warehouse.verify_conservation if audit else None)
+            min(o.order_datetime for o in week_orders).date())
         if trace_dir is not None:
             write_trace_csv(engine.trace,
                             str(Path(trace_dir) / f"trace_{spec.name}_week{week_no}.csv"))
@@ -275,20 +273,21 @@ def _run_week(spec: ScenarioSpec, layout: list[Location], items, initial,
 
 
 def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],
-             picking: PickingMode, cfg: SimConfig, seed: int, start_date: date,
-             check: Callable[[], None] | None = None) -> tuple[PickingSession, Engine]:
+             picking: PickingMode, cfg: SimConfig, seed: int,
+             start_date: date) -> tuple[PickingSession, Engine]:
     """Plan ``orders`` on the stocked ``warehouse`` and run the week to
-    ``cfg.horizon_s``.  The replenisher's sampler is seeded by ``seed`` and
-    its pallets are dated from ``start_date``; ``check`` runs after every
-    event.  Returns the picking session (plan, completions, totals) and
-    the engine (trace, clock).  A week without orders is an input error."""
+    ``cfg.horizon_s``, seeding the replenishment sampler with ``seed`` and
+    dating its pallets from ``start_date``; an audited warehouse is checked
+    after every event.  Returns the picking session (plan, completions,
+    totals) and the engine (trace, clock).  A week without orders raises."""
     if not orders:
         raise InputDataError("a week needs at least one order")
     plan = prepare_orders(orders, picking, warehouse, policy)
     session = PickingSession(warehouse, cfg, plan, ProcessTotals())
     sampler = ReplenishmentSampler.from_config(cfg, seed)
     replenisher = Replenisher(policy, cfg, sampler, session.metrics, start_date)
-    engine = Engine(session, replenisher, check=check)
+    engine = Engine(session, replenisher,
+                    check=warehouse.verify_conservation if warehouse.audit else None)
     engine.schedule(0.0, StartPickOrder(0))
     engine.schedule(sampler.draw(), Replenish())
     engine.run(horizon=cfg.horizon_s)
@@ -358,9 +357,13 @@ def write_results_csv(results: list[RunResult], path: str) -> None:
 
 
 def summary_rows(summaries: list[ScenarioSummary]) -> list[list[str]]:
-    return [[s.scenario, f"{s.stats.mean:.2f}", f"{s.stats.ci_low:.2f}",
-             f"{s.stats.ci_high:.2f}", f"{s.total:.2f}", f"{s.gap_pct:.2f}"]
-            for s in summaries]
+    rows = []
+    for s in summaries:
+        rows.append([
+            s.scenario, f"{s.stats.mean:.2f}", f"{s.stats.ci_low:.2f}",
+            f"{s.stats.ci_high:.2f}", f"{s.total:.2f}", f"{s.gap_pct:.2f}",
+        ])
+    return rows
 
 
 def write_summary_csv(summaries: list[ScenarioSummary], path: str) -> None:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,14 @@ ENTRANCE = (-1, 0, 0)
 DROPOFF = (-1, 0, 1)
 ELEVATOR = (-1, 0, 2)
 START = date(2024, 6, 3)
+
+
+def child_env() -> dict[str, str]:
+    """This environment with the checkout's ``src`` first on ``PYTHONPATH``, so
+    a child interpreter imports the package under test without an install."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
 
 def anchors(entrance_xy=(0.0, 0.0), dropoff_xy=(0.0, 60.0), elevator_xy=(60.0, 0.0)):

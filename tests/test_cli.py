@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import shlex
 import shutil
 import subprocess
@@ -16,6 +15,7 @@ import pytest
 from picksim.cli import main
 from picksim.picking import ORDERS_HEADER
 from picksim.warehouse import INVENTORY_HEADER, ITEMS_HEADER, LAYOUT_HEADER
+from conftest import child_env
 
 
 @pytest.fixture(autouse=True)
@@ -30,14 +30,6 @@ def dataset(tmp_path_factory):
                "--slots", "24", "--lines", "40", "--weeks", "2"])
     assert rc == 0
     return str(out)
-
-
-def _child_env() -> dict[str, str]:
-    """This environment with the checkout's ``src`` first on ``PYTHONPATH``, so
-    a child interpreter imports the package under test without an install."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
 
 def _weekly_file(tmp_path: Path, name: str, values: list[float]) -> str:
@@ -494,7 +486,7 @@ def test_legacy_config_keys_load_with_one_warning(dataset, tmp_path):
         runs.append(subprocess.run(
             [sys.executable, "-m", "picksim.cli", "simulate", "--data", dataset,
              "--weeks", "1", "--config", str(cfg)],
-            capture_output=True, text=True, env=_child_env(),
+            capture_output=True, text=True, env=child_env(),
         ))
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stderr == "config fields LR, h are no longer used and were ignored\n"
@@ -561,7 +553,7 @@ def test_console_script_runs(tmp_path):
         [sys.executable, "-m", "picksim.cli", "gen-data", "--out",
          str(tmp_path), "--items", "4", "--slots", "12", "--lines", "8",
          "--weeks", "1"],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "orders:" in proc.stdout
@@ -570,7 +562,7 @@ def test_console_script_runs(tmp_path):
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, picksim.cli; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_child_env())
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 
@@ -582,7 +574,7 @@ def test_cli_import_leaves_the_dataset_generator_unloaded():
             "import picksim; print([n for n in picksim.__all__ if not hasattr(picksim, n)]); "
             "from picksim import generate_data; print(generate_data.__module__)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_child_env())
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n[]\npicksim.datagen\n"
 
@@ -621,7 +613,7 @@ def test_runtime_needs_no_scipy(tmp_path):
         cwd = tmp_path / mode
         cwd.mkdir()
         proc = subprocess.run([sys.executable, "-c", _BLOCKED_SCIPY_RUN, mode], cwd=cwd,
-                              capture_output=True, text=True, env=_child_env())
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[0, 0, 0] False\n", proc.stderr
         stdout[mode] = proc.stdout
@@ -679,7 +671,7 @@ def test_stats_example_script_prints_the_readme_figures():
     """``scripts/stats_example.py`` runs and reproduces the gap and p-value
     that the README quotes for the two reference series."""
     proc = subprocess.run([sys.executable, str(README.parent / "scripts" / "stats_example.py")],
-                          capture_output=True, text=True, env=_child_env())
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert "gap of totals (B vs A): 20.86%\n" in proc.stdout
     assert "paired t-test: statistic=2.4102 df=3 p=0.0950\n" in proc.stdout

@@ -43,8 +43,7 @@ from picksim import experiment
 from picksim.cli import main
 from picksim.datagen import generate_data
 from picksim.warehouse import ProcessTotals
-from conftest import anchors, make_item, slot
-from test_cli import _child_env
+from conftest import anchors, child_env, make_item, slot
 from test_golden import DATA_ARGS
 
 
@@ -271,7 +270,7 @@ def test_the_benchmark_set_up_probe_runs(golden_dataset, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "setup_probe.py"), golden_dataset,
          str(config), "2", "homogeneous", "demand"],
-        capture_output=True, text=True, env=_child_env(), timeout=120)
+        capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "setup_s" in json.loads(proc.stdout.splitlines()[-1])
 
