@@ -65,7 +65,6 @@ from .warehouse import (
     ENTRANCE_ID,
     SPECIAL_AREA_ID,
     Equipment,
-    InventoryRow,
     Item,
     Location,
     PalletRecord,
@@ -100,10 +99,10 @@ __all__ = [
     "Replenisher", "ReplenishmentSampler",
     "PairedTest", "StatsSummary", "gap", "paired_test", "summarize",
     "Assignment", "PolicyKind", "StoragePolicy", "place_initial",
-    "ELEVATOR_ID", "ENTRANCE_ID", "SPECIAL_AREA_ID", "Equipment", "InventoryRow",
-    "Item", "Location", "PalletRecord", "ProcessTotals", "Warehouse", "aisle_turns",
-    "load_inventory", "load_items", "load_layout", "save_inventory", "save_items",
-    "save_layout", "travel_time",
+    "ELEVATOR_ID", "ENTRANCE_ID", "SPECIAL_AREA_ID", "Equipment", "Item", "Location",
+    "PalletRecord", "ProcessTotals", "Warehouse", "aisle_turns", "load_inventory",
+    "load_items", "load_layout", "save_inventory", "save_items", "save_layout",
+    "travel_time",
     "__version__",
 ]
 

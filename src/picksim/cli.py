@@ -82,6 +82,14 @@ def _weeks(text: str) -> int:
     return weeks
 
 
+def _name(text: str) -> str:
+    """argparse type for --name: a label without a path separator, since a
+    trace file's name is built from it."""
+    if any(sep and sep in text for sep in ("/", os.sep, os.altsep)):
+        raise argparse.ArgumentTypeError(f"must not contain a path separator, got {text!r}")
+    return text
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="picksim", description="warehouse picking simulator")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -91,7 +99,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--allocation", choices=[r.value for r in AllocationRule],
                      default=AllocationRule.HOMOGENEOUS.value,
                      help="slot-allocation rule (default homogeneous)")
-    sim.add_argument("--name", default=None, help="scenario label in outputs")
+    sim.add_argument("--name", type=_name, default=None, help="scenario label in outputs")
     sim.add_argument("--trace", action="store_true",
                      help="write per-week event traces into --out")
 

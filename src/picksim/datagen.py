@@ -28,9 +28,9 @@ from .warehouse import (
     ENTRANCE_ID,
     SPECIAL_AREA_ID,
     ANCHOR_ZONE,
-    InventoryRow,
     Item,
     Location,
+    PalletRecord,
     Warehouse,
     save_inventory,
     save_items,
@@ -245,19 +245,13 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
     # realistic arrangement (reset per run under the active policy anyway)
     warehouse = Warehouse(layout, items)
     policy = StoragePolicy(PolicyKind.FIXED_ZONE, warehouse, SimConfig().stacker())
-    rows = []
-    for item in items:
-        for qty, mfg in pallets[item.code]:
-            rows.append(InventoryRow((0, 0, 0), item.code, qty, mfg))
-    place_initial(policy, rows, demand)
-    inventory = [
-        InventoryRow(loc_id, rec.item, rec.qty, rec.mfg_date)
-        for loc_id, rec in sorted(warehouse.records.items())
-    ]
+    place_initial(policy, [PalletRecord((0, 0, 0), item.code, qty, mfg)
+                           for item in items for qty, mfg in pallets[item.code]], demand)
 
     paths = DataPaths.from_dir(out_dir)
     save_layout(layout, paths.layout)
     save_items(items, paths.items)
-    save_inventory(inventory, paths.inventory)
+    save_inventory((warehouse.records[loc_id] for loc_id in sorted(warehouse.records)),
+                   paths.inventory)
     save_orders(orders, paths.orders)
     return asdict(paths)

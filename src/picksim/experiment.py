@@ -171,7 +171,8 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
     """Run every week of a scenario; raises on horizon overrun, and raises
     ``InputDataError`` before any run if a week has no orders or an initial
     pallet holds an item missing from the catalog or more pieces than its
-    item's ``qty_per_pallet``.
+    item's ``qty_per_pallet``, names a location that is not a storage slot
+    of the layout, or names the slot of an earlier pallet.
 
     With ``trace_dir`` set, the executed event log of week N is written to
     ``<trace_dir>/trace_<scenario>_week<N>.csv``.
@@ -194,6 +195,8 @@ def _run_scenario(spec: ScenarioSpec, audit: bool, trace_dir: str | None) -> Run
     items = load_items(spec.data.items)
     initial = load_inventory(spec.data.inventory)
     item_index = {i.code: i for i in items}
+    slots = {loc.id for loc in layout if not loc.is_anchor}
+    named = set()
     for row in initial:
         item = item_index.get(row.item)
         if item is None:
@@ -203,6 +206,12 @@ def _run_scenario(spec: ScenarioSpec, audit: bool, trace_dir: str | None) -> Run
                 f"{spec.data.inventory}: pallet of {row.item} must hold "
                 f"1..{item.qty_per_pallet} pieces, got {row.qty}"
             )
+        if row.location not in slots:
+            raise InputDataError(f"{spec.data.inventory}: pallet of {row.item} on "
+                                 f"{row.location}, not a storage slot of {spec.data.layout}")
+        if row.location in named:
+            raise InputDataError(f"{spec.data.inventory}: two pallets on slot {row.location}")
+        named.add(row.location)
     all_orders = load_orders(spec.data.orders, item_index)
     buckets = split_weeks(all_orders, spec.weeks)
     empty = next((w for w, bucket in enumerate(buckets, start=1) if not bucket), None)

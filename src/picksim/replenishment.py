@@ -62,7 +62,6 @@ class Replenisher:
     def __init__(self, policy: StoragePolicy, cfg: SimConfig, sampler: ReplenishmentSampler,
                  metrics: ProcessTotals, start_date: date):
         self.policy = policy
-        self.warehouse = policy.warehouse
         self.cfg = cfg
         self.sampler = sampler
         self.metrics = metrics
@@ -84,9 +83,7 @@ class Replenisher:
         if code is None:
             log.info("replenishment at t=%s skipped: no product has a vacant slot", event.time)
         else:
-            item = self.warehouse.item(code)
-            assignment = self.policy.put_away(code, item.qty_per_pallet,
-                                              self.sim_date(event.time))
+            assignment = self.policy.put_away(code, self.sim_date(event.time))
             self.metrics.put_travel_s += assignment.travel_s
             self.metrics.put_handle_s += self.cfg.BTpa + self.cfg.PPpa
             self.metrics.turns += assignment.turns

@@ -10,7 +10,8 @@ slot set for an item:
 Among vacant candidates the policy picks the one with the smallest
 travel time from the receiving elevator (ties by route position).
 "Random" storage is therefore shared-but-deterministic: the nearest
-vacant slot anywhere, with no randomness involved.
+vacant slot anywhere, with no randomness involved.  A put-away always
+places one full pallet, the only arrival the model makes.
 
 The candidate sets partition the storage slots: one set per mapped item
 under fixed, one per zone under fixed-zone, a single set under random,
@@ -68,6 +69,7 @@ from .warehouse import (
     Equipment,
     Location,
     LocationId,
+    PalletRecord,
     Warehouse,
     aisle_turns,
     travel_time,
@@ -86,9 +88,6 @@ class Assignment(NamedTuple):
     """A completed put-away: where the pallet went and how far it travelled."""
 
     location: LocationId
-    item: str
-    qty: int
-    mfg_date: date
     travel_s: float
     turns: int
 
@@ -236,24 +235,21 @@ class StoragePolicy:
 
     # -- put-away ----------------------------------------------------------
 
-    def put_away(self, item_code: str, qty: int, mfg_date: date) -> Assignment:
-        """Place one pallet in the nearest vacant candidate slot.
+    def put_away(self, item_code: str, mfg_date: date) -> Assignment:
+        """Place one full pallet in the nearest vacant candidate slot.
 
         The caller makes sure the item has one, as ``restock_choice`` does.
         """
-        item = self.warehouse.item(item_code)
-        if not 1 <= qty <= item.qty_per_pallet:
-            raise InputDataError(
-                f"put-away of {item_code} must hold 1..{item.qty_per_pallet} pieces, got {qty}"
-            )
         slot = self.nearest_vacant(item_code)
         assert slot is not None, f"put-away of {item_code} without a vacant candidate slot"
-        self.warehouse.place(slot.id, item_code, qty, mfg_date, source="replenish")
+        self.warehouse.place(slot.id, item_code, self.warehouse.item(item_code).qty_per_pallet,
+                             mfg_date)
         travel, _, _, turns = self._keys[slot.id]
-        return Assignment(slot.id, item_code, qty, mfg_date, travel, turns)
+        return Assignment(slot.id, travel, turns)
 
 
-def place_initial(policy: StoragePolicy, rows: list, priority: dict[str, float]) -> int:
+def place_initial(policy: StoragePolicy, pallets: list[PalletRecord],
+                  priority: dict[str, float]) -> int:
     """Load initial stock into a fresh warehouse under the active policy.
 
     Pallets are placed in descending item priority (average picks), then
@@ -263,11 +259,11 @@ def place_initial(policy: StoragePolicy, rows: list, priority: dict[str, float])
     slot anywhere (logged); returns how many pallets needed the fallback.
     """
     wh = policy.warehouse
-    ordered = sorted(rows, key=lambda r: (-priority.get(r.item, 0.0), r.item,
-                                          r.mfg_date, r.location))
+    ordered = sorted(pallets, key=lambda p: (-priority.get(p.item, 0.0), p.item,
+                                             p.mfg_date, p.location))
     fallbacks = 0
-    for row in ordered:
-        slot = policy.nearest_vacant(row.item)
+    for pallet in ordered:
+        slot = policy.nearest_vacant(pallet.item)
         if slot is None:
             nearest = min((key for lid, key in policy._keys.items() if lid not in wh.records),
                           default=None)
@@ -276,6 +272,6 @@ def place_initial(policy: StoragePolicy, rows: list, priority: dict[str, float])
             slot = wh.storage[nearest[2]]
             fallbacks += 1
             log.warning("initial pallet of %s placed outside its policy slots (all full)",
-                        row.item)
-        wh.place(slot.id, row.item, row.qty, row.mfg_date, source="initial")
+                        pallet.item)
+        wh.place(slot.id, pallet.item, pallet.qty, pallet.mfg_date)
     return fallbacks

@@ -85,7 +85,8 @@ class Item:
 
 @dataclass
 class PalletRecord:
-    """One pallet of a single item occupying one slot."""
+    """One pallet of a single item on one slot: a row of the inventory file
+    as loaded, or a pallet the warehouse holds."""
 
     location: LocationId
     item: str
@@ -175,9 +176,9 @@ class Warehouse:
     """Layout plus live inventory, with optional continuous auditing.
 
     With ``audit=True`` every mutation keeps per-item counters so that
-    ``verify_conservation`` can assert initial + replenished - picked ==
-    on-hand at any instant, and every pick asserts that consumed
-    manufacturing dates never decrease per item.
+    ``verify_conservation`` can assert placed - picked == on-hand at any
+    instant, and every pick asserts that consumed manufacturing dates
+    never decrease per item.
     """
 
     def __init__(self, locations: Iterable[Location], items: Iterable[Item], audit: bool = False):
@@ -203,8 +204,7 @@ class Warehouse:
         self._watchers: list = []
 
         self.audit = audit
-        self._initial: dict[str, int] = {}
-        self._replenished: dict[str, int] = {}
+        self._placed: dict[str, int] = {}
         self._picked: dict[str, int] = {}
         self._last_picked_date: dict[str, date] = {}
 
@@ -235,8 +235,7 @@ class Warehouse:
 
     # -- mutations -------------------------------------------------------
 
-    def place(self, loc_id: LocationId, item_code: str, qty: int, mfg_date: date,
-              source: str = "initial") -> PalletRecord:
+    def place(self, loc_id: LocationId, item_code: str, qty: int, mfg_date: date) -> None:
         """Create a pallet record on a vacant slot.  Never overwrites."""
         item = self.item(item_code)
         if loc_id not in self.storage:
@@ -255,9 +254,7 @@ class Warehouse:
         for watcher in self._watchers:
             watcher._stock_changed(item_code, on_hand)
         if self.audit:
-            bucket = self._initial if source == "initial" else self._replenished
-            bucket[item_code] = bucket.get(item_code, 0) + qty
-        return record
+            self._placed[item_code] = self._placed.get(item_code, 0) + qty
 
     def fifo_lot(self, item_code: str) -> PalletRecord | None:
         """Oldest pallet of the item (ties by route position); None if out of stock."""
@@ -314,7 +311,7 @@ class Warehouse:
         return touched, loose
 
     def verify_conservation(self) -> None:
-        """Assert initial + replenished - picked == on-hand for every item.
+        """Assert placed - picked == on-hand for every item.
 
         On-hand is summed from the pallet records, not read from the
         running counter, so the check stays independent of the counter;
@@ -324,11 +321,7 @@ class Warehouse:
         for record in self.records.values():
             held[record.item] += record.qty
         for code in self.items:
-            expected = (
-                self._initial.get(code, 0)
-                + self._replenished.get(code, 0)
-                - self._picked.get(code, 0)
-            )
+            expected = self._placed.get(code, 0) - self._picked.get(code, 0)
             actual = held[code]
             assert expected == actual, (
                 f"conservation broken for {code}: expected {expected}, on hand {actual}"
@@ -424,8 +417,12 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
 def load_layout(path: str) -> list[Location]:
     def location(cells: list[str]) -> Location:
         row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no = cells
-        return Location((int(row), int(layer), int(slot)), _finite(x_cm), _finite(y_cm),
-                        _finite(z_cm), zone, int(seq_no))
+        loc = Location((int(row), int(layer), int(slot)), _finite(x_cm), _finite(y_cm),
+                       _finite(z_cm), zone, int(seq_no))
+        if loc.is_anchor and loc.id not in (ENTRANCE_ID, SPECIAL_AREA_ID, ELEVATOR_ID):
+            raise InputDataError(f"row {ANCHOR_ROW} holds only the anchors {ENTRANCE_ID}, "
+                                 f"{SPECIAL_AREA_ID} and {ELEVATOR_ID}, got {loc.id}")
+        return loc
 
     return _read_csv(path, LAYOUT_HEADER, location)
 
@@ -450,28 +447,20 @@ def save_items(items: Iterable[Item], path: str) -> None:
     ))
 
 
-@dataclass(frozen=True)
-class InventoryRow:
-    location: LocationId
-    item: str
-    qty: int
-    mfg_date: date
-
-    def __post_init__(self) -> None:
-        if self.qty < 1:
-            raise InputDataError(f"initial pallet of {self.item}: qty must be >= 1, got {self.qty}")
-
-
-def load_inventory(path: str) -> list[InventoryRow]:
-    def inventory_row(cells: list[str]) -> InventoryRow:
+def load_inventory(path: str) -> list[PalletRecord]:
+    def pallet(cells: list[str]) -> PalletRecord:
         row, layer, slot, item_code, qty, mfg_date = cells
-        return InventoryRow((int(row), int(layer), int(slot)), item_code, int(qty),
-                            date.fromisoformat(mfg_date))
+        record = PalletRecord((int(row), int(layer), int(slot)), item_code, int(qty),
+                              date.fromisoformat(mfg_date))
+        if record.qty < 1:
+            raise InputDataError(f"initial pallet of {item_code}: qty must be >= 1, "
+                                 f"got {record.qty}")
+        return record
 
-    return _read_csv(path, INVENTORY_HEADER, inventory_row)
+    return _read_csv(path, INVENTORY_HEADER, pallet)
 
 
-def save_inventory(rows: Iterable[InventoryRow], path: str) -> None:
+def save_inventory(records: Iterable[PalletRecord], path: str) -> None:
     _write_csv(path, INVENTORY_HEADER, (
-        [*r.location, r.item, r.qty, r.mfg_date.isoformat()] for r in rows
+        [*r.location, r.item, r.qty, r.mfg_date.isoformat()] for r in records
     ))

@@ -30,7 +30,7 @@ def engine_run(layout, items, initial, policy_kind, slot_map, orders, mode,
     policy = StoragePolicy(PolicyKind(policy_kind), warehouse, cfg.stacker(),
                            slot_map=slot_map)
     for lid, code, qty, mfg in initial:
-        warehouse.place(lid, code, qty, mfg, source="initial")
+        warehouse.place(lid, code, qty, mfg)
     built = [
         Order(no, datetime.combine(start, time(9, 0)), truck,
               [OrderLine(code, qty) for code, qty in lines])

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from picksim import experiment
 from picksim.cli import main
 from picksim.picking import ORDERS_HEADER
 from picksim.warehouse import INVENTORY_HEADER, ITEMS_HEADER, LAYOUT_HEADER
@@ -84,6 +85,19 @@ def test_simulate_scenario_name_flag(dataset, capsys):
     out = capsys.readouterr().out
     assert "scenario mylabel" in out
     assert "mylabel: mean=" in out  # summary line uses the label too
+
+
+@pytest.mark.parametrize("name", ["x/../../esc", "a/b", "/abs"])
+def test_name_with_a_path_separator_exits_2_before_any_work(dataset, tmp_path, capsys, name):
+    """A trace file's name is built from --name: a separator in it would put
+    the trace outside --out."""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--data", dataset, "--weeks", "2", "--trace",
+              "--out", str(tmp_path / "o" / "out"), "--name", name])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: argument --name: must not contain a path separator, got {name!r}\n"
+    assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
 
 
 def test_simulate_trace_needs_out(dataset, capsys):
@@ -466,6 +480,41 @@ def test_initial_pallet_over_a_full_pallet_exits_3_naming_its_file(dataset, tmp_
     assert captured.err == (f"error: {data / 'initial_inventory.csv'}: pallet of {code} "
                             f"must hold 1..{per_pallet} pieces, got 5000\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["unknown-slot", "anchor", "taken-slot"])
+def test_initial_pallet_off_a_free_storage_slot_exits_3_before_any_week(
+        dataset, tmp_path, capsys, monkeypatch, where):
+    inventory = (Path(dataset) / "initial_inventory.csv").read_text().splitlines()
+    moved = {"unknown-slot": ["99", "9", "9"], "anchor": ["-1", "0", "2"],
+             "taken-slot": inventory[1].split(",")[:3]}[where]
+    data = _edited_dataset(dataset, tmp_path, "initial_inventory.csv", 3,
+                           lambda cells: moved + cells[3:])
+    code = inventory[2].split(",")[3]
+    loc = tuple(int(cell) for cell in moved)
+    monkeypatch.setattr(experiment, "_run_week", None)  # a week that starts fails
+    out = tmp_path / "out"
+    assert main(["simulate", "--data", str(data), "--weeks", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    inv = data / "initial_inventory.csv"
+    if where == "taken-slot":
+        assert captured.err == f"error: {inv}: two pallets on slot {loc}\n"
+    else:
+        assert captured.err == (f"error: {inv}: pallet of {code} on {loc}, "
+                                f"not a storage slot of {data / 'layout.csv'}\n")
+    assert not out.exists()
+
+
+def test_stray_id_on_the_anchor_row_of_the_layout_exits_3_naming_its_line(dataset, tmp_path,
+                                                                          capsys):
+    data = _edited_dataset(dataset, tmp_path, "layout.csv", 5,
+                           lambda cells: ["-1", "0", "7"] + cells[3:])
+    assert main(["simulate", "--data", str(data), "--policy", "random", "--weeks", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {data / 'layout.csv'}:5: row -1 holds only the anchors "
+                            f"(-1, 0, 0), (-1, 0, 1) and (-1, 0, 2), got (-1, 0, 7)\n")
 
 
 def test_unknown_config_key_exits_3(dataset, tmp_path, capsys):

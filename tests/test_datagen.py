@@ -58,8 +58,7 @@ def test_dataset_loads_into_warehouse(tmp_path):
     wh = Warehouse(layout, items)
     initial = load_inventory(paths["inventory"])
     for row in initial:
-        wh.place(row.location, row.item, row.qty, row.mfg_date,
-                 source="initial")
+        wh.place(row.location, row.item, row.qty, row.mfg_date)
     # stock never exceeds a pallet per slot and stays within item bounds
     for loc_id, rec in wh.records.items():
         assert 1 <= rec.qty <= wh.item(rec.item).qty_per_pallet

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import re
@@ -273,6 +274,45 @@ def test_the_benchmark_set_up_probe_runs(golden_dataset, tmp_path):
         capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "setup_s" in json.loads(proc.stdout.splitlines()[-1])
+
+
+# the callables perfbench/run.py derives a per-layer metric from; the
+# three methods it also reads and that no longer exist are left out
+LAYER_CALLS = (
+    "storage.StoragePolicy.nearest_vacant", "storage.StoragePolicy.put_away",
+    "replenishment.Replenisher.handle_rp", "warehouse.Warehouse.total_on_hand",
+    "warehouse.Warehouse.pick", "picking.PickingSession.handle_spo",
+    "picking.PickingSession.handle_pp", "picking.load_orders", "picking.prepare_orders",
+    "storage.place_initial", "experiment.build_slot_map",
+)
+
+
+def test_the_benchmark_tracer_counts_every_layer(golden_dataset, tmp_path):
+    """``perfbench/traced_cli.py`` wraps picksim's callables by name and counts
+    the pallets replenishment places from ``put_away``'s return value; on a
+    fixed-policy run that stalls, every layer it reports must be counted."""
+    root = Path(__file__).resolve().parents[1]
+    trace, out = tmp_path / "trace.json", tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(trace), "--",
+         "simulate", "--data", golden_dataset, "--weeks", "2", "--policy", "fixed",
+         "--out", str(out)],
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "results.csv", newline="") as fh:
+        assert any(float(row["wait_s"]) > 0 for row in csv.DictReader(fh)), "no stall"
+    record = json.loads(trace.read_text())
+    calls: Counter = Counter()
+    under_visit = 0
+    for parent, name, count, *_ in record["aggregates"]:
+        calls[name] += count
+        if (parent, name) == ("replenishment.Replenisher.handle_rp",
+                              "storage.StoragePolicy.put_away"):
+            under_visit += count
+    assert record["exit_code"] == 0
+    assert record["counters"]["replenishment.placed"] == under_visit > 0
+    assert record["counters"]["events.executed"] > 0
+    assert [name for name in LAYER_CALLS if calls[name] <= 0] == []
 
 
 # -- aggregation and serialization ---------------------------------------

@@ -10,10 +10,11 @@ items with a vacant candidate slot, ``fifo_lot`` must be the item's
 record with the least ``(mfg_date, seq_no)``, and no slot may sit in two
 candidate sets.  Placements and put-aways draw their manufacturing date
 from a small set, so lots arrive out of date order and dates tie.  A
-step may put away into an item's candidate set until it is full, the
-fixed slot map leaves some slots to no item, some runs stock the
-warehouse before the policy exists, and a step may build a fresh policy
-over the stocked warehouse mid-run.
+put-away places a full pallet; partial pallets still come from placement
+steps.  A step may put away into an item's candidate set until it is
+full, the fixed slot map leaves some slots to no item, some runs stock
+the warehouse before the policy exists, and a step may build a fresh
+policy over the stocked warehouse mid-run.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from conftest import ELEVATOR, anchors, make_item, slot
 from picksim import (
     Equipment,
     InputDataError,
+    PalletRecord,
     PolicyKind,
     SimConfig,
     StoragePolicy,
@@ -35,7 +37,6 @@ from picksim import (
     place_initial,
     travel_time,
 )
-from picksim.warehouse import InventoryRow
 
 CFG = SimConfig()
 MFG = date(2024, 5, 1)
@@ -109,8 +110,7 @@ STEP = st.one_of(
     st.tuples(st.just("place"), st.integers(0, 11), st.sampled_from(CODES),
               st.integers(1, 6), st.sampled_from(DATES)),
     st.tuples(st.just("pick"), st.sampled_from(CODES), st.integers(1, 14)),
-    st.tuples(st.just("put_away"), st.sampled_from(CODES), st.integers(1, 6),
-              st.sampled_from(DATES)),
+    st.tuples(st.just("put_away"), st.sampled_from(CODES), st.sampled_from(DATES)),
     st.tuples(st.just("fill"), st.sampled_from(CODES), st.sampled_from(DATES)),
     st.tuples(st.just("new_policy")),
 )
@@ -133,21 +133,21 @@ def test_indices_match_brute_force(kind, prestock, steps):
         if op == "place":
             _, index, code, qty, mfg = step
             if wh.is_vacant(slots[index].id):
-                wh.place(slots[index].id, code, qty, mfg, source="replenish")
+                wh.place(slots[index].id, code, qty, mfg)
         elif op == "pick":
             _, code, qty = step
             stock = wh.total_on_hand(code)
             if stock:
                 wh.pick(code, min(qty, stock))
         elif op == "put_away":
-            _, code, qty, mfg = step
+            _, code, mfg = step
             if pol.nearest_vacant(code) is not None:
-                pol.put_away(code, qty, mfg)
+                pol.put_away(code, mfg)
         elif op == "fill":
-            # one-piece pallets until the item's candidate set is full
+            # full pallets until the item's candidate set is full
             _, code, mfg = step
             while pol.nearest_vacant(code) is not None:
-                pol.put_away(code, 1, mfg)
+                pol.put_away(code, mfg)
         else:
             # a policy built over the stocked warehouse; the old one
             # keeps watching it too
@@ -170,7 +170,7 @@ def test_full_building_parks_every_item_until_a_slot_drains():
     wh.pick("C", 3)  # drains one of C's four 3-piece pallets
     assert shared.parked == set()
     assert pol.restock_choice() == _brute_choice(pol) == "A"  # A 4, B 8, C 9
-    pol.put_away("A", 6, MFG)  # fills the building again
+    pol.put_away("A", MFG)  # fills the building again
     assert pol.restock_choice() is None
     assert shared.parked == set(CODES)
     wh.pick("B", 8)  # drains B's four pallets
@@ -202,7 +202,7 @@ def test_place_initial_fallback_uses_the_nearest_slot_anywhere():
     wh, slots = _world()
     pol = StoragePolicy(PolicyKind.FIXED, wh, CFG.stacker(), slot_map={
         "A": [slots[0].id], "B": [slots[2].id], "C": [slots[1].id]})
-    rows = [InventoryRow((0, 0, 0), "A", 1, MFG)] * 3
+    rows = [PalletRecord((0, 0, 0), "A", 1, MFG)] * 3
     assert place_initial(pol, rows, {"A": 1.0}) == 2
     receiving = wh.location(ELEVATOR)
     nearest_others = sorted(slots[1:], key=lambda loc: (

@@ -10,7 +10,7 @@ import pytest
 from conftest import ELEVATOR, anchors, make_item, slot
 from picksim import (
     InputDataError,
-    InventoryRow,
+    PalletRecord,
     PolicyKind,
     SimConfig,
     StoragePolicy,
@@ -78,18 +78,11 @@ def test_zone_candidates_are_the_home_zone():
 def test_put_away_takes_nearest_vacant_from_receiving():
     wh, slots = _world()
     pol = _policy(wh, PolicyKind.RANDOM)
-    a1 = pol.put_away("A", 10, MFG)
+    a1 = pol.put_away("A", MFG)
     # slot (0,1,0) at (300,100) is closest to the elevator at (60,0)
     assert a1.location == (0, 1, 0)
-    a2 = pol.put_away("A", 10, MFG)
+    a2 = pol.put_away("A", MFG)
     assert a2.location == (0, 1, 1)  # next nearest, first one now occupied
-
-
-def test_put_away_qty_bounds():
-    wh, _ = _world()
-    pol = _policy(wh, PolicyKind.RANDOM)
-    with pytest.raises(InputDataError, match="1..10"):
-        pol.put_away("A", 11, MFG)
 
 
 def test_nearest_vacant_matches_brute_force():
@@ -126,7 +119,7 @@ def test_policy_containment_under_load():
     pol = _policy(wh, PolicyKind.FIXED_ZONE)
     # eight Z1 slots exist: eight put-aways fill them, and no more fit
     for _ in range(8):
-        a = pol.put_away("A", 10, MFG)
+        a = pol.put_away("A", MFG)
         assert wh.location(a.location).zone == "Z1"
     assert pol.nearest_vacant("A") is None
     assert pol.nearest_vacant("B") is not None
@@ -136,9 +129,9 @@ def test_policy_containment_under_load():
 def test_put_away_without_a_vacant_candidate_is_a_caller_bug():
     wh, slots = _world(n_rows=1, per_row=1, zones=("Z1",))
     pol = _policy(wh, PolicyKind.RANDOM)
-    pol.put_away("A", 10, MFG)
+    pol.put_away("A", MFG)
     with pytest.raises(AssertionError, match="without a vacant candidate slot"):
-        pol.put_away("A", 10, MFG)
+        pol.put_away("A", MFG)
 
 
 # -- initial placement ----------------------------------------------------
@@ -149,9 +142,9 @@ def test_place_initial_orders_by_priority_then_age():
     wh.items["B"] = make_item("B", zone="Z1")  # rehome B so both fit Z1
     pol = _policy(wh, PolicyKind.FIXED_ZONE)
     rows = [
-        InventoryRow((0, 0, 0), "B", 3, date(2024, 4, 2)),
-        InventoryRow((0, 0, 0), "A", 4, date(2024, 4, 9)),
-        InventoryRow((0, 0, 0), "A", 5, date(2024, 4, 1)),
+        PalletRecord((0, 0, 0), "B", 3, date(2024, 4, 2)),
+        PalletRecord((0, 0, 0), "A", 4, date(2024, 4, 9)),
+        PalletRecord((0, 0, 0), "A", 5, date(2024, 4, 1)),
     ]
     fallbacks = place_initial(pol, rows, priority={"A": 9.0, "B": 1.0})
     assert fallbacks == 0
@@ -166,8 +159,8 @@ def test_place_initial_falls_back_outside_policy_slots():
     wh, slots = _world(n_rows=2, per_row=1, zones=("Z1", "Z2"))
     pol = _policy(wh, PolicyKind.FIXED_ZONE)
     rows = [
-        InventoryRow((0, 0, 0), "A", 1, date(2024, 4, 1)),
-        InventoryRow((0, 0, 0), "A", 1, date(2024, 4, 2)),  # Z1 now full
+        PalletRecord((0, 0, 0), "A", 1, date(2024, 4, 1)),
+        PalletRecord((0, 0, 0), "A", 1, date(2024, 4, 2)),  # Z1 now full
     ]
     assert place_initial(pol, rows, priority={"A": 1.0}) == 1
     held = {rec.item for rec in wh.records.values()}
@@ -177,7 +170,7 @@ def test_place_initial_falls_back_outside_policy_slots():
 def test_place_initial_overflow_is_an_error():
     wh, slots = _world(n_rows=1, per_row=1, zones=("Z1",))
     pol = _policy(wh, PolicyKind.RANDOM)
-    rows = [InventoryRow((0, 0, 0), "A", 1, MFG),
-            InventoryRow((0, 0, 0), "A", 2, MFG)]
+    rows = [PalletRecord((0, 0, 0), "A", 1, MFG),
+            PalletRecord((0, 0, 0), "A", 2, MFG)]
     with pytest.raises(InputDataError, match="capacity"):
         place_initial(pol, rows, priority={})

@@ -11,9 +11,9 @@ from conftest import DROPOFF, ELEVATOR, ENTRANCE, anchors, make_item, slot
 from picksim import (
     Equipment,
     InputDataError,
-    InventoryRow,
     Item,
     Location,
+    PalletRecord,
     ParseError,
     Warehouse,
     aisle_turns,
@@ -104,11 +104,6 @@ def test_item_validation():
         Item("X", "Z1", 0)
 
 
-def test_initial_pallet_needs_at_least_one_piece():
-    with pytest.raises(InputDataError, match="qty must be >= 1, got 0"):
-        InventoryRow((0, 1, 0), "A", 0, date(2024, 5, 1))
-
-
 def test_default_anchors_always_exist():
     wh = _wh()
     assert wh.location((-1, 0, 0)).zone == "anchor"
@@ -189,8 +184,8 @@ def test_pick_beyond_stock_is_an_error():
 
 def test_audit_tracks_conservation_across_sources():
     wh = _wh(audit=True)
-    wh.place((0, 1, 0), "A", 4, date(2024, 5, 1), source="initial")
-    wh.place((0, 1, 1), "A", 10, date(2024, 5, 2), source="replenish")
+    wh.place((0, 1, 0), "A", 4, date(2024, 5, 1))
+    wh.place((0, 1, 1), "A", 10, date(2024, 5, 2))
     wh.pick("A", 6)
     wh.verify_conservation()
     assert wh.total_on_hand("A") == 8
@@ -198,7 +193,7 @@ def test_audit_tracks_conservation_across_sources():
 
 def test_audit_catches_on_hand_counter_drift():
     wh = _wh(audit=True)
-    wh.place((0, 1, 0), "A", 5, date(2024, 5, 1), source="initial")
+    wh.place((0, 1, 0), "A", 5, date(2024, 5, 1))
     wh.pick("A", 2)
     wh.verify_conservation()
     wh._on_hand["A"] += 1  # the running counter drifts; the records do not
@@ -245,7 +240,7 @@ def test_items_round_trip(tmp_path):
 
 
 def test_inventory_round_trip(tmp_path):
-    rows = [InventoryRow((0, 1, 0), "A", 5, date(2024, 5, 1))]
+    rows = [PalletRecord((0, 1, 0), "A", 5, date(2024, 5, 1))]
     path = tmp_path / "inv.csv"
     save_inventory(rows, str(path))
     assert load_inventory(str(path)) == rows
@@ -340,5 +335,15 @@ def test_inventory_qty_below_one_is_an_input_error_naming_its_line(tmp_path):
     read, header, (first, second) = READERS["inventory"]
     path = tmp_path / "inventory.csv"
     path.write_bytes(b"\n".join([header, first, second.replace(b",3,", b",0,"), b""]))
-    with pytest.raises(InputDataError, match=re.escape("inventory.csv:3: initial pallet of B")):
+    with pytest.raises(InputDataError, match=re.escape(
+            "inventory.csv:3: initial pallet of B: qty must be >= 1, got 0")):
+        read(str(path))
+
+
+def test_a_stray_id_on_the_anchor_row_is_an_input_error_naming_its_line(tmp_path):
+    read, header, (first, _) = READERS["layout"]
+    path = tmp_path / "layout.csv"
+    path.write_bytes(b"\n".join([header, first, b"-1,0,2,60.0,0.0,0.0,anchor,-1",
+                                 b"-1,0,7,100.0,200.0,0.0,Z1,2", b""]))
+    with pytest.raises(InputDataError, match=re.escape("layout.csv:4: ")):
         read(str(path))
