@@ -10,6 +10,8 @@ Subcommands:
     Run the homogeneous and the demand-proportional allocation of the
     same dataset back to back, print both summaries plus the paired
     t-test, and write ``results.csv`` / ``summary.csv`` / ``paired.csv``.
+    Only fixed storage reads the allocation, so another ``--policy`` is
+    refused.
 ``gen-data``
     Emit a deterministic synthetic dataset (layout, items, inventory,
     orders) of a requested scale.
@@ -104,7 +106,8 @@ def _build_parser() -> _Parser:
                      help="write per-week event traces into --out")
 
     cmp_ = sub.add_parser("compare",
-                          help="homogeneous vs demand-proportional allocation")
+                          help="homogeneous vs demand-proportional allocation "
+                               "(fixed storage only)")
     _common_run_args(cmp_)
 
     gen = sub.add_parser("gen-data", help="generate a synthetic dataset")
@@ -222,6 +225,9 @@ def _cmd_compare(args) -> int:
     if args.weeks < 2:
         raise ParseError(f"argument --weeks: compare needs at least 2 weeks for its "
                          f"paired t-test, got {args.weeks}")
+    if args.policy != PolicyKind.FIXED.value:
+        raise InputDataError(f"compare varies the slot allocation, which only --policy fixed "
+                             f"reads; --policy {args.policy} would run one configuration twice")
     _check_out(args.out)
     cfg, seed = _config_and_seed(args)
     common = dict(

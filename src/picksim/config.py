@@ -1,4 +1,4 @@
-"""Simulation configuration: one JSON document, one dataclass.
+"""Simulation configuration: one JSON document, one ``SimConfig`` record.
 
 Field names follow the operating-parameter shorthand used by warehouse
 practitioners for this model family (equipment speeds, per sub-process
@@ -38,11 +38,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .errors import ParseError, ValidationError
-from .warehouse import Equipment, HANDLIFT, STACKER
+from .warehouse import Equipment, HANDLIFT, STACKER, _Record
 
 log = logging.getLogger("picksim.config")
 
@@ -62,44 +61,56 @@ LEGACY_KEYS = frozenset({
 })
 
 
-@dataclass
-class WalkSettings:
-    mode: str = WALK_CONSTANT
-    constant_s: float = 120.0
-    equipment: str = STACKER
+class WalkSettings(_Record):
+    __slots__ = ("mode", "constant_s", "equipment")
+
+    def __init__(self, mode: str = WALK_CONSTANT, constant_s: float = 120.0,
+                 equipment: str = STACKER):
+        self.mode = mode
+        self.constant_s = constant_s
+        self.equipment = equipment
 
 
-@dataclass
-class ReplenishSettings:
-    mode: str = REPLENISH_CONSTANT
-    mu_s: float = 600.0
-    sigma_s: float = 60.0
-    t_min_s: float | None = None
-    seed: int = 12345
+class ReplenishSettings(_Record):
+    __slots__ = ("mode", "mu_s", "sigma_s", "t_min_s", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, mode: str = REPLENISH_CONSTANT, mu_s: float = 600.0,
+                 sigma_s: float = 60.0, t_min_s: float | None = None, seed: int = 12345):
         # with a bad mu_s or sigma_s the floor stays unset; validate() names the field
-        if self.t_min_s is None and _is_num(self.mu_s) and _is_num(self.sigma_s):
-            self.t_min_s = max(1.0, self.mu_s - 3.0 * self.sigma_s)
+        if t_min_s is None and _is_num(mu_s) and _is_num(sigma_s):
+            t_min_s = max(1.0, mu_s - 3.0 * sigma_s)
+        self.mode = mode
+        self.mu_s = mu_s
+        self.sigma_s = sigma_s
+        self.t_min_s = t_min_s
+        self.seed = seed
 
 
-@dataclass
-class SimConfig:
-    sph: float = 100.0
-    sps: float = 90.0
-    Lsps: float = 30.0
-    tth: float = 2.0
-    tts: float = 3.0
-    BTpu: float = 10.0
-    BTpa: float = 10.0
-    PMpu: float = 2.0
-    PPpu: float = 15.0
-    PPpa: float = 15.0
-    pieces_per_master: int = 10
-    metric_unit: str = "minutes"
-    horizon_s: float = 2_592_000.0
-    walking: WalkSettings = field(default_factory=WalkSettings)
-    replenish: ReplenishSettings = field(default_factory=ReplenishSettings)
+class SimConfig(_Record):
+    __slots__ = ("sph", "sps", "Lsps", "tth", "tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa",
+                 "pieces_per_master", "metric_unit", "horizon_s", "walking", "replenish")
+
+    def __init__(self, sph: float = 100.0, sps: float = 90.0, Lsps: float = 30.0,
+                 tth: float = 2.0, tts: float = 3.0, BTpu: float = 10.0, BTpa: float = 10.0,
+                 PMpu: float = 2.0, PPpu: float = 15.0, PPpa: float = 15.0,
+                 pieces_per_master: int = 10, metric_unit: str = "minutes",
+                 horizon_s: float = 2_592_000.0, walking: WalkSettings | None = None,
+                 replenish: ReplenishSettings | None = None):
+        self.sph = sph
+        self.sps = sps
+        self.Lsps = Lsps
+        self.tth = tth
+        self.tts = tts
+        self.BTpu = BTpu
+        self.BTpa = BTpa
+        self.PMpu = PMpu
+        self.PPpu = PPpu
+        self.PPpa = PPpa
+        self.pieces_per_master = pieces_per_master
+        self.metric_unit = metric_unit
+        self.horizon_s = horizon_s
+        self.walking = WalkSettings() if walking is None else walking
+        self.replenish = ReplenishSettings() if replenish is None else replenish
 
     # -- equipment builders ------------------------------------------------
 
@@ -160,7 +171,7 @@ def _is_nonneg(v: Any) -> bool:
 
 
 _NESTED = {"walking": WalkSettings, "replenish": ReplenishSettings}
-_TOP_LEVEL = {f.name for f in fields(SimConfig)} - set(_NESTED)
+_TOP_LEVEL = set(SimConfig.__slots__) - set(_NESTED)
 
 
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
@@ -174,7 +185,7 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
             if not isinstance(value, dict):
                 errors.append(f"{key} must be an object")
                 continue
-            known = {f.name for f in fields(_NESTED[key])}
+            known = set(_NESTED[key].__slots__)
             errors.extend(f"unknown config field {key}.{k}" for k in sorted(set(value) - known))
             kwargs[key] = _NESTED[key](**{k: v for k, v in value.items() if k in known})
         elif key in _TOP_LEVEL:

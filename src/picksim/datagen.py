@@ -16,8 +16,8 @@ with ``InputDataError``.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from datetime import date, datetime, time, timedelta
+from typing import NamedTuple
 
 from .config import SimConfig
 from .errors import InputDataError
@@ -43,8 +43,7 @@ PALLET_SIZES = [40, 60, 80, 100, 120]
 POSITIONS_PER_ROW = 6  # aisle depth; each position has two sides
 
 
-@dataclass(frozen=True)
-class GenScale:
+class GenScale(NamedTuple):
     n_items: int
     n_slots: int
     n_lines: int
@@ -254,4 +253,4 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
     save_inventory((warehouse.records[loc_id] for loc_id in sorted(warehouse.records)),
                    paths.inventory)
     save_orders(orders, paths.orders)
-    return asdict(paths)
+    return paths._asdict()

@@ -15,22 +15,19 @@ that visit is traced but not handled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from .errors import SchedulePastError
 from .warehouse import LocationId, _write_csv
 
 
-@dataclass(frozen=True)
-class StartPickOrder:
+class StartPickOrder(NamedTuple):
     """Begin picking the order at this position of the pick plan."""
 
     order: int
 
 
-@dataclass(frozen=True)
-class PartialPick:
+class PartialPick(NamedTuple):
     """Resume a stalled order at the route stop that ran out of stock."""
 
     order: int
@@ -38,8 +35,7 @@ class PartialPick:
     location: LocationId
 
 
-@dataclass(frozen=True)
-class Replenish:
+class Replenish(NamedTuple):
     """Periodic restocking visit by the replenishment operator."""
 
 

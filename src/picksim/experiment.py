@@ -30,9 +30,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import logging
-from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 from .allocation import (
     AllocationRule,
@@ -59,6 +59,7 @@ from .warehouse import (
     Location,
     ProcessTotals,
     Warehouse,
+    _Record,
     _write_csv,
     index_layout,
     load_inventory,
@@ -69,8 +70,7 @@ from .warehouse import (
 log = logging.getLogger("picksim.experiment")
 
 
-@dataclass(frozen=True)
-class DataPaths:
+class DataPaths(NamedTuple):
     layout: str
     items: str
     inventory: str
@@ -87,8 +87,7 @@ class DataPaths:
         )
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     name: str
     policy: PolicyKind
     allocation: AllocationRule
@@ -99,19 +98,24 @@ class ScenarioSpec:
     data: DataPaths
 
 
-@dataclass
-class WeekOutcome:
-    week: int
-    metric: float
-    totals: ProcessTotals
-    completions: list[float] = field(default_factory=list)
+class WeekOutcome(_Record):
+    __slots__ = ("week", "metric", "totals", "completions")
+
+    def __init__(self, week: int, metric: float, totals: ProcessTotals,
+                 completions: list[float] | None = None):
+        self.week = week
+        self.metric = metric
+        self.totals = totals
+        self.completions = [] if completions is None else completions
 
 
-@dataclass
-class RunResult:
-    scenario: str
-    unit: str
-    weeks: list[WeekOutcome]
+class RunResult(_Record):
+    __slots__ = ("scenario", "unit", "weeks")
+
+    def __init__(self, scenario: str, unit: str, weeks: list[WeekOutcome]):
+        self.scenario = scenario
+        self.unit = unit
+        self.weeks = weeks
 
     @property
     def weekly_metrics(self) -> list[float]:
@@ -306,19 +310,24 @@ def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],
 # -- comparison ----------------------------------------------------------
 
 
-@dataclass
-class ScenarioSummary:
-    scenario: str
-    stats: StatsSummary
-    total: float
-    gap_pct: float
+class ScenarioSummary(_Record):
+    __slots__ = ("scenario", "stats", "total", "gap_pct")
+
+    def __init__(self, scenario: str, stats: StatsSummary, total: float, gap_pct: float):
+        self.scenario = scenario
+        self.stats = stats
+        self.total = total
+        self.gap_pct = gap_pct
 
 
-@dataclass
-class Comparison:
-    results: list[RunResult]
-    summaries: list[ScenarioSummary]
-    paired: PairedTest
+class Comparison(_Record):
+    __slots__ = ("results", "summaries", "paired")
+
+    def __init__(self, results: list[RunResult], summaries: list[ScenarioSummary],
+                 paired: PairedTest):
+        self.results = results
+        self.summaries = summaries
+        self.paired = paired
 
 
 def summarize_results(series: list[tuple[str, list[float]]]) -> list[ScenarioSummary]:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
 from datetime import datetime
 from typing import NamedTuple
 
@@ -60,6 +59,7 @@ from .warehouse import (
     ProcessTotals,
     Warehouse,
     _read_csv,
+    _Record,
     _write_csv,
     aisle_turns,
     travel_time,
@@ -73,24 +73,29 @@ class PickingMode(enum.Enum):
     ZONING = "zoning"
 
 
-@dataclass
-class OrderLine:
-    item: str
-    qty: int
-    remaining: int = field(init=False)
+class OrderLine(_Record):
+    """One line of an order; ``remaining`` starts at ``qty`` and counts down
+    as the line is picked."""
 
-    def __post_init__(self) -> None:
-        if self.qty < 1:
-            raise InputDataError(f"order line of {self.item}: qty must be >= 1")
-        self.remaining = self.qty
+    __slots__ = ("item", "qty", "remaining")
+
+    def __init__(self, item: str, qty: int):
+        if qty < 1:
+            raise InputDataError(f"order line of {item}: qty must be >= 1")
+        self.item = item
+        self.qty = qty
+        self.remaining = qty
 
 
-@dataclass
-class Order:
-    order_no: str
-    order_datetime: datetime
-    truck_id: str
-    lines: list[OrderLine]
+class Order(_Record):
+    __slots__ = ("order_no", "order_datetime", "truck_id", "lines")
+
+    def __init__(self, order_no: str, order_datetime: datetime, truck_id: str,
+                 lines: list[OrderLine]):
+        self.order_no = order_no
+        self.order_datetime = order_datetime
+        self.truck_id = truck_id
+        self.lines = lines
 
 
 class RouteStop(NamedTuple):
@@ -98,14 +103,16 @@ class RouteStop(NamedTuple):
     location: Location
 
 
-@dataclass
-class PlanEntry:
+class PlanEntry(_Record):
     """One order with its resolved visiting route; ``seg_of[p]`` is the
     sublist that route stop ``p`` belongs to."""
 
-    order: Order
-    route: list[RouteStop]
-    seg_of: list[int]
+    __slots__ = ("order", "route", "seg_of")
+
+    def __init__(self, order: Order, route: list[RouteStop], seg_of: list[int]):
+        self.order = order
+        self.route = route
+        self.seg_of = seg_of
 
 
 PickPlan = list[PlanEntry]

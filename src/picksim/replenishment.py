@@ -21,27 +21,29 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
 from datetime import date, timedelta
 
 from .config import REPLENISH_SAMPLED, SimConfig
 from .errors import InputDataError
 from .events import Engine, Event
 from .storage import StoragePolicy
-from .warehouse import ProcessTotals
+from .warehouse import ProcessTotals, _Record
 
 log = logging.getLogger("picksim.replenishment")
 
 
-@dataclass
-class ReplenishmentSampler:
+class ReplenishmentSampler(_Record):
     """Inter-replenishment interval source, deterministic under a seed."""
 
-    mode: str
-    mu_s: float
-    sigma_s: float
-    t_min_s: float
-    rng: random.Random
+    __slots__ = ("mode", "mu_s", "sigma_s", "t_min_s", "rng")
+
+    def __init__(self, mode: str, mu_s: float, sigma_s: float, t_min_s: float,
+                 rng: random.Random):
+        self.mode = mode
+        self.mu_s = mu_s
+        self.sigma_s = sigma_s
+        self.t_min_s = t_min_s
+        self.rng = rng
 
     @classmethod
     def from_config(cls, cfg: SimConfig, seed: int) -> "ReplenishmentSampler":

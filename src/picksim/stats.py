@@ -22,22 +22,20 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputDataError
 
 _CONFIDENCE = 0.95  # two-sided level of every interval summarize reports
 
 
-@dataclass(frozen=True)
-class StatsSummary:
+class StatsSummary(NamedTuple):
     mean: float
     ci_low: float
     ci_high: float
 
 
-@dataclass(frozen=True)
-class PairedTest:
+class PairedTest(NamedTuple):
     statistic: float
     df: int
     p_value: float

@@ -32,10 +32,9 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import InputDataError, ParseError
 
@@ -45,21 +44,64 @@ ANCHOR_ROW = -1
 ENTRANCE_ID: LocationId = (ANCHOR_ROW, 0, 0)
 SPECIAL_AREA_ID: LocationId = (ANCHOR_ROW, 0, 1)
 ELEVATOR_ID: LocationId = (ANCHOR_ROW, 0, 2)
+ANCHOR_IDS = (ENTRANCE_ID, SPECIAL_AREA_ID, ELEVATOR_ID)  # in route order
 ANCHOR_ZONE = "anchor"
 
 HANDLIFT = "handlift"
 STACKER = "stacker"
 
-@dataclass(frozen=True)
-class Location:
+
+class _Record:
+    """Base of the records kept as ``__slots__`` classes, whose fields read
+    faster than a dict-backed instance's.  ``__slots__`` lists the fields
+    in constructor order; equality and ``repr`` go field by field, as a
+    dataclass's do.  A record is mutable and so unhashable;
+    ``_FrozenRecord`` is the immutable, hashable kind."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A ``_Record`` whose fields are set once, by ``_fill``; hashable."""
+
+    __slots__ = ()
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Location(_FrozenRecord):
     """One addressable point of the layout (storage slot or anchor)."""
 
-    id: LocationId
-    x_cm: float
-    y_cm: float
-    z_cm: float
-    zone: str
-    seq_no: int
+    __slots__ = ("id", "x_cm", "y_cm", "z_cm", "zone", "seq_no")
+
+    def __init__(self, id: LocationId, x_cm: float, y_cm: float, z_cm: float, zone: str,
+                 seq_no: int):
+        self._fill(id, x_cm, y_cm, z_cm, zone, seq_no)
 
     @property
     def row(self) -> int:
@@ -70,32 +112,31 @@ class Location:
         return self.id[0] == ANCHOR_ROW
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(_FrozenRecord):
     """Catalog entry for one stock-keeping unit."""
 
-    code: str
-    home_zone: str
-    qty_per_pallet: int
+    __slots__ = ("code", "home_zone", "qty_per_pallet")
 
-    def __post_init__(self) -> None:
-        if self.qty_per_pallet < 1:
-            raise InputDataError(f"item {self.code}: qty_per_pallet must be >= 1")
+    def __init__(self, code: str, home_zone: str, qty_per_pallet: int):
+        self._fill(code, home_zone, qty_per_pallet)
+        if qty_per_pallet < 1:
+            raise InputDataError(f"item {code}: qty_per_pallet must be >= 1")
 
 
-@dataclass
-class PalletRecord:
+class PalletRecord(_Record):
     """One pallet of a single item on one slot: a row of the inventory file
     as loaded, or a pallet the warehouse holds."""
 
-    location: LocationId
-    item: str
-    qty: int
-    mfg_date: date
+    __slots__ = ("location", "item", "qty", "mfg_date")
+
+    def __init__(self, location: LocationId, item: str, qty: int, mfg_date: date):
+        self.location = location
+        self.item = item
+        self.qty = qty
+        self.mfg_date = mfg_date
 
 
-@dataclass(frozen=True)
-class Equipment:
+class Equipment(NamedTuple):
     """A class of handling equipment and its motion parameters.
 
     ``speed_cm_s`` is planar travel speed, ``lift_speed_cm_s`` vertical
@@ -109,8 +150,7 @@ class Equipment:
     turn_time_s: float
 
 
-@dataclass
-class ProcessTotals:
+class ProcessTotals(_Record):
     """Seconds of one weekly run, each booked where it is charged.
 
     The picker's walking, handling and stall waiting add up to the last
@@ -119,12 +159,16 @@ class ProcessTotals:
     changes of both.
     """
 
-    walk_s: float = 0.0
-    handle_s: float = 0.0
-    wait_s: float = 0.0
-    put_travel_s: float = 0.0
-    put_handle_s: float = 0.0
-    turns: int = 0
+    __slots__ = ("walk_s", "handle_s", "wait_s", "put_travel_s", "put_handle_s", "turns")
+
+    def __init__(self, walk_s: float = 0.0, handle_s: float = 0.0, wait_s: float = 0.0,
+                 put_travel_s: float = 0.0, put_handle_s: float = 0.0, turns: int = 0):
+        self.walk_s = walk_s
+        self.handle_s = handle_s
+        self.wait_s = wait_s
+        self.put_travel_s = put_travel_s
+        self.put_handle_s = put_handle_s
+        self.turns = turns
 
 
 def aisle_turns(a: Location, b: Location) -> int:
@@ -156,20 +200,28 @@ def index_layout(locations: Iterable[Location]
                  ) -> tuple[dict[LocationId, Location], dict[LocationId, Location]]:
     """Storage slots and anchor points of a layout, each keyed by id.
 
-    An anchor the layout lacks stands at the origin.  A repeated id is an
-    error.
+    An anchor the layout lacks stands at the origin.  A repeated id, and
+    an id on the anchor row that is not an anchor's, are errors.
     """
     storage: dict[LocationId, Location] = {}
     anchors: dict[LocationId, Location] = {}
     for loc in locations:
+        _check_anchor(loc)
         target = anchors if loc.is_anchor else storage
         if loc.id in target:
             raise InputDataError(f"duplicate location id {loc.id}")
         target[loc.id] = loc
-    for anchor_id, seq_no in ((ENTRANCE_ID, -3), (SPECIAL_AREA_ID, -2), (ELEVATOR_ID, -1)):
+    for anchor_id, seq_no in zip(ANCHOR_IDS, (-3, -2, -1)):
         if anchor_id not in anchors:
             anchors[anchor_id] = Location(anchor_id, 0.0, 0.0, 0.0, ANCHOR_ZONE, seq_no)
     return storage, anchors
+
+
+def _check_anchor(loc: Location) -> None:
+    """Refuse a point of the anchor row that is not one of the three anchors."""
+    if loc.is_anchor and loc.id not in ANCHOR_IDS:
+        raise InputDataError(f"row {ANCHOR_ROW} holds only the anchors {ENTRANCE_ID}, "
+                             f"{SPECIAL_AREA_ID} and {ELEVATOR_ID}, got {loc.id}")
 
 
 class Warehouse:
@@ -419,9 +471,7 @@ def load_layout(path: str) -> list[Location]:
         row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no = cells
         loc = Location((int(row), int(layer), int(slot)), _finite(x_cm), _finite(y_cm),
                        _finite(z_cm), zone, int(seq_no))
-        if loc.is_anchor and loc.id not in (ENTRANCE_ID, SPECIAL_AREA_ID, ELEVATOR_ID):
-            raise InputDataError(f"row {ANCHOR_ROW} holds only the anchors {ENTRANCE_ID}, "
-                                 f"{SPECIAL_AREA_ID} and {ELEVATOR_ID}, got {loc.id}")
+        _check_anchor(loc)  # here too, so the error names path:line
         return loc
 
     return _read_csv(path, LAYOUT_HEADER, location)

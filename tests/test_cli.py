@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import shlex
 import shutil
@@ -188,6 +189,26 @@ def test_compare_of_one_week_exits_2_before_reading_data(dataset, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err == ("error: argument --weeks: compare needs at least 2 weeks "
                             "for its paired t-test, got 1\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data", ["real", "missing"])
+@pytest.mark.parametrize("policy", ["random", "fixed-zone"])
+def test_compare_under_a_policy_that_ignores_allocation_exits_3_before_reading(
+        dataset, tmp_path, capsys, policy, data):
+    """Only fixed storage reads the slot allocation, so comparing the two
+    allocations under another policy would run one configuration twice."""
+    if data == "real":
+        where = ["--data", dataset]
+    else:
+        where = ["--data", str(tmp_path / "nope"), "--config", str(tmp_path / "nope.json")]
+    out = tmp_path / "cmp"
+    assert main(["compare", *where, "--policy", policy, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: compare varies the slot allocation, which only "
+                            f"--policy fixed reads; --policy {policy} would run one "
+                            f"configuration twice\n")
     assert captured.out == ""
     assert not out.exists()
 
@@ -609,11 +630,14 @@ def test_console_script_runs(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, picksim.cli; print('scipy' in sys.modules)"
+    """Nor does it load ``dataclasses`` and the ``inspect`` it imports: every
+    CLI process would pay for them before its first event."""
+    code = ("import sys, picksim.cli; "
+            "print([m for m in ('scipy', 'dataclasses', 'inspect') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_import_leaves_the_dataset_generator_unloaded():
@@ -704,6 +728,23 @@ def test_readme_quick_start_runs(tmp_path, capsys, monkeypatch):
             subprocess.run(command, shell=True, check=True)
     printed = capsys.readouterr().out.splitlines()[-3:]
     assert "\n".join(printed) in README.read_text(), "the README shows what step 4 prints"
+
+
+def test_readme_python_api_block_runs(tmp_path, capsys, monkeypatch):
+    """The README's Python API block, on the quick start's ``gen-data`` demo
+    data, prints four weekly metrics and their total."""
+    section = README.read_text().split("### Python API", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    gen_data = _quick_start_commands()[0]
+    assert gen_data.startswith("picksim gen-data --out demo/data "), gen_data
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(gen_data)[1:]) == 0
+    capsys.readouterr()
+    exec(compile(block, "README.md", "exec"), {})
+    metrics, total = capsys.readouterr().out.rstrip("\n").rsplit(" ", 1)
+    weekly = ast.literal_eval(metrics)
+    assert len(weekly) == 4 and all(m > 0 for m in weekly)
+    assert float(total) == sum(weekly)
 
 
 def test_readme_dataset_headers_are_the_loaders_headers():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import fields
 
 import pytest
 
@@ -73,7 +72,7 @@ def test_equipment_builders_read_speed_lift_and_turn():
 
 
 def test_legacy_keys_load_with_one_warning(caplog):
-    assert len(LEGACY_KEYS) == 22 and not LEGACY_KEYS & {f.name for f in fields(SimConfig)}
+    assert len(LEGACY_KEYS) == 22 and not LEGACY_KEYS & set(SimConfig.__slots__)
     with caplog.at_level(logging.WARNING, logger="picksim.config"):
         cfg = config_from_dict({**dict.fromkeys(LEGACY_KEYS, 1), "sph": 80.0})
     assert cfg == config_from_dict({"sph": 80.0})

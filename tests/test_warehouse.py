@@ -122,6 +122,48 @@ def test_index_layout_puts_each_missing_anchor_at_the_origin():
     }
 
 
+def test_a_stray_id_on_the_anchor_row_is_refused_by_the_warehouse():
+    stray = Location((-1, 0, 7), 100.0, 200.0, 0.0, "Z1", 2)
+    with pytest.raises(InputDataError, match=re.escape("got (-1, 0, 7)")):
+        _wh(slots=[slot(0, 1, 0, 1.0, 1.0, seq=1), stray])
+    with pytest.raises(InputDataError, match=re.escape("got (-1, 0, 7)")):
+        index_layout([stray])
+
+
+# -- record semantics -----------------------------------------------------
+
+
+def test_locations_and_items_are_frozen_hashable_values():
+    loc = Location((0, 1, 0), 1.0, 2.0, 0.0, "Z1", 4)
+    assert repr(loc) == ("Location(id=(0, 1, 0), x_cm=1.0, y_cm=2.0, z_cm=0.0, "
+                         "zone='Z1', seq_no=4)")
+    twin = Location(id=(0, 1, 0), x_cm=1.0, y_cm=2.0, z_cm=0.0, zone="Z1", seq_no=4)
+    assert twin == loc and hash(twin) == hash(loc) and len({loc, twin}) == 1
+    assert loc != Location((0, 1, 0), 1.0, 2.0, 0.0, "Z1", 5)
+    item = Item("A", "Z1", 12)
+    assert repr(item) == "Item(code='A', home_zone='Z1', qty_per_pallet=12)"
+    assert item == Item("A", "Z1", 12) and {item: 1}[Item("A", "Z1", 12)] == 1
+    for record, name in ((loc, "zone"), (item, "qty_per_pallet")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+def test_pallet_records_are_mutable_unhashable_values():
+    record = PalletRecord((0, 1, 0), "A", 5, date(2024, 5, 1))
+    assert repr(record) == ("PalletRecord(location=(0, 1, 0), item='A', qty=5, "
+                            "mfg_date=datetime.date(2024, 5, 1))")
+    record.qty -= 1
+    assert record == PalletRecord((0, 1, 0), "A", 4, date(2024, 5, 1))
+    assert record != PalletRecord((0, 1, 0), "A", 5, date(2024, 5, 1))
+    assert record != ((0, 1, 0), "A", 4, date(2024, 5, 1))
+    with pytest.raises(TypeError):
+        hash(record)
+    with pytest.raises(AttributeError):
+        record.colour = "red"  # slots: no field beyond the declared ones
+
+
 # -- inventory ------------------------------------------------------------
 
 
