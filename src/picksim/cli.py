@@ -5,7 +5,9 @@ Subcommands:
 ``simulate``
     Run one scenario (policy x allocation x picking mode) over N weekly
     terminating runs and print the weekly metrics; optionally write
-    ``results.csv`` and per-week event traces.
+    ``results.csv`` and per-week event traces.  Only fixed storage reads
+    the allocation, so ``--allocation`` with another ``--policy`` is
+    refused; without it the scenario is named ``<policy>-homogeneous-<picking>``.
 ``compare``
     Run the homogeneous and the demand-proportional allocation of the
     same dataset back to back, print both summaries plus the paired
@@ -99,8 +101,9 @@ def _build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="run one scenario")
     _common_run_args(sim)
     sim.add_argument("--allocation", choices=[r.value for r in AllocationRule],
-                     default=AllocationRule.HOMOGENEOUS.value,
-                     help="slot-allocation rule (default homogeneous)")
+                     default=None,
+                     help="slot-allocation rule of --policy fixed (default homogeneous); "
+                          "other policies read no slot map and refuse it")
     sim.add_argument("--name", type=_name, default=None, help="scenario label in outputs")
     sim.add_argument("--trace", action="store_true",
                      help="write per-week event traces into --out")
@@ -191,12 +194,16 @@ def _print_summaries(summaries, paired=None) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    if args.allocation is not None and args.policy != PolicyKind.FIXED.value:
+        raise InputDataError(f"--allocation sizes the slot map, which only --policy fixed "
+                             f"reads; --policy {args.policy} would ignore it")
+    allocation = args.allocation or AllocationRule.HOMOGENEOUS.value
     cfg, seed = _config_and_seed(args)
-    name = args.name or f"{args.policy}-{args.allocation}-{args.picking}"
+    name = args.name or f"{args.policy}-{allocation}-{args.picking}"
     spec = ScenarioSpec(
         name=name,
         policy=PolicyKind(args.policy),
-        allocation=AllocationRule(args.allocation),
+        allocation=AllocationRule(allocation),
         picking=PickingMode(args.picking),
         weeks=args.weeks,
         seed=seed,

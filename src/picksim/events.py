@@ -10,6 +10,14 @@ actor for the successor.  Each scheduled event gets the next sequence
 number and events run in ``(time, seq)`` order, so ties never reorder.
 The visit chain ends with the first visit after the picker is done:
 that visit is traced but not handled.
+
+``run`` binds the three handlers once, picks the picker's handler by the
+exact type of the event kind (``StartPickOrder`` or else ``PartialPick``)
+and makes each successor ``Event`` itself, with the same sequence number
+and past-time check as ``schedule``, which seeds the first two events.
+The hot paths build these NamedTuples with ``tuple.__new__``, which
+skips the Python frame of their generated ``__new__``; the tuple is the
+same.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ from typing import Callable, NamedTuple, Union
 
 from .errors import SchedulePastError
 from .warehouse import LocationId, _write_csv
+
+# builds a NamedTuple from a tuple of its fields without its Python-level __new__
+_new = tuple.__new__
 
 
 class StartPickOrder(NamedTuple):
@@ -74,10 +85,7 @@ class Engine:
     def schedule(self, time: float, kind: EventKind) -> None:
         """Make ``kind`` at ``time`` the pending event of its actor."""
         if time < self.now:
-            raise SchedulePastError(
-                f"cannot schedule {type(kind).__name__} at t={time!r}: "
-                f"clock is already at t={self.now!r}"
-            )
+            raise _past(time, kind, self.now)
         event = Event(time, self._seq, kind)
         self._seq += 1
         if isinstance(kind, Replenish):
@@ -88,30 +96,46 @@ class Engine:
     def run(self, horizon: float = math.inf) -> list[Event]:
         """Execute events in (time, seq) order until neither actor has one
         pending or the next lies beyond the horizon.  Returns the executed trace."""
-        picker, replenisher, check = self._picker, self._replenisher, self._check
+        handle_spo, handle_pp = self._picker.handle_spo, self._picker.handle_pp
+        handle_rp = self._replenisher.handle_rp
+        check = self._check
+        executed = self.trace.append
         visit_kind = Replenish()
         while True:
             pick, visit = self.next_pick, self.next_visit
             event = pick if visit is None or (pick is not None and pick < visit) else visit
             if event is None or event.time > horizon:
                 break
-            self.now = event.time
-            self.trace.append(event)
+            now = self.now = event.time
+            executed(event)
             if event is pick:
                 self.next_pick = None
-                handler = (picker.handle_spo if isinstance(event.kind, StartPickOrder)
-                           else picker.handle_pp)
-                successor = handler(self, event)
+                kind = event.kind
+                successor = (handle_spo if type(kind) is StartPickOrder
+                             else handle_pp)(self, event)
                 if successor is not None:
-                    self.schedule(*successor)
+                    time, kind = successor
+                    if time < now:
+                        raise _past(time, kind, now)
+                    self.next_pick = _new(Event, (time, self._seq, kind))
+                    self._seq += 1
             else:
                 self.next_visit = None
                 if pick is None:
                     continue  # the picker is done: this visit closes the week
-                self.schedule(replenisher.handle_rp(self, event), visit_kind)
+                time = handle_rp(self, event)
+                if time < now:
+                    raise _past(time, visit_kind, now)
+                self.next_visit = _new(Event, (time, self._seq, visit_kind))
+                self._seq += 1
             if check is not None:
                 check()
         return self.trace
+
+
+def _past(time: float, kind: EventKind, now: float) -> SchedulePastError:
+    return SchedulePastError(f"cannot schedule {type(kind).__name__} at t={time!r}: "
+                             f"clock is already at t={now!r}")
 
 
 def _payload_text(kind: EventKind) -> str:

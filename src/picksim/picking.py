@@ -35,7 +35,13 @@ traversal takes, once per sublist visit.  The pieces grabbed at a stall
 are charged nothing: the resume visit charges handling for the rest of
 the line only.  Every term is booked in ``ProcessTotals`` where it is
 added to the clock, so per week the last completion equals walking plus
-handling plus stall waiting.
+handling plus stall waiting.  A traversal keeps the clock, walking,
+handling and turns in locals that start from the booked totals, adds
+each term to them in the order above and writes them back once, so
+every sum has the bits it would have if each term went straight into
+``ProcessTotals``.  Each walking leg is looked up once in a per-week
+memo that prices it with ``travel_time`` on first use; ``handling_time``
+prices every picking visit.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from typing import NamedTuple
 
 from .config import SimConfig, WALK_CONSTANT
 from .errors import InputDataError
-from .events import Engine, Event, PartialPick, StartPickOrder
+from .events import Engine, Event, PartialPick, StartPickOrder, _new
 from .storage import StoragePolicy
 from .warehouse import (
     ENTRANCE_ID,
@@ -146,25 +152,35 @@ def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
 
 def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse,
                 policy: StoragePolicy) -> PlanEntry:
-    stops: list[RouteStop] = []
+    lots = warehouse._lots
+    storage = warehouse.storage
+    area = mode is PickingMode.AREA
+    # (seq_no, line index, slot) or (zone, seq_no, line index, slot) per line:
+    # the line index is unique, so sorting never compares two slots
+    keyed = []
     for idx, line in enumerate(order.lines):
-        record = warehouse.fifo_lot(line.item)
-        if record is not None:
-            loc = warehouse.location(record.location)
+        lot = lots.get(line.item)
+        if lot:
+            loc = storage[lot[0][2].location]
         else:
+            if lot is None:
+                warehouse.item(line.item)  # raises for an unknown code
             loc = policy.primary_location(line.item)
-        stops.append(RouteStop(idx, loc))
-    if mode is PickingMode.AREA:
-        stops.sort(key=lambda st: (st.location.seq_no, st.line_index))
-        seg_of = [0] * len(stops)
-    else:
-        stops.sort(key=lambda st: (st.location.zone, st.location.seq_no, st.line_index))
-        seg_of = []
-        seg = -1
-        for i, st in enumerate(stops):
-            if i == 0 or st.location.zone != stops[i - 1].location.zone:
-                seg += 1
-            seg_of.append(seg)
+        keyed.append((loc.seq_no, idx, loc) if area else (loc.zone, loc.seq_no, idx, loc))
+    keyed.sort()
+    if area:
+        stops = [_new(RouteStop, (idx, loc)) for _, idx, loc in keyed]
+        return PlanEntry(order, stops, [0] * len(stops))
+    stops = []
+    seg_of = []
+    seg = -1
+    zone = None
+    for stop_zone, _, idx, loc in keyed:
+        if stop_zone != zone:
+            zone = stop_zone
+            seg += 1
+        stops.append(_new(RouteStop, (idx, loc)))
+        seg_of.append(seg)
     return PlanEntry(order, stops, seg_of)
 
 
@@ -207,8 +223,7 @@ class PickingSession:
         self._active: int | None = None
         # route position of the short line the picker waits at, if any
         self._at_stop: int | None = None
-        # (from id, to id) -> (aisle turns, travel seconds) of a walking leg
-        self._legs: dict[tuple[LocationId, LocationId], tuple[int, float]] = {}
+        self._legs = _Legs(warehouse, self.walk_eq)
 
     # -- event handlers ----------------------------------------------------
 
@@ -267,76 +282,100 @@ class PickingSession:
         metrics = self.metrics
         walking = self.cfg.walking
         constant = walking.mode == WALK_CONSTANT
+        constant_s = walking.constant_s
+        legs = self._legs
+        entrance = self.entrance
+        dropoff_id = self.dropoff.id
         start = self._at_stop
         if start is None:
-            pos, cur_point, cur_seg = 0, self.entrance, -1
+            pos, cur_point, cur_seg = 0, entrance, -1
         else:
             pos, cur_point, cur_seg = start, route[start].location, seg_of[start]
 
+        # the clock and the totals as running locals, each added to in the
+        # order of the module docstring and written back once
         t = now
-        # one picking visit ("call") per sublist picked from, in route order
+        walk = metrics.walk_s
+        turns = 0
+        # pick results of each picking visit ("call"), one per sublist picked from
         calls: list[list[tuple[int, int]]] = []
         call_seg = -1
         stall: int | None = None
         for p in range(pos, len(route)):
             seg = seg_of[p]
+            line_index, loc = route[p]
             if constant:
                 # sublists only increase along a route: a new one is entered here
                 if seg != cur_seg:
-                    t += walking.constant_s
-                    metrics.walk_s += walking.constant_s
+                    t += constant_s
+                    walk += constant_s
             elif p != start:
-                loc = route[p].location
                 if seg != cur_seg and cur_seg != -1:
-                    leg = self._leg(cur_point, self.dropoff)
+                    n, leg = legs[cur_point.id, dropoff_id]
+                    turns += n
                     t += leg
-                    metrics.walk_s += leg
-                    cur_point = self.entrance
-                leg = self._leg(cur_point, loc)
+                    walk += leg
+                    cur_point = entrance
+                n, leg = legs[cur_point.id, loc.id]
+                turns += n
                 t += leg
-                metrics.walk_s += leg
+                walk += leg
                 cur_point = loc
             cur_seg = seg
-            line = lines[route[p].line_index]
-            if line.remaining > on_hand[line.item]:
+            line = lines[line_index]
+            want = line.remaining
+            if want > on_hand[line.item]:
                 stall = p
                 break
             if seg != call_seg:
-                calls.append([])
+                call = []
+                calls.append(call)
                 call_seg = seg
-            calls[-1].append(pick(line.item, line.remaining))
+            call.append(pick(line.item, want))
             line.remaining = 0
         else:
             if not constant:
-                leg = self._leg(cur_point, self.dropoff)
+                n, leg = legs[cur_point.id, dropoff_id]
+                turns += n
                 t += leg
-                metrics.walk_s += leg
+                walk += leg
+        metrics.walk_s = walk
+        metrics.turns += turns
 
-        for entries in calls:
-            handle = handling_time(entries, self.cfg)
+        handle_s = metrics.handle_s
+        for call in calls:
+            handle = handling_time(call, self.cfg)
             t += handle
-            metrics.handle_s += handle
+            handle_s += handle
+        metrics.handle_s = handle_s
 
         if stall is None:
             self.completions[i] = t
             self._active = None
             if i + 1 < len(self.plan):
-                return (t, StartPickOrder(i + 1))
+                return (t, _new(StartPickOrder, (i + 1,)))
             return None
         self._at_stop = stall
-        stop = route[stall]
-        return (t, PartialPick(i, stop.line_index, stop.location.id))
+        line_index, loc = route[stall]
+        return (t, _new(PartialPick, (i, line_index, loc.id)))
 
-    def _leg(self, a: Location, b: Location) -> float:
-        """Seconds of one walking leg, its turns booked; each pair of points
-        is computed once per week."""
-        key = (a.id, b.id)
-        leg = self._legs.get(key)
-        if leg is None:
-            turns = aisle_turns(a, b)
-            leg = self._legs[key] = (turns, travel_time(a, b, self.walk_eq, turns))
-        self.metrics.turns += leg[0]
-        return leg[1]
+
+class _Legs(dict):
+    """``(from id, to id) -> (aisle turns, travel seconds)`` of the walking
+    legs of one week; a leg is priced with ``travel_time`` on first use."""
+
+    __slots__ = ("warehouse", "equipment")
+
+    def __init__(self, warehouse: Warehouse, equipment: Equipment):
+        super().__init__()
+        self.warehouse = warehouse
+        self.equipment = equipment
+
+    def __missing__(self, key: tuple[LocationId, LocationId]) -> tuple[int, float]:
+        a, b = self.warehouse.location(key[0]), self.warehouse.location(key[1])
+        turns = aisle_turns(a, b)
+        leg = self[key] = (turns, travel_time(a, b, self.equipment, turns))
+        return leg
 
 
 # -- orders file ---------------------------------------------------------

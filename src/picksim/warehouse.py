@@ -323,44 +323,60 @@ class Warehouse:
         taken from a pallet that is left standing, which only the last
         pallet touched can be.  Callers must ensure qty <= total_on_hand
         beforehand.
+
+        One loop walks the lot heap from its head.  Its first test is
+        whether the head pallet holds more than is still wanted: that
+        pallet stays standing and the pick ends there, with no heap pop.
+        Otherwise the pallet is drained and popped.  Per pallet the
+        watchers hear, each in turn, of the drained slot and then of the
+        new on-hand count, and then the audit books the pieces.
         """
         if qty < 1:
             raise InputDataError(f"pick quantity must be >= 1, got {qty}")
         lots = self._lots.get(item_code)
         if lots is None:
             self.item(item_code)  # raises for an unknown code
-        touched = loose = 0
+        on_hand = self._on_hand
+        watchers = self._watchers
+        touched = 0
         remaining = qty
-        while remaining > 0:
-            if not lots:
-                raise InputDataError(
-                    f"pick of {qty} x {item_code} exceeds stock ({qty - remaining} taken)"
-                )
+        while lots:
             record = lots[0][2]
-            taken = min(remaining, record.qty)
-            record.qty -= taken
-            self._on_hand[item_code] -= taken
-            on_hand = self._on_hand[item_code]
-            drained = record.qty == 0
-            if drained:
-                heapq.heappop(lots)
-                del self.records[record.location]
-            else:
-                loose = taken
-            for watcher in self._watchers:
-                if drained:
-                    watcher._slot_drained(record.location)
-                watcher._stock_changed(item_code, on_hand)
             touched += 1
-            remaining -= taken
+            held = record.qty
+            if held > remaining:
+                record.qty = held - remaining
+                left = on_hand[item_code] = on_hand[item_code] - remaining
+                for watcher in watchers:
+                    watcher._stock_changed(item_code, left)
+                if self.audit:
+                    self._audit_pick(record, remaining)
+                return touched, remaining
+            record.qty = 0
+            heapq.heappop(lots)
+            del self.records[record.location]
+            left = on_hand[item_code] = on_hand[item_code] - held
+            for watcher in watchers:
+                watcher._slot_drained(record.location)
+                watcher._stock_changed(item_code, left)
             if self.audit:
-                self._picked[item_code] = self._picked.get(item_code, 0) + taken
-                last = self._last_picked_date.get(item_code)
-                assert last is None or record.mfg_date >= last, (
-                    f"FIFO violation for {item_code}: consumed {record.mfg_date} after {last}"
-                )
-                self._last_picked_date[item_code] = record.mfg_date
-        return touched, loose
+                self._audit_pick(record, held)
+            remaining -= held
+            if not remaining:
+                return touched, 0
+        raise InputDataError(
+            f"pick of {qty} x {item_code} exceeds stock ({qty - remaining} taken)"
+        )
+
+    def _audit_pick(self, record: PalletRecord, taken: int) -> None:
+        """Book ``taken`` pieces of ``record`` as picked and assert FIFO order."""
+        item_code = record.item
+        self._picked[item_code] = self._picked.get(item_code, 0) + taken
+        last = self._last_picked_date.get(item_code)
+        assert last is None or record.mfg_date >= last, (
+            f"FIFO violation for {item_code}: consumed {record.mfg_date} after {last}"
+        )
+        self._last_picked_date[item_code] = record.mfg_date
 
     def verify_conservation(self) -> None:
         """Assert placed - picked == on-hand for every item.

@@ -213,6 +213,35 @@ def test_compare_under_a_policy_that_ignores_allocation_exits_3_before_reading(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data", ["real", "missing"])
+@pytest.mark.parametrize("allocation", ["homogeneous", "demand"])
+@pytest.mark.parametrize("policy", ["random", "fixed-zone"])
+def test_simulate_allocation_under_a_policy_that_ignores_it_exits_3_before_reading(
+        dataset, tmp_path, capsys, policy, allocation, data):
+    """Only fixed storage reads the slot allocation: under another policy an
+    explicit ``--allocation`` would change the scenario's name and nothing else."""
+    if data == "real":
+        where = ["--data", dataset]
+    else:
+        where = ["--data", str(tmp_path / "nope"), "--config", str(tmp_path / "nope.json")]
+    out = tmp_path / "run"
+    assert main(["simulate", *where, "--policy", policy, "--allocation", allocation,
+                 "--weeks", "2", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --allocation sizes the slot map, which only --policy "
+                            f"fixed reads; --policy {policy} would ignore it\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
+def test_simulate_without_allocation_names_the_homogeneous_scenario(dataset, capsys, policy):
+    assert main(["simulate", "--data", dataset, "--policy", policy, "--picking", "zoning",
+                 "--weeks", "2", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"scenario {policy}-homogeneous-zoning (metric unit: minutes)\n")
+
+
 # -- stats ----------------------------------------------------------------
 
 
@@ -604,13 +633,12 @@ def test_weeks_cut_short_ignore_the_later_orders(tmp_path):
     kept = [row for row in rows if (date.fromisoformat(row[:10]) - start).days < 14]
     assert 0 < len(kept) < len(rows)
     (cut / "orders.csv").write_text(header + "".join(kept))
-    for policy in ("fixed", "random"):
+    for policy, allocation in (("fixed", ["--allocation", "demand"]), ("random", [])):
         written = []
         for data in (full, cut):
             out = tmp_path / f"{policy}-{data.name}"
-            assert main(["simulate", "--data", str(data), "--policy", policy,
-                         "--allocation", "demand", "--weeks", "2", "--seed", "7",
-                         "--out", str(out)]) == 0
+            assert main(["simulate", "--data", str(data), "--policy", policy, *allocation,
+                         "--weeks", "2", "--seed", "7", "--out", str(out)]) == 0
             written.append((out / "results.csv").read_bytes())
         assert written[0] == written[1], policy
 

@@ -134,6 +134,18 @@ def test_schedule_in_past_aborts():
         eng.run()
 
 
+@pytest.mark.parametrize("kind, name", [(StartPickOrder(1), "StartPickOrder"),
+                                         (PartialPick(0, 0, LOC), "PartialPick")])
+def test_picker_successor_in_the_past_aborts(kind, name):
+    eng = Engine(Picker([(10.0, StartPickOrder(1)), (9.5, kind)]), Visits(100.0))
+    eng.schedule(0.0, StartPickOrder(0))
+    eng.schedule(50.0, Replenish())
+    with pytest.raises(SchedulePastError,
+                       match=f"^cannot schedule {name} at t=9.5: clock is already at t=10.0$"):
+        eng.run()
+    assert eng.next_pick is None and eng.now == 10.0
+
+
 def test_schedule_at_now_is_allowed():
     picker = Picker([(2.0, StartPickOrder(1))])
     eng = Engine(picker, Visits(1.0))

@@ -287,16 +287,30 @@ LAYER_CALLS = (
 )
 
 
-def test_the_benchmark_tracer_counts_every_layer(golden_dataset, tmp_path):
+# the second run has the settings of the benchmark's fixed-zoning-dist-full
+# workload: fixed storage, zoning picking, distance walking, sampled visits
+TRACED_RUNS = {
+    "fixed-area-constant": ([], None),
+    "fixed-zoning-distance": (["--picking", "zoning"],
+                              {"walking": {"mode": "distance"}, "replenish": {"mode": "sampled"}}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(TRACED_RUNS))
+def test_the_benchmark_tracer_counts_every_layer(golden_dataset, tmp_path, run):
     """``perfbench/traced_cli.py`` wraps picksim's callables by name and counts
     the pallets replenishment places from ``put_away``'s return value; on a
     fixed-policy run that stalls, every layer it reports must be counted."""
     root = Path(__file__).resolve().parents[1]
     trace, out = tmp_path / "trace.json", tmp_path / "out"
+    flags, config = TRACED_RUNS[run]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        flags = [*flags, "--config", str(tmp_path / "config.json")]
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(trace), "--",
          "simulate", "--data", golden_dataset, "--weeks", "2", "--policy", "fixed",
-         "--out", str(out)],
+         *flags, "--out", str(out)],
         capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     with open(out / "results.csv", newline="") as fh:

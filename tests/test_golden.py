@@ -15,7 +15,11 @@ direction and parent, an item's category and weight, an order line's
 weight) left the dataset format; each new file is the old one with those
 columns cut out, and every simulation hash stayed as it was.
 
-A deliberate change of output updates the table below and says why in
+``GOLDEN_DISTANCE`` pins the same six runs under distance walking and
+sampled replenishment; it was recorded on 5dc188e, before the picker's
+traversal started to keep its totals in running locals.
+
+A deliberate change of output updates the tables below and says why in
 ``CHANGES.md``.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -89,6 +94,52 @@ GOLDEN: dict[tuple[str, str], dict[str, str]] = {
     },
 }
 
+# The same six runs under distance walking and sampled replenishment
+# (``DISTANCE_CONFIG``): every leg is priced from slot coordinates and
+# the visit intervals are drawn, so this table pins the leg sums and the
+# sampler, which ``GOLDEN``, recorded under constant walking, does not
+# reach.
+DISTANCE_CONFIG = {"walking": {"mode": "distance"}, "replenish": {"mode": "sampled"}}
+
+GOLDEN_DISTANCE: dict[tuple[str, str], dict[str, str]] = {
+    ("fixed", "area"): {
+        "results.csv": "5a45807f4f7d43e8b373524b8e26f266b628f0454c39f1d1a0cee87c225e3083",
+        "summary.csv": "219b3d324c53be0e679de4d0ba4c4f6cb2e4ce4cb9cc5bfc05f0844be8a72e8b",
+        "trace_fixed-homogeneous-area_week1.csv": "b7b99af660dfd56558e734a5d59ddf839727b952366d5327fa75446c8257d25d",
+        "trace_fixed-homogeneous-area_week2.csv": "003f6b02fc09647b1b481c6723e1f98b2e86cb91dd9e8c6993bea79045c87d95",
+    },
+    ("fixed", "zoning"): {
+        "results.csv": "aa2a81bef21a71ce2d7b287812fcc77adc83df3d97217cfe7a7fccec293c007a",
+        "summary.csv": "e49364a69d12f5a0c1a8165ae8bba413dece627a96a8688df26d2e3c17e07f20",
+        "trace_fixed-homogeneous-zoning_week1.csv": "b87b2efcec728fa05f5d20f27ae31e9d8169968c154e55b5d205a24a98d60d9d",
+        "trace_fixed-homogeneous-zoning_week2.csv": "a2c1add58e7d1ede86061e3ebb61d79c5a8b7949594a5e91ac686fdbd84003d6",
+    },
+    ("random", "area"): {
+        "results.csv": "95109efd2ddc785a321fa5ea4b31a8f1bfd83a2dde58a88ddc97f24bdffe3966",
+        "summary.csv": "0cd0060bc6baf99c738507aa09a5d24d6b75a114e1aa187fc6e4b1603a25b41b",
+        "trace_random-homogeneous-area_week1.csv": "a1ee3c20d170b528d21b86969a5401dd389becce70994f4de87bf5301fcab4a4",
+        "trace_random-homogeneous-area_week2.csv": "a8d143ccb949ce0caa41beac198825a64e2e63c8facf0f698257f22b3138dd5d",
+    },
+    ("random", "zoning"): {
+        "results.csv": "1ae618fd79525d64d5a2531adf0fb59622d0fbe4d0dc9f395604b26c1f47aee8",
+        "summary.csv": "d3581f22e61b535f2bf4f86c8dea54a5840a7295cab80ddcfbbdea0255123668",
+        "trace_random-homogeneous-zoning_week1.csv": "ca03387ca18b39a757d6bb853ae5fb38aa749e419fe31d132375514a3cd7e37a",
+        "trace_random-homogeneous-zoning_week2.csv": "c53155ea34a52f858bb92fbe7b214b45c17ea3e4dbcda6a8a825818946fa8e12",
+    },
+    ("fixed-zone", "area"): {
+        "results.csv": "424db78905230221ea6d8f3c97637b9b4421b84ac0cf71096f5184e9ab246aa5",
+        "summary.csv": "383f9e54dea6cd5a7a755ebfcebd3b53d679152e79ba164439f90075a8cb4c5f",
+        "trace_fixed-zone-homogeneous-area_week1.csv": "100d967e7360e021d96502a70b05fb789f6c820e2ed56d4021ae2688534a30c3",
+        "trace_fixed-zone-homogeneous-area_week2.csv": "05ec8e06a1e288eda40170bb35abf55e68cb6265d0a9beece5cea8c65aa07379",
+    },
+    ("fixed-zone", "zoning"): {
+        "results.csv": "4f3c61ea92ffeb1827b919e1dc4772e1f18b2f1412c7a679f741eba9563ee23e",
+        "summary.csv": "f7972c898cadfa4e4de0d4d429973021ccc540210a8e658337caf35443405622",
+        "trace_fixed-zone-homogeneous-zoning_week1.csv": "6bb5f117b483c7c69bd5a9d65338c631d4b490c7ab0808861c502a1be6ade795",
+        "trace_fixed-zone-homogeneous-zoning_week2.csv": "9984f207fb4e091ea5ecd1d88000435fe0fa6644ae3da8426994339b8ab37ca8",
+    },
+}
+
 # SHA-256 of the ``scenario,week,metric`` columns of each ``results.csv``
 # (header included, one ``\n``-terminated line per row), recorded on
 # c46eec4 before the cost breakdown columns were reworked.  The weekly
@@ -120,19 +171,35 @@ def test_dataset_is_golden(dataset, capsys):
     assert {name: _sha(dataset / name) for name in DATASET} == DATASET
 
 
+def _traced_run_hashes(dataset, tmp_path, capsys, policy, picking, extra=()):
+    """SHA-256 of every file a two-week ``simulate --trace`` run writes."""
+    out = tmp_path / "run"
+    rc = main(["simulate", "--data", str(dataset), "--policy", policy,
+               "--picking", picking, "--weeks", "2", "--seed", "7",
+               "--out", str(out), "--trace", *extra])
+    capsys.readouterr()
+    assert rc == 0
+    return {f.name: _sha(f) for f in sorted(out.iterdir())}
+
+
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
 @pytest.mark.parametrize("picking", ["area", "zoning"])
 def test_simulation_outputs_are_golden(dataset, tmp_path, capsys, monkeypatch,
                                        policy, picking):
     monkeypatch.delenv("PICKSIM_SEED", raising=False)
-    out = tmp_path / "run"
-    rc = main(["simulate", "--data", str(dataset), "--policy", policy,
-               "--picking", picking, "--weeks", "2", "--seed", "7",
-               "--out", str(out), "--trace"])
-    capsys.readouterr()
-    assert rc == 0
-    hashes = {f.name: _sha(f) for f in sorted(out.iterdir())}
-    assert hashes == GOLDEN[(policy, picking)]
+    assert _traced_run_hashes(dataset, tmp_path, capsys, policy, picking) == \
+        GOLDEN[(policy, picking)]
+
+
+@pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
+@pytest.mark.parametrize("picking", ["area", "zoning"])
+def test_distance_walking_outputs_are_golden(dataset, tmp_path, capsys, monkeypatch,
+                                             policy, picking):
+    monkeypatch.delenv("PICKSIM_SEED", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(DISTANCE_CONFIG), encoding="utf-8")
+    assert _traced_run_hashes(dataset, tmp_path, capsys, policy, picking,
+                              ["--config", str(config)]) == GOLDEN_DISTANCE[(policy, picking)]
 
 
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])

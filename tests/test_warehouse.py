@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DROPOFF, ELEVATOR, ENTRANCE, anchors, make_item, slot
 from picksim import (
@@ -259,6 +260,105 @@ def test_audit_catches_fifo_violation_via_direct_tampering():
     wh.place((0, 1, 1), "A", 4, date(2024, 5, 1))
     with pytest.raises(AssertionError, match="FIFO violation"):
         wh.pick("A", 1)
+
+
+class _Recorder:
+    """Watcher that logs every notification, tagged with its own name, into
+    a log it shares with the other watchers."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def _slot_drained(self, loc_id):
+        self.log.append((self.name, "drained", loc_id))
+
+    def _stock_changed(self, item_code, on_hand):
+        self.log.append((self.name, "stock", item_code, on_hand))
+
+
+_PICK_SLOTS = [slot(r, 1, s, 100.0 * s, 100.0 * r, seq=10 - 3 * r - s)
+               for r in range(2) for s in range(3)]
+_PICK_ITEMS = {"A": 5, "B": 3}
+_PICK_OPS = st.lists(st.one_of(
+    st.tuples(st.just("place"), st.integers(0, len(_PICK_SLOTS) - 1),
+              st.sampled_from(sorted(_PICK_ITEMS)), st.integers(1, 5), st.integers(0, 3)),
+    st.tuples(st.just("pick"), st.sampled_from(sorted(_PICK_ITEMS)), st.integers(1, 12)),
+), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_PICK_OPS, audit=st.booleans())
+def test_pick_matches_a_reference_model(ops, audit):
+    """Random placements and picks, the picks checked against a list-scan
+    model of FIFO consumption: what each pick returns, the on-hand counts,
+    each item's oldest pallet and the order of the watchers' notifications."""
+    wh = Warehouse(anchors() + _PICK_SLOTS,
+                   [make_item(code, qpp=qpp) for code, qpp in _PICK_ITEMS.items()], audit=audit)
+    log = []
+    wh._watchers.extend([_Recorder(0, log), _Recorder(1, log)])
+    seq = {loc.id: loc.seq_no for loc in _PICK_SLOTS}
+    pallets = {}  # slot -> [item, qty, mfg_date], the model's inventory
+    # dates never go back, as in a run, so the audit's FIFO check holds
+    today = date(2024, 5, 1)
+    for op in ops:
+        expected = []
+        if op[0] == "place":
+            _, index, item, qty, days = op
+            loc_id = _PICK_SLOTS[index].id
+            if loc_id in pallets or qty > _PICK_ITEMS[item]:
+                continue
+            today += timedelta(days=days)
+            mfg = today
+            wh.place(loc_id, item, qty, mfg)
+            pallets[loc_id] = [item, qty, mfg]
+            on_hand = sum(p[1] for p in pallets.values() if p[0] == item)
+            expected = [(w, "stock", item, on_hand) for w in (0, 1)]
+        else:
+            _, item, qty = op
+            lots = sorted((p[2], seq[loc_id], loc_id) for loc_id, p in pallets.items()
+                          if p[0] == item)
+            on_hand = sum(pallets[loc_id][1] for _, _, loc_id in lots)
+            touched = loose = 0
+            remaining = qty
+            for _, _, loc_id in lots:
+                if not remaining:
+                    break
+                taken = min(remaining, pallets[loc_id][1])
+                pallets[loc_id][1] -= taken
+                on_hand -= taken
+                remaining -= taken
+                touched += 1
+                drained = pallets[loc_id][1] == 0
+                if drained:
+                    del pallets[loc_id]
+                else:
+                    loose = taken
+                for w in (0, 1):
+                    if drained:
+                        expected.append((w, "drained", loc_id))
+                    expected.append((w, "stock", item, on_hand))
+            if remaining:
+                with pytest.raises(InputDataError, match="exceeds stock"):
+                    wh.pick(item, qty)
+            else:
+                assert wh.pick(item, qty) == (touched, loose)
+        assert log == expected
+        log.clear()
+        for item in _PICK_ITEMS:
+            held = [(p[2], seq[loc_id], loc_id, p[1]) for loc_id, p in pallets.items()
+                    if p[0] == item]
+            assert wh.total_on_hand(item) == sum(h[3] for h in held)
+            head = wh.fifo_lot(item)
+            if held:
+                mfg, _, loc_id, qty = min(held)
+                assert (head.location, head.qty, head.mfg_date) == (loc_id, qty, mfg)
+            else:
+                assert head is None
+        assert {loc_id: (r.item, r.qty, r.mfg_date) for loc_id, r in wh.records.items()} == \
+            {loc_id: tuple(p) for loc_id, p in pallets.items()}
+        if audit:
+            wh.verify_conservation()
 
 
 # -- CSV round-trips ------------------------------------------------------
