@@ -138,7 +138,7 @@ class SimConfig(_Record):
             check(_is_pos(getattr(self, name)), f"{name} must be a positive number")
         for name in ("tth", "tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa"):
             check(_is_nonneg(getattr(self, name)), f"{name} must be a non-negative number")
-        check(isinstance(self.pieces_per_master, int) and self.pieces_per_master >= 1,
+        check(type(self.pieces_per_master) is int and self.pieces_per_master >= 1,
               "pieces_per_master must be an integer >= 1")
         check(isinstance(self.metric_unit, str) and self.metric_unit in METRIC_UNITS,
               f"metric_unit must be one of {sorted(METRIC_UNITS)}")
@@ -154,7 +154,7 @@ class SimConfig(_Record):
         check(_is_nonneg(self.replenish.sigma_s), "replenish.sigma_s must be non-negative")
         check(self.replenish.t_min_s is None or _is_pos(self.replenish.t_min_s),
               "replenish.t_min_s must be a positive number")
-        check(isinstance(self.replenish.seed, int), "replenish.seed must be an integer")
+        check(type(self.replenish.seed) is int, "replenish.seed must be an integer")
         return errors
 
 

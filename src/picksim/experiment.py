@@ -18,11 +18,11 @@ runs are reproducible bit for bit and independent of execution order.
 CSV load to the end of the last week: otherwise its full passes rescan
 the loaded dataset and the week's plan again and again.  Pausing is safe
 because a run makes no reference cycles, so reference counting alone
-frees all it drops.  The one link that would close a cycle, the storage
-policy watching the warehouse it holds, is dropped when each week ends
-(see ``storage.py``), and the suite checks that a run leaves nothing for
-the collector.  On return and on raise the collector is left as the
-caller had it: enabled again only if it was enabled before.
+frees all it drops: links run one way, and the storage policy reads the
+warehouse's change logs rather than being called by it (see
+``storage.py``).  The suite checks that a run leaves nothing for the
+collector.  On return and on raise the collector is left as the caller
+had it: enabled again only if it was enabled before.
 """
 
 from __future__ import annotations
@@ -260,29 +260,24 @@ def _run_week(spec: ScenarioSpec, layout: list[Location], items, initial,
     cfg = spec.config
     warehouse = Warehouse(layout, items, audit=audit)
     policy = StoragePolicy(spec.policy, warehouse, cfg.stacker(), slot_map=slot_map)
-    try:
-        place_initial(policy, initial, avg_picks)
-        session, engine = run_week(
-            warehouse, policy, week_orders, spec.picking, cfg,
-            derive_seed(spec.seed, spec.name, week_no),
-            min(o.order_datetime for o in week_orders).date())
-        if trace_dir is not None:
-            write_trace_csv(engine.trace,
-                            str(Path(trace_dir) / f"trace_{spec.name}_week{week_no}.csv"))
+    place_initial(policy, initial, avg_picks)
+    session, engine = run_week(
+        warehouse, policy, week_orders, spec.picking, cfg,
+        derive_seed(spec.seed, spec.name, week_no),
+        min(o.order_datetime for o in week_orders).date())
+    if trace_dir is not None:
+        write_trace_csv(engine.trace,
+                        str(Path(trace_dir) / f"trace_{spec.name}_week{week_no}.csv"))
 
-        done = sum(1 for c in session.completions if c is not None)
-        if done < len(session.plan):
-            raise InfeasibleRunError(
-                f"scenario {spec.name} week {week_no}: only {done}/{len(session.plan)} "
-                f"orders finished within the {cfg.horizon_s} s horizon"
-            )
-        metric = session.completions[-1] * cfg.metric_factor()
-        return WeekOutcome(week_no, metric, session.metrics,
-                           completions=[float(c) for c in session.completions])
-    finally:
-        # the policy watches the warehouse it holds: drop that link, so the
-        # week's graph is freed by reference counting (see storage.py)
-        warehouse._watchers.clear()
+    done = sum(1 for c in session.completions if c is not None)
+    if done < len(session.plan):
+        raise InfeasibleRunError(
+            f"scenario {spec.name} week {week_no}: only {done}/{len(session.plan)} "
+            f"orders finished within the {cfg.horizon_s} s horizon"
+        )
+    metric = session.completions[-1] * cfg.metric_factor()
+    return WeekOutcome(week_no, metric, session.metrics,
+                       completions=[float(c) for c in session.completions])
 
 
 def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],

@@ -154,9 +154,10 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse,
                 policy: StoragePolicy) -> PlanEntry:
     lots = warehouse._lots
     storage = warehouse.storage
-    area = mode is PickingMode.AREA
-    # (seq_no, line index, slot) or (zone, seq_no, line index, slot) per line:
-    # the line index is unique, so sorting never compares two slots
+    zoning = mode is PickingMode.ZONING
+    # (zone, seq_no, line index, slot) per line, area picking being zoning with
+    # one zone for every line: the line index is unique, so sorting never
+    # compares two slots
     keyed = []
     for idx, line in enumerate(order.lines):
         lot = lots.get(line.item)
@@ -166,11 +167,8 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse,
             if lot is None:
                 warehouse.item(line.item)  # raises for an unknown code
             loc = policy.primary_location(line.item)
-        keyed.append((loc.seq_no, idx, loc) if area else (loc.zone, loc.seq_no, idx, loc))
+        keyed.append((loc.zone if zoning else "", loc.seq_no, idx, loc))
     keyed.sort()
-    if area:
-        stops = [_new(RouteStop, (idx, loc)) for _, idx, loc in keyed]
-        return PlanEntry(order, stops, [0] * len(stops))
     stops = []
     seg_of = []
     seg = -1

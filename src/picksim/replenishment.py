@@ -6,8 +6,8 @@ among those that currently have a vacant candidate slot under the
 active storage policy (ties go to the smallest item code), placing one
 full pallet manufactured on the current simulation date.  The policy
 makes that choice (``StoragePolicy.restock_choice``) from a lazy min-heap
-of on-hand counts that the warehouse keeps current, so a visit costs
-O(log items) amortised instead of a scan of the catalog.  If nothing is
+of on-hand counts, brought up to date from the warehouse's change logs,
+so a visit costs O(log items) amortised instead of a scan of the catalog.  If nothing is
 eligible the visit is skipped, but the next one is always scheduled: a
 full warehouse is not a terminal state.  The engine ends the chain at
 the first visit after the picker is done.

@@ -22,10 +22,10 @@ equipment that cannot reach a slot fails there.  Each set keeps
 
 * ``heap``   - a min-heap of its slots' keys.  Deletion is lazy: a slot
   that fills stays in the heap and is popped when it reaches the top
-  while occupied.  Invariant: every vacant slot of the set has at least
-  one entry in the heap, so after popping occupied heads the top is the
-  nearest vacant slot, and the heap is empty exactly when the set has
-  no vacant slot;
+  while occupied.  Invariant at every query: every vacant slot of the
+  set has at least one entry in the heap, so after popping occupied
+  heads the top is the nearest vacant slot, and the heap is empty
+  exactly when the set has no vacant slot;
 * ``parked`` - the items found at the top of the stock heap (below)
   while the set had no vacancy.
 
@@ -40,18 +40,13 @@ is the eligible item with the least stock (ties by code).  Items found
 on top while their set is full are popped and parked; when the set gets
 a vacant slot again they are pushed back at their current count.
 
-The warehouse keeps both indices current: it calls ``_slot_drained``
-after every pick that empties a slot, which pushes the slot back onto
-its set's heap and un-parks the set's items, and ``_stock_changed``
-after every change of an item's on-hand count, which pushes the item's
-fresh entry.  A placement needs no call of its own: the filled slot is
-popped from its heap once it reaches the top.
-
-The policy joins the warehouse's watcher list at construction and keeps
-the warehouse, so the two form a reference cycle while both are in use.
-The scenario runner (``experiment._run_week``) breaks it when the week
-ends, on return and on raise, by clearing that list; a run then makes no
-cycles, and it can leave the cyclic garbage collector paused.
+Both indices are kept current from the warehouse's two change logs,
+each read from the policy's own position.  At the top of every query
+(``nearest_vacant``, ``restock_choice``) the policy catches up: a newly
+drained slot goes back onto its set's heap and un-parks the set's items,
+and a newly changed item gets a fresh entry; equal duplicate entries are
+interchangeable.  The warehouse holds no reference back to the policy,
+so the two make no reference cycle.
 """
 
 from __future__ import annotations
@@ -139,7 +134,7 @@ class StoragePolicy:
         self._stock = [(on_hand, code) for code, on_hand in warehouse._on_hand.items()
                        if code in self._set_of_item]
         heapq.heapify(self._stock)
-        warehouse._watchers.append(self)
+        self._read = (len(warehouse.drained), len(warehouse.changed))  # log positions
 
     def _build(self, slots: list[Location]) -> _SlotSet:
         made = _SlotSet(slots)
@@ -152,6 +147,25 @@ class StoragePolicy:
         heapq.heapify(made.heap)
         return made
 
+    def _catch_up(self) -> None:
+        """Read both change logs from the policy's positions to their ends."""
+        wh = self.warehouse
+        ends = (len(wh.drained), len(wh.changed))
+        if self._read == ends:
+            return
+        on_hand = wh._on_hand
+        stock = self._stock
+        for loc_id in wh.drained[self._read[0]:]:
+            slot_set = self._set_of_slot.get(loc_id)
+            if slot_set is not None:
+                heapq.heappush(slot_set.heap, self._keys[loc_id])
+                for code in slot_set.parked:
+                    heapq.heappush(stock, (on_hand[code], code))
+                slot_set.parked.clear()
+        for code in wh.changed[self._read[1]:]:
+            heapq.heappush(stock, (on_hand[code], code))
+        self._read = ends
+
     # -- candidate sets ----------------------------------------------------
 
     def candidate_slots(self, item_code: str) -> list[Location]:
@@ -160,6 +174,7 @@ class StoragePolicy:
 
     def nearest_vacant(self, item_code: str) -> Location | None:
         """Vacant candidate with the smallest travel time from receiving."""
+        self._catch_up()
         heap = self._vacant_heap(self._set_for(item_code))
         return self.warehouse.storage[heap[0][2]] if heap else None
 
@@ -205,6 +220,7 @@ class StoragePolicy:
         """
         if self._homeless:
             self._set_for(self._homeless[0])
+        self._catch_up()
         stock = self._stock
         on_hand = self.warehouse._on_hand
         set_of_item = self._set_of_item
@@ -217,21 +233,6 @@ class StoragePolicy:
                 slot_set.parked.add(code)
             heapq.heappop(stock)
         return None
-
-    # -- warehouse notifications -------------------------------------------
-
-    def _slot_drained(self, loc_id: LocationId) -> None:
-        slot_set = self._set_of_slot.get(loc_id)
-        if slot_set is not None:
-            heapq.heappush(slot_set.heap, self._keys[loc_id])
-            if slot_set.parked:
-                on_hand = self.warehouse._on_hand
-                for code in slot_set.parked:
-                    heapq.heappush(self._stock, (on_hand[code], code))
-                slot_set.parked.clear()
-
-    def _stock_changed(self, item_code: str, on_hand: int) -> None:
-        heapq.heappush(self._stock, (on_hand, item_code))
 
     # -- put-away ----------------------------------------------------------
 

@@ -12,11 +12,13 @@ Inventory is one pallet record per slot at most.  Picking always
 consumes the oldest manufacturing date first (ties broken by route
 position), and a record is removed the moment its quantity reaches
 zero, which frees the slot.  A per-item on-hand counter moves with every
-placement and pick, and attached watchers (the storage policies' slot
-and stock indices) are told about every slot that is drained and about
-every change of an item's on-hand count.  ``pick`` returns how many
-pallets it touched and how many pieces it took loose, the two figures
-the picker's handling time is charged on.
+placement and pick.  ``pick`` returns how many pallets it touched and
+how many pieces it took loose, the two figures the picker's handling
+time is charged on.  Two append-only change logs let readers keep
+indices over the inventory, each from its own read position, as the
+storage policies do: ``drained`` gets every slot a pick empties, and
+``changed`` the item of every placement and of every pallet a pick
+takes from.  The warehouse calls nobody.
 
 Each item's pallets sit in a min-heap of ``(mfg_date, seq_no, record)``,
 its lot heap, so the FIFO lot is the head.  ``place`` pushes onto it.
@@ -200,28 +202,39 @@ def index_layout(locations: Iterable[Location]
                  ) -> tuple[dict[LocationId, Location], dict[LocationId, Location]]:
     """Storage slots and anchor points of a layout, each keyed by id.
 
-    An anchor the layout lacks stands at the origin.  A repeated id, and
-    an id on the anchor row that is not an anchor's, are errors.
+    An anchor the layout lacks stands at the origin.  A repeated id or
+    storage ``seq_no``, and an id on the anchor row that is not an
+    anchor's, are errors (``_check_new``).
     """
     storage: dict[LocationId, Location] = {}
     anchors: dict[LocationId, Location] = {}
+    ids: set[LocationId] = set()
+    seqs: set[int] = set()
     for loc in locations:
-        _check_anchor(loc)
-        target = anchors if loc.is_anchor else storage
-        if loc.id in target:
-            raise InputDataError(f"duplicate location id {loc.id}")
-        target[loc.id] = loc
+        _check_new(loc, ids, seqs)
+        (anchors if loc.is_anchor else storage)[loc.id] = loc
     for anchor_id, seq_no in zip(ANCHOR_IDS, (-3, -2, -1)):
         if anchor_id not in anchors:
             anchors[anchor_id] = Location(anchor_id, 0.0, 0.0, 0.0, ANCHOR_ZONE, seq_no)
     return storage, anchors
 
 
-def _check_anchor(loc: Location) -> None:
-    """Refuse a point of the anchor row that is not one of the three anchors."""
+def _check_new(loc: Location, ids: set[LocationId], seqs: set[int]) -> None:
+    """Refuse a point of the anchor row that is not one of the three
+    anchors, an id already in ``ids`` and a storage slot whose ``seq_no``
+    is already in ``seqs``; then add the point's id, and a storage slot's
+    ``seq_no``, to them."""
     if loc.is_anchor and loc.id not in ANCHOR_IDS:
         raise InputDataError(f"row {ANCHOR_ROW} holds only the anchors {ENTRANCE_ID}, "
                              f"{SPECIAL_AREA_ID} and {ELEVATOR_ID}, got {loc.id}")
+    if loc.id in ids:
+        raise InputDataError(f"duplicate location id {loc.id}")
+    ids.add(loc.id)
+    if not loc.is_anchor:
+        if loc.seq_no in seqs:
+            raise InputDataError(f"seq_no {loc.seq_no} of slot {loc.id} repeats an earlier "
+                                 "storage slot's")
+        seqs.add(loc.seq_no)
 
 
 class Warehouse:
@@ -234,11 +247,7 @@ class Warehouse:
     """
 
     def __init__(self, locations: Iterable[Location], items: Iterable[Item], audit: bool = False):
-        self.storage, self.anchors = index_layout(locations)
-        seqs = [loc.seq_no for loc in self.storage.values()]
-        if len(set(seqs)) != len(seqs):
-            raise InputDataError("seq_no values must be unique across storage slots")
-
+        self.storage, self.anchors = index_layout(locations)  # refuses repeated seq_no values
         self.items: dict[str, Item] = {}
         for item in items:
             if item.code in self.items:
@@ -250,10 +259,9 @@ class Warehouse:
         self._lots: dict[str, list[tuple[date, int, PalletRecord]]] = {
             code: [] for code in self.items}
         self._on_hand: dict[str, int] = dict.fromkeys(self.items, 0)
-        # objects with _slot_drained(loc_id), told after every pick() that
-        # empties a slot, and _stock_changed(item_code, on_hand), told after
-        # every place() and after every pallet a pick() takes from
-        self._watchers: list = []
+        # the change logs; see the module docstring
+        self.drained: list[LocationId] = []
+        self.changed: list[str] = []
 
         self.audit = audit
         self._placed: dict[str, int] = {}
@@ -302,18 +310,9 @@ class Warehouse:
         self.records[loc_id] = record
         heapq.heappush(self._lots[item_code], (mfg_date, self.storage[loc_id].seq_no, record))
         self._on_hand[item_code] += qty
-        on_hand = self._on_hand[item_code]
-        for watcher in self._watchers:
-            watcher._stock_changed(item_code, on_hand)
+        self.changed.append(item_code)
         if self.audit:
             self._placed[item_code] = self._placed.get(item_code, 0) + qty
-
-    def fifo_lot(self, item_code: str) -> PalletRecord | None:
-        """Oldest pallet of the item (ties by route position); None if out of stock."""
-        lots = self._lots.get(item_code)
-        if lots is None:
-            self.item(item_code)  # raises for an unknown code
-        return lots[0][2] if lots else None
 
     def pick(self, item_code: str, qty: int) -> tuple[int, int]:
         """Consume ``qty`` pieces oldest-first, splitting across pallets.
@@ -328,8 +327,8 @@ class Warehouse:
         whether the head pallet holds more than is still wanted: that
         pallet stays standing and the pick ends there, with no heap pop.
         Otherwise the pallet is drained and popped.  Per pallet the
-        watchers hear, each in turn, of the drained slot and then of the
-        new on-hand count, and then the audit books the pieces.
+        change logs get the drained slot, if any, and then the item, and
+        then the audit books the pieces.
         """
         if qty < 1:
             raise InputDataError(f"pick quantity must be >= 1, got {qty}")
@@ -337,7 +336,7 @@ class Warehouse:
         if lots is None:
             self.item(item_code)  # raises for an unknown code
         on_hand = self._on_hand
-        watchers = self._watchers
+        changed = self.changed
         touched = 0
         remaining = qty
         while lots:
@@ -346,19 +345,17 @@ class Warehouse:
             held = record.qty
             if held > remaining:
                 record.qty = held - remaining
-                left = on_hand[item_code] = on_hand[item_code] - remaining
-                for watcher in watchers:
-                    watcher._stock_changed(item_code, left)
+                on_hand[item_code] -= remaining
+                changed.append(item_code)
                 if self.audit:
                     self._audit_pick(record, remaining)
                 return touched, remaining
             record.qty = 0
             heapq.heappop(lots)
             del self.records[record.location]
-            left = on_hand[item_code] = on_hand[item_code] - held
-            for watcher in watchers:
-                watcher._slot_drained(record.location)
-                watcher._stock_changed(item_code, left)
+            on_hand[item_code] -= held
+            self.drained.append(record.location)
+            changed.append(item_code)
             if self.audit:
                 self._audit_pick(record, held)
             remaining -= held
@@ -483,11 +480,14 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
 
 
 def load_layout(path: str) -> list[Location]:
+    ids: set[LocationId] = set()
+    seqs: set[int] = set()
+
     def location(cells: list[str]) -> Location:
         row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no = cells
         loc = Location((int(row), int(layer), int(slot)), _finite(x_cm), _finite(y_cm),
                        _finite(z_cm), zone, int(seq_no))
-        _check_anchor(loc)  # here too, so the error names path:line
+        _check_new(loc, ids, seqs)  # here too, so the error names path:line
         return loc
 
     return _read_csv(path, LAYOUT_HEADER, location)
@@ -500,8 +500,13 @@ def save_layout(locations: Iterable[Location], path: str) -> None:
 
 
 def load_items(path: str) -> list[Item]:
+    codes: set[str] = set()
+
     def item(cells: list[str]) -> Item:
         code, home_zone, qty_per_pallet = cells
+        if code in codes:
+            raise InputDataError(f"duplicate item code {code}")  # as Warehouse, at path:line
+        codes.add(code)
         return Item(code, home_zone, int(qty_per_pallet))
 
     return _read_csv(path, ITEMS_HEADER, item)

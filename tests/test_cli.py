@@ -411,6 +411,8 @@ def test_invalid_config_value_exits_3(dataset, tmp_path, capsys):
     ({"replenish": {"mu_s": "x"}}, "replenish.mu_s"),
     ({"replenish": {"sigma_s": None}}, "replenish.sigma_s"),
     ({"metric_unit": []}, "metric_unit"),
+    ({"pieces_per_master": True}, "pieces_per_master"),
+    ({"replenish": {"seed": True}}, "replenish.seed"),
 ])
 def test_config_value_of_the_wrong_type_exits_3(dataset, tmp_path, capsys, config, field):
     cfg = tmp_path / "bad.json"
@@ -492,6 +494,32 @@ def test_dataset_file_in_the_old_format_exits_2(dataset, tmp_path, capsys, name)
     assert captured.out == ""
     assert captured.err == (f"error: {data / name}: expected header "
                             f"{','.join(HEADERS[name])}, got {old_header}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, line, copied, message", [
+    ("layout.csv", 6, slice(0, 3), lambda c: f"duplicate location id ({c[0]}, {c[1]}, {c[2]})"),
+    ("layout.csv", 6, slice(7, 8), lambda c: f"seq_no {c[7]} of slot ({c[0]}, {c[1]}, {c[2]}) "
+                                             "repeats an earlier storage slot's"),
+    ("items.csv", 3, slice(0, 1), lambda c: f"duplicate item code {c[0]}"),
+], ids=["slot-id", "seq_no", "item-code"])
+def test_repeated_key_in_a_dataset_exits_3_naming_its_line(dataset, tmp_path, capsys, name,
+                                                          line, copied, message):
+    """The ``copied`` cells of a line (a storage slot's, in layout.csv) are
+    those of the line before it."""
+    before = (Path(dataset) / name).read_text().splitlines()[line - 2].split(",")
+
+    def edit(cells):
+        cells[copied] = before[copied]
+        return cells
+
+    data = _edited_dataset(dataset, tmp_path, name, line, edit)
+    cells = (data / name).read_text().splitlines()[line - 1].split(",")
+    out = tmp_path / "out"
+    assert main(["simulate", "--data", str(data), "--weeks", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {data / name}:{line}: {message(cells)}\n"
     assert not out.exists()
 
 

@@ -65,6 +65,17 @@ def test_booleans_are_not_numbers():
         config_from_dict({"sph": True})
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"pieces_per_master": True}, "pieces_per_master must be an integer >= 1"),
+    ({"replenish": {"seed": True}}, "replenish.seed must be an integer"),
+    ({"replenish": {"seed": False}}, "replenish.seed must be an integer"),
+], ids=["pieces_per_master-true", "seed-true", "seed-false"])
+def test_booleans_are_not_integers(data, message):
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict(data)
+    assert exc.value.messages == [message]
+
+
 def test_equipment_builders_read_speed_lift_and_turn():
     cfg = config_from_dict({"sph": 80.0, "tts": 4.0})
     assert cfg.handlift() == Equipment("handlift", 80.0, 0.0, 2.0)

@@ -6,15 +6,17 @@ item's candidate set and its ``nearest_vacant`` must equal a scan of its
 ``candidate_slots``,
 ``total_on_hand`` must equal the sum of the item's pallet records,
 ``restock_choice`` must equal the least ``(on_hand, code)`` over the
-items with a vacant candidate slot, ``fifo_lot`` must be the item's
-record with the least ``(mfg_date, seq_no)``, and no slot may sit in two
-candidate sets.  Placements and put-aways draw their manufacturing date
+items with a vacant candidate slot, the head of the item's lot heap must
+be its record with the least ``(mfg_date, seq_no)``, and no slot may sit
+in two candidate sets.  Placements and put-aways draw their manufacturing date
 from a small set, so lots arrive out of date order and dates tie.  A
 put-away places a full pallet; partial pallets still come from placement
 steps.  A step may put away into an item's candidate set until it is
 full, the fixed slot map leaves some slots to no item, some runs stock
 the warehouse before the policy exists, and a step may build a fresh
-policy over the stocked warehouse mid-run.
+policy over the stocked warehouse mid-run.  Every policy built so far
+stays live and is checked after every later step: each reads the
+warehouse's change logs from its own position.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ def _check(pol: StoragePolicy) -> None:
         lots = [rec for rec in wh.records.values() if rec.item == code]
         oldest = min(lots, key=lambda rec: (rec.mfg_date, wh.storage[rec.location].seq_no),
                      default=None)
-        assert wh.fifo_lot(code) is oldest
+        lot_heap = wh._lots[code]
+        assert (lot_heap[0][2] if lot_heap else None) is oldest
     assert pol.restock_choice() == _brute_choice(pol)
 
 
@@ -127,6 +130,7 @@ def test_indices_match_brute_force(kind, prestock, steps):
         if wh.is_vacant(slots[index].id):
             wh.place(slots[index].id, code, 3, MFG)
     pol = _policy(kind, wh, slots)
+    live = [pol]
     _check(pol)
     for step in steps:
         op = step[0]
@@ -149,16 +153,18 @@ def test_indices_match_brute_force(kind, prestock, steps):
             while pol.nearest_vacant(code) is not None:
                 pol.put_away(code, mfg)
         else:
-            # a policy built over the stocked warehouse; the old one
-            # keeps watching it too
+            # a policy built over the stocked warehouse; the old ones
+            # stay live and keep their own read positions
             pol = _policy(kind, wh, slots)
-        _check(pol)
+            live.append(pol)
+        for each in live:
+            _check(each)
 
 
 def test_full_building_parks_every_item_until_a_slot_drains():
     """Under random storage a full building leaves no item eligible, so
-    every item is parked on the one candidate set; the pick that drains a
-    slot brings them all back at their current stock."""
+    every item is parked on the one candidate set; after a pick drains a
+    slot, the next query brings them all back at their current stock."""
     wh, slots = _world()
     pol = _policy(PolicyKind.RANDOM, wh, slots)
     for index, loc in enumerate(slots):
@@ -168,8 +174,9 @@ def test_full_building_parks_every_item_until_a_slot_drains():
     assert shared.parked == set(CODES)
     assert pol._stock == []
     wh.pick("C", 3)  # drains one of C's four 3-piece pallets
-    assert shared.parked == set()
+    assert shared.parked == set(CODES)  # until the policy reads the drained log
     assert pol.restock_choice() == _brute_choice(pol) == "A"  # A 4, B 8, C 9
+    assert shared.parked == set()
     pol.put_away("A", MFG)  # fills the building again
     assert pol.restock_choice() is None
     assert shared.parked == set(CODES)

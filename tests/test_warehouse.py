@@ -193,15 +193,18 @@ def test_fifo_lot_oldest_date_wins():
     wh = _wh()
     wh.place((0, 1, 0), "A", 5, date(2024, 5, 10))
     wh.place((0, 1, 1), "A", 5, date(2024, 5, 1))
-    assert wh.fifo_lot("A").location == (0, 1, 1)
+    wh.pick("A", 5)  # drains the FIFO lot only
+    assert wh.is_vacant((0, 1, 1)) and not wh.is_vacant((0, 1, 0))
 
 
 def test_fifo_lot_date_tie_breaks_by_route_position():
     wh = _wh()
     wh.place((0, 1, 1), "A", 5, date(2024, 5, 1))  # seq 2
     wh.place((0, 1, 0), "A", 5, date(2024, 5, 1))  # seq 1
-    assert wh.fifo_lot("A").location == (0, 1, 0)
-    assert wh.fifo_lot("B") is None
+    wh.pick("A", 5)
+    assert wh.is_vacant((0, 1, 0)) and not wh.is_vacant((0, 1, 1))
+    with pytest.raises(InputDataError, match="exceeds stock"):
+        wh.pick("B", 1)  # no lot at all
 
 
 def test_pick_splits_across_pallets_and_frees_slots():
@@ -262,21 +265,6 @@ def test_audit_catches_fifo_violation_via_direct_tampering():
         wh.pick("A", 1)
 
 
-class _Recorder:
-    """Watcher that logs every notification, tagged with its own name, into
-    a log it shares with the other watchers."""
-
-    def __init__(self, name, log):
-        self.name = name
-        self.log = log
-
-    def _slot_drained(self, loc_id):
-        self.log.append((self.name, "drained", loc_id))
-
-    def _stock_changed(self, item_code, on_hand):
-        self.log.append((self.name, "stock", item_code, on_hand))
-
-
 _PICK_SLOTS = [slot(r, 1, s, 100.0 * s, 100.0 * r, seq=10 - 3 * r - s)
                for r in range(2) for s in range(3)]
 _PICK_ITEMS = {"A": 5, "B": 3}
@@ -292,17 +280,17 @@ _PICK_OPS = st.lists(st.one_of(
 def test_pick_matches_a_reference_model(ops, audit):
     """Random placements and picks, the picks checked against a list-scan
     model of FIFO consumption: what each pick returns, the on-hand counts,
-    each item's oldest pallet and the order of the watchers' notifications."""
+    each item's oldest pallet and what each step appends to the two change
+    logs."""
     wh = Warehouse(anchors() + _PICK_SLOTS,
                    [make_item(code, qpp=qpp) for code, qpp in _PICK_ITEMS.items()], audit=audit)
-    log = []
-    wh._watchers.extend([_Recorder(0, log), _Recorder(1, log)])
     seq = {loc.id: loc.seq_no for loc in _PICK_SLOTS}
     pallets = {}  # slot -> [item, qty, mfg_date], the model's inventory
     # dates never go back, as in a run, so the audit's FIFO check holds
     today = date(2024, 5, 1)
     for op in ops:
-        expected = []
+        logged = len(wh.drained), len(wh.changed)
+        drained, changed = [], []
         if op[0] == "place":
             _, index, item, qty, days = op
             loc_id = _PICK_SLOTS[index].id
@@ -312,13 +300,11 @@ def test_pick_matches_a_reference_model(ops, audit):
             mfg = today
             wh.place(loc_id, item, qty, mfg)
             pallets[loc_id] = [item, qty, mfg]
-            on_hand = sum(p[1] for p in pallets.values() if p[0] == item)
-            expected = [(w, "stock", item, on_hand) for w in (0, 1)]
+            changed.append(item)
         else:
             _, item, qty = op
             lots = sorted((p[2], seq[loc_id], loc_id) for loc_id, p in pallets.items()
                           if p[0] == item)
-            on_hand = sum(pallets[loc_id][1] for _, _, loc_id in lots)
             touched = loose = 0
             remaining = qty
             for _, _, loc_id in lots:
@@ -326,35 +312,31 @@ def test_pick_matches_a_reference_model(ops, audit):
                     break
                 taken = min(remaining, pallets[loc_id][1])
                 pallets[loc_id][1] -= taken
-                on_hand -= taken
                 remaining -= taken
                 touched += 1
-                drained = pallets[loc_id][1] == 0
-                if drained:
+                if pallets[loc_id][1] == 0:
                     del pallets[loc_id]
+                    drained.append(loc_id)
                 else:
                     loose = taken
-                for w in (0, 1):
-                    if drained:
-                        expected.append((w, "drained", loc_id))
-                    expected.append((w, "stock", item, on_hand))
+                changed.append(item)
             if remaining:
                 with pytest.raises(InputDataError, match="exceeds stock"):
                     wh.pick(item, qty)
             else:
                 assert wh.pick(item, qty) == (touched, loose)
-        assert log == expected
-        log.clear()
+        assert (wh.drained[logged[0]:], wh.changed[logged[1]:]) == (drained, changed)
         for item in _PICK_ITEMS:
             held = [(p[2], seq[loc_id], loc_id, p[1]) for loc_id, p in pallets.items()
                     if p[0] == item]
             assert wh.total_on_hand(item) == sum(h[3] for h in held)
-            head = wh.fifo_lot(item)
+            lots = wh._lots[item]
             if held:
                 mfg, _, loc_id, qty = min(held)
+                head = lots[0][2]
                 assert (head.location, head.qty, head.mfg_date) == (loc_id, qty, mfg)
             else:
-                assert head is None
+                assert lots == []
         assert {loc_id: (r.item, r.qty, r.mfg_date) for loc_id, r in wh.records.items()} == \
             {loc_id: tuple(p) for loc_id, p in pallets.items()}
         if audit:
