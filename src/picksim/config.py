@@ -30,20 +30,18 @@ exactly, ``sampled`` draws Normal(mu_s, sigma_s) clamped to at least
 
 Files written for earlier versions may still name equipment counts,
 capability flags, plan durations and other fields no simulation reads
-(``LEGACY_KEYS``); they load, and the keys are dropped with a warning.
+(``LEGACY_KEYS``); they load, and the keys are dropped with a warning
+on the ``picksim.config`` logger.  ``json`` is imported only when a
+config file is read.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 from typing import Any
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _logger
 from .warehouse import Equipment, HANDLIFT, STACKER, _Record
-
-log = logging.getLogger("picksim.config")
 
 WALK_CONSTANT = "constant"
 WALK_DISTANCE = "distance"
@@ -200,12 +198,15 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
         raise ValidationError(problems)
     dropped = sorted(LEGACY_KEYS.intersection(data))
     if dropped:
-        log.warning("config fields %s are no longer used and were ignored", ", ".join(dropped))
+        _logger(__name__).warning("config fields %s are no longer used and were ignored",
+                                  ", ".join(dropped))
     return cfg
 
 
 def _read_json_object(path: str) -> dict[str, Any]:
     """The decoded JSON object of a config file; ParseError otherwise."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

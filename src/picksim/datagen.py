@@ -9,8 +9,8 @@ most picks.  Every item starts with at least one full pallet, weekly
 order quantities are kept within what starting stock plus replenishment
 can supply, and item home zones are sized to zone capacity, which keeps
 generated scenarios terminating.  A scale that cannot meet these bounds,
-or whose order times would run past the end of their week, is rejected
-with ``InputDataError``.
+that has fewer lines than weeks, or whose order times would run past the
+end of their week, is rejected with ``InputDataError``.
 """
 
 from __future__ import annotations
@@ -224,8 +224,10 @@ def _check_feasibility(items: list[Item], pallets: dict[str, list[tuple[int, dat
 def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
                   n_lines: int, weeks: int) -> dict[str, str]:
     """Write the four dataset files; returns their paths keyed by role."""
-    if n_items < 1 or n_lines < 0 or weeks < 1:
-        raise InputDataError("scale values must be positive (items, weeks) and lines >= 0")
+    if n_items < 1 or weeks < 1 or n_lines < weeks:
+        # a week without a line has no orders, and every run over it exits 3
+        raise InputDataError(f"scale values must be positive, with at least one line per "
+                             f"week: got {n_items} items, {n_lines} lines, {weeks} weeks")
     if n_slots < n_items:
         raise InputDataError(
             f"{n_slots} slots cannot store {n_items} distinct items (need one slot each)"

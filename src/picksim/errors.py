@@ -2,6 +2,10 @@
 
 The CLI maps these onto process exit codes: parse problems exit 2,
 validation and bad input data exit 3, and runtime aborts exit 1.
+
+``_logger`` gives each module that logs its ``picksim.*`` logger.  It
+imports ``logging`` at the first record, so a run that logs nothing
+never loads it.
 """
 
 from __future__ import annotations
@@ -42,3 +46,10 @@ class SchedulePastError(SimulationAbort):
 
 class InfeasibleRunError(SimulationAbort):
     """A weekly run ended (horizon reached) with orders still unfinished."""
+
+
+def _logger(name: str):
+    """The ``logging`` logger ``name``, importing ``logging`` on first use."""
+    import logging
+
+    return logging.getLogger(name)

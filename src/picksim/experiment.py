@@ -13,23 +13,28 @@ sum of per-order durations including any replenishment waits.
 
 Per-week randomness derives from (master seed, scenario name, week), so
 runs are reproducible bit for bit and independent of execution order.
+The hash is SHA-256 from its own lean module, not ``hashlib``, whose
+import loads OpenSSL.
 
-``run_scenario`` pauses CPython's cyclic garbage collector from the first
-CSV load to the end of the last week: otherwise its full passes rescan
-the loaded dataset and the week's plan again and again.  Pausing is safe
-because a run makes no reference cycles, so reference counting alone
-frees all it drops: links run one way, and the storage policy reads the
-warehouse's change logs rather than being called by it (see
-``storage.py``).  The suite checks that a run leaves nothing for the
-collector.  On return and on raise the collector is left as the caller
-had it: enabled again only if it was enabled before.
+``compare_scenarios`` loads and validates a dataset once for the
+scenarios that share it (the same data directory and week count); they
+plan the same order records, which ``prepare_orders`` resets each week.
+
+``run_scenario`` and ``compare_scenarios`` pause CPython's cyclic garbage
+collector from the first CSV load to the end of the last week: otherwise
+its full passes rescan the loaded dataset and the week's plan again and
+again.  Pausing is safe because a run makes no reference cycles, so
+reference counting alone frees all it drops: links run one way, and the
+storage policy reads the warehouse's change logs rather than being
+called by it (see ``storage.py``).  The suite checks that a run leaves
+nothing for the collector.  On return and on raise the collector is left
+as the caller had it: enabled again only if it was enabled before.
 """
 
 from __future__ import annotations
 
 import gc
-import hashlib
-import logging
+from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
 from typing import NamedTuple
@@ -67,7 +72,14 @@ from .warehouse import (
     load_layout,
 )
 
-log = logging.getLogger("picksim.experiment")
+# random.py takes SHA-512 from its lean module the same way
+try:
+    from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 class DataPaths(NamedTuple):
@@ -128,7 +140,7 @@ class RunResult(_Record):
 
 def derive_seed(master: int, scenario: str, week: int) -> int:
     """Stable per-run seed from (master seed, scenario name, week)."""
-    digest = hashlib.sha256(f"{master}|{scenario}|{week}".encode()).digest()
+    digest = _sha256(f"{master}|{scenario}|{week}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -184,49 +196,64 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
     The cyclic garbage collector is paused for the run and left as the
     caller had it on return or raise (see the module docstring).
     """
+    with _gc_paused():
+        return _run_loaded(spec, _load_dataset(spec.data, spec.weeks), audit, trace_dir)
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, then leave it as the caller had it."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run_scenario(spec, audit, trace_dir)
+        yield
     finally:
         if enabled:
             gc.enable()
 
 
-def _run_scenario(spec: ScenarioSpec, audit: bool, trace_dir: str | None) -> RunResult:
-    cfg = spec.config
-    layout = load_layout(spec.data.layout)
-    items = load_items(spec.data.items)
-    initial = load_inventory(spec.data.inventory)
+def _load_dataset(data: DataPaths, weeks: int):
+    """The validated dataset of a run of ``weeks`` weeks: layout, items,
+    initial pallets, the orders of each week and the average picks per
+    item and week.  Scenarios of the same ``(data, weeks)`` share it."""
+    layout = load_layout(data.layout)
+    items = load_items(data.items)
+    initial = load_inventory(data.inventory)
     item_index = {i.code: i for i in items}
     slots = {loc.id for loc in layout if not loc.is_anchor}
     named = set()
     for row in initial:
         item = item_index.get(row.item)
         if item is None:
-            raise InputDataError(f"{spec.data.inventory}: unknown item {row.item}")
+            raise InputDataError(f"{data.inventory}: unknown item {row.item}")
         if row.qty > item.qty_per_pallet:
             raise InputDataError(
-                f"{spec.data.inventory}: pallet of {row.item} must hold "
+                f"{data.inventory}: pallet of {row.item} must hold "
                 f"1..{item.qty_per_pallet} pieces, got {row.qty}"
             )
         if row.location not in slots:
-            raise InputDataError(f"{spec.data.inventory}: pallet of {row.item} on "
-                                 f"{row.location}, not a storage slot of {spec.data.layout}")
+            raise InputDataError(f"{data.inventory}: pallet of {row.item} on "
+                                 f"{row.location}, not a storage slot of {data.layout}")
         if row.location in named:
-            raise InputDataError(f"{spec.data.inventory}: two pallets on slot {row.location}")
+            raise InputDataError(f"{data.inventory}: two pallets on slot {row.location}")
         named.add(row.location)
-    all_orders = load_orders(spec.data.orders, item_index)
-    buckets = split_weeks(all_orders, spec.weeks)
+    all_orders = load_orders(data.orders, item_index)
+    buckets = split_weeks(all_orders, weeks)
     empty = next((w for w, bucket in enumerate(buckets, start=1) if not bucket), None)
     if empty is not None:
         start = min((o.order_datetime for o in all_orders), default=None)
         spanned = max((week_index(o, start.date()) + 1 for o in all_orders), default=0)
         raise InputDataError(
-            f"week {empty} has no orders: {spec.data.orders} spans {spanned} week(s)"
+            f"week {empty} has no orders: {data.orders} spans {spanned} week(s)"
         )
+    avg_picks = demand_per_week([o for bucket in buckets for o in bucket], weeks)
+    return layout, items, initial, buckets, avg_picks
+
+
+def _run_loaded(spec: ScenarioSpec, dataset, audit: bool, trace_dir: str | None) -> RunResult:
+    layout, items, initial, buckets, avg_picks = dataset
+    cfg = spec.config
     _check_walking(cfg, layout)
-    avg_picks = demand_per_week([o for bucket in buckets for o in bucket], spec.weeks)
     slot_map = None
     if spec.policy is PolicyKind.FIXED:
         slot_map = build_slot_map(spec, layout, avg_picks, [i.code for i in items])
@@ -340,13 +367,22 @@ def compare_scenarios(base: ScenarioSpec, other: ScenarioSpec,
                       audit: bool = False) -> Comparison:
     """Run both scenarios and pair their weekly metrics.  A scenario of
     fewer than 2 weeks raises ``InputDataError`` before any file is read:
-    the paired t-test needs at least two pairs."""
+    the paired t-test needs at least two pairs.
+
+    Scenarios of the same data directory and week count load and validate
+    it once and plan the same order records (``prepare_orders`` resets
+    what a week picked).  The garbage collector stays paused from the first
+    load to the end of the last week, as in ``run_scenario``."""
     for spec in (base, other):
         if spec.weeks < 2:
             raise InputDataError(f"scenario {spec.name}: a comparison needs at least 2 "
                                  f"weeks for its paired t-test, got {spec.weeks}")
-    res_a = run_scenario(base, audit=audit)
-    res_b = run_scenario(other, audit=audit)
+    with _gc_paused():
+        dataset = _load_dataset(base.data, base.weeks)
+        res_a = _run_loaded(base, dataset, audit, None)
+        if (other.data, other.weeks) != (base.data, base.weeks):
+            dataset = _load_dataset(other.data, other.weeks)
+        res_b = _run_loaded(other, dataset, audit, None)
     summaries = summarize_results([(r.scenario, r.weekly_metrics) for r in (res_a, res_b)])
     paired = paired_test(res_a.weekly_metrics, res_b.weekly_metrics)
     return Comparison([res_a, res_b], summaries, paired)

@@ -7,7 +7,10 @@ order, lines are visited in ascending route position of the slot each
 line will draw from (the oldest pallet's slot, or the item's designated
 slot while it is out of stock).  Zone picking additionally groups a
 route into per-zone sublists; sublists are worked one after another by
-the zone staff, and consolidating them afterwards costs nothing.
+the zone staff, and consolidating them afterwards costs nothing.  An
+order without a truck id is its own group, with a warning on the
+``picksim.picking`` logger.  Planning resets every line's ``remaining``
+to its ``qty``, so orders that an earlier run picked can be planned again.
 
 Execution is strictly sequential: one order is in flight at a time and
 the next order starts the moment the previous one is done.  An order
@@ -47,12 +50,11 @@ prices every picking visit.
 from __future__ import annotations
 
 import enum
-import logging
 from datetime import datetime
 from typing import NamedTuple
 
 from .config import SimConfig, WALK_CONSTANT
-from .errors import InputDataError
+from .errors import InputDataError, _logger
 from .events import Engine, Event, PartialPick, StartPickOrder, _new
 from .storage import StoragePolicy
 from .warehouse import (
@@ -71,8 +73,6 @@ from .warehouse import (
     travel_time,
 )
 
-log = logging.getLogger("picksim.picking")
-
 
 class PickingMode(enum.Enum):
     AREA = "area"
@@ -80,8 +80,8 @@ class PickingMode(enum.Enum):
 
 
 class OrderLine(_Record):
-    """One line of an order; ``remaining`` starts at ``qty`` and counts down
-    as the line is picked."""
+    """One line of an order; ``remaining`` starts at ``qty``, is reset to it
+    when a week is planned and counts down as the line is picked."""
 
     __slots__ = ("item", "qty", "remaining")
 
@@ -128,7 +128,9 @@ PickerEvent = tuple[float, StartPickOrder | PartialPick]
 def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
                    policy: StoragePolicy) -> PickPlan:
     """Build the pick plan for a horizon's orders against current stock;
-    an order without lines raises ``InputDataError``."""
+    an order without lines raises ``InputDataError``.  Every line's
+    ``remaining`` is reset to its ``qty``, so orders picked by an earlier
+    run can be planned again."""
     groups: dict[str, list[Order]] = {}
     group_seq: list[str] = []
     for order in orders:
@@ -137,7 +139,8 @@ def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
         key = order.truck_id
         if not key:
             key = f"#solo:{order.order_no}"
-            log.warning("order %s has no truck id; treating it as its own group", order.order_no)
+            _logger(__name__).warning("order %s has no truck id; treating it as its own group",
+                                      order.order_no)
         if key not in groups:
             groups[key] = []
             group_seq.append(key)
@@ -160,6 +163,7 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse,
     # compares two slots
     keyed = []
     for idx, line in enumerate(order.lines):
+        line.remaining = line.qty
         lot = lots.get(line.item)
         if lot:
             loc = storage[lot[0][2].location]

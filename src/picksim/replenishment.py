@@ -7,9 +7,10 @@ active storage policy (ties go to the smallest item code), placing one
 full pallet manufactured on the current simulation date.  The policy
 makes that choice (``StoragePolicy.restock_choice``) from a lazy min-heap
 of on-hand counts, brought up to date from the warehouse's change logs,
-so a visit costs O(log items) amortised instead of a scan of the catalog.  If nothing is
-eligible the visit is skipped, but the next one is always scheduled: a
-full warehouse is not a terminal state.  The engine ends the chain at
+so a visit costs O(log items) amortised instead of a scan of the catalog.
+If nothing is eligible the visit is skipped, with an INFO record on the
+``picksim.replenishment`` logger, but the next one is always scheduled:
+a full warehouse is not a terminal state.  The engine ends the chain at
 the first visit after the picker is done.
 
 Intervals come from a sampler that either returns a constant mean or
@@ -19,17 +20,14 @@ time always advances.
 
 from __future__ import annotations
 
-import logging
 import random
 from datetime import date, timedelta
 
 from .config import REPLENISH_SAMPLED, SimConfig
-from .errors import InputDataError
+from .errors import InputDataError, _logger
 from .events import Engine, Event
 from .storage import StoragePolicy
 from .warehouse import ProcessTotals, _Record
-
-log = logging.getLogger("picksim.replenishment")
 
 
 class ReplenishmentSampler(_Record):
@@ -83,7 +81,8 @@ class Replenisher:
         gap = self.sampler.draw()
         code = self.policy.restock_choice()
         if code is None:
-            log.info("replenishment at t=%s skipped: no product has a vacant slot", event.time)
+            _logger(__name__).info("replenishment at t=%s skipped: no product has a vacant slot",
+                                   event.time)
         else:
             assignment = self.policy.put_away(code, self.sim_date(event.time))
             self.metrics.put_travel_s += assignment.travel_s

@@ -16,12 +16,15 @@ expansion of ``I_x(a, b)`` for large ``a`` in incomplete gamma functions
 normal tail.  The quantile bisects the tail to the last bit.  Over df 1
 to 10^6 the test suite checks both against a reference library: relative
 error at most 1e-12 for the quantile and 1e-10 for the two-sided p-value.
+
+Mean and standard deviation come from ``statistics``, which ``summarize``
+and ``paired_test`` import when first called: a run that summarises
+nothing, such as a one-week ``simulate``, never loads it.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from typing import NamedTuple
 
 from .errors import InputDataError
@@ -43,6 +46,8 @@ class PairedTest(NamedTuple):
 
 def summarize(values: list[float]) -> StatsSummary:
     """Mean and two-sided t confidence interval of weekly metrics."""
+    import statistics
+
     n = len(values)
     if n < 2:
         raise InputDataError(f"confidence interval needs at least 2 values, got {n}")
@@ -67,6 +72,8 @@ def paired_test(a: list[float], b: list[float]) -> PairedTest:
     give t = 0 and p = 1; a constant nonzero difference gives an
     infinite statistic and p = 0.
     """
+    import statistics
+
     if len(a) != len(b):
         raise InputDataError(f"paired samples differ in length: {len(a)} vs {len(b)}")
     n = len(a)

@@ -53,12 +53,11 @@ from __future__ import annotations
 
 import enum
 import heapq
-import logging
 from datetime import date
 from typing import NamedTuple
 
 from .allocation import SlotMap
-from .errors import InputDataError
+from .errors import InputDataError, _logger
 from .warehouse import (
     ELEVATOR_ID,
     Equipment,
@@ -69,8 +68,6 @@ from .warehouse import (
     aisle_turns,
     travel_time,
 )
-
-log = logging.getLogger("picksim.storage")
 
 
 class PolicyKind(enum.Enum):
@@ -257,7 +254,8 @@ def place_initial(policy: StoragePolicy, pallets: list[PalletRecord],
     oldest first, each to its nearest vacant candidate slot, so the
     starting state respects the same containment rules as live put-away.
     A pallet whose candidate set is full falls back to the nearest vacant
-    slot anywhere (logged); returns how many pallets needed the fallback.
+    slot anywhere (a warning on the ``picksim.storage`` logger); returns how
+    many pallets needed the fallback.
     """
     wh = policy.warehouse
     ordered = sorted(pallets, key=lambda p: (-priority.get(p.item, 0.0), p.item,
@@ -272,7 +270,7 @@ def place_initial(policy: StoragePolicy, pallets: list[PalletRecord],
                 raise InputDataError("initial inventory exceeds total warehouse capacity")
             slot = wh.storage[nearest[2]]
             fallbacks += 1
-            log.warning("initial pallet of %s placed outside its policy slots (all full)",
-                        pallet.item)
+            _logger(__name__).warning(
+                "initial pallet of %s placed outside its policy slots (all full)", pallet.item)
         wh.place(slot.id, pallet.item, pallet.qty, pallet.mfg_date)
     return fallbacks

@@ -63,6 +63,18 @@ def test_gen_data_beyond_supply_exits_3(tmp_path, capsys):
     assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
 
 
+@pytest.mark.parametrize("lines, weeks", [("3", "4"), ("0", "1")])
+def test_gen_data_with_fewer_lines_than_weeks_exits_3(tmp_path, capsys, lines, weeks):
+    """Such a dataset would have a week without orders, which every run over
+    that many weeks refuses."""
+    out = tmp_path / "gen"
+    assert main(["gen-data", "--out", str(out), "--lines", lines, "--weeks", weeks]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: scale values must be positive, with at least one line "
+                            f"per week: got 10 items, {lines} lines, {weeks} weeks\n")
+    assert captured.out == "" and not out.exists()
+
+
 # -- simulate -------------------------------------------------------------
 
 
@@ -177,6 +189,21 @@ def test_compare_writes_three_csvs_and_paired_line(dataset, tmp_path, capsys):
     assert summary[0] == "scenario,mean,ci_low,ci_high,total,gap_pct"
     assert summary[1].startswith("S1-homogeneous,")
     assert summary[1].endswith(",0.00")  # baseline gap is zero
+
+
+@pytest.mark.parametrize("picking", ["area", "zoning"])
+def test_compare_results_equal_the_two_simulate_runs(dataset, tmp_path, capsys, picking):
+    """``compare`` loads the data once for both scenarios; each scenario's rows
+    are those of ``simulate`` under the same name and allocation."""
+    common = ["--data", dataset, "--weeks", "2", "--picking", picking]
+    assert main(["compare", *common, "--out", str(tmp_path / "cmp")]) == 0
+    for name, allocation in (("S1-homogeneous", "homogeneous"), ("S2-demand", "demand")):
+        assert main(["simulate", *common, "--name", name, "--allocation", allocation,
+                     "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    rows = [(tmp_path / d / "results.csv").read_text().splitlines()
+            for d in ("cmp", "S1-homogeneous", "S2-demand")]
+    assert rows[0] == rows[1] + rows[2][1:]
 
 
 @pytest.mark.parametrize("data", ["real", "missing"])
@@ -685,15 +712,48 @@ def test_console_script_runs(tmp_path):
     assert "orders:" in proc.stdout
 
 
+DEFERRED = ("logging", "json", "statistics", "hashlib", "_hashlib")
+
+
 def test_cli_import_leaves_scipy_unloaded():
-    """Nor does it load ``dataclasses`` and the ``inspect`` it imports: every
-    CLI process would pay for them before its first event."""
-    code = ("import sys, picksim.cli; "
-            "print([m for m in ('scipy', 'dataclasses', 'inspect') if m in sys.modules])")
+    """Nor does it load ``dataclasses`` and the ``inspect`` it imports, or the
+    standard-library modules a run imports where it first uses them
+    (``DEFERRED``): every CLI process would pay for them before its first
+    event."""
+    code = ("import sys, picksim.cli; print([m for m in ('scipy', 'dataclasses', 'inspect', "
+            f"*{DEFERRED!r}) if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_LOADED_AFTER_A_RUN = """
+import contextlib, io, sys
+from picksim.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+print(code, sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("command, extra, loaded", [
+    ("simulate", ["--weeks", "1"], []),
+    ("compare", ["--weeks", "2"], ["statistics"]),
+    ("simulate", ["--weeks", "1", "--config", "{config}"], ["json"]),
+], ids=["simulate", "compare", "simulate-with-config"])
+def test_a_run_loads_only_the_modules_it_uses(dataset, tmp_path, command, extra, loaded):
+    """A one-week ``simulate`` without ``--config`` logs, summarises and reads
+    no JSON, so it ends without any of ``DEFERRED``; ``compare`` summarises
+    and so loads ``statistics`` only; a config file brings in ``json``."""
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    argv = [command, "--data", dataset, *[a.format(config=config) for a in extra]]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_A_RUN, ",".join(DEFERRED),
+                           *argv], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"0 {loaded}\n"
 
 
 def test_cli_import_leaves_the_dataset_generator_unloaded():

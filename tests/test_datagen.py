@@ -84,3 +84,18 @@ def test_rejects_more_items_than_slots(tmp_path):
     with pytest.raises(InputDataError, match="positive"):
         generate_data(str(tmp_path), 1, n_items=0, n_slots=9,
                       n_lines=5, weeks=1)
+
+
+@pytest.mark.parametrize("n_lines, weeks", [(3, 4), (0, 1), (-1, 1)])
+def test_rejects_fewer_lines_than_weeks(tmp_path, n_lines, weeks):
+    """A week without a line has no orders; every run over it would exit 3."""
+    with pytest.raises(InputDataError, match="positive, with at least one line per week"):
+        generate_data(str(tmp_path), 1, n_items=4, n_slots=12, n_lines=n_lines, weeks=weeks)
+    assert not any(tmp_path.iterdir())
+
+
+def test_one_line_per_week_gives_every_week_orders(tmp_path):
+    paths = generate_data(str(tmp_path), 1, n_items=4, n_slots=12, n_lines=4, weeks=4)
+    weeks = {line.split(",")[1].split("-")[1] for line in
+             Path(paths["orders"]).read_text().splitlines()[1:]}
+    assert weeks == {"W1", "W2", "W3", "W4"}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import hashlib
 import json
 import re
 import subprocess
@@ -42,6 +43,7 @@ from picksim import (
 )
 from picksim import experiment
 from picksim.cli import main
+from picksim.config import config_from_dict
 from picksim.datagen import generate_data
 from picksim.warehouse import ProcessTotals
 from conftest import anchors, child_env, make_item, slot
@@ -61,6 +63,15 @@ def test_derive_seed_frozen_values():
     assert derive_seed(12345, "x", 2) == 14158318454559125633
     assert derive_seed(12345, "y", 1) == 15277934249497396960
     assert derive_seed(99, "x", 1) == 2357815595800428762
+
+
+@pytest.mark.parametrize("master, scenario, week", [
+    (12345, "x", 1), (0, "S1-homogeneous", 4), (-7, "S2-demand", 2),
+    (2 ** 70, "fixed-homogeneous-area", 52), (-1, "Lager-Süd ✓", 3), (42, "", 0),
+])
+def test_derive_seed_is_the_head_of_a_sha256(master, scenario, week):
+    digest = hashlib.sha256(f"{master}|{scenario}|{week}".encode()).digest()
+    assert derive_seed(master, scenario, week) == int.from_bytes(digest[:8], "big")
 
 
 def test_derive_seed_varies_on_every_component():
@@ -171,6 +182,26 @@ def test_tiny_horizon_raises_infeasible(small_dataset):
 def test_weeks_beyond_the_data_are_an_input_error(small_dataset):
     with pytest.raises(InputDataError, match=r"week 3 has no orders: .* spans 2 week\(s\)"):
         run_scenario(_spec(small_dataset, weeks=3))
+
+
+def test_run_week_twice_on_the_same_orders_gives_identical_totals():
+    """A week picks its order lines down to zero; planning them again resets
+    them, so a second run over the same records repeats the first."""
+    layout = anchors() + [slot(0, 1, s, 100.0, 100.0 + 150.0 * s, seq=s) for s in range(3)]
+    items = [make_item("A", qpp=10), make_item("B", qpp=10)]
+    orders = [_order("O1", 0, items=(("A", 4), ("B", 12))), _order("O2", 0, items=(("A", 9),))]
+    cfg = config_from_dict({"replenish": {"mu_s": 120.0}})
+    runs = []
+    for _ in range(2):
+        warehouse = Warehouse(layout, items)
+        policy = StoragePolicy(PolicyKind.RANDOM, warehouse, cfg.stacker())
+        warehouse.place(layout[3].id, "A", 10, date(2024, 5, 1))
+        warehouse.place(layout[4].id, "B", 10, date(2024, 5, 1))
+        session, engine = run_week(warehouse, policy, orders, PickingMode.AREA, cfg, 1,
+                                   date(2024, 6, 3))
+        runs.append((session.completions, session.metrics, len(engine.trace)))
+    assert runs[0][1].wait_s > 0, "the week should stall, so that a resume event runs"
+    assert runs[1] == runs[0]
 
 
 def test_run_week_refuses_a_week_without_orders():
@@ -395,6 +426,48 @@ def test_compare_scenarios_runs_both_and_pairs(small_dataset):
     assert [r.scenario for r in cmp_.results] == ["homog", "demand"]
     assert cmp_.summaries[0].gap_pct == 0.0
     assert cmp_.paired is not None and cmp_.paired.df == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_compare_loads_its_dataset_once_with_the_collector_paused(small_dataset, gc_state,
+                                                                 monkeypatch, enabled):
+    """Both scenarios read one load of the data; the collector stays paused
+    from that load to the end of the last week and is left as it was."""
+    loading, weeks = [], []
+    load_layout, week = experiment.load_layout, experiment.run_week
+
+    def spy_load(path):
+        loading.append(gc.isenabled())
+        return load_layout(path)
+
+    def spy_week(*args):
+        weeks.append(gc.isenabled())
+        return week(*args)
+
+    monkeypatch.setattr(experiment, "load_layout", spy_load)
+    monkeypatch.setattr(experiment, "run_week", spy_week)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    specs = [_spec(small_dataset, name=rule.value, policy=PolicyKind.FIXED, allocation=rule)
+             for rule in (AllocationRule.HOMOGENEOUS, AllocationRule.DEMAND_BASED)]
+    cmp_ = compare_scenarios(*specs)
+    assert loading == [False] and weeks == [False] * 4
+    assert gc.isenabled() is enabled
+    assert [r.weeks for r in cmp_.results] == [run_scenario(spec).weeks for spec in specs]
+
+
+def test_compare_loads_each_distinct_dataset(small_dataset, golden_dataset, monkeypatch):
+    loaded = []
+    load_layout = experiment.load_layout
+    monkeypatch.setattr(experiment, "load_layout",
+                        lambda path: loaded.append(path) or load_layout(path))
+    compare_scenarios(_spec(small_dataset, name="a"), _spec(golden_dataset, name="b"))
+    compare_scenarios(_spec(small_dataset, name="a"), _spec(small_dataset, name="b"))
+    assert loaded == [DataPaths.from_dir(small_dataset).layout,
+                      DataPaths.from_dir(golden_dataset).layout,
+                      DataPaths.from_dir(small_dataset).layout]
 
 
 @pytest.mark.parametrize("weeks", [(1, 2), (2, 1)], ids=["base", "other"])

@@ -21,6 +21,7 @@ warehouse's change logs from its own position.
 
 from __future__ import annotations
 
+import logging
 from datetime import date
 
 import pytest
@@ -215,3 +216,14 @@ def test_place_initial_fallback_uses_the_nearest_slot_anywhere():
     nearest_others = sorted(slots[1:], key=lambda loc: (
         travel_time(receiving, loc, CFG.stacker(), aisle_turns(receiving, loc)), loc.seq_no))
     assert set(wh.records) == {slots[0].id, nearest_others[0].id, nearest_others[1].id}
+
+
+def test_place_initial_fallback_warns_on_the_storage_logger(caplog):
+    wh, slots = _world()
+    pol = StoragePolicy(PolicyKind.FIXED, wh, CFG.stacker(), slot_map={
+        "A": [slots[0].id], "B": [slots[2].id], "C": [slots[1].id]})
+    with caplog.at_level(logging.WARNING, logger="picksim.storage"):
+        place_initial(pol, [PalletRecord((0, 0, 0), "A", 1, MFG)] * 2, {"A": 1.0})
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("picksim.storage", logging.WARNING,
+         "initial pallet of A placed outside its policy slots (all full)")]

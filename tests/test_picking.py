@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from datetime import date, datetime
 
 import pytest
@@ -71,6 +72,16 @@ def test_blank_truck_id_makes_a_solo_group():
     plan = prepare_orders(orders, PickingMode.AREA, wh, pol)
     # two singleton groups in arrival order, nothing reversed across them
     assert [p.order.order_no for p in plan] == ["O1", "O2"]
+
+
+def test_blank_truck_id_warns_on_the_picking_logger(caplog):
+    wh, pol = _zoned_world()
+    with caplog.at_level(logging.WARNING, logger="picksim.picking"):
+        prepare_orders([_order("O1", "", ("A", 1)), _order("O2", "T", ("B", 1))],
+                       PickingMode.AREA, wh, pol)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("picksim.picking", logging.WARNING,
+         "order O1 has no truck id; treating it as its own group")]
 
 
 def test_area_route_sorts_by_route_position():

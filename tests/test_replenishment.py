@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import random
 from collections import Counter
 from datetime import date
@@ -125,6 +126,22 @@ def test_next_visit_scheduled_even_when_nothing_fits():
     assert completions == [55.0]  # 30 walk + 25 handling, no wait
     rps = [ev for ev in engine.trace if isinstance(ev.kind, Replenish)]
     assert len(rps) == 1 and rps[0].time == 100.0  # fired once, then stopped
+
+
+def test_skipped_visit_is_an_info_record_of_the_replenishment_logger(caplog):
+    layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, seq=1)]
+    initial = [((0, 1, 0), "A", 10, date(2024, 5, 1))]
+    with caplog.at_level(logging.INFO, logger="picksim.replenishment"):
+        completions, _, _, _ = engine_run(
+            layout, [make_item("A", qpp=10)], initial, "random", None,
+            [(f"O{i}", "T", [("A", 1)]) for i in range(5)], "area", trace_cfg(), 1, START)
+    # orders start every 55 s, so the visits at 100 and 200 come while the
+    # picker still has one to start, and find the only slot full
+    assert completions == [55.0, 110.0, 165.0, 220.0, 275.0]
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("picksim.replenishment", logging.INFO,
+         f"replenishment at t={t} skipped: no product has a vacant slot")
+        for t in (100.0, 200.0)]
 
 
 def test_restock_mfg_date_follows_simulation_day():
