@@ -18,7 +18,7 @@ import loads OpenSSL.
 
 ``compare_scenarios`` loads and validates a dataset once for the
 scenarios that share it (the same data directory and week count); they
-plan the same order records, which ``prepare_orders`` resets each week.
+plan the same order records, which a week only reads.
 
 ``run_scenario`` and ``compare_scenarios`` pause CPython's cyclic garbage
 collector from the first CSV load to the end of the last week: otherwise
@@ -317,7 +317,7 @@ def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],
     totals) and the engine (trace, clock).  A week without orders raises."""
     if not orders:
         raise InputDataError("a week needs at least one order")
-    plan = prepare_orders(orders, picking, warehouse, policy)
+    plan = prepare_orders(orders, picking, warehouse, policy, cfg)
     session = PickingSession(warehouse, cfg, plan, ProcessTotals())
     sampler = ReplenishmentSampler.from_config(cfg, seed)
     replenisher = Replenisher(policy, cfg, sampler, session.metrics, start_date)
@@ -370,9 +370,9 @@ def compare_scenarios(base: ScenarioSpec, other: ScenarioSpec,
     the paired t-test needs at least two pairs.
 
     Scenarios of the same data directory and week count load and validate
-    it once and plan the same order records (``prepare_orders`` resets
-    what a week picked).  The garbage collector stays paused from the first
-    load to the end of the last week, as in ``run_scenario``."""
+    it once and plan the same order records, which a run leaves as they
+    were.  The garbage collector stays paused from the first load to the
+    end of the last week, as in ``run_scenario``."""
     for spec in (base, other):
         if spec.weeks < 2:
             raise InputDataError(f"scenario {spec.name}: a comparison needs at least 2 "

@@ -9,8 +9,14 @@ slot while it is out of stock).  Zone picking additionally groups a
 route into per-zone sublists; sublists are worked one after another by
 the zone staff, and consolidating them afterwards costs nothing.  An
 order without a truck id is its own group, with a warning on the
-``picksim.picking`` logger.  Planning resets every line's ``remaining``
-to its ``qty``, so orders that an earlier run picked can be planned again.
+``picksim.picking`` logger.
+
+The plan carries the week: planning prices the walking into every route
+stop and out of the last one, and holds what is left to pick of every
+line, so orders stay read-only inputs.  Distance walking walks each
+sublist from the entrance to the drop-off point and prices each leg once
+per week with ``travel_time``; constant walking charges ``constant_s``
+at the stop that opens a sublist.
 
 Execution is strictly sequential: one order is in flight at a time and
 the next order starts the moment the previous one is done.  An order
@@ -23,28 +29,28 @@ the rest arrives via replenishment, re-checked immediately after each
 restocking visit.
 
 Each traversal is one pass over the route from the picker's position:
-at every stop it books the walking there, then either finds the line
-short and stops, or picks it in full.  A line is short when it needs
-more than is on hand at that moment.  Every earlier line of the
-traversal was picked in full, so this is the same as asking whether the
-lines of its item up to and including it need more than the stock the
-traversal started with.
+at every stop but the one it resumes from it books the planned walking
+there, then either finds the line short and stops, or picks it in full.
+A line is short when it needs more than is on hand at that moment.
+Every earlier line of the traversal was picked in full, so this is the
+same as asking whether the lines of its item up to and including it
+need more than the stock the traversal started with.
 
 Time accounting convention (kept identical in the brute-force test
 oracle, so do not reorder): every milestone timestamp is built as
-``now``, plus each walking leg in route order, plus each per-sublist
-handling total in route order.  Handling is charged for the quantity a
-traversal takes, once per sublist visit.  The pieces grabbed at a stall
-are charged nothing: the resume visit charges handling for the rest of
-the line only.  Every term is booked in ``ProcessTotals`` where it is
-added to the clock, so per week the last completion equals walking plus
-handling plus stall waiting.  A traversal keeps the clock, walking,
-handling and turns in locals that start from the booked totals, adds
-each term to them in the order above and writes them back once, so
-every sum has the bits it would have if each term went straight into
-``ProcessTotals``.  Each walking leg is looked up once in a per-week
-memo that prices it with ``travel_time`` on first use; ``handling_time``
-prices every picking visit.
+``now``, plus each walking leg in route order (at a stop, the drop-off
+leg before the leg into it), plus each per-sublist handling total in
+route order.  Handling is charged for the quantity a traversal takes,
+once per sublist visit.  The pieces grabbed at a stall are charged
+nothing: the resume visit charges handling for the rest of the line
+only.  Every term is booked in ``ProcessTotals`` where it is added to
+the clock, so per week the last completion equals walking plus handling
+plus stall waiting.  A traversal keeps the clock, walking, handling and
+turns in locals that start from the booked totals, adds each term to
+them in the order above and writes them back once, so every sum has the
+bits it would have if each term went straight into ``ProcessTotals``.
+A leg of ``0.0`` leaves a sum unchanged.  ``handling_time`` prices every
+picking visit.
 """
 
 from __future__ import annotations
@@ -80,45 +86,46 @@ class PickingMode(enum.Enum):
 
 
 class OrderLine(_Record):
-    """One line of an order; ``remaining`` starts at ``qty``, is reset to it
-    when a week is planned and counts down as the line is picked."""
-
-    __slots__ = ("item", "qty", "remaining")
+    __slots__ = ("item", "qty")
 
     def __init__(self, item: str, qty: int):
         if qty < 1:
             raise InputDataError(f"order line of {item}: qty must be >= 1")
         self.item = item
         self.qty = qty
-        self.remaining = qty
 
 
-class Order(_Record):
-    __slots__ = ("order_no", "order_datetime", "truck_id", "lines")
-
-    def __init__(self, order_no: str, order_datetime: datetime, truck_id: str,
-                 lines: list[OrderLine]):
-        self.order_no = order_no
-        self.order_datetime = order_datetime
-        self.truck_id = truck_id
-        self.lines = lines
+class Order(NamedTuple):
+    order_no: str
+    order_datetime: datetime
+    truck_id: str
+    lines: list[OrderLine]
 
 
 class RouteStop(NamedTuple):
+    """One stop of a route and the walking that reaches it from the stop
+    before: ``drop_s`` to the drop-off point when the stop opens a new
+    sublist (else ``0.0``), then ``walk_s`` into the stop, with ``turns``
+    aisle turns on the two legs together."""
+
     line_index: int
     location: Location
+    sublist: int
+    drop_s: float
+    walk_s: float
+    turns: int
 
 
-class PlanEntry(_Record):
-    """One order with its resolved visiting route; ``seg_of[p]`` is the
-    sublist that route stop ``p`` belongs to."""
+class PlanEntry(NamedTuple):
+    """One order with its priced route, the leg from the route's last stop
+    to the drop-off point (``exit_s`` seconds, ``exit_turns`` turns), and
+    ``remaining[k]``, the pieces of line ``k`` still to pick."""
 
-    __slots__ = ("order", "route", "seg_of")
-
-    def __init__(self, order: Order, route: list[RouteStop], seg_of: list[int]):
-        self.order = order
-        self.route = route
-        self.seg_of = seg_of
+    order: Order
+    route: list[RouteStop]
+    exit_s: float
+    exit_turns: int
+    remaining: list[int]
 
 
 PickPlan = list[PlanEntry]
@@ -126,11 +133,10 @@ PickerEvent = tuple[float, StartPickOrder | PartialPick]
 
 
 def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
-                   policy: StoragePolicy) -> PickPlan:
-    """Build the pick plan for a horizon's orders against current stock;
-    an order without lines raises ``InputDataError``.  Every line's
-    ``remaining`` is reset to its ``qty``, so orders picked by an earlier
-    run can be planned again."""
+                   policy: StoragePolicy, cfg: SimConfig) -> PickPlan:
+    """Build the pick plan for a horizon's orders against current stock,
+    its walking priced under ``cfg.walking``; an order without lines raises
+    ``InputDataError``.  The orders are not changed."""
     groups: dict[str, list[Order]] = {}
     group_seq: list[str] = []
     for order in orders:
@@ -146,15 +152,20 @@ def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
             group_seq.append(key)
         groups[key].append(order)
 
+    walking = cfg.walking
+    legs = None if walking.mode == WALK_CONSTANT else _Legs(warehouse, cfg.walking_equipment())
     plan: PickPlan = []
     for key in group_seq:
         for order in reversed(groups[key]):
-            plan.append(_plan_entry(order, mode, warehouse, policy))
+            plan.append(_plan_entry(order, mode, warehouse, policy, legs, walking.constant_s))
     return plan
 
 
-def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse,
-                policy: StoragePolicy) -> PlanEntry:
+def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse, policy: StoragePolicy,
+                legs: _Legs | None, constant_s: float) -> PlanEntry:
+    """Route ``order`` and price its walking: distance walking looks every
+    leg up in ``legs``; constant walking (``legs`` is ``None``) costs
+    ``constant_s`` into the stop that opens a sublist and nothing else."""
     lots = warehouse._lots
     storage = warehouse.storage
     zoning = mode is PickingMode.ZONING
@@ -163,7 +174,6 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse,
     # compares two slots
     keyed = []
     for idx, line in enumerate(order.lines):
-        line.remaining = line.qty
         lot = lots.get(line.item)
         if lot:
             loc = storage[lot[0][2].location]
@@ -174,16 +184,25 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse,
         keyed.append((loc.zone if zoning else "", loc.seq_no, idx, loc))
     keyed.sort()
     stops = []
-    seg_of = []
-    seg = -1
+    sublist = -1
     zone = None
+    at = ENTRANCE_ID
     for stop_zone, _, idx, loc in keyed:
+        drop_turns, drop_s = 0, 0.0
         if stop_zone != zone:
             zone = stop_zone
-            seg += 1
-        stops.append(_new(RouteStop, (idx, loc)))
-        seg_of.append(seg)
-    return PlanEntry(order, stops, seg_of)
+            sublist += 1
+            if sublist and legs is not None:
+                drop_turns, drop_s = legs[at, SPECIAL_AREA_ID]
+            at = ENTRANCE_ID
+        if legs is None:
+            turns, walk_s = 0, constant_s if at == ENTRANCE_ID else 0.0
+        else:
+            turns, walk_s = legs[at, loc.id]
+        stops.append(_new(RouteStop, (idx, loc, sublist, drop_s, walk_s, drop_turns + turns)))
+        at = loc.id
+    exit_turns, exit_s = (0, 0.0) if legs is None else legs[at, SPECIAL_AREA_ID]
+    return _new(PlanEntry, (order, stops, exit_s, exit_turns, [line.qty for line in order.lines]))
 
 
 def handling_time(entries: list[tuple[int, int]], cfg: SimConfig) -> float:
@@ -218,14 +237,10 @@ class PickingSession:
         self.cfg = cfg
         self.plan = plan
         self.metrics = metrics
-        self.walk_eq: Equipment = cfg.walking_equipment()
-        self.entrance = warehouse.location(ENTRANCE_ID)
-        self.dropoff = warehouse.location(SPECIAL_AREA_ID)
         self.completions: list[float | None] = [None] * len(plan)
         self._active: int | None = None
         # route position of the short line the picker waits at, if any
         self._at_stop: int | None = None
-        self._legs = _Legs(warehouse, self.walk_eq)
 
     # -- event handlers ----------------------------------------------------
 
@@ -243,15 +258,16 @@ class PickingSession:
         assert stop.line_index == kind.line and stop.location.id == kind.location, (
             "resume event does not match the picker's position"
         )
-        line = entry.order.lines[kind.line]
-        assert line.remaining > 0, "resume event for a line that is already picked"
-        avail = self.warehouse.total_on_hand(line.item)
-        if avail >= line.remaining:
+        item = entry.order.lines[kind.line].item
+        want = entry.remaining[kind.line]
+        assert want > 0, "resume event for a line that is already picked"
+        avail = self.warehouse.total_on_hand(item)
+        if avail >= want:
             return self._advance(event.time)
         if avail > 0:
             # taken while waiting: the clock charges no handling for it
-            self.warehouse.pick(line.item, avail)
-            line.remaining -= avail
+            self.warehouse.pick(item, avail)
+            entry.remaining[kind.line] = want - avail
         t_rp = sim.next_visit.time
         self.metrics.wait_s += t_rp - event.time
         return (t_rp, kind)
@@ -262,37 +278,24 @@ class PickingSession:
         """Work the active order forward from the picker's position in one
         pass over its route.
 
-        At each stop the walking there goes onto the clock and the totals;
-        then the line is short, and the traversal stops there, or it is
-        picked in full.  Constant walking charges ``constant_s`` on
-        entering each sublist.  Distance walking walks the concrete path:
-        each sublist starts from the entrance and ends at the drop-off
-        point, and a stalled traversal ends at the short line's slot and
-        resumes from there.  Per-sublist handling is added after the walk.
-        Returns the next order's start event (order done), ``None`` (last
-        order done) or the resume event at the short line's slot.
+        At each stop but the one the picker resumes from, the planned walking
+        there goes onto the clock and the totals; then the line is short, and
+        the traversal stops there, or it is picked in full.  Per-sublist
+        handling is added after the walk.  Returns the next order's start
+        event (order done), ``None`` (last order done) or the resume event at
+        the short line's slot.
         """
         i = self._active
         assert i is not None
         entry = self.plan[i]
         route = entry.route
-        seg_of = entry.seg_of
         lines = entry.order.lines
+        remaining = entry.remaining
         # every plan line's item is in the catalog: prepare_orders looked up its lot
         on_hand = self.warehouse._on_hand
         pick = self.warehouse.pick
         metrics = self.metrics
-        walking = self.cfg.walking
-        constant = walking.mode == WALK_CONSTANT
-        constant_s = walking.constant_s
-        legs = self._legs
-        entrance = self.entrance
-        dropoff_id = self.dropoff.id
         start = self._at_stop
-        if start is None:
-            pos, cur_point, cur_seg = 0, entrance, -1
-        else:
-            pos, cur_point, cur_seg = start, route[start].location, seg_of[start]
 
         # the clock and the totals as running locals, each added to in the
         # order of the module docstring and written back once
@@ -303,44 +306,29 @@ class PickingSession:
         calls: list[list[tuple[int, int]]] = []
         call_seg = -1
         stall: int | None = None
-        for p in range(pos, len(route)):
-            seg = seg_of[p]
-            line_index, loc = route[p]
-            if constant:
-                # sublists only increase along a route: a new one is entered here
-                if seg != cur_seg:
-                    t += constant_s
-                    walk += constant_s
-            elif p != start:
-                if seg != cur_seg and cur_seg != -1:
-                    n, leg = legs[cur_point.id, dropoff_id]
-                    turns += n
-                    t += leg
-                    walk += leg
-                    cur_point = entrance
-                n, leg = legs[cur_point.id, loc.id]
+        for p in range(start or 0, len(route)):
+            line_index, _, seg, drop_s, walk_s, n = route[p]
+            if p != start:
+                t += drop_s
+                walk += drop_s
+                t += walk_s
+                walk += walk_s
                 turns += n
-                t += leg
-                walk += leg
-                cur_point = loc
-            cur_seg = seg
-            line = lines[line_index]
-            want = line.remaining
-            if want > on_hand[line.item]:
+            want = remaining[line_index]
+            item = lines[line_index].item
+            if want > on_hand[item]:
                 stall = p
                 break
             if seg != call_seg:
                 call = []
                 calls.append(call)
                 call_seg = seg
-            call.append(pick(line.item, want))
-            line.remaining = 0
+            call.append(pick(item, want))
+            remaining[line_index] = 0
         else:
-            if not constant:
-                n, leg = legs[cur_point.id, dropoff_id]
-                turns += n
-                t += leg
-                walk += leg
+            t += entry.exit_s
+            walk += entry.exit_s
+            turns += entry.exit_turns
         metrics.walk_s = walk
         metrics.turns += turns
 
@@ -358,8 +346,8 @@ class PickingSession:
                 return (t, _new(StartPickOrder, (i + 1,)))
             return None
         self._at_stop = stall
-        line_index, loc = route[stall]
-        return (t, _new(PartialPick, (i, line_index, loc.id)))
+        stop = route[stall]
+        return (t, _new(PartialPick, (i, stop.line_index, stop.location.id)))
 
 
 class _Legs(dict):
@@ -390,6 +378,9 @@ def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
     # order_no -> order_datetime text of the order's first line; a later
     # line with the same text is not parsed again
     first_text: dict[str, str] = {}
+    # whether each parsed order_datetime has a UTC offset: naive and offset
+    # times cannot be compared, so a file gives every one an offset or none
+    offsets: set[bool] = set()
 
     def add_line(cells: list[str]) -> None:
         order_datetime, order_no, truck_id, item_code, qty = cells
@@ -398,6 +389,10 @@ def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
             when = order.order_datetime
         else:
             when = datetime.fromisoformat(order_datetime)
+            offsets.add(when.tzinfo is not None)
+            if len(offsets) > 1:
+                raise InputDataError(f"order_datetime {order_datetime}: a file's order times "
+                                     "must all have a UTC offset, or none")
         line = OrderLine(item_code, int(qty))
         if item_code not in items:
             raise InputDataError(f"unknown item {item_code}")

@@ -9,8 +9,9 @@ makes that choice (``StoragePolicy.restock_choice``) from a lazy min-heap
 of on-hand counts, brought up to date from the warehouse's change logs,
 so a visit costs O(log items) amortised instead of a scan of the catalog.
 If nothing is eligible the visit is skipped, with an INFO record on the
-``picksim.replenishment`` logger, but the next one is always scheduled:
-a full warehouse is not a terminal state.  The engine ends the chain at
+``picksim.replenishment`` logger once ``logging`` is imported (the root
+logger's default level, WARNING, drops it anyway), but the next one is
+always scheduled: a full warehouse is not a terminal state.  The engine ends the chain at
 the first visit after the picker is done.
 
 Intervals come from a sampler that either returns a constant mean or
@@ -21,6 +22,7 @@ time always advances.
 from __future__ import annotations
 
 import random
+import sys
 from datetime import date, timedelta
 
 from .config import REPLENISH_SAMPLED, SimConfig
@@ -80,12 +82,12 @@ class Replenisher:
         """Restock one pallet; returns the time of the next visit."""
         gap = self.sampler.draw()
         code = self.policy.restock_choice()
-        if code is None:
-            _logger(__name__).info("replenishment at t=%s skipped: no product has a vacant slot",
-                                   event.time)
-        else:
+        if code is not None:
             assignment = self.policy.put_away(code, self.sim_date(event.time))
             self.metrics.put_travel_s += assignment.travel_s
             self.metrics.put_handle_s += self.cfg.BTpa + self.cfg.PPpa
             self.metrics.turns += assignment.turns
+        elif "logging" in sys.modules:  # before its import, no handler or level could show it
+            _logger(__name__).info("replenishment at t=%s skipped: no product has a vacant slot",
+                                   event.time)
         return event.time + gap

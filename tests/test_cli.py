@@ -493,6 +493,39 @@ def test_non_finite_number_in_a_dataset_exits_2(dataset, tmp_path, capsys, name,
     assert captured.err == f"error: {data / name}:3: '{value}' is not a finite number\n"
 
 
+@pytest.mark.parametrize("offset", ["first-order", "every-order"])
+def test_orders_mixing_naive_and_offset_datetimes_exit_3(dataset, tmp_path, capsys, offset):
+    """Naive and UTC-offset times cannot be compared; an ``orders.csv`` that
+    gives the first order's lines an offset and no other's exits 3 at the
+    first line of another order, and one that gives every line an offset
+    simulates as the naive file does."""
+    data = tmp_path / "offset"
+    shutil.copytree(dataset, data)
+    header, *rows = (data / "orders.csv").read_text().splitlines()
+    first = rows[0].split(",")[1]
+    edited = [row.replace(",", "+02:00,", 1)
+              if offset == "every-order" or row.split(",")[1] == first else row
+              for row in rows]
+    (data / "orders.csv").write_text("\n".join([header, *edited]) + "\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--data", str(data), "--weeks", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    if offset == "every-order":
+        assert code == 0, captured.err
+        assert main(["simulate", "--data", dataset, "--weeks", "2",
+                     "--out", str(tmp_path / "naive")]) == 0
+        assert (out / "results.csv").read_bytes() == (
+            tmp_path / "naive" / "results.csv").read_bytes()
+        return
+    line = next(n for n, row in enumerate(rows, start=2) if row.split(",")[1] != first)
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"error: {data / 'orders.csv'}:{line}: order_datetime "
+                            f"{rows[line - 2].split(',')[0]}: a file's order times must all "
+                            "have a UTC offset, or none\n")
+    assert not out.exists()
+
+
 # each file whose format an earlier gen-data wrote with more columns ->
 # (that header, a current row's cells -> the row in that format)
 OLD_FORMATS = {
@@ -754,6 +787,41 @@ def test_a_run_loads_only_the_modules_it_uses(dataset, tmp_path, command, extra,
                            *argv], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"0 {loaded}\n"
+
+
+_SKIPPED_VISITS_RUN = """
+import contextlib, io, sys
+from picksim import storage
+from picksim.cli import main
+
+skipped = 0
+restock_choice = storage.StoragePolicy.restock_choice
+
+def counted(self):
+    global skipped
+    code = restock_choice(self)
+    skipped += code is None
+    return code
+
+storage.StoragePolicy.restock_choice = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, skipped > 0, "logging" in sys.modules)
+"""
+
+
+def test_a_run_that_skips_visits_leaves_logging_unloaded(dataset, tmp_path):
+    """Before ``logging`` is imported no handler or level can show the INFO
+    record of a skipped replenishment visit, so the run does not import it
+    to drop the record."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"replenish": {"mu_s": 1.0, "t_min_s": 1.0}}))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SKIPPED_VISITS_RUN, "simulate", "--data", dataset,
+         "--weeks", "1", "--config", str(config)],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True False\n"
 
 
 def test_cli_import_leaves_the_dataset_generator_unloaded():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import gc
 import hashlib
@@ -9,6 +10,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from datetime import date, datetime
 from pathlib import Path
@@ -185,8 +187,8 @@ def test_weeks_beyond_the_data_are_an_input_error(small_dataset):
 
 
 def test_run_week_twice_on_the_same_orders_gives_identical_totals():
-    """A week picks its order lines down to zero; planning them again resets
-    them, so a second run over the same records repeats the first."""
+    """A week keeps what is left to pick in its plan, not in the order
+    records, so a second run over the same records repeats the first."""
     layout = anchors() + [slot(0, 1, s, 100.0, 100.0 + 150.0 * s, seq=s) for s in range(3)]
     items = [make_item("A", qpp=10), make_item("B", qpp=10)]
     orders = [_order("O1", 0, items=(("A", 4), ("B", 12))), _order("O2", 0, items=(("A", 9),))]
@@ -327,22 +329,38 @@ TRACED_RUNS = {
 }
 
 
+# the accounting problems perfbench/run.py finds in a trace (argv: the
+# perfbench directory, the trace file, the traced run's wall seconds)
+_LAYER_PROBLEMS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from run import layer_metrics
+with open(sys.argv[2], encoding="utf-8") as fh:
+    print(json.dumps(layer_metrics(json.load(fh), float(sys.argv[3]))[1]))
+"""
+
+
 @pytest.mark.parametrize("run", sorted(TRACED_RUNS))
 def test_the_benchmark_tracer_counts_every_layer(golden_dataset, tmp_path, run):
     """``perfbench/traced_cli.py`` wraps picksim's callables by name and counts
     the pallets replenishment places from ``put_away``'s return value; on a
-    fixed-policy run that stalls, every layer it reports must be counted."""
+    fixed-policy run that stalls, every layer it reports must be counted, and
+    the benchmark's own accounting (``layer_metrics`` in ``perfbench/run.py``)
+    must find every traced call in a reported module and self times that add
+    up."""
     root = Path(__file__).resolve().parents[1]
     trace, out = tmp_path / "trace.json", tmp_path / "out"
     flags, config = TRACED_RUNS[run]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         flags = [*flags, "--config", str(tmp_path / "config.json")]
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(trace), "--",
          "simulate", "--data", golden_dataset, "--weeks", "2", "--policy", "fixed",
          *flags, "--out", str(out)],
         capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=120)
+    wall = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     with open(out / "results.csv", newline="") as fh:
         assert any(float(row["wait_s"]) > 0 for row in csv.DictReader(fh)), "no stall"
@@ -358,6 +376,11 @@ def test_the_benchmark_tracer_counts_every_layer(golden_dataset, tmp_path, run):
     assert record["counters"]["replenishment.placed"] == under_visit > 0
     assert record["counters"]["events.executed"] > 0
     assert [name for name in LAYER_CALLS if calls[name] <= 0] == []
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYER_PROBLEMS, str(root / "perfbench"), str(trace), repr(wall)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 # -- aggregation and serialization ---------------------------------------
@@ -456,6 +479,24 @@ def test_compare_loads_its_dataset_once_with_the_collector_paused(small_dataset,
     assert loading == [False] and weeks == [False] * 4
     assert gc.isenabled() is enabled
     assert [r.weeks for r in cmp_.results] == [run_scenario(spec).weeks for spec in specs]
+
+
+def test_compare_leaves_its_order_records_as_they_were(small_dataset, monkeypatch):
+    """Both scenarios plan the order records of one load; what is left to
+    pick lives in each week's plan, so the records end as they were read."""
+    loaded = []
+    load_orders = experiment.load_orders
+
+    def spy_load(*args):
+        orders = load_orders(*args)
+        loaded.append((orders, copy.deepcopy(orders)))
+        return orders
+
+    monkeypatch.setattr(experiment, "load_orders", spy_load)
+    compare_scenarios(_spec(small_dataset, name="a", policy=PolicyKind.FIXED),
+                      _spec(small_dataset, name="b", policy=PolicyKind.RANDOM))
+    [(orders, as_read)] = loaded
+    assert orders == as_read
 
 
 def test_compare_loads_each_distinct_dataset(small_dataset, golden_dataset, monkeypatch):

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import anchors, make_item, slot, trace_cfg
 from runners import engine_run
+from picksim.config import config_from_dict
+from picksim.events import PartialPick
 from picksim import (
     Order,
     OrderLine,
@@ -22,6 +24,7 @@ from picksim import (
     handling_time,
     load_orders,
     prepare_orders,
+    run_week,
     save_orders,
 )
 
@@ -62,14 +65,14 @@ def test_trucks_group_in_first_appearance_order_and_reverse_within():
         _order("O3", "T_B", ("C", 1)),
         _order("O4", "T_A", ("D", 1)),
     ]
-    plan = prepare_orders(orders, PickingMode.AREA, wh, pol)
+    plan = prepare_orders(orders, PickingMode.AREA, wh, pol, SimConfig())
     assert [p.order.order_no for p in plan] == ["O3", "O1", "O4", "O2"]
 
 
 def test_blank_truck_id_makes_a_solo_group():
     wh, pol = _zoned_world()
     orders = [_order("O1", "", ("A", 1)), _order("O2", "", ("B", 1))]
-    plan = prepare_orders(orders, PickingMode.AREA, wh, pol)
+    plan = prepare_orders(orders, PickingMode.AREA, wh, pol, SimConfig())
     # two singleton groups in arrival order, nothing reversed across them
     assert [p.order.order_no for p in plan] == ["O1", "O2"]
 
@@ -78,7 +81,7 @@ def test_blank_truck_id_warns_on_the_picking_logger(caplog):
     wh, pol = _zoned_world()
     with caplog.at_level(logging.WARNING, logger="picksim.picking"):
         prepare_orders([_order("O1", "", ("A", 1)), _order("O2", "T", ("B", 1))],
-                       PickingMode.AREA, wh, pol)
+                       PickingMode.AREA, wh, pol, SimConfig())
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("picksim.picking", logging.WARNING,
          "order O1 has no truck id; treating it as its own group")]
@@ -87,25 +90,25 @@ def test_blank_truck_id_warns_on_the_picking_logger(caplog):
 def test_area_route_sorts_by_route_position():
     wh, pol = _zoned_world()
     plan = prepare_orders([_order("O1", "T", ("D", 1), ("A", 1), ("C", 1))],
-                          PickingMode.AREA, wh, pol)
+                          PickingMode.AREA, wh, pol, SimConfig())
     entry = plan[0]
     assert [s.location.seq_no for s in entry.route] == [0, 2, 3]
-    assert entry.seg_of == [0, 0, 0]
+    assert [s.sublist for s in entry.route] == [0, 0, 0]
 
 
 def test_zoning_route_groups_zones_into_sublists():
     wh, pol = _zoned_world()
     plan = prepare_orders([_order("O1", "T", ("D", 1), ("A", 1), ("C", 1), ("B", 1))],
-                          PickingMode.ZONING, wh, pol)
+                          PickingMode.ZONING, wh, pol, SimConfig())
     entry = plan[0]
     assert [s.location.zone for s in entry.route] == ["Z1", "Z1", "Z2", "Z2"]
-    assert entry.seg_of == [0, 0, 1, 1]
+    assert [s.sublist for s in entry.route] == [0, 0, 1, 1]
 
 
 def test_out_of_stock_line_routes_to_primary_slot():
     wh, pol = _zoned_world()
     wh.pick("A", 10)  # A fully drained
-    plan = prepare_orders([_order("O1", "T", ("A", 2))], PickingMode.AREA, wh, pol)
+    plan = prepare_orders([_order("O1", "T", ("A", 2))], PickingMode.AREA, wh, pol, SimConfig())
     # shared storage: the designated stop is the first slot on the route
     assert plan[0].route[0].location.seq_no == 0
 
@@ -119,7 +122,7 @@ def test_order_without_lines_rejected():
     wh, pol = _zoned_world()
     orders = [_order("O1", "T", ("A", 1)), _order("O2", "T"), _order("O3", "T", ("B", 1))]
     with pytest.raises(InputDataError, match="^order O2 has no lines$"):
-        prepare_orders(orders, PickingMode.AREA, wh, pol)
+        prepare_orders(orders, PickingMode.AREA, wh, pol, SimConfig())
 
 
 # -- handling arithmetic --------------------------------------------------
@@ -186,14 +189,88 @@ def test_multi_pallet_line_over_several_restocks():
     assert metrics.handle_s > 0
 
 
-def test_order_line_statuses_progress():
-    line = OrderLine("A", 5)
-    order = Order("O1", DT, "T", [line])
-    assert [l.remaining for l in order.lines] == [5]
-    line.remaining = 2
-    assert [l.remaining for l in order.lines] == [2]
-    line.remaining = 0
-    assert [l.remaining for l in order.lines] == [0]
+# -- planned walking ------------------------------------------------------
+
+
+def _planned_walking(plan):
+    """The walking seconds and turns of ``plan``, summed in plan order as a
+    week books them."""
+    walk, turns = 0.0, 0
+    for entry in plan:
+        for stop in entry.route:
+            walk += stop.drop_s
+            walk += stop.walk_s
+            turns += stop.turns
+        walk += entry.exit_s
+        turns += entry.exit_turns
+    return walk, turns
+
+
+def _two_row_world(short=None):
+    """Two zones on two rows with a vacant slot in each; item ``short`` has 3
+    pieces on hand, and every other item has 10."""
+    slots = [
+        slot(0, 1, 0, 300.0, 100.0, zone="Z1", seq=0),
+        slot(0, 1, 1, 300.0, 250.0, zone="Z1", seq=1),
+        slot(0, 1, 2, 300.0, 400.0, zone="Z1", seq=2),
+        slot(1, 1, 0, 700.0, 100.0, zone="Z2", seq=3),
+        slot(1, 1, 1, 700.0, 250.0, zone="Z2", seq=4),
+        slot(1, 1, 2, 700.0, 400.0, zone="Z2", seq=5),
+    ]
+    items = [make_item("A", zone="Z1"), make_item("B", zone="Z1"),
+             make_item("C", zone="Z2"), make_item("D", zone="Z2")]
+    wh = Warehouse(anchors() + slots, items)
+    for loc, code in zip((slots[0], slots[1], slots[3], slots[4]), "ABCD"):
+        wh.place(loc.id, code, 3 if code == short else 10, MFG)
+    return wh, StoragePolicy(PolicyKind.RANDOM, wh, SimConfig().stacker())
+
+
+@pytest.mark.parametrize("picking", ["area", "zoning"])
+@pytest.mark.parametrize("walking", ["constant", "distance"])
+def test_a_week_books_the_walking_its_plan_priced(walking, picking):
+    """Without a stall every stop is walked to once, so the booked walking
+    is the plan's, to the bit."""
+    wh, pol = _two_row_world()
+    orders = [_order("O1", "T", ("D", 2), ("A", 1), ("C", 3), ("B", 2)),
+              _order("O2", "T", ("B", 1), ("C", 1)),
+              _order("O3", "U", ("A", 2), ("D", 1))]
+    # no restocking visit comes before the picker is done, so every turn is the picker's
+    cfg = config_from_dict({"walking": {"mode": walking}, "replenish": {"mu_s": 1e6}})
+    session, engine = run_week(wh, pol, orders, PickingMode(picking), cfg, 1, MFG)
+    assert not any(isinstance(ev.kind, PartialPick) for ev in engine.trace)
+    assert session.metrics.put_travel_s == 0.0
+    assert (session.metrics.walk_s, session.metrics.turns) == _planned_walking(session.plan)
+    assert session.metrics.walk_s > 0
+
+
+@pytest.mark.parametrize("short, line", [("A", 1), ("C", 2)])
+@pytest.mark.parametrize("picking", ["area", "zoning"])
+@pytest.mark.parametrize("walking", ["constant", "distance"])
+def test_a_stalled_order_books_each_planned_leg_once(walking, picking, short, line):
+    """The picker waits at the short line of O1 and resumes from there: the
+    walk to it is booked by the traversal that stalls, not again.  A is the
+    route's first stop; under zoning, C opens the second sublist."""
+    wh, pol = _two_row_world(short)
+    orders = [_order("O1", "T", ("D", 8), ("A", 8), ("C", 8), ("B", 2)),
+              _order("O2", "T", ("A", 1), ("C", 1))]
+    cfg = config_from_dict({"walking": {"mode": walking}, "replenish": {"mu_s": 1000.0}})
+    # the turns of the restocking visits, which share ``turns`` with the picker's
+    put_turns = []
+    put_away = pol.put_away
+
+    def counted(*args):
+        assignment = put_away(*args)
+        put_turns.append(assignment.turns)
+        return assignment
+
+    pol.put_away = counted
+    session, engine = run_week(wh, pol, orders, PickingMode(picking), cfg, 1, MFG)
+    stalls = [ev.kind for ev in engine.trace if isinstance(ev.kind, PartialPick)]
+    assert {(kind.order, kind.line) for kind in stalls} == {(1, line)}
+    assert session.metrics.wait_s > 0
+    walk, turns = _planned_walking(session.plan)
+    assert (session.metrics.walk_s, session.metrics.turns - sum(put_turns)) == (walk, turns)
+    assert [entry.remaining for entry in session.plan] == [[0, 0], [0, 0, 0, 0]]
 
 
 # -- orders file ----------------------------------------------------------
