@@ -25,7 +25,7 @@ collector from the first CSV load to the end of the last week: otherwise
 its full passes rescan the loaded dataset and the week's plan again and
 again.  Pausing is safe because a run makes no reference cycles, so
 reference counting alone frees all it drops: links run one way, and the
-storage policy reads the warehouse's change logs rather than being
+storage policy reads the warehouse's change log rather than being
 called by it (see ``storage.py``).  The suite checks that a run leaves
 nothing for the collector.  On return and on raise the collector is left
 as the caller had it: enabled again only if it was enabled before.
@@ -148,12 +148,17 @@ def week_index(order: Order, start: date) -> int:
     return (order.order_datetime.date() - start).days // 7
 
 
+def _first_date(orders: list[Order]) -> date:
+    """The first calendar date of these orders, each read in its own offset."""
+    return min(o.order_datetime.date() for o in orders)
+
+
 def split_weeks(orders: list[Order], weeks: int) -> list[list[Order]]:
     """Partition orders into week buckets by calendar weeks from the
     earliest order date, keeping file order within each bucket."""
     if not orders:
         return [[] for _ in range(weeks)]
-    start = min(o.order_datetime for o in orders).date()
+    start = _first_date(orders)
     buckets: list[list[Order]] = [[] for _ in range(weeks)]
     for order in orders:
         w = week_index(order, start)
@@ -241,8 +246,8 @@ def _load_dataset(data: DataPaths, weeks: int):
     buckets = split_weeks(all_orders, weeks)
     empty = next((w for w, bucket in enumerate(buckets, start=1) if not bucket), None)
     if empty is not None:
-        start = min((o.order_datetime for o in all_orders), default=None)
-        spanned = max((week_index(o, start.date()) + 1 for o in all_orders), default=0)
+        start = _first_date(all_orders) if all_orders else None
+        spanned = max((week_index(o, start) + 1 for o in all_orders), default=0)
         raise InputDataError(
             f"week {empty} has no orders: {data.orders} spans {spanned} week(s)"
         )
@@ -290,8 +295,7 @@ def _run_week(spec: ScenarioSpec, layout: list[Location], items, initial,
     place_initial(policy, initial, avg_picks)
     session, engine = run_week(
         warehouse, policy, week_orders, spec.picking, cfg,
-        derive_seed(spec.seed, spec.name, week_no),
-        min(o.order_datetime for o in week_orders).date())
+        derive_seed(spec.seed, spec.name, week_no), _first_date(week_orders))
     if trace_dir is not None:
         write_trace_csv(engine.trace,
                         str(Path(trace_dir) / f"trace_{spec.name}_week{week_no}.csv"))
@@ -354,13 +358,19 @@ class Comparison(_Record):
 
 def summarize_results(series: list[tuple[str, list[float]]]) -> list[ScenarioSummary]:
     """Mean/CI/total per ``(name, weekly values)`` pair, plus the gap of
-    each total against the first one."""
+    each total against the first one.  A figure out of float range raises
+    ``InputDataError`` naming its series."""
     if not series:
         raise InputDataError("nothing to summarize")
     baseline = sum(series[0][1])
-    return [ScenarioSummary(name, summarize(values), sum(values),
-                            gap(baseline, sum(values)))
-            for name, values in series]
+    summaries = []
+    for name, values in series:
+        try:
+            summaries.append(ScenarioSummary(name, summarize(values), sum(values),
+                                             gap(baseline, sum(values))))
+        except InputDataError as exc:
+            raise InputDataError(f"{name}: {exc}") from None
+    return summaries
 
 
 def compare_scenarios(base: ScenarioSpec, other: ScenarioSpec,

@@ -6,7 +6,7 @@ among those that currently have a vacant candidate slot under the
 active storage policy (ties go to the smallest item code), placing one
 full pallet manufactured on the current simulation date.  The policy
 makes that choice (``StoragePolicy.restock_choice``) from a lazy min-heap
-of on-hand counts, brought up to date from the warehouse's change logs,
+of on-hand counts, brought up to date from the warehouse's change log,
 so a visit costs O(log items) amortised instead of a scan of the catalog.
 If nothing is eligible the visit is skipped, with an INFO record on the
 ``picksim.replenishment`` logger once ``logging`` is imported (the root

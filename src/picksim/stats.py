@@ -19,7 +19,9 @@ error at most 1e-12 for the quantile and 1e-10 for the two-sided p-value.
 
 Mean and standard deviation come from ``statistics``, which ``summarize``
 and ``paired_test`` import when first called: a run that summarises
-nothing, such as a one-week ``simulate``, never loads it.
+nothing, such as a one-week ``simulate``, never loads it.  Finite weekly
+values can still overflow a float in a sum, spread, interval or gap;
+that raises ``InputDataError`` rather than reporting an infinite figure.
 """
 
 from __future__ import annotations
@@ -45,24 +47,50 @@ class PairedTest(NamedTuple):
 
 
 def summarize(values: list[float]) -> StatsSummary:
-    """Mean and two-sided t confidence interval of weekly metrics."""
-    import statistics
+    """Mean and two-sided t confidence interval of weekly metrics.
 
+    A mean, standard deviation or interval out of float range raises
+    ``InputDataError``.
+    """
     n = len(values)
     if n < 2:
         raise InputDataError(f"confidence interval needs at least 2 values, got {n}")
-    mean = statistics.fmean(values)
-    sd = statistics.stdev(values)
+    mean, sd = _mean_sd(values, "the weekly values")
     quantile = _t_ppf(0.5 + _CONFIDENCE / 2.0, n - 1)
     half = quantile * sd / math.sqrt(n)
-    return StatsSummary(mean, mean - half, mean + half)
+    low, high = mean - half, mean + half
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise InputDataError(f"the {_CONFIDENCE:.0%} confidence interval [{low}, {high}] of "
+                             "the weekly values is out of float range")
+    return StatsSummary(mean, low, high)
+
+
+def _mean_sd(values: list[float], what: str) -> tuple[float, float]:
+    """Mean and sample standard deviation of finite ``values``; either out of
+    float range raises ``InputDataError`` naming ``what``."""
+    import statistics
+
+    try:
+        mean, sd = statistics.fmean(values), statistics.stdev(values)
+    except OverflowError:  # fsum's, or the variance's as it becomes a float
+        mean = sd = math.inf
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise InputDataError(f"the mean or standard deviation of {what} is out of float range")
+    return mean, sd
 
 
 def gap(baseline_total: float, other_total: float) -> float:
-    """Percent difference of a scenario total against the baseline total."""
+    """Percent difference of a scenario total against the baseline total.
+
+    A total or gap out of float range raises ``InputDataError``.
+    """
     if baseline_total <= 0:
         raise InputDataError(f"gap needs a positive baseline total, got {baseline_total}")
-    return 100.0 * (other_total - baseline_total) / baseline_total
+    pct = 100.0 * (other_total - baseline_total) / baseline_total
+    if not math.isfinite(pct):  # an infinite total gives an infinite or nan gap
+        raise InputDataError(f"the gap of total {other_total} against total {baseline_total} "
+                             "is out of float range")
+    return pct
 
 
 def paired_test(a: list[float], b: list[float]) -> PairedTest:
@@ -70,18 +98,21 @@ def paired_test(a: list[float], b: list[float]) -> PairedTest:
 
     Degenerate samples follow the usual conventions: identical samples
     give t = 0 and p = 1; a constant nonzero difference gives an
-    infinite statistic and p = 0.
+    infinite statistic and p = 0.  A difference, or the differences'
+    mean or standard deviation, out of float range raises
+    ``InputDataError``.
     """
-    import statistics
-
     if len(a) != len(b):
         raise InputDataError(f"paired samples differ in length: {len(a)} vs {len(b)}")
     n = len(a)
     if n < 2:
         raise InputDataError(f"paired test needs at least 2 pairs, got {n}")
     diffs = [y - x for x, y in zip(a, b)]
-    mean_d = statistics.fmean(diffs)
-    sd = statistics.stdev(diffs)
+    for pair, d in enumerate(diffs, start=1):
+        if not math.isfinite(d):
+            raise InputDataError(f"the paired difference b - a of pair {pair} ({b[pair - 1]} "
+                                 f"- {a[pair - 1]}) is out of float range")
+    mean_d, sd = _mean_sd(diffs, "the paired differences b - a")
     df = n - 1
     if sd == 0.0:
         if mean_d == 0.0:

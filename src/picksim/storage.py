@@ -40,13 +40,17 @@ is the eligible item with the least stock (ties by code).  Items found
 on top while their set is full are popped and parked; when the set gets
 a vacant slot again they are pushed back at their current count.
 
-Both indices are kept current from the warehouse's two change logs,
-each read from the policy's own position.  At the top of every query
-(``nearest_vacant``, ``restock_choice``) the policy catches up: a newly
-drained slot goes back onto its set's heap and un-parks the set's items,
-and a newly changed item gets a fresh entry; equal duplicate entries are
-interchangeable.  The warehouse holds no reference back to the policy,
-so the two make no reference cycle.
+Both indices are kept current from the warehouse's change log, read
+from the policy's own position.  At the top of every query
+(``nearest_vacant``, ``restock_choice``) the policy catches up: each
+entry pushes a fresh stock entry for its item, and one whose record is
+drained puts the slot's key back on its set's heap and un-parks the
+set's items.  A pallet logged twice and drained before a catch-up is
+read as drained twice: keys are unique per slot and the heap needs one
+entry per vacant slot, so the nearest vacant slot is unchanged, and the
+stock entries are still one per change plus one per un-parked item.
+Equal duplicate entries are interchangeable.  The warehouse holds no
+reference back to the policy, so the two make no reference cycle.
 """
 
 from __future__ import annotations
@@ -131,7 +135,7 @@ class StoragePolicy:
         self._stock = [(on_hand, code) for code, on_hand in warehouse._on_hand.items()
                        if code in self._set_of_item]
         heapq.heapify(self._stock)
-        self._read = (len(warehouse.drained), len(warehouse.changed))  # log positions
+        self._read = len(warehouse.log)  # log position
 
     def _build(self, slots: list[Location]) -> _SlotSet:
         made = _SlotSet(slots)
@@ -145,23 +149,24 @@ class StoragePolicy:
         return made
 
     def _catch_up(self) -> None:
-        """Read both change logs from the policy's positions to their ends."""
+        """Read the change log from the policy's position to its end."""
         wh = self.warehouse
-        ends = (len(wh.drained), len(wh.changed))
-        if self._read == ends:
+        end = len(wh.log)
+        if self._read == end:
             return
         on_hand = wh._on_hand
         stock = self._stock
-        for loc_id in wh.drained[self._read[0]:]:
-            slot_set = self._set_of_slot.get(loc_id)
-            if slot_set is not None:
-                heapq.heappush(slot_set.heap, self._keys[loc_id])
-                for code in slot_set.parked:
-                    heapq.heappush(stock, (on_hand[code], code))
-                slot_set.parked.clear()
-        for code in wh.changed[self._read[1]:]:
+        for record, _ in wh.log[self._read:]:
+            if not record.qty:  # drained: its slot is free
+                slot_set = self._set_of_slot.get(record.location)
+                if slot_set is not None:
+                    heapq.heappush(slot_set.heap, self._keys[record.location])
+                    for code in slot_set.parked:
+                        heapq.heappush(stock, (on_hand[code], code))
+                    slot_set.parked.clear()
+            code = record.item
             heapq.heappush(stock, (on_hand[code], code))
-        self._read = ends
+        self._read = end
 
     # -- candidate sets ----------------------------------------------------
 

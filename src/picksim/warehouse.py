@@ -14,11 +14,13 @@ position), and a record is removed the moment its quantity reaches
 zero, which frees the slot.  A per-item on-hand counter moves with every
 placement and pick.  ``pick`` returns how many pallets it touched and
 how many pieces it took loose, the two figures the picker's handling
-time is charged on.  Two append-only change logs let readers keep
-indices over the inventory, each from its own read position, as the
-storage policies do: ``drained`` gets every slot a pick empties, and
-``changed`` the item of every placement and of every pallet a pick
-takes from.  The warehouse calls nobody.
+time is charged on.  One append-only change log, ``log``, lets readers
+keep indices over the inventory, each from its own read position, as
+the storage policies and the conservation audit do: it gets a
+``(record, pieces)`` entry per pallet a placement (``+qty``) or a pick
+(``-taken``) touches.  A record's ``qty`` reaches 0 only when a pick
+drains it, and a drained record never changes again, so a reader that
+finds ``qty == 0`` knows the slot was freed.  The warehouse calls nobody.
 
 Each item's pallets sit in a min-heap of ``(mfg_date, seq_no, record)``,
 its lot heap, so the FIFO lot is the head.  ``place`` pushes onto it.
@@ -238,12 +240,9 @@ def _check_new(loc: Location, ids: set[LocationId], seqs: set[int]) -> None:
 
 
 class Warehouse:
-    """Layout plus live inventory, with optional continuous auditing.
-
-    With ``audit=True`` every mutation keeps per-item counters so that
-    ``verify_conservation`` can assert placed - picked == on-hand at any
-    instant, and every pick asserts that consumed manufacturing dates
-    never decrease per item.
+    """Layout plus live inventory and its change log, which
+    ``verify_conservation`` audits the inventory against at any instant.
+    ``audit=True`` only marks a warehouse a run checks after every event.
     """
 
     def __init__(self, locations: Iterable[Location], items: Iterable[Item], audit: bool = False):
@@ -259,13 +258,12 @@ class Warehouse:
         self._lots: dict[str, list[tuple[date, int, PalletRecord]]] = {
             code: [] for code in self.items}
         self._on_hand: dict[str, int] = dict.fromkeys(self.items, 0)
-        # the change logs; see the module docstring
-        self.drained: list[LocationId] = []
-        self.changed: list[str] = []
+        self.log: list[tuple[PalletRecord, int]] = []  # see the module docstring
 
         self.audit = audit
-        self._placed: dict[str, int] = {}
-        self._picked: dict[str, int] = {}
+        # verify_conservation's log position, placed - picked and last date picked
+        self._audited = 0
+        self._logged: dict[str, int] = dict.fromkeys(self.items, 0)
         self._last_picked_date: dict[str, date] = {}
 
     # -- lookups ---------------------------------------------------------
@@ -310,9 +308,7 @@ class Warehouse:
         self.records[loc_id] = record
         heapq.heappush(self._lots[item_code], (mfg_date, self.storage[loc_id].seq_no, record))
         self._on_hand[item_code] += qty
-        self.changed.append(item_code)
-        if self.audit:
-            self._placed[item_code] = self._placed.get(item_code, 0) + qty
+        self.log.append((record, qty))
 
     def pick(self, item_code: str, qty: int) -> tuple[int, int]:
         """Consume ``qty`` pieces oldest-first, splitting across pallets.
@@ -327,8 +323,7 @@ class Warehouse:
         whether the head pallet holds more than is still wanted: that
         pallet stays standing and the pick ends there, with no heap pop.
         Otherwise the pallet is drained and popped.  Per pallet the
-        change logs get the drained slot, if any, and then the item, and
-        then the audit books the pieces.
+        change log gets the pieces taken, negated.
         """
         if qty < 1:
             raise InputDataError(f"pick quantity must be >= 1, got {qty}")
@@ -336,7 +331,7 @@ class Warehouse:
         if lots is None:
             self.item(item_code)  # raises for an unknown code
         on_hand = self._on_hand
-        changed = self.changed
+        log = self.log
         touched = 0
         remaining = qty
         while lots:
@@ -346,18 +341,13 @@ class Warehouse:
             if held > remaining:
                 record.qty = held - remaining
                 on_hand[item_code] -= remaining
-                changed.append(item_code)
-                if self.audit:
-                    self._audit_pick(record, remaining)
+                log.append((record, -remaining))
                 return touched, remaining
             record.qty = 0
             heapq.heappop(lots)
             del self.records[record.location]
             on_hand[item_code] -= held
-            self.drained.append(record.location)
-            changed.append(item_code)
-            if self.audit:
-                self._audit_pick(record, held)
+            log.append((record, -held))
             remaining -= held
             if not remaining:
                 return touched, 0
@@ -365,28 +355,29 @@ class Warehouse:
             f"pick of {qty} x {item_code} exceeds stock ({qty - remaining} taken)"
         )
 
-    def _audit_pick(self, record: PalletRecord, taken: int) -> None:
-        """Book ``taken`` pieces of ``record`` as picked and assert FIFO order."""
-        item_code = record.item
-        self._picked[item_code] = self._picked.get(item_code, 0) + taken
-        last = self._last_picked_date.get(item_code)
-        assert last is None or record.mfg_date >= last, (
-            f"FIFO violation for {item_code}: consumed {record.mfg_date} after {last}"
-        )
-        self._last_picked_date[item_code] = record.mfg_date
-
     def verify_conservation(self) -> None:
-        """Assert placed - picked == on-hand for every item.
+        """Assert placed - picked == on-hand for every item, and that
+        consumed manufacturing dates never decrease per item.
 
-        On-hand is summed from the pallet records, not read from the
-        running counter, so the check stays independent of the counter;
+        Both are read from the change log, on from where the last call
+        stopped.  On-hand is summed from the pallet records, not read from
+        the running counter, so the check stays independent of the counter;
         the counter is then checked against that sum as well.
         """
+        for record, pieces in self.log[self._audited:]:
+            code = record.item
+            self._logged[code] += pieces
+            if pieces < 0:
+                last = self._last_picked_date.get(code, date.min)
+                assert record.mfg_date >= last, (
+                    f"FIFO violation for {code}: consumed {record.mfg_date} after {last}"
+                )
+                self._last_picked_date[code] = record.mfg_date
+        self._audited = len(self.log)
         held = dict.fromkeys(self.items, 0)
         for record in self.records.values():
             held[record.item] += record.qty
-        for code in self.items:
-            expected = self._placed.get(code, 0) - self._picked.get(code, 0)
+        for code, expected in self._logged.items():
             actual = held[code]
             assert expected == actual, (
                 f"conservation broken for {code}: expected {expected}, on hand {actual}"

@@ -337,6 +337,35 @@ def test_stats_files_listing_different_weeks_exit_3(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {a} and {b} must list the same weeks")
 
 
+_IN_RANGE = [1.0] * 8  # weeks that keep the series' intervals in float range
+
+
+@pytest.mark.parametrize("series, message", [
+    ([[1e308, 1e308]],
+     "a: the mean or standard deviation of the weekly values is out of float range"),
+    ([[1e308, 1e307]],
+     "a: the 95% confidence interval [-inf, inf] of the weekly values is out of float range"),
+    ([[5.0, 6.0], [1e308, 1e307]],
+     "b: the 95% confidence interval [-inf, inf] of the weekly values is out of float range"),
+    ([[0.001, 0.002], [1e305, 1e305]],
+     "b: the gap of total 2e+305 against total 0.003 is out of float range"),
+    ([[1e308, -1e308, 1e308], [-1e308, 1e308, -1e308]],
+     "a: the 95% confidence interval [-inf, inf] of the weekly values is out of float range"),
+    ([[9e307, -9e307, *_IN_RANGE], [-9e307, 9e307, *_IN_RANGE]],
+     "the paired difference b - a of pair 1 (-9e+307 - 9e+307) is out of float range"),
+], ids=["mean", "interval", "interval-of-second", "gap", "paired-interval", "paired-difference"])
+def test_stats_beyond_float_range_exits_3(tmp_path, capsys, series, message):
+    """Finite weekly values whose sum, spread, gap or paired difference
+    passes the largest float exit 3 with one line, and nothing is written."""
+    files = [_weekly_file(tmp_path, name, values) for name, values in zip("ab", series)]
+    out = tmp_path / "s"
+    assert main(["stats", "--weekly", *files, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # -- exit codes and argument validation -----------------------------------
 
 
@@ -524,6 +553,28 @@ def test_orders_mixing_naive_and_offset_datetimes_exit_3(dataset, tmp_path, caps
                             f"{rows[line - 2].split(',')[0]}: a file's order times must all "
                             "have a UTC offset, or none\n")
     assert not out.exists()
+
+
+def test_offset_orders_are_weeked_from_their_first_calendar_date(dataset, tmp_path, capsys):
+    """Each order's week counts from the first local date in the file, so
+    an order of an earlier local date but a later instant than another is
+    not dropped from week 1."""
+    data = tmp_path / "offset"
+    shutil.copytree(dataset, data)
+    header, first, *_ = (data / "orders.csv").read_text().splitlines()
+    item = first.split(",")[3]
+    (data / "orders.csv").write_text("\n".join([
+        header,
+        f"2024-06-02 23:00:00+00:00,O1,T1,{item},1",
+        f"2024-06-03 00:30:00+02:00,O2,T2,{item},1",  # the earlier instant
+    ]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--data", str(data), "--weeks", "1", "--out", str(out),
+                 "--trace"]) == 0
+    capsys.readouterr()
+    trace = (out / "trace_fixed-homogeneous-area_week1.csv").read_text()
+    assert [row.split(",")[3] for row in trace.splitlines()
+            if row.split(",")[2] == "StartPickOrder"] == ["order=0", "order=1"]
 
 
 # each file whose format an earlier gen-data wrote with more columns ->

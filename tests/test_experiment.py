@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from datetime import date, datetime
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -98,6 +98,16 @@ def test_split_weeks_keeps_file_order_within_bucket():
     orders = [_order("B", 1, hour=17), _order("A", 1, hour=9)]
     buckets = split_weeks(orders, 1)
     assert [o.order_no for o in buckets[0]] == ["B", "A"]  # not re-sorted by time
+
+
+def test_split_weeks_counts_offset_orders_from_the_first_local_date():
+    """The earliest instant, ``O2``, falls on a later local date than ``O1``;
+    both are in week 1."""
+    orders = [Order("O1", datetime(2024, 6, 2, 23, tzinfo=timezone.utc), "T1",
+                    [OrderLine("A", 1)]),
+              Order("O2", datetime(2024, 6, 3, 0, 30, tzinfo=timezone(timedelta(hours=2))),
+                    "T2", [OrderLine("A", 1)])]
+    assert [[o.order_no for o in b] for b in split_weeks(orders, 1)] == [["O1", "O2"]]
 
 
 def test_split_weeks_empty_input():

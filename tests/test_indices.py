@@ -16,7 +16,7 @@ full, the fixed slot map leaves some slots to no item, some runs stock
 the warehouse before the policy exists, and a step may build a fresh
 policy over the stocked warehouse mid-run.  Every policy built so far
 stays live and is checked after every later step: each reads the
-warehouse's change logs from its own position.
+warehouse's change log from its own position.
 """
 
 from __future__ import annotations
@@ -183,6 +183,26 @@ def test_full_building_parks_every_item_until_a_slot_drains():
     assert shared.parked == set(CODES)
     wh.pick("B", 8)  # drains B's four pallets
     assert pol.restock_choice() == _brute_choice(pol) == "B"  # A 10, B 0, C 9
+
+
+@pytest.mark.parametrize("kind", list(PolicyKind))
+def test_a_pallet_picked_partly_then_drained_before_a_query(kind):
+    """Two picks with no query between them, the first partial and the
+    second draining the pallet: the policy reads the pallet as drained at
+    both log entries and pushes its slot's key twice, and every answer
+    still equals the scans."""
+    wh, slots = _world()
+    pol = _policy(kind, wh, slots)
+    for loc in slots:
+        wh.place(loc.id, CODES[loc.seq_no % 3], 4, MFG)
+    assert pol.restock_choice() == _brute_choice(pol) is None  # a full building
+    oldest = wh._lots["A"][0][2]
+    wh.pick("A", 1)
+    wh.pick("A", 3)
+    assert oldest.qty == 0 and wh.is_vacant(oldest.location)
+    _check(pol)
+    key = pol._keys[oldest.location]
+    assert pol._set_of_slot[oldest.location].heap.count(key) == 2
 
 
 def test_non_lifting_equipment_on_two_levels_raises_at_construction():

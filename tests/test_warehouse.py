@@ -237,6 +237,19 @@ def test_audit_tracks_conservation_across_sources():
     assert wh.total_on_hand("A") == 8
 
 
+def test_conservation_is_checked_without_the_audit_marker():
+    """The audit reads the change log, so a warehouse built without
+    ``audit=True`` is checked just the same."""
+    wh = _wh()
+    wh.place((0, 1, 0), "A", 4, date(2024, 5, 1))
+    wh.place((0, 1, 1), "A", 10, date(2024, 5, 2))
+    wh.pick("A", 6)
+    wh.verify_conservation()
+    wh.records[(0, 1, 1)].qty += 1  # a pallet gains a piece no placement logged
+    with pytest.raises(AssertionError, match="conservation broken for A: expected 8"):
+        wh.verify_conservation()
+
+
 def test_audit_catches_on_hand_counter_drift():
     wh = _wh(audit=True)
     wh.place((0, 1, 0), "A", 5, date(2024, 5, 1))
@@ -261,8 +274,10 @@ def test_audit_catches_fifo_violation_via_direct_tampering():
     wh.pick("A", 2)
     # sneak in an older pallet: consuming it now would violate FIFO
     wh.place((0, 1, 1), "A", 4, date(2024, 5, 1))
+    wh.pick("A", 1)
+    # the audit reads the pick from the log; a run checks after every event
     with pytest.raises(AssertionError, match="FIFO violation"):
-        wh.pick("A", 1)
+        wh.verify_conservation()
 
 
 _PICK_SLOTS = [slot(r, 1, s, 100.0 * s, 100.0 * r, seq=10 - 3 * r - s)
@@ -280,8 +295,8 @@ _PICK_OPS = st.lists(st.one_of(
 def test_pick_matches_a_reference_model(ops, audit):
     """Random placements and picks, the picks checked against a list-scan
     model of FIFO consumption: what each pick returns, the on-hand counts,
-    each item's oldest pallet and what each step appends to the two change
-    logs."""
+    each item's oldest pallet and what each step appends to the change
+    log, whose drained records are exactly the slots the step freed."""
     wh = Warehouse(anchors() + _PICK_SLOTS,
                    [make_item(code, qpp=qpp) for code, qpp in _PICK_ITEMS.items()], audit=audit)
     seq = {loc.id: loc.seq_no for loc in _PICK_SLOTS}
@@ -289,7 +304,7 @@ def test_pick_matches_a_reference_model(ops, audit):
     # dates never go back, as in a run, so the audit's FIFO check holds
     today = date(2024, 5, 1)
     for op in ops:
-        logged = len(wh.drained), len(wh.changed)
+        logged = len(wh.log)
         drained, changed = [], []
         if op[0] == "place":
             _, index, item, qty, days = op
@@ -300,7 +315,7 @@ def test_pick_matches_a_reference_model(ops, audit):
             mfg = today
             wh.place(loc_id, item, qty, mfg)
             pallets[loc_id] = [item, qty, mfg]
-            changed.append(item)
+            changed.append((loc_id, item, qty))
         else:
             _, item, qty = op
             lots = sorted((p[2], seq[loc_id], loc_id) for loc_id, p in pallets.items()
@@ -319,13 +334,16 @@ def test_pick_matches_a_reference_model(ops, audit):
                     drained.append(loc_id)
                 else:
                     loose = taken
-                changed.append(item)
+                changed.append((loc_id, item, -taken))
             if remaining:
                 with pytest.raises(InputDataError, match="exceeds stock"):
                     wh.pick(item, qty)
             else:
                 assert wh.pick(item, qty) == (touched, loose)
-        assert (wh.drained[logged[0]:], wh.changed[logged[1]:]) == (drained, changed)
+        new = wh.log[logged:]
+        assert [(r.location, r.item, pieces) for r, pieces in new] == changed
+        assert [r.location for r, _ in new if r.qty == 0] == drained
+        wh.verify_conservation()
         for item in _PICK_ITEMS:
             held = [(p[2], seq[loc_id], loc_id, p[1]) for loc_id, p in pallets.items()
                     if p[0] == item]
