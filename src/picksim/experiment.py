@@ -243,11 +243,13 @@ def _load_dataset(data: DataPaths, weeks: int):
             raise InputDataError(f"{data.inventory}: two pallets on slot {row.location}")
         named.add(row.location)
     all_orders = load_orders(data.orders, item_index)
-    buckets = split_weeks(all_orders, weeks)
-    empty = next((w for w, bucket in enumerate(buckets, start=1) if not bucket), None)
+    start = _first_date(all_orders) if all_orders else None
+    spanned = max((week_index(o, start) + 1 for o in all_orders), default=0)
+    # buckets up to the orders' span only: a week past it has no orders
+    buckets = split_weeks(all_orders, min(weeks, spanned))
+    empty = next((w for w, bucket in enumerate(buckets, start=1) if not bucket),
+                 spanned + 1 if weeks > spanned else None)
     if empty is not None:
-        start = _first_date(all_orders) if all_orders else None
-        spanned = max((week_index(o, start) + 1 for o in all_orders), default=0)
         raise InputDataError(
             f"week {empty} has no orders: {data.orders} spans {spanned} week(s)"
         )

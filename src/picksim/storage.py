@@ -15,24 +15,25 @@ places one full pallet, the only arrival the model makes.
 
 The candidate sets partition the storage slots: one set per mapped item
 under fixed, one per zone under fixed-zone, a single set under random,
-and no slot in two sets.  A slot map that gives a slot to two items is
-an input error.  The policy builds every set at construction, along with
-the ``(travel_s, seq_no, loc_id, turns)`` key of every storage slot, so
-equipment that cannot reach a slot fails there.  Each set keeps
+and no slot in two sets.  Whatever those sets leave uncovered (the slots
+a fixed slot map gives to no item) forms one residual set that no item
+maps to, so every storage slot is in exactly one set.  A slot map that
+gives a slot to two items is an input error.  The policy builds every
+set at construction, along with the ``(travel_s, seq_no, loc_id, turns)``
+key of every storage slot, so equipment that cannot reach a slot fails
+there.  Each set keeps
 
-* ``heap``   - a min-heap of its slots' keys.  Deletion is lazy: a slot
-  that fills stays in the heap and is popped when it reaches the top
-  while occupied.  Invariant at every query: every vacant slot of the
-  set has at least one entry in the heap, so after popping occupied
-  heads the top is the nearest vacant slot, and the heap is empty
-  exactly when the set has no vacant slot;
+* ``vacant`` - the sorted list of the keys of its vacant slots, exact at
+  every query: its head is the nearest vacant slot, it is empty exactly
+  when the set has none, and the least head over all sets is the
+  nearest vacant slot anywhere, which ``place_initial`` falls back to;
 * ``parked`` - the items found at the top of the stock heap (below)
   while the set had no vacancy.
 
 The policy also keeps the stock heap, a min-heap of ``(on_hand, code)``
 over the catalog items that have a candidate set, from which
 ``restock_choice`` picks the product each replenishment visit restocks.
-Deletion is lazy here too: an entry whose quantity differs from the
+Deletion is lazy here: an entry whose quantity differs from the
 item's on-hand count is stale and is popped when it reaches the top.
 Invariant: every item either has an entry equal to its on-hand count or
 is parked on its set, so the first fresh entry whose set has a vacancy
@@ -43,20 +44,21 @@ a vacant slot again they are pushed back at their current count.
 Both indices are kept current from the warehouse's change log, read
 from the policy's own position.  At the top of every query
 (``nearest_vacant``, ``restock_choice``) the policy catches up: each
-entry pushes a fresh stock entry for its item, and one whose record is
-drained puts the slot's key back on its set's heap and un-parks the
-set's items.  A pallet logged twice and drained before a catch-up is
-read as drained twice: keys are unique per slot and the heap needs one
-entry per vacant slot, so the nearest vacant slot is unchanged, and the
-stock entries are still one per change plus one per un-parked item.
-Equal duplicate entries are interchangeable.  The warehouse holds no
-reference back to the policy, so the two make no reference cycle.
+entry pushes a fresh stock entry for its item; a placement deletes the
+slot's key from its set's list; and an entry whose record is drained
+inserts the key and un-parks the set's items, unless the key is listed
+already.  That guard is needed because a pallet picked partly and then
+drained before one catch-up is read as drained at both its entries.
+Its stock entries are still one per change plus one per un-parked item,
+and equal duplicate entries are interchangeable.  The warehouse holds
+no reference back to the policy, so the two make no reference cycle.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+from bisect import bisect_left
 from datetime import date
 from typing import NamedTuple
 
@@ -89,14 +91,14 @@ class Assignment(NamedTuple):
 
 
 class _SlotSet:
-    """One candidate set: its slots, lazy min-heap and the items parked on
-    it while it is full."""
+    """One candidate set: its slots, the sorted keys of its vacant slots and
+    the items parked on it while it is full."""
 
-    __slots__ = ("slots", "heap", "parked")
+    __slots__ = ("slots", "vacant", "parked")
 
     def __init__(self, slots: list[Location]):
         self.slots = slots
-        self.heap: list[tuple[float, int, LocationId, int]] = []
+        self.vacant: list[tuple[float, int, LocationId, int]] = []
         self.parked: set[str] = set()
 
 
@@ -130,6 +132,8 @@ class StoragePolicy:
         else:
             every = self._build(list(warehouse.storage.values()))
             self._set_of_item = dict.fromkeys(warehouse.items, every)
+        # the residual set: the slots no item's set covers
+        self._build([loc for loc in warehouse.storage.values() if loc.id not in self._set_of_slot])
         # catalog items without a candidate set, in catalog order
         self._homeless = [code for code in warehouse.items if code not in self._set_of_item]
         self._stock = [(on_hand, code) for code, on_hand in warehouse._on_hand.items()
@@ -143,9 +147,8 @@ class StoragePolicy:
             if loc.id in self._set_of_slot:
                 raise InputDataError(f"slot map gives slot {loc.id} more than once")
             self._set_of_slot[loc.id] = made
-            if self.warehouse.is_vacant(loc.id):
-                made.heap.append(self._keys[loc.id])
-        heapq.heapify(made.heap)
+        made.vacant = sorted(self._keys[loc.id] for loc in slots
+                             if self.warehouse.is_vacant(loc.id))
         return made
 
     def _catch_up(self) -> None:
@@ -156,11 +159,16 @@ class StoragePolicy:
             return
         on_hand = wh._on_hand
         stock = self._stock
-        for record, _ in wh.log[self._read:]:
-            if not record.qty:  # drained: its slot is free
-                slot_set = self._set_of_slot.get(record.location)
-                if slot_set is not None:
-                    heapq.heappush(slot_set.heap, self._keys[record.location])
+        for record, pieces in wh.log[self._read:]:
+            if pieces > 0 or not record.qty:  # placed, or drained: the slot's vacancy moves
+                slot_set = self._set_of_slot[record.location]
+                vacant = slot_set.vacant
+                key = self._keys[record.location]
+                at = bisect_left(vacant, key)
+                if pieces > 0:
+                    del vacant[at]
+                elif at == len(vacant) or vacant[at] != key:  # drained, and not listed yet
+                    vacant.insert(at, key)
                     for code in slot_set.parked:
                         heapq.heappush(stock, (on_hand[code], code))
                     slot_set.parked.clear()
@@ -177,17 +185,8 @@ class StoragePolicy:
     def nearest_vacant(self, item_code: str) -> Location | None:
         """Vacant candidate with the smallest travel time from receiving."""
         self._catch_up()
-        heap = self._vacant_heap(self._set_for(item_code))
-        return self.warehouse.storage[heap[0][2]] if heap else None
-
-    def _vacant_heap(self, slot_set: _SlotSet) -> list[tuple[float, int, LocationId, int]]:
-        """The set's heap with its occupied heads popped: its top is the
-        nearest vacant slot, and it is empty when the set has none."""
-        heap = slot_set.heap
-        records = self.warehouse.records
-        while heap and heap[0][2] in records:
-            heapq.heappop(heap)
-        return heap
+        vacant = self._set_for(item_code).vacant
+        return self.warehouse.storage[vacant[0][2]] if vacant else None
 
     def primary_location(self, item_code: str) -> Location:
         """Fallback route stop for an item that is momentarily out of stock."""
@@ -230,7 +229,7 @@ class StoragePolicy:
             qty, code = stock[0]
             if qty == on_hand[code]:
                 slot_set = set_of_item[code]
-                if self._vacant_heap(slot_set):
+                if slot_set.vacant:
                     return code
                 slot_set.parked.add(code)
             heapq.heappop(stock)
@@ -263,14 +262,14 @@ def place_initial(policy: StoragePolicy, pallets: list[PalletRecord],
     many pallets needed the fallback.
     """
     wh = policy.warehouse
+    sets = set(policy._set_of_slot.values())
     ordered = sorted(pallets, key=lambda p: (-priority.get(p.item, 0.0), p.item,
                                              p.mfg_date, p.location))
     fallbacks = 0
     for pallet in ordered:
         slot = policy.nearest_vacant(pallet.item)
         if slot is None:
-            nearest = min((key for lid, key in policy._keys.items() if lid not in wh.records),
-                          default=None)
+            nearest = min((s.vacant[0] for s in sets if s.vacant), default=None)
             if nearest is None:
                 raise InputDataError("initial inventory exceeds total warehouse capacity")
             slot = wh.storage[nearest[2]]

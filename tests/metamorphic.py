@@ -16,6 +16,11 @@ pure function of the dataset and a seed.  The relation each keeps:
 * ``shuffle_rows("initial_inventory.csv")`` - identity:
   ``place_initial`` places the initial pallets in its own order
   (descending priority, then item, date and slot), whatever the file's.
+* ``shuffle_rows("layout.csv")`` - identity: slots and anchors are keyed
+  by id, and every choice among slots (the route, the slot map's
+  nearest-to-entrance claim, the storage policies' nearest vacant slot)
+  orders them by travel time and route position (``seq_no``, unique per
+  slot), never by file position.
 
 Identity means that stdout and every file a run writes, traces
 included, are byte-identical to the run on the original dataset.
@@ -27,7 +32,7 @@ import random
 import shutil
 from pathlib import Path
 
-IDENTITY_SHUFFLES = ("items.csv", "initial_inventory.csv")
+IDENTITY_SHUFFLES = ("items.csv", "initial_inventory.csv", "layout.csv")
 
 
 def shuffle_rows(src: Path, dst: Path, name: str, seed: int) -> Path:

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from datetime import date
 from pathlib import Path
 
@@ -739,6 +740,25 @@ def test_weeks_beyond_the_data_exit_3(dataset, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: week 3 has no orders: ")
     assert captured.err.endswith(" spans 2 week(s)\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_huge_weeks_count_exits_3_without_a_bucket_per_week(dataset, tmp_path, capsys):
+    """The empty week is found from the orders' span, so a run over a million
+    weeks allocates no bucket per requested week before it is refused."""
+    tracemalloc.start()
+    try:
+        rc = main(["simulate", "--data", dataset, "--weeks", "1000000",
+                   "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: week 3 has no orders: {Path(dataset) / 'orders.csv'} "
+                            "spans 2 week(s)\n")
+    assert peak < 4 * 2**20, f"peak of {peak} bytes traced"
     assert not any(tmp_path.iterdir())
 
 

@@ -1,10 +1,12 @@
 """The storage and stock indices agree with brute-force scans.
 
 Random sequences of placements, picks and put-aways run against all
-three storage policies.  After every step, the vacancy counter of each
-item's candidate set and its ``nearest_vacant`` must equal a scan of its
-``candidate_slots``,
-``total_on_hand`` must equal the sum of the item's pallet records,
+three storage policies.  After every step, each item's
+``nearest_vacant`` must equal a scan of its ``candidate_slots``,
+every candidate set's ``vacant`` list must be exactly the sorted keys of
+its vacant slots, every storage slot must be in exactly one set (the
+residual set included), ``total_on_hand`` must equal the sum of the
+item's pallet records,
 ``restock_choice`` must equal the least ``(on_hand, code)`` over the
 items with a vacant candidate slot, the head of the item's lot heap must
 be its record with the least ``(mfg_date, seq_no)``, and no slot may sit
@@ -100,6 +102,13 @@ def _check(pol: StoragePolicy) -> None:
         lot_heap = wh._lots[code]
         assert (lot_heap[0][2] if lot_heap else None) is oldest
     assert pol.restock_choice() == _brute_choice(pol)
+    # every slot is in exactly one set, and each set lists exactly its vacant slots
+    sets = set(pol._set_of_slot.values())
+    ids = [loc.id for slot_set in sets for loc in slot_set.slots]
+    assert sorted(ids) == sorted(wh.storage) == sorted(pol._set_of_slot)
+    for slot_set in sets:
+        assert slot_set.vacant == sorted(pol._keys[loc.id] for loc in slot_set.slots
+                                         if wh.is_vacant(loc.id))
 
 
 def _brute_choice(pol: StoragePolicy):
@@ -189,8 +198,8 @@ def test_full_building_parks_every_item_until_a_slot_drains():
 def test_a_pallet_picked_partly_then_drained_before_a_query(kind):
     """Two picks with no query between them, the first partial and the
     second draining the pallet: the policy reads the pallet as drained at
-    both log entries and pushes its slot's key twice, and every answer
-    still equals the scans."""
+    both log entries, lists its slot's key once, and every answer still
+    equals the scans."""
     wh, slots = _world()
     pol = _policy(kind, wh, slots)
     for loc in slots:
@@ -202,7 +211,7 @@ def test_a_pallet_picked_partly_then_drained_before_a_query(kind):
     assert oldest.qty == 0 and wh.is_vacant(oldest.location)
     _check(pol)
     key = pol._keys[oldest.location]
-    assert pol._set_of_slot[oldest.location].heap.count(key) == 2
+    assert pol._set_of_slot[oldest.location].vacant.count(key) == 1
 
 
 def test_non_lifting_equipment_on_two_levels_raises_at_construction():
