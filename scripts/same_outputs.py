@@ -10,7 +10,10 @@ and runs one matrix of CLI runs on that tree and on the working tree
 datasets, generated once by the base tree, and run from directories laid
 out alike, so every path they print is the same.  Per run it compares
 the exit code, stdout, stderr and every file the run writes, and prints
-each difference.  It exits 0 when there is none and 1 otherwise.
+each difference.  It also prints the size of ``src/picksim/*.py`` in
+both trees: raw lines, non-blank lines and code lines (no blank lines,
+comments or docstrings).  It exits 0 when no output differs and 1
+otherwise.
 
 The matrix:
 
@@ -33,6 +36,7 @@ removed at the end.  The whole matrix takes about a minute of CPU.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import json
 import os
@@ -115,6 +119,28 @@ def overflow(src: Path, dst: Path) -> None:
         row[4] = str(min(int(row[4]), per_pallet[code]))
     with open(dst / "initial_inventory.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def source_lines(tree: Path) -> tuple[int, int, int]:
+    """Raw, non-blank and code lines of ``src/picksim/*.py`` in ``tree``.
+    A code line is neither blank nor a comment, and lies in no docstring
+    (the first statement of a module, class or function, if it is a
+    string, as ``ast`` parses it)."""
+    raw = nonblank = code = 0
+    for path in sorted((tree / "src" / "picksim").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        docstrings: set[int] = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+                first = node.body[0]
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+        for number, line in enumerate(text.splitlines(), start=1):
+            raw += 1
+            stripped = line.strip()
+            nonblank += bool(stripped)
+            code += bool(stripped) and not stripped.startswith("#") and number not in docstrings
+    return raw, nonblank, code
 
 
 def run(tree: Path, cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
@@ -204,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"{'same' if not these else f'{len(these)} difference(s)'}", flush=True)
         for line in found:
             print(line)
+        for label, tree in ((args.base_rev, base_tree), ("working tree", REPO)):
+            raw, nonblank, code = source_lines(tree)
+            print(f"src/picksim/*.py at {label}: {raw} lines, {nonblank} non-blank, {code} code")
         print(f"{len(runs)} runs, {len(found)} difference(s) against {args.base_rev}")
         return 1 if found else 0
     finally:

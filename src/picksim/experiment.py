@@ -304,10 +304,14 @@ def _run_week(spec: ScenarioSpec, layout: list[Location], items, initial,
 
     done = sum(1 for c in session.completions if c is not None)
     if done < len(session.plan):
-        raise InfeasibleRunError(
-            f"scenario {spec.name} week {week_no}: only {done}/{len(session.plan)} "
-            f"orders finished within the {cfg.horizon_s} s horizon"
-        )
+        message = (f"scenario {spec.name} week {week_no}: only {done}/{len(session.plan)} "
+                   f"orders finished within the {cfg.horizon_s} s horizon")
+        waiting = session._waiting_for()
+        if waiting is not None:
+            order_no, line, item, slot = waiting
+            message += (f"; the picker is waiting for order {order_no}, line index {line}, "
+                        f"item {item}, at slot {slot}")
+        raise InfeasibleRunError(message)
     metric = session.completions[-1] * cfg.metric_factor()
     return WeekOutcome(week_no, metric, session.metrics,
                        completions=[float(c) for c in session.completions])

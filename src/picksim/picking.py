@@ -272,6 +272,16 @@ class PickingSession:
         self.metrics.wait_s += t_rp - event.time
         return (t_rp, kind)
 
+    def _waiting_for(self) -> tuple[str, int, str, LocationId] | None:
+        """``(order_no, line index, item, slot)`` of the short line the picker
+        waits at, or None when no order is in flight."""
+        if self._active is None:
+            return None
+        entry = self.plan[self._active]
+        stop = entry.route[self._at_stop]
+        return (entry.order.order_no, stop.line_index,
+                entry.order.lines[stop.line_index].item, stop.location.id)
+
     # -- core traversal ----------------------------------------------------
 
     def _advance(self, now: float) -> PickerEvent | None:

@@ -27,6 +27,7 @@ that raises ``InputDataError`` rather than reporting an infinite figure.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InputDataError
@@ -56,8 +57,7 @@ def summarize(values: list[float]) -> StatsSummary:
     if n < 2:
         raise InputDataError(f"confidence interval needs at least 2 values, got {n}")
     mean, sd = _mean_sd(values, "the weekly values")
-    quantile = _t_ppf(0.5 + _CONFIDENCE / 2.0, n - 1)
-    half = quantile * sd / math.sqrt(n)
+    half = _interval_quantile(n - 1) * sd / math.sqrt(n)
     low, high = mean - half, mean + half
     if not (math.isfinite(low) and math.isfinite(high)):
         raise InputDataError(f"the {_CONFIDENCE:.0%} confidence interval [{low}, {high}] of "
@@ -156,6 +156,12 @@ def _t_sf(t: float, df: float) -> float:
     if x < (a + 1.0) / (a + 2.5):
         return 0.5 * front * _beta_cf(a, 0.5, x) / a
     return 0.5 - front * _beta_cf(0.5, a, y)
+
+
+@lru_cache
+def _interval_quantile(df: int) -> float:
+    """The t quantile of ``summarize``'s interval, bisected once per ``df``."""
+    return _t_ppf(0.5 + _CONFIDENCE / 2.0, df)
 
 
 def _t_ppf(p: float, df: float) -> float:

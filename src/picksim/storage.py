@@ -43,14 +43,15 @@ a vacant slot again they are pushed back at their current count.
 
 Both indices are kept current from the warehouse's change log, read
 from the policy's own position.  At the top of every query
-(``nearest_vacant``, ``restock_choice``) the policy catches up: each
-entry pushes a fresh stock entry for its item; a placement deletes the
-slot's key from its set's list; and an entry whose record is drained
-inserts the key and un-parks the set's items, unless the key is listed
-already.  That guard is needed because a pallet picked partly and then
-drained before one catch-up is read as drained at both its entries.
-Its stock entries are still one per change plus one per un-parked item,
-and equal duplicate entries are interchangeable.  The warehouse holds
+(``nearest_vacant``, ``restock_choice``) the policy catches up.  Each
+entry pushes a fresh stock entry for its item, and an entry that moves
+a slot's vacancy is one of two cases:
+
+* a placement (``pieces > 0``) deletes the slot's key from its set's list;
+* a drain (``left == 0``, logged once per pallet) inserts the key and
+  un-parks the set's items.
+
+Equal duplicate stock entries are interchangeable.  The warehouse holds
 no reference back to the policy, so the two make no reference cycle.
 """
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from datetime import date
 from typing import NamedTuple
 
@@ -159,19 +160,16 @@ class StoragePolicy:
             return
         on_hand = wh._on_hand
         stock = self._stock
-        for record, pieces in wh.log[self._read:]:
-            if pieces > 0 or not record.qty:  # placed, or drained: the slot's vacancy moves
+        for record, pieces, left in wh.log[self._read:]:
+            if pieces > 0:  # placed: the slot is taken
+                vacant = self._set_of_slot[record.location].vacant
+                del vacant[bisect_left(vacant, self._keys[record.location])]
+            elif not left:  # drained: the slot is free
                 slot_set = self._set_of_slot[record.location]
-                vacant = slot_set.vacant
-                key = self._keys[record.location]
-                at = bisect_left(vacant, key)
-                if pieces > 0:
-                    del vacant[at]
-                elif at == len(vacant) or vacant[at] != key:  # drained, and not listed yet
-                    vacant.insert(at, key)
-                    for code in slot_set.parked:
-                        heapq.heappush(stock, (on_hand[code], code))
-                    slot_set.parked.clear()
+                insort(slot_set.vacant, self._keys[record.location])
+                for code in slot_set.parked:
+                    heapq.heappush(stock, (on_hand[code], code))
+                slot_set.parked.clear()
             code = record.item
             heapq.heappush(stock, (on_hand[code], code))
         self._read = end

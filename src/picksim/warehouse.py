@@ -17,10 +17,12 @@ how many pieces it took loose, the two figures the picker's handling
 time is charged on.  One append-only change log, ``log``, lets readers
 keep indices over the inventory, each from its own read position, as
 the storage policies and the conservation audit do: it gets a
-``(record, pieces)`` entry per pallet a placement (``+qty``) or a pick
-(``-taken``) touches.  A record's ``qty`` reaches 0 only when a pick
-drains it, and a drained record never changes again, so a reader that
-finds ``qty == 0`` knows the slot was freed.  The warehouse calls nobody.
+``(record, pieces, left)`` entry per pallet a placement (``+qty``) or a
+pick (``-taken``) touches, ``left`` being the pieces on the pallet after
+that change.  Only the pick that drains a pallet logs ``left == 0``, so
+each pallet has one drain entry, the one that freed its slot, and
+readers never consult a record's live ``qty``.  The warehouse calls
+nobody.
 
 Each item's pallets sit in a min-heap of ``(mfg_date, seq_no, record)``,
 its lot heap, so the FIFO lot is the head.  ``place`` pushes onto it.
@@ -258,7 +260,7 @@ class Warehouse:
         self._lots: dict[str, list[tuple[date, int, PalletRecord]]] = {
             code: [] for code in self.items}
         self._on_hand: dict[str, int] = dict.fromkeys(self.items, 0)
-        self.log: list[tuple[PalletRecord, int]] = []  # see the module docstring
+        self.log: list[tuple[PalletRecord, int, int]] = []  # see the module docstring
 
         self.audit = audit
         # verify_conservation's log position, placed - picked and last date picked
@@ -308,7 +310,7 @@ class Warehouse:
         self.records[loc_id] = record
         heapq.heappush(self._lots[item_code], (mfg_date, self.storage[loc_id].seq_no, record))
         self._on_hand[item_code] += qty
-        self.log.append((record, qty))
+        self.log.append((record, qty, qty))
 
     def pick(self, item_code: str, qty: int) -> tuple[int, int]:
         """Consume ``qty`` pieces oldest-first, splitting across pallets.
@@ -323,7 +325,9 @@ class Warehouse:
         whether the head pallet holds more than is still wanted: that
         pallet stays standing and the pick ends there, with no heap pop.
         Otherwise the pallet is drained and popped.  Per pallet the
-        change log gets the pieces taken, negated.
+        change log gets ``(record, -taken, left)``: a pallet left standing
+        logs the pieces it still holds, a drained one ``-held, 0``, its
+        only drain entry.
         """
         if qty < 1:
             raise InputDataError(f"pick quantity must be >= 1, got {qty}")
@@ -339,15 +343,15 @@ class Warehouse:
             touched += 1
             held = record.qty
             if held > remaining:
-                record.qty = held - remaining
+                left = record.qty = held - remaining
                 on_hand[item_code] -= remaining
-                log.append((record, -remaining))
+                log.append((record, -remaining, left))
                 return touched, remaining
             record.qty = 0
             heapq.heappop(lots)
             del self.records[record.location]
             on_hand[item_code] -= held
-            log.append((record, -held))
+            log.append((record, -held, 0))
             remaining -= held
             if not remaining:
                 return touched, 0
@@ -364,7 +368,7 @@ class Warehouse:
         the running counter, so the check stays independent of the counter;
         the counter is then checked against that sum as well.
         """
-        for record, pieces in self.log[self._audited:]:
+        for record, pieces, _ in self.log[self._audited:]:
             code = record.item
             self._logged[code] += pieces
             if pieces < 0:

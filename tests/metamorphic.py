@@ -8,7 +8,7 @@ brute-force oracle cannot go, and it does not pin today's output the way
 a golden hash does.
 
 Each transform copies a dataset directory and rewrites one file; it is a
-pure function of the dataset and a seed.  The relation each keeps:
+pure function of the dataset and one parameter.  The relation each keeps:
 
 * ``shuffle_rows("items.csv")`` - identity: the catalog is keyed by item
   code, every tie between items breaks by code, and a run's outputs
@@ -21,6 +21,14 @@ pure function of the dataset and a seed.  The relation each keeps:
   nearest-to-entrance claim, the storage policies' nearest vacant slot)
   orders them by travel time and route position (``seq_no``, unique per
   slot), never by file position.
+* ``shift_orders(days)`` by whole weeks - identity: weeks are counted
+  from the first order date, and replenished pallets are dated from
+  each week's first order date.  So the only dates that move are later
+  than every initial pallet's, and they all move by the same days.
+* ``scale_layout(2.0)`` with the equipment speeds (``sph``, ``sps``,
+  ``Lsps``) doubled too - identity: doubling is exact in binary floating
+  point, so every coordinate difference doubles exactly, and a doubled
+  distance over a doubled speed keeps every travel time's bits.
 
 Identity means that stdout and every file a run writes, traces
 included, are byte-identical to the run on the original dataset.
@@ -28,8 +36,10 @@ included, are byte-identical to the run on the original dataset.
 
 from __future__ import annotations
 
+import csv
 import random
 import shutil
+from datetime import datetime, timedelta
 from pathlib import Path
 
 IDENTITY_SHUFFLES = ("items.csv", "initial_inventory.csv", "layout.csv")
@@ -44,3 +54,33 @@ def shuffle_rows(src: Path, dst: Path, name: str, seed: int) -> Path:
     random.Random(seed).shuffle(rows)
     (dst / name).write_text(header + "".join(rows), encoding="utf-8")
     return dst
+
+
+def _rewrite(src: Path, dst: Path, name: str, rewrite_row) -> Path:
+    """Copy the dataset ``src`` to ``dst`` with ``rewrite_row(cells)`` of
+    every data row of its file ``name`` in place of the row; returns ``dst``."""
+    shutil.copytree(src, dst)
+    with open(dst / name, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(dst / name, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *map(rewrite_row, rows)])
+    return dst
+
+
+def shift_orders(src: Path, dst: Path, days: int) -> Path:
+    """Copy the dataset ``src`` to ``dst`` with every ``order_datetime`` of
+    ``orders.csv`` ``days`` days later; returns ``dst``."""
+    def shifted(cells: list[str]) -> list[str]:
+        when = datetime.fromisoformat(cells[0]) + timedelta(days=days)
+        return [when.isoformat(sep=" "), *cells[1:]]
+
+    return _rewrite(src, dst, "orders.csv", shifted)
+
+
+def scale_layout(src: Path, dst: Path, factor: float) -> Path:
+    """Copy the dataset ``src`` to ``dst`` with every ``x_cm``, ``y_cm`` and
+    ``z_cm`` of ``layout.csv`` multiplied by ``factor``; returns ``dst``."""
+    def scaled(cells: list[str]) -> list[str]:
+        return [*cells[:3], *(repr(factor * float(cell)) for cell in cells[3:6]), *cells[6:]]
+
+    return _rewrite(src, dst, "layout.csv", scaled)

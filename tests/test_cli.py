@@ -778,6 +778,35 @@ def test_infeasible_horizon_exits_1(dataset, tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+def test_a_week_that_never_finishes_names_the_line_the_picker_waits_for(tmp_path, capsys):
+    """The README quick-start dataset with every second initial pallet given
+    to the most-ordered item (its pieces cut to that item's pallet size):
+    under fixed storage the fallback fills another item's slots, and the
+    picker waits at one short line until the horizon.  The error names it."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--items", "25", "--slots", "120",
+                 "--lines", "600", "--weeks", "4"]) == 0
+    per_pallet = {code: int(qpp) for code, _, qpp in
+                  (row.split(",") for row in (data / "items.csv").read_text().splitlines()[1:])}
+    ordered = [row.split(",")[3] for row in (data / "orders.csv").read_text().splitlines()[1:]]
+    code = min(set(ordered), key=lambda item: (-ordered.count(item), item))
+    header, *rows = [row.split(",") for row in
+                     (data / "initial_inventory.csv").read_text().splitlines()]
+    for row in rows[1::2]:
+        row[3:5] = [code, str(min(int(row[4]), per_pallet[code]))]
+    (data / "initial_inventory.csv").write_text(
+        "".join(",".join(row) + "\n" for row in [header, *rows]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"walking": {"mode": "distance"}}))
+    capsys.readouterr()
+    assert main(["simulate", "--data", str(data), "--config", str(cfg), "--policy", "fixed",
+                 "--picking", "area", "--weeks", "1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: scenario fixed-homogeneous-area week 1: only 2/43 orders finished within "
+        "the 2592000.0 s horizon; the picker is waiting for order ORD-W1-00001, line index 3, "
+        "item SKU0003, at slot (0, 2, 2)")
+
+
 def test_weeks_cut_short_ignore_the_later_orders(tmp_path):
     """``--weeks 2`` on four weeks of orders runs as on a file that holds
     only the first two: the dropped weeks size no slot map and rank no

@@ -197,18 +197,20 @@ def test_full_building_parks_every_item_until_a_slot_drains():
 @pytest.mark.parametrize("kind", list(PolicyKind))
 def test_a_pallet_picked_partly_then_drained_before_a_query(kind):
     """Two picks with no query between them, the first partial and the
-    second draining the pallet: the policy reads the pallet as drained at
-    both log entries, lists its slot's key once, and every answer still
-    equals the scans."""
+    second draining the pallet: the log's two entries for the pallet say
+    3 pieces left, then 0, the policy lists its slot's key once, and every
+    answer still equals the scans."""
     wh, slots = _world()
     pol = _policy(kind, wh, slots)
     for loc in slots:
         wh.place(loc.id, CODES[loc.seq_no % 3], 4, MFG)
     assert pol.restock_choice() == _brute_choice(pol) is None  # a full building
     oldest = wh._lots["A"][0][2]
+    logged = len(wh.log)
     wh.pick("A", 1)
     wh.pick("A", 3)
-    assert oldest.qty == 0 and wh.is_vacant(oldest.location)
+    assert [(record, left) for record, _, left in wh.log[logged:]] == [(oldest, 3), (oldest, 0)]
+    assert wh.is_vacant(oldest.location)
     _check(pol)
     key = pol._keys[oldest.location]
     assert pol._set_of_slot[oldest.location].vacant.count(key) == 1

@@ -4,8 +4,9 @@
 Every policy x picking run of the golden tables, and fixed storage under
 demand allocation, runs with ``--trace`` under constant walking and under
 distance walking with sampled replenishment, on the golden dataset and
-on each transformed copy of it.  Each pair of runs must keep the
-transform's relation.
+on each transformed copy of it (the coordinate scaling under a copy of
+each config with the equipment speeds scaled alike).  Each pair of runs
+must keep the transform's relation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from metamorphic import IDENTITY_SHUFFLES, shuffle_rows
+from metamorphic import IDENTITY_SHUFFLES, scale_layout, shift_orders, shuffle_rows
+from picksim import SimConfig
 from picksim.cli import main
 from test_golden import DATA_ARGS, DISTANCE_CONFIG
 
@@ -38,7 +40,8 @@ def root(tmp_path_factory) -> Path:
 
 
 def _outputs(root: Path, data: Path, walking: str, out: Path) -> list:
-    """Per run of ``RUNS`` on ``data``: its stdout and every file it writes."""
+    """Per run of ``RUNS`` on ``data`` under the config file
+    ``<root>/<walking>.json``: its stdout and every file it writes."""
     outputs = []
     for index, (policy, picking, allocation) in enumerate(RUNS):
         run_out = out / str(index)
@@ -67,5 +70,26 @@ def test_row_order_of_a_dataset_file_is_no_input(root, original, walking, name):
     data = shuffle_rows(root / "data", root / f"shuffled-{name}-{walking}", name, seed=7)
     assert (data / name).read_bytes() != (root / "data" / name).read_bytes()
     outputs = _outputs(root, data, walking, root / f"out-{name}-{walking}")
+    for run, got, want in zip(RUNS, outputs, original[walking]):
+        assert got == want, run
+
+
+@pytest.mark.parametrize("walking", sorted(WALKING))
+@pytest.mark.parametrize("days", [7, 364])
+def test_moving_every_order_by_whole_weeks_changes_no_output(root, original, walking, days):
+    data = shift_orders(root / "data", root / f"shifted-{days}-{walking}", days)
+    outputs = _outputs(root, data, walking, root / f"out-shifted-{days}-{walking}")
+    for run, got, want in zip(RUNS, outputs, original[walking]):
+        assert got == want, run
+
+
+@pytest.mark.parametrize("walking", sorted(WALKING))
+def test_doubling_coordinates_and_speeds_changes_no_output(root, original, walking):
+    data = scale_layout(root / "data", root / f"scaled-{walking}", 2.0)
+    defaults = SimConfig()
+    speeds = {name: 2.0 * getattr(defaults, name) for name in ("sph", "sps", "Lsps")}
+    (root / f"scaled-{walking}.json").write_text(json.dumps({**WALKING[walking], **speeds}),
+                                                encoding="utf-8")
+    outputs = _outputs(root, data, f"scaled-{walking}", root / f"out-scaled-{walking}")
     for run, got, want in zip(RUNS, outputs, original[walking]):
         assert got == want, run

@@ -296,7 +296,8 @@ def test_pick_matches_a_reference_model(ops, audit):
     """Random placements and picks, the picks checked against a list-scan
     model of FIFO consumption: what each pick returns, the on-hand counts,
     each item's oldest pallet and what each step appends to the change
-    log, whose drained records are exactly the slots the step freed."""
+    log, whose drain entries (``left == 0``) are exactly the slots the
+    step freed."""
     wh = Warehouse(anchors() + _PICK_SLOTS,
                    [make_item(code, qpp=qpp) for code, qpp in _PICK_ITEMS.items()], audit=audit)
     seq = {loc.id: loc.seq_no for loc in _PICK_SLOTS}
@@ -315,7 +316,7 @@ def test_pick_matches_a_reference_model(ops, audit):
             mfg = today
             wh.place(loc_id, item, qty, mfg)
             pallets[loc_id] = [item, qty, mfg]
-            changed.append((loc_id, item, qty))
+            changed.append((loc_id, item, qty, qty))
         else:
             _, item, qty = op
             lots = sorted((p[2], seq[loc_id], loc_id) for loc_id, p in pallets.items()
@@ -327,22 +328,23 @@ def test_pick_matches_a_reference_model(ops, audit):
                     break
                 taken = min(remaining, pallets[loc_id][1])
                 pallets[loc_id][1] -= taken
+                left = pallets[loc_id][1]
                 remaining -= taken
                 touched += 1
-                if pallets[loc_id][1] == 0:
+                if left == 0:
                     del pallets[loc_id]
                     drained.append(loc_id)
                 else:
                     loose = taken
-                changed.append((loc_id, item, -taken))
+                changed.append((loc_id, item, -taken, left))
             if remaining:
                 with pytest.raises(InputDataError, match="exceeds stock"):
                     wh.pick(item, qty)
             else:
                 assert wh.pick(item, qty) == (touched, loose)
         new = wh.log[logged:]
-        assert [(r.location, r.item, pieces) for r, pieces in new] == changed
-        assert [r.location for r, _ in new if r.qty == 0] == drained
+        assert [(r.location, r.item, pieces, left) for r, pieces, left in new] == changed
+        assert [r.location for r, _, left in new if left == 0] == drained
         wh.verify_conservation()
         for item in _PICK_ITEMS:
             held = [(p[2], seq[loc_id], loc_id, p[1]) for loc_id, p in pallets.items()
