@@ -26,7 +26,11 @@ The matrix:
 * ``compare`` on the full-scale dataset with distance walking;
 * five runs on a dataset whose initial pallets overflow their fixed
   slots, so that ``place_initial`` falls back: fixed storage with area
-  and zone picking, fixed with demand allocation, random and fixed-zone.
+  and zone picking, fixed with demand allocation, random and fixed-zone;
+* refusals, runs that exit 2 or 3: ``simulate`` on copies of the demo
+  data with one bad cell (an item of 0 pieces per pallet, an order line
+  of 0 pieces, an order line of an unknown item, a ``layout.csv`` row
+  whose ``x_cm`` is not a number), and ``compare --policy random``.
 
 With ``--workdir`` the datasets and outputs are kept in ``DIR``, which
 must not exist yet; otherwise they go to a temporary directory that is
@@ -62,6 +66,13 @@ CONFIGS = {
 }
 COMBOS = [(policy, picking) for policy in ("fixed", "random", "fixed-zone")
           for picking in ("area", "zoning")]
+# refused copy of the demo data -> (file, line, column, new cell)
+REFUSALS = {
+    "items-no-pieces": ("items.csv", 3, 2, "0"),
+    "orders-no-pieces": ("orders.csv", 3, 4, "0"),
+    "orders-unknown-item": ("orders.csv", 3, 3, "NOPE"),
+    "layout-bad-x": ("layout.csv", 5, 3, "x"),
+}
 
 
 def matrix() -> list[tuple[str, list[str]]]:
@@ -97,6 +108,12 @@ def matrix() -> list[tuple[str, list[str]]]:
             "--policy", policy, "--picking", picking, "--weeks", "4", "--seed", "7",
             "--audit", "--trace", "--out", f"out/{name}",
             *(["--allocation", allocation] if allocation else [])]))
+    for name in REFUSALS:
+        runs.append((f"refuse-{name}", ["simulate", "--data", f"data/{name}", "--weeks", "4",
+                                         "--out", f"out/refuse-{name}"]))
+    runs.append(("refuse-compare-random", ["compare", "--data", "data/demo", "--policy",
+                                           "random", "--weeks", "4",
+                                           "--out", "out/refuse-compare-random"]))
     return runs
 
 
@@ -119,6 +136,17 @@ def overflow(src: Path, dst: Path) -> None:
         row[4] = str(min(int(row[4]), per_pallet[code]))
     with open(dst / "initial_inventory.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def edited(src: Path, dst: Path, name: str, line: int, column: int, value: str) -> None:
+    """Copy the dataset ``src`` to ``dst`` with cell ``column`` (from 0) of
+    line ``line`` (from 1) of its file ``name`` set to ``value``."""
+    shutil.copytree(src, dst)
+    with open(src / name, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[line - 1][column] = value
+    with open(dst / name, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def source_lines(tree: Path) -> tuple[int, int, int]:
@@ -207,6 +235,8 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stderr.write(made.stderr.decode())
                 return 2
         overflow(data / "demo", data / "overflow")
+        for name, edit in REFUSALS.items():
+            edited(data / "demo", data / name, *edit)
         for name, config in CONFIGS.items():
             (data / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
 

@@ -64,7 +64,6 @@ from .warehouse import (
     Location,
     ProcessTotals,
     Warehouse,
-    _Record,
     _write_csv,
     index_layout,
     load_inventory,
@@ -110,24 +109,17 @@ class ScenarioSpec(NamedTuple):
     data: DataPaths
 
 
-class WeekOutcome(_Record):
-    __slots__ = ("week", "metric", "totals", "completions")
-
-    def __init__(self, week: int, metric: float, totals: ProcessTotals,
-                 completions: list[float] | None = None):
-        self.week = week
-        self.metric = metric
-        self.totals = totals
-        self.completions = [] if completions is None else completions
+class WeekOutcome(NamedTuple):
+    week: int
+    metric: float
+    totals: ProcessTotals
+    completions: tuple[float, ...] = ()
 
 
-class RunResult(_Record):
-    __slots__ = ("scenario", "unit", "weeks")
-
-    def __init__(self, scenario: str, unit: str, weeks: list[WeekOutcome]):
-        self.scenario = scenario
-        self.unit = unit
-        self.weeks = weeks
+class RunResult(NamedTuple):
+    scenario: str
+    unit: str
+    weeks: list[WeekOutcome]
 
     @property
     def weekly_metrics(self) -> list[float]:
@@ -190,10 +182,11 @@ def build_slot_map(spec: ScenarioSpec, layout: list[Location], avg_picks: dict[s
 def run_scenario(spec: ScenarioSpec, audit: bool = False,
                  trace_dir: str | None = None) -> RunResult:
     """Run every week of a scenario; raises on horizon overrun, and raises
-    ``InputDataError`` before any run if a week has no orders or an initial
-    pallet holds an item missing from the catalog or more pieces than its
-    item's ``qty_per_pallet``, names a location that is not a storage slot
-    of the layout, or names the slot of an earlier pallet.
+    ``InputDataError`` before any run if the layout has no storage slot, a
+    week has no orders or an initial pallet holds an item missing from the
+    catalog or more pieces than its item's ``qty_per_pallet``, names a
+    location that is not a storage slot of the layout, or names the slot of
+    an earlier pallet.
 
     With ``trace_dir`` set, the executed event log of week N is written to
     ``<trace_dir>/trace_<scenario>_week<N>.csv``.
@@ -226,6 +219,8 @@ def _load_dataset(data: DataPaths, weeks: int):
     initial = load_inventory(data.inventory)
     item_index = {i.code: i for i in items}
     slots = {loc.id for loc in layout if not loc.is_anchor}
+    if not slots:
+        raise InputDataError(f"{data.layout}: the layout holds no storage slot")
     named = set()
     for row in initial:
         item = item_index.get(row.item)
@@ -313,8 +308,7 @@ def _run_week(spec: ScenarioSpec, layout: list[Location], items, initial,
                         f"item {item}, at slot {slot}")
         raise InfeasibleRunError(message)
     metric = session.completions[-1] * cfg.metric_factor()
-    return WeekOutcome(week_no, metric, session.metrics,
-                       completions=[float(c) for c in session.completions])
+    return WeekOutcome(week_no, metric, session.metrics, tuple(map(float, session.completions)))
 
 
 def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],
@@ -342,24 +336,17 @@ def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],
 # -- comparison ----------------------------------------------------------
 
 
-class ScenarioSummary(_Record):
-    __slots__ = ("scenario", "stats", "total", "gap_pct")
-
-    def __init__(self, scenario: str, stats: StatsSummary, total: float, gap_pct: float):
-        self.scenario = scenario
-        self.stats = stats
-        self.total = total
-        self.gap_pct = gap_pct
+class ScenarioSummary(NamedTuple):
+    scenario: str
+    stats: StatsSummary
+    total: float
+    gap_pct: float
 
 
-class Comparison(_Record):
-    __slots__ = ("results", "summaries", "paired")
-
-    def __init__(self, results: list[RunResult], summaries: list[ScenarioSummary],
-                 paired: PairedTest):
-        self.results = results
-        self.summaries = summaries
-        self.paired = paired
+class Comparison(NamedTuple):
+    results: list[RunResult]
+    summaries: list[ScenarioSummary]
+    paired: PairedTest
 
 
 def summarize_results(series: list[tuple[str, list[float]]]) -> list[ScenarioSummary]:

@@ -73,7 +73,6 @@ from .warehouse import (
     ProcessTotals,
     Warehouse,
     _read_csv,
-    _Record,
     _write_csv,
     aisle_turns,
     travel_time,
@@ -85,14 +84,12 @@ class PickingMode(enum.Enum):
     ZONING = "zoning"
 
 
-class OrderLine(_Record):
-    __slots__ = ("item", "qty")
+class OrderLine(NamedTuple):
+    """``qty`` pieces of ``item``; at least 1 (``load_orders`` and planning
+    refuse less)."""
 
-    def __init__(self, item: str, qty: int):
-        if qty < 1:
-            raise InputDataError(f"order line of {item}: qty must be >= 1")
-        self.item = item
-        self.qty = qty
+    item: str
+    qty: int
 
 
 class Order(NamedTuple):
@@ -135,8 +132,9 @@ PickerEvent = tuple[float, StartPickOrder | PartialPick]
 def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
                    policy: StoragePolicy, cfg: SimConfig) -> PickPlan:
     """Build the pick plan for a horizon's orders against current stock,
-    its walking priced under ``cfg.walking``; an order without lines raises
-    ``InputDataError``.  The orders are not changed."""
+    its walking priced under ``cfg.walking``; an order without lines, and a
+    line of fewer than 1 piece, raise ``InputDataError``.  The orders are
+    not changed."""
     groups: dict[str, list[Order]] = {}
     group_seq: list[str] = []
     for order in orders:
@@ -174,6 +172,8 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse, policy: S
     # compares two slots
     keyed = []
     for idx, line in enumerate(order.lines):
+        if line.qty < 1:
+            raise InputDataError(f"order line of {line.item}: qty must be >= 1")
         lot = lots.get(line.item)
         if lot:
             loc = storage[lot[0][2].location]
@@ -404,6 +404,8 @@ def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
                 raise InputDataError(f"order_datetime {order_datetime}: a file's order times "
                                      "must all have a UTC offset, or none")
         line = OrderLine(item_code, int(qty))
+        if line.qty < 1:  # as planning, at path:line
+            raise InputDataError(f"order line of {item_code}: qty must be >= 1")
         if item_code not in items:
             raise InputDataError(f"unknown item {item_code}")
         if order is None:

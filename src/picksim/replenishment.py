@@ -24,26 +24,23 @@ from __future__ import annotations
 import random
 import sys
 from datetime import date, timedelta
+from typing import NamedTuple
 
 from .config import REPLENISH_SAMPLED, SimConfig
 from .errors import InputDataError, _logger
 from .events import Engine, Event
 from .storage import StoragePolicy
-from .warehouse import ProcessTotals, _Record
+from .warehouse import ProcessTotals
 
 
-class ReplenishmentSampler(_Record):
+class ReplenishmentSampler(NamedTuple):
     """Inter-replenishment interval source, deterministic under a seed."""
 
-    __slots__ = ("mode", "mu_s", "sigma_s", "t_min_s", "rng")
-
-    def __init__(self, mode: str, mu_s: float, sigma_s: float, t_min_s: float,
-                 rng: random.Random):
-        self.mode = mode
-        self.mu_s = mu_s
-        self.sigma_s = sigma_s
-        self.t_min_s = t_min_s
-        self.rng = rng
+    mode: str
+    mu_s: float
+    sigma_s: float
+    t_min_s: float
+    rng: random.Random
 
     @classmethod
     def from_config(cls, cfg: SimConfig, seed: int) -> "ReplenishmentSampler":

@@ -58,11 +58,14 @@ STACKER = "stacker"
 
 
 class _Record:
-    """Base of the records kept as ``__slots__`` classes, whose fields read
-    faster than a dict-backed instance's.  ``__slots__`` lists the fields
-    in constructor order; equality and ``repr`` go field by field, as a
-    dataclass's do.  A record is mutable and so unhashable;
-    ``_FrozenRecord`` is the immutable, hashable kind."""
+    """Base of the records kept as mutable ``__slots__`` classes, whose
+    fields read faster than a dict-backed instance's: ``PalletRecord`` and
+    ``ProcessTotals``, whose fields a run changes, and the three config
+    records, because ``ReplenishSettings`` derives ``t_min_s`` when it is
+    built.  A record whose fields no run reassigns is a ``NamedTuple``.
+    ``__slots__`` lists the fields in constructor order; equality and
+    ``repr`` go field by field, as a dataclass's do.  A record is mutable
+    and so unhashable."""
 
     __slots__ = ()
 
@@ -81,33 +84,15 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-class _FrozenRecord(_Record):
-    """A ``_Record`` whose fields are set once, by ``_fill``; hashable."""
-
-    __slots__ = ()
-
-    def _fill(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
-class Location(_FrozenRecord):
+class Location(NamedTuple):
     """One addressable point of the layout (storage slot or anchor)."""
 
-    __slots__ = ("id", "x_cm", "y_cm", "z_cm", "zone", "seq_no")
-
-    def __init__(self, id: LocationId, x_cm: float, y_cm: float, z_cm: float, zone: str,
-                 seq_no: int):
-        self._fill(id, x_cm, y_cm, z_cm, zone, seq_no)
+    id: LocationId
+    x_cm: float
+    y_cm: float
+    z_cm: float
+    zone: str
+    seq_no: int
 
     @property
     def row(self) -> int:
@@ -118,15 +103,13 @@ class Location(_FrozenRecord):
         return self.id[0] == ANCHOR_ROW
 
 
-class Item(_FrozenRecord):
-    """Catalog entry for one stock-keeping unit."""
+class Item(NamedTuple):
+    """Catalog entry for one stock-keeping unit; ``qty_per_pallet`` is at
+    least 1 (``load_items`` and ``Warehouse`` refuse less)."""
 
-    __slots__ = ("code", "home_zone", "qty_per_pallet")
-
-    def __init__(self, code: str, home_zone: str, qty_per_pallet: int):
-        self._fill(code, home_zone, qty_per_pallet)
-        if qty_per_pallet < 1:
-            raise InputDataError(f"item {code}: qty_per_pallet must be >= 1")
+    code: str
+    home_zone: str
+    qty_per_pallet: int
 
 
 class PalletRecord(_Record):
@@ -253,6 +236,8 @@ class Warehouse:
         for item in items:
             if item.code in self.items:
                 raise InputDataError(f"duplicate item code {item.code}")
+            if item.qty_per_pallet < 1:
+                raise InputDataError(f"item {item.code}: qty_per_pallet must be >= 1")
             self.items[item.code] = item
 
         self.records: dict[LocationId, PalletRecord] = {}
@@ -502,7 +487,10 @@ def load_items(path: str) -> list[Item]:
         if code in codes:
             raise InputDataError(f"duplicate item code {code}")  # as Warehouse, at path:line
         codes.add(code)
-        return Item(code, home_zone, int(qty_per_pallet))
+        per_pallet = int(qty_per_pallet)
+        if per_pallet < 1:  # as Warehouse, at path:line
+            raise InputDataError(f"item {code}: qty_per_pallet must be >= 1")
+        return Item(code, home_zone, per_pallet)
 
     return _read_csv(path, ITEMS_HEADER, item)
 

@@ -29,6 +29,15 @@ pure function of the dataset and one parameter.  The relation each keeps:
   ``Lsps``) doubled too - identity: doubling is exact in binary floating
   point, so every coordinate difference doubles exactly, and a doubled
   distance over a doubled speed keeps every travel time's bits.
+* ``relabel_items`` - identity: item codes only key the catalog, the
+  inventory and the order lines, and break ties by their order, which
+  the new codes keep; no output names an item.
+* ``shuffle_lines(seed)`` - identity up to the line indices in the
+  traces: a route visits an order's lines by slot, not by line index,
+  and the order sequence is the row order of the orders' first lines,
+  which the transform keeps.  A ``PartialPick`` trace row names the
+  index of its line within the order (``line=<k>;``), which moves with
+  the line.
 
 Identity means that stdout and every file a run writes, traces
 included, are byte-identical to the run on the original dataset.
@@ -56,14 +65,16 @@ def shuffle_rows(src: Path, dst: Path, name: str, seed: int) -> Path:
     return dst
 
 
-def _rewrite(src: Path, dst: Path, name: str, rewrite_row) -> Path:
-    """Copy the dataset ``src`` to ``dst`` with ``rewrite_row(cells)`` of
-    every data row of its file ``name`` in place of the row; returns ``dst``."""
+def _rewrite(src: Path, dst: Path, edits: dict) -> Path:
+    """Copy the dataset ``src`` to ``dst`` with ``edit(rows)`` in place of
+    the data rows of each file ``name`` of ``edits``, which maps ``name``
+    to ``edit``; returns ``dst``."""
     shutil.copytree(src, dst)
-    with open(dst / name, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    with open(dst / name, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header, *map(rewrite_row, rows)])
+    for name, edit in edits.items():
+        with open(dst / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        with open(dst / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *edit(rows)])
     return dst
 
 
@@ -74,7 +85,7 @@ def shift_orders(src: Path, dst: Path, days: int) -> Path:
         when = datetime.fromisoformat(cells[0]) + timedelta(days=days)
         return [when.isoformat(sep=" "), *cells[1:]]
 
-    return _rewrite(src, dst, "orders.csv", shifted)
+    return _rewrite(src, dst, {"orders.csv": lambda rows: map(shifted, rows)})
 
 
 def scale_layout(src: Path, dst: Path, factor: float) -> Path:
@@ -83,4 +94,42 @@ def scale_layout(src: Path, dst: Path, factor: float) -> Path:
     def scaled(cells: list[str]) -> list[str]:
         return [*cells[:3], *(repr(factor * float(cell)) for cell in cells[3:6]), *cells[6:]]
 
-    return _rewrite(src, dst, "layout.csv", scaled)
+    return _rewrite(src, dst, {"layout.csv": lambda rows: map(scaled, rows)})
+
+
+def relabel_items(src: Path, dst: Path) -> Path:
+    """Copy the dataset ``src`` to ``dst`` with every item code of
+    ``items.csv``, ``initial_inventory.csv`` and ``orders.csv`` replaced by
+    ``P<rank>-`` and the code reversed, ``rank`` being the code's place in
+    sorted order (five digits), so the new codes sort as the old ones do;
+    returns ``dst``."""
+    with open(src / "items.csv", newline="", encoding="utf-8") as fh:
+        codes = sorted(row[0] for row in list(csv.reader(fh))[1:])
+    new = {code: f"P{rank:05d}-{code[::-1]}" for rank, code in enumerate(codes)}
+
+    def relabel(column: int):
+        return lambda rows: ([*row[:column], new[row[column]], *row[column + 1:]]
+                             for row in rows)
+
+    return _rewrite(src, dst, {"items.csv": relabel(0), "initial_inventory.csv": relabel(3),
+                               "orders.csv": relabel(3)})
+
+
+def shuffle_lines(src: Path, dst: Path, seed: int) -> Path:
+    """Copy the dataset ``src`` to ``dst`` with the lines of each order of
+    ``orders.csv`` in a seeded random order among that order's own rows,
+    so every row position keeps its order; returns ``dst``."""
+    def shuffled(rows: list[list[str]]) -> list[list[str]]:
+        positions: dict[str, list[int]] = {}
+        for index, row in enumerate(rows):
+            positions.setdefault(row[1], []).append(index)
+        rng = random.Random(seed)
+        out = list(rows)
+        for indices in positions.values():
+            lines = [rows[index] for index in indices]
+            rng.shuffle(lines)
+            for index, line in zip(indices, lines):
+                out[index] = line
+        return out
+
+    return _rewrite(src, dst, {"orders.csv": shuffled})

@@ -649,12 +649,19 @@ def test_initial_pallet_of_an_unknown_item_exits_3(dataset, tmp_path, capsys, po
 
 
 def test_initial_pallet_of_no_pieces_exits_3_naming_its_line(dataset, tmp_path, capsys):
-    data = _edited_dataset(dataset, tmp_path, "initial_inventory.csv", 3,
-                           lambda cells: cells[:4] + ["0"] + cells[5:])
-    assert main(["simulate", "--data", str(data), "--weeks", "1"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {data / 'initial_inventory.csv'}:3: initial pallet of ")
-    assert err.endswith(": qty must be >= 1, got 0\n")
+    """So do an item of no pieces per pallet and an order line of no pieces."""
+    for name, column, message in (
+            ("initial_inventory.csv", 4,
+             lambda cells: f"initial pallet of {cells[3]}: qty must be >= 1, got 0"),
+            ("items.csv", 2, lambda cells: f"item {cells[0]}: qty_per_pallet must be >= 1"),
+            ("orders.csv", 4, lambda cells: f"order line of {cells[3]}: qty must be >= 1")):
+        data = _edited_dataset(dataset, tmp_path / name, name, 3,
+                               lambda cells: cells[:column] + ["0"] + cells[column + 1:])
+        cells = (data / name).read_text().splitlines()[2].split(",")
+        assert main(["simulate", "--data", str(data), "--weeks", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {data / name}:3: {message(cells)}\n"
 
 
 def test_initial_pallet_over_a_full_pallet_exits_3_naming_its_file(dataset, tmp_path, capsys):
@@ -705,6 +712,25 @@ def test_stray_id_on_the_anchor_row_of_the_layout_exits_3_naming_its_line(datase
     assert captured.out == ""
     assert captured.err == (f"error: {data / 'layout.csv'}:5: row -1 holds only the anchors "
                             f"(-1, 0, 0), (-1, 0, 1) and (-1, 0, 2), got (-1, 0, 7)\n")
+
+
+@pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
+def test_layout_without_a_storage_slot_exits_3_naming_it(tmp_path, capsys, policy):
+    files = {
+        "layout.csv": [",".join(LAYOUT_HEADER), "-1,0,0,0,0,0,anchor,-3"],
+        "items.csv": [",".join(ITEMS_HEADER), "A,Z1,10"],
+        "initial_inventory.csv": [",".join(INVENTORY_HEADER)],
+        "orders.csv": [",".join(ORDERS_HEADER), "2024-06-03 08:00:00,O1,T1,A,2"],
+    }
+    for name, lines in files.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--data", str(tmp_path), "--policy", policy, "--weeks", "1",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'layout.csv'}: the layout holds no storage slot\n"
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_3(dataset, tmp_path, capsys):

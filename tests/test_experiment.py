@@ -419,7 +419,7 @@ def test_summarize_results_gap_is_relative_to_first():
 def test_results_csv_schema_and_float_fidelity(tmp_path):
     path = tmp_path / "r.csv"
     results = _fake_results()
-    results[0].weeks[0].metric = 0.1 + 0.2  # not exactly 0.3
+    results[0].weeks[0] = results[0].weeks[0]._replace(metric=0.1 + 0.2)  # not exactly 0.3
     write_results_csv(results, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == ("scenario,week,metric,walk_s,handle_s,wait_s,"

@@ -13,12 +13,20 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from metamorphic import IDENTITY_SHUFFLES, scale_layout, shift_orders, shuffle_rows
+from metamorphic import (
+    IDENTITY_SHUFFLES,
+    relabel_items,
+    scale_layout,
+    shift_orders,
+    shuffle_lines,
+    shuffle_rows,
+)
 from picksim import SimConfig
 from picksim.cli import main
 from test_golden import DATA_ARGS, DISTANCE_CONFIG
@@ -93,3 +101,28 @@ def test_doubling_coordinates_and_speeds_changes_no_output(root, original, walki
     outputs = _outputs(root, data, f"scaled-{walking}", root / f"out-scaled-{walking}")
     for run, got, want in zip(RUNS, outputs, original[walking]):
         assert got == want, run
+
+
+@pytest.mark.parametrize("walking", sorted(WALKING))
+def test_relabelling_items_in_code_order_changes_no_output(root, original, walking):
+    data = relabel_items(root / "data", root / f"relabelled-{walking}")
+    outputs = _outputs(root, data, walking, root / f"out-relabelled-{walking}")
+    for run, got, want in zip(RUNS, outputs, original[walking]):
+        assert got == want, run
+
+
+def _without_line_indices(files: dict[str, bytes]) -> dict[str, bytes]:
+    """``files`` with every ``line=<k>;`` payload field cut from the traces."""
+    return {name: re.sub(rb"line=\d+;", b"", data) if name.startswith("trace_") else data
+            for name, data in files.items()}
+
+
+@pytest.mark.parametrize("walking", sorted(WALKING))
+def test_line_order_within_an_order_is_no_input(root, original, walking):
+    data = shuffle_lines(root / "data", root / f"lines-{walking}", seed=7)
+    assert (data / "orders.csv").read_bytes() != (root / "data" / "orders.csv").read_bytes()
+    outputs = _outputs(root, data, walking, root / f"out-lines-{walking}")
+    for run, (stdout, files), (want_stdout, want_files) in zip(RUNS, outputs,
+                                                                original[walking]):
+        assert stdout == want_stdout, run
+        assert _without_line_indices(files) == _without_line_indices(want_files), run

@@ -114,8 +114,10 @@ def test_out_of_stock_line_routes_to_primary_slot():
 
 
 def test_line_with_zero_qty_rejected():
-    with pytest.raises(InputDataError, match=">= 1"):
-        _order("O1", "T", ("A", 0))
+    wh, pol = _zoned_world()
+    orders = [_order("O1", "T", ("A", 1), ("B", 0))]
+    with pytest.raises(InputDataError, match="^order line of B: qty must be >= 1$"):
+        prepare_orders(orders, PickingMode.AREA, wh, pol, SimConfig())
 
 
 def test_order_without_lines_rejected():
