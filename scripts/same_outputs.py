@@ -30,7 +30,11 @@ The matrix:
 * refusals, runs that exit 2 or 3: ``simulate`` on copies of the demo
   data with one bad cell (an item of 0 pieces per pallet, an order line
   of 0 pieces, an order line of an unknown item, a ``layout.csv`` row
-  whose ``x_cm`` is not a number), and ``compare --policy random``.
+  whose ``x_cm`` is not a number), and ``compare --policy random``;
+* ``simulate`` under each of the three policies on a copy of the demo
+  data whose first item has a home zone, ``Z9``, with no slot in
+  ``layout.csv``: fixed-zone storage refuses it, fixed and random
+  storage never read it.
 
 With ``--workdir`` the datasets and outputs are kept in ``DIR``, which
 must not exist yet; otherwise they go to a temporary directory that is
@@ -73,6 +77,8 @@ REFUSALS = {
     "orders-unknown-item": ("orders.csv", 3, 3, "NOPE"),
     "layout-bad-x": ("layout.csv", 5, 3, "x"),
 }
+# copy of the demo data whose first item's home zone has no slot, run under each policy
+HOMELESS = ("items.csv", 2, 1, "Z9")
 
 
 def matrix() -> list[tuple[str, list[str]]]:
@@ -114,6 +120,10 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("refuse-compare-random", ["compare", "--data", "data/demo", "--policy",
                                            "random", "--weeks", "4",
                                            "--out", "out/refuse-compare-random"]))
+    for policy in ("fixed", "random", "fixed-zone"):
+        runs.append((f"homeless-{policy}", ["simulate", "--data", "data/homeless", "--policy",
+                                            policy, "--weeks", "4",
+                                            "--out", f"out/homeless-{policy}"]))
     return runs
 
 
@@ -237,6 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         overflow(data / "demo", data / "overflow")
         for name, edit in REFUSALS.items():
             edited(data / "demo", data / name, *edit)
+        edited(data / "demo", data / "homeless", *HOMELESS)
         for name, config in CONFIGS.items():
             (data / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
 

@@ -66,11 +66,13 @@ from .warehouse import (
     SPECIAL_AREA_ID,
     Equipment,
     Item,
+    Layout,
     Location,
     PalletRecord,
     ProcessTotals,
     Warehouse,
     aisle_turns,
+    index_layout,
     load_inventory,
     load_items,
     load_layout,
@@ -99,10 +101,10 @@ __all__ = [
     "Replenisher", "ReplenishmentSampler",
     "PairedTest", "StatsSummary", "gap", "paired_test", "summarize",
     "Assignment", "PolicyKind", "StoragePolicy", "place_initial",
-    "ELEVATOR_ID", "ENTRANCE_ID", "SPECIAL_AREA_ID", "Equipment", "Item", "Location",
-    "PalletRecord", "ProcessTotals", "Warehouse", "aisle_turns", "load_inventory",
-    "load_items", "load_layout", "save_inventory", "save_items", "save_layout",
-    "travel_time",
+    "ELEVATOR_ID", "ENTRANCE_ID", "SPECIAL_AREA_ID", "Equipment", "Item", "Layout",
+    "Location", "PalletRecord", "ProcessTotals", "Warehouse", "aisle_turns", "index_layout",
+    "load_inventory", "load_items", "load_layout", "save_inventory", "save_items",
+    "save_layout", "travel_time",
     "__version__",
 ]
 

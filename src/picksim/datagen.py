@@ -32,6 +32,7 @@ from .warehouse import (
     Location,
     PalletRecord,
     Warehouse,
+    index_layout,
     save_inventory,
     save_items,
     save_layout,
@@ -82,16 +83,14 @@ def _make_layout(n_slots: int) -> list[Location]:
 
 
 def _make_items(rng: random.Random, scale: GenScale,
-                slots: list[Location]) -> tuple[list[Item], dict[str, float]]:
+                by_zone: dict[str, list[Location]]) -> tuple[list[Item], dict[str, float]]:
     """Items plus their demand weights, home zones sized to zone capacity."""
     # heavy-tailed popularity, capped so no single item can outrun the
     # replenishment chain's weekly pallet budget at any generated scale
     weights = [min(rng.paretovariate(1.2), 50.0) for _ in range(scale.n_items)]
-    zone_slots: dict[str, int] = {}
-    for loc in slots:
-        zone_slots[loc.zone] = zone_slots.get(loc.zone, 0) + 1
+    zone_slots = {zone: len(slots) for zone, slots in by_zone.items()}
+    total_slots = sum(zone_slots.values())
     zones = sorted(zone_slots)
-    total_slots = len(slots)
 
     order = sorted(range(scale.n_items), key=lambda i: -weights[i])
     zone_of_rank: list[str] = [""] * scale.n_items
@@ -235,9 +234,9 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
     scale = GenScale(n_items, n_slots, n_lines, weeks)
     rng = random.Random(seed)
 
-    layout = _make_layout(n_slots)
-    slots = [loc for loc in layout if not loc.is_anchor]
-    items, demand = _make_items(rng, scale, slots)
+    locations = _make_layout(n_slots)
+    layout = index_layout(locations)
+    items, demand = _make_items(rng, scale, layout.zones)
     pallets = _make_initial(rng, items, n_slots)
     orders = _make_orders(rng, items, demand, scale)
     _check_feasibility(items, pallets, orders, scale)
@@ -250,7 +249,7 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
                            for item in items for qty, mfg in pallets[item.code]], demand)
 
     paths = DataPaths.from_dir(out_dir)
-    save_layout(layout, paths.layout)
+    save_layout(locations, paths.layout)
     save_items(items, paths.items)
     save_inventory((warehouse.records[loc_id] for loc_id in sorted(warehouse.records)),
                    paths.inventory)

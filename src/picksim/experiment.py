@@ -61,11 +61,10 @@ from .storage import PolicyKind, StoragePolicy, place_initial
 from .warehouse import (
     ENTRANCE_ID,
     SPECIAL_AREA_ID,
-    Location,
+    Layout,
     ProcessTotals,
     Warehouse,
     _write_csv,
-    index_layout,
     load_inventory,
     load_items,
     load_layout,
@@ -168,14 +167,13 @@ def demand_per_week(orders: list[Order], weeks: int) -> dict[str, float]:
     return {code: n / weeks for code, n in counts.items()}
 
 
-def build_slot_map(spec: ScenarioSpec, layout: list[Location], avg_picks: dict[str, float],
+def build_slot_map(spec: ScenarioSpec, layout: Layout, avg_picks: dict[str, float],
                    item_codes: list[str]) -> SlotMap:
     """Allocate the whole storage pool and pin it to concrete slots."""
     demand = {code: avg_picks.get(code, 0.0) for code in item_codes}
-    storage, anchors = index_layout(layout)
-    slots = list(storage.values())
+    slots = list(layout.storage.values())
     counts = allocate_slots(demand, len(slots), spec.allocation)
-    return assign_physical_slots(counts, slots, demand, anchors[ENTRANCE_ID],
+    return assign_physical_slots(counts, slots, demand, layout.anchors[ENTRANCE_ID],
                                  spec.config.stacker())
 
 
@@ -186,7 +184,9 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
     week has no orders or an initial pallet holds an item missing from the
     catalog or more pieces than its item's ``qty_per_pallet``, names a
     location that is not a storage slot of the layout, or names the slot of
-    an earlier pallet.
+    an earlier pallet.  Under fixed-zone storage, so does an item whose
+    home zone has no slot in the layout; fixed and random storage never
+    read ``home_zone``.
 
     With ``trace_dir`` set, the executed event log of week N is written to
     ``<trace_dir>/trace_<scenario>_week<N>.csv``.
@@ -218,8 +218,7 @@ def _load_dataset(data: DataPaths, weeks: int):
     items = load_items(data.items)
     initial = load_inventory(data.inventory)
     item_index = {i.code: i for i in items}
-    slots = {loc.id for loc in layout if not loc.is_anchor}
-    if not slots:
+    if not layout.storage:
         raise InputDataError(f"{data.layout}: the layout holds no storage slot")
     named = set()
     for row in initial:
@@ -231,7 +230,7 @@ def _load_dataset(data: DataPaths, weeks: int):
                 f"{data.inventory}: pallet of {row.item} must hold "
                 f"1..{item.qty_per_pallet} pieces, got {row.qty}"
             )
-        if row.location not in slots:
+        if row.location not in layout.storage:
             raise InputDataError(f"{data.inventory}: pallet of {row.item} on "
                                  f"{row.location}, not a storage slot of {data.layout}")
         if row.location in named:
@@ -256,6 +255,11 @@ def _run_loaded(spec: ScenarioSpec, dataset, audit: bool, trace_dir: str | None)
     layout, items, initial, buckets, avg_picks = dataset
     cfg = spec.config
     _check_walking(cfg, layout)
+    if spec.policy is PolicyKind.FIXED_ZONE:
+        for item in items:
+            if item.home_zone not in layout.zones:
+                raise InputDataError(f"{spec.data.items}: home zone {item.home_zone!r} of item "
+                                     f"{item.code} has no slot in {spec.data.layout}")
     slot_map = None
     if spec.policy is PolicyKind.FIXED:
         slot_map = build_slot_map(spec, layout, avg_picks, [i.code for i in items])
@@ -267,13 +271,13 @@ def _run_loaded(spec: ScenarioSpec, dataset, audit: bool, trace_dir: str | None)
     ])
 
 
-def _check_walking(cfg: SimConfig, layout: list[Location]) -> None:
+def _check_walking(cfg: SimConfig, layout: Layout) -> None:
     """Distance walking with equipment that cannot lift fails on the first
     leg between heights; refuse such a run before any week starts."""
     if cfg.walking.mode != WALK_DISTANCE or cfg.walking_equipment().lift_speed_cm_s > 0:
         return
-    storage, anchors = index_layout(layout)
-    walked = [*storage.values(), anchors[ENTRANCE_ID], anchors[SPECIAL_AREA_ID]]
+    walked = [*layout.storage.values(), layout.anchors[ENTRANCE_ID],
+              layout.anchors[SPECIAL_AREA_ID]]
     heights = {loc.z_cm for loc in walked}
     if len(heights) > 1:
         raise InputDataError(
@@ -282,7 +286,7 @@ def _check_walking(cfg: SimConfig, layout: list[Location]) -> None:
         )
 
 
-def _run_week(spec: ScenarioSpec, layout: list[Location], items, initial,
+def _run_week(spec: ScenarioSpec, layout: Layout, items, initial,
               slot_map: SlotMap | None, avg_picks: dict[str, float],
               week_orders: list[Order], week_no: int, audit: bool,
               trace_dir: str | None) -> WeekOutcome:

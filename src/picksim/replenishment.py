@@ -32,6 +32,8 @@ from .events import Engine, Event
 from .storage import StoragePolicy
 from .warehouse import ProcessTotals
 
+SECONDS_PER_DAY = 86_400.0  # of simulated time, from which a restocked pallet is dated
+
 
 class ReplenishmentSampler(NamedTuple):
     """Inter-replenishment interval source, deterministic under a seed."""
@@ -69,7 +71,7 @@ class Replenisher:
         self._date = start_date
 
     def sim_date(self, now: float) -> date:
-        day = int(now // 86400.0)
+        day = int(now // SECONDS_PER_DAY)
         if day != self._day:
             self._day = day
             self._date = self.start_date + timedelta(days=day)

@@ -14,14 +14,17 @@ vacant slot anywhere, with no randomness involved.  A put-away always
 places one full pallet, the only arrival the model makes.
 
 The candidate sets partition the storage slots: one set per mapped item
-under fixed, one per zone under fixed-zone, a single set under random,
-and no slot in two sets.  Whatever those sets leave uncovered (the slots
+under fixed, one per zone of the warehouse's ``Layout`` index
+(``warehouse.zones``) under fixed-zone, a single set under random, and no
+slot in two sets.  Whatever those sets leave uncovered (the slots
 a fixed slot map gives to no item) forms one residual set that no item
 maps to, so every storage slot is in exactly one set.  A slot map that
-gives a slot to two items is an input error.  The policy builds every
-set at construction, along with the ``(travel_s, seq_no, loc_id, turns)``
-key of every storage slot, so equipment that cannot reach a slot fails
-there.  Each set keeps
+gives a slot to two items is an input error, and so is a catalog item
+without a set: one the slot map omits, or one whose home zone has no
+slot.  The policy builds every set at construction, along with the
+``(travel_s, seq_no, loc_id, turns)`` key of every storage slot, so
+these errors, and equipment that cannot reach a slot, fail there.  Each
+set keeps
 
 * ``vacant`` - the sorted list of the keys of its vacant slots, exact at
   every query: its head is the nearest vacant slot, it is empty exactly
@@ -31,7 +34,7 @@ there.  Each set keeps
   while the set had no vacancy.
 
 The policy also keeps the stock heap, a min-heap of ``(on_hand, code)``
-over the catalog items that have a candidate set, from which
+over the catalog items, from which
 ``restock_choice`` picks the product each replenishment visit restocks.
 Deletion is lazy here: an entry whose quantity differs from the
 item's on-hand count is stale and is popped when it reaches the top.
@@ -123,22 +126,17 @@ class StoragePolicy:
                     self._set_of_item[code] = self._build([warehouse.location(lid)
                                                            for lid in ids])
         elif kind is PolicyKind.FIXED_ZONE:
-            zones: dict[str, list[Location]] = {}
-            for loc in warehouse.storage.values():
-                zones.setdefault(loc.zone, []).append(loc)
-            zone_sets = {zone: self._build(slots) for zone, slots in zones.items()}
-            for code, item in warehouse.items.items():
-                if item.home_zone in zone_sets:
-                    self._set_of_item[code] = zone_sets[item.home_zone]
+            zone_sets = {zone: self._build(slots) for zone, slots in warehouse.zones.items()}
+            self._set_of_item = {code: zone_sets.get(item.home_zone)
+                                 for code, item in warehouse.items.items()}
         else:
             every = self._build(list(warehouse.storage.values()))
             self._set_of_item = dict.fromkeys(warehouse.items, every)
         # the residual set: the slots no item's set covers
         self._build([loc for loc in warehouse.storage.values() if loc.id not in self._set_of_slot])
-        # catalog items without a candidate set, in catalog order
-        self._homeless = [code for code in warehouse.items if code not in self._set_of_item]
-        self._stock = [(on_hand, code) for code, on_hand in warehouse._on_hand.items()
-                       if code in self._set_of_item]
+        for code in warehouse.items:
+            self._set_for(code)  # refuses a catalog item without a candidate set
+        self._stock = [(on_hand, code) for code, on_hand in warehouse._on_hand.items()]
         heapq.heapify(self._stock)
         self._read = len(warehouse.log)  # log position
 
@@ -212,13 +210,7 @@ class StoragePolicy:
 
     def restock_choice(self) -> str | None:
         """The item with the least stock among those with a vacant candidate
-        slot (ties by item code); None if no item has one.
-
-        A catalog item without a candidate set is an input error here,
-        reported for the first such item in catalog order.
-        """
-        if self._homeless:
-            self._set_for(self._homeless[0])
+        slot (ties by item code); None if no item has one."""
         self._catch_up()
         stock = self._stock
         on_hand = self.warehouse._on_hand

@@ -6,7 +6,11 @@ centimeters, a zone label, and a ``seq_no`` giving the slot's position
 along the picking route (a total order over the layout).  Three anchor
 points (entrance, consolidation/special area, elevator) are ordinary
 locations with reserved ids on row -1 so travel to and from them uses
-the same arithmetic as slot-to-slot travel.
+the same arithmetic as slot-to-slot travel.  A run reads and checks
+its layout once, into one ``Layout`` index (slots and anchors by id,
+slots by zone) that ``load_layout`` or ``index_layout`` builds and that
+each week's warehouse, the slot map, the storage policies and the run's
+checks all read.
 
 Inventory is one pallet record per slot at most.  Picking always
 consumes the oldest manufacturing date first (ties broken by route
@@ -185,60 +189,82 @@ def travel_time(a: Location, b: Location, eq: Equipment, turns: int) -> float:
     return t + turns * eq.turn_time_s
 
 
-def index_layout(locations: Iterable[Location]
-                 ) -> tuple[dict[LocationId, Location], dict[LocationId, Location]]:
-    """Storage slots and anchor points of a layout, each keyed by id.
+class Layout(NamedTuple):
+    """The index of a layout a run builds once and every reader shares:
+    storage slots and anchor points, each keyed by id, and the storage
+    slots of each zone, in layout order."""
+
+    storage: dict[LocationId, Location]
+    anchors: dict[LocationId, Location]
+    zones: dict[str, list[Location]]
+
+
+def index_layout(locations: Iterable[Location]) -> Layout:
+    """The ``Layout`` of a list of points, each checked by ``_check_new``.
 
     An anchor the layout lacks stands at the origin.  A repeated id or
     storage ``seq_no``, and an id on the anchor row that is not an
-    anchor's, are errors (``_check_new``).
+    anchor's, are errors.
     """
-    storage: dict[LocationId, Location] = {}
-    anchors: dict[LocationId, Location] = {}
-    ids: set[LocationId] = set()
+    layout = Layout({}, {}, {})
     seqs: set[int] = set()
     for loc in locations:
-        _check_new(loc, ids, seqs)
-        (anchors if loc.is_anchor else storage)[loc.id] = loc
+        _check_new(loc, layout, seqs)
+    return _with_every_anchor(layout)
+
+
+def _with_every_anchor(layout: Layout) -> Layout:
+    """``layout`` with each anchor it lacks added at the origin."""
     for anchor_id, seq_no in zip(ANCHOR_IDS, (-3, -2, -1)):
-        if anchor_id not in anchors:
-            anchors[anchor_id] = Location(anchor_id, 0.0, 0.0, 0.0, ANCHOR_ZONE, seq_no)
-    return storage, anchors
+        if anchor_id not in layout.anchors:
+            layout.anchors[anchor_id] = Location(anchor_id, 0.0, 0.0, 0.0, ANCHOR_ZONE, seq_no)
+    return layout
 
 
-def _check_new(loc: Location, ids: set[LocationId], seqs: set[int]) -> None:
+def _check_new(loc: Location, layout: Layout, seqs: set[int]) -> None:
     """Refuse a point of the anchor row that is not one of the three
-    anchors, an id already in ``ids`` and a storage slot whose ``seq_no``
-    is already in ``seqs``; then add the point's id, and a storage slot's
-    ``seq_no``, to them."""
+    anchors, an id already in ``layout`` and a storage slot whose
+    ``seq_no`` is already in ``seqs``; then add the point to ``layout``,
+    and a storage slot's ``seq_no`` to ``seqs``."""
     if loc.is_anchor and loc.id not in ANCHOR_IDS:
         raise InputDataError(f"row {ANCHOR_ROW} holds only the anchors {ENTRANCE_ID}, "
                              f"{SPECIAL_AREA_ID} and {ELEVATOR_ID}, got {loc.id}")
-    if loc.id in ids:
+    points = layout.anchors if loc.is_anchor else layout.storage
+    if loc.id in points:
         raise InputDataError(f"duplicate location id {loc.id}")
-    ids.add(loc.id)
     if not loc.is_anchor:
         if loc.seq_no in seqs:
             raise InputDataError(f"seq_no {loc.seq_no} of slot {loc.id} repeats an earlier "
                                  "storage slot's")
         seqs.add(loc.seq_no)
+        layout.zones.setdefault(loc.zone, []).append(loc)
+    points[loc.id] = loc
+
+
+def _check_item(item: Item, items: dict[str, Item]) -> Item:
+    """Refuse an item whose code is already in ``items`` and one of fewer
+    than 1 piece per pallet; then add it to ``items`` and return it."""
+    if item.code in items:
+        raise InputDataError(f"duplicate item code {item.code}")
+    if item.qty_per_pallet < 1:
+        raise InputDataError(f"item {item.code}: qty_per_pallet must be >= 1")
+    items[item.code] = item
+    return item
 
 
 class Warehouse:
-    """Layout plus live inventory and its change log, which
-    ``verify_conservation`` audits the inventory against at any instant.
-    ``audit=True`` only marks a warehouse a run checks after every event.
+    """A ``Layout`` index, whose ``storage``, ``anchors`` and ``zones`` it
+    shares and never changes, plus live inventory and its change log,
+    which ``verify_conservation`` audits the inventory against at any
+    instant.  ``audit=True`` only marks a warehouse a run checks after
+    every event.
     """
 
-    def __init__(self, locations: Iterable[Location], items: Iterable[Item], audit: bool = False):
-        self.storage, self.anchors = index_layout(locations)  # refuses repeated seq_no values
+    def __init__(self, layout: Layout, items: Iterable[Item], audit: bool = False):
+        self.storage, self.anchors, self.zones = layout
         self.items: dict[str, Item] = {}
         for item in items:
-            if item.code in self.items:
-                raise InputDataError(f"duplicate item code {item.code}")
-            if item.qty_per_pallet < 1:
-                raise InputDataError(f"item {item.code}: qty_per_pallet must be >= 1")
-            self.items[item.code] = item
+            _check_item(item, self.items)
 
         self.records: dict[LocationId, PalletRecord] = {}
         # item code -> lot heap of (mfg_date, seq_no, record); see the module docstring
@@ -459,18 +485,19 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def load_layout(path: str) -> list[Location]:
-    ids: set[LocationId] = set()
+def load_layout(path: str) -> Layout:
+    """The ``Layout`` of a layout file, each row checked by ``_check_new``
+    as it is read, so an error names ``path:line``."""
+    layout = Layout({}, {}, {})
     seqs: set[int] = set()
 
-    def location(cells: list[str]) -> Location:
+    def location(cells: list[str]) -> None:
         row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no = cells
-        loc = Location((int(row), int(layer), int(slot)), _finite(x_cm), _finite(y_cm),
-                       _finite(z_cm), zone, int(seq_no))
-        _check_new(loc, ids, seqs)  # here too, so the error names path:line
-        return loc
+        _check_new(Location((int(row), int(layer), int(slot)), _finite(x_cm), _finite(y_cm),
+                            _finite(z_cm), zone, int(seq_no)), layout, seqs)
 
-    return _read_csv(path, LAYOUT_HEADER, location)
+    _read_csv(path, LAYOUT_HEADER, location)
+    return _with_every_anchor(layout)
 
 
 def save_layout(locations: Iterable[Location], path: str) -> None:
@@ -480,17 +507,12 @@ def save_layout(locations: Iterable[Location], path: str) -> None:
 
 
 def load_items(path: str) -> list[Item]:
-    codes: set[str] = set()
+    items: dict[str, Item] = {}
 
     def item(cells: list[str]) -> Item:
         code, home_zone, qty_per_pallet = cells
-        if code in codes:
-            raise InputDataError(f"duplicate item code {code}")  # as Warehouse, at path:line
-        codes.add(code)
-        per_pallet = int(qty_per_pallet)
-        if per_pallet < 1:  # as Warehouse, at path:line
-            raise InputDataError(f"item {code}: qty_per_pallet must be >= 1")
-        return Item(code, home_zone, per_pallet)
+        # as Warehouse does, here so the error names path:line
+        return _check_item(Item(code, home_zone, int(qty_per_pallet)), items)
 
     return _read_csv(path, ITEMS_HEADER, item)
 

@@ -17,6 +17,7 @@ from picksim import (
     PolicyKind,
     StoragePolicy,
     Warehouse,
+    index_layout,
     run_week,
 )
 
@@ -26,7 +27,7 @@ def engine_run(layout, items, initial, policy_kind, slot_map, orders, mode,
     """Run one terminating picking horizon; returns completions in plan
     order, the matching order numbers, the metric totals and the engine.
     With ``audit`` set, stock conservation is checked after every event."""
-    warehouse = Warehouse(layout, items, audit=audit)
+    warehouse = Warehouse(index_layout(layout), items, audit=audit)
     policy = StoragePolicy(PolicyKind(policy_kind), warehouse, cfg.stacker(),
                            slot_map=slot_map)
     for lid, code, qty, mfg in initial:

@@ -34,6 +34,7 @@ from picksim import (
     allocate_slots,
     assign_physical_slots,
     gap,
+    index_layout,
     load_items,
     load_layout,
     run_scenario,
@@ -142,7 +143,7 @@ def test_criterion_4_conservation_and_fifo(tmp_path):
                             data=DataPaths.from_dir(str(tmp_path)))
         run_scenario(spec, audit=True)
         # negative control: the checker must catch a manufactured leak
-        wh = Warehouse([slot(0, 1, 0, 100.0, 100.0, seq=1)],
+        wh = Warehouse(index_layout([slot(0, 1, 0, 100.0, 100.0, seq=1)]),
                        [make_item("A")], audit=True)
         wh.place((0, 1, 0), "A", 5, date(2024, 5, 1))
         wh.records[(0, 1, 0)].qty += 1  # leak one phantom piece
@@ -205,8 +206,8 @@ def test_criterion_6_policy_containment(tmp_path):
         layout = load_layout(str(tmp_path / "layout.csv"))
         items = load_items(str(tmp_path / "items.csv"))
         codes = [i.code for i in items]
-        slots = [loc for loc in layout if not loc.is_anchor]
-        entrance = next(loc for loc in layout if loc.id == ENTRANCE_ID)
+        slots = list(layout.storage.values())
+        entrance = layout.anchors[ENTRANCE_ID]
         cfg = SimConfig()
         demand = {c: 1.0 for c in codes}
         counts = allocate_slots(demand, len(slots), AllocationRule.HOMOGENEOUS)

@@ -714,6 +714,26 @@ def test_stray_id_on_the_anchor_row_of_the_layout_exits_3_naming_its_line(datase
                             f"(-1, 0, 0), (-1, 0, 1) and (-1, 0, 2), got (-1, 0, 7)\n")
 
 
+def test_a_home_zone_without_a_slot_exits_3_before_any_week_under_fixed_zone_only(
+        dataset, tmp_path, capsys, monkeypatch):
+    """Fixed and random storage never read ``home_zone``, so they run the data."""
+    data = _edited_dataset(dataset, tmp_path, "items.csv", 2,
+                           lambda cells: [cells[0], "Z9", *cells[2:]])
+    code = (data / "items.csv").read_text().splitlines()[1].split(",")[0]
+    for policy in ("fixed", "random"):
+        assert main(["simulate", "--data", str(data), "--policy", policy, "--weeks", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(experiment, "_run_week", None)  # a week that starts fails
+    out = tmp_path / "out"
+    assert main(["simulate", "--data", str(data), "--policy", "fixed-zone", "--weeks", "1",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {data / 'items.csv'}: home zone 'Z9' of item {code} "
+                            f"has no slot in {data / 'layout.csv'}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
 def test_layout_without_a_storage_slot_exits_3_naming_it(tmp_path, capsys, policy):
     files = {

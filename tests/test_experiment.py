@@ -35,6 +35,7 @@ from picksim import (
     compare_scenarios,
     demand_per_week,
     derive_seed,
+    index_layout,
     run_scenario,
     run_week,
     split_weeks,
@@ -47,7 +48,7 @@ from picksim import experiment
 from picksim.cli import main
 from picksim.config import config_from_dict
 from picksim.datagen import generate_data
-from picksim.warehouse import ProcessTotals
+from picksim.warehouse import ProcessTotals, _check_new
 from conftest import anchors, child_env, make_item, slot
 from test_golden import DATA_ARGS
 
@@ -163,6 +164,24 @@ def test_only_the_fixed_policy_builds_a_slot_map(small_dataset, monkeypatch):
         run_scenario(_spec(small_dataset, policy=PolicyKind.FIXED))
 
 
+def test_each_layout_row_is_checked_once_per_run(small_dataset, monkeypatch):
+    """A run checks its layout once, as ``load_layout`` reads it: under each
+    policy, and when distance walking with a handlift is refused on it."""
+    rows = len(Path(small_dataset, "layout.csv").read_text().splitlines()) - 1
+    checked = []
+    monkeypatch.setattr("picksim.warehouse._check_new",
+                        lambda loc, *rest: checked.append(loc) or _check_new(loc, *rest))
+    for policy in PolicyKind:
+        checked.clear()
+        run_scenario(_spec(small_dataset, policy=policy))
+        assert len(checked) == rows, policy
+    checked.clear()
+    handlift = config_from_dict({"walking": {"mode": "distance", "equipment": "handlift"}})
+    with pytest.raises(InputDataError, match="cannot lift"):
+        run_scenario(_spec(small_dataset, cfg=handlift))
+    assert len(checked) == rows
+
+
 def test_run_scenario_audit_mode_matches_plain(small_dataset):
     plain = run_scenario(_spec(small_dataset))
     audited = run_scenario(_spec(small_dataset), audit=True)
@@ -205,7 +224,7 @@ def test_run_week_twice_on_the_same_orders_gives_identical_totals():
     cfg = config_from_dict({"replenish": {"mu_s": 120.0}})
     runs = []
     for _ in range(2):
-        warehouse = Warehouse(layout, items)
+        warehouse = Warehouse(index_layout(layout), items)
         policy = StoragePolicy(PolicyKind.RANDOM, warehouse, cfg.stacker())
         warehouse.place(layout[3].id, "A", 10, date(2024, 5, 1))
         warehouse.place(layout[4].id, "B", 10, date(2024, 5, 1))
@@ -217,7 +236,8 @@ def test_run_week_twice_on_the_same_orders_gives_identical_totals():
 
 
 def test_run_week_refuses_a_week_without_orders():
-    warehouse = Warehouse(anchors() + [slot(0, 1, 0, 100.0, 100.0, seq=1)], [make_item("A")])
+    warehouse = Warehouse(index_layout(anchors() + [slot(0, 1, 0, 100.0, 100.0, seq=1)]),
+                          [make_item("A")])
     policy = StoragePolicy(PolicyKind.RANDOM, warehouse, SimConfig().stacker())
     with pytest.raises(InputDataError, match="^a week needs at least one order$"):
         run_week(warehouse, policy, [], PickingMode.AREA, SimConfig(), 1, date(2024, 6, 3))

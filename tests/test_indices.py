@@ -39,6 +39,7 @@ from picksim import (
     StoragePolicy,
     Warehouse,
     aisle_turns,
+    index_layout,
     place_initial,
     travel_time,
 )
@@ -59,7 +60,7 @@ def _world() -> tuple[Warehouse, list]:
                               seq=4 * r + s))
     items = [make_item("A", zone="Z1", qpp=6), make_item("B", zone="Z2", qpp=6),
              make_item("C", zone="Z1", qpp=6)]
-    return Warehouse(anchors() + slots, items), slots
+    return Warehouse(index_layout(anchors() + slots), items), slots
 
 
 def _slot_map(slots) -> dict:

@@ -7,10 +7,18 @@ distance walking with sampled replenishment, on the golden dataset and
 on each transformed copy of it (the coordinate scaling under a copy of
 each config with the equipment speeds scaled alike).  Each pair of runs
 must keep the transform's relation.
+
+One relation transforms the config alone: doubling every duration of
+the config (turn, base and handling times, the horizon, the walking
+constant, the replenishment mean, spread and floor) and the seconds of a
+simulated day, and halving every speed, doubles every time a run writes
+and leaves every other output cell as it was.  Doubling and halving are
+exact in binary floating point, so the relation holds bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import re
@@ -27,7 +35,7 @@ from metamorphic import (
     shuffle_lines,
     shuffle_rows,
 )
-from picksim import SimConfig
+from picksim import SimConfig, replenishment
 from picksim.cli import main
 from test_golden import DATA_ARGS, DISTANCE_CONFIG
 
@@ -126,3 +134,44 @@ def test_line_order_within_an_order_is_no_input(root, original, walking):
                                                                 original[walking]):
         assert stdout == want_stdout, run
         assert _without_line_indices(files) == _without_line_indices(want_files), run
+
+
+DURATIONS = ("tth", "tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa", "horizon_s")
+SPEEDS = ("sph", "sps", "Lsps")
+RESULT_TIMES = ("metric", "walk_s", "handle_s", "wait_s", "put_travel_s", "put_handle_s")
+
+
+def _halved(data: bytes, columns: tuple[str, ...]) -> list[list[str]]:
+    """The cells of a CSV output, each cell of ``columns`` halved."""
+    header, *rows = csv.reader(io.StringIO(data.decode("utf-8")))
+    at = [header.index(column) for column in columns]
+    for row in rows:
+        for i in at:
+            row[i] = repr(float(row[i]) / 2.0)
+    return [header, *rows]
+
+
+@pytest.mark.parametrize("walking", sorted(WALKING))
+def test_doubling_every_time_doubles_every_output_time(root, original, walking, monkeypatch):
+    """The floor ``t_min_s`` is set, not derived: a derived floor clamped
+    at 1 s would not double."""
+    defaults = SimConfig()
+    config = WALKING[walking]
+    scaled = {
+        **config,
+        **{name: 2.0 * getattr(defaults, name) for name in DURATIONS},
+        **{name: getattr(defaults, name) / 2.0 for name in SPEEDS},
+        "walking": {**config.get("walking", {}), "constant_s": 2.0 * defaults.walking.constant_s},
+        "replenish": {**config.get("replenish", {}),
+                      **{name: 2.0 * getattr(defaults.replenish, name)
+                         for name in ("mu_s", "sigma_s", "t_min_s")}},
+    }
+    (root / f"slow-{walking}.json").write_text(json.dumps(scaled), encoding="utf-8")
+    monkeypatch.setattr(replenishment, "SECONDS_PER_DAY", 2.0 * replenishment.SECONDS_PER_DAY)
+    outputs = _outputs(root, root / "data", f"slow-{walking}", root / f"out-slow-{walking}")
+    for run, (_, files), (_, want_files) in zip(RUNS, outputs, original[walking]):
+        written = [name for name in files if name == "results.csv" or name.startswith("trace_")]
+        assert len(written) == 3, run
+        for name in written:
+            columns = RESULT_TIMES if name == "results.csv" else ("time",)
+            assert _halved(files[name], columns) == _halved(want_files[name], ()), (run, name)

@@ -22,6 +22,7 @@ from picksim import (
     StoragePolicy,
     Warehouse,
     handling_time,
+    index_layout,
     load_orders,
     prepare_orders,
     run_week,
@@ -45,7 +46,7 @@ def _zoned_world():
     ]
     items = [make_item("A", zone="Z1"), make_item("B", zone="Z1"),
              make_item("C", zone="Z2"), make_item("D", zone="Z2")]
-    wh = Warehouse(anchors() + slots, items)
+    wh = Warehouse(index_layout(anchors() + slots), items)
     wh.place(slots[0].id, "A", 10, MFG)
     wh.place(slots[1].id, "B", 10, MFG)
     wh.place(slots[2].id, "C", 10, MFG)
@@ -221,7 +222,7 @@ def _two_row_world(short=None):
     ]
     items = [make_item("A", zone="Z1"), make_item("B", zone="Z1"),
              make_item("C", zone="Z2"), make_item("D", zone="Z2")]
-    wh = Warehouse(anchors() + slots, items)
+    wh = Warehouse(index_layout(anchors() + slots), items)
     for loc, code in zip((slots[0], slots[1], slots[3], slots[4]), "ABCD"):
         wh.place(loc.id, code, 3 if code == short else 10, MFG)
     return wh, StoragePolicy(PolicyKind.RANDOM, wh, SimConfig().stacker())

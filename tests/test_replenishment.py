@@ -21,7 +21,9 @@ from picksim import (
     Replenisher,
     ScenarioSpec,
     SimConfig,
+    StoragePolicy,
     Warehouse,
+    index_layout,
     run_scenario,
 )
 from picksim.config import ReplenishSettings
@@ -160,16 +162,16 @@ def test_restock_mfg_date_follows_simulation_day():
     assert engine.now >= 2 * 86_400.0
 
 
-def test_item_without_candidate_slots_fails_the_first_visit():
-    """Under fixed-zone, items whose home zone has no slots make the first
-    visit fail, naming the first such item in catalog order, even though a
-    lower-coded item with no stock is eligible."""
+def test_item_without_candidate_slots_is_refused_when_the_policy_is_built():
+    """Under fixed-zone, items whose home zone has no slots make building
+    the policy fail, before any visit, naming the first such item in
+    catalog order."""
     layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, zone="Z1", seq=1),
                           slot(0, 1, 1, 100.0, 200.0, zone="Z1", seq=2)]
     items = [make_item("A", zone="Z1"), make_item("C", zone="Z9"), make_item("B", zone="Z8")]
-    orders = [("O1", "T", [("A", 4)])]
+    warehouse = Warehouse(index_layout(layout), items)
     with pytest.raises(InputDataError, match=r"^home zone 'Z9' of item C has no slots$"):
-        engine_run(layout, items, [], "fixed-zone", None, orders, "area", trace_cfg(), 1, START)
+        StoragePolicy(PolicyKind.FIXED_ZONE, warehouse, trace_cfg().stacker())
 
 
 LINES = 600

@@ -15,6 +15,7 @@ from picksim import (
     SimConfig,
     StoragePolicy,
     Warehouse,
+    index_layout,
     place_initial,
     travel_time,
     aisle_turns,
@@ -34,7 +35,7 @@ def _world(n_rows=2, per_row=3, zones=("Z1", "Z2")):
                               zone=zones[r % len(zones)], seq=seq))
             seq += 1
     items = [make_item("A", zone="Z1"), make_item("B", zone="Z2")]
-    wh = Warehouse(anchors() + slots, items)
+    wh = Warehouse(index_layout(anchors() + slots), items)
     return wh, slots
 
 
@@ -103,7 +104,7 @@ def test_nearest_vacant_matches_brute_force():
 
 def test_primary_location_fixed_and_shared():
     wh, slots = _world()
-    fixed = _policy(wh, PolicyKind.FIXED, {"A": [slots[4].id, slots[0].id]})
+    fixed = _policy(wh, PolicyKind.FIXED, {"A": [slots[4].id, slots[0].id], "B": [slots[1].id]})
     assert fixed.primary_location("A").id == slots[4].id  # first mapped slot
     shared = _policy(wh, PolicyKind.RANDOM)
     assert shared.primary_location("A").seq_no == 0  # earliest route position

@@ -19,6 +19,7 @@ from picksim import (
     Warehouse,
     aisle_turns,
     travel_time,
+    index_layout,
     load_inventory,
     load_items,
     load_layout,
@@ -28,7 +29,6 @@ from picksim import (
     save_layout,
 )
 from picksim.cli import _read_weekly
-from picksim.warehouse import index_layout
 
 STACKER = Equipment("stacker", 90.0, 30.0, 3.0)
 HANDLIFT = Equipment("handlift", 100.0, 0.0, 2.0)
@@ -41,7 +41,7 @@ def _wh(slots=None, items=None, audit=False):
         slot(1, 1, 0, 500.0, 100.0, seq=3),
     ]
     items = items if items is not None else [make_item("A"), make_item("B")]
-    return Warehouse(anchors() + slots, items, audit=audit)
+    return Warehouse(index_layout(anchors() + slots), items, audit=audit)
 
 
 # -- travel ---------------------------------------------------------------
@@ -114,8 +114,9 @@ def test_default_anchors_always_exist():
 
 def test_index_layout_puts_each_missing_anchor_at_the_origin():
     entrance = Location(ENTRANCE, 5.0, 7.0, 0.0, "anchor", -3)
-    storage, found = index_layout([slot(0, 1, 0, 1.0, 1.0, seq=1), entrance])
+    storage, found, zones = index_layout([slot(0, 1, 0, 1.0, 1.0, seq=1), entrance])
     assert list(storage) == [(0, 1, 0)]
+    assert zones == {"Z1": [storage[(0, 1, 0)]]}
     assert found == {
         ENTRANCE: entrance,
         DROPOFF: Location(DROPOFF, 0.0, 0.0, 0.0, "anchor", -2),
@@ -298,7 +299,7 @@ def test_pick_matches_a_reference_model(ops, audit):
     each item's oldest pallet and what each step appends to the change
     log, whose drain entries (``left == 0``) are exactly the slots the
     step freed."""
-    wh = Warehouse(anchors() + _PICK_SLOTS,
+    wh = Warehouse(index_layout(anchors() + _PICK_SLOTS),
                    [make_item(code, qpp=qpp) for code, qpp in _PICK_ITEMS.items()], audit=audit)
     seq = {loc.id: loc.seq_no for loc in _PICK_SLOTS}
     pallets = {}  # slot -> [item, qty, mfg_date], the model's inventory
@@ -371,8 +372,9 @@ def test_layout_round_trip(tmp_path):
     path = tmp_path / "layout.csv"
     save_layout(layout, str(path))
     again = load_layout(str(path))
-    assert again == layout
-    save_layout(again, str(tmp_path / "layout2.csv"))
+    assert again == index_layout(layout)
+    save_layout([*again.anchors.values(), *again.storage.values()],
+                str(tmp_path / "layout2.csv"))
     assert (tmp_path / "layout2.csv").read_bytes() == path.read_bytes()
 
 
