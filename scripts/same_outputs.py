@@ -27,6 +27,10 @@ The matrix:
 * five runs on a dataset whose initial pallets overflow their fixed
   slots, so that ``place_initial`` falls back: fixed storage with area
   and zone picking, fixed with demand allocation, random and fixed-zone;
+* a week that can never finish, which exits 1: ``simulate --policy fixed
+  --picking area --weeks 1`` with distance walking on a copy of the demo
+  data whose every second initial pallet is given to its most-ordered
+  item, so the fallback fills another item's slots;
 * refusals, runs that exit 2 or 3: ``simulate`` on copies of the demo
   data with one bad cell (an item of 0 pieces per pallet, an order line
   of 0 pieces, an order line of an unknown item, a ``layout.csv`` row
@@ -67,6 +71,7 @@ DATASETS = {
 CONFIGS = {
     "distance": {"walking": {"mode": "distance"}, "replenish": {"mode": "sampled"}},
     "saturated": {"walking": {"mode": "distance"}, "replenish": {"mu_s": 120.0}},
+    "walk-distance": {"walking": {"mode": "distance"}},
 }
 COMBOS = [(policy, picking) for policy in ("fixed", "random", "fixed-zone")
           for picking in ("area", "zoning")]
@@ -114,6 +119,9 @@ def matrix() -> list[tuple[str, list[str]]]:
             "--policy", policy, "--picking", picking, "--weeks", "4", "--seed", "7",
             "--audit", "--trace", "--out", f"out/{name}",
             *(["--allocation", allocation] if allocation else [])]))
+    runs.append(("stuck-fixed-area", [
+        "simulate", "--data", "data/stuck", "--config", "data/walk-distance.json",
+        "--policy", "fixed", "--picking", "area", "--weeks", "1", "--out", "out/stuck"]))
     for name in REFUSALS:
         runs.append((f"refuse-{name}", ["simulate", "--data", f"data/{name}", "--weeks", "4",
                                          "--out", f"out/refuse-{name}"]))
@@ -127,12 +135,14 @@ def matrix() -> list[tuple[str, list[str]]]:
     return runs
 
 
-def overflow(src: Path, dst: Path) -> None:
-    """Copy the dataset ``src`` to ``dst`` with every fifth initial pallet
-    given to the item with the most order lines (its pieces cut to that
-    item's pallet size), so that item's pallets overflow its slots under
-    homogeneous allocation.  The item is picked often, so the pallets it
-    puts on other items' slots drain within the week."""
+def overflow(src: Path, dst: Path, every: int) -> None:
+    """Copy the dataset ``src`` to ``dst`` with every ``every``-th initial
+    pallet, from the first, given to the item with the most order lines
+    (its pieces cut to that item's pallet size), so that item's pallets
+    overflow its slots under homogeneous allocation.  At ``every`` 5 the
+    item is picked often enough that the pallets it puts on other items'
+    slots drain within the week; at 2 they block an item the picker waits
+    for."""
     shutil.copytree(src, dst)
     with open(src / "items.csv", newline="", encoding="utf-8") as fh:
         per_pallet = {row["item_code"]: int(row["qty_per_pallet"]) for row in csv.DictReader(fh)}
@@ -141,7 +151,7 @@ def overflow(src: Path, dst: Path) -> None:
     code = min(lines, key=lambda item: (-lines[item], item))
     with open(src / "initial_inventory.csv", newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
-    for row in rows[::5]:
+    for row in rows[::every]:
         row[3] = code
         row[4] = str(min(int(row[4]), per_pallet[code]))
     with open(dst / "initial_inventory.csv", "w", newline="", encoding="utf-8") as fh:
@@ -244,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
             if made.returncode:
                 sys.stderr.write(made.stderr.decode())
                 return 2
-        overflow(data / "demo", data / "overflow")
+        overflow(data / "demo", data / "overflow", 5)
+        overflow(data / "demo", data / "stuck", 2)
         for name, edit in REFUSALS.items():
             edited(data / "demo", data / name, *edit)
         edited(data / "demo", data / "homeless", *HOMELESS)

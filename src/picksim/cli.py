@@ -21,13 +21,14 @@ Subcommands:
     Aggregate one or two weekly-metric CSV files (``week,metric``)
     without running any simulation.
 
-Exit codes: 0 success, 1 simulation failure (horizon overrun), 2
-malformed command line, unreadable input or an output file that cannot
-be written, 3 invalid configuration or input data.
+Exit codes: 0 success, 1 simulation failure (a week that can never finish,
+or overruns the horizon), 2 malformed command line, unreadable input or
+an output file that cannot be written, 3 invalid configuration or input
+data.
 
-The master seed is resolved in order: ``--seed`` flag, explicit
-``replenish.seed`` in the config file, ``PICKSIM_SEED`` environment
-variable, then the built-in default 12345.
+The master seed is resolved in order: ``--seed`` flag, ``replenish.seed``
+when the config file sets it, ``PICKSIM_SEED`` environment variable, then
+the built-in default ``DEFAULT_SEED`` (12345).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import sys
 from pathlib import Path
 
 from .allocation import AllocationRule
-from .config import SimConfig, _read_json_object, config_from_dict
+from .config import SimConfig, load_config
 from .errors import (
     InputDataError,
     ParseError,
@@ -147,11 +148,10 @@ def _common_run_args(p: argparse.ArgumentParser) -> None:
 
 def _config_and_seed(args) -> tuple[SimConfig, int]:
     """The ``--config`` file (defaults without one) and the master seed."""
-    raw = {} if args.config is None else _read_json_object(args.config)
-    cfg = config_from_dict(raw)
+    cfg = SimConfig() if args.config is None else load_config(args.config)
     if args.seed is not None:
         return cfg, args.seed
-    if "seed" in (raw.get("replenish") or {}):
+    if cfg.replenish.seed is not None:
         return cfg, cfg.replenish.seed
     env = os.environ.get("PICKSIM_SEED")
     if env is None:

@@ -26,7 +26,13 @@ charges ``constant_s`` once per route segment, ``distance`` mode walks
 the route with the selected equipment.  ``replenish`` controls the
 interval between restocking visits: ``constant`` mode uses ``mu_s``
 exactly, ``sampled`` draws Normal(mu_s, sigma_s) clamped to at least
-``t_min_s``.
+``t_min_s``.  ``replenish.seed``, when set, is the master seed of a CLI
+run without ``--seed``; unset (the default) leaves the choice to the
+CLI's fallbacks.
+
+``SimConfig``, ``WalkSettings`` and ``ReplenishSettings`` are immutable
+``NamedTuple``s, so a config is hashable and compares field by field; a
+changed copy comes from ``_replace`` or ``config_from_dict``.
 
 Files written for earlier versions may still name equipment counts,
 capability flags, plan durations and other fields no simulation reads
@@ -38,10 +44,10 @@ config file is read.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ParseError, ValidationError, _logger
-from .warehouse import Equipment, HANDLIFT, STACKER, _Record
+from .warehouse import Equipment, HANDLIFT, STACKER
 
 WALK_CONSTANT = "constant"
 WALK_DISTANCE = "distance"
@@ -59,56 +65,64 @@ LEGACY_KEYS = frozenset({
 })
 
 
-class WalkSettings(_Record):
-    __slots__ = ("mode", "constant_s", "equipment")
-
-    def __init__(self, mode: str = WALK_CONSTANT, constant_s: float = 120.0,
-                 equipment: str = STACKER):
-        self.mode = mode
-        self.constant_s = constant_s
-        self.equipment = equipment
+def _is_num(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-class ReplenishSettings(_Record):
-    __slots__ = ("mode", "mu_s", "sigma_s", "t_min_s", "seed")
+def _is_pos(v: Any) -> bool:
+    return _is_num(v) and v > 0
 
-    def __init__(self, mode: str = REPLENISH_CONSTANT, mu_s: float = 600.0,
-                 sigma_s: float = 60.0, t_min_s: float | None = None, seed: int = 12345):
+
+def _is_nonneg(v: Any) -> bool:
+    return _is_num(v) and v >= 0
+
+
+class WalkSettings(NamedTuple):
+    mode: str = WALK_CONSTANT
+    constant_s: float = 120.0
+    equipment: str = STACKER
+
+
+class _ReplenishFields(NamedTuple):
+    mode: str = REPLENISH_CONSTANT
+    mu_s: float = 600.0
+    sigma_s: float = 60.0
+    t_min_s: float | None = None
+    seed: int | None = None
+
+
+class ReplenishSettings(_ReplenishFields):
+    """The replenishment fields; an unset ``t_min_s`` is derived when the
+    record is built, as ``max(1, mu_s - 3 * sigma_s)``.  ``_replace``
+    derives nothing."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        made = super().__new__(cls, *args, **kwargs)
+        _, mu_s, sigma_s, t_min_s, _ = made
         # with a bad mu_s or sigma_s the floor stays unset; validate() names the field
         if t_min_s is None and _is_num(mu_s) and _is_num(sigma_s):
-            t_min_s = max(1.0, mu_s - 3.0 * sigma_s)
-        self.mode = mode
-        self.mu_s = mu_s
-        self.sigma_s = sigma_s
-        self.t_min_s = t_min_s
-        self.seed = seed
+            return made._replace(t_min_s=max(1.0, mu_s - 3.0 * sigma_s))
+        return made
 
 
-class SimConfig(_Record):
-    __slots__ = ("sph", "sps", "Lsps", "tth", "tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa",
-                 "pieces_per_master", "metric_unit", "horizon_s", "walking", "replenish")
-
-    def __init__(self, sph: float = 100.0, sps: float = 90.0, Lsps: float = 30.0,
-                 tth: float = 2.0, tts: float = 3.0, BTpu: float = 10.0, BTpa: float = 10.0,
-                 PMpu: float = 2.0, PPpu: float = 15.0, PPpa: float = 15.0,
-                 pieces_per_master: int = 10, metric_unit: str = "minutes",
-                 horizon_s: float = 2_592_000.0, walking: WalkSettings | None = None,
-                 replenish: ReplenishSettings | None = None):
-        self.sph = sph
-        self.sps = sps
-        self.Lsps = Lsps
-        self.tth = tth
-        self.tts = tts
-        self.BTpu = BTpu
-        self.BTpa = BTpa
-        self.PMpu = PMpu
-        self.PPpu = PPpu
-        self.PPpa = PPpa
-        self.pieces_per_master = pieces_per_master
-        self.metric_unit = metric_unit
-        self.horizon_s = horizon_s
-        self.walking = WalkSettings() if walking is None else walking
-        self.replenish = ReplenishSettings() if replenish is None else replenish
+class SimConfig(NamedTuple):
+    sph: float = 100.0
+    sps: float = 90.0
+    Lsps: float = 30.0
+    tth: float = 2.0
+    tts: float = 3.0
+    BTpu: float = 10.0
+    BTpa: float = 10.0
+    PMpu: float = 2.0
+    PPpu: float = 15.0
+    PPpa: float = 15.0
+    pieces_per_master: int = 10
+    metric_unit: str = "minutes"
+    horizon_s: float = 2_592_000.0
+    walking: WalkSettings = WalkSettings()
+    replenish: ReplenishSettings = ReplenishSettings()
 
     # -- equipment builders ------------------------------------------------
 
@@ -152,24 +166,13 @@ class SimConfig(_Record):
         check(_is_nonneg(self.replenish.sigma_s), "replenish.sigma_s must be non-negative")
         check(self.replenish.t_min_s is None or _is_pos(self.replenish.t_min_s),
               "replenish.t_min_s must be a positive number")
-        check(type(self.replenish.seed) is int, "replenish.seed must be an integer")
+        check(self.replenish.seed is None or type(self.replenish.seed) is int,
+              "replenish.seed must be an integer")
         return errors
 
 
-def _is_num(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_pos(v: Any) -> bool:
-    return _is_num(v) and v > 0
-
-
-def _is_nonneg(v: Any) -> bool:
-    return _is_num(v) and v >= 0
-
-
 _NESTED = {"walking": WalkSettings, "replenish": ReplenishSettings}
-_TOP_LEVEL = set(SimConfig.__slots__) - set(_NESTED)
+_TOP_LEVEL = set(SimConfig._fields) - set(_NESTED)
 
 
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
@@ -183,7 +186,7 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
             if not isinstance(value, dict):
                 errors.append(f"{key} must be an object")
                 continue
-            known = set(_NESTED[key].__slots__)
+            known = set(_NESTED[key]._fields)
             errors.extend(f"unknown config field {key}.{k}" for k in sorted(set(value) - known))
             kwargs[key] = _NESTED[key](**{k: v for k, v in value.items() if k in known})
         elif key in _TOP_LEVEL:

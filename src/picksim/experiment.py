@@ -179,7 +179,8 @@ def build_slot_map(spec: ScenarioSpec, layout: Layout, avg_picks: dict[str, floa
 
 def run_scenario(spec: ScenarioSpec, audit: bool = False,
                  trace_dir: str | None = None) -> RunResult:
-    """Run every week of a scenario; raises on horizon overrun, and raises
+    """Run every week of a scenario; raises ``InfeasibleRunError`` on a week
+    that can never finish or overruns the horizon, and raises
     ``InputDataError`` before any run if the layout has no storage slot, a
     week has no orders or an initial pallet holds an item missing from the
     catalog or more pieces than its item's ``qty_per_pallet``, names a
@@ -294,9 +295,12 @@ def _run_week(spec: ScenarioSpec, layout: Layout, items, initial,
     warehouse = Warehouse(layout, items, audit=audit)
     policy = StoragePolicy(spec.policy, warehouse, cfg.stacker(), slot_map=slot_map)
     place_initial(policy, initial, avg_picks)
-    session, engine = run_week(
-        warehouse, policy, week_orders, spec.picking, cfg,
-        derive_seed(spec.seed, spec.name, week_no), _first_date(week_orders))
+    try:
+        session, engine = run_week(
+            warehouse, policy, week_orders, spec.picking, cfg,
+            derive_seed(spec.seed, spec.name, week_no), _first_date(week_orders))
+    except InfeasibleRunError as exc:  # a stuck week; it writes no trace
+        raise InfeasibleRunError(f"scenario {spec.name} week {week_no}: {exc}") from None
     if trace_dir is not None:
         write_trace_csv(engine.trace,
                         str(Path(trace_dir) / f"trace_{spec.name}_week{week_no}.csv"))
@@ -307,9 +311,7 @@ def _run_week(spec: ScenarioSpec, layout: Layout, items, initial,
                    f"orders finished within the {cfg.horizon_s} s horizon")
         waiting = session._waiting_for()
         if waiting is not None:
-            order_no, line, item, slot = waiting
-            message += (f"; the picker is waiting for order {order_no}, line index {line}, "
-                        f"item {item}, at slot {slot}")
+            message += f"; {waiting}"
         raise InfeasibleRunError(message)
     metric = session.completions[-1] * cfg.metric_factor()
     return WeekOutcome(week_no, metric, session.metrics, tuple(map(float, session.completions)))
@@ -322,11 +324,13 @@ def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],
     ``cfg.horizon_s``, seeding the replenishment sampler with ``seed`` and
     dating its pallets from ``start_date``; an audited warehouse is checked
     after every event.  Returns the picking session (plan, completions,
-    totals) and the engine (trace, clock).  A week without orders raises."""
+    totals) and the engine (trace, clock).  A week without orders raises
+    ``InputDataError``, and a week that gets stuck, with the picker waiting
+    for an item no visit can restock, raises ``InfeasibleRunError``."""
     if not orders:
         raise InputDataError("a week needs at least one order")
     plan = prepare_orders(orders, picking, warehouse, policy, cfg)
-    session = PickingSession(warehouse, cfg, plan, ProcessTotals())
+    session = PickingSession(warehouse, policy, cfg, plan, ProcessTotals())
     sampler = ReplenishmentSampler.from_config(cfg, seed)
     replenisher = Replenisher(policy, cfg, sampler, session.metrics, start_date)
     engine = Engine(session, replenisher,

@@ -26,7 +26,10 @@ to the first short line, a resume event is scheduled for the estimated
 arrival there (walking so far plus handling of the lines already done),
 and the picker waits at that slot: whatever is on hand is taken, and
 the rest arrives via replenishment, re-checked immediately after each
-restocking visit.
+restocking visit.  If the waited item then has no vacant candidate slot,
+the week can never finish: only the waiting picker drains slots, so no
+visit can restock the item.  The resume raises ``InfeasibleRunError``
+naming the line and the items whose pallets fill those slots.
 
 Each traversal is one pass over the route from the picker's position:
 at every stop but the one it resumes from it books the planned walking
@@ -60,7 +63,7 @@ from datetime import datetime
 from typing import NamedTuple
 
 from .config import SimConfig, WALK_CONSTANT
-from .errors import InputDataError, _logger
+from .errors import InfeasibleRunError, InputDataError, _logger
 from .events import Engine, Event, PartialPick, StartPickOrder, _new
 from .storage import StoragePolicy
 from .warehouse import (
@@ -135,8 +138,7 @@ def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
     its walking priced under ``cfg.walking``; an order without lines, and a
     line of fewer than 1 piece, raise ``InputDataError``.  The orders are
     not changed."""
-    groups: dict[str, list[Order]] = {}
-    group_seq: list[str] = []
+    groups: dict[str, list[Order]] = {}  # in first-appearance order
     for order in orders:
         if not order.lines:
             raise InputDataError(f"order {order.order_no} has no lines")
@@ -145,16 +147,13 @@ def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
             key = f"#solo:{order.order_no}"
             _logger(__name__).warning("order %s has no truck id; treating it as its own group",
                                       order.order_no)
-        if key not in groups:
-            groups[key] = []
-            group_seq.append(key)
-        groups[key].append(order)
+        groups.setdefault(key, []).append(order)
 
     walking = cfg.walking
     legs = None if walking.mode == WALK_CONSTANT else _Legs(warehouse, cfg.walking_equipment())
     plan: PickPlan = []
-    for key in group_seq:
-        for order in reversed(groups[key]):
+    for group in groups.values():
+        for order in reversed(group):
             plan.append(_plan_entry(order, mode, warehouse, policy, legs, walking.constant_s))
     return plan
 
@@ -231,9 +230,10 @@ class PickingSession:
     the (single) picker inside the active order's route.
     """
 
-    def __init__(self, warehouse: Warehouse, cfg: SimConfig, plan: PickPlan,
-                 metrics: ProcessTotals):
+    def __init__(self, warehouse: Warehouse, policy: StoragePolicy, cfg: SimConfig,
+                 plan: PickPlan, metrics: ProcessTotals):
         self.warehouse = warehouse
+        self.policy = policy
         self.cfg = cfg
         self.plan = plan
         self.metrics = metrics
@@ -268,19 +268,35 @@ class PickingSession:
             # taken while waiting: the clock charges no handling for it
             self.warehouse.pick(item, avail)
             entry.remaining[kind.line] = want - avail
+        if self.policy.nearest_vacant(item) is None:
+            raise InfeasibleRunError(self._stuck(item, event.time))
         t_rp = sim.next_visit.time
         self.metrics.wait_s += t_rp - event.time
         return (t_rp, kind)
 
-    def _waiting_for(self) -> tuple[str, int, str, LocationId] | None:
-        """``(order_no, line index, item, slot)`` of the short line the picker
-        waits at, or None when no order is in flight."""
+    def _waiting_for(self) -> str | None:
+        """The order, line index, item and slot of the short line the picker
+        waits at, as text, or None when no order is in flight."""
         if self._active is None:
             return None
         entry = self.plan[self._active]
         stop = entry.route[self._at_stop]
-        return (entry.order.order_no, stop.line_index,
-                entry.order.lines[stop.line_index].item, stop.location.id)
+        return (f"the picker is waiting for order {entry.order.order_no}, line index "
+                f"{stop.line_index}, item {entry.order.lines[stop.line_index].item}, "
+                f"at slot {stop.location.id}")
+
+    def _stuck(self, item: str, now: float) -> str:
+        """Why the week can never finish: the picker waits for ``item``, which
+        has no stock left and no vacant candidate slot.  Only the waiting
+        picker drains slots, so no restocking visit can ever place it."""
+        slots = self.policy.candidate_slots(item)
+        if len(slots) == len(self.warehouse.storage):
+            why = "the warehouse is full"
+        else:
+            held = sorted({self.warehouse.records[loc.id].item for loc in slots})
+            why = f"its candidate slots hold pallets of {', '.join(held)}"
+        return (f"cannot finish: at t={now} s {self._waiting_for()}, and no visit can "
+                f"restock {item}: {why}")
 
     # -- core traversal ----------------------------------------------------
 

@@ -26,7 +26,7 @@ import sys
 from datetime import date, timedelta
 from typing import NamedTuple
 
-from .config import REPLENISH_SAMPLED, SimConfig
+from .config import REPLENISH_SAMPLED, ReplenishSettings, SimConfig
 from .errors import InputDataError, _logger
 from .events import Engine, Event
 from .storage import StoragePolicy
@@ -38,10 +38,7 @@ SECONDS_PER_DAY = 86_400.0  # of simulated time, from which a restocked pallet i
 class ReplenishmentSampler(NamedTuple):
     """Inter-replenishment interval source, deterministic under a seed."""
 
-    mode: str
-    mu_s: float
-    sigma_s: float
-    t_min_s: float
+    settings: ReplenishSettings
     rng: random.Random
 
     @classmethod
@@ -49,12 +46,13 @@ class ReplenishmentSampler(NamedTuple):
         r = cfg.replenish
         if r.t_min_s is None or r.t_min_s <= 0:
             raise InputDataError("replenishment interval floor must be positive")
-        return cls(r.mode, r.mu_s, r.sigma_s, r.t_min_s, random.Random(seed))
+        return cls(r, random.Random(seed))
 
     def draw(self) -> float:
-        if self.mode == REPLENISH_SAMPLED:
-            return max(self.rng.gauss(self.mu_s, self.sigma_s), self.t_min_s)
-        return self.mu_s
+        r = self.settings
+        if r.mode == REPLENISH_SAMPLED:
+            return max(self.rng.gauss(r.mu_s, r.sigma_s), r.t_min_s)
+        return r.mu_s
 
 
 class Replenisher:

@@ -62,14 +62,12 @@ STACKER = "stacker"
 
 
 class _Record:
-    """Base of the records kept as mutable ``__slots__`` classes, whose
-    fields read faster than a dict-backed instance's: ``PalletRecord`` and
-    ``ProcessTotals``, whose fields a run changes, and the three config
-    records, because ``ReplenishSettings`` derives ``t_min_s`` when it is
-    built.  A record whose fields no run reassigns is a ``NamedTuple``.
-    ``__slots__`` lists the fields in constructor order; equality and
-    ``repr`` go field by field, as a dataclass's do.  A record is mutable
-    and so unhashable."""
+    """Base of the records whose fields a run changes, ``PalletRecord`` and
+    ``ProcessTotals``: mutable ``__slots__`` classes, whose fields read
+    faster than a dict-backed instance's.  A record whose fields no run
+    reassigns is a ``NamedTuple``.  ``__slots__`` lists the fields in
+    constructor order; equality and ``repr`` go field by field, as a
+    dataclass's do.  A record is mutable and so unhashable."""
 
     __slots__ = ()
 

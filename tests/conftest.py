@@ -45,15 +45,12 @@ def trace_cfg(**overrides) -> SimConfig:
     """Config for the hand-checked three-order fixture: 30 s walking
     constant, pick base 10 s, 15 s per pallet, no carton term, restock
     every 100 s sharp."""
-    cfg = SimConfig(
+    return SimConfig(
         BTpu=10.0, PPpu=15.0, PMpu=0.0, BTpa=10.0, PPpa=15.0,
         metric_unit="seconds",
         walking=WalkSettings(mode="constant", constant_s=30.0),
         replenish=ReplenishSettings(mode="constant", mu_s=100.0),
-    )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    )._replace(**overrides)
 
 
 @pytest.fixture

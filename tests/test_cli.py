@@ -165,6 +165,10 @@ def test_seed_resolution_order(dataset, tmp_path, capsys, monkeypatch):
     cfg2.write_text(json.dumps(
         {"replenish": {"mode": "sampled", "mu_s": 300.0, "sigma_s": 90.0}}))
     assert trace_of("env", "--config", str(cfg2)) == ref1
+    # a null seed is unset, as a missing one is
+    cfg2.write_text(json.dumps(
+        {"replenish": {"mode": "sampled", "mu_s": 300.0, "sigma_s": 90.0, "seed": None}}))
+    assert trace_of("null", "--config", str(cfg2)) == ref1
 
 
 def test_bad_env_seed_is_a_usage_error(dataset, capsys, monkeypatch):
@@ -828,7 +832,9 @@ def test_a_week_that_never_finishes_names_the_line_the_picker_waits_for(tmp_path
     """The README quick-start dataset with every second initial pallet given
     to the most-ordered item (its pieces cut to that item's pallet size):
     under fixed storage the fallback fills another item's slots, and the
-    picker waits at one short line until the horizon.  The error names it."""
+    picker waits at a short line of that item, which no visit can restock.
+    The week stops at the picker's first resume, and the error names the
+    line and the item whose pallets fill the slots."""
     data = tmp_path / "data"
     assert main(["gen-data", "--out", str(data), "--items", "25", "--slots", "120",
                  "--lines", "600", "--weeks", "4"]) == 0
@@ -848,9 +854,10 @@ def test_a_week_that_never_finishes_names_the_line_the_picker_waits_for(tmp_path
     assert main(["simulate", "--data", str(data), "--config", str(cfg), "--policy", "fixed",
                  "--picking", "area", "--weeks", "1", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "error: scenario fixed-homogeneous-area week 1: only 2/43 orders finished within "
-        "the 2592000.0 s horizon; the picker is waiting for order ORD-W1-00001, line index 3, "
-        "item SKU0003, at slot (0, 2, 2)")
+        "error: scenario fixed-homogeneous-area week 1: cannot finish: at t=301.27777777777777 s "
+        "the picker is waiting for order ORD-W1-00001, line index 3, item SKU0003, at slot "
+        "(0, 2, 2), and no visit can restock SKU0003: its candidate slots hold pallets of "
+        "SKU0017")
 
 
 def test_weeks_cut_short_ignore_the_later_orders(tmp_path):

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import logging
+from pathlib import Path
 
 import pytest
 
 from picksim import (
     Equipment,
+    ReplenishSettings,
     SimConfig,
     ValidationError,
+    WalkSettings,
     config_from_dict,
     load_config,
 )
@@ -28,6 +31,31 @@ def test_empty_dict_gives_full_defaults():
     assert cfg.replenish.mode == "constant" and cfg.replenish.mu_s == 600.0
     assert cfg.replenish.t_min_s == 600.0 - 3 * 60.0
     assert cfg.validate() == []
+
+
+def test_configs_are_immutable_and_hashable():
+    cfg = config_from_dict({})
+    assert cfg == SimConfig() and hash(cfg) == hash(SimConfig())
+    assert len({cfg, SimConfig(), config_from_dict({"sph": 80.0})}) == 2
+    for record, name in ((cfg, "sph"), (cfg.walking, "mode"), (cfg.replenish, "seed")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_null_floor_and_seed_load_as_unset():
+    cfg = config_from_dict({"replenish": {"t_min_s": None, "seed": None}})
+    assert cfg == SimConfig() and cfg.replenish.seed is None
+    assert cfg.replenish.t_min_s == 600.0 - 3 * 60.0
+
+
+def test_the_readme_table_has_one_row_per_field_in_record_order():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [row.split("|")[1].strip() for row in section.splitlines() if row.startswith("| `")]
+    fields = [*SimConfig._fields[:-2], *(f"walking.{f}" for f in WalkSettings._fields),
+              *(f"replenish.{f}" for f in ReplenishSettings._fields)]
+    assert SimConfig._fields[-2:] == ("walking", "replenish")
+    assert rows == [f"`{field}`" for field in fields]
 
 
 def test_interval_floor_never_below_one_second():
@@ -83,7 +111,7 @@ def test_equipment_builders_read_speed_lift_and_turn():
 
 
 def test_legacy_keys_load_with_one_warning(caplog):
-    assert len(LEGACY_KEYS) == 22 and not LEGACY_KEYS & set(SimConfig.__slots__)
+    assert len(LEGACY_KEYS) == 22 and not LEGACY_KEYS & set(SimConfig._fields)
     with caplog.at_level(logging.WARNING, logger="picksim.config"):
         cfg = config_from_dict({**dict.fromkeys(LEGACY_KEYS, 1), "sph": 80.0})
     assert cfg == config_from_dict({"sph": 80.0})

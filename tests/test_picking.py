@@ -14,6 +14,7 @@ from picksim.events import PartialPick
 from picksim import (
     Order,
     OrderLine,
+    InfeasibleRunError,
     InputDataError,
     ParseError,
     PickingMode,
@@ -274,6 +275,21 @@ def test_a_stalled_order_books_each_planned_leg_once(walking, picking, short, li
     walk, turns = _planned_walking(session.plan)
     assert (session.metrics.walk_s, session.metrics.turns - sum(put_turns)) == (walk, turns)
     assert [entry.remaining for entry in session.plan] == [[0, 0], [0, 0, 0, 0]]
+
+
+def test_a_picker_waiting_in_a_full_warehouse_stops_the_week_at_once():
+    """Random storage with both slots holding B's pallets while the picker
+    waits for A: only the picker drains slots, so no visit can ever restock
+    A, and the week stops at the picker's first resume, not at the horizon."""
+    layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, seq=1),
+                          slot(0, 1, 1, 100.0, 200.0, seq=2)]
+    initial = [((0, 1, 0), "B", 10, MFG), ((0, 1, 1), "B", 10, MFG)]
+    with pytest.raises(InfeasibleRunError) as exc:
+        engine_run(layout, [make_item("A"), make_item("B")], initial, "random", None,
+                   [("O1", "T", [("A", 1)])], "area", trace_cfg(), 1, MFG)
+    assert str(exc.value) == (
+        "cannot finish: at t=30.0 s the picker is waiting for order O1, line index 0, item A, "
+        "at slot (0, 1, 0), and no visit can restock A: the warehouse is full")
 
 
 # -- orders file ----------------------------------------------------------

@@ -153,8 +153,7 @@ def test_restock_mfg_date_follows_simulation_day():
     initial = [((0, 1, 0), "A", 1, date(2024, 5, 1))]
     orders = [("O1", "T", [("A", 21)])]
     # one restock per day: the pallet placed on day N carries that date
-    cfg = trace_cfg()
-    cfg.replenish = ReplenishSettings(mode="constant", mu_s=86_400.0)
+    cfg = trace_cfg(replenish=ReplenishSettings(mode="constant", mu_s=86_400.0))
     completions, _, _, engine = engine_run(layout, items, initial, "random",
                                            None, orders, "area", cfg, 1, START)
     assert completions[0] is not None
