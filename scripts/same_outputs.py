@@ -33,8 +33,11 @@ The matrix:
   item, so the fallback fills another item's slots;
 * refusals, runs that exit 2 or 3: ``simulate`` on copies of the demo
   data with one bad cell (an item of 0 pieces per pallet, an order line
-  of 0 pieces, an order line of an unknown item, a ``layout.csv`` row
-  whose ``x_cm`` is not a number), and ``compare --policy random``;
+  of 0 pieces, an order line of an unknown item, an order line whose
+  truck differs from its order's first line, an order line whose
+  ``order_datetime`` has a UTC offset in a file of naive times, a
+  ``layout.csv`` row whose ``x_cm`` is not a number), and ``compare
+  --policy random``;
 * ``simulate`` under each of the three policies on a copy of the demo
   data whose first item has a home zone, ``Z9``, with no slot in
   ``layout.csv``: fixed-zone storage refuses it, fixed and random
@@ -80,6 +83,9 @@ REFUSALS = {
     "items-no-pieces": ("items.csv", 3, 2, "0"),
     "orders-no-pieces": ("orders.csv", 3, 4, "0"),
     "orders-unknown-item": ("orders.csv", 3, 3, "NOPE"),
+    # line 3 of the demo orders is the second line of the first order
+    "orders-other-truck": ("orders.csv", 3, 2, "TRK-OTHER"),
+    "orders-offset-time": ("orders.csv", 3, 0, "2024-06-03 09:00:00+02:00"),
     "layout-bad-x": ("layout.csv", 5, 3, "x"),
 }
 # copy of the demo data whose first item's home zone has no slot, run under each policy

@@ -45,7 +45,9 @@ class SchedulePastError(SimulationAbort):
 
 
 class InfeasibleRunError(SimulationAbort):
-    """A weekly run ended (horizon reached) with orders still unfinished."""
+    """A weekly run cannot finish its orders: it reached the horizon with
+    orders unfinished, or, at the first stall of a week that can never
+    finish, the picker waits for an item that no visit can restock."""
 
 
 def _logger(name: str):

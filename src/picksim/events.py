@@ -26,10 +26,7 @@ import math
 from typing import Callable, NamedTuple, Union
 
 from .errors import SchedulePastError
-from .warehouse import LocationId, _write_csv
-
-# builds a NamedTuple from a tuple of its fields without its Python-level __new__
-_new = tuple.__new__
+from .warehouse import LocationId, _new, _write_csv
 
 
 class StartPickOrder(NamedTuple):
@@ -101,6 +98,7 @@ class Engine:
         check = self._check
         executed = self.trace.append
         visit_kind = Replenish()
+        start_kind, event_type, new = StartPickOrder, Event, _new
         while True:
             pick, visit = self.next_pick, self.next_visit
             event = pick if visit is None or (pick is not None and pick < visit) else visit
@@ -111,13 +109,13 @@ class Engine:
             if event is pick:
                 self.next_pick = None
                 kind = event.kind
-                successor = (handle_spo if type(kind) is StartPickOrder
+                successor = (handle_spo if type(kind) is start_kind
                              else handle_pp)(self, event)
                 if successor is not None:
                     time, kind = successor
                     if time < now:
                         raise _past(time, kind, now)
-                    self.next_pick = _new(Event, (time, self._seq, kind))
+                    self.next_pick = new(event_type, (time, self._seq, kind))
                     self._seq += 1
             else:
                 self.next_visit = None
@@ -126,7 +124,7 @@ class Engine:
                 time = handle_rp(self, event)
                 if time < now:
                     raise _past(time, visit_kind, now)
-                self.next_visit = _new(Event, (time, self._seq, visit_kind))
+                self.next_visit = new(event_type, (time, self._seq, visit_kind))
                 self._seq += 1
             if check is not None:
                 check()

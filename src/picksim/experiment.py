@@ -135,27 +135,27 @@ def derive_seed(master: int, scenario: str, week: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def week_index(order: Order, start: date) -> int:
-    return (order.order_datetime.date() - start).days // 7
-
-
-def _first_date(orders: list[Order]) -> date:
-    """The first calendar date of these orders, each read in its own offset."""
-    return min(o.order_datetime.date() for o in orders)
+def _spanned_weeks(orders: list[Order]) -> list[tuple[list[Order], date | None]]:
+    """Each calendar week from the first local order date to the last: its
+    orders, in file order, and its first local date (``None`` for a week
+    without orders).  Each order's date is read once, in its own offset."""
+    dates = [order.order_datetime.date() for order in orders]
+    if not dates:
+        return []
+    start = min(dates)
+    week_of = {day: (day - start).days // 7 for day in set(dates)}
+    buckets: list[list[Order]] = [[] for _ in range(max(week_of.values()) + 1)]
+    for order, day in zip(orders, dates):
+        buckets[week_of[day]].append(order)
+    return [(bucket, min((day for day, w in week_of.items() if w == week), default=None))
+            for week, bucket in enumerate(buckets)]
 
 
 def split_weeks(orders: list[Order], weeks: int) -> list[list[Order]]:
     """Partition orders into week buckets by calendar weeks from the
     earliest order date, keeping file order within each bucket."""
-    if not orders:
-        return [[] for _ in range(weeks)]
-    start = _first_date(orders)
-    buckets: list[list[Order]] = [[] for _ in range(weeks)]
-    for order in orders:
-        w = week_index(order, start)
-        if 0 <= w < weeks:
-            buckets[w].append(order)
-    return buckets
+    buckets = [bucket for bucket, _ in _spanned_weeks(orders)[:max(weeks, 0)]]
+    return buckets + [[] for _ in range(weeks - len(buckets))]
 
 
 def demand_per_week(orders: list[Order], weeks: int) -> dict[str, float]:
@@ -237,23 +237,21 @@ def _load_dataset(data: DataPaths, weeks: int):
         if row.location in named:
             raise InputDataError(f"{data.inventory}: two pallets on slot {row.location}")
         named.add(row.location)
-    all_orders = load_orders(data.orders, item_index)
-    start = _first_date(all_orders) if all_orders else None
-    spanned = max((week_index(o, start) + 1 for o in all_orders), default=0)
-    # buckets up to the orders' span only: a week past it has no orders
-    buckets = split_weeks(all_orders, min(weeks, spanned))
-    empty = next((w for w, bucket in enumerate(buckets, start=1) if not bucket),
-                 spanned + 1 if weeks > spanned else None)
+    spanned = _spanned_weeks(load_orders(data.orders, item_index))
+    # the weeks up to the orders' span only: a week past it has no orders
+    run_weeks = spanned[:max(weeks, 0)]
+    empty = next((w for w, (bucket, _) in enumerate(run_weeks, start=1) if not bucket),
+                 len(spanned) + 1 if weeks > len(spanned) else None)
     if empty is not None:
         raise InputDataError(
-            f"week {empty} has no orders: {data.orders} spans {spanned} week(s)"
+            f"week {empty} has no orders: {data.orders} spans {len(spanned)} week(s)"
         )
-    avg_picks = demand_per_week([o for bucket in buckets for o in bucket], weeks)
-    return layout, items, initial, buckets, avg_picks
+    avg_picks = demand_per_week([o for bucket, _ in run_weeks for o in bucket], weeks)
+    return layout, items, initial, run_weeks, avg_picks
 
 
 def _run_loaded(spec: ScenarioSpec, dataset, audit: bool, trace_dir: str | None) -> RunResult:
-    layout, items, initial, buckets, avg_picks = dataset
+    layout, items, initial, run_weeks, avg_picks = dataset
     cfg = spec.config
     _check_walking(cfg, layout)
     if spec.policy is PolicyKind.FIXED_ZONE:
@@ -266,9 +264,9 @@ def _run_loaded(spec: ScenarioSpec, dataset, audit: bool, trace_dir: str | None)
         slot_map = build_slot_map(spec, layout, avg_picks, [i.code for i in items])
 
     return RunResult(spec.name, cfg.metric_unit, [
-        _run_week(spec, layout, items, initial, slot_map, avg_picks, week_orders, week_no,
-                  audit, trace_dir)
-        for week_no, week_orders in enumerate(buckets, start=1)
+        _run_week(spec, layout, items, initial, slot_map, avg_picks, week_orders, first_date,
+                  week_no, audit, trace_dir)
+        for week_no, (week_orders, first_date) in enumerate(run_weeks, start=1)
     ])
 
 
@@ -289,7 +287,7 @@ def _check_walking(cfg: SimConfig, layout: Layout) -> None:
 
 def _run_week(spec: ScenarioSpec, layout: Layout, items, initial,
               slot_map: SlotMap | None, avg_picks: dict[str, float],
-              week_orders: list[Order], week_no: int, audit: bool,
+              week_orders: list[Order], first_date: date, week_no: int, audit: bool,
               trace_dir: str | None) -> WeekOutcome:
     cfg = spec.config
     warehouse = Warehouse(layout, items, audit=audit)
@@ -298,7 +296,7 @@ def _run_week(spec: ScenarioSpec, layout: Layout, items, initial,
     try:
         session, engine = run_week(
             warehouse, policy, week_orders, spec.picking, cfg,
-            derive_seed(spec.seed, spec.name, week_no), _first_date(week_orders))
+            derive_seed(spec.seed, spec.name, week_no), first_date)
     except InfeasibleRunError as exc:  # a stuck week; it writes no trace
         raise InfeasibleRunError(f"scenario {spec.name} week {week_no}: {exc}") from None
     if trace_dir is not None:

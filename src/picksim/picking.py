@@ -52,8 +52,10 @@ plus stall waiting.  A traversal keeps the clock, walking, handling and
 turns in locals that start from the booked totals, adds each term to
 them in the order above and writes them back once, so every sum has the
 bits it would have if each term went straight into ``ProcessTotals``.
-A leg of ``0.0`` leaves a sum unchanged.  ``handling_time`` prices every
-picking visit.
+A leg of ``0.0`` leaves a sum unchanged.  Per sublist visit the
+traversal counts the pallets its picks touched and the master cartons of
+their loose pieces (each line's rounded up on its own), and
+``handling_time`` prices every picking visit from those two counts.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from typing import NamedTuple
 
 from .config import SimConfig, WALK_CONSTANT
 from .errors import InfeasibleRunError, InputDataError, _logger
-from .events import Engine, Event, PartialPick, StartPickOrder, _new
+from .events import Engine, Event, PartialPick, StartPickOrder
 from .storage import StoragePolicy
 from .warehouse import (
     ENTRANCE_ID,
@@ -75,6 +77,7 @@ from .warehouse import (
     LocationId,
     ProcessTotals,
     Warehouse,
+    _new,
     _read_csv,
     _write_csv,
     aisle_turns,
@@ -170,17 +173,19 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse, policy: S
     # one zone for every line: the line index is unique, so sorting never
     # compares two slots
     keyed = []
-    for idx, line in enumerate(order.lines):
-        if line.qty < 1:
-            raise InputDataError(f"order line of {line.item}: qty must be >= 1")
-        lot = lots.get(line.item)
+    remaining = []
+    for idx, (item, qty) in enumerate(order.lines):
+        if qty < 1:
+            raise InputDataError(f"order line of {item}: qty must be >= 1")
+        lot = lots.get(item)
         if lot:
             loc = storage[lot[0][2].location]
         else:
             if lot is None:
-                warehouse.item(line.item)  # raises for an unknown code
-            loc = policy.primary_location(line.item)
+                warehouse.item(item)  # raises for an unknown code
+            loc = policy.primary_location(item)
         keyed.append((loc.zone if zoning else "", loc.seq_no, idx, loc))
+        remaining.append(qty)
     keyed.sort()
     stops = []
     sublist = -1
@@ -201,25 +206,19 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse, policy: S
         stops.append(_new(RouteStop, (idx, loc, sublist, drop_s, walk_s, drop_turns + turns)))
         at = loc.id
     exit_turns, exit_s = (0, 0.0) if legs is None else legs[at, SPECIAL_AREA_ID]
-    return _new(PlanEntry, (order, stops, exit_s, exit_turns, [line.qty for line in order.lines]))
+    return _new(PlanEntry, (order, stops, exit_s, exit_turns, remaining))
 
 
-def handling_time(entries: list[tuple[int, int]], cfg: SimConfig) -> float:
-    """Handling seconds for one picking visit.
-
-    ``entries`` holds ``(pallets_touched, loose_pieces)`` per line taken
-    during the visit; loose pieces are the ones not taken as a whole
-    pallet and are handled in master cartons.  An empty visit costs
-    nothing, otherwise one base time plus the per-pallet and per-carton
-    terms.
+def handling_time(pallets: int, masters: int, cfg: SimConfig) -> float:
+    """Handling seconds for one picking visit that touched ``pallets``
+    pallets and took ``masters`` master cartons of loose pieces, each
+    line's loose pieces (those not taken as a whole pallet) rounded up to
+    whole cartons of ``cfg.pieces_per_master``.  A visit that touched no
+    pallet costs nothing, any other one base time plus the per-pallet and
+    per-carton terms.
     """
-    if not entries:
+    if not pallets:
         return 0.0
-    per_master = cfg.pieces_per_master
-    pallets = masters = 0
-    for touched, loose in entries:
-        pallets += touched
-        masters += -(-loose // per_master)
     return cfg.BTpu + cfg.PPpu * pallets + cfg.PMpu * masters
 
 
@@ -328,9 +327,13 @@ class PickingSession:
         t = now
         walk = metrics.walk_s
         turns = 0
-        # pick results of each picking visit ("call"), one per sublist picked from
-        calls: list[list[tuple[int, int]]] = []
-        call_seg = -1
+        cfg = self.cfg
+        per_master = cfg.pieces_per_master
+        # the handling of each picking visit, one per sublist picked from, and
+        # the pallets and master cartons of the visit in progress
+        handles: list[float] = []
+        pallets = masters = 0
+        visit_seg = -1
         stall: int | None = None
         for p in range(start or 0, len(route)):
             line_index, _, seg, drop_s, walk_s, n = route[p]
@@ -345,22 +348,26 @@ class PickingSession:
             if want > on_hand[item]:
                 stall = p
                 break
-            if seg != call_seg:
-                call = []
-                calls.append(call)
-                call_seg = seg
-            call.append(pick(item, want))
+            if seg != visit_seg:
+                if pallets:
+                    handles.append(handling_time(pallets, masters, cfg))
+                    pallets = masters = 0
+                visit_seg = seg
+            touched, loose = pick(item, want)
+            pallets += touched
+            masters += -(-loose // per_master)
             remaining[line_index] = 0
         else:
             t += entry.exit_s
             walk += entry.exit_s
             turns += entry.exit_turns
+        if pallets:
+            handles.append(handling_time(pallets, masters, cfg))
         metrics.walk_s = walk
         metrics.turns += turns
 
         handle_s = metrics.handle_s
-        for call in calls:
-            handle = handling_time(call, self.cfg)
+        for handle in handles:
             t += handle
             handle_s += handle
         metrics.handle_s = handle_s
@@ -407,29 +414,31 @@ def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
     # whether each parsed order_datetime has a UTC offset: naive and offset
     # times cannot be compared, so a file gives every one an offset or none
     offsets: set[bool] = set()
+    find = orders.get
+    parse_time = datetime.fromisoformat
 
     def add_line(cells: list[str]) -> None:
         order_datetime, order_no, truck_id, item_code, qty = cells
-        order = orders.get(order_no)
-        if order is not None and order_datetime == first_text[order_no]:
-            when = order.order_datetime
-        else:
-            when = datetime.fromisoformat(order_datetime)
+        order = find(order_no)
+        same_text = order is not None and order_datetime == first_text[order_no]
+        if not same_text:
+            when = parse_time(order_datetime)
             offsets.add(when.tzinfo is not None)
             if len(offsets) > 1:
                 raise InputDataError(f"order_datetime {order_datetime}: a file's order times "
                                      "must all have a UTC offset, or none")
-        line = OrderLine(item_code, int(qty))
-        if line.qty < 1:  # as planning, at path:line
+        qty = int(qty)
+        if qty < 1:  # as planning, at path:line
             raise InputDataError(f"order line of {item_code}: qty must be >= 1")
         if item_code not in items:
             raise InputDataError(f"unknown item {item_code}")
         if order is None:
-            order = orders[order_no] = Order(order_no, when, truck_id, [])
+            order = orders[order_no] = _new(Order, (order_no, when, truck_id, []))
             first_text[order_no] = order_datetime
-        elif (when, truck_id) != (order.order_datetime, order.truck_id):
+        elif truck_id != order.truck_id or not same_text and when != order.order_datetime:
+            # the same instant written differently is the same date
             raise InputDataError(f"order {order_no}: date or truck differs from its first line")
-        order.lines.append(line)
+        order.lines.append(_new(OrderLine, (item_code, qty)))
 
     _read_csv(path, ORDERS_HEADER, add_line)
     return list(orders.values())

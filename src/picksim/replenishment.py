@@ -61,10 +61,10 @@ class Replenisher:
     def __init__(self, policy: StoragePolicy, cfg: SimConfig, sampler: ReplenishmentSampler,
                  metrics: ProcessTotals, start_date: date):
         self.policy = policy
-        self.cfg = cfg
         self.sampler = sampler
         self.metrics = metrics
         self.start_date = start_date
+        self._put_handle_s = cfg.BTpa + cfg.PPpa  # the handling of every put-away
         self._day = 0
         self._date = start_date
 
@@ -81,9 +81,10 @@ class Replenisher:
         code = self.policy.restock_choice()
         if code is not None:
             assignment = self.policy.put_away(code, self.sim_date(event.time))
-            self.metrics.put_travel_s += assignment.travel_s
-            self.metrics.put_handle_s += self.cfg.BTpa + self.cfg.PPpa
-            self.metrics.turns += assignment.turns
+            metrics = self.metrics
+            metrics.put_travel_s += assignment.travel_s
+            metrics.put_handle_s += self._put_handle_s
+            metrics.turns += assignment.turns
         elif "logging" in sys.modules:  # before its import, no handler or level could show it
             _logger(__name__).info("replenishment at t=%s skipped: no product has a vacant slot",
                                    event.time)

@@ -75,6 +75,7 @@ from .warehouse import (
     LocationId,
     PalletRecord,
     Warehouse,
+    _new,
     aisle_turns,
     travel_time,
 )
@@ -158,18 +159,21 @@ class StoragePolicy:
             return
         on_hand = wh._on_hand
         stock = self._stock
+        keys = self._keys
+        set_of_slot = self._set_of_slot
+        push = heapq.heappush
         for record, pieces, left in wh.log[self._read:]:
             if pieces > 0:  # placed: the slot is taken
-                vacant = self._set_of_slot[record.location].vacant
-                del vacant[bisect_left(vacant, self._keys[record.location])]
+                vacant = set_of_slot[record.location].vacant
+                del vacant[bisect_left(vacant, keys[record.location])]
             elif not left:  # drained: the slot is free
-                slot_set = self._set_of_slot[record.location]
-                insort(slot_set.vacant, self._keys[record.location])
+                slot_set = set_of_slot[record.location]
+                insort(slot_set.vacant, keys[record.location])
                 for code in slot_set.parked:
-                    heapq.heappush(stock, (on_hand[code], code))
+                    push(stock, (on_hand[code], code))
                 slot_set.parked.clear()
             code = record.item
-            heapq.heappush(stock, (on_hand[code], code))
+            push(stock, (on_hand[code], code))
         self._read = end
 
     # -- candidate sets ----------------------------------------------------
@@ -237,7 +241,7 @@ class StoragePolicy:
         self.warehouse.place(slot.id, item_code, self.warehouse.item(item_code).qty_per_pallet,
                              mfg_date)
         travel, _, _, turns = self._keys[slot.id]
-        return Assignment(slot.id, travel, turns)
+        return _new(Assignment, (slot.id, travel, turns))
 
 
 def place_initial(policy: StoragePolicy, pallets: list[PalletRecord],

@@ -60,6 +60,9 @@ ANCHOR_ZONE = "anchor"
 HANDLIFT = "handlift"
 STACKER = "stacker"
 
+# builds a NamedTuple from a tuple of its fields without its Python-level __new__
+_new = tuple.__new__
+
 
 class _Record:
     """Base of the records whose fields a run changes, ``PalletRecord`` and
@@ -224,19 +227,21 @@ def _check_new(loc: Location, layout: Layout, seqs: set[int]) -> None:
     anchors, an id already in ``layout`` and a storage slot whose
     ``seq_no`` is already in ``seqs``; then add the point to ``layout``,
     and a storage slot's ``seq_no`` to ``seqs``."""
-    if loc.is_anchor and loc.id not in ANCHOR_IDS:
+    loc_id = loc.id
+    anchor = loc_id[0] == ANCHOR_ROW
+    if anchor and loc_id not in ANCHOR_IDS:
         raise InputDataError(f"row {ANCHOR_ROW} holds only the anchors {ENTRANCE_ID}, "
-                             f"{SPECIAL_AREA_ID} and {ELEVATOR_ID}, got {loc.id}")
-    points = layout.anchors if loc.is_anchor else layout.storage
-    if loc.id in points:
-        raise InputDataError(f"duplicate location id {loc.id}")
-    if not loc.is_anchor:
+                             f"{SPECIAL_AREA_ID} and {ELEVATOR_ID}, got {loc_id}")
+    points = layout.anchors if anchor else layout.storage
+    if loc_id in points:
+        raise InputDataError(f"duplicate location id {loc_id}")
+    if not anchor:
         if loc.seq_no in seqs:
-            raise InputDataError(f"seq_no {loc.seq_no} of slot {loc.id} repeats an earlier "
+            raise InputDataError(f"seq_no {loc.seq_no} of slot {loc_id} repeats an earlier "
                                  "storage slot's")
         seqs.add(loc.seq_no)
         layout.zones.setdefault(loc.zone, []).append(loc)
-    points[loc.id] = loc
+    points[loc_id] = loc
 
 
 def _check_item(item: Item, items: dict[str, Item]) -> Item:
@@ -431,13 +436,15 @@ def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], object]
                         f"{','.join(first or ['<empty>'])}"
                     )
                 line = reader.line_num + 1
+                width = len(header)
+                keep = parsed.append
                 for cells in reader:
                     if cells:
-                        if len(cells) != len(header):
+                        if len(cells) != width:
                             raise ParseError(
-                                f"{path}:{line}: expected {len(header)} cells, got {len(cells)}"
+                                f"{path}:{line}: expected {width} cells, got {len(cells)}"
                             )
-                        parsed.append(parse(cells))
+                        keep(parse(cells))
                     line = reader.line_num + 1  # where the next row starts
             except UnicodeDecodeError as exc:
                 # text is decoded a block ahead of the reader: find the line in the bytes
@@ -488,11 +495,12 @@ def load_layout(path: str) -> Layout:
     as it is read, so an error names ``path:line``."""
     layout = Layout({}, {}, {})
     seqs: set[int] = set()
+    check, finite = _check_new, _finite
 
     def location(cells: list[str]) -> None:
         row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no = cells
-        _check_new(Location((int(row), int(layer), int(slot)), _finite(x_cm), _finite(y_cm),
-                            _finite(z_cm), zone, int(seq_no)), layout, seqs)
+        check(_new(Location, ((int(row), int(layer), int(slot)), finite(x_cm), finite(y_cm),
+                              finite(z_cm), zone, int(seq_no))), layout, seqs)
 
     _read_csv(path, LAYOUT_HEADER, location)
     return _with_every_anchor(layout)

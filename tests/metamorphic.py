@@ -41,6 +41,14 @@ pure function of the dataset and one parameter.  The relation each keeps:
 
 Identity means that stdout and every file a run writes, traces
 included, are byte-identical to the run on the original dataset.
+
+One transform keeps no relation, and its test pins that:
+
+* ``row_first(index)`` - the row order of ``orders.csv`` is the pick
+  sequence: trucks come in the order of their first row, and each
+  truck's orders in reverse file order.  Moving the first row of a
+  week's second truck to the top makes that truck the first, and the
+  results change.
 """
 
 from __future__ import annotations
@@ -133,3 +141,10 @@ def shuffle_lines(src: Path, dst: Path, seed: int) -> Path:
         return out
 
     return _rewrite(src, dst, {"orders.csv": shuffled})
+
+
+def row_first(src: Path, dst: Path, index: int) -> Path:
+    """Copy the dataset ``src`` to ``dst`` with data row ``index`` (from 0)
+    of ``orders.csv`` moved to be its first data row; returns ``dst``."""
+    return _rewrite(src, dst, {"orders.csv": lambda rows: [rows[index], *rows[:index],
+                                                           *rows[index + 1:]]})

@@ -30,13 +30,15 @@ import pytest
 from metamorphic import (
     IDENTITY_SHUFFLES,
     relabel_items,
+    row_first,
     scale_layout,
     shift_orders,
     shuffle_lines,
     shuffle_rows,
 )
-from picksim import SimConfig, replenishment
+from picksim import SimConfig, experiment, replenishment
 from picksim.cli import main
+from reference_orders import pick_sequence, read_orders, week_buckets
 from test_golden import DATA_ARGS, DISTANCE_CONFIG
 
 RUNS = [("fixed", "area", "homogeneous"), ("fixed", "zoning", "homogeneous"),
@@ -175,3 +177,61 @@ def test_doubling_every_time_doubles_every_output_time(root, original, walking, 
         for name in written:
             columns = RESULT_TIMES if name == "results.csv" else ("time",)
             assert _halved(files[name], columns) == _halved(want_files[name], ()), (run, name)
+
+
+def _sequenced_run(data: Path, config: Path, out: Path,
+                   monkeypatch) -> tuple[list[list[str]], bytes]:
+    """The order numbers of each week's plan, in pick sequence, and the
+    ``results.csv`` of a fixed/area run on ``data`` under ``config``."""
+    plans = []
+    run_week = experiment.run_week
+
+    def spy(*args):
+        session, engine = run_week(*args)
+        plans.append([entry.order.order_no for entry in session.plan])
+        return session, engine
+
+    monkeypatch.setattr(experiment, "run_week", spy)
+    with redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--data", str(data), "--config", str(config), "--policy",
+                     "fixed", "--picking", "area", "--weeks", "2", "--seed", "7",
+                     "--out", str(out)]) == 0
+    return plans, (out / "results.csv").read_bytes()
+
+
+def _file_sequence(data: Path) -> list[list[str]]:
+    """Each week's pick sequence by the README rule, read from the file."""
+    reading = read_orders(str(data / "orders.csv"), _codes(data))
+    assert reading.bad_line is None
+    weeks = week_buckets(reading.orders)
+    return [pick_sequence(weeks[week]) for week in sorted(weeks)]
+
+
+def _codes(data: Path) -> set[str]:
+    with open(data / "items.csv", newline="", encoding="utf-8") as fh:
+        return {row[0] for row in list(csv.reader(fh))[1:]}
+
+
+def test_the_row_order_of_orders_sets_the_pick_sequence(root, monkeypatch):
+    """Trucks come in the order of their first row and each truck's orders
+    in reverse file order; moving the first row of week 1's second truck to
+    the top of the file makes that truck the first, and the results change.
+    At the default visit rate this move leaves the golden results as they
+    were: the weeks are supply-bound, so the last order waits for the last
+    pallet whatever the sequence.  So the runs visit every 120 s."""
+    data = root / "data"
+    config = root / "unbound.json"
+    config.write_text(json.dumps({"replenish": {"mu_s": 120.0}}), encoding="utf-8")
+    plans, results = _sequenced_run(data, config, root / "out-sequence", monkeypatch)
+    assert plans == _file_sequence(data)
+    with open(data / "orders.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    week_1 = week_buckets(read_orders(str(data / "orders.csv"), _codes(data)).orders)[0]
+    second = next(order for order in week_1 if order.truck_id != week_1[0].truck_id)
+    index = next(k for k, row in enumerate(rows) if row[1] == second.order_no)
+    moved = row_first(data, root / "moved-row", index)
+    moved_plans, moved_results = _sequenced_run(moved, config, root / "out-moved-row",
+                                                monkeypatch)
+    assert moved_plans == _file_sequence(moved)
+    assert moved_plans[0] != plans[0]
+    assert moved_results != results

@@ -6,6 +6,7 @@ import logging
 from datetime import date, datetime
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import anchors, make_item, slot, trace_cfg
 from runners import engine_run
@@ -16,15 +17,19 @@ from picksim import (
     OrderLine,
     InfeasibleRunError,
     InputDataError,
+    PalletRecord,
     ParseError,
     PickingMode,
+    PickingSession,
     PolicyKind,
     SimConfig,
     StoragePolicy,
     Warehouse,
     handling_time,
     index_layout,
+    experiment,
     load_orders,
+    place_initial,
     prepare_orders,
     run_week,
     save_orders,
@@ -134,23 +139,40 @@ def test_order_without_lines_rejected():
 
 def test_handling_full_pallet_only():
     cfg = trace_cfg()  # BTpu 10, PPpu 15, PMpu 0
-    assert handling_time([(1, 0)], cfg) == 25.0
+    assert handling_time(1, 0, cfg) == 25.0
 
 
 def test_handling_empty_visit_is_free():
-    assert handling_time([], trace_cfg()) == 0.0
+    assert handling_time(0, 0, trace_cfg()) == 0.0
+
+
+def _carton_world():
+    """A on two pallets of 10 and B on one of 20, in three slots of one row."""
+    layout = anchors() + [slot(0, 1, k, 100.0, 100.0 * (k + 1), seq=k + 1) for k in range(3)]
+    items = [make_item("A", qpp=10), make_item("B", qpp=20)]
+    initial = [((0, 1, 0), "A", 10, MFG), ((0, 1, 1), "A", 10, date(2024, 5, 2)),
+               ((0, 1, 2), "B", 20, MFG)]
+    return layout, items, initial
 
 
 def test_handling_with_master_cartons():
-    cfg = SimConfig(BTpu=10.0, PPpu=15.0, PMpu=2.0, pieces_per_master=10)
-    # one pallet touched, 25 loose pieces -> 3 cartons: 10 + 15 + 6
-    assert handling_time([(1, 25)], cfg) == 31.0
+    layout, items, initial = _carton_world()
+    cfg = trace_cfg(PMpu=2.0, pieces_per_master=10)
+    # one pallet of B touched, 15 loose pieces -> 2 cartons: 10 + 15 + 4
+    _, _, metrics, _ = engine_run(layout, items, initial, "random", None,
+                                  [("O1", "T", [("B", 15)])], "area", cfg, 1, MFG)
+    assert metrics.handle_s == 29.0
 
 
 def test_handling_sums_lines_within_a_visit():
-    cfg = SimConfig(BTpu=10.0, PPpu=15.0, PMpu=2.0, pieces_per_master=10)
-    # two lines in one visit: one base time, 3 pallets, 1 + 1 cartons
-    assert handling_time([(2, 5), (1, 10)], cfg) == 10.0 + 45.0 + 4.0
+    layout, items, initial = _carton_world()
+    cfg = trace_cfg(PMpu=2.0, pieces_per_master=10)
+    # two lines in one visit: one base time, 3 pallets, and each line's 5
+    # loose pieces rounded up on its own, 1 + 1 cartons
+    _, _, metrics, _ = engine_run(layout, items, initial, "random", None,
+                                  [("O1", "T", [("A", 15), ("B", 5)])], "area", cfg, 1, MFG)
+    assert metrics.handle_s == 10.0 + 45.0 + 4.0
+    assert handling_time(3, 2, cfg) == 10.0 + 45.0 + 4.0
 
 
 # -- stall and resume -----------------------------------------------------
@@ -290,6 +312,82 @@ def test_a_picker_waiting_in_a_full_warehouse_stops_the_week_at_once():
     assert str(exc.value) == (
         "cannot finish: at t=30.0 s the picker is waiting for order O1, line index 0, item A, "
         "at slot (0, 1, 0), and no visit can restock A: the warehouse is full")
+
+
+@st.composite
+def overflowing_worlds(draw):
+    """A small fixed-storage world whose initial pallets of one item
+    outnumber that item's slots, so ``place_initial`` puts the surplus in
+    other items' slots: ``(layout, items, slot map, pallets, orders)``."""
+    codes = "ABC"[:draw(st.integers(2, 3))]
+    storage = [slot(k // 3, 1, k % 3, 100.0 + 200.0 * (k // 3), 100.0 * (k % 3 + 1), seq=k)
+               for k in range(draw(st.integers(len(codes) + 1, 6)))]
+    owners = [*codes, *(draw(st.sampled_from(codes)) for _ in storage[len(codes):])]
+    slot_map = {code: [loc.id for loc, owner in zip(storage, owners) if owner == code]
+                for code in codes}
+    heavy = draw(st.sampled_from(codes))
+    surplus = draw(st.integers(1, len(storage) - len(slot_map[heavy])))
+    held = [heavy] * (len(slot_map[heavy]) + surplus)
+    held += draw(st.lists(st.sampled_from(codes), max_size=len(storage) - len(held)))
+    pallets = [PalletRecord((9, 9, k), code, draw(st.integers(1, 5)), date(2024, 5, 1 + k))
+               for k, code in enumerate(held)]
+    orders = [(f"O{k}", "T", draw(st.lists(st.tuples(st.sampled_from(codes), st.integers(1, 8)),
+                                           min_size=1, max_size=2)))
+              for k in range(draw(st.integers(1, 3)))]
+    items = [make_item(code, qpp=5) for code in codes]
+    return anchors() + storage, items, slot_map, pallets, orders
+
+
+class _AnyVacant:
+    """What a picking session sees of the storage policy, which it reads
+    only for the stall check: every item has a vacant candidate slot."""
+
+    def __init__(self, policy):
+        self._policy = policy
+
+    def nearest_vacant(self, item):
+        return self._policy.receiving
+
+
+class _Unchecked(PickingSession):
+    """A picking session whose stall check never fires."""
+
+    def __init__(self, warehouse, policy, *args):
+        super().__init__(warehouse, _AnyVacant(policy), *args)
+
+
+_HORIZON_CFG = trace_cfg(horizon_s=20_000.0)
+
+
+def _overflow_week(world, session=PickingSession):
+    """Stock a fresh warehouse of ``world`` through ``place_initial``, which
+    must fall back, and run its week with ``session`` as the picker."""
+    layout, items, slot_map, pallets, orders = world
+    wh = Warehouse(index_layout(layout), items)
+    pol = StoragePolicy(PolicyKind.FIXED, wh, _HORIZON_CFG.stacker(), slot_map=slot_map)
+    assert place_initial(pol, pallets, {}) >= 1
+    built = [Order(no, DT, truck, [OrderLine(code, qty) for code, qty in lines])
+             for no, truck, lines in orders]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "PickingSession", session)
+        return run_week(wh, pol, built, PickingMode.AREA, _HORIZON_CFG, 1, MFG)
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=overflowing_worlds())
+def test_a_week_stops_where_it_gets_stuck_and_only_where_it_could_never_finish(world):
+    """Whenever the stall check fires, the same week without the check runs
+    to its horizon unfinished; a week where it never fires finishes."""
+    try:
+        session, _ = _overflow_week(world)
+    except InfeasibleRunError:
+        event("stuck")
+        session, engine = _overflow_week(world, _Unchecked)
+        assert None in session.completions
+        assert engine.next_pick is not None
+        assert min(engine.next_pick.time, engine.next_visit.time) > _HORIZON_CFG.horizon_s
+    else:
+        assert None not in session.completions
 
 
 # -- orders file ----------------------------------------------------------
