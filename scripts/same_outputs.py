@@ -41,7 +41,9 @@ The matrix:
 * ``simulate`` under each of the three policies on a copy of the demo
   data whose first item has a home zone, ``Z9``, with no slot in
   ``layout.csv``: fixed-zone storage refuses it, fixed and random
-  storage never read it.
+  storage never read it;
+* ``stats`` on the README's two reference series, ``a.csv`` and
+  ``b.csv``, both files and ``a.csv`` alone.
 
 With ``--workdir`` the datasets and outputs are kept in ``DIR``, which
 must not exist yet; otherwise they go to a temporary directory that is
@@ -90,6 +92,8 @@ REFUSALS = {
 }
 # copy of the demo data whose first item's home zone has no slot, run under each policy
 HOMELESS = ("items.csv", 2, 1, "Z9")
+# the README's reference series for ``stats``: file stem -> weekly metrics from week 1
+SERIES = {"a": [103, 143, 122, 97], "b": [148, 150, 129, 135]}
 
 
 def matrix() -> list[tuple[str, list[str]]]:
@@ -138,6 +142,9 @@ def matrix() -> list[tuple[str, list[str]]]:
         runs.append((f"homeless-{policy}", ["simulate", "--data", "data/homeless", "--policy",
                                             policy, "--weeks", "4",
                                             "--out", f"out/homeless-{policy}"]))
+    runs.append(("stats-pair", ["stats", "--weekly", "data/a.csv", "data/b.csv",
+                                "--out", "out/stats-pair"]))
+    runs.append(("stats-one", ["stats", "--weekly", "data/a.csv", "--out", "out/stats-one"]))
     return runs
 
 
@@ -267,6 +274,10 @@ def main(argv: list[str] | None = None) -> int:
         edited(data / "demo", data / "homeless", *HOMELESS)
         for name, config in CONFIGS.items():
             (data / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+        for name, values in SERIES.items():
+            (data / f"{name}.csv").write_text("week,metric\n" + "".join(
+                f"{week},{value}\n" for week, value in enumerate(values, start=1)),
+                encoding="utf-8")
 
         found = []
         runs = matrix()

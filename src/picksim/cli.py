@@ -23,8 +23,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 simulation failure (a week that can never finish,
 or overruns the horizon), 2 malformed command line, unreadable input or
-an output file that cannot be written, 3 invalid configuration or input
-data.
+an output file or standard output that cannot be written, 3 invalid
+configuration or input data.
 
 The master seed is resolved in order: ``--seed`` flag, ``replenish.seed``
 when the config file sets it, ``PICKSIM_SEED`` environment variable, then
@@ -47,10 +47,10 @@ from .errors import (
     ValidationError,
 )
 from .experiment import (
-    Comparison,
     DataPaths,
     RunResult,
     ScenarioSpec,
+    ScenarioSummary,
     compare_scenarios,
     run_scenario,
     summarize_results,
@@ -60,7 +60,7 @@ from .experiment import (
     write_summary_csv,
 )
 from .picking import PickingMode
-from .stats import paired_test
+from .stats import PairedTest, paired_test
 from .storage import PolicyKind
 from .warehouse import _finite, _read_csv
 
@@ -177,20 +177,37 @@ def _check_out(path: str | None) -> None:
                          f"{nearest} is not a directory")
 
 
-def _print_result(res: RunResult) -> None:
-    print(f"scenario {res.scenario} (metric unit: {res.unit})")
-    for wk in res.weeks:
-        print(f"  week {wk.week}: {wk.metric:.2f}")
-    print(f"  total: {res.total:.2f}")
+def _spec(args, cfg: SimConfig, seed: int, allocation: str, name: str) -> ScenarioSpec:
+    """The scenario of a run command's arguments under one slot allocation."""
+    return ScenarioSpec(name=name, policy=PolicyKind(args.policy),
+                        allocation=AllocationRule(allocation),
+                        picking=PickingMode(args.picking), weeks=args.weeks, seed=seed,
+                        config=cfg, data=DataPaths.from_dir(args.data))
 
 
-def _print_summaries(summaries, paired=None) -> None:
-    for row in summary_rows(summaries):
-        name, mean, lo, hi, total, gap_pct = row
+def _report(out: str | None, results: list[RunResult], summaries: list[ScenarioSummary],
+            paired: PairedTest | None = None) -> int:
+    """Print each result's weeks, then the summary lines and the paired
+    test; then write each of the three that is present (a list that is
+    not empty, a test) under ``out``."""
+    for res in results:
+        print(f"scenario {res.scenario} (metric unit: {res.unit})")
+        for wk in res.weeks:
+            print(f"  week {wk.week}: {wk.metric:.2f}")
+        print(f"  total: {res.total:.2f}")
+    for name, mean, lo, hi, total, gap_pct in summary_rows(summaries):
         print(f"{name}: mean={mean} ci95=[{lo}, {hi}] total={total} gap={gap_pct}%")
     if paired is not None:
         print(f"paired t-test: statistic={paired.statistic:.4f} "
               f"df={paired.df} p={paired.p_value:.4f}")
+    if out:
+        if results:
+            write_results_csv(results, str(Path(out) / "results.csv"))
+        if summaries:
+            write_summary_csv(summaries, str(Path(out) / "summary.csv"))
+        if paired is not None:
+            write_paired_csv(paired, str(Path(out) / "paired.csv"))
+    return 0
 
 
 def _cmd_simulate(args) -> int:
@@ -199,33 +216,16 @@ def _cmd_simulate(args) -> int:
                              f"reads; --policy {args.policy} would ignore it")
     allocation = args.allocation or AllocationRule.HOMOGENEOUS.value
     cfg, seed = _config_and_seed(args)
-    name = args.name or f"{args.policy}-{allocation}-{args.picking}"
-    spec = ScenarioSpec(
-        name=name,
-        policy=PolicyKind(args.policy),
-        allocation=AllocationRule(allocation),
-        picking=PickingMode(args.picking),
-        weeks=args.weeks,
-        seed=seed,
-        config=cfg,
-        data=DataPaths.from_dir(args.data),
-    )
+    spec = _spec(args, cfg, seed, allocation,
+                 args.name or f"{args.policy}-{allocation}-{args.picking}")
     _check_out(args.out)
     if args.trace and not args.out:
         raise ParseError("--trace requires --out to know where to write traces")
-    trace_dir = args.out if args.trace else None
-    result = run_scenario(spec, audit=args.audit, trace_dir=trace_dir)
-    _print_result(result)
-    summaries = None
+    result = run_scenario(spec, audit=args.audit, trace_dir=args.out if args.trace else None)
+    summaries = []
     if len(result.weeks) >= 2:
         summaries = summarize_results([(result.scenario, result.weekly_metrics)])
-        _print_summaries(summaries)
-    if args.out:
-        out = Path(args.out)
-        write_results_csv([result], str(out / "results.csv"))
-        if summaries is not None:
-            write_summary_csv(summaries, str(out / "summary.csv"))
-    return 0
+    return _report(args.out, [result], summaries)
 
 
 def _cmd_compare(args) -> int:
@@ -237,29 +237,12 @@ def _cmd_compare(args) -> int:
                              f"reads; --policy {args.policy} would run one configuration twice")
     _check_out(args.out)
     cfg, seed = _config_and_seed(args)
-    common = dict(
-        policy=PolicyKind(args.policy),
-        picking=PickingMode(args.picking),
-        weeks=args.weeks,
-        seed=seed,
-        config=cfg,
-        data=DataPaths.from_dir(args.data),
-    )
-    base = ScenarioSpec(name="S1-homogeneous",
-                        allocation=AllocationRule.HOMOGENEOUS, **common)
-    other = ScenarioSpec(name="S2-demand",
-                         allocation=AllocationRule.DEMAND_BASED, **common)
-    cmp_result: Comparison = compare_scenarios(base, other, audit=args.audit)
+    comparison = compare_scenarios(
+        _spec(args, cfg, seed, AllocationRule.HOMOGENEOUS.value, "S1-homogeneous"),
+        _spec(args, cfg, seed, AllocationRule.DEMAND_BASED.value, "S2-demand"),
+        audit=args.audit)
     print(f"metric unit: {cfg.metric_unit}")
-    for res in cmp_result.results:
-        _print_result(res)
-    _print_summaries(cmp_result.summaries, cmp_result.paired)
-    if args.out:
-        out = Path(args.out)
-        write_results_csv(cmp_result.results, str(out / "results.csv"))
-        write_summary_csv(cmp_result.summaries, str(out / "summary.csv"))
-        write_paired_csv(cmp_result.paired, str(out / "paired.csv"))
-    return 0
+    return _report(args.out, *comparison)
 
 
 def _cmd_gen_data(args) -> int:
@@ -301,16 +284,8 @@ def _cmd_stats(args) -> int:
         if len(values) < 2:
             raise InputDataError(f"{name}: need at least two weekly values, got {len(values)}")
     summaries = summarize_results(series)
-    paired = None
-    if len(series) == 2:
-        paired = paired_test(series[0][1], series[1][1])
-    _print_summaries(summaries, paired)
-    if args.out:
-        out = Path(args.out)
-        write_summary_csv(summaries, str(out / "summary.csv"))
-        if paired is not None:
-            write_paired_csv(paired, str(out / "paired.csv"))
-    return 0
+    paired = paired_test(series[0][1], series[1][1]) if len(series) == 2 else None
+    return _report(args.out, [], summaries, paired)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -319,7 +294,14 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"simulate": _cmd_simulate, "compare": _cmd_compare,
                 "gen-data": _cmd_gen_data, "stats": _cmd_stats}
     try:
-        return commands[args.command](args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed standard output fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the flush at exit would fail again; see "Note on SIGPIPE" in the signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

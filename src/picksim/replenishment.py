@@ -72,7 +72,11 @@ class Replenisher:
         day = int(now // SECONDS_PER_DAY)
         if day != self._day:
             self._day = day
-            self._date = self.start_date + timedelta(days=day)
+            try:
+                self._date = self.start_date + timedelta(days=day)
+            except OverflowError:
+                raise InputDataError(f"a pallet restocked at t={now} s would be dated "
+                                     f"{self.start_date} + {day} days, past {date.max}") from None
         return self._date
 
     def handle_rp(self, sim: Engine, event: Event) -> float:

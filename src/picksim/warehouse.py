@@ -103,10 +103,6 @@ class Location(NamedTuple):
     def row(self) -> int:
         return self.id[0]
 
-    @property
-    def is_anchor(self) -> bool:
-        return self.id[0] == ANCHOR_ROW
-
 
 class Item(NamedTuple):
     """Catalog entry for one stock-keeping unit; ``qty_per_pallet`` is at
@@ -244,15 +240,14 @@ def _check_new(loc: Location, layout: Layout, seqs: set[int]) -> None:
     points[loc_id] = loc
 
 
-def _check_item(item: Item, items: dict[str, Item]) -> Item:
+def _check_item(item: Item, items: dict[str, Item]) -> None:
     """Refuse an item whose code is already in ``items`` and one of fewer
-    than 1 piece per pallet; then add it to ``items`` and return it."""
+    than 1 piece per pallet; then add it to ``items``."""
     if item.code in items:
         raise InputDataError(f"duplicate item code {item.code}")
     if item.qty_per_pallet < 1:
         raise InputDataError(f"item {item.code}: qty_per_pallet must be >= 1")
     items[item.code] = item
-    return item
 
 
 class Warehouse:
@@ -413,8 +408,8 @@ ITEMS_HEADER = ["item_code", "home_zone", "qty_per_pallet"]
 INVENTORY_HEADER = ["row", "layer", "slot", "item_code", "qty", "mfg_date"]
 
 
-def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], object]) -> list:
-    """``parse(cells)`` of every data row of a CSV file, in file order.
+def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], None]) -> None:
+    """Call ``parse(cells)`` on every data row of a CSV file, in file order.
 
     The first row must be ``header``; blank lines are skipped and every
     other row must have one cell per header column.  A file that cannot
@@ -423,7 +418,6 @@ def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], object]
     ``InputDataError`` from ``parse`` gets the same prefix.  Rows are
     read and parsed one at a time.
     """
-    parsed = []
     line = 1
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -437,14 +431,13 @@ def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], object]
                     )
                 line = reader.line_num + 1
                 width = len(header)
-                keep = parsed.append
                 for cells in reader:
                     if cells:
                         if len(cells) != width:
                             raise ParseError(
                                 f"{path}:{line}: expected {width} cells, got {len(cells)}"
                             )
-                        keep(parse(cells))
+                        parse(cells)
                     line = reader.line_num + 1  # where the next row starts
             except UnicodeDecodeError as exc:
                 # text is decoded a block ahead of the reader: find the line in the bytes
@@ -461,7 +454,6 @@ def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], object]
                 raise InputDataError(f"{path}:{line}: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parsed
 
 
 def _finite(cell: str) -> float:
@@ -515,12 +507,13 @@ def save_layout(locations: Iterable[Location], path: str) -> None:
 def load_items(path: str) -> list[Item]:
     items: dict[str, Item] = {}
 
-    def item(cells: list[str]) -> Item:
+    def item(cells: list[str]) -> None:
         code, home_zone, qty_per_pallet = cells
         # as Warehouse does, here so the error names path:line
-        return _check_item(Item(code, home_zone, int(qty_per_pallet)), items)
+        _check_item(Item(code, home_zone, int(qty_per_pallet)), items)
 
-    return _read_csv(path, ITEMS_HEADER, item)
+    _read_csv(path, ITEMS_HEADER, item)
+    return list(items.values())
 
 
 def save_items(items: Iterable[Item], path: str) -> None:
@@ -530,16 +523,19 @@ def save_items(items: Iterable[Item], path: str) -> None:
 
 
 def load_inventory(path: str) -> list[PalletRecord]:
-    def pallet(cells: list[str]) -> PalletRecord:
+    records: list[PalletRecord] = []
+
+    def pallet(cells: list[str]) -> None:
         row, layer, slot, item_code, qty, mfg_date = cells
         record = PalletRecord((int(row), int(layer), int(slot)), item_code, int(qty),
                               date.fromisoformat(mfg_date))
         if record.qty < 1:
             raise InputDataError(f"initial pallet of {item_code}: qty must be >= 1, "
                                  f"got {record.qty}")
-        return record
+        records.append(record)
 
-    return _read_csv(path, INVENTORY_HEADER, pallet)
+    _read_csv(path, INVENTORY_HEADER, pallet)
+    return records
 
 
 def save_inventory(records: Iterable[PalletRecord], path: str) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -194,6 +195,35 @@ def test_compare_writes_three_csvs_and_paired_line(dataset, tmp_path, capsys):
     assert summary[0] == "scenario,mean,ci_low,ci_high,total,gap_pct"
     assert summary[1].startswith("S1-homogeneous,")
     assert summary[1].endswith(",0.00")  # baseline gap is zero
+
+
+@pytest.mark.parametrize("command, extra, files", [
+    ("simulate", ["--weeks", "1"], {"results.csv"}),
+    ("simulate", ["--weeks", "2"], {"results.csv", "summary.csv"}),
+    ("compare", ["--weeks", "2"], {"results.csv", "summary.csv", "paired.csv"}),
+    ("stats", ["a", "b"], {"summary.csv", "paired.csv"}),
+    ("stats", ["a"], {"summary.csv"}),
+], ids=["simulate-1-week", "simulate-2-weeks", "compare", "stats-2-files", "stats-1-file"])
+def test_each_command_writes_exactly_its_files(dataset, tmp_path, capsys, command, extra,
+                                               files):
+    """``--out`` gets exactly the files of what a command printed, and each
+    printed ``week N:`` line is its ``results.csv`` metric at 2 decimals."""
+    out = tmp_path / "out"
+    if command == "stats":
+        series = {"a": [10.0, 12.0, 11.0], "b": [12.0, 15.0, 12.5]}
+        args = ["--weekly", *(_weekly_file(tmp_path, name, series[name]) for name in extra)]
+    else:
+        args = ["--data", dataset, *extra]
+    assert main([command, *args, "--out", str(out)]) == 0
+    printed = [line.split(": ")[1] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  week ")]
+    assert {path.name for path in out.iterdir()} == files
+    metrics = []
+    if "results.csv" in files:
+        header, *rows = [row.split(",") for row in
+                         (out / "results.csv").read_text().splitlines()]
+        metrics = [f"{float(row[header.index('metric')]):.2f}" for row in rows]
+    assert printed == metrics
 
 
 @pytest.mark.parametrize("picking", ["area", "zoning"])
@@ -582,6 +612,25 @@ def test_offset_orders_are_weeked_from_their_first_calendar_date(dataset, tmp_pa
             if row.split(",")[2] == "StartPickOrder"] == ["order=0", "order=1"]
 
 
+def test_a_restock_dated_past_the_last_date_exits_3_naming_it(dataset, tmp_path, capsys):
+    """Orders on 9999-12-31 and a first restocking visit a day later: the
+    pallet's date cannot be reached, and the run exits 3 on one line
+    naming it, not in an ``OverflowError``."""
+    data = tmp_path / "late"
+    shutil.copytree(dataset, data)
+    header, *rows = (data / "orders.csv").read_text().splitlines()
+    (data / "orders.csv").write_text("\n".join(
+        [header, *("9999-12-31 09:00:00," + row.split(",", 1)[1] for row in rows)]) + "\n")
+    config = tmp_path / "slow.json"
+    config.write_text(json.dumps({"replenish": {"mu_s": 100000}}))
+    assert main(["simulate", "--data", str(data), "--config", str(config),
+                 "--weeks", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a pallet restocked at t=100000 s would be dated "
+                            "9999-12-31 + 1 days, past 9999-12-31\n")
+
+
 # each file whose format an earlier gen-data wrote with more columns ->
 # (that header, a current row's cells -> the row in that format)
 OLD_FORMATS = {
@@ -896,6 +945,26 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "orders:" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_standard_output_exits_2_on_one_line(tmp_path, unbuffered):
+    """A reader that has gone away, whether a print or the last flush meets
+    it, ends the command with exit 2 and one ``error:`` line, not a
+    ``BrokenPipeError`` traceback."""
+    weekly = _weekly_file(tmp_path, "a", [10.0, 12.0, 11.0])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "picksim.cli", "stats", "--weekly", weekly],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env={**child_env(), "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to standard output: [Errno 32] Broken pipe\n"
 
 
 DEFERRED = ("logging", "json", "statistics", "hashlib", "_hashlib")
