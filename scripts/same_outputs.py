@@ -31,6 +31,10 @@ The matrix:
   --picking area --weeks 1`` with distance walking on a copy of the demo
   data whose every second initial pallet is given to its most-ordered
   item, so the fallback fills another item's slots;
+* two weeks that overrun the horizon, which exit 1 after writing their
+  trace: ``simulate --weeks 1 --trace`` on the demo data at
+  ``horizon_s`` 3600, and at ``horizon_s`` 7200 with ``replenish.mu_s``
+  3000, whose message also names the order the picker waits for;
 * refusals, runs that exit 2 or 3: ``simulate`` on copies of the demo
   data with one bad cell (an item of 0 pieces per pallet, an order line
   of 0 pieces, an order line of an unknown item, an order line whose
@@ -77,6 +81,8 @@ CONFIGS = {
     "distance": {"walking": {"mode": "distance"}, "replenish": {"mode": "sampled"}},
     "saturated": {"walking": {"mode": "distance"}, "replenish": {"mu_s": 120.0}},
     "walk-distance": {"walking": {"mode": "distance"}},
+    "horizon": {"horizon_s": 3600},
+    "horizon-waiting": {"horizon_s": 7200, "replenish": {"mu_s": 3000}},
 }
 COMBOS = [(policy, picking) for policy in ("fixed", "random", "fixed-zone")
           for picking in ("area", "zoning")]
@@ -132,6 +138,10 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("stuck-fixed-area", [
         "simulate", "--data", "data/stuck", "--config", "data/walk-distance.json",
         "--policy", "fixed", "--picking", "area", "--weeks", "1", "--out", "out/stuck"]))
+    for config in ("horizon", "horizon-waiting"):
+        runs.append((f"demo-{config}", [
+            "simulate", "--data", "data/demo", "--config", f"data/{config}.json", "--weeks", "1",
+            "--trace", "--out", f"out/demo-{config}"]))
     for name in REFUSALS:
         runs.append((f"refuse-{name}", ["simulate", "--data", f"data/{name}", "--weeks", "4",
                                          "--out", f"out/refuse-{name}"]))

@@ -26,9 +26,10 @@ charges ``constant_s`` once per route segment, ``distance`` mode walks
 the route with the selected equipment.  ``replenish`` controls the
 interval between restocking visits: ``constant`` mode uses ``mu_s``
 exactly, ``sampled`` draws Normal(mu_s, sigma_s) clamped to at least
-``t_min_s``.  ``replenish.seed``, when set, is the master seed of a CLI
-run without ``--seed``; unset (the default) leaves the choice to the
-CLI's fallbacks.
+``t_min_s``; an unset ``t_min_s`` is derived when a week's sampler is
+built (see ``replenishment.py``).  ``replenish.seed``, when set, is the
+master seed of a CLI run without ``--seed``; unset (the default) leaves
+the choice to the CLI's fallbacks.
 
 ``SimConfig``, ``WalkSettings`` and ``ReplenishSettings`` are immutable
 ``NamedTuple``s, so a config is hashable and compares field by field; a
@@ -83,28 +84,12 @@ class WalkSettings(NamedTuple):
     equipment: str = STACKER
 
 
-class _ReplenishFields(NamedTuple):
+class ReplenishSettings(NamedTuple):
     mode: str = REPLENISH_CONSTANT
     mu_s: float = 600.0
     sigma_s: float = 60.0
     t_min_s: float | None = None
     seed: int | None = None
-
-
-class ReplenishSettings(_ReplenishFields):
-    """The replenishment fields; an unset ``t_min_s`` is derived when the
-    record is built, as ``max(1, mu_s - 3 * sigma_s)``.  ``_replace``
-    derives nothing."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        made = super().__new__(cls, *args, **kwargs)
-        _, mu_s, sigma_s, t_min_s, _ = made
-        # with a bad mu_s or sigma_s the floor stays unset; validate() names the field
-        if t_min_s is None and _is_num(mu_s) and _is_num(sigma_s):
-            return made._replace(t_min_s=max(1.0, mu_s - 3.0 * sigma_s))
-        return made
 
 
 class SimConfig(NamedTuple):

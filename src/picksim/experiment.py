@@ -2,14 +2,17 @@
 
 A scenario fixes the storage policy, the slot-allocation rule, the
 picking mode, the week count and the master seed.  Every week is an
-independent terminating run: the warehouse is rebuilt from the same
-initial inventory (placed under the active policy so containment rules
-hold from the start), the week's orders are planned, and the event
-engine runs until every order is complete; ``run_week`` is that wiring
-from the stocked warehouse on, and the oracle tests drive it too.  The
-weekly metric is the total picking time, i.e. the completion time of the
-last order; orders chain back to back from time zero, so this equals the
-sum of per-order durations including any replenishment waits.
+independent terminating run, set up in two places.  The scenario loop
+rebuilds the warehouse from the same initial inventory (placed under the
+active policy so containment rules hold from the start), runs the week,
+writes its trace and scores it.  ``run_week``, which the oracle tests
+drive too, builds everything the week draws from on the stocked
+warehouse: the plan of its orders, the picking session, the
+replenishment sampler (with its interval floor) and the event engine,
+which runs until every order is complete.  The weekly metric is the
+total picking time, i.e. the completion time of the last order; orders
+chain back to back from time zero, so this equals the sum of per-order
+durations including any replenishment waits.
 
 Per-week randomness derives from (master seed, scenario name, week), so
 runs are reproducible bit for bit and independent of execution order.
@@ -112,7 +115,6 @@ class WeekOutcome(NamedTuple):
     week: int
     metric: float
     totals: ProcessTotals
-    completions: tuple[float, ...] = ()
 
 
 class RunResult(NamedTuple):
@@ -149,13 +151,6 @@ def _spanned_weeks(orders: list[Order]) -> list[tuple[list[Order], date | None]]
         buckets[week_of[day]].append(order)
     return [(bucket, min((day for day, w in week_of.items() if w == week), default=None))
             for week, bucket in enumerate(buckets)]
-
-
-def split_weeks(orders: list[Order], weeks: int) -> list[list[Order]]:
-    """Partition orders into week buckets by calendar weeks from the
-    earliest order date, keeping file order within each bucket."""
-    buckets = [bucket for bucket, _ in _spanned_weeks(orders)[:max(weeks, 0)]]
-    return buckets + [[] for _ in range(weeks - len(buckets))]
 
 
 def demand_per_week(orders: list[Order], weeks: int) -> dict[str, float]:
@@ -263,11 +258,31 @@ def _run_loaded(spec: ScenarioSpec, dataset, audit: bool, trace_dir: str | None)
     if spec.policy is PolicyKind.FIXED:
         slot_map = build_slot_map(spec, layout, avg_picks, [i.code for i in items])
 
-    return RunResult(spec.name, cfg.metric_unit, [
-        _run_week(spec, layout, items, initial, slot_map, avg_picks, week_orders, first_date,
-                  week_no, audit, trace_dir)
-        for week_no, (week_orders, first_date) in enumerate(run_weeks, start=1)
-    ])
+    weeks = []
+    for week_no, (week_orders, first_date) in enumerate(run_weeks, start=1):
+        warehouse = Warehouse(layout, items, audit=audit)
+        policy = StoragePolicy(spec.policy, warehouse, cfg.stacker(), slot_map=slot_map)
+        place_initial(policy, initial, avg_picks)
+        try:
+            session, engine = run_week(
+                warehouse, policy, week_orders, spec.picking, cfg,
+                derive_seed(spec.seed, spec.name, week_no), first_date)
+        except InfeasibleRunError as exc:  # a stuck week; it writes no trace
+            raise InfeasibleRunError(f"scenario {spec.name} week {week_no}: {exc}") from None
+        if trace_dir is not None:
+            write_trace_csv(engine.trace,
+                            str(Path(trace_dir) / f"trace_{spec.name}_week{week_no}.csv"))
+        done = sum(1 for c in session.completions if c is not None)
+        if done < len(session.plan):
+            message = (f"scenario {spec.name} week {week_no}: only {done}/{len(session.plan)} "
+                       f"orders finished within the {cfg.horizon_s} s horizon")
+            waiting = session._waiting_for()
+            if waiting is not None:
+                message += f"; {waiting}"
+            raise InfeasibleRunError(message)
+        weeks.append(WeekOutcome(week_no, session.completions[-1] * cfg.metric_factor(),
+                                 session.metrics))
+    return RunResult(spec.name, cfg.metric_unit, weeks)
 
 
 def _check_walking(cfg: SimConfig, layout: Layout) -> None:
@@ -283,36 +298,6 @@ def _check_walking(cfg: SimConfig, layout: Layout) -> None:
             f"walking.equipment={cfg.walking.equipment} cannot lift, but distance walking "
             f"on this layout spans {len(heights)} heights; use walking.equipment=stacker"
         )
-
-
-def _run_week(spec: ScenarioSpec, layout: Layout, items, initial,
-              slot_map: SlotMap | None, avg_picks: dict[str, float],
-              week_orders: list[Order], first_date: date, week_no: int, audit: bool,
-              trace_dir: str | None) -> WeekOutcome:
-    cfg = spec.config
-    warehouse = Warehouse(layout, items, audit=audit)
-    policy = StoragePolicy(spec.policy, warehouse, cfg.stacker(), slot_map=slot_map)
-    place_initial(policy, initial, avg_picks)
-    try:
-        session, engine = run_week(
-            warehouse, policy, week_orders, spec.picking, cfg,
-            derive_seed(spec.seed, spec.name, week_no), first_date)
-    except InfeasibleRunError as exc:  # a stuck week; it writes no trace
-        raise InfeasibleRunError(f"scenario {spec.name} week {week_no}: {exc}") from None
-    if trace_dir is not None:
-        write_trace_csv(engine.trace,
-                        str(Path(trace_dir) / f"trace_{spec.name}_week{week_no}.csv"))
-
-    done = sum(1 for c in session.completions if c is not None)
-    if done < len(session.plan):
-        message = (f"scenario {spec.name} week {week_no}: only {done}/{len(session.plan)} "
-                   f"orders finished within the {cfg.horizon_s} s horizon")
-        waiting = session._waiting_for()
-        if waiting is not None:
-            message += f"; {waiting}"
-        raise InfeasibleRunError(message)
-    metric = session.completions[-1] * cfg.metric_factor()
-    return WeekOutcome(week_no, metric, session.metrics, tuple(map(float, session.completions)))
 
 
 def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],

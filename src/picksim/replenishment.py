@@ -16,7 +16,10 @@ the first visit after the picker is done.
 
 Intervals come from a sampler that either returns a constant mean or
 draws Normal(mu, sigma) clamped below by a positive floor, so simulated
-time always advances.
+time always advances.  Each week builds its own sampler, and that is
+where an unset floor ``t_min_s`` is derived: three sigma below the mean,
+at least 1 s.  So a settings record changed with ``_replace`` has no
+stale floor.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 from datetime import date, timedelta
 from typing import NamedTuple
 
-from .config import REPLENISH_SAMPLED, ReplenishSettings, SimConfig
+from .config import REPLENISH_SAMPLED, ReplenishSettings, SimConfig, _is_num
 from .errors import InputDataError, _logger
 from .events import Engine, Event
 from .storage import StoragePolicy
@@ -39,19 +42,26 @@ class ReplenishmentSampler(NamedTuple):
     """Inter-replenishment interval source, deterministic under a seed."""
 
     settings: ReplenishSettings
+    t_min_s: float  # the floor of a sampled draw
     rng: random.Random
 
     @classmethod
     def from_config(cls, cfg: SimConfig, seed: int) -> "ReplenishmentSampler":
+        """The sampler of one week, with its floor: ``replenish.t_min_s``
+        if set, else derived from ``mu_s`` and ``sigma_s``."""
         r = cfg.replenish
-        if r.t_min_s is None or r.t_min_s <= 0:
+        t_min_s = r.t_min_s
+        # with a bad mu_s or sigma_s the floor stays unset and is refused
+        if t_min_s is None and _is_num(r.mu_s) and _is_num(r.sigma_s):
+            t_min_s = max(1.0, r.mu_s - 3.0 * r.sigma_s)
+        if t_min_s is None or t_min_s <= 0:
             raise InputDataError("replenishment interval floor must be positive")
-        return cls(r, random.Random(seed))
+        return cls(r, t_min_s, random.Random(seed))
 
     def draw(self) -> float:
         r = self.settings
         if r.mode == REPLENISH_SAMPLED:
-            return max(self.rng.gauss(r.mu_s, r.sigma_s), r.t_min_s)
+            return max(self.rng.gauss(r.mu_s, r.sigma_s), self.t_min_s)
         return r.mu_s
 
 

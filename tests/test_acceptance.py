@@ -273,10 +273,11 @@ def test_criterion_7_full_scale_determinism(tmp_path):
         write_results_csv([first], str(p1))
         write_results_csv([second], str(p2))
         assert p1.read_bytes() == p2.read_bytes()
-        assert sum(len(w.completions) for w in first.weeks) > 0
+        assert len(first.weeks) == 4 and all(w.metric > 0 for w in first.weeks)
         for week in first.weeks:
             t = week.totals
-            assert math.isclose(week.completions[-1], t.walk_s + t.handle_s + t.wait_s,
+            assert math.isclose(week.metric / spec.config.metric_factor(),
+                                t.walk_s + t.handle_s + t.wait_s,
                                 rel_tol=1e-12), f"week {week.week}: breakdown does not add up"
 
 

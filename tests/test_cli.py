@@ -372,6 +372,19 @@ def test_stats_files_listing_different_weeks_exit_3(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {a} and {b} must list the same weeks")
 
 
+@pytest.mark.parametrize("others", [[], [[3.0, 5.0]]], ids=["one-file", "two-files"])
+def test_stats_first_total_not_positive_exits_3(tmp_path, capsys, others):
+    """The gaps are percentages of the first total, even a lone file's own."""
+    files = [_weekly_file(tmp_path, name, values)
+             for name, values in zip("nb", [[-4.0, -4.0], *others])]
+    out = tmp_path / "s"
+    assert main(["stats", "--weekly", *files, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n: gap needs a positive baseline total, got -8.0\n"
+    assert not out.exists()
+
+
 _IN_RANGE = [1.0] * 8  # weeks that keep the series' intervals in float range
 
 
@@ -742,7 +755,7 @@ def test_initial_pallet_off_a_free_storage_slot_exits_3_before_any_week(
                            lambda cells: moved + cells[3:])
     code = inventory[2].split(",")[3]
     loc = tuple(int(cell) for cell in moved)
-    monkeypatch.setattr(experiment, "_run_week", None)  # a week that starts fails
+    monkeypatch.setattr(experiment, "Warehouse", None)  # a week that starts fails
     out = tmp_path / "out"
     assert main(["simulate", "--data", str(data), "--weeks", "1", "--out", str(out)]) == 3
     captured = capsys.readouterr()
@@ -776,7 +789,7 @@ def test_a_home_zone_without_a_slot_exits_3_before_any_week_under_fixed_zone_onl
     for policy in ("fixed", "random"):
         assert main(["simulate", "--data", str(data), "--policy", policy, "--weeks", "1"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(experiment, "_run_week", None)  # a week that starts fails
+    monkeypatch.setattr(experiment, "Warehouse", None)  # a week that starts fails
     out = tmp_path / "out"
     assert main(["simulate", "--data", str(data), "--policy", "fixed-zone", "--weeks", "1",
                  "--out", str(out)]) == 3

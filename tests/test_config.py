@@ -9,6 +9,7 @@ import pytest
 
 from picksim import (
     Equipment,
+    ReplenishmentSampler,
     ReplenishSettings,
     SimConfig,
     ValidationError,
@@ -29,7 +30,7 @@ def test_empty_dict_gives_full_defaults():
     assert cfg.horizon_s == 2_592_000.0
     assert cfg.walking.mode == "constant" and cfg.walking.constant_s == 120.0
     assert cfg.replenish.mode == "constant" and cfg.replenish.mu_s == 600.0
-    assert cfg.replenish.t_min_s == 600.0 - 3 * 60.0
+    assert ReplenishmentSampler.from_config(cfg, 0).t_min_s == 600.0 - 3 * 60.0
     assert cfg.validate() == []
 
 
@@ -45,7 +46,7 @@ def test_configs_are_immutable_and_hashable():
 def test_null_floor_and_seed_load_as_unset():
     cfg = config_from_dict({"replenish": {"t_min_s": None, "seed": None}})
     assert cfg == SimConfig() and cfg.replenish.seed is None
-    assert cfg.replenish.t_min_s == 600.0 - 3 * 60.0
+    assert ReplenishmentSampler.from_config(cfg, 0).t_min_s == 600.0 - 3 * 60.0
 
 
 def test_the_readme_table_has_one_row_per_field_in_record_order():
@@ -60,7 +61,7 @@ def test_the_readme_table_has_one_row_per_field_in_record_order():
 
 def test_interval_floor_never_below_one_second():
     cfg = config_from_dict({"replenish": {"mu_s": 50.0, "sigma_s": 60.0}})
-    assert cfg.replenish.t_min_s == 1.0
+    assert ReplenishmentSampler.from_config(cfg, 0).t_min_s == 1.0
 
 
 def test_unknown_keys_are_all_reported():

@@ -38,13 +38,13 @@ from picksim import (
     index_layout,
     run_scenario,
     run_week,
-    split_weeks,
     summarize_results,
     write_paired_csv,
     write_results_csv,
     write_summary_csv,
 )
 from picksim import experiment
+from picksim.experiment import _spanned_weeks
 from picksim.cli import main
 from picksim.config import config_from_dict
 from picksim.datagen import generate_data
@@ -86,33 +86,33 @@ def test_derive_seed_varies_on_every_component():
 # -- order bucketing ------------------------------------------------------
 
 
-def test_split_weeks_buckets_by_calendar_week():
+def test_spanned_weeks_bucket_by_calendar_week():
     orders = [_order("O1", 0), _order("O2", 3), _order("O3", 7),
-              _order("O4", 13), _order("O5", 20)]
-    buckets = split_weeks(orders, 2)
-    assert [[o.order_no for o in b] for b in buckets] == [["O1", "O2"],
-                                                    ["O3", "O4"]]
-    # an order beyond the declared horizon is dropped, not misfiled
+              _order("O4", 13), _order("O5", 27)]
+    spanned = _spanned_weeks(orders)
+    assert [[o.order_no for o in b] for b, _ in spanned] == [["O1", "O2"], ["O3", "O4"],
+                                                             [], ["O5"]]
+    # a week without orders has no first date
+    assert [first for _, first in spanned] == [date(2024, 6, 3), date(2024, 6, 10),
+                                               None, date(2024, 6, 30)]
+    assert _spanned_weeks([]) == []
 
 
-def test_split_weeks_keeps_file_order_within_bucket():
+def test_spanned_weeks_keep_file_order_within_bucket():
     orders = [_order("B", 1, hour=17), _order("A", 1, hour=9)]
-    buckets = split_weeks(orders, 1)
-    assert [o.order_no for o in buckets[0]] == ["B", "A"]  # not re-sorted by time
+    [(bucket, _)] = _spanned_weeks(orders)
+    assert [o.order_no for o in bucket] == ["B", "A"]  # not re-sorted by time
 
 
-def test_split_weeks_counts_offset_orders_from_the_first_local_date():
+def test_spanned_weeks_count_offset_orders_from_the_first_local_date():
     """The earliest instant, ``O2``, falls on a later local date than ``O1``;
     both are in week 1."""
     orders = [Order("O1", datetime(2024, 6, 2, 23, tzinfo=timezone.utc), "T1",
                     [OrderLine("A", 1)]),
               Order("O2", datetime(2024, 6, 3, 0, 30, tzinfo=timezone(timedelta(hours=2))),
                     "T2", [OrderLine("A", 1)])]
-    assert [[o.order_no for o in b] for b in split_weeks(orders, 1)] == [["O1", "O2"]]
-
-
-def test_split_weeks_empty_input():
-    assert split_weeks([], 3) == [[], [], []]
+    assert [([o.order_no for o in b], first) for b, first in _spanned_weeks(orders)] == [
+        (["O1", "O2"], date(2024, 6, 2))]
 
 
 def test_demand_per_week_counts_lines_not_pieces():

@@ -158,15 +158,16 @@ def test_doubling_every_time_doubles_every_output_time(root, original, walking, 
     """The floor ``t_min_s`` is set, not derived: a derived floor clamped
     at 1 s would not double."""
     defaults = SimConfig()
+    floor = replenishment.ReplenishmentSampler.from_config(defaults, 0).t_min_s
     config = WALKING[walking]
     scaled = {
         **config,
         **{name: 2.0 * getattr(defaults, name) for name in DURATIONS},
         **{name: getattr(defaults, name) / 2.0 for name in SPEEDS},
         "walking": {**config.get("walking", {}), "constant_s": 2.0 * defaults.walking.constant_s},
-        "replenish": {**config.get("replenish", {}),
+        "replenish": {**config.get("replenish", {}), "t_min_s": 2.0 * floor,
                       **{name: 2.0 * getattr(defaults.replenish, name)
-                         for name in ("mu_s", "sigma_s", "t_min_s")}},
+                         for name in ("mu_s", "sigma_s")}},
     }
     (root / f"slow-{walking}.json").write_text(json.dumps(scaled), encoding="utf-8")
     monkeypatch.setattr(replenishment, "SECONDS_PER_DAY", 2.0 * replenishment.SECONDS_PER_DAY)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_item
 from reference_orders import read_orders, week_buckets
-from picksim import InputDataError, ParseError, load_orders, split_weeks
+from picksim import InputDataError, ParseError, load_orders
 from picksim.experiment import _spanned_weeks
 
 ITEMS = {code: make_item(code) for code in ("A", "B,1", 'C"2')}
@@ -99,6 +99,3 @@ def test_orders_load_and_split_as_the_plain_reading_does(path, text):
         ref = want.get(week, [])
         assert [o.order_no for o in bucket] == [order.order_no for order in ref]
         assert first_date == min((order.when.date() for order in ref), default=None)
-    assert ([[o.order_no for o in bucket] for bucket in split_weeks(orders, len(spanned) + 1)]
-            == [[order.order_no for order in want.get(week, [])]
-                for week in range(len(spanned) + 1)])

@@ -67,6 +67,23 @@ def test_same_seed_same_stream():
     assert [a.draw() for _ in range(10)] == [b.draw() for _ in range(10)]
 
 
+def test_settings_changed_with_replace_draw_with_the_floor_of_their_own_mean():
+    """The default floor, 420 s, belongs to mu_s 600; at mu_s 50 it is 1 s."""
+    settings = SimConfig().replenish._replace(mode="sampled", mu_s=50.0)
+    s = ReplenishmentSampler.from_config(SimConfig(replenish=settings), 11)
+    assert s.t_min_s == 1.0
+    draws = [s.draw() for _ in range(1000)]
+    assert min(draws) >= 1.0 and sum(d < 420.0 for d in draws) > 0
+
+
+@pytest.mark.parametrize("field, value", [("mu_s", "x"), ("mu_s", None),
+                                          ("mu_s", float("nan")), ("sigma_s", "x")])
+def test_an_unvalidated_non_numeric_mean_or_sigma_leaves_no_floor(field, value):
+    settings = ReplenishSettings(mode="sampled", **{field: value})
+    with pytest.raises(InputDataError, match="^replenishment interval floor must be positive$"):
+        ReplenishmentSampler.from_config(SimConfig(replenish=settings), 1)
+
+
 # -- selection and chaining (driven through tiny simulations) -------------
 
 
