@@ -47,7 +47,14 @@ The matrix:
   ``layout.csv``: fixed-zone storage refuses it, fixed and random
   storage never read it;
 * ``stats`` on the README's two reference series, ``a.csv`` and
-  ``b.csv``, both files and ``a.csv`` alone.
+  ``b.csv``, both files and ``a.csv`` alone;
+* handlift walking, ``walking.equipment`` ``handlift`` with distance
+  walking: ``simulate --picking zoning --weeks 2 --trace`` under each of
+  the three policies on a single-height dataset (``gen-data --items 6
+  --slots 20 --lines 60 --weeks 2``: below 24 slots the generator builds
+  one layer), so the matrix prices handlift legs and their turns; and
+  ``simulate`` on the demo data, whose layers the handlift cannot reach,
+  which ``_check_walking`` refuses with exit 3.
 
 With ``--workdir`` the datasets and outputs are kept in ``DIR``, which
 must not exist yet; otherwise they go to a temporary directory that is
@@ -76,6 +83,7 @@ DATASETS = {
     "full1": ["--seed", "37035", "--items", "153", "--slots", "1149", "--lines", "7032",
               "--weeks", "1"],
     "demo": ["--items", "25", "--slots", "120", "--lines", "600", "--weeks", "4"],
+    "flat": ["--items", "6", "--slots", "20", "--lines", "60", "--weeks", "2"],
 }
 CONFIGS = {
     "distance": {"walking": {"mode": "distance"}, "replenish": {"mode": "sampled"}},
@@ -83,6 +91,7 @@ CONFIGS = {
     "walk-distance": {"walking": {"mode": "distance"}},
     "horizon": {"horizon_s": 3600},
     "horizon-waiting": {"horizon_s": 7200, "replenish": {"mu_s": 3000}},
+    "handlift": {"walking": {"mode": "distance", "equipment": "handlift"}},
 }
 COMBOS = [(policy, picking) for policy in ("fixed", "random", "fixed-zone")
           for picking in ("area", "zoning")]
@@ -155,6 +164,14 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("stats-pair", ["stats", "--weekly", "data/a.csv", "data/b.csv",
                                 "--out", "out/stats-pair"]))
     runs.append(("stats-one", ["stats", "--weekly", "data/a.csv", "--out", "out/stats-one"]))
+    for policy in ("fixed", "random", "fixed-zone"):
+        runs.append((f"flat-handlift-{policy}", [
+            "simulate", "--data", "data/flat", "--config", "data/handlift.json",
+            "--policy", policy, "--picking", "zoning", "--weeks", "2", "--trace",
+            "--out", f"out/flat-handlift-{policy}"]))
+    runs.append(("refuse-demo-handlift", [
+        "simulate", "--data", "data/demo", "--config", "data/handlift.json", "--weeks", "4",
+        "--out", "out/refuse-demo-handlift"]))
     return runs
 
 

@@ -70,7 +70,6 @@ from .warehouse import (
     PalletRecord,
     ProcessTotals,
     Warehouse,
-    aisle_turns,
     index_layout,
     load_inventory,
     load_items,
@@ -101,7 +100,7 @@ __all__ = [
     "PairedTest", "StatsSummary", "gap", "paired_test", "summarize",
     "Assignment", "PolicyKind", "StoragePolicy", "place_initial",
     "ELEVATOR_ID", "ENTRANCE_ID", "SPECIAL_AREA_ID", "Equipment", "Item", "Layout",
-    "Location", "PalletRecord", "ProcessTotals", "Warehouse", "aisle_turns", "index_layout",
+    "Location", "PalletRecord", "ProcessTotals", "Warehouse", "index_layout",
     "load_inventory", "load_items", "load_layout", "save_inventory", "save_items",
     "save_layout", "travel_time",
     "__version__",

@@ -23,7 +23,7 @@ import enum
 import heapq
 
 from .errors import InputDataError
-from .warehouse import Equipment, Location, LocationId, aisle_turns, travel_time
+from .warehouse import Equipment, Location, LocationId, travel_time
 
 
 class AllocationRule(enum.Enum):
@@ -74,7 +74,7 @@ def assign_physical_slots(counts: dict[str, int], slots: list[Location],
         raise InputDataError(f"{needed} slots requested but only {len(slots)} available")
     ranked = sorted(
         slots,
-        key=lambda loc: (travel_time(entrance, loc, eq, aisle_turns(entrance, loc)), loc.seq_no),
+        key=lambda loc: (travel_time(entrance, loc, eq)[1], loc.seq_no),
     )
     order = sorted(counts, key=lambda c: (-avg_picks.get(c, 0.0), c))
     slot_map: SlotMap = {}

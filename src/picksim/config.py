@@ -192,11 +192,12 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
 
 
 def _read_json_object(path: str) -> dict[str, Any]:
-    """The decoded JSON object of a config file; ParseError otherwise."""
+    """The decoded JSON object of a config file, a leading UTF-8 byte-order
+    mark dropped; ParseError otherwise."""
     import json
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc

@@ -4,8 +4,13 @@ Plan construction groups a horizon's orders by delivery truck (groups in
 first-appearance order) and reverses each truck's orders so the last
 delivery stop is picked first (trucks unload back to front).  Within an
 order, lines are visited in ascending route position of the slot each
-line will draw from (the oldest pallet's slot, or the item's designated
-slot while it is out of stock).  Zone picking additionally groups a
+line's item drew from when the week was planned (the oldest pallet's
+slot, or the item's designated slot while it was out of stock).
+``prepare_orders`` routes every order of the week before its first
+event, from the stock standing then, and picks still take the oldest
+pallet wherever it stands: a pallet put away during the week never
+changes where the picker walks, so a storage policy reaches walking
+only through initial placement.  Zone picking additionally groups a
 route into per-zone sublists; sublists are worked one after another by
 the zone staff, and consolidating them afterwards costs nothing.  An
 order without a truck id is its own group, with a warning on the
@@ -80,7 +85,6 @@ from .warehouse import (
     _new,
     _read_csv,
     _write_csv,
-    aisle_turns,
     travel_time,
 )
 
@@ -396,8 +400,7 @@ class _Legs(dict):
 
     def __missing__(self, key: tuple[LocationId, LocationId]) -> tuple[int, float]:
         a, b = self.warehouse.location(key[0]), self.warehouse.location(key[1])
-        turns = aisle_turns(a, b)
-        leg = self[key] = (turns, travel_time(a, b, self.equipment, turns))
+        leg = self[key] = travel_time(a, b, self.equipment)
         return leg
 
 

@@ -76,7 +76,6 @@ from .warehouse import (
     PalletRecord,
     Warehouse,
     _new,
-    aisle_turns,
     travel_time,
 )
 
@@ -207,8 +206,8 @@ class StoragePolicy:
     def _key(self, loc: Location) -> tuple[float, int, LocationId, int]:
         """Heap key of a slot: travel seconds from receiving, route
         position and id, then the aisle turns of that travel."""
-        turns = aisle_turns(self.receiving, loc)
-        return travel_time(self.receiving, loc, self.equipment, turns), loc.seq_no, loc.id, turns
+        turns, seconds = travel_time(self.receiving, loc, self.equipment)
+        return seconds, loc.seq_no, loc.id, turns
 
     # -- replenishment choice ----------------------------------------------
 

@@ -99,10 +99,6 @@ class Location(NamedTuple):
     zone: str
     seq_no: int
 
-    @property
-    def row(self) -> int:
-        return self.id[0]
-
 
 class Item(NamedTuple):
     """Catalog entry for one stock-keeping unit; ``qty_per_pallet`` is at
@@ -161,18 +157,17 @@ class ProcessTotals(_Record):
         self.turns = turns
 
 
-def aisle_turns(a: Location, b: Location) -> int:
-    """Number of aisle changes between two points: 0 within a row, else 1."""
-    return 0 if a.row == b.row else 1
+def travel_time(a: Location, b: Location, eq: Equipment) -> tuple[int, float]:
+    """The aisle turns and rectilinear travel seconds of the leg between
+    two points with the given equipment, the one price of every leg.
 
-
-def travel_time(a: Location, b: Location, eq: Equipment, turns: int) -> float:
-    """Rectilinear travel seconds between two points with the given equipment.
-
-    Planar distance moves at ``speed_cm_s``, vertical distance at
-    ``lift_speed_cm_s``, and each turn costs ``turn_time_s``.  Symmetric in
-    its endpoints.  Vertical travel with non-lifting equipment is an error.
+    A leg within one row (the first element of both ids) makes no turn;
+    any other leg makes one.  Planar distance moves at ``speed_cm_s``,
+    vertical distance at ``lift_speed_cm_s``, and each turn costs
+    ``turn_time_s``.  Symmetric in its endpoints.  Vertical travel with
+    non-lifting equipment is an error.
     """
+    turns = 0 if a.id[0] == b.id[0] else 1
     dx = abs(a.x_cm - b.x_cm)
     dy = abs(a.y_cm - b.y_cm)
     dz = abs(a.z_cm - b.z_cm)
@@ -183,7 +178,7 @@ def travel_time(a: Location, b: Location, eq: Equipment, turns: int) -> float:
                 f"{eq.kind} cannot lift but travel {a.id} -> {b.id} needs {dz} cm vertical"
             )
         t += dz / eq.lift_speed_cm_s
-    return t + turns * eq.turn_time_s
+    return turns, t + turns * eq.turn_time_s
 
 
 class Layout(NamedTuple):
@@ -416,11 +411,12 @@ def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], None]) 
     be opened or decoded, a malformed row and a ``ValueError`` from
     ``parse`` raise a one-line ``ParseError`` naming ``path:line``; an
     ``InputDataError`` from ``parse`` gets the same prefix.  Rows are
-    read and parsed one at a time.
+    read and parsed one at a time.  A leading UTF-8 byte-order mark, as
+    spreadsheet exports write, is dropped.
     """
     line = 1
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh, strict=True)
             try:
                 first = next(reader, None)

@@ -30,7 +30,6 @@ from picksim import (
     SimConfig,
     StoragePolicy,
     Warehouse,
-    aisle_turns,
     allocate_slots,
     assign_physical_slots,
     gap,
@@ -192,8 +191,7 @@ def _brute_force_nearest(pol: StoragePolicy, wh: Warehouse, code: str):
     for loc in pol.candidate_slots(code):
         if not wh.is_vacant(loc.id):
             continue
-        key = (travel_time(pol.receiving, loc, pol.equipment,
-                           aisle_turns(pol.receiving, loc)), loc.seq_no)
+        key = (travel_time(pol.receiving, loc, pol.equipment)[1], loc.seq_no)
         if best is None or key < best[0]:
             best = (key, loc)
     return None if best is None else best[1]

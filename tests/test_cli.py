@@ -43,6 +43,12 @@ def _weekly_file(tmp_path: Path, name: str, values: list[float]) -> str:
     return str(path)
 
 
+def _written(out: Path) -> dict[str, bytes]:
+    """Every file under ``out``, keyed by its path relative to ``out``."""
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
 # -- gen-data -------------------------------------------------------------
 
 
@@ -176,6 +182,34 @@ def test_bad_env_seed_is_a_usage_error(dataset, capsys, monkeypatch):
     monkeypatch.setenv("PICKSIM_SEED", "not-a-number")
     assert main(["simulate", "--data", dataset, "--weeks", "1"]) == 2
     assert "PICKSIM_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
+def test_outputs_do_not_depend_on_the_hash_seed(dataset, tmp_path, policy):
+    """Two child runs, under ``PYTHONHASHSEED`` 0 and 1, with distance
+    walking, sampled replenishment, zone picking and traces: standard
+    output and every written file are byte-identical, so no set or dict
+    order that the hash seed moves reaches a result."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"walking": {"mode": "distance"},
+                               "replenish": {"mode": "sampled"}}))
+    children = []
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / f"hash{hash_seed}"
+        cwd.mkdir()
+        children.append((cwd, subprocess.Popen(
+            [sys.executable, "-m", "picksim.cli", "simulate", "--data", dataset,
+             "--config", str(cfg), "--policy", policy, "--picking", "zoning",
+             "--weeks", "2", "--trace", "--out", "out"],
+            cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**child_env(), "PYTHONHASHSEED": hash_seed})))
+    runs = []
+    for cwd, child in children:
+        stdout, stderr = child.communicate(timeout=60)
+        assert (child.returncode, stderr) == (0, b"")
+        runs.append((stdout, _written(cwd / "out")))
+    assert len(runs[0][1]) == 4  # results.csv, summary.csv and a trace per week
+    assert runs[0] == runs[1]
 
 
 # -- compare --------------------------------------------------------------
@@ -673,6 +707,30 @@ def test_dataset_file_in_the_old_format_exits_2(dataset, tmp_path, capsys, name)
     assert captured.err == (f"error: {data / name}: expected header "
                             f"{','.join(HEADERS[name])}, got {old_header}\n")
     assert not out.exists()
+
+
+def test_a_leading_byte_order_mark_is_ignored(dataset, tmp_path, capsys, monkeypatch):
+    """Copies of the four dataset files, two weekly files and a config that
+    start with a UTF-8 byte-order mark, as spreadsheet exports do, run
+    exactly as the plain copies: same exit codes, output and files."""
+    files = {"cfg.json": b'{"walking": {"mode": "distance"}}',
+             "a.csv": b"week,metric\n1,103\n2,143\n3,122\n",
+             "b.csv": b"week,metric\n1,148\n2,150\n3,129\n",
+             **{f"data/{path.name}": path.read_bytes() for path in Path(dataset).iterdir()}}
+    assert len(files) == 7
+    outcomes = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        run_dir = tmp_path / name
+        (run_dir / "data").mkdir(parents=True)
+        for path, text in files.items():
+            (run_dir / path).write_bytes(prefix + text)
+        monkeypatch.chdir(run_dir)
+        codes = [main(["simulate", "--data", "data", "--config", "cfg.json", "--weeks", "2",
+                       "--out", "out/sim"]),
+                 main(["stats", "--weekly", "a.csv", "b.csv", "--out", "out/stats"])]
+        outcomes.append((codes, capsys.readouterr(), _written(run_dir / "out")))
+    assert outcomes[0][0] == [0, 0]
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("name, line, copied, message", [

@@ -38,7 +38,6 @@ from picksim import (
     SimConfig,
     StoragePolicy,
     Warehouse,
-    aisle_turns,
     index_layout,
     place_initial,
     travel_time,
@@ -81,7 +80,7 @@ def _brute_nearest(pol: StoragePolicy, code: str):
     if not vacant:
         return None
     return min(vacant, key=lambda loc: (
-        travel_time(receiving, loc, pol.equipment, aisle_turns(receiving, loc)), loc.seq_no))
+        travel_time(receiving, loc, pol.equipment)[1], loc.seq_no))
 
 
 def _check(pol: StoragePolicy) -> None:
@@ -246,7 +245,7 @@ def test_place_initial_fallback_uses_the_nearest_slot_anywhere():
     assert place_initial(pol, rows, {"A": 1.0}) == 2
     receiving = wh.location(ELEVATOR)
     nearest_others = sorted(slots[1:], key=lambda loc: (
-        travel_time(receiving, loc, CFG.stacker(), aisle_turns(receiving, loc)), loc.seq_no))
+        travel_time(receiving, loc, CFG.stacker())[1], loc.seq_no))
     assert set(wh.records) == {slots[0].id, nearest_others[0].id, nearest_others[1].id}
 
 

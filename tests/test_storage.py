@@ -18,7 +18,6 @@ from picksim import (
     index_layout,
     place_initial,
     travel_time,
-    aisle_turns,
 )
 
 CFG = SimConfig()
@@ -97,7 +96,7 @@ def test_nearest_vacant_matches_brute_force():
     eq = CFG.stacker()
     expected = min(
         (s for s in slots if wh.is_vacant(s.id)),
-        key=lambda s: (travel_time(receiving, s, eq, aisle_turns(receiving, s)), s.seq_no),
+        key=lambda s: (travel_time(receiving, s, eq)[1], s.seq_no),
     )
     assert pol.nearest_vacant("A").id == expected.id
 

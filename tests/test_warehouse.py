@@ -6,7 +6,7 @@ import re
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DROPOFF, ELEVATOR, ENTRANCE, anchors, make_item, slot
 from picksim import (
@@ -16,8 +16,8 @@ from picksim import (
     Location,
     PalletRecord,
     ParseError,
+    SimConfig,
     Warehouse,
-    aisle_turns,
     travel_time,
     index_layout,
     load_inventory,
@@ -50,36 +50,68 @@ def _wh(slots=None, items=None, audit=False):
 def test_travel_same_row_no_turns():
     a = slot(0, 1, 0, 100.0, 100.0, seq=1)
     b = slot(0, 1, 1, 100.0, 800.0, seq=2)
-    assert aisle_turns(a, b) == 0
     # 700 cm planar at 100 cm/s, no lift, no turns
-    assert travel_time(a, b, HANDLIFT, aisle_turns(a, b)) == 7.0
+    assert travel_time(a, b, HANDLIFT) == (0, 7.0)
 
 
 def test_travel_cross_row_adds_one_turn():
     a = slot(0, 1, 0, 100.0, 100.0, seq=1)
     b = slot(1, 1, 0, 500.0, 600.0, seq=2)
-    assert aisle_turns(a, b) == 1
     # (400 + 500) / 90 + 1 turn x 3 s
-    assert travel_time(a, b, STACKER, 1) == 900.0 / 90.0 + 3.0
+    assert travel_time(a, b, STACKER) == (1, 900.0 / 90.0 + 3.0)
 
 
 def test_travel_vertical_uses_lift_speed():
     a = slot(0, 1, 0, 100.0, 100.0, z=0.0, seq=1)
     b = slot(0, 2, 0, 100.0, 100.0, z=170.0, seq=2)
-    assert travel_time(a, b, STACKER, 0) == 170.0 / 30.0
+    assert travel_time(a, b, STACKER) == (0, 170.0 / 30.0)
 
 
 def test_travel_vertical_without_lift_is_an_error():
     a = slot(0, 1, 0, 100.0, 100.0, z=0.0, seq=1)
     b = slot(0, 2, 0, 100.0, 100.0, z=170.0, seq=2)
     with pytest.raises(InputDataError, match="cannot lift"):
-        travel_time(a, b, HANDLIFT, 0)
+        travel_time(a, b, HANDLIFT)
 
 
 def test_travel_is_symmetric():
     a = slot(0, 1, 0, 123.0, 47.0, z=170.0, seq=1)
     b = slot(2, 1, 0, 611.0, 302.0, z=0.0, seq=2)
-    assert travel_time(a, b, STACKER, 1) == travel_time(b, a, STACKER, 1)
+    assert travel_time(a, b, STACKER) == travel_time(b, a, STACKER)
+
+
+# cm; within 50 m a leg's terms are close enough in size that summing
+# them in another order changes the last bits of some legs
+_COORD = st.floats(0.0, 5000.0)
+_POINTS = st.builds(
+    Location, st.tuples(st.integers(-1, 3), st.integers(0, 2), st.integers(0, 2)),
+    _COORD, _COORD, st.sampled_from([0.0, 170.0, 340.0]), st.just("Z1"), st.integers(0, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_POINTS, b=_POINTS, kind=st.sampled_from(["stacker", "handlift"]))
+# summed in another order, this stacker leg's seconds change in the last bit
+@example(a=slot(0, 0, 0, 0.0, 0.0), b=slot(1, 1, 0, 7.0, 0.0, z=170.0), kind="stacker")
+def test_travel_time_is_the_documented_leg_price(a, b, kind):
+    """Any two points (rows 0-3 and the anchor row) with either default
+    equipment: the turns and seconds follow the documented rule, summed
+    in the documented order to the bit, in both directions; a handlift
+    leg across heights is refused."""
+    eq = getattr(SimConfig(), kind)()
+    dz = abs(a.z_cm - b.z_cm)
+    if dz and eq.lift_speed_cm_s <= 0:
+        for p, q in ((a, b), (b, a)):
+            with pytest.raises(InputDataError, match="cannot lift"):
+                travel_time(p, q, eq)
+        return
+    turns = 0 if a.id[0] == b.id[0] else 1
+    seconds = (abs(a.x_cm - b.x_cm) + abs(a.y_cm - b.y_cm)) / eq.speed_cm_s
+    if dz:
+        seconds += dz / eq.lift_speed_cm_s
+    seconds += turns * eq.turn_time_s
+    for p, q in ((a, b), (b, a)):
+        got_turns, got_seconds = travel_time(p, q, eq)
+        assert (got_turns, got_seconds.hex()) == (turns, seconds.hex())
 
 
 # -- construction ---------------------------------------------------------
