@@ -10,10 +10,13 @@ and runs one matrix of CLI runs on that tree and on the working tree
 datasets, generated once by the base tree, and run from directories laid
 out alike, so every path they print is the same.  Per run it compares
 the exit code, stdout, stderr and every file the run writes, and prints
-each difference.  It also prints the size of ``src/picksim/*.py`` in
-both trees: raw lines, non-blank lines and code lines (no blank lines,
-comments or docstrings).  It exits 0 when no output differs and 1
-otherwise.
+each difference.  For every run that writes traces and results, it also
+prints how many replenishment visits placed nothing: the traces'
+``Replenish`` rows, less one per week (the visit that closes the week
+is traced but not handled), less the pallets placed.  It also prints
+the size of ``src/picksim/*.py`` in both trees: raw lines, non-blank
+lines and code lines (no blank lines, comments or docstrings).  It exits
+0 when no output differs and 1 otherwise.
 
 The matrix:
 
@@ -21,7 +24,11 @@ The matrix:
 * the six policy x picking runs on the full-scale 4-week dataset, with
   distance walking, sampled replenishment, ``--audit`` and ``--trace``;
 * the same six on a one-week full-scale dataset at ``replenish.mu_s``
-  120, where candidate sets fill and items are parked;
+  120, where candidate sets fill and items are parked, and fixed and
+  fixed-zone storage skip visits;
+* ``simulate --policy random --weeks 1 --trace`` on the demo data at
+  ``replenish.mu_s`` 75, where the building fills and random storage
+  skips visits too (6 of them);
 * the README quick start (``simulate`` and ``compare`` on the demo data);
 * ``compare`` on the full-scale dataset with distance walking;
 * five runs on a dataset whose initial pallets overflow their fixed
@@ -66,6 +73,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import io
 import json
 import os
 import shutil
@@ -92,6 +100,7 @@ CONFIGS = {
     "horizon": {"horizon_s": 3600},
     "horizon-waiting": {"horizon_s": 7200, "replenish": {"mu_s": 3000}},
     "handlift": {"walking": {"mode": "distance", "equipment": "handlift"}},
+    "skipping": {"replenish": {"mu_s": 75.0}},
 }
 COMBOS = [(policy, picking) for policy in ("fixed", "random", "fixed-zone")
           for picking in ("area", "zoning")]
@@ -109,6 +118,8 @@ REFUSALS = {
 HOMELESS = ("items.csv", 2, 1, "Z9")
 # the README's reference series for ``stats``: file stem -> weekly metrics from week 1
 SERIES = {"a": [103, 143, 122, 97], "b": [148, 150, 129, 135]}
+# the handling of one put-away, BTpa + PPpa at their defaults, which no config changes
+PUT_HANDLE_S = 25.0
 
 
 def matrix() -> list[tuple[str, list[str]]]:
@@ -126,6 +137,9 @@ def matrix() -> list[tuple[str, list[str]]]:
             "simulate", "--data", "data/full1", "--config", "data/saturated.json",
             "--policy", policy, "--picking", picking, "--weeks", "1", "--seed", "7",
             "--audit", "--trace", "--out", f"out/full1-{policy}-{picking}"]))
+    runs.append(("demo-random-skipping", [
+        "simulate", "--data", "data/demo", "--config", "data/skipping.json", "--policy",
+        "random", "--weeks", "1", "--trace", "--out", "out/demo-random-skipping"]))
     runs.append(("demo-simulate", [
         "simulate", "--data", "data/demo", "--policy", "fixed", "--allocation", "demand",
         "--picking", "area", "--weeks", "4", "--seed", "12345", "--out", "out/demo-run"]))
@@ -231,6 +245,19 @@ def source_lines(tree: Path) -> tuple[int, int, int]:
     return raw, nonblank, code
 
 
+def skipped_visits(files: dict[str, bytes]) -> int | None:
+    """Replenishment visits a run handled without placing a pallet: its
+    traces' ``Replenish`` rows, less the one per week that closes the week
+    unhandled, less the pallets placed (each week's ``put_handle_s`` over
+    ``PUT_HANDLE_S``); None for a run that wrote no trace or no results."""
+    traces = [data for name, data in files.items() if name.startswith("trace_")]
+    if not traces or "results.csv" not in files:
+        return None
+    weeks = list(csv.DictReader(io.StringIO(files["results.csv"].decode("utf-8"))))
+    placed = sum(round(float(week["put_handle_s"]) / PUT_HANDLE_S) for week in weeks)
+    return sum(data.count(b",Replenish,") for data in traces) - len(weeks) - placed
+
+
 def run(tree: Path, cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
     env = {key: value for key, value in os.environ.items() if key != "PICKSIM_SEED"}
     env["PYTHONPATH"] = str(tree / "src")
@@ -321,9 +348,11 @@ def main(argv: list[str] | None = None) -> int:
             these = differences(name, *outcomes)
             found += these
             fallbacks = outcomes[0][2].count(b"placed outside its policy slots")
+            skips = skipped_visits(outcomes[0][3])
             print(f"[{index}/{len(runs)}] {name}: exit {outcomes[0][0]}, "
                   f"{len(outcomes[0][3])} files, {fallbacks} fallback warning(s), "
-                  f"{'same' if not these else f'{len(these)} difference(s)'}", flush=True)
+                  + ("" if skips is None else f"{skips} skipped visit(s), ")
+                  + f"{'same' if not these else f'{len(these)} difference(s)'}", flush=True)
         for line in found:
             print(line)
         for label, tree in ((args.base_rev, base_tree), ("working tree", REPO)):

@@ -59,7 +59,7 @@ from .picking import (
     prepare_orders,
 )
 from .replenishment import Replenisher, ReplenishmentSampler
-from .stats import PairedTest, StatsSummary, gap, paired_test, summarize
+from .stats import PairedTest, StatsSummary, gap, paired_test, summarize, total
 from .storage import PolicyKind, StoragePolicy, place_initial
 from .warehouse import (
     ENTRANCE_ID,
@@ -346,12 +346,13 @@ def summarize_results(series: list[tuple[str, list[float]]]) -> list[ScenarioSum
     ``InputDataError`` naming its series."""
     if not series:
         raise InputDataError("nothing to summarize")
-    baseline = sum(series[0][1])
     summaries = []
     for name, values in series:
         try:
-            summaries.append(ScenarioSummary(name, summarize(values), sum(values),
-                                             gap(baseline, sum(values))))
+            stats, scenario_total = summarize(values), total(values)
+            baseline = summaries[0].total if summaries else scenario_total
+            summaries.append(ScenarioSummary(name, stats, scenario_total,
+                                             gap(baseline, scenario_total)))
         except InputDataError as exc:
             raise InputDataError(f"{name}: {exc}") from None
     return summaries

@@ -4,15 +4,18 @@ A replenishment operator visits the storage area at sampled intervals.
 Each visit restocks the product with the lowest total on-hand quantity
 among those that currently have a vacant candidate slot under the
 active storage policy (ties go to the smallest item code), placing one
-full pallet manufactured on the current simulation date.  The policy
-makes that choice (``StoragePolicy.restock_choice``) from a lazy min-heap
-of on-hand counts, brought up to date from the warehouse's change log,
-so a visit costs O(log items) amortised instead of a scan of the catalog.
-If nothing is eligible the visit is skipped, with an INFO record on the
-``picksim.replenishment`` logger once ``logging`` is imported (the root
-logger's default level, WARNING, drops it anyway), but the next one is
-always scheduled: a full warehouse is not a terminal state.  The engine ends the chain at
-the first visit after the picker is done.
+full pallet manufactured on the current simulation date.  The whole
+visit is one storage-policy call, ``StoragePolicy.put_away``: it chooses
+the product from a lazy min-heap of on-hand counts, brought up to date
+from the warehouse's change log, and places the pallet in that product's
+nearest vacant candidate slot, so a visit costs O(log items) amortised
+instead of a scan of the catalog.  Only a visit that places a pallet
+dates one.  If nothing is eligible the visit is skipped, with an INFO
+record on the ``picksim.replenishment`` logger once ``logging`` is
+imported (the root logger's default level, WARNING, drops it anyway),
+but the next one is always scheduled: a full warehouse is not a
+terminal state.  The engine ends the chain at the first visit after the
+picker is done.
 
 Intervals come from a sampler that either returns a constant mean or
 draws Normal(mu, sigma) clamped below by a positive floor, so simulated
@@ -92,9 +95,8 @@ class Replenisher:
     def handle_rp(self, sim: Engine, event: Event) -> float:
         """Restock one pallet; returns the time of the next visit."""
         gap = self.sampler.draw()
-        code = self.policy.restock_choice()
-        if code is not None:
-            assignment = self.policy.put_away(code, self.sim_date(event.time))
+        assignment = self.policy.put_away(event.time, self.sim_date)
+        if assignment is not None:
             metrics = self.metrics
             metrics.put_travel_s += assignment.travel_s
             metrics.put_handle_s += self._put_handle_s

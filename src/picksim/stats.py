@@ -19,9 +19,15 @@ error at most 1e-12 for the quantile and 1e-10 for the two-sided p-value.
 
 Mean and standard deviation come from ``statistics``, which ``summarize``
 and ``paired_test`` import when first called: a run that summarises
-nothing, such as a one-week ``simulate``, never loads it.  Finite weekly
-values can still overflow a float in a sum, spread, interval or gap;
-that raises ``InputDataError`` rather than reporting an infinite figure.
+nothing, such as a one-week ``simulate``, never loads it.  A figure is
+refused only when its own value passes the largest float: where the
+float arithmetic of a total, mean, interval or gap overflows on the way,
+the figure is recomputed (the total and the mean exactly, the interval's
+half-width and the gap in another order), so every figure that the
+plain arithmetic gets finite keeps its bits.  A total, standard
+deviation, interval bound, gap or paired difference that is itself out
+of float range raises ``InputDataError`` rather than reporting an
+infinite figure.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ def summarize(values: list[float]) -> StatsSummary:
         raise InputDataError(f"confidence interval needs at least 2 values, got {n}")
     mean, sd = _mean_sd(values, "the weekly values")
     half = _interval_quantile(n - 1) * sd / math.sqrt(n)
+    if not math.isfinite(half):  # the product overflowed; the half-width may not
+        half = _interval_quantile(n - 1) * (sd / math.sqrt(n))
     low, high = mean - half, mean + half
     if not (math.isfinite(low) and math.isfinite(high)):
         raise InputDataError(f"the {_CONFIDENCE:.0%} confidence interval [{low}, {high}] of "
@@ -66,28 +74,46 @@ def summarize(values: list[float]) -> StatsSummary:
 
 
 def _mean_sd(values: list[float], what: str) -> tuple[float, float]:
-    """Mean and sample standard deviation of finite ``values``; either out of
-    float range raises ``InputDataError`` naming ``what``."""
+    """Mean and sample standard deviation of finite ``values``; a standard
+    deviation out of float range raises ``InputDataError`` naming ``what``."""
     import statistics
 
     try:
-        mean, sd = statistics.fmean(values), statistics.stdev(values)
-    except OverflowError:  # fsum's, or the variance's as it becomes a float
-        mean = sd = math.inf
-    if not (math.isfinite(mean) and math.isfinite(sd)):
-        raise InputDataError(f"the mean or standard deviation of {what} is out of float range")
+        mean = statistics.fmean(values)
+    except OverflowError:  # fsum's running total; the mean of finite values is finite
+        mean = statistics.mean(values)
+    try:
+        sd = statistics.stdev(values)
+    except OverflowError:  # the exact variance's square root as it becomes a float
+        raise InputDataError(f"the standard deviation of {what} is out of float range") from None
     return mean, sd
+
+
+def total(values: list[float]) -> float:
+    """Sum of finite ``values``.  Where the float sum overflows, the exact
+    sum rounded once; a total out of float range raises ``InputDataError``."""
+    result = sum(values)
+    if math.isfinite(result):
+        return result
+    from fractions import Fraction
+
+    try:
+        return float(sum(map(Fraction, values)))
+    except OverflowError:
+        raise InputDataError("the total of the weekly values is out of float range") from None
 
 
 def gap(baseline_total: float, other_total: float) -> float:
     """Percent difference of a scenario total against the baseline total.
 
-    A total or gap out of float range raises ``InputDataError``.
+    A gap out of float range raises ``InputDataError``.
     """
     if baseline_total <= 0:
         raise InputDataError(f"gap needs a positive baseline total, got {baseline_total}")
     pct = 100.0 * (other_total - baseline_total) / baseline_total
-    if not math.isfinite(pct):  # an infinite total gives an infinite or nan gap
+    if not math.isfinite(pct):  # the difference or its product overflowed; the gap may not
+        pct = 100.0 * (other_total / baseline_total - 1.0)
+    if not math.isfinite(pct):
         raise InputDataError(f"the gap of total {other_total} against total {baseline_total} "
                              "is out of float range")
     return pct

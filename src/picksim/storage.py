@@ -34,19 +34,22 @@ set keeps
   while the set had no vacancy.
 
 The policy also keeps the stock heap, a min-heap of ``(on_hand, code)``
-over the catalog items, from which
-``restock_choice`` picks the product each replenishment visit restocks.
-Deletion is lazy here: an entry whose quantity differs from the
+over the catalog items.  A replenishment visit is one call,
+``put_away``: it walks the heap to the product the visit restocks, and
+places one full pallet of it in the head slot of that item's ``vacant``
+list.  Deletion is lazy here: an entry whose quantity differs from the
 item's on-hand count is stale and is popped when it reaches the top.
 Invariant: every item either has an entry equal to its on-hand count or
 is parked on its set, so the first fresh entry whose set has a vacancy
 is the eligible item with the least stock (ties by code).  Items found
 on top while their set is full are popped and parked; when the set gets
-a vacant slot again they are pushed back at their current count.
+a vacant slot again they are pushed back at their current count.  A
+visit that finds no eligible item places nothing, dates nothing and
+returns None.
 
 Both indices are kept current from the warehouse's change log, read
 from the policy's own position.  At the top of every query
-(``nearest_vacant``, ``restock_choice``) the policy catches up.  Each
+(``nearest_vacant``, ``put_away``) the policy catches up.  Each
 entry pushes a fresh stock entry for its item, and an entry that moves
 a slot's vacancy is one of two cases:
 
@@ -64,7 +67,7 @@ import enum
 import heapq
 from bisect import bisect_left, insort
 from datetime import date
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .allocation import SlotMap
 from .errors import InputDataError, _logger
@@ -209,38 +212,29 @@ class StoragePolicy:
         turns, seconds = travel_time(self.receiving, loc, self.equipment)
         return seconds, loc.seq_no, loc.id, turns
 
-    # -- replenishment choice ----------------------------------------------
+    # -- replenishment visit -----------------------------------------------
 
-    def restock_choice(self) -> str | None:
-        """The item with the least stock among those with a vacant candidate
-        slot (ties by item code); None if no item has one."""
+    def put_away(self, visit_s: float, date_of: Callable[[float], date]) -> Assignment | None:
+        """One replenishment visit: a full pallet of the item with the least
+        stock among those with a vacant candidate slot (ties by item code),
+        made on ``date_of(visit_s)`` and placed in that item's nearest vacant
+        candidate slot.  None, with nothing placed or dated, if no item has one."""
         self._catch_up()
+        wh = self.warehouse
         stock = self._stock
-        on_hand = self.warehouse._on_hand
+        on_hand = wh._on_hand
         set_of_item = self._set_of_item
         while stock:
             qty, code = stock[0]
             if qty == on_hand[code]:
                 slot_set = set_of_item[code]
                 if slot_set.vacant:
-                    return code
+                    travel, _, slot, turns = slot_set.vacant[0]
+                    wh.place(slot, code, wh.item(code).qty_per_pallet, date_of(visit_s))
+                    return _new(Assignment, (slot, travel, turns))
                 slot_set.parked.add(code)
             heapq.heappop(stock)
         return None
-
-    # -- put-away ----------------------------------------------------------
-
-    def put_away(self, item_code: str, mfg_date: date) -> Assignment:
-        """Place one full pallet in the nearest vacant candidate slot.
-
-        The caller makes sure the item has one, as ``restock_choice`` does.
-        """
-        slot = self.nearest_vacant(item_code)
-        assert slot is not None, f"put-away of {item_code} without a vacant candidate slot"
-        self.warehouse.place(slot.id, item_code, self.warehouse.item(item_code).qty_per_pallet,
-                             mfg_date)
-        travel, _, _, turns = self._keys[slot.id]
-        return _new(Assignment, (slot.id, travel, turns))
 
 
 def place_initial(policy: StoragePolicy, pallets: list[PalletRecord],

@@ -229,8 +229,10 @@ def test_criterion_6_policy_containment(tmp_path):
                     for c in rng.sample(stocked, min(4, len(stocked))):
                         wh.pick(c, wh.total_on_hand(c))
                     continue
-                a = pol.put_away(code, date(2024, 6, 1))
+                # a visit: the policy chooses the item, at least ``code`` is eligible
+                a = pol.put_away(float(placed), lambda _: date(2024, 6, 1))
                 placed += 1
+                code = wh.records[a.location].item
                 if kind is PolicyKind.FIXED:
                     assert a.location in dedicated[code], \
                         "fixed placement escaped the slot map"
@@ -240,6 +242,11 @@ def test_criterion_6_policy_containment(tmp_path):
                         "zone placement escaped the home zone"
                 else:
                     assert a.location in wh.storage
+                # the slot was the nearest: every candidate still vacant is farther
+                rest = _brute_force_nearest(pol, wh, code)
+                assert rest is None or (a.travel_s, wh.storage[a.location].seq_no) < \
+                    (travel_time(pol.receiving, rest, pol.equipment)[1], rest.seq_no), \
+                    f"{kind}: the visit skipped a nearer vacant slot"
                 if rng.random() < 0.25:
                     stocked = [c for c in codes if wh.total_on_hand(c) > 0]
                     victim = rng.choice(stocked)

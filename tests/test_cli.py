@@ -424,7 +424,9 @@ _IN_RANGE = [1.0] * 8  # weeks that keep the series' intervals in float range
 
 @pytest.mark.parametrize("series, message", [
     ([[1e308, 1e308]],
-     "a: the mean or standard deviation of the weekly values is out of float range"),
+     "a: the total of the weekly values is out of float range"),
+    ([[1.7e308, -1.7e308]],
+     "a: the standard deviation of the weekly values is out of float range"),
     ([[1e308, 1e307]],
      "a: the 95% confidence interval [-inf, inf] of the weekly values is out of float range"),
     ([[5.0, 6.0], [1e308, 1e307]],
@@ -435,7 +437,11 @@ _IN_RANGE = [1.0] * 8  # weeks that keep the series' intervals in float range
      "a: the 95% confidence interval [-inf, inf] of the weekly values is out of float range"),
     ([[9e307, -9e307, *_IN_RANGE], [-9e307, 9e307, *_IN_RANGE]],
      "the paired difference b - a of pair 1 (-9e+307 - 9e+307) is out of float range"),
-], ids=["mean", "interval", "interval-of-second", "gap", "paired-interval", "paired-difference"])
+    # the gap is about -100%, but pair 1's difference is -1.85e308
+    ([[9.5e307, 1.0, *_IN_RANGE], [-9e307, 9e307, *_IN_RANGE]],
+     "the paired difference b - a of pair 1 (-9e+307 - 9.5e+307) is out of float range"),
+], ids=["total", "sd", "interval", "interval-of-second", "gap", "paired-interval",
+        "paired-difference", "paired-difference-not-gap"])
 def test_stats_beyond_float_range_exits_3(tmp_path, capsys, series, message):
     """Finite weekly values whose sum, spread, gap or paired difference
     passes the largest float exit 3 with one line, and nothing is written."""
@@ -446,6 +452,35 @@ def test_stats_beyond_float_range_exits_3(tmp_path, capsys, series, message):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _stats_lines(tmp_path, series) -> list[list[float]]:
+    """``stats --weekly`` of ``series`` (files a, b), which must exit 0: the
+    figures of each ``summary.csv`` row, mean to gap."""
+    files = [_weekly_file(tmp_path, name, values) for name, values in zip("ab", series)]
+    assert main(["stats", "--weekly", *files, "--out", str(tmp_path / "s")]) == 0
+    header, *rows = (tmp_path / "s" / "summary.csv").read_text().splitlines()
+    return [[float(cell) for cell in row.split(",")[1:]] for row in rows]
+
+
+def test_stats_total_and_mean_are_exact_where_the_float_sum_overflows(tmp_path):
+    """The running sum of 1e308, 1e308, -1e308, -1e308, 1e308 passes the
+    largest float, but its total 1e308, mean 2e307 and standard deviation
+    1.095e308 do not, nor does the interval (t times sd passes it, t times
+    sd / sqrt(5) does not): ``stats`` reports them."""
+    [[mean, low, high, total, gap_pct]] = _stats_lines(
+        tmp_path, [[1e308, 1e308, -1e308, -1e308, 1e308]])
+    assert (mean, total, gap_pct) == (2e307, 1e308, 0.0)
+    half = 2.7764451051977934 * (1.0954451150103322e308 / 5 ** 0.5)  # t(0.975, 4) sd/sqrt(n)
+    assert low == pytest.approx(mean - half, rel=1e-12)
+    assert high == pytest.approx(mean + half, rel=1e-12)
+
+
+def test_stats_gap_of_a_huge_baseline_is_minus_100(tmp_path):
+    """``100 (b - a)`` overflows for a = 9.5e307 + 9 and b = 10, but the gap
+    ``100 (b / a - 1)`` is -100%."""
+    lines = _stats_lines(tmp_path, [[9.5e307, *[1.0] * 9], [1.0] * 10])
+    assert [line[-1] for line in lines] == [0.0, -100.0]
 
 
 # -- exit codes and argument validation -----------------------------------
@@ -1088,15 +1123,15 @@ from picksim import storage
 from picksim.cli import main
 
 skipped = 0
-restock_choice = storage.StoragePolicy.restock_choice
+put_away = storage.StoragePolicy.put_away
 
-def counted(self):
+def counted(self, *args):
     global skipped
-    code = restock_choice(self)
-    skipped += code is None
-    return code
+    assignment = put_away(self, *args)
+    skipped += assignment is None
+    return assignment
 
-storage.StoragePolicy.restock_choice = counted
+storage.StoragePolicy.put_away = counted
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(code, skipped > 0, "logging" in sys.modules)

@@ -1,24 +1,28 @@
 """The storage and stock indices agree with brute-force scans.
 
-Random sequences of placements, picks and put-aways run against all
-three storage policies.  After every step, each item's
+Random sequences of placements, picks, fills and replenishment visits
+run against all three storage policies.  After every step, each item's
 ``nearest_vacant`` must equal a scan of its ``candidate_slots``,
 every candidate set's ``vacant`` list must be exactly the sorted keys of
 its vacant slots, every storage slot must be in exactly one set (the
 residual set included), ``total_on_hand`` must equal the sum of the
-item's pallet records,
-``restock_choice`` must equal the least ``(on_hand, code)`` over the
-items with a vacant candidate slot, the head of the item's lot heap must
-be its record with the least ``(mfg_date, seq_no)``, and no slot may sit
-in two candidate sets.  Placements and put-aways draw their manufacturing date
-from a small set, so lots arrive out of date order and dates tie.  A
-put-away places a full pallet; partial pallets still come from placement
-steps.  A step may put away into an item's candidate set until it is
-full, the fixed slot map leaves some slots to no item, some runs stock
-the warehouse before the policy exists, and a step may build a fresh
-policy over the stocked warehouse mid-run.  Every policy built so far
-stays live and is checked after every later step: each reads the
-warehouse's change log from its own position.
+item's pallet records, every item must have a stock-heap entry equal to
+its on-hand count or be parked on its set, the head of the item's lot
+heap must be its record with the least ``(mfg_date, seq_no)``, and no
+slot may sit in two candidate sets.  Every visit (``put_away``) is judged
+against scans: it must place one full pallet of the least-stocked item
+among those with a vacant candidate slot (ties by code), dated by the
+visit, in the least key among that item's vacant candidate slots, or,
+when no item has one, place nothing, log nothing and date nothing.
+Placements, fills and visits draw their manufacturing date from a small
+set, so lots arrive out of date order and dates tie.  A fill places full
+pallets of one item until its candidate set is full, so items are
+parked and picks drain the sets that un-park them; partial pallets come
+from placement steps.  The fixed slot map leaves some slots to no item,
+some runs stock the warehouse before the policy exists, and a step may
+build a fresh policy over the stocked warehouse mid-run.  Every policy
+built so far stays live, is checked after every later step and may make
+a visit: each reads the warehouse's change log from its own position.
 """
 
 from __future__ import annotations
@@ -101,7 +105,8 @@ def _check(pol: StoragePolicy) -> None:
                      default=None)
         lot_heap = wh._lots[code]
         assert (lot_heap[0][2] if lot_heap else None) is oldest
-    assert pol.restock_choice() == _brute_choice(pol)
+        # nearest_vacant has caught the policy up: the stock heap's invariant holds
+        assert (held, code) in pol._stock or code in pol._set_of_item[code].parked
     # every slot is in exactly one set, and each set lists exactly its vacant slots
     sets = set(pol._set_of_slot.values())
     ids = [loc.id for slot_set in sets for loc in slot_set.slots]
@@ -119,11 +124,40 @@ def _brute_choice(pol: StoragePolicy):
     return min(eligible)[1] if eligible else None
 
 
+def _judged_visit(pol: StoragePolicy, visit_s: float, mfg: date):
+    """One visit, checked against scans: the placed item, its slot (the least
+    key among the item's vacant candidates), the pallet and its date; or,
+    with no eligible item, nothing placed, logged or dated."""
+    wh = pol.warehouse
+    code = _brute_choice(pol)
+    least = min((pol._keys[loc.id] for loc in pol.candidate_slots(code)
+                 if wh.is_vacant(loc.id)), default=None) if code else None
+    logged = len(wh.log)
+    asked = []
+
+    def date_of(now: float) -> date:
+        asked.append(now)
+        return mfg
+
+    assignment = pol.put_away(visit_s, date_of)
+    if code is None:
+        assert assignment is None and len(wh.log) == logged and asked == []
+        return None
+    travel, _, location, turns = least
+    assert assignment == (location, travel, turns) and asked == [visit_s]
+    record = wh.records[location]
+    assert (record.item, record.qty, record.mfg_date) == (code, wh.item(code).qty_per_pallet,
+                                                          mfg)
+    assert wh.log[logged:] == [(record, record.qty, record.qty)]
+    return assignment
+
+
 STEP = st.one_of(
     st.tuples(st.just("place"), st.integers(0, 11), st.sampled_from(CODES),
               st.integers(1, 6), st.sampled_from(DATES)),
     st.tuples(st.just("pick"), st.sampled_from(CODES), st.integers(1, 14)),
-    st.tuples(st.just("put_away"), st.sampled_from(CODES), st.sampled_from(DATES)),
+    st.tuples(st.just("visit"), st.integers(0, 3), st.integers(1, 4),
+              st.sampled_from(DATES)),
     st.tuples(st.just("fill"), st.sampled_from(CODES), st.sampled_from(DATES)),
     st.tuples(st.just("new_policy")),
 )
@@ -153,15 +187,16 @@ def test_indices_match_brute_force(kind, prestock, steps):
             stock = wh.total_on_hand(code)
             if stock:
                 wh.pick(code, min(qty, stock))
-        elif op == "put_away":
-            _, code, mfg = step
-            if pol.nearest_vacant(code) is not None:
-                pol.put_away(code, mfg)
+        elif op == "visit":
+            # a run of visits by one of the live policies
+            _, which, count, mfg = step
+            for _ in range(count):
+                _judged_visit(live[which % len(live)], float(len(wh.log)), mfg)
         elif op == "fill":
             # full pallets until the item's candidate set is full
             _, code, mfg = step
-            while pol.nearest_vacant(code) is not None:
-                pol.put_away(code, mfg)
+            while (nearest := pol.nearest_vacant(code)) is not None:
+                wh.place(nearest.id, code, wh.item(code).qty_per_pallet, mfg)
         else:
             # a policy built over the stocked warehouse; the old ones
             # stay live and keep their own read positions
@@ -172,26 +207,28 @@ def test_indices_match_brute_force(kind, prestock, steps):
 
 
 def test_full_building_parks_every_item_until_a_slot_drains():
-    """Under random storage a full building leaves no item eligible, so
-    every item is parked on the one candidate set; after a pick drains a
-    slot, the next query brings them all back at their current stock."""
+    """Under random storage a full building leaves no item eligible, so a
+    visit places nothing and parks every item on the one candidate set;
+    after a pick drains a slot, the next visit brings them all back at
+    their current stock and restocks the least-stocked one."""
     wh, slots = _world()
     pol = _policy(PolicyKind.RANDOM, wh, slots)
     for index, loc in enumerate(slots):
         wh.place(loc.id, CODES[index % 3], 1 + index % 3, MFG)
-    assert pol.restock_choice() is None
+    assert _judged_visit(pol, 0.0, MFG) is None
     shared = pol._set_of_item["A"]
     assert shared.parked == set(CODES)
     assert pol._stock == []
     wh.pick("C", 3)  # drains one of C's four 3-piece pallets
     assert shared.parked == set(CODES)  # until the policy reads the drained log
-    assert pol.restock_choice() == _brute_choice(pol) == "A"  # A 4, B 8, C 9
+    visit = _judged_visit(pol, 1.0, MFG)  # A 4, B 8, C 9: fills the building again
+    assert wh.records[visit.location].item == "A"
     assert shared.parked == set()
-    pol.put_away("A", MFG)  # fills the building again
-    assert pol.restock_choice() is None
+    assert _judged_visit(pol, 2.0, MFG) is None
     assert shared.parked == set(CODES)
     wh.pick("B", 8)  # drains B's four pallets
-    assert pol.restock_choice() == _brute_choice(pol) == "B"  # A 10, B 0, C 9
+    visit = _judged_visit(pol, 3.0, MFG)  # A 10, B 0, C 9
+    assert wh.records[visit.location].item == "B"
 
 
 @pytest.mark.parametrize("kind", list(PolicyKind))
@@ -204,7 +241,7 @@ def test_a_pallet_picked_partly_then_drained_before_a_query(kind):
     pol = _policy(kind, wh, slots)
     for loc in slots:
         wh.place(loc.id, CODES[loc.seq_no % 3], 4, MFG)
-    assert pol.restock_choice() == _brute_choice(pol) is None  # a full building
+    assert _judged_visit(pol, 0.0, MFG) is None  # a full building
     oldest = wh._lots["A"][0][2]
     logged = len(wh.log)
     wh.pick("A", 1)

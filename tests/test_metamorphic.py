@@ -13,7 +13,20 @@ the config (turn, base and handling times, the horizon, the walking
 constant, the replenishment mean, spread and floor) and the seconds of a
 simulated day, and halving every speed, doubles every time a run writes
 and leaves every other output cell as it was.  Doubling and halving are
-exact in binary floating point, so the relation holds bit for bit.
+exact in binary floating point, so the relation holds bit for bit.  It
+runs on the golden dataset and on the restock-date world below, whose
+results depend on the day each restocked pallet is dated, so a day that
+is not scaled with the other times breaks it there.
+
+The restock-date world has one item and two slots: ``N`` (route
+position 0, nearer the receiving elevator) and ``F`` (position 1).  An
+old pallet on ``N`` and four orders, each taking the walking constant,
+let the visits restock ``F`` (pallet 1), then ``N`` once the old pallet
+has drained (pallet 2), and then, after a third order has drained one of
+the two, the slot it left.  Picks take the oldest pallet, ties by route
+position: pallet 2 drains first when both are dated the same day, and
+pallet 1 when it is a day older.  So the third put-away travels to
+``N`` or ``F``, and ``put_travel_s`` shows which.
 """
 
 from __future__ import annotations
@@ -36,7 +49,8 @@ from metamorphic import (
     shuffle_lines,
     shuffle_rows,
 )
-from picksim import SimConfig, experiment, replenishment
+from picksim import SimConfig, config_from_dict, experiment, replenishment, travel_time
+from picksim.warehouse import load_layout
 from picksim.cli import main
 from reference_orders import pick_sequence, read_orders, week_buckets
 from test_golden import DATA_ARGS, DISTANCE_CONFIG
@@ -57,14 +71,14 @@ def root(tmp_path_factory) -> Path:
     return root
 
 
-def _outputs(root: Path, data: Path, walking: str, out: Path) -> list:
-    """Per run of ``RUNS`` on ``data`` under the config file
+def _outputs(root: Path, data: Path, walking: str, out: Path, weeks: int = 2) -> list:
+    """Per run of ``RUNS`` of ``weeks`` on ``data`` under the config file
     ``<root>/<walking>.json``: its stdout and every file it writes."""
     outputs = []
     for index, (policy, picking, allocation) in enumerate(RUNS):
         run_out = out / str(index)
         args = ["simulate", "--data", str(data), "--config", str(root / f"{walking}.json"),
-                "--policy", policy, "--picking", picking, "--weeks", "2", "--seed", "7",
+                "--policy", policy, "--picking", picking, "--weeks", str(weeks), "--seed", "7",
                 "--out", str(run_out), "--trace"]
         if allocation is not None:
             args += ["--allocation", allocation]
@@ -153,31 +167,112 @@ def _halved(data: bytes, columns: tuple[str, ...]) -> list[list[str]]:
     return [header, *rows]
 
 
-@pytest.mark.parametrize("walking", sorted(WALKING))
-def test_doubling_every_time_doubles_every_output_time(root, original, walking, monkeypatch):
-    """The floor ``t_min_s`` is set, not derived: a derived floor clamped
-    at 1 s would not double."""
-    defaults = SimConfig()
-    floor = replenishment.ReplenishmentSampler.from_config(defaults, 0).t_min_s
-    config = WALKING[walking]
-    scaled = {
+def _slowed(config: dict) -> dict:
+    """``config`` with every duration doubled and every speed halved.  The
+    floor ``t_min_s`` is set, not derived: a derived floor clamped at 1 s
+    would not double."""
+    cfg = config_from_dict(config)
+    floor = replenishment.ReplenishmentSampler.from_config(cfg, 0).t_min_s
+    return {
         **config,
-        **{name: 2.0 * getattr(defaults, name) for name in DURATIONS},
-        **{name: getattr(defaults, name) / 2.0 for name in SPEEDS},
-        "walking": {**config.get("walking", {}), "constant_s": 2.0 * defaults.walking.constant_s},
+        **{name: 2.0 * getattr(cfg, name) for name in DURATIONS},
+        **{name: getattr(cfg, name) / 2.0 for name in SPEEDS},
+        "walking": {**config.get("walking", {}), "constant_s": 2.0 * cfg.walking.constant_s},
         "replenish": {**config.get("replenish", {}), "t_min_s": 2.0 * floor,
-                      **{name: 2.0 * getattr(defaults.replenish, name)
+                      **{name: 2.0 * getattr(cfg.replenish, name)
                          for name in ("mu_s", "sigma_s")}},
     }
-    (root / f"slow-{walking}.json").write_text(json.dumps(scaled), encoding="utf-8")
+
+
+def _check_doubled_times(root: Path, data: Path, name: str, original: list, monkeypatch,
+                         weeks: int = 2) -> None:
+    """The runs of ``RUNS`` on ``data`` under ``<root>/<name>.json`` slowed by
+    ``_slowed``, with a simulated day twice as long, write every time of
+    ``original``'s runs doubled and every other cell as it was."""
+    config = json.loads((root / f"{name}.json").read_text(encoding="utf-8"))
+    (root / f"slow-{name}.json").write_text(json.dumps(_slowed(config)), encoding="utf-8")
     monkeypatch.setattr(replenishment, "SECONDS_PER_DAY", 2.0 * replenishment.SECONDS_PER_DAY)
-    outputs = _outputs(root, root / "data", f"slow-{walking}", root / f"out-slow-{walking}")
-    for run, (_, files), (_, want_files) in zip(RUNS, outputs, original[walking]):
+    outputs = _outputs(root, data, f"slow-{name}", root / f"out-slow-{name}", weeks)
+    for run, (_, files), (_, want_files) in zip(RUNS, outputs, original):
         written = [name for name in files if name == "results.csv" or name.startswith("trace_")]
-        assert len(written) == 3, run
+        assert len(written) == 1 + weeks, run
         for name in written:
             columns = RESULT_TIMES if name == "results.csv" else ("time",)
             assert _halved(files[name], columns) == _halved(want_files[name], ()), (run, name)
+
+
+@pytest.mark.parametrize("walking", sorted(WALKING))
+def test_doubling_every_time_doubles_every_output_time(root, original, walking, monkeypatch):
+    _check_doubled_times(root, root / "data", walking, original[walking], monkeypatch)
+
+
+# the restock-date world (module docstring): layout rows, then the dataset's other files
+RESTOCK_LAYOUT = """row,layer,slot,x_cm,y_cm,z_cm,zone,seq_no
+-1,0,0,0.0,0.0,0.0,anchor,-3
+-1,0,1,0.0,60.0,0.0,anchor,-2
+-1,0,2,60.0,0.0,0.0,anchor,-1
+0,1,0,225.0,150.0,0.0,Z1,0
+0,1,1,375.0,150.0,0.0,Z1,1
+"""
+RESTOCK_FILES = {
+    "layout.csv": RESTOCK_LAYOUT,
+    "items.csv": "item_code,home_zone,qty_per_pallet\nA,Z1,10\n",
+    "initial_inventory.csv": "row,layer,slot,item_code,qty,mfg_date\n0,1,0,A,10,2024-05-01\n",
+    # one order per truck, so the pick sequence is the file order
+    "orders.csv": "order_datetime,order_no,truck_id,item_code,qty\n" + "".join(
+        f"2024-06-03 09:00:00,O{k},T{k},A,{qty}\n" for k, qty in enumerate((1, 9, 10, 1), 1)),
+}
+N, F = (0, 1, 0), (0, 1, 1)
+# visits every mu_s from mu_s on; an order starts every walking constant plus
+# some handling seconds, so order k picks between visits k - 1 and k for k up
+# to 3, and the fourth, after visit 3, keeps the picker busy through it.  Same day: visits at 30,000
+# and 60,000 s date pallets 1 and 2 alike; next day: at 60,000 and 120,000 s
+# pallet 1 is a day older.  Value: the slots of the three put-aways.
+RESTOCK_DAYS = {
+    "same-day": ({"walking": {"constant_s": 37_500.0}, "replenish": {"mu_s": 30_000.0}},
+                 (F, N, N)),
+    "next-day": ({"walking": {"constant_s": 75_000.0}, "replenish": {"mu_s": 60_000.0}},
+                 (F, N, F)),
+}
+
+
+@pytest.fixture(scope="module")
+def restock_world(tmp_path_factory) -> Path:
+    """A directory holding the restock-date dataset, ``data``, and one config
+    file per case of ``RESTOCK_DAYS``."""
+    root = tmp_path_factory.mktemp("restock")
+    (root / "data").mkdir()
+    for name, text in RESTOCK_FILES.items():
+        (root / "data" / name).write_text(text, encoding="utf-8")
+    for case, (config, _) in RESTOCK_DAYS.items():
+        (root / f"{case}.json").write_text(json.dumps(config), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(RESTOCK_DAYS))
+def test_the_restock_date_decides_which_pallet_drains_first(restock_world, case):
+    """Every policy x picking run of the restock-date world puts its three
+    pallets where the dates say: the third goes to the slot of the pallet
+    with the older date, or the lower route position on a tie."""
+    root = restock_world
+    config, slots = RESTOCK_DAYS[case]
+    layout = load_layout(str(root / "data" / "layout.csv"))
+    elevator = layout.anchors[(-1, 0, 2)]
+    stacker = config_from_dict(config).stacker()
+    expected = 0.0
+    for slot in slots:
+        expected += travel_time(elevator, layout.storage[slot], stacker)[1]
+    for run, (_, files) in zip(RUNS, _outputs(root, root / "data", case,
+                                                root / f"out-{case}", weeks=1)):
+        [row] = csv.DictReader(io.StringIO(files["results.csv"].decode("utf-8")))
+        assert (float(row["put_travel_s"]), row["turns"]) == (expected, "3"), run
+
+
+@pytest.mark.parametrize("case", sorted(RESTOCK_DAYS))
+def test_doubling_every_time_keeps_the_restock_dates(restock_world, case, monkeypatch):
+    root = restock_world
+    original = _outputs(root, root / "data", case, root / f"out-original-{case}", weeks=1)
+    _check_doubled_times(root, root / "data", case, original, monkeypatch, weeks=1)
 
 
 def _sequenced_run(data: Path, config: Path, out: Path,

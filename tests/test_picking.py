@@ -286,7 +286,8 @@ def test_a_stalled_order_books_each_planned_leg_once(walking, picking, short, li
 
     def counted(*args):
         assignment = put_away(*args)
-        put_turns.append(assignment.turns)
+        if assignment is not None:  # a skipped visit
+            put_turns.append(assignment.turns)
         return assignment
 
     pol.put_away = counted

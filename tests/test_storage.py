@@ -75,14 +75,35 @@ def test_zone_candidates_are_the_home_zone():
 # -- nearest vacant -------------------------------------------------------
 
 
+def _visit(pol, visit_s=0.0):
+    """One replenishment visit whose pallets are made on ``MFG``."""
+    return pol.put_away(visit_s, lambda _: MFG)
+
+
 def test_put_away_takes_nearest_vacant_from_receiving():
     wh, slots = _world()
     pol = _policy(wh, PolicyKind.RANDOM)
-    a1 = pol.put_away("A", MFG)
+    a1 = _visit(pol)
     # slot (0,1,0) at (300,100) is closest to the elevator at (60,0)
     assert a1.location == (0, 1, 0)
-    a2 = pol.put_away("A", MFG)
+    assert wh.records[a1.location].item == "A"  # no stock anywhere: ties by code
+    a2 = _visit(pol)
     assert a2.location == (0, 1, 1)  # next nearest, first one now occupied
+    assert wh.records[a2.location].item == "B"  # now the least stocked
+
+
+def test_put_away_without_an_eligible_item_places_logs_and_dates_nothing():
+    wh, slots = _world(n_rows=1, per_row=1, zones=("Z1",))
+    pol = _policy(wh, PolicyKind.RANDOM)
+    wh.place(slots[0].id, "B", 1, MFG)
+    logged = list(wh.log)
+
+    def date_of(now):
+        raise AssertionError("a visit that places nothing dated a pallet")
+
+    assert pol.put_away(0.0, date_of) is None
+    assert wh.log == logged
+    assert list(wh.records) == [slots[0].id]
 
 
 def test_nearest_vacant_matches_brute_force():
@@ -117,21 +138,13 @@ def test_primary_location_fixed_and_shared():
 def test_policy_containment_under_load():
     wh, slots = _world(n_rows=4, per_row=4, zones=("Z1", "Z2", "Z1", "Z2"))
     pol = _policy(wh, PolicyKind.FIXED_ZONE)
-    # eight Z1 slots exist: eight put-aways fill them, and no more fit
-    for _ in range(8):
-        a = pol.put_away("A", MFG)
-        assert wh.location(a.location).zone == "Z1"
-    assert pol.nearest_vacant("A") is None
-    assert pol.nearest_vacant("B") is not None
-    assert all(wh.records[lid].item == "A" for lid in wh.records)
-
-
-def test_put_away_without_a_vacant_candidate_is_a_caller_bug():
-    wh, slots = _world(n_rows=1, per_row=1, zones=("Z1",))
-    pol = _policy(wh, PolicyKind.RANDOM)
-    pol.put_away("A", MFG)
-    with pytest.raises(AssertionError, match="without a vacant candidate slot"):
-        pol.put_away("A", MFG)
+    # eight slots per zone: sixteen visits fill both, and no more fit
+    for _ in range(16):
+        a = _visit(pol)
+        assert wh.location(a.location).zone == wh.item(wh.records[a.location].item).home_zone
+    assert pol.nearest_vacant("A") is None and pol.nearest_vacant("B") is None
+    assert _visit(pol) is None
+    assert [rec.item for rec in wh.records.values()].count("A") == 8
 
 
 # -- initial placement ----------------------------------------------------
