@@ -29,6 +29,11 @@ The matrix:
 * ``simulate --policy random --weeks 1 --trace`` on the demo data at
   ``replenish.mu_s`` 75, where the building fills and random storage
   skips visits too (6 of them);
+* ``simulate --policy fixed --weeks 2 --trace`` on the golden dataset of
+  the tests (``gen-data --seed 4242 --items 12 --slots 60 --lines 200
+  --weeks 2``) at ``replenish.mu_s`` 60, a trace short enough to read in
+  which the picker takes what is on hand at a short line, resumes there
+  after a visit, and fixed storage skips 60 of its 189 handled visits;
 * the README quick start (``simulate`` and ``compare`` on the demo data);
 * ``compare`` on the full-scale dataset with distance walking;
 * five runs on a dataset whose initial pallets overflow their fixed
@@ -47,8 +52,11 @@ The matrix:
   of 0 pieces, an order line of an unknown item, an order line whose
   truck differs from its order's first line, an order line whose
   ``order_datetime`` has a UTC offset in a file of naive times, a
-  ``layout.csv`` row whose ``x_cm`` is not a number), and ``compare
-  --policy random``;
+  ``layout.csv`` row whose ``x_cm`` is not a number), ``simulate --weeks
+  1`` on a copy whose first item has pallets of 10**400 pieces, refused
+  for a pallet size above 2**53 (a tree without that bound ends in an
+  ``OverflowError`` traceback where it prices the loose pieces), and
+  ``compare --policy random``;
 * ``simulate`` under each of the three policies on a copy of the demo
   data whose first item has a home zone, ``Z9``, with no slot in
   ``layout.csv``: fixed-zone storage refuses it, fixed and random
@@ -92,6 +100,8 @@ DATASETS = {
               "--weeks", "1"],
     "demo": ["--items", "25", "--slots", "120", "--lines", "600", "--weeks", "4"],
     "flat": ["--items", "6", "--slots", "20", "--lines", "60", "--weeks", "2"],
+    "golden": ["--seed", "4242", "--items", "12", "--slots", "60", "--lines", "200",
+               "--weeks", "2"],
 }
 CONFIGS = {
     "distance": {"walking": {"mode": "distance"}, "replenish": {"mode": "sampled"}},
@@ -101,6 +111,7 @@ CONFIGS = {
     "horizon-waiting": {"horizon_s": 7200, "replenish": {"mu_s": 3000}},
     "handlift": {"walking": {"mode": "distance", "equipment": "handlift"}},
     "skipping": {"replenish": {"mu_s": 75.0}},
+    "frequent": {"replenish": {"mu_s": 60.0}},
 }
 COMBOS = [(policy, picking) for policy in ("fixed", "random", "fixed-zone")
           for picking in ("area", "zoning")]
@@ -140,6 +151,9 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("demo-random-skipping", [
         "simulate", "--data", "data/demo", "--config", "data/skipping.json", "--policy",
         "random", "--weeks", "1", "--trace", "--out", "out/demo-random-skipping"]))
+    runs.append(("golden-fixed-skipping", [
+        "simulate", "--data", "data/golden", "--config", "data/frequent.json", "--policy",
+        "fixed", "--weeks", "2", "--trace", "--out", "out/golden-fixed-skipping"]))
     runs.append(("demo-simulate", [
         "simulate", "--data", "data/demo", "--policy", "fixed", "--allocation", "demand",
         "--picking", "area", "--weeks", "4", "--seed", "12345", "--out", "out/demo-run"]))
@@ -168,6 +182,8 @@ def matrix() -> list[tuple[str, list[str]]]:
     for name in REFUSALS:
         runs.append((f"refuse-{name}", ["simulate", "--data", f"data/{name}", "--weeks", "4",
                                          "--out", f"out/refuse-{name}"]))
+    runs.append(("refuse-oversized", ["simulate", "--data", "data/oversized", "--weeks", "1",
+                                      "--out", "out/refuse-oversized"]))
     runs.append(("refuse-compare-random", ["compare", "--data", "data/demo", "--policy",
                                            "random", "--weeks", "4",
                                            "--out", "out/refuse-compare-random"]))
@@ -221,6 +237,27 @@ def edited(src: Path, dst: Path, name: str, line: int, column: int, value: str) 
     rows[line - 1][column] = value
     with open(dst / name, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def oversized(src: Path, dst: Path) -> None:
+    """Copy the dataset ``src`` to ``dst`` with its first item's pallet size
+    set to 10**400, each of that item's initial pallets full and each of
+    its order lines one piece short of a pallet, so the first pick of it
+    takes 10**400 - 1 loose pieces."""
+    shutil.copytree(src, dst)
+    pallet = 10 ** 400
+    code = None
+    for name, key, column, value in (("items.csv", 0, 2, pallet),
+                                     ("initial_inventory.csv", 3, 4, pallet),
+                                     ("orders.csv", 3, 4, pallet - 1)):
+        with open(src / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        code = code or rows[0][0]
+        for row in rows:
+            if row[key] == code:
+                row[column] = str(value)
+        with open(dst / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def source_lines(tree: Path) -> tuple[int, int, int]:
@@ -326,6 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, edit in REFUSALS.items():
             edited(data / "demo", data / name, *edit)
         edited(data / "demo", data / "homeless", *HOMELESS)
+        oversized(data / "demo", data / "oversized")
         for name, config in CONFIGS.items():
             (data / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
         for name, values in SERIES.items():

@@ -16,9 +16,12 @@ the zone staff, and consolidating them afterwards costs nothing.  An
 order without a truck id is its own group, with a warning on the
 ``picksim.picking`` logger.
 
-The plan carries the week: planning prices the walking into every route
-stop and out of the last one, and holds what is left to pick of every
-line, so orders stay read-only inputs.  Distance walking walks each
+The plan is read-only once built: planning prices the walking into
+every route stop and out of the last one, and nothing writes to the plan
+or the orders after that.  What the picker still owes lives in its
+session: every line before its position on the route is picked, every
+line after it is owed in full, and the session keeps the pieces still
+owed of the short line it waits at.  Distance walking walks each
 sublist from the entrance to the drop-off point and prices each leg once
 per week with ``travel_time``; constant walking charges ``constant_s``
 at the stop that opens a sublist.
@@ -124,15 +127,14 @@ class RouteStop(NamedTuple):
 
 
 class PlanEntry(NamedTuple):
-    """One order with its priced route, the leg from the route's last stop
-    to the drop-off point (``exit_s`` seconds, ``exit_turns`` turns), and
-    ``remaining[k]``, the pieces of line ``k`` still to pick."""
+    """One order with its priced route and the leg from the route's last
+    stop to the drop-off point (``exit_s`` seconds, ``exit_turns`` turns);
+    read-only once planned."""
 
     order: Order
     route: list[RouteStop]
     exit_s: float
     exit_turns: int
-    remaining: list[int]
 
 
 PickPlan = list[PlanEntry]
@@ -177,7 +179,6 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse, policy: S
     # one zone for every line: the line index is unique, so sorting never
     # compares two slots
     keyed = []
-    remaining = []
     for idx, (item, qty) in enumerate(order.lines):
         if qty < 1:
             raise InputDataError(f"order line of {item}: qty must be >= 1")
@@ -189,7 +190,6 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse, policy: S
                 warehouse.item(item)  # raises for an unknown code
             loc = policy.primary_location(item)
         keyed.append((loc.zone if zoning else "", loc.seq_no, idx, loc))
-        remaining.append(qty)
     keyed.sort()
     stops = []
     sublist = -1
@@ -210,7 +210,7 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse, policy: S
         stops.append(_new(RouteStop, (idx, loc, sublist, drop_s, walk_s, drop_turns + turns)))
         at = loc.id
     exit_turns, exit_s = (0, 0.0) if legs is None else legs[at, SPECIAL_AREA_ID]
-    return _new(PlanEntry, (order, stops, exit_s, exit_turns, remaining))
+    return _new(PlanEntry, (order, stops, exit_s, exit_turns))
 
 
 def handling_time(pallets: int, masters: int, cfg: SimConfig) -> float:
@@ -229,8 +229,9 @@ def handling_time(pallets: int, masters: int, cfg: SimConfig) -> float:
 class PickingSession:
     """Mutable state of one weekly run's picking side.
 
-    Owns the plan, the per-order completion times, and the position of
-    the (single) picker inside the active order's route.
+    Owns the plan, the per-order completion times, the position of the
+    (single) picker inside the active order's route, and the pieces it
+    still owes of the short line it waits at.
     """
 
     def __init__(self, warehouse: Warehouse, policy: StoragePolicy, cfg: SimConfig,
@@ -242,8 +243,10 @@ class PickingSession:
         self.metrics = metrics
         self.completions: list[float | None] = [None] * len(plan)
         self._active: int | None = None
-        # route position of the short line the picker waits at, if any
+        # route position of the short line the picker waits at, if any, and
+        # the pieces of that line still to pick
         self._at_stop: int | None = None
+        self._owed = 0
 
     # -- event handlers ----------------------------------------------------
 
@@ -262,7 +265,7 @@ class PickingSession:
             "resume event does not match the picker's position"
         )
         item = entry.order.lines[kind.line].item
-        want = entry.remaining[kind.line]
+        want = self._owed
         assert want > 0, "resume event for a line that is already picked"
         avail = self.warehouse.total_on_hand(item)
         if avail >= want:
@@ -270,7 +273,7 @@ class PickingSession:
         if avail > 0:
             # taken while waiting: the clock charges no handling for it
             self.warehouse.pick(item, avail)
-            entry.remaining[kind.line] = want - avail
+            self._owed = want - avail
         if self.policy.nearest_vacant(item) is None:
             raise InfeasibleRunError(self._stuck(item, event.time))
         t_rp = sim.next_visit.time
@@ -308,8 +311,10 @@ class PickingSession:
         pass over its route.
 
         At each stop but the one the picker resumes from, the planned walking
-        there goes onto the clock and the totals; then the line is short, and
-        the traversal stops there, or it is picked in full.  Per-sublist
+        there goes onto the clock and the totals, and the line's ordered
+        pieces are owed; at the resume stop the session's owed pieces are.
+        Then the line is short, and the traversal stops there and keeps what
+        it owes, or it is picked in full.  Per-sublist
         handling is added after the walk.  Returns the next order's start
         event (order done), ``None`` (last order done) or the resume event at
         the short line's slot.
@@ -319,7 +324,6 @@ class PickingSession:
         entry = self.plan[i]
         route = entry.route
         lines = entry.order.lines
-        remaining = entry.remaining
         # every plan line's item is in the catalog: prepare_orders looked up its lot
         on_hand = self.warehouse._on_hand
         pick = self.warehouse.pick
@@ -341,16 +345,18 @@ class PickingSession:
         stall: int | None = None
         for p in range(start or 0, len(route)):
             line_index, _, seg, drop_s, walk_s, n = route[p]
+            item, want = lines[line_index]
             if p != start:
                 t += drop_s
                 walk += drop_s
                 t += walk_s
                 walk += walk_s
                 turns += n
-            want = remaining[line_index]
-            item = lines[line_index].item
+            else:
+                want = self._owed
             if want > on_hand[item]:
                 stall = p
+                self._owed = want
                 break
             if seg != visit_seg:
                 if pallets:
@@ -360,7 +366,6 @@ class PickingSession:
             touched, loose = pick(item, want)
             pallets += touched
             masters += -(-loose // per_master)
-            remaining[line_index] = 0
         else:
             t += entry.exit_s
             walk += entry.exit_s

@@ -237,11 +237,16 @@ def _check_new(loc: Location, layout: Layout, seqs: set[int]) -> None:
 
 def _check_item(item: Item, items: dict[str, Item]) -> None:
     """Refuse an item whose code is already in ``items`` and one of fewer
-    than 1 piece per pallet; then add it to ``items``."""
+    than 1 or more than 2**53 pieces per pallet; then add it to ``items``.
+    A line's loose pieces are fewer than a pallet's, so under that bound
+    each line's count of loose pieces or master cartons converts to a
+    float exactly."""
     if item.code in items:
         raise InputDataError(f"duplicate item code {item.code}")
     if item.qty_per_pallet < 1:
         raise InputDataError(f"item {item.code}: qty_per_pallet must be >= 1")
+    if item.qty_per_pallet > 2 ** 53:
+        raise InputDataError(f"item {item.code}: qty_per_pallet must be <= 2**53")
     items[item.code] = item
 
 

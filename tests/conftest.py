@@ -9,12 +9,27 @@ from pathlib import Path
 import pytest
 
 from picksim import Item, Location, SimConfig
+from picksim.cli import main
 from picksim.config import WalkSettings, ReplenishSettings
 
 ENTRANCE = (-1, 0, 0)
 DROPOFF = (-1, 0, 1)
 ELEVATOR = (-1, 0, 2)
 START = date(2024, 6, 3)
+
+# the ``gen-data`` flags of the golden dataset, whose files ``test_golden``
+# pins
+DATA_ARGS = ["--seed", "4242", "--items", "12", "--slots", "60", "--lines", "200",
+             "--weeks", "2"]
+
+
+@pytest.fixture(scope="session")
+def golden_dataset(tmp_path_factory) -> Path:
+    """The golden dataset, generated once per session and shared by every
+    test that reads it, so no test writes into its directory."""
+    out = tmp_path_factory.mktemp("golden_data")
+    assert main(["gen-data", "--out", str(out)] + DATA_ARGS) == 0
+    return out
 
 
 def child_env() -> dict[str, str]:

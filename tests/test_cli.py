@@ -912,6 +912,31 @@ def test_layout_without_a_storage_slot_exits_3_naming_it(tmp_path, capsys, polic
     assert not out.exists()
 
 
+@pytest.mark.parametrize("per_pallet, code", [(2 ** 53, 0), (2 ** 53 + 1, 3), (10 ** 400, 3)],
+                         ids=["2**53", "2**53+1", "10**400"])
+def test_a_pallet_size_above_2_to_the_53_exits_3_naming_its_line(tmp_path, capsys, per_pallet,
+                                                                 code):
+    """One full pallet of A and an order line of one piece less: the line's
+    loose pieces are the pallet's less one, and up to a pallet of 2**53
+    pieces their master cartons are priced as a float.  A larger pallet
+    size is refused where ``items.csv`` gives it."""
+    files = {
+        "layout.csv": [",".join(LAYOUT_HEADER), "0,1,0,100,100,0,Z1,1"],
+        "items.csv": [",".join(ITEMS_HEADER), f"A,Z1,{per_pallet}"],
+        "initial_inventory.csv": [",".join(INVENTORY_HEADER), f"0,1,0,A,{per_pallet},2024-05-20"],
+        "orders.csv": [",".join(ORDERS_HEADER), f"2024-06-03 08:00:00,O1,T1,A,{per_pallet - 1}"],
+    }
+    for name, lines in files.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--data", str(tmp_path), "--weeks", "1"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == (f"error: {tmp_path / 'items.csv'}:2: item A: qty_per_pallet "
+                                "must be <= 2**53\n")
+    else:
+        assert captured.err == "" and "week 1: " in captured.out
+
+
 def test_unknown_config_key_exits_3(dataset, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"walk_speed": 2}))

@@ -45,12 +45,10 @@ from picksim import (
 )
 from picksim import experiment
 from picksim.experiment import _spanned_weeks
-from picksim.cli import main
 from picksim.config import config_from_dict
 from picksim.datagen import generate_data
 from picksim.warehouse import ProcessTotals, _check_new
 from conftest import anchors, child_env, make_item, slot
-from test_golden import DATA_ARGS
 
 
 def _order(no: str, day: int, hour: int = 9, items=(("A", 1),)) -> Order:
@@ -269,13 +267,6 @@ def gc_state():
         gc.disable()
 
 
-@pytest.fixture(scope="module")
-def golden_dataset(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden_data")
-    assert main(["gen-data", "--out", str(out)] + DATA_ARGS) == 0
-    return str(out)
-
-
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
 @pytest.mark.parametrize("picking", ["area", "zoning"])
 def test_a_run_leaves_nothing_for_the_cyclic_collector(golden_dataset, tmp_path, gc_state,
@@ -351,11 +342,14 @@ LAYER_CALLS = (
 
 
 # the second run has the settings of the benchmark's fixed-zoning-dist-full
-# workload: fixed storage, zoning picking, distance walking, sampled visits
+# workload: fixed storage, zoning picking, distance walking, sampled visits;
+# in the third, visits come so often that the picker stalls but never waits,
+# and some visits place nothing
 TRACED_RUNS = {
     "fixed-area-constant": ([], None),
     "fixed-zoning-distance": (["--picking", "zoning"],
                               {"walking": {"mode": "distance"}, "replenish": {"mode": "sampled"}}),
+    "fixed-area-skipping": ([], {"replenish": {"mu_s": 60.0}}),
 }
 
 
@@ -374,10 +368,12 @@ with open(sys.argv[2], encoding="utf-8") as fh:
 def test_the_benchmark_tracer_counts_every_layer(golden_dataset, tmp_path, run):
     """``perfbench/traced_cli.py`` wraps picksim's callables by name and counts
     the pallets replenishment places from ``put_away``'s return value; on a
-    fixed-policy run that stalls, every layer it reports must be counted, and
-    the benchmark's own accounting (``layer_metrics`` in ``perfbench/run.py``)
+    fixed-policy run that stalls, every layer it reports must be counted, the
+    pallets it counts must be the ones ``results.csv`` books, and the
+    benchmark's own accounting (``layer_metrics`` in ``perfbench/run.py``)
     must find every traced call in a reported module and self times that add
-    up."""
+    up.  Only the skipping run handles a visit that places nothing, and only
+    there the picker never waits."""
     root = Path(__file__).resolve().parents[1]
     trace, out = tmp_path / "trace.json", tmp_path / "out"
     flags, config = TRACED_RUNS[run]
@@ -393,7 +389,12 @@ def test_the_benchmark_tracer_counts_every_layer(golden_dataset, tmp_path, run):
     wall = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     with open(out / "results.csv", newline="") as fh:
-        assert any(float(row["wait_s"]) > 0 for row in csv.DictReader(fh)), "no stall"
+        weeks = list(csv.DictReader(fh))
+    skipping = run == "fixed-area-skipping"
+    assert any(float(row["wait_s"]) > 0 for row in weeks) != skipping, "wait_s"
+    # each placed pallet books one put-away's handling
+    defaults = SimConfig()
+    booked = sum(float(row["put_handle_s"]) for row in weeks) / (defaults.BTpa + defaults.PPpa)
     record = json.loads(trace.read_text())
     calls: Counter = Counter()
     under_visit = 0
@@ -403,7 +404,9 @@ def test_the_benchmark_tracer_counts_every_layer(golden_dataset, tmp_path, run):
                               "storage.StoragePolicy.put_away"):
             under_visit += count
     assert record["exit_code"] == 0
-    assert record["counters"]["replenishment.placed"] == under_visit > 0
+    placed = record["counters"]["replenishment.placed"]
+    assert placed == booked > 0
+    assert (under_visit > placed) == skipping
     assert record["counters"]["events.executed"] > 0
     assert [name for name in LAYER_CALLS if calls[name] <= 0] == []
     proc = subprocess.run(

@@ -45,9 +45,6 @@ from picksim import (
 from picksim.cli import main
 from picksim.config import WalkSettings
 
-DATA_ARGS = ["--seed", "4242", "--items", "12", "--slots", "60", "--lines", "200",
-             "--weeks", "2"]
-
 DATASET = {
     "layout.csv": "f708b0a9407dddf83547471c2928a198c5084a38ee00ca6da772472d39cfc046",
     "items.csv": "94da207032fa6eff100126f81c892a0e01552404627af245e947cd7ff39b00f1",
@@ -159,16 +156,9 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden_data")
-    assert main(["gen-data", "--out", str(out)] + DATA_ARGS) == 0
-    return out
-
-
-def test_dataset_is_golden(dataset, capsys):
+def test_dataset_is_golden(golden_dataset, capsys):
     capsys.readouterr()
-    assert {name: _sha(dataset / name) for name in DATASET} == DATASET
+    assert {name: _sha(golden_dataset / name) for name in DATASET} == DATASET
 
 
 def _traced_run_hashes(dataset, tmp_path, capsys, policy, picking, extra=()):
@@ -184,30 +174,31 @@ def _traced_run_hashes(dataset, tmp_path, capsys, policy, picking, extra=()):
 
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
 @pytest.mark.parametrize("picking", ["area", "zoning"])
-def test_simulation_outputs_are_golden(dataset, tmp_path, capsys, monkeypatch,
+def test_simulation_outputs_are_golden(golden_dataset, tmp_path, capsys, monkeypatch,
                                        policy, picking):
     monkeypatch.delenv("PICKSIM_SEED", raising=False)
-    assert _traced_run_hashes(dataset, tmp_path, capsys, policy, picking) == \
+    assert _traced_run_hashes(golden_dataset, tmp_path, capsys, policy, picking) == \
         GOLDEN[(policy, picking)]
 
 
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
 @pytest.mark.parametrize("picking", ["area", "zoning"])
-def test_distance_walking_outputs_are_golden(dataset, tmp_path, capsys, monkeypatch,
+def test_distance_walking_outputs_are_golden(golden_dataset, tmp_path, capsys, monkeypatch,
                                              policy, picking):
     monkeypatch.delenv("PICKSIM_SEED", raising=False)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(DISTANCE_CONFIG), encoding="utf-8")
-    assert _traced_run_hashes(dataset, tmp_path, capsys, policy, picking,
+    assert _traced_run_hashes(golden_dataset, tmp_path, capsys, policy, picking,
                               ["--config", str(config)]) == GOLDEN_DISTANCE[(policy, picking)]
 
 
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
 @pytest.mark.parametrize("picking", ["area", "zoning"])
-def test_weekly_metrics_are_golden(dataset, tmp_path, capsys, monkeypatch, policy, picking):
+def test_weekly_metrics_are_golden(golden_dataset, tmp_path, capsys, monkeypatch, policy,
+                                   picking):
     monkeypatch.delenv("PICKSIM_SEED", raising=False)
     out = tmp_path / "run"
-    rc = main(["simulate", "--data", str(dataset), "--policy", policy,
+    rc = main(["simulate", "--data", str(golden_dataset), "--policy", policy,
                "--picking", picking, "--weeks", "2", "--seed", "7", "--out", str(out)])
     capsys.readouterr()
     assert rc == 0
@@ -219,12 +210,12 @@ def test_weekly_metrics_are_golden(dataset, tmp_path, capsys, monkeypatch, polic
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
 @pytest.mark.parametrize("picking", ["area", "zoning"])
 @pytest.mark.parametrize("walk_mode", ["constant", "distance"])
-def test_picker_time_adds_up_to_the_last_completion(dataset, policy, picking, walk_mode):
+def test_picker_time_adds_up_to_the_last_completion(golden_dataset, policy, picking, walk_mode):
     spec = ScenarioSpec(name="identity", policy=PolicyKind(policy),
                         allocation=AllocationRule.HOMOGENEOUS,
                         picking=PickingMode(picking), weeks=2, seed=7,
                         config=SimConfig(walking=WalkSettings(mode=walk_mode)),
-                        data=DataPaths.from_dir(str(dataset)))
+                        data=DataPaths.from_dir(str(golden_dataset)))
     for week in run_scenario(spec).weeks:
         t = week.totals
         assert t.walk_s > 0 and t.handle_s > 0

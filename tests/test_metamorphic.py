@@ -53,7 +53,7 @@ from picksim import SimConfig, config_from_dict, experiment, replenishment, trav
 from picksim.warehouse import load_layout
 from picksim.cli import main
 from reference_orders import pick_sequence, read_orders, week_buckets
-from test_golden import DATA_ARGS, DISTANCE_CONFIG
+from test_golden import DISTANCE_CONFIG
 
 RUNS = [("fixed", "area", "homogeneous"), ("fixed", "zoning", "homogeneous"),
         ("random", "area", None), ("random", "zoning", None),
@@ -64,8 +64,9 @@ WALKING = {"constant": {}, "distance": DISTANCE_CONFIG}
 
 @pytest.fixture(scope="module")
 def root(tmp_path_factory) -> Path:
+    """The directory of this module's config files, transformed datasets
+    and outputs; the golden dataset itself is only read."""
     root = tmp_path_factory.mktemp("metamorphic")
-    assert main(["gen-data", "--out", str(root / "data")] + DATA_ARGS) == 0
     for walking, config in WALKING.items():
         (root / f"{walking}.json").write_text(json.dumps(config), encoding="utf-8")
     return root
@@ -91,16 +92,16 @@ def _outputs(root: Path, data: Path, walking: str, out: Path, weeks: int = 2) ->
 
 
 @pytest.fixture(scope="module")
-def original(root) -> dict[str, list]:
-    return {walking: _outputs(root, root / "data", walking, root / f"original-{walking}")
+def original(root, golden_dataset) -> dict[str, list]:
+    return {walking: _outputs(root, golden_dataset, walking, root / f"original-{walking}")
             for walking in WALKING}
 
 
 @pytest.mark.parametrize("walking", sorted(WALKING))
 @pytest.mark.parametrize("name", IDENTITY_SHUFFLES)
-def test_row_order_of_a_dataset_file_is_no_input(root, original, walking, name):
-    data = shuffle_rows(root / "data", root / f"shuffled-{name}-{walking}", name, seed=7)
-    assert (data / name).read_bytes() != (root / "data" / name).read_bytes()
+def test_row_order_of_a_dataset_file_is_no_input(root, golden_dataset, original, walking, name):
+    data = shuffle_rows(golden_dataset, root / f"shuffled-{name}-{walking}", name, seed=7)
+    assert (data / name).read_bytes() != (golden_dataset / name).read_bytes()
     outputs = _outputs(root, data, walking, root / f"out-{name}-{walking}")
     for run, got, want in zip(RUNS, outputs, original[walking]):
         assert got == want, run
@@ -108,16 +109,18 @@ def test_row_order_of_a_dataset_file_is_no_input(root, original, walking, name):
 
 @pytest.mark.parametrize("walking", sorted(WALKING))
 @pytest.mark.parametrize("days", [7, 364])
-def test_moving_every_order_by_whole_weeks_changes_no_output(root, original, walking, days):
-    data = shift_orders(root / "data", root / f"shifted-{days}-{walking}", days)
+def test_moving_every_order_by_whole_weeks_changes_no_output(root, golden_dataset, original,
+                                                            walking, days):
+    data = shift_orders(golden_dataset, root / f"shifted-{days}-{walking}", days)
     outputs = _outputs(root, data, walking, root / f"out-shifted-{days}-{walking}")
     for run, got, want in zip(RUNS, outputs, original[walking]):
         assert got == want, run
 
 
 @pytest.mark.parametrize("walking", sorted(WALKING))
-def test_doubling_coordinates_and_speeds_changes_no_output(root, original, walking):
-    data = scale_layout(root / "data", root / f"scaled-{walking}", 2.0)
+def test_doubling_coordinates_and_speeds_changes_no_output(root, golden_dataset, original,
+                                                          walking):
+    data = scale_layout(golden_dataset, root / f"scaled-{walking}", 2.0)
     defaults = SimConfig()
     speeds = {name: 2.0 * getattr(defaults, name) for name in ("sph", "sps", "Lsps")}
     (root / f"scaled-{walking}.json").write_text(json.dumps({**WALKING[walking], **speeds}),
@@ -128,8 +131,9 @@ def test_doubling_coordinates_and_speeds_changes_no_output(root, original, walki
 
 
 @pytest.mark.parametrize("walking", sorted(WALKING))
-def test_relabelling_items_in_code_order_changes_no_output(root, original, walking):
-    data = relabel_items(root / "data", root / f"relabelled-{walking}")
+def test_relabelling_items_in_code_order_changes_no_output(root, golden_dataset, original,
+                                                          walking):
+    data = relabel_items(golden_dataset, root / f"relabelled-{walking}")
     outputs = _outputs(root, data, walking, root / f"out-relabelled-{walking}")
     for run, got, want in zip(RUNS, outputs, original[walking]):
         assert got == want, run
@@ -142,9 +146,9 @@ def _without_line_indices(files: dict[str, bytes]) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("walking", sorted(WALKING))
-def test_line_order_within_an_order_is_no_input(root, original, walking):
-    data = shuffle_lines(root / "data", root / f"lines-{walking}", seed=7)
-    assert (data / "orders.csv").read_bytes() != (root / "data" / "orders.csv").read_bytes()
+def test_line_order_within_an_order_is_no_input(root, golden_dataset, original, walking):
+    data = shuffle_lines(golden_dataset, root / f"lines-{walking}", seed=7)
+    assert (data / "orders.csv").read_bytes() != (golden_dataset / "orders.csv").read_bytes()
     outputs = _outputs(root, data, walking, root / f"out-lines-{walking}")
     for run, (stdout, files), (want_stdout, want_files) in zip(RUNS, outputs,
                                                                 original[walking]):
@@ -202,8 +206,9 @@ def _check_doubled_times(root: Path, data: Path, name: str, original: list, monk
 
 
 @pytest.mark.parametrize("walking", sorted(WALKING))
-def test_doubling_every_time_doubles_every_output_time(root, original, walking, monkeypatch):
-    _check_doubled_times(root, root / "data", walking, original[walking], monkeypatch)
+def test_doubling_every_time_doubles_every_output_time(root, golden_dataset, original, walking,
+                                                      monkeypatch):
+    _check_doubled_times(root, golden_dataset, walking, original[walking], monkeypatch)
 
 
 # the restock-date world (module docstring): layout rows, then the dataset's other files
@@ -308,14 +313,14 @@ def _codes(data: Path) -> set[str]:
         return {row[0] for row in list(csv.reader(fh))[1:]}
 
 
-def test_the_row_order_of_orders_sets_the_pick_sequence(root, monkeypatch):
+def test_the_row_order_of_orders_sets_the_pick_sequence(root, golden_dataset, monkeypatch):
     """Trucks come in the order of their first row and each truck's orders
     in reverse file order; moving the first row of week 1's second truck to
     the top of the file makes that truck the first, and the results change.
     At the default visit rate this move leaves the golden results as they
     were: the weeks are supply-bound, so the last order waits for the last
     pallet whatever the sequence.  So the runs visit every 120 s."""
-    data = root / "data"
+    data = golden_dataset
     config = root / "unbound.json"
     config.write_text(json.dumps({"replenish": {"mu_s": 120.0}}), encoding="utf-8")
     plans, results = _sequenced_run(data, config, root / "out-sequence", monkeypatch)

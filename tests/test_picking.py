@@ -297,7 +297,34 @@ def test_a_stalled_order_books_each_planned_leg_once(walking, picking, short, li
     assert session.metrics.wait_s > 0
     walk, turns = _planned_walking(session.plan)
     assert (session.metrics.walk_s, session.metrics.turns - sum(put_turns)) == (walk, turns)
-    assert [entry.remaining for entry in session.plan] == [[0, 0], [0, 0, 0, 0]]
+    assert None not in session.completions
+
+
+@pytest.mark.parametrize("picking", ["area", "zoning"])
+@pytest.mark.parametrize("walking", ["constant", "distance"])
+def test_a_week_leaves_its_plan_as_it_was_planned(walking, picking):
+    """O2 goes first (a truck's orders are picked back to front) and takes 1
+    of the 3 A on hand.  At O1's short line of 8 A the picker grabs the
+    other 2, waits, and on resume picks the 6 it still owes.  The week's
+    plan is then the plan of the same orders on a fresh warehouse stocked
+    alike."""
+    wh, pol = _two_row_world("A")
+    orders = [_order("O1", "T", ("D", 8), ("A", 8), ("C", 8), ("B", 2)),
+              _order("O2", "T", ("A", 1), ("C", 1))]
+    cfg = config_from_dict({"walking": {"mode": walking}, "replenish": {"mu_s": 1000.0}})
+    picks = []
+    pick = wh.pick
+
+    def counted(item, qty):
+        picks.append((item, qty))
+        return pick(item, qty)
+
+    wh.pick = counted
+    session, engine = run_week(wh, pol, orders, PickingMode(picking), cfg, 1, MFG)
+    assert [qty for item, qty in picks if item == "A"] == [1, 2, 6]
+    assert None not in session.completions
+    fresh_wh, fresh_pol = _two_row_world("A")
+    assert session.plan == prepare_orders(orders, PickingMode(picking), fresh_wh, fresh_pol, cfg)
 
 
 def test_a_picker_waiting_in_a_full_warehouse_stops_the_week_at_once():
