@@ -26,6 +26,12 @@ The matrix:
 * the same six on a one-week full-scale dataset at ``replenish.mu_s``
   120, where candidate sets fill and items are parked, and fixed and
   fixed-zone storage skip visits;
+* ``simulate --policy random --picking area --weeks 1 --trace`` on that
+  one-week dataset with the default config (constant walking), the shape
+  of the benchmark's ``random-area-1week``;
+* ``simulate --picking zoning --weeks 2 --trace`` on the demo data under
+  each of the three policies with the default config, so constant
+  walking is priced on routes of several sublists;
 * ``simulate --policy random --weeks 1 --trace`` on the demo data at
   ``replenish.mu_s`` 75, where the building fills and random storage
   skips visits too (6 of them);
@@ -57,6 +63,11 @@ The matrix:
   for a pallet size above 2**53 (a tree without that bound ends in an
   ``OverflowError`` traceback where it prices the loose pieces), and
   ``compare --policy random``;
+* numbers of 5,000 digits, more than Python converts to an integer: an
+  order line's ``qty`` (``orders.csv`` line 3) and a config file's
+  ``BTpu``, each refused with exit 2.  A tree before the digit-limit
+  refusal prints Python's own message there, so against such a base the
+  stderr of these two runs is the declared difference;
 * ``simulate`` under each of the three policies on a copy of the demo
   data whose first item has a home zone, ``Z9``, with no slot in
   ``layout.csv``: fixed-zone storage refuses it, fixed and random
@@ -124,7 +135,10 @@ REFUSALS = {
     "orders-other-truck": ("orders.csv", 3, 2, "TRK-OTHER"),
     "orders-offset-time": ("orders.csv", 3, 0, "2024-06-03 09:00:00+02:00"),
     "layout-bad-x": ("layout.csv", 5, 3, "x"),
+    "orders-long-qty": ("orders.csv", 3, 4, "7" * 5000),
 }
+# a config file whose number has more digits than Python converts (``json.dumps`` refuses it)
+LONG_NUMBER_CONFIG = '{"BTpu": ' + "7" * 5000 + "}"
 # copy of the demo data whose first item's home zone has no slot, run under each policy
 HOMELESS = ("items.csv", 2, 1, "Z9")
 # the README's reference series for ``stats``: file stem -> weekly metrics from week 1
@@ -148,6 +162,13 @@ def matrix() -> list[tuple[str, list[str]]]:
             "simulate", "--data", "data/full1", "--config", "data/saturated.json",
             "--policy", policy, "--picking", picking, "--weeks", "1", "--seed", "7",
             "--audit", "--trace", "--out", f"out/full1-{policy}-{picking}"]))
+    runs.append(("full1-random-area-constant", [
+        "simulate", "--data", "data/full1", "--policy", "random", "--picking", "area",
+        "--weeks", "1", "--trace", "--out", "out/full1-random-area-constant"]))
+    for policy in ("fixed", "random", "fixed-zone"):
+        runs.append((f"demo-zoning-{policy}", [
+            "simulate", "--data", "data/demo", "--policy", policy, "--picking", "zoning",
+            "--weeks", "2", "--trace", "--out", f"out/demo-zoning-{policy}"]))
     runs.append(("demo-random-skipping", [
         "simulate", "--data", "data/demo", "--config", "data/skipping.json", "--policy",
         "random", "--weeks", "1", "--trace", "--out", "out/demo-random-skipping"]))
@@ -184,6 +205,9 @@ def matrix() -> list[tuple[str, list[str]]]:
                                          "--out", f"out/refuse-{name}"]))
     runs.append(("refuse-oversized", ["simulate", "--data", "data/oversized", "--weeks", "1",
                                       "--out", "out/refuse-oversized"]))
+    runs.append(("refuse-long-config", ["simulate", "--data", "data/demo", "--config",
+                                        "data/long-number.json", "--weeks", "1",
+                                        "--out", "out/refuse-long-config"]))
     runs.append(("refuse-compare-random", ["compare", "--data", "data/demo", "--policy",
                                            "random", "--weeks", "4",
                                            "--out", "out/refuse-compare-random"]))
@@ -366,6 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         oversized(data / "demo", data / "oversized")
         for name, config in CONFIGS.items():
             (data / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+        (data / "long-number.json").write_text(LONG_NUMBER_CONFIG, encoding="utf-8")
         for name, values in SERIES.items():
             (data / f"{name}.csv").write_text("week,metric\n" + "".join(
                 f"{week},{value}\n" for week, value in enumerate(values, start=1)),

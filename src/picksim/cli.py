@@ -62,7 +62,7 @@ from .experiment import (
 from .picking import PickingMode
 from .stats import PairedTest, paired_test
 from .storage import PolicyKind
-from .warehouse import _finite, _read_csv
+from .warehouse import _TooManyDigits, _finite, _int, _read_csv
 
 DEFAULT_SEED = 12345
 WEEKLY_HEADER = ["week", "metric"]
@@ -157,7 +157,9 @@ def _config_and_seed(args) -> tuple[SimConfig, int]:
     if env is None:
         return cfg, DEFAULT_SEED
     try:
-        return cfg, int(env)
+        return cfg, _int(env)
+    except _TooManyDigits as exc:
+        raise ParseError(f"PICKSIM_SEED: {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"PICKSIM_SEED must be an integer, got {env!r}") from exc
 
@@ -262,7 +264,7 @@ def _read_weekly(path: str) -> tuple[str, dict[int, float]]:
     weekly: dict[int, float] = {}
 
     def row(cells: list[str]) -> None:
-        week = int(cells[0])
+        week = _int(cells[0])
         if week in weekly:
             raise InputDataError(f"week {week} appears twice")
         weekly[week] = _finite(cells[1])

@@ -48,7 +48,7 @@ import math
 from typing import Any, NamedTuple
 
 from .errors import ParseError, ValidationError, _logger
-from .warehouse import Equipment, HANDLIFT, STACKER
+from .warehouse import Equipment, HANDLIFT, STACKER, _TooManyDigits, _int
 
 WALK_CONSTANT = "constant"
 WALK_DISTANCE = "distance"
@@ -198,12 +198,14 @@ def _read_json_object(path: str) -> dict[str, Any]:
 
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_int)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"config {path} is not UTF-8 text: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # also a number too long, nesting too deep
+    except _TooManyDigits as exc:
+        raise ParseError(f"config {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also nesting too deep
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"config {path} must hold a JSON object")

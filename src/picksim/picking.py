@@ -21,10 +21,14 @@ every route stop and out of the last one, and nothing writes to the plan
 or the orders after that.  What the picker still owes lives in its
 session: every line before its position on the route is picked, every
 line after it is owed in full, and the session keeps the pieces still
-owed of the short line it waits at.  Distance walking walks each
-sublist from the entrance to the drop-off point and prices each leg once
-per week with ``travel_time``; constant walking charges ``constant_s``
-at the stop that opens a sublist.
+owed of the short line it waits at.  Each sublist is walked from the
+entrance to the drop-off point, and one leg function per week,
+``leg(from id, to id) -> (turns, seconds)``, prices every leg of every
+route.  Under distance walking it is ``travel_time`` of the two
+locations, cached so each leg is priced once per week; under constant
+walking it is ``(0, constant_s)`` out of the entrance and ``(0, 0.0)``
+for every other leg, so only the stop that opens a sublist costs
+walking.
 
 Execution is strictly sequential: one order is in flight at a time and
 the next order starts the moment the previous one is done.  An order
@@ -69,8 +73,9 @@ their loose pieces (each line's rounded up on its own), and
 from __future__ import annotations
 
 import enum
+import functools
 from datetime import datetime
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .config import SimConfig, WALK_CONSTANT
 from .errors import InfeasibleRunError, InputDataError, _logger
@@ -79,12 +84,12 @@ from .storage import StoragePolicy
 from .warehouse import (
     ENTRANCE_ID,
     SPECIAL_AREA_ID,
-    Equipment,
     Item,
     Location,
     LocationId,
     ProcessTotals,
     Warehouse,
+    _int,
     _new,
     _read_csv,
     _write_csv,
@@ -144,9 +149,9 @@ PickerEvent = tuple[float, StartPickOrder | PartialPick]
 def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
                    policy: StoragePolicy, cfg: SimConfig) -> PickPlan:
     """Build the pick plan for a horizon's orders against current stock,
-    its walking priced under ``cfg.walking``; an order without lines, and a
-    line of fewer than 1 piece, raise ``InputDataError``.  The orders are
-    not changed."""
+    every leg priced by the one leg function ``cfg.walking`` chooses for
+    the week; an order without lines, and a line of fewer than 1 piece,
+    raise ``InputDataError``.  The orders are not changed."""
     groups: dict[str, list[Order]] = {}  # in first-appearance order
     for order in orders:
         if not order.lines:
@@ -158,20 +163,28 @@ def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
                                       order.order_no)
         groups.setdefault(key, []).append(order)
 
-    walking = cfg.walking
-    legs = None if walking.mode == WALK_CONSTANT else _Legs(warehouse, cfg.walking_equipment())
-    plan: PickPlan = []
-    for group in groups.values():
-        for order in reversed(group):
-            plan.append(_plan_entry(order, mode, warehouse, policy, legs, walking.constant_s))
-    return plan
+    if cfg.walking.mode == WALK_CONSTANT:
+        entered, walked = (0, cfg.walking.constant_s), (0, 0.0)
+
+        def leg(a: LocationId, b: LocationId) -> tuple[int, float]:
+            return entered if a == ENTRANCE_ID else walked
+    else:
+        location, equipment = warehouse.location, cfg.walking_equipment()
+
+        @functools.cache
+        def leg(a: LocationId, b: LocationId) -> tuple[int, float]:
+            return travel_time(location(a), location(b), equipment)
+
+    return [_plan_entry(order, mode, warehouse, policy, leg)
+            for group in groups.values() for order in reversed(group)]
 
 
 def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse, policy: StoragePolicy,
-                legs: _Legs | None, constant_s: float) -> PlanEntry:
-    """Route ``order`` and price its walking: distance walking looks every
-    leg up in ``legs``; constant walking (``legs`` is ``None``) costs
-    ``constant_s`` into the stop that opens a sublist and nothing else."""
+                leg: Callable[[LocationId, LocationId], tuple[int, float]]) -> PlanEntry:
+    """Route ``order`` and price its walking with the week's leg function:
+    ``leg(from id, to id)`` gives the turns and seconds of the drop-off leg
+    that closes each sublist but the last, of the leg into each stop, and
+    of the exit from the last stop to the drop-off point."""
     lots = warehouse._lots
     storage = warehouse.storage
     zoning = mode is PickingMode.ZONING
@@ -200,16 +213,13 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse, policy: S
         if stop_zone != zone:
             zone = stop_zone
             sublist += 1
-            if sublist and legs is not None:
-                drop_turns, drop_s = legs[at, SPECIAL_AREA_ID]
+            if sublist:
+                drop_turns, drop_s = leg(at, SPECIAL_AREA_ID)
             at = ENTRANCE_ID
-        if legs is None:
-            turns, walk_s = 0, constant_s if at == ENTRANCE_ID else 0.0
-        else:
-            turns, walk_s = legs[at, loc.id]
+        turns, walk_s = leg(at, loc.id)
         stops.append(_new(RouteStop, (idx, loc, sublist, drop_s, walk_s, drop_turns + turns)))
         at = loc.id
-    exit_turns, exit_s = (0, 0.0) if legs is None else legs[at, SPECIAL_AREA_ID]
+    exit_turns, exit_s = leg(at, SPECIAL_AREA_ID)
     return _new(PlanEntry, (order, stops, exit_s, exit_turns))
 
 
@@ -392,23 +402,6 @@ class PickingSession:
         return (t, _new(PartialPick, (i, stop.line_index, stop.location.id)))
 
 
-class _Legs(dict):
-    """``(from id, to id) -> (aisle turns, travel seconds)`` of the walking
-    legs of one week; a leg is priced with ``travel_time`` on first use."""
-
-    __slots__ = ("warehouse", "equipment")
-
-    def __init__(self, warehouse: Warehouse, equipment: Equipment):
-        super().__init__()
-        self.warehouse = warehouse
-        self.equipment = equipment
-
-    def __missing__(self, key: tuple[LocationId, LocationId]) -> tuple[int, float]:
-        a, b = self.warehouse.location(key[0]), self.warehouse.location(key[1])
-        leg = self[key] = travel_time(a, b, self.equipment)
-        return leg
-
-
 # -- orders file ---------------------------------------------------------
 
 ORDERS_HEADER = ["order_datetime", "order_no", "truck_id", "item_code", "qty"]
@@ -435,7 +428,7 @@ def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
             if len(offsets) > 1:
                 raise InputDataError(f"order_datetime {order_datetime}: a file's order times "
                                      "must all have a UTC offset, or none")
-        qty = int(qty)
+        qty = _int(qty)
         if qty < 1:  # as planning, at path:line
             raise InputDataError(f"order line of {item_code}: qty must be >= 1")
         if item_code not in items:

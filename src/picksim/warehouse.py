@@ -42,6 +42,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import sys
 from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -466,6 +467,24 @@ def _finite(cell: str) -> float:
     return value
 
 
+class _TooManyDigits(ValueError):
+    """A number of more decimal digits than Python converts to an integer."""
+
+
+def _int(text: str) -> int:
+    """``int(text)``, but a text of more decimal digits than Python converts
+    (4,300 unless the interpreter is set otherwise) raises
+    ``_TooManyDigits`` saying so, where Python's own message would tell the
+    user to call an interpreter function.  The caller names the source."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and sum(char.isdecimal() for char in text) > limit:
+            raise _TooManyDigits(f"a number has more than {limit:,} digits") from None
+        raise
+
+
 def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
     """Write ``header`` and then ``rows`` as UTF-8 CSV with ``\\n`` line ends,
     making the file's missing parent directories first.
@@ -492,8 +511,8 @@ def load_layout(path: str) -> Layout:
 
     def location(cells: list[str]) -> None:
         row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no = cells
-        check(_new(Location, ((int(row), int(layer), int(slot)), finite(x_cm), finite(y_cm),
-                              finite(z_cm), zone, int(seq_no))), layout, seqs)
+        check(_new(Location, ((_int(row), _int(layer), _int(slot)), finite(x_cm), finite(y_cm),
+                              finite(z_cm), zone, _int(seq_no))), layout, seqs)
 
     _read_csv(path, LAYOUT_HEADER, location)
     return _with_every_anchor(layout)
@@ -511,7 +530,7 @@ def load_items(path: str) -> list[Item]:
     def item(cells: list[str]) -> None:
         code, home_zone, qty_per_pallet = cells
         # as Warehouse does, here so the error names path:line
-        _check_item(Item(code, home_zone, int(qty_per_pallet)), items)
+        _check_item(Item(code, home_zone, _int(qty_per_pallet)), items)
 
     _read_csv(path, ITEMS_HEADER, item)
     return list(items.values())
@@ -528,7 +547,7 @@ def load_inventory(path: str) -> list[PalletRecord]:
 
     def pallet(cells: list[str]) -> None:
         row, layer, slot, item_code, qty, mfg_date = cells
-        record = PalletRecord((int(row), int(layer), int(slot)), item_code, int(qty),
+        record = PalletRecord((_int(row), _int(layer), _int(slot)), item_code, _int(qty),
                               date.fromisoformat(mfg_date))
         if record.qty < 1:
             raise InputDataError(f"initial pallet of {item_code}: qty must be >= 1, "

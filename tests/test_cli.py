@@ -937,6 +937,36 @@ def test_a_pallet_size_above_2_to_the_53_exits_3_naming_its_line(tmp_path, capsy
         assert captured.err == "" and "week 1: " in captured.out
 
 
+@pytest.mark.parametrize("source", ["orders.csv", "config", "PICKSIM_SEED"])
+def test_a_number_of_more_than_4300_digits_exits_2_naming_its_source(dataset, tmp_path, capsys,
+                                                                     monkeypatch, source):
+    """A number of 5,000 digits, more than Python converts, is refused on
+    one line that names where it came from and says why, with no advice
+    to change the interpreter's limit and without echoing the digits."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    argv = ["simulate", "--data", str(data), "--weeks", "1"]
+    digits = "7" * 5000
+    if source == "orders.csv":
+        orders = data / "orders.csv"
+        rows = orders.read_text().splitlines()
+        rows[2] = ",".join(rows[2].split(",")[:4] + [digits])
+        orders.write_text("\n".join(rows) + "\n")
+        where = f"{orders}:3"
+    elif source == "config":
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"BTpu": ' + digits + "}")
+        argv += ["--config", str(cfg)]
+        where = f"config {cfg}"
+    else:
+        monkeypatch.setenv("PICKSIM_SEED", digits)
+        where = "PICKSIM_SEED"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: a number has more than 4,300 digits\n"
+
+
 def test_unknown_config_key_exits_3(dataset, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"walk_speed": 2}))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from datetime import date, datetime
 
 import pytest
@@ -10,9 +11,12 @@ from hypothesis import event, given, settings, strategies as st
 
 from conftest import anchors, make_item, slot, trace_cfg
 from runners import engine_run
+import picksim.picking as picking_module
 from picksim.config import config_from_dict
 from picksim.events import PartialPick
 from picksim import (
+    ENTRANCE_ID,
+    SPECIAL_AREA_ID,
     Order,
     OrderLine,
     InfeasibleRunError,
@@ -33,6 +37,7 @@ from picksim import (
     prepare_orders,
     run_week,
     save_orders,
+    travel_time,
 )
 
 DT = datetime(2024, 6, 3, 9, 0)
@@ -325,6 +330,62 @@ def test_a_week_leaves_its_plan_as_it_was_planned(walking, picking):
     assert None not in session.completions
     fresh_wh, fresh_pol = _two_row_world("A")
     assert session.plan == prepare_orders(orders, PickingMode(picking), fresh_wh, fresh_pol, cfg)
+
+
+def _route_legs(plan):
+    """``(from id, to id)`` of every leg the plan walks, in route order: the
+    drop-off leg that closes each sublist but the last, the leg into each
+    stop, and the exit from the last stop."""
+    legs = []
+    for entry in plan:
+        at, sublist = ENTRANCE_ID, 0
+        for stop in entry.route:
+            if stop.sublist != sublist:
+                legs.append((at, SPECIAL_AREA_ID))
+                at, sublist = ENTRANCE_ID, stop.sublist
+            legs.append((at, stop.location.id))
+            at = stop.location.id
+        legs.append((at, SPECIAL_AREA_ID))
+    return legs
+
+
+@pytest.mark.parametrize("picking", ["area", "zoning"])
+@pytest.mark.parametrize("walking", ["constant", "distance"])
+def test_a_week_prices_its_legs_with_one_leg_function(monkeypatch, walking, picking):
+    """Distance walking prices each distinct leg of the week with one
+    ``travel_time`` call, however often routes walk it (O3 and O4 walk the
+    same route).  Constant walking calls ``travel_time`` never and costs
+    ``constant_s`` exactly at the stops that open a sublist."""
+    calls = []
+
+    def recorded(a, b, eq):
+        calls.append((a.id, b.id))
+        return travel_time(a, b, eq)
+
+    monkeypatch.setattr(picking_module, "travel_time", recorded)
+    wh, pol = _two_row_world()
+    orders = [_order("O1", "T", ("D", 2), ("A", 1), ("C", 3), ("B", 2)),
+              _order("O2", "T", ("B", 1), ("C", 1)),
+              _order("O3", "U", ("A", 2), ("D", 1)),
+              _order("O4", "U", ("D", 1), ("A", 1))]
+    cfg = config_from_dict({"walking": {"mode": walking, "constant_s": 7.5}})
+    plan = prepare_orders(orders, PickingMode(picking), wh, pol, cfg)
+    legs = _route_legs(plan)
+    if walking == "distance":
+        assert len(set(legs)) < len(legs)
+        assert Counter(calls) == Counter(set(legs))
+        return
+    assert calls == []
+    for entry in plan:
+        assert (entry.exit_s, entry.exit_turns) == (0.0, 0)
+        sublist = None
+        for stop in entry.route:
+            opens = stop.sublist != sublist
+            sublist = stop.sublist
+            assert (stop.drop_s, stop.walk_s, stop.turns) == (0.0, 7.5 if opens else 0.0, 0)
+    # under zoning every order opens a second sublist
+    assert sum(len({stop.sublist for stop in entry.route}) for entry in plan) == (
+        4 if picking == "area" else 8)
 
 
 def test_a_picker_waiting_in_a_full_warehouse_stops_the_week_at_once():
