@@ -68,6 +68,21 @@ The matrix:
   ``BTpu``, each refused with exit 2.  A tree before the digit-limit
   refusal prints Python's own message there, so against such a base the
   stderr of these two runs is the declared difference;
+* ``simulate --seed`` of 5,000 sevens, refused with exit 2, and a
+  ``layout.csv`` row whose ``x_cm`` is 5,000 sevens, refused with exit 2
+  as not finite.  A tree before the integer flags took the digit limit,
+  and before a float cell was quoted by its first 200 characters, echoes
+  all 5,000 digits there, so against such a base the stderr of these two
+  runs is the declared difference;
+* the seed's one source, ``--seed`` (12345 without it):
+  ``simulate --weeks 2 --trace`` on the demo data with sampled
+  replenishment and no ``--seed``, once as is and once with
+  ``PICKSIM_SEED=1`` in its environment (every run's environment is
+  otherwise cleared of ``PICKSIM_SEED``, which a base tree may read), and
+  ``simulate`` with a config that sets ``replenish.seed``, which exits 3
+  as an unknown field.  A tree that still read those two seed sources
+  runs both of the latter at seed 1 or 2 and exits 0, so against such a
+  base their outputs are the declared difference;
 * ``simulate`` under each of the three policies on a copy of the demo
   data whose first item has a home zone, ``Z9``, with no slot in
   ``layout.csv``: fixed-zone storage refuses it, fixed and random
@@ -123,6 +138,8 @@ CONFIGS = {
     "handlift": {"walking": {"mode": "distance", "equipment": "handlift"}},
     "skipping": {"replenish": {"mu_s": 75.0}},
     "frequent": {"replenish": {"mu_s": 60.0}},
+    "sampled": {"replenish": {"mode": "sampled"}},
+    "seeded": {"replenish": {"mode": "sampled", "seed": 2}},
 }
 COMBOS = [(policy, picking) for policy in ("fixed", "random", "fixed-zone")
           for picking in ("area", "zoning")]
@@ -136,9 +153,12 @@ REFUSALS = {
     "orders-offset-time": ("orders.csv", 3, 0, "2024-06-03 09:00:00+02:00"),
     "layout-bad-x": ("layout.csv", 5, 3, "x"),
     "orders-long-qty": ("orders.csv", 3, 4, "7" * 5000),
+    "layout-long-x": ("layout.csv", 5, 3, "7" * 5000),
 }
 # a config file whose number has more digits than Python converts (``json.dumps`` refuses it)
 LONG_NUMBER_CONFIG = '{"BTpu": ' + "7" * 5000 + "}"
+# run name -> what its environment sets beyond this one's
+ENVIRONMENTS = {"demo-sampled-env-seed": {"PICKSIM_SEED": "1"}}
 # copy of the demo data whose first item's home zone has no slot, run under each policy
 HOMELESS = ("items.csv", 2, 1, "Z9")
 # the README's reference series for ``stats``: file stem -> weekly metrics from week 1
@@ -208,6 +228,14 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("refuse-long-config", ["simulate", "--data", "data/demo", "--config",
                                         "data/long-number.json", "--weeks", "1",
                                         "--out", "out/refuse-long-config"]))
+    runs.append(("refuse-long-seed", ["simulate", "--data", "data/demo", "--weeks", "1",
+                                      "--seed", "7" * 5000, "--out", "out/refuse-long-seed"]))
+    for name in ("demo-sampled", "demo-sampled-env-seed"):
+        runs.append((name, ["simulate", "--data", "data/demo", "--config", "data/sampled.json",
+                            "--weeks", "2", "--trace", "--out", f"out/{name}"]))
+    runs.append(("refuse-seeded-config", ["simulate", "--data", "data/demo", "--config",
+                                          "data/seeded.json", "--weeks", "1", "--trace",
+                                          "--out", "out/refuse-seeded-config"]))
     runs.append(("refuse-compare-random", ["compare", "--data", "data/demo", "--policy",
                                            "random", "--weeks", "4",
                                            "--out", "out/refuse-compare-random"]))
@@ -319,9 +347,13 @@ def skipped_visits(files: dict[str, bytes]) -> int | None:
     return sum(data.count(b",Replenish,") for data in traces) - len(weeks) - placed
 
 
-def run(tree: Path, cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
+def run(tree: Path, cwd: Path, argv: list[str],
+        extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """The CLI of ``tree`` on ``argv`` in ``cwd``, in this environment less
+    ``PICKSIM_SEED`` (a base tree from before ``--seed`` became the only
+    seed source reads it) and plus ``extra``."""
     env = {key: value for key, value in os.environ.items() if key != "PICKSIM_SEED"}
-    env["PYTHONPATH"] = str(tree / "src")
+    env.update(extra or {}, PYTHONPATH=str(tree / "src"))
     return subprocess.run([sys.executable, "-m", "picksim.cli", *argv], cwd=cwd, env=env,
                           capture_output=True)
 
@@ -405,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
                 cwd.mkdir(exist_ok=True)
                 if not (cwd / "data").exists():
                     (cwd / "data").symlink_to(data)
-                done = run(tree, cwd, argv_)
+                done = run(tree, cwd, argv_, ENVIRONMENTS.get(name))
                 out = cwd / argv_[argv_.index("--out") + 1]
                 outcomes.append((done.returncode, done.stdout, done.stderr, written(out)))
             these = differences(name, *outcomes)

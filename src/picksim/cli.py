@@ -26,9 +26,8 @@ or overruns the horizon), 2 malformed command line, unreadable input or
 an output file or standard output that cannot be written, 3 invalid
 configuration or input data.
 
-The master seed is resolved in order: ``--seed`` flag, ``replenish.seed``
-when the config file sets it, ``PICKSIM_SEED`` environment variable, then
-the built-in default ``DEFAULT_SEED`` (12345).
+The master seed of ``simulate`` and ``compare`` is their ``--seed`` flag,
+``DEFAULT_SEED`` (12345) without it; nothing else sets it.
 """
 
 from __future__ import annotations
@@ -76,12 +75,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _weeks(text: str) -> int:
-    """argparse type for --weeks: an integer of at least 1."""
+def _integer(text: str) -> int:
+    """argparse type for an integer flag: ``int``, but a number of more digits
+    than Python converts is refused as such, without echoing its digits."""
     try:
-        weeks = int(text)
+        return _int(text)
+    except _TooManyDigits as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _weeks(text: str) -> int:
+    """argparse type for --weeks: an integer of at least 1."""
+    weeks = _integer(text)
     if weeks < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {weeks}")
     return weeks
@@ -116,10 +123,10 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen-data", help="generate a synthetic dataset")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    gen.add_argument("--items", type=int, default=10)
-    gen.add_argument("--slots", type=int, default=48)
-    gen.add_argument("--lines", type=int, default=120)
+    gen.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
+    gen.add_argument("--items", type=_integer, default=10)
+    gen.add_argument("--slots", type=_integer, default=48)
+    gen.add_argument("--lines", type=_integer, default=120)
     gen.add_argument("--weeks", type=_weeks, default=4)
 
     st = sub.add_parser("stats", help="summarize weekly metric files")
@@ -140,28 +147,11 @@ def _common_run_args(p: argparse.ArgumentParser) -> None:
                    default=PickingMode.AREA.value,
                    help="picking mode (default area)")
     p.add_argument("--weeks", type=_weeks, default=4)
-    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
+                   help=f"master seed (default {DEFAULT_SEED})")
     p.add_argument("--out", default=None, help="directory for result CSVs")
     p.add_argument("--audit", action="store_true",
                    help="verify stock conservation after every event")
-
-
-def _config_and_seed(args) -> tuple[SimConfig, int]:
-    """The ``--config`` file (defaults without one) and the master seed."""
-    cfg = SimConfig() if args.config is None else load_config(args.config)
-    if args.seed is not None:
-        return cfg, args.seed
-    if cfg.replenish.seed is not None:
-        return cfg, cfg.replenish.seed
-    env = os.environ.get("PICKSIM_SEED")
-    if env is None:
-        return cfg, DEFAULT_SEED
-    try:
-        return cfg, _int(env)
-    except _TooManyDigits as exc:
-        raise ParseError(f"PICKSIM_SEED: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"PICKSIM_SEED must be an integer, got {env!r}") from exc
 
 
 def _check_out(path: str | None) -> None:
@@ -179,11 +169,11 @@ def _check_out(path: str | None) -> None:
                          f"{nearest} is not a directory")
 
 
-def _spec(args, cfg: SimConfig, seed: int, allocation: str, name: str) -> ScenarioSpec:
+def _spec(args, cfg: SimConfig, allocation: str, name: str) -> ScenarioSpec:
     """The scenario of a run command's arguments under one slot allocation."""
     return ScenarioSpec(name=name, policy=PolicyKind(args.policy),
                         allocation=AllocationRule(allocation),
-                        picking=PickingMode(args.picking), weeks=args.weeks, seed=seed,
+                        picking=PickingMode(args.picking), weeks=args.weeks, seed=args.seed,
                         config=cfg, data=DataPaths.from_dir(args.data))
 
 
@@ -217,8 +207,8 @@ def _cmd_simulate(args) -> int:
         raise InputDataError(f"--allocation sizes the slot map, which only --policy fixed "
                              f"reads; --policy {args.policy} would ignore it")
     allocation = args.allocation or AllocationRule.HOMOGENEOUS.value
-    cfg, seed = _config_and_seed(args)
-    spec = _spec(args, cfg, seed, allocation,
+    cfg = SimConfig() if args.config is None else load_config(args.config)
+    spec = _spec(args, cfg, allocation,
                  args.name or f"{args.policy}-{allocation}-{args.picking}")
     _check_out(args.out)
     if args.trace and not args.out:
@@ -238,10 +228,10 @@ def _cmd_compare(args) -> int:
         raise InputDataError(f"compare varies the slot allocation, which only --policy fixed "
                              f"reads; --policy {args.policy} would run one configuration twice")
     _check_out(args.out)
-    cfg, seed = _config_and_seed(args)
+    cfg = SimConfig() if args.config is None else load_config(args.config)
     comparison = compare_scenarios(
-        _spec(args, cfg, seed, AllocationRule.HOMOGENEOUS.value, "S1-homogeneous"),
-        _spec(args, cfg, seed, AllocationRule.DEMAND_BASED.value, "S2-demand"),
+        _spec(args, cfg, AllocationRule.HOMOGENEOUS.value, "S1-homogeneous"),
+        _spec(args, cfg, AllocationRule.DEMAND_BASED.value, "S2-demand"),
         audit=args.audit)
     print(f"metric unit: {cfg.metric_unit}")
     return _report(args.out, *comparison)

@@ -27,9 +27,8 @@ the route with the selected equipment.  ``replenish`` controls the
 interval between restocking visits: ``constant`` mode uses ``mu_s``
 exactly, ``sampled`` draws Normal(mu_s, sigma_s) clamped to at least
 ``t_min_s``; an unset ``t_min_s`` is derived when a week's sampler is
-built (see ``replenishment.py``).  ``replenish.seed``, when set, is the
-master seed of a CLI run without ``--seed``; unset (the default) leaves
-the choice to the CLI's fallbacks.
+built (see ``replenishment.py``).  The config holds no seed: the master
+seed is the scenario's (``ScenarioSpec.seed``, the CLI's ``--seed``).
 
 ``SimConfig``, ``WalkSettings`` and ``ReplenishSettings`` are immutable
 ``NamedTuple``s, so a config is hashable and compares field by field; a
@@ -89,7 +88,6 @@ class ReplenishSettings(NamedTuple):
     mu_s: float = 600.0
     sigma_s: float = 60.0
     t_min_s: float | None = None
-    seed: int | None = None
 
 
 class SimConfig(NamedTuple):
@@ -151,8 +149,6 @@ class SimConfig(NamedTuple):
         check(_is_nonneg(self.replenish.sigma_s), "replenish.sigma_s must be non-negative")
         check(self.replenish.t_min_s is None or _is_pos(self.replenish.t_min_s),
               "replenish.t_min_s must be a positive number")
-        check(self.replenish.seed is None or type(self.replenish.seed) is int,
-              "replenish.seed must be an integer")
         return errors
 
 

@@ -93,16 +93,16 @@ def _make_items(rng: random.Random, scale: GenScale,
     zones = sorted(zone_slots)
 
     order = sorted(range(scale.n_items), key=lambda i: -weights[i])
-    zone_of_rank: list[str] = [""] * scale.n_items
+    home_zone: list[str] = [""] * scale.n_items
     cum = 0
     bound = 0
     zi = 0
-    for rank, _ in enumerate(order):
+    for rank, i in enumerate(order):
         while rank >= bound and zi < len(zones):
             cum += zone_slots[zones[zi]]
             bound = round(scale.n_items * cum / total_slots)
             zi += 1
-        zone_of_rank[rank] = zones[min(zi - 1, len(zones) - 1)]
+        home_zone[i] = zones[min(zi - 1, len(zones) - 1)]
 
     items: list[Item] = []
     demand: dict[str, float] = {}
@@ -112,7 +112,7 @@ def _make_items(rng: random.Random, scale: GenScale,
         # this draw once gave the item a weight; it stays so that every
         # later draw, and so every dataset of a seed, is unchanged
         rng.random()
-        items.append(Item(code, zone_of_rank[order.index(i)], qpp))
+        items.append(Item(code, home_zone[i], qpp))
         demand[code] = weights[i]
     return items, demand
 

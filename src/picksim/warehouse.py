@@ -460,10 +460,14 @@ def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], None]) 
 
 def _finite(cell: str) -> float:
     """A numeric cell that must be a finite number; ``_read_csv`` reports its
-    ``ValueError`` at ``path:line``."""
-    value = float(cell)
+    ``ValueError`` at ``path:line``.  The message quotes at most the cell's
+    first 200 characters, so a cell of thousands is not echoed whole."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {cell[:200]!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{cell!r} is not a finite number")
+        raise ValueError(f"{cell[:200]!r} is not a finite number")
     return value
 
 

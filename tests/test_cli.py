@@ -22,11 +22,6 @@ from picksim.warehouse import INVENTORY_HEADER, ITEMS_HEADER, LAYOUT_HEADER
 from conftest import child_env
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("PICKSIM_SEED", raising=False)
-
-
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_data")
@@ -144,44 +139,37 @@ def test_simulate_trace_files_depend_on_seed(dataset, tmp_path, capsys):
 
 
 def test_seed_resolution_order(dataset, tmp_path, capsys, monkeypatch):
+    """The master seed is ``--seed``, then 12345, and nothing else: under
+    sampled replenishment a run without the flag writes the trace of
+    ``--seed 12345`` whatever ``PICKSIM_SEED`` holds, and a config that
+    sets ``replenish.seed`` is refused as an unknown field and writes
+    nothing."""
+    replenish = {"mode": "sampled", "mu_s": 300.0, "sigma_s": 90.0}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"replenish": {"mode": "sampled", "mu_s": 300.0, "sigma_s": 90.0,
-                       "seed": 2}}))
+    cfg.write_text(json.dumps({"replenish": replenish}))
 
     def trace_of(label: str, *extra: str) -> bytes:
         out = tmp_path / label
-        assert main(["simulate", "--data", dataset, "--weeks", "1",
-                     "--name", "t", "--trace", "--out", str(out),
-                     *extra]) == 0
+        assert main(["simulate", "--data", dataset, "--weeks", "1", "--config", str(cfg),
+                     "--name", "t", "--trace", "--out", str(out), *extra]) == 0
         capsys.readouterr()
         return (out / "trace_t_week1.csv").read_bytes()
 
-    cfg_arg = ("--config", str(cfg))
-    ref1 = trace_of("s1", *cfg_arg, "--seed", "1")
-    ref2 = trace_of("s2", *cfg_arg, "--seed", "2")
-    assert ref1 != ref2
+    default = trace_of("default")
+    assert trace_of("flag", "--seed", "12345") == default
+    assert trace_of("other", "--seed", "1") != default
+    for value in ("1", "not-a-number"):
+        monkeypatch.setenv("PICKSIM_SEED", value)
+        assert trace_of(f"env-{value}") == default
 
-    # flag beats the config file's pinned seed
-    assert trace_of("flag", *cfg_arg, "--seed", "1") == ref1
-    # config file beats the environment
-    monkeypatch.setenv("PICKSIM_SEED", "1")
-    assert trace_of("cfgwins", *cfg_arg) == ref2
-    # environment beats the built-in default
-    cfg2 = tmp_path / "cfg2.json"
-    cfg2.write_text(json.dumps(
-        {"replenish": {"mode": "sampled", "mu_s": 300.0, "sigma_s": 90.0}}))
-    assert trace_of("env", "--config", str(cfg2)) == ref1
-    # a null seed is unset, as a missing one is
-    cfg2.write_text(json.dumps(
-        {"replenish": {"mode": "sampled", "mu_s": 300.0, "sigma_s": 90.0, "seed": None}}))
-    assert trace_of("null", "--config", str(cfg2)) == ref1
-
-
-def test_bad_env_seed_is_a_usage_error(dataset, capsys, monkeypatch):
-    monkeypatch.setenv("PICKSIM_SEED", "not-a-number")
-    assert main(["simulate", "--data", dataset, "--weeks", "1"]) == 2
-    assert "PICKSIM_SEED" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"replenish": {**replenish, "seed": 2}}))
+    out = tmp_path / "pinned"
+    assert main(["simulate", "--data", dataset, "--weeks", "1", "--config", str(cfg),
+                 "--trace", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown config field replenish.seed\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
@@ -511,6 +499,21 @@ def test_weeks_below_one_exits_2_at_parse_time(dataset, tmp_path, capsys, comman
     assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--seed", "x"), ("compare", "--seed", "1e3"), ("simulate", "--weeks", "two"),
+    ("gen-data", "--seed", "0x10"), ("gen-data", "--items", "1.5"), ("gen-data", "--slots", ""),
+    ("gen-data", "--lines", "7 7"),
+])
+def test_an_integer_flag_that_is_not_an_integer_exits_2_quoting_it(dataset, tmp_path, capsys,
+                                                                  command, flag, value):
+    where = ["--out", str(tmp_path)] if command == "gen-data" else ["--data", dataset]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *where, flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: argument {flag}: invalid int value: {value!r}\n"
+    assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare", "gen-data", "stats"])
 @pytest.mark.parametrize("where", ["file", "below-file", "dangling-link", "empty"])
 def test_out_that_cannot_be_a_directory_exits_2(dataset, tmp_path, capsys, monkeypatch,
@@ -585,7 +588,6 @@ def test_invalid_config_value_exits_3(dataset, tmp_path, capsys):
     ({"replenish": {"sigma_s": None}}, "replenish.sigma_s"),
     ({"metric_unit": []}, "metric_unit"),
     ({"pieces_per_master": True}, "pieces_per_master"),
-    ({"replenish": {"seed": True}}, "replenish.seed"),
 ])
 def test_config_value_of_the_wrong_type_exits_3(dataset, tmp_path, capsys, config, field):
     cfg = tmp_path / "bad.json"
@@ -637,6 +639,36 @@ def test_non_finite_number_in_a_dataset_exits_2(dataset, tmp_path, capsys, name,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {data / name}:3: '{value}' is not a finite number\n"
+
+
+@pytest.mark.parametrize("source, cell, message", [
+    ("layout.csv", "7" * 5000, f"'{'7' * 200}' is not a finite number"),
+    ("layout.csv", "x" * 5000, f"could not convert string to float: '{'x' * 200}'"),
+    ("weekly.csv", "7" * 5000, f"'{'7' * 200}' is not a finite number"),
+], ids=["layout-digits", "layout-letters", "weekly-digits"])
+def test_a_float_cell_of_5000_characters_exits_2_on_a_short_line(dataset, tmp_path, capsys,
+                                                                 monkeypatch, source, cell,
+                                                                 message):
+    """The refusal quotes the cell's first 200 characters, not all 5,000,
+    so its one line stays under 300 bytes."""
+    monkeypatch.chdir(tmp_path)
+    if source == "weekly.csv":
+        Path(source).write_text(f"week,metric\n1,10\n2,{cell}\n")
+        argv = ["stats", "--weekly", source]
+        where = "weekly.csv:3"
+    else:
+        def edit(cells):
+            cells[3] = cell
+            return cells
+
+        data = _edited_dataset(dataset, tmp_path, source, 3, edit).relative_to(tmp_path)
+        argv = ["simulate", "--data", str(data), "--weeks", "1"]
+        where = f"{data / source}:3"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: {message}\n"
+    assert len(captured.err.encode()) < 300
 
 
 @pytest.mark.parametrize("offset", ["first-order", "every-order"])
@@ -937,9 +969,10 @@ def test_a_pallet_size_above_2_to_the_53_exits_3_naming_its_line(tmp_path, capsy
         assert captured.err == "" and "week 1: " in captured.out
 
 
-@pytest.mark.parametrize("source", ["orders.csv", "config", "PICKSIM_SEED"])
+@pytest.mark.parametrize("source", ["orders.csv", "config", "--seed", "--weeks",
+                                    "gen-data --items"])
 def test_a_number_of_more_than_4300_digits_exits_2_naming_its_source(dataset, tmp_path, capsys,
-                                                                     monkeypatch, source):
+                                                                     source):
     """A number of 5,000 digits, more than Python converts, is refused on
     one line that names where it came from and says why, with no advice
     to change the interpreter's limit and without echoing the digits."""
@@ -958,10 +991,17 @@ def test_a_number_of_more_than_4300_digits_exits_2_naming_its_source(dataset, tm
         cfg.write_text('{"BTpu": ' + digits + "}")
         argv += ["--config", str(cfg)]
         where = f"config {cfg}"
+    elif source == "gen-data --items":
+        argv = ["gen-data", "--out", str(tmp_path / "gen"), "--items", digits]
+        where = "argument --items"
     else:
-        monkeypatch.setenv("PICKSIM_SEED", digits)
-        where = "PICKSIM_SEED"
-    assert main(argv) == 2
+        argv += [source, digits]
+        where = f"argument {source}"
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag's value
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {where}: a number has more than 4,300 digits\n"

@@ -30,8 +30,7 @@ VALID = {
 }
 NESTED_VALID = {
     "walking": {"mode": "distance", "constant_s": 120.0, "equipment": "handlift"},
-    "replenish": {"mode": "sampled", "mu_s": 600.0, "sigma_s": 60.0, "t_min_s": 30.0,
-                  "seed": 5},
+    "replenish": {"mode": "sampled", "mu_s": 600.0, "sigma_s": 60.0, "t_min_s": 30.0},
 }
 BAD = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 0), st.sampled_from([-0.5, math.nan, math.inf]),
@@ -132,9 +131,7 @@ def tiny(tmp_path_factory):
     (root / "nan.csv").write_text("week,metric\n1,nan\n2,3\n")
     (root / "latin1.csv").write_bytes(b"week,metric\n1,10\n2,3\xff\n")
     (root / "latin1.json").write_bytes(b'{"sph": 1\xff00}')
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("PICKSIM_SEED", raising=False)
-        yield root
+    return root
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

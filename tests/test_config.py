@@ -38,14 +38,14 @@ def test_configs_are_immutable_and_hashable():
     cfg = config_from_dict({})
     assert cfg == SimConfig() and hash(cfg) == hash(SimConfig())
     assert len({cfg, SimConfig(), config_from_dict({"sph": 80.0})}) == 2
-    for record, name in ((cfg, "sph"), (cfg.walking, "mode"), (cfg.replenish, "seed")):
+    for record, name in ((cfg, "sph"), (cfg.walking, "mode"), (cfg.replenish, "mu_s")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
 
 
-def test_null_floor_and_seed_load_as_unset():
-    cfg = config_from_dict({"replenish": {"t_min_s": None, "seed": None}})
-    assert cfg == SimConfig() and cfg.replenish.seed is None
+def test_null_floor_loads_as_unset():
+    cfg = config_from_dict({"replenish": {"t_min_s": None}})
+    assert cfg == SimConfig()
     assert ReplenishmentSampler.from_config(cfg, 0).t_min_s == 600.0 - 3 * 60.0
 
 
@@ -96,9 +96,7 @@ def test_booleans_are_not_numbers():
 
 @pytest.mark.parametrize("data, message", [
     ({"pieces_per_master": True}, "pieces_per_master must be an integer >= 1"),
-    ({"replenish": {"seed": True}}, "replenish.seed must be an integer"),
-    ({"replenish": {"seed": False}}, "replenish.seed must be an integer"),
-], ids=["pieces_per_master-true", "seed-true", "seed-false"])
+], ids=["pieces_per_master-true"])
 def test_booleans_are_not_integers(data, message):
     with pytest.raises(ValidationError) as exc:
         config_from_dict(data)

@@ -174,18 +174,15 @@ def _traced_run_hashes(dataset, tmp_path, capsys, policy, picking, extra=()):
 
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
 @pytest.mark.parametrize("picking", ["area", "zoning"])
-def test_simulation_outputs_are_golden(golden_dataset, tmp_path, capsys, monkeypatch,
-                                       policy, picking):
-    monkeypatch.delenv("PICKSIM_SEED", raising=False)
+def test_simulation_outputs_are_golden(golden_dataset, tmp_path, capsys, policy, picking):
     assert _traced_run_hashes(golden_dataset, tmp_path, capsys, policy, picking) == \
         GOLDEN[(policy, picking)]
 
 
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
 @pytest.mark.parametrize("picking", ["area", "zoning"])
-def test_distance_walking_outputs_are_golden(golden_dataset, tmp_path, capsys, monkeypatch,
-                                             policy, picking):
-    monkeypatch.delenv("PICKSIM_SEED", raising=False)
+def test_distance_walking_outputs_are_golden(golden_dataset, tmp_path, capsys, policy,
+                                             picking):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(DISTANCE_CONFIG), encoding="utf-8")
     assert _traced_run_hashes(golden_dataset, tmp_path, capsys, policy, picking,
@@ -194,9 +191,7 @@ def test_distance_walking_outputs_are_golden(golden_dataset, tmp_path, capsys, m
 
 @pytest.mark.parametrize("policy", ["fixed", "random", "fixed-zone"])
 @pytest.mark.parametrize("picking", ["area", "zoning"])
-def test_weekly_metrics_are_golden(golden_dataset, tmp_path, capsys, monkeypatch, policy,
-                                   picking):
-    monkeypatch.delenv("PICKSIM_SEED", raising=False)
+def test_weekly_metrics_are_golden(golden_dataset, tmp_path, capsys, policy, picking):
     out = tmp_path / "run"
     rc = main(["simulate", "--data", str(golden_dataset), "--policy", policy,
                "--picking", picking, "--weeks", "2", "--seed", "7", "--out", str(out)])

@@ -29,6 +29,7 @@ from picksim import (
     save_layout,
 )
 from picksim.cli import _read_weekly
+from picksim.warehouse import _finite
 
 STACKER = Equipment("stacker", 90.0, 30.0, 3.0)
 HANDLIFT = Equipment("handlift", 100.0, 0.0, 2.0)
@@ -507,6 +508,23 @@ def test_non_finite_number_is_a_parse_error_naming_its_line(tmp_path, name, colu
     with pytest.raises(ParseError,
                        match=re.escape(f"{name}.csv:3: '{value}' is not a finite number")):
         read(str(path))
+
+
+@pytest.mark.parametrize("cell", ["x" * 200, "x" * 201, "9" * 400])
+def test_a_float_cell_is_quoted_by_at_most_its_first_200_characters(cell):
+    """A cell that is not a number, or reads as an infinite one, is quoted
+    as ``int()`` quotes one: whole up to 200 characters, where the message
+    is ``float()``'s own, and cut to its first 200 beyond."""
+    with pytest.raises(ValueError) as exc:
+        _finite(cell)
+    if cell[0] == "x":
+        assert str(exc.value) == f"could not convert string to float: {cell[:200]!r}"
+        if len(cell) <= 200:
+            with pytest.raises(ValueError) as own:
+                float(cell)
+            assert str(exc.value) == str(own.value)
+    else:
+        assert str(exc.value) == f"{cell[:200]!r} is not a finite number"
 
 
 def test_inventory_qty_below_one_is_an_input_error_naming_its_line(tmp_path):
