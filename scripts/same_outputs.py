@@ -20,7 +20,10 @@ lines and code lines (no blank lines, comments or docstrings).  It exits
 
 The matrix:
 
-* ``gen-data`` of every dataset below;
+* ``gen-data`` of every dataset below, and ``gen-data --items 612
+  --slots 4596 --lines 28128 --weeks 1``, four times the full-scale
+  weekly volume.  A tree that bounds the weekly volume by a visit budget
+  of its time ceiling refuses it with exit 3;
 * the six policy x picking runs on the full-scale 4-week dataset, with
   distance walking, sampled replenishment, ``--audit`` and ``--trace``;
 * the same six on a one-week full-scale dataset at ``replenish.mu_s``
@@ -49,10 +52,16 @@ The matrix:
   --picking area --weeks 1`` with distance walking on a copy of the demo
   data whose every second initial pallet is given to its most-ordered
   item, so the fallback fills another item's slots;
-* two weeks that overrun the horizon, which exit 1 after writing their
-  trace: ``simulate --weeks 1 --trace`` on the demo data at
-  ``horizon_s`` 3600, and at ``horizon_s`` 7200 with ``replenish.mu_s``
-  3000, whose message also names the order the picker waits for;
+* two configs that set the legacy key ``horizon_s``: ``simulate --weeks
+  1 --trace`` on the demo data at ``horizon_s`` 3600, and at
+  ``horizon_s`` 7200 with ``replenish.mu_s`` 3000.  Both load with one
+  warning and run the week to its last order.  A tree that still stops
+  a week at ``horizon_s`` exits 1 there after writing a shorter trace;
+* ``simulate --policy fixed --weeks 1`` on the full-scale week's orders
+  in a building of 16 times the items and slots (``gen-data --seed 12345
+  --items 2448 --slots 18384 --lines 7032 --weeks 1``), with distance
+  walking at ``replenish.mu_s`` 120.  Its week takes 62,314 minutes of
+  simulated time, so a tree with the 30-day ``horizon_s`` exits 1 there;
 * refusals, runs that exit 2 or 3: ``simulate`` on copies of the demo
   data with one bad cell (an item of 0 pieces per pallet, an order line
   of 0 pieces, an order line of an unknown item, an order line whose
@@ -128,7 +137,13 @@ DATASETS = {
     "flat": ["--items", "6", "--slots", "20", "--lines", "60", "--weeks", "2"],
     "golden": ["--seed", "4242", "--items", "12", "--slots", "60", "--lines", "200",
                "--weeks", "2"],
+    # the full-scale week's orders in a building of 16 times the items and slots
+    "wide1": ["--seed", "12345", "--items", "2448", "--slots", "18384", "--lines", "7032",
+              "--weeks", "1"],
 }
+# 4 times the full-scale weekly volume: a run, not an input, since a tree with a time
+# ceiling refuses to generate it
+QUADRUPLE = ["--items", "612", "--slots", "4596", "--lines", "28128", "--weeks", "1"]
 CONFIGS = {
     "distance": {"walking": {"mode": "distance"}, "replenish": {"mode": "sampled"}},
     "saturated": {"walking": {"mode": "distance"}, "replenish": {"mu_s": 120.0}},
@@ -172,6 +187,8 @@ def matrix() -> list[tuple[str, list[str]]]:
     relative to a tree's run directory, whose ``data`` holds the inputs."""
     runs = [(f"gen-data-{name}", ["gen-data", "--out", f"out/gen-data-{name}", *args])
             for name, args in DATASETS.items()]
+    runs.append(("gen-data-quadruple", ["gen-data", "--out", "out/gen-data-quadruple",
+                                        *QUADRUPLE]))
     for policy, picking in COMBOS:
         runs.append((f"full4-{policy}-{picking}", [
             "simulate", "--data", "data/full4", "--config", "data/distance.json",
@@ -216,6 +233,9 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("stuck-fixed-area", [
         "simulate", "--data", "data/stuck", "--config", "data/walk-distance.json",
         "--policy", "fixed", "--picking", "area", "--weeks", "1", "--out", "out/stuck"]))
+    runs.append(("wide1-fixed-saturated", [
+        "simulate", "--data", "data/wide1", "--config", "data/saturated.json", "--policy",
+        "fixed", "--weeks", "1", "--out", "out/wide1-fixed-saturated"]))
     for config in ("horizon", "horizon-waiting"):
         runs.append((f"demo-{config}", [
             "simulate", "--data", "data/demo", "--config", f"data/{config}.json", "--weeks", "1",

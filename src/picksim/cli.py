@@ -21,10 +21,11 @@ Subcommands:
     Aggregate one or two weekly-metric CSV files (``week,metric``)
     without running any simulation.
 
-Exit codes: 0 success, 1 simulation failure (a week that can never finish,
-or overruns the horizon), 2 malformed command line, unreadable input or
-an output file or standard output that cannot be written, 3 invalid
-configuration or input data.
+Exit codes: 0 success, 1 simulation failure (a week that can never
+finish: the picker waits for an item no visit can restock), 2 malformed
+command line, unreadable input or an output file or standard output
+that cannot be written, 3 invalid configuration or input data.  A week
+has no time limit: it ends when its last order completes.
 
 The master seed of ``simulate`` and ``compare`` is their ``--seed`` flag,
 ``DEFAULT_SEED`` (12345) without it; nothing else sets it.
@@ -77,13 +78,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _integer(text: str) -> int:
     """argparse type for an integer flag: ``int``, but a number of more digits
-    than Python converts is refused as such, without echoing its digits."""
+    than Python converts is refused as such, without echoing its digits, and
+    any other bad value is quoted by at most its first 200 characters."""
     try:
         return _int(text)
     except _TooManyDigits as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text[:200]!r}") from None
+
+
+def _clipped(text: str) -> str:
+    """argparse type for a flag with choices: the value's first 200
+    characters, which argparse's ``invalid choice`` message quotes.  Every
+    choice is shorter, so a cut value is refused as the whole one was."""
+    return text[:200]
 
 
 def _weeks(text: str) -> int:
@@ -108,7 +117,7 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="run one scenario")
     _common_run_args(sim)
-    sim.add_argument("--allocation", choices=[r.value for r in AllocationRule],
+    sim.add_argument("--allocation", type=_clipped, choices=[r.value for r in AllocationRule],
                      default=None,
                      help="slot-allocation rule of --policy fixed (default homogeneous); "
                           "other policies read no slot map and refuse it")
@@ -140,10 +149,10 @@ def _common_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True,
                    help="dataset directory (layout/items/initial_inventory/orders)")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--policy", choices=[k.value for k in PolicyKind],
+    p.add_argument("--policy", type=_clipped, choices=[k.value for k in PolicyKind],
                    default=PolicyKind.FIXED.value,
                    help="storage policy (default fixed)")
-    p.add_argument("--picking", choices=[m.value for m in PickingMode],
+    p.add_argument("--picking", type=_clipped, choices=[m.value for m in PickingMode],
                    default=PickingMode.AREA.value,
                    help="picking mode (default area)")
     p.add_argument("--weeks", type=_weeks, default=4)

@@ -18,7 +18,6 @@ is a valid config.  Meanings:
 ``PPpa``               handling time per pallet placed at put-away, s
 ``pieces_per_master``  pieces per master carton
 ``metric_unit``        unit of the weekly metric: seconds, minutes, hours
-``horizon_s``          simulated-time ceiling of one weekly run, s
 =====================  ==================================================
 
 ``walking`` selects how per-order travel is charged: ``constant`` mode
@@ -35,10 +34,11 @@ seed is the scenario's (``ScenarioSpec.seed``, the CLI's ``--seed``).
 changed copy comes from ``_replace`` or ``config_from_dict``.
 
 Files written for earlier versions may still name equipment counts,
-capability flags, plan durations and other fields no simulation reads
-(``LEGACY_KEYS``); they load, and the keys are dropped with a warning
-on the ``picksim.config`` logger.  ``json`` is imported only when a
-config file is read.
+capability flags, plan durations, a simulated-time ceiling and other
+fields no simulation reads (``LEGACY_KEYS``); they load, and the keys
+are dropped with a warning on the ``picksim.config`` logger.  A week
+has no time ceiling: it ends when its last order completes.  ``json``
+is imported only when a config file is read.
 """
 
 from __future__ import annotations
@@ -58,10 +58,12 @@ METRIC_UNITS = {"seconds": 1.0, "minutes": 1.0 / 60.0, "hours": 1.0 / 3600.0}
 # Documented top-level keys of earlier versions that no simulation reads:
 # equipment counts and operators (h s oh os), capability flags (puh pus
 # pah pas tfh tfs), sorting times (BTs PMs PPs), plan durations (PDpu PDpa
-# PDs), EAT, pallet limits (MPW MPV), WI, OIFW and the break allowance LR.
+# PDs), EAT, pallet limits (MPW MPV), WI, OIFW, the break allowance LR and
+# a simulated-time ceiling per week (a week ends with its last order).
 LEGACY_KEYS = frozenset({
     "h", "s", "oh", "os", "puh", "pus", "pah", "pas", "tfh", "tfs",
     "BTs", "PMs", "PPs", "PDpu", "PDpa", "PDs", "EAT", "MPW", "MPV", "WI", "OIFW", "LR",
+    "horizon_s",
 })
 
 
@@ -103,7 +105,6 @@ class SimConfig(NamedTuple):
     PPpa: float = 15.0
     pieces_per_master: int = 10
     metric_unit: str = "minutes"
-    horizon_s: float = 2_592_000.0
     walking: WalkSettings = WalkSettings()
     replenish: ReplenishSettings = ReplenishSettings()
 
@@ -137,7 +138,6 @@ class SimConfig(NamedTuple):
               "pieces_per_master must be an integer >= 1")
         check(isinstance(self.metric_unit, str) and self.metric_unit in METRIC_UNITS,
               f"metric_unit must be one of {sorted(METRIC_UNITS)}")
-        check(_is_pos(self.horizon_s), "horizon_s must be a positive number")
         check(self.walking.mode in (WALK_CONSTANT, WALK_DISTANCE),
               "walking.mode must be 'constant' or 'distance'")
         check(_is_nonneg(self.walking.constant_s), "walking.constant_s must be non-negative")

@@ -5,12 +5,13 @@ byte-deterministic for a given seed.  The layout is a rack grid (rows
 of two-sided aisle positions, up to three layers) with route positions
 numbered row-major and contiguous row blocks forming zones.  Item
 demand follows a Pareto-like skew so a small share of products carries
-most picks.  Every item starts with at least one full pallet, weekly
-order quantities are kept within what starting stock plus replenishment
-can supply, and item home zones are sized to zone capacity, which keeps
-generated scenarios terminating.  A scale that cannot meet these bounds,
-that has fewer lines than weeks, or whose order times would run past the
-end of their week, is rejected with ``InputDataError``.
+most picks.  Every item starts with at least one full pallet, most
+order lines are case picks well below a pallet, and item home zones are
+sized to zone capacity.  A simulated week has no time budget (it ends
+when its last order does), so weekly volume is not bounded against the
+replenishment rate.  A scale with fewer slots than items, fewer lines
+than weeks, or order times that would run past the end of their week,
+is rejected with ``InputDataError``.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ def _make_layout(n_slots: int) -> list[Location]:
 def _make_items(rng: random.Random, scale: GenScale,
                 by_zone: dict[str, list[Location]]) -> tuple[list[Item], dict[str, float]]:
     """Items plus their demand weights, home zones sized to zone capacity."""
-    # heavy-tailed popularity, capped so no single item can outrun the
-    # replenishment chain's weekly pallet budget at any generated scale
+    # heavy-tailed popularity, each weight capped at 50
     weights = [min(rng.paretovariate(1.2), 50.0) for _ in range(scale.n_items)]
     zone_slots = {zone: len(slots) for zone, slots in by_zone.items()}
     total_slots = sum(zone_slots.values())
@@ -170,8 +170,7 @@ def _make_orders(rng: random.Random, items: list[Item], demand: dict[str, float]
             for code in chosen:
                 qpp = by_code[code].qty_per_pallet
                 # mostly case picks well below a pallet; occasionally a
-                # full-pallet-plus line.  Keeps total weekly pallet demand
-                # within what the restock chain can deliver in a horizon.
+                # full-pallet-plus line
                 if rng.random() < 0.9:
                     qty = rng.randint(1, max(1, qpp // 4))
                 else:
@@ -181,43 +180,6 @@ def _make_orders(rng: random.Random, items: list[Item], demand: dict[str, float]
             lines_left -= size
             k += 1
     return orders
-
-
-def _check_feasibility(items: list[Item], pallets: dict[str, list[tuple[int, date]]],
-                       orders: list[Order], scale: GenScale) -> None:
-    """Weekly demand must stay within what the restock chain can deliver.
-
-    The replenisher places one pallet per visit, so a week needs roughly
-    (pallets demanded) * (visit interval) seconds of simulated time on top
-    of the picking itself.  Cap both the total and any single item at 70
-    percent of the default horizon's visit budget; generation fails loudly
-    here instead of producing a dataset whose runs overrun the horizon.
-    """
-    cfg = SimConfig()
-    visit_budget = int(0.7 * cfg.horizon_s / cfg.replenish.mu_s)
-    weekly: list[dict[str, int]] = [dict() for _ in range(scale.weeks)]
-    for order in orders:
-        w = (order.order_datetime.date() - START_DATE).days // 7
-        for line in order.lines:
-            weekly[w][line.item] = weekly[w].get(line.item, 0) + line.qty
-    by_code = {i.code: i for i in items}
-    for w in range(scale.weeks):
-        total_pallets = 0
-        for code, need in weekly[w].items():
-            item = by_code[code]
-            start_qty = sum(q for q, _ in pallets[code])
-            supply = start_qty + visit_budget * item.qty_per_pallet
-            if need > supply:
-                raise InputDataError(
-                    f"week {w + 1} demand {need} for {code} exceeds plausible supply {supply}"
-                )
-            short = max(0, need - start_qty)
-            total_pallets += -(-short // item.qty_per_pallet)
-        if total_pallets > visit_budget:
-            raise InputDataError(
-                f"week {w + 1} needs {total_pallets} restocked pallets; the "
-                f"default horizon only fits {visit_budget} visits"
-            )
 
 
 def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
@@ -239,7 +201,6 @@ def generate_data(out_dir: str, seed: int, n_items: int, n_slots: int,
     items, demand = _make_items(rng, scale, layout.zones)
     pallets = _make_initial(rng, items, n_slots)
     orders = _make_orders(rng, items, demand, scale)
-    _check_feasibility(items, pallets, orders, scale)
 
     # place starting stock through the zone policy so the file holds a
     # realistic arrangement (reset per run under the active policy anyway)

@@ -45,9 +45,9 @@ class SchedulePastError(SimulationAbort):
 
 
 class InfeasibleRunError(SimulationAbort):
-    """A weekly run cannot finish its orders: it reached the horizon with
-    orders unfinished, or, at the first stall of a week that can never
-    finish, the picker waits for an item that no visit can restock."""
+    """A weekly run can never finish its orders: at a stall, the picker
+    waits for an item that no visit can restock, because the item has no
+    vacant candidate slot and only the waiting picker drains slots."""
 
 
 def _logger(name: str):

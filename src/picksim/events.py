@@ -22,7 +22,6 @@ same.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Union
 
 from .errors import SchedulePastError
@@ -90,9 +89,9 @@ class Engine:
         else:
             self.next_pick = event
 
-    def run(self, horizon: float = math.inf) -> list[Event]:
+    def run(self) -> list[Event]:
         """Execute events in (time, seq) order until neither actor has one
-        pending or the next lies beyond the horizon.  Returns the executed trace."""
+        pending.  Returns the executed trace."""
         handle_spo, handle_pp = self._picker.handle_spo, self._picker.handle_pp
         handle_rp = self._replenisher.handle_rp
         check = self._check
@@ -102,7 +101,7 @@ class Engine:
         while True:
             pick, visit = self.next_pick, self.next_visit
             event = pick if visit is None or (pick is not None and pick < visit) else visit
-            if event is None or event.time > horizon:
+            if event is None:
                 break
             now = self.now = event.time
             executed(event)

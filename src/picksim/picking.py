@@ -285,34 +285,25 @@ class PickingSession:
             self.warehouse.pick(item, avail)
             self._owed = want - avail
         if self.policy.nearest_vacant(item) is None:
-            raise InfeasibleRunError(self._stuck(item, event.time))
+            raise InfeasibleRunError(self._stuck(entry, stop, item, event.time))
         t_rp = sim.next_visit.time
         self.metrics.wait_s += t_rp - event.time
         return (t_rp, kind)
 
-    def _waiting_for(self) -> str | None:
-        """The order, line index, item and slot of the short line the picker
-        waits at, as text, or None when no order is in flight."""
-        if self._active is None:
-            return None
-        entry = self.plan[self._active]
-        stop = entry.route[self._at_stop]
-        return (f"the picker is waiting for order {entry.order.order_no}, line index "
-                f"{stop.line_index}, item {entry.order.lines[stop.line_index].item}, "
-                f"at slot {stop.location.id}")
-
-    def _stuck(self, item: str, now: float) -> str:
-        """Why the week can never finish: the picker waits for ``item``, which
-        has no stock left and no vacant candidate slot.  Only the waiting
-        picker drains slots, so no restocking visit can ever place it."""
+    def _stuck(self, entry: PlanEntry, stop: RouteStop, item: str, now: float) -> str:
+        """Why the week can never finish: the picker waits at ``stop`` of
+        ``entry`` for ``item``, which has no stock left and no vacant
+        candidate slot.  Only the waiting picker drains slots, so no
+        restocking visit can ever place it."""
         slots = self.policy.candidate_slots(item)
         if len(slots) == len(self.warehouse.storage):
             why = "the warehouse is full"
         else:
             held = sorted({self.warehouse.records[loc.id].item for loc in slots})
             why = f"its candidate slots hold pallets of {', '.join(held)}"
-        return (f"cannot finish: at t={now} s {self._waiting_for()}, and no visit can "
-                f"restock {item}: {why}")
+        return (f"cannot finish: at t={now} s the picker is waiting for order "
+                f"{entry.order.order_no}, line index {stop.line_index}, item {item}, at slot "
+                f"{stop.location.id}, and no visit can restock {item}: {why}")
 
     # -- core traversal ----------------------------------------------------
 

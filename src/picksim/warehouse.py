@@ -337,7 +337,8 @@ class Warehouse:
         Otherwise the pallet is drained and popped.  Per pallet the
         change log gets ``(record, -taken, left)``: a pallet left standing
         logs the pieces it still holds, a drained one ``-held, 0``, its
-        only drain entry.
+        only drain entry.  A drained record keeps its last ``qty``, which
+        no reader consults.
         """
         if qty < 1:
             raise InputDataError(f"pick quantity must be >= 1, got {qty}")
@@ -357,7 +358,6 @@ class Warehouse:
                 on_hand[item_code] -= remaining
                 log.append((record, -remaining, left))
                 return touched, remaining
-            record.qty = 0
             heapq.heappop(lots)
             del self.records[record.location]
             on_hand[item_code] -= held

@@ -58,12 +58,22 @@ def test_gen_data_prints_all_four_paths(tmp_path, capsys):
         "initial_inventory.csv", "items.csv", "layout.csv", "orders.csv"]
 
 
-def test_gen_data_beyond_supply_exits_3(tmp_path, capsys):
-    assert main(["gen-data", "--out", str(tmp_path), "--items", "1", "--slots", "1",
-                 "--lines", "20000", "--weeks", "1"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: week 1 demand ") and err.count("\n") == 1
-    assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
+def test_gen_data_of_a_week_longer_than_30_days_writes_a_dataset_that_finishes(tmp_path,
+                                                                               capsys):
+    """One item in one slot and 20,000 order lines: the week needs thousands
+    of restocked pallets, one per visit, and takes about 54 days of
+    simulated time.  A week has no time limit, so the dataset is written
+    and its week runs to its last order."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--items", "1", "--slots", "1",
+                 "--lines", "20000", "--weeks", "1"]) == 0
+    assert sorted(p.name for p in data.iterdir()) == [
+        "initial_inventory.csv", "items.csv", "layout.csv", "orders.csv"]
+    capsys.readouterr()
+    assert main(["simulate", "--data", str(data), "--weeks", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "  week 1: 78482.90\n" in captured.out
 
 
 @pytest.mark.parametrize("lines, weeks", [("3", "4"), ("0", "1")])
@@ -511,6 +521,31 @@ def test_an_integer_flag_that_is_not_an_integer_exits_2_quoting_it(dataset, tmp_
         main([command, *where, flag, value])
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"error: argument {flag}: invalid int value: {value!r}\n"
+    assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
+
+
+@pytest.mark.parametrize("length", [5, 200, 201, 5000])
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--seed"), ("gen-data", "--items"), ("simulate", "--policy"),
+    ("compare", "--picking"), ("simulate", "--allocation"),
+])
+def test_a_long_flag_value_is_quoted_by_at_most_its_first_200_characters(
+        dataset, tmp_path, capsys, command, flag, length):
+    """An integer flag's ``invalid int value`` and a choice flag's ``invalid
+    choice`` quote the value whole up to 200 characters and its first 200
+    beyond, so the one line stays under 300 bytes."""
+    where = ["--out", str(tmp_path)] if command == "gen-data" else ["--data", dataset]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *where, flag, "x" * length])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    quoted = "x" * min(length, 200)
+    if flag in ("--seed", "--items"):
+        assert err == f"error: argument {flag}: invalid int value: '{quoted}'\n"
+    else:
+        assert err.startswith(f"error: argument {flag}: invalid choice: '{quoted}' (choose from ")
+        assert err.endswith(")\n") and err.count("\n") == 1
+    assert len(err.encode()) < 300
     assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
 
 
@@ -1070,12 +1105,27 @@ def test_config_not_json_exits_2(dataset, tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-def test_infeasible_horizon_exits_1(dataset, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"horizon_s": 10.0}))
-    assert main(["simulate", "--data", dataset, "--config", str(cfg),
-                 "--weeks", "2"]) == 1
-    assert "horizon" in capsys.readouterr().err
+def test_a_config_with_a_time_ceiling_runs_every_week_to_its_end(dataset, tmp_path):
+    """``horizon_s`` is a legacy key: a config that sets it loads with one
+    warning, and the run writes what the run without it writes."""
+    ceiling = tmp_path / "ceiling.json"
+    ceiling.write_text(json.dumps({"horizon_s": 10}))
+    runs, written = [], []
+    for cfg in (ceiling, None):
+        out = tmp_path / ("out-ceiling" if cfg else "out-plain")
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "picksim.cli", "simulate", "--data", dataset, "--weeks", "2",
+             "--trace", "--out", str(out), *(["--config", str(cfg)] if cfg else [])],
+            capture_output=True, text=True, env=child_env(),
+        ))
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stderr == "config fields horizon_s are no longer used and were ignored\n"
+    assert runs[1].stderr == ""
+    assert runs[0].stdout == runs[1].stdout
+    assert sorted(written[0]) == ["results.csv", "summary.csv",
+                                  *(f"trace_fixed-homogeneous-area_week{n}.csv" for n in (1, 2))]
+    assert written[0] == written[1]
 
 
 def test_a_week_that_never_finishes_names_the_line_the_picker_waits_for(tmp_path, capsys):

@@ -26,7 +26,7 @@ from picksim.cli import main
 VALID = {
     "sph": 100.0, "sps": 90.0, "Lsps": 30.0, "tth": 2.0, "tts": 3.0, "BTpu": 10.0,
     "BTpa": 10.0, "PMpu": 2.0, "PPpu": 15.0, "PPpa": 15.0, "pieces_per_master": 10,
-    "metric_unit": "hours", "horizon_s": 2_592_000.0,
+    "metric_unit": "hours",
 }
 NESTED_VALID = {
     "walking": {"mode": "distance", "constant_s": 120.0, "equipment": "handlift"},

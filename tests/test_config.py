@@ -27,7 +27,6 @@ def test_empty_dict_gives_full_defaults():
     assert cfg.BTpu == 10.0 and cfg.PPpu == 15.0 and cfg.PMpu == 2.0
     assert cfg.pieces_per_master == 10
     assert cfg.metric_unit == "minutes"
-    assert cfg.horizon_s == 2_592_000.0
     assert cfg.walking.mode == "constant" and cfg.walking.constant_s == 120.0
     assert cfg.replenish.mode == "constant" and cfg.replenish.mu_s == 600.0
     assert ReplenishmentSampler.from_config(cfg, 0).t_min_s == 600.0 - 3 * 60.0
@@ -79,14 +78,13 @@ def test_validation_collects_every_violation():
         config_from_dict({
             "sph": -5,
             "BTpu": -1,
-            "horizon_s": -1,
             "metric_unit": "days",
             "replenish": {"mu_s": 0},
         })
     messages = exc.value.messages
-    for needle in ("sph", "BTpu", "horizon_s", "metric_unit", "replenish.mu_s"):
+    for needle in ("sph", "BTpu", "metric_unit", "replenish.mu_s"):
         assert any(needle in m for m in messages), f"no message about {needle}"
-    assert len(messages) >= 5
+    assert len(messages) >= 4
 
 
 def test_booleans_are_not_numbers():
@@ -110,7 +108,7 @@ def test_equipment_builders_read_speed_lift_and_turn():
 
 
 def test_legacy_keys_load_with_one_warning(caplog):
-    assert len(LEGACY_KEYS) == 22 and not LEGACY_KEYS & set(SimConfig._fields)
+    assert len(LEGACY_KEYS) == 23 and not LEGACY_KEYS & set(SimConfig._fields)
     with caplog.at_level(logging.WARNING, logger="picksim.config"):
         cfg = config_from_dict({**dict.fromkeys(LEGACY_KEYS, 1), "sph": 80.0})
     assert cfg == config_from_dict({"sph": 80.0})

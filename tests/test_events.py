@@ -1,4 +1,4 @@
-"""Two-slot event list: ordering, tie-breaks, chain end, horizon, trace serialization."""
+"""Two-slot event list: ordering, tie-breaks, chain end, trace serialization."""
 
 from __future__ import annotations
 
@@ -152,20 +152,6 @@ def test_schedule_at_now_is_allowed():
     eng.schedule(2.0, StartPickOrder(0))
     eng.run()
     assert [(now, kind.order) for now, kind in picker.seen] == [(2.0, 0), (2.0, 1)]
-
-
-def test_horizon_stops_before_late_events():
-    times = [0.0, 4.0, 5.0, 5.5, 9.0]
-    picker = Picker([(t, StartPickOrder(i + 1)) for i, t in enumerate(times[1:])])
-    eng = Engine(picker, Visits(6.0))
-    eng.schedule(times[0], StartPickOrder(0))
-    eng.schedule(6.0, Replenish())
-    eng.run(horizon=5.0)
-    assert [t for t, _, _ in _executed(eng)] == [0.0, 4.0, 5.0]
-    assert eng.now == 5.0
-    assert (eng.next_pick.time, eng.next_visit.time) == (5.5, 6.0)
-    eng.run()
-    assert [t for t, _, _ in _executed(eng)] == [0.0, 4.0, 5.0, 5.5, 6.0, 9.0, 12.0]
 
 
 def test_trace_csv_payloads(tmp_path):

@@ -139,6 +139,30 @@ def small_dataset(tmp_path_factory):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def stuck_dataset(small_dataset, tmp_path_factory):
+    """``small_dataset`` with every second initial pallet, from the first,
+    given to the most-ordered item (its pieces cut to that item's pallet
+    size).  Under fixed storage and homogeneous allocation the fallback
+    fills another item's slots, so week 1 gets stuck."""
+    src = Path(small_dataset)
+    out = tmp_path_factory.mktemp("stuck")
+    for name in ("layout.csv", "items.csv", "orders.csv"):
+        (out / name).write_bytes((src / name).read_bytes())
+    with open(src / "items.csv", newline="") as fh:
+        per_pallet = {row["item_code"]: int(row["qty_per_pallet"]) for row in csv.DictReader(fh)}
+    with open(src / "orders.csv", newline="") as fh:
+        lines = Counter(row["item_code"] for row in csv.DictReader(fh))
+    code = min(lines, key=lambda item: (-lines[item], item))
+    with open(src / "initial_inventory.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    for row in rows[::2]:
+        row[3:5] = [code, str(min(int(row[4]), per_pallet[code]))]
+    with open(out / "initial_inventory.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return str(out)
+
+
 def test_run_scenario_is_deterministic(small_dataset, tmp_path):
     res1 = run_scenario(_spec(small_dataset))
     res2 = run_scenario(_spec(small_dataset))
@@ -200,12 +224,6 @@ def test_scenarios_differ_across_policies(small_dataset):
     rand = run_scenario(_spec(small_dataset, policy=PolicyKind.RANDOM))
     # same orders, different placement rules: some week must diverge
     assert fixed.weekly_metrics != rand.weekly_metrics
-
-
-def test_tiny_horizon_raises_infeasible(small_dataset):
-    cfg = SimConfig(horizon_s=10.0)
-    with pytest.raises(InfeasibleRunError, match="orders"):
-        run_scenario(_spec(small_dataset, cfg=cfg))
 
 
 def test_weeks_beyond_the_data_are_an_input_error(small_dataset):
@@ -288,8 +306,8 @@ def test_a_run_leaves_nothing_for_the_cyclic_collector(golden_dataset, tmp_path,
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("outcome", ["returns", "infeasible", "empty-week"])
-def test_run_leaves_the_collector_as_the_caller_had_it(small_dataset, gc_state, monkeypatch,
-                                                      enabled, outcome):
+def test_run_leaves_the_collector_as_the_caller_had_it(small_dataset, stuck_dataset, gc_state,
+                                                      monkeypatch, enabled, outcome):
     loading = []
     load_layout = experiment.load_layout
 
@@ -300,7 +318,8 @@ def test_run_leaves_the_collector_as_the_caller_had_it(small_dataset, gc_state, 
     monkeypatch.setattr(experiment, "load_layout", spy)
     spec, raised = {
         "returns": (_spec(small_dataset), None),
-        "infeasible": (_spec(small_dataset, cfg=SimConfig(horizon_s=10.0)), InfeasibleRunError),
+        "infeasible": (_spec(stuck_dataset, policy=PolicyKind.FIXED,
+                             allocation=AllocationRule.HOMOGENEOUS), InfeasibleRunError),
         "empty-week": (_spec(small_dataset, weeks=3), InputDataError),
     }[outcome]
     if enabled:

@@ -9,8 +9,8 @@ each config with the equipment speeds scaled alike).  Each pair of runs
 must keep the transform's relation.
 
 One relation transforms the config alone: doubling every duration of
-the config (turn, base and handling times, the horizon, the walking
-constant, the replenishment mean, spread and floor) and the seconds of a
+the config (turn, base and handling times, the walking constant, the
+replenishment mean, spread and floor) and the seconds of a
 simulated day, and halving every speed, doubles every time a run writes
 and leaves every other output cell as it was.  Doubling and halving are
 exact in binary floating point, so the relation holds bit for bit.  It
@@ -156,7 +156,7 @@ def test_line_order_within_an_order_is_no_input(root, golden_dataset, original, 
         assert _without_line_indices(files) == _without_line_indices(want_files), run
 
 
-DURATIONS = ("tth", "tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa", "horizon_s")
+DURATIONS = ("tth", "tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa")
 SPEEDS = ("sph", "sps", "Lsps")
 RESULT_TIMES = ("metric", "walk_s", "handle_s", "wait_s", "put_travel_s", "put_handle_s")
 

@@ -13,7 +13,7 @@ from conftest import anchors, make_item, slot, trace_cfg
 from runners import engine_run
 import picksim.picking as picking_module
 from picksim.config import config_from_dict
-from picksim.events import PartialPick
+from picksim.events import Engine, PartialPick
 from picksim import (
     ENTRANCE_ID,
     SPECIAL_AREA_ID,
@@ -391,7 +391,7 @@ def test_a_week_prices_its_legs_with_one_leg_function(monkeypatch, walking, pick
 def test_a_picker_waiting_in_a_full_warehouse_stops_the_week_at_once():
     """Random storage with both slots holding B's pallets while the picker
     waits for A: only the picker drains slots, so no visit can ever restock
-    A, and the week stops at the picker's first resume, not at the horizon."""
+    A, and the week stops at the picker's first resume."""
     layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, seq=1),
                           slot(0, 1, 1, 100.0, 200.0, seq=2)]
     initial = [((0, 1, 0), "B", 10, MFG), ((0, 1, 1), "B", 10, MFG)]
@@ -445,36 +445,62 @@ class _Unchecked(PickingSession):
         super().__init__(warehouse, _AnyVacant(policy), *args)
 
 
-_HORIZON_CFG = trace_cfg(horizon_s=20_000.0)
+# the simulated time past which the unchecked week counts as never finishing
+_BOUND_S = 20_000.0
 
 
-def _overflow_week(world, session=PickingSession):
+class _PastBound(Exception):
+    """Raised by ``_Bounded`` with the engine whose clock passed ``_BOUND_S``."""
+
+    def __init__(self, engine):
+        super().__init__(f"t={engine.now} s is past {_BOUND_S} s")
+        self.engine = engine
+
+
+class _Bounded(Engine):
+    """An engine whose check stops the week once its clock passes ``_BOUND_S``;
+    a run has no time limit of its own."""
+
+    def __init__(self, picker, replenisher, check=None):
+        super().__init__(picker, replenisher, check=self._bound)
+
+    def _bound(self):
+        if self.now > _BOUND_S:
+            raise _PastBound(self)
+
+
+def _overflow_week(world, session=PickingSession, engine=Engine):
     """Stock a fresh warehouse of ``world`` through ``place_initial``, which
-    must fall back, and run its week with ``session`` as the picker."""
+    must fall back, and run its week with ``session`` as the picker on
+    ``engine``."""
     layout, items, slot_map, pallets, orders = world
+    cfg = trace_cfg()
     wh = Warehouse(index_layout(layout), items)
-    pol = StoragePolicy(PolicyKind.FIXED, wh, _HORIZON_CFG.stacker(), slot_map=slot_map)
+    pol = StoragePolicy(PolicyKind.FIXED, wh, cfg.stacker(), slot_map=slot_map)
     assert place_initial(pol, pallets, {}) >= 1
     built = [Order(no, DT, truck, [OrderLine(code, qty) for code, qty in lines])
              for no, truck, lines in orders]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "PickingSession", session)
-        return run_week(wh, pol, built, PickingMode.AREA, _HORIZON_CFG, 1, MFG)
+        patch.setattr(experiment, "Engine", engine)
+        return run_week(wh, pol, built, PickingMode.AREA, cfg, 1, MFG)
 
 
 @settings(max_examples=60, deadline=None)
 @given(world=overflowing_worlds())
 def test_a_week_stops_where_it_gets_stuck_and_only_where_it_could_never_finish(world):
-    """Whenever the stall check fires, the same week without the check runs
-    to its horizon unfinished; a week where it never fires finishes."""
+    """Whenever the stall check fires, the same week without the check is
+    still unfinished when its clock passes 20,000 s; a week where it never
+    fires finishes."""
     try:
         session, _ = _overflow_week(world)
     except InfeasibleRunError:
         event("stuck")
-        session, engine = _overflow_week(world, _Unchecked)
-        assert None in session.completions
+        with pytest.raises(_PastBound) as stopped:
+            _overflow_week(world, _Unchecked, _Bounded)
+        engine = stopped.value.engine
+        assert None in engine._picker.completions
         assert engine.next_pick is not None
-        assert min(engine.next_pick.time, engine.next_visit.time) > _HORIZON_CFG.horizon_s
     else:
         assert None not in session.completions
 

@@ -480,6 +480,17 @@ def test_malformed_row_is_a_parse_error_naming_its_line(tmp_path, name, case):
 
 
 @pytest.mark.parametrize("name", READERS)
+def test_a_first_byte_that_is_not_utf8_names_line_1(tmp_path, name):
+    """The undecodable byte opens the header line, so the search for it
+    in the raw bytes must start at the file's first byte."""
+    read, header, (first, second) = READERS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(b"\n".join([b"\xff" + header, first, second, b""]))
+    with pytest.raises(ParseError, match=re.escape(f"{name}.csv:1: not UTF-8")):
+        read(str(path))
+
+
+@pytest.mark.parametrize("name", READERS)
 def test_blank_lines_are_skipped(tmp_path, name):
     read, header, (first, second) = READERS[name]
     plain = tmp_path / "plain" / f"{name}.csv"
