@@ -56,7 +56,11 @@ The matrix:
   1 --trace`` on the demo data at ``horizon_s`` 3600, and at
   ``horizon_s`` 7200 with ``replenish.mu_s`` 3000.  Both load with one
   warning and run the week to its last order.  A tree that still stops
-  a week at ``horizon_s`` exits 1 there after writing a shorter trace;
+  a week at ``horizon_s`` exits 1 there after writing a shorter trace.
+  The second sets ``replenish.mu_s`` as the JSON integer 3000: a tree
+  with a ``replenish.mode`` writes its visit times as integers there
+  (``3000``), and one without as floats (``3000.0``), a declared
+  difference of its trace;
 * ``simulate --policy fixed --weeks 1`` on the full-scale week's orders
   in a building of 16 times the items and slots (``gen-data --seed 12345
   --items 2448 --slots 18384 --lines 7032 --weeks 1``), with distance
@@ -92,6 +96,15 @@ The matrix:
   as an unknown field.  A tree that still read those two seed sources
   runs both of the latter at seed 1 or 2 and exits 0, so against such a
   base their outputs are the declared difference;
+* one interval rule: ``simulate --weeks 1 --trace`` on the demo data
+  under three configs.  ``replenish.mode`` ``constant`` with ``sigma_s``
+  90 and ``t_min_s`` 5000 gives the same outputs in every tree, since a
+  tree without the mode reads it as ``sigma_s`` 0 with ``t_min_s``
+  unset.  ``replenish.sigma_s`` 60 without a mode is inert in a tree
+  with the mode (constant by default) and samples in one without, and
+  ``replenish.mu_s`` 0.25 visits every 0.25 s in a tree with the mode
+  and every 1 s, the floor of every interval, in one without; both are
+  declared differences;
 * ``simulate`` under each of the three policies on a copy of the demo
   data whose first item has a home zone, ``Z9``, with no slot in
   ``layout.csv``: fixed-zone storage refuses it, fixed and random
@@ -155,6 +168,9 @@ CONFIGS = {
     "frequent": {"replenish": {"mu_s": 60.0}},
     "sampled": {"replenish": {"mode": "sampled"}},
     "seeded": {"replenish": {"mode": "sampled", "seed": 2}},
+    "constant-set": {"replenish": {"mode": "constant", "sigma_s": 90, "t_min_s": 5000}},
+    "sigma-only": {"replenish": {"sigma_s": 60}},
+    "sub-second": {"replenish": {"mu_s": 0.25}},
 }
 COMBOS = [(policy, picking) for policy in ("fixed", "random", "fixed-zone")
           for picking in ("area", "zoning")]
@@ -253,6 +269,10 @@ def matrix() -> list[tuple[str, list[str]]]:
     for name in ("demo-sampled", "demo-sampled-env-seed"):
         runs.append((name, ["simulate", "--data", "data/demo", "--config", "data/sampled.json",
                             "--weeks", "2", "--trace", "--out", f"out/{name}"]))
+    for config in ("constant-set", "sigma-only", "sub-second"):
+        runs.append((f"demo-{config}", [
+            "simulate", "--data", "data/demo", "--config", f"data/{config}.json", "--weeks", "1",
+            "--trace", "--out", f"out/demo-{config}"]))
     runs.append(("refuse-seeded-config", ["simulate", "--data", "data/demo", "--config",
                                           "data/seeded.json", "--weeks", "1", "--trace",
                                           "--out", "out/refuse-seeded-config"]))

@@ -69,30 +69,33 @@ WEEKLY_HEADER = ["week", "metric"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage errors on one line and exits 2."""
+    """argparse that reports usage errors on one line and exits 2.  The
+    line quotes an argument, or the value after an option's ``=``, by at
+    most its first 200 characters."""
+
+    def parse_known_args(self, args=None, namespace=None):  # noqa: D102 - argparse hook
+        self._args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):  # noqa: D102 - argparse hook
+        for arg in self._args:
+            for text in (arg, arg.partition("=")[2]):
+                if len(text) > 200:
+                    message = message.replace(repr(text), repr(text[:200])).replace(
+                        text, text[:200])
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(2)
 
 
 def _integer(text: str) -> int:
     """argparse type for an integer flag: ``int``, but a number of more digits
-    than Python converts is refused as such, without echoing its digits, and
-    any other bad value is quoted by at most its first 200 characters."""
+    than Python converts is refused as such, without echoing its digits."""
     try:
         return _int(text)
     except _TooManyDigits as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text[:200]!r}") from None
-
-
-def _clipped(text: str) -> str:
-    """argparse type for a flag with choices: the value's first 200
-    characters, which argparse's ``invalid choice`` message quotes.  Every
-    choice is shorter, so a cut value is refused as the whole one was."""
-    return text[:200]
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _weeks(text: str) -> int:
@@ -117,8 +120,7 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="run one scenario")
     _common_run_args(sim)
-    sim.add_argument("--allocation", type=_clipped, choices=[r.value for r in AllocationRule],
-                     default=None,
+    sim.add_argument("--allocation", choices=[r.value for r in AllocationRule], default=None,
                      help="slot-allocation rule of --policy fixed (default homogeneous); "
                           "other policies read no slot map and refuse it")
     sim.add_argument("--name", type=_name, default=None, help="scenario label in outputs")
@@ -149,12 +151,10 @@ def _common_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True,
                    help="dataset directory (layout/items/initial_inventory/orders)")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--policy", type=_clipped, choices=[k.value for k in PolicyKind],
-                   default=PolicyKind.FIXED.value,
-                   help="storage policy (default fixed)")
-    p.add_argument("--picking", type=_clipped, choices=[m.value for m in PickingMode],
-                   default=PickingMode.AREA.value,
-                   help="picking mode (default area)")
+    p.add_argument("--policy", choices=[k.value for k in PolicyKind],
+                   default=PolicyKind.FIXED.value, help="storage policy (default fixed)")
+    p.add_argument("--picking", choices=[m.value for m in PickingMode],
+                   default=PickingMode.AREA.value, help="picking mode (default area)")
     p.add_argument("--weeks", type=_weeks, default=4)
     p.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
                    help=f"master seed (default {DEFAULT_SEED})")

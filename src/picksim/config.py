@@ -22,12 +22,13 @@ is a valid config.  Meanings:
 
 ``walking`` selects how per-order travel is charged: ``constant`` mode
 charges ``constant_s`` once per route segment, ``distance`` mode walks
-the route with the selected equipment.  ``replenish`` controls the
-interval between restocking visits: ``constant`` mode uses ``mu_s``
-exactly, ``sampled`` draws Normal(mu_s, sigma_s) clamped to at least
-``t_min_s``; an unset ``t_min_s`` is derived when a week's sampler is
-built (see ``replenishment.py``).  The config holds no seed: the master
-seed is the scenario's (``ScenarioSpec.seed``, the CLI's ``--seed``).
+the route with the selected equipment.  ``replenish`` sets the interval
+between restocking visits: a draw of Normal(mu_s, sigma_s), at least
+``t_min_s`` and at least 1 s; ``sigma_s`` is 0 by default, so every
+interval is ``mu_s``, and an unset ``t_min_s`` is derived when a week's
+sampler is built (see ``replenishment.py``).  The config holds no seed:
+the master seed is the scenario's (``ScenarioSpec.seed``, the CLI's
+``--seed``).
 
 ``SimConfig``, ``WalkSettings`` and ``ReplenishSettings`` are immutable
 ``NamedTuple``s, so a config is hashable and compares field by field; a
@@ -37,8 +38,11 @@ Files written for earlier versions may still name equipment counts,
 capability flags, plan durations, a simulated-time ceiling and other
 fields no simulation reads (``LEGACY_KEYS``); they load, and the keys
 are dropped with a warning on the ``picksim.config`` logger.  A week
-has no time ceiling: it ends when its last order completes.  ``json``
-is imported only when a config file is read.
+has no time ceiling: it ends when its last order completes.  They may
+also name ``replenish.mode``, which loads as the same intervals without
+a warning: ``constant`` as ``sigma_s`` 0 with ``t_min_s`` unset,
+``sampled`` as ``sigma_s`` 60 unless the file sets it.  ``json`` is
+imported only when a config file is read.
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ from .warehouse import Equipment, HANDLIFT, STACKER, _TooManyDigits, _int
 
 WALK_CONSTANT = "constant"
 WALK_DISTANCE = "distance"
-REPLENISH_CONSTANT = "constant"
-REPLENISH_SAMPLED = "sampled"
 METRIC_UNITS = {"seconds": 1.0, "minutes": 1.0 / 60.0, "hours": 1.0 / 3600.0}
 
 # Documented top-level keys of earlier versions that no simulation reads:
@@ -86,9 +88,8 @@ class WalkSettings(NamedTuple):
 
 
 class ReplenishSettings(NamedTuple):
-    mode: str = REPLENISH_CONSTANT
     mu_s: float = 600.0
-    sigma_s: float = 60.0
+    sigma_s: float = 0.0
     t_min_s: float | None = None
 
 
@@ -143,8 +144,6 @@ class SimConfig(NamedTuple):
         check(_is_nonneg(self.walking.constant_s), "walking.constant_s must be non-negative")
         check(self.walking.equipment in (HANDLIFT, STACKER),
               "walking.equipment must be 'handlift' or 'stacker'")
-        check(self.replenish.mode in (REPLENISH_CONSTANT, REPLENISH_SAMPLED),
-              "replenish.mode must be 'constant' or 'sampled'")
         check(_is_pos(self.replenish.mu_s), "replenish.mu_s must be a positive number")
         check(_is_nonneg(self.replenish.sigma_s), "replenish.sigma_s must be non-negative")
         check(self.replenish.t_min_s is None or _is_pos(self.replenish.t_min_s),
@@ -159,7 +158,8 @@ _TOP_LEVEL = set(SimConfig._fields) - set(_NESTED)
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
     """Build a config from a JSON-shaped dict, applying defaults and
     validating; raises ValidationError listing every problem found.
-    Keys in ``LEGACY_KEYS`` are dropped with one warning."""
+    Keys in ``LEGACY_KEYS`` are dropped with one warning; ``replenish.mode``
+    is translated without one."""
     errors: list[str] = []
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
@@ -167,6 +167,10 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
             if not isinstance(value, dict):
                 errors.append(f"{key} must be an object")
                 continue
+            if key == "replenish" and "mode" in value:  # of earlier versions
+                value = {"sigma_s": 60.0, **value}
+                if value.pop("mode") not in ("constant", "sampled"):
+                    errors.append("replenish.mode must be 'constant' or 'sampled'")
             known = set(_NESTED[key]._fields)
             errors.extend(f"unknown config field {key}.{k}" for k in sorted(set(value) - known))
             kwargs[key] = _NESTED[key](**{k: v for k, v in value.items() if k in known})
@@ -180,6 +184,8 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
     problems = cfg.validate()
     if problems:
         raise ValidationError(problems)
+    if data.get("replenish", {}).get("mode") == "constant":  # every interval mu_s, as it was
+        cfg = cfg._replace(replenish=cfg.replenish._replace(sigma_s=0.0, t_min_s=None))
     dropped = sorted(LEGACY_KEYS.intersection(data))
     if dropped:
         _logger(__name__).warning("config fields %s are no longer used and were ignored",

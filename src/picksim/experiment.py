@@ -315,7 +315,7 @@ def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],
     engine = Engine(session, replenisher,
                     check=warehouse.verify_conservation if warehouse.audit else None)
     engine.schedule(0.0, StartPickOrder(0))
-    engine.schedule(sampler.draw(), Replenish())
+    engine.schedule(sampler.next_visit(0.0), Replenish())
     engine.run()
     return session, engine
 

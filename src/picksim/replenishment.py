@@ -17,22 +17,27 @@ but the next one is always scheduled: a full warehouse is not a
 terminal state.  The engine ends the chain at the first visit after the
 picker is done.
 
-Intervals come from a sampler that either returns a constant mean or
-draws Normal(mu, sigma) clamped below by a positive floor, so simulated
-time always advances.  Each week builds its own sampler, and that is
-where an unset floor ``t_min_s`` is derived: three sigma below the mean,
-at least 1 s.  So a settings record changed with ``_replace`` has no
-stale floor.
+Every interval is a draw of Normal(mu_s, sigma_s) clamped below by a
+floor of at least 1 s, so simulated time always advances and a week's
+visits are bounded by its simulated time.  With ``sigma_s`` 0, the
+default, every interval is ``max(mu_s, 1)``, or ``t_min_s`` if that is
+set higher.  Each week builds its own
+sampler, and that is where the floor is derived: ``t_min_s`` if set,
+else three sigma below the mean, and at least 1 s either way.  So a
+settings record changed with ``_replace`` has no stale floor.  A visit
+time that is not finite (a sigma so wide that a draw overflows) is
+refused with ``InputDataError``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from datetime import date, timedelta
 from typing import NamedTuple
 
-from .config import REPLENISH_SAMPLED, ReplenishSettings, SimConfig, _is_num
+from .config import ReplenishSettings, SimConfig, _is_num
 from .errors import InputDataError, _logger
 from .events import Engine, Event
 from .storage import StoragePolicy
@@ -42,30 +47,31 @@ SECONDS_PER_DAY = 86_400.0  # of simulated time, from which a restocked pallet i
 
 
 class ReplenishmentSampler(NamedTuple):
-    """Inter-replenishment interval source, deterministic under a seed."""
+    """Source of replenishment visit times, deterministic under a seed."""
 
     settings: ReplenishSettings
-    t_min_s: float  # the floor of a sampled draw
+    t_min_s: float  # the floor of every draw, at least 1 s
     rng: random.Random
 
     @classmethod
     def from_config(cls, cfg: SimConfig, seed: int) -> "ReplenishmentSampler":
         """The sampler of one week, with its floor: ``replenish.t_min_s``
-        if set, else derived from ``mu_s`` and ``sigma_s``."""
+        if set, else derived from ``mu_s`` and ``sigma_s``, and at least 1 s."""
         r = cfg.replenish
-        t_min_s = r.t_min_s
-        # with a bad mu_s or sigma_s the floor stays unset and is refused
-        if t_min_s is None and _is_num(r.mu_s) and _is_num(r.sigma_s):
-            t_min_s = max(1.0, r.mu_s - 3.0 * r.sigma_s)
-        if t_min_s is None or t_min_s <= 0:
-            raise InputDataError("replenishment interval floor must be positive")
-        return cls(r, t_min_s, random.Random(seed))
+        if not (_is_num(r.mu_s) and _is_num(r.sigma_s)):  # a config that skipped validation
+            raise InputDataError("replenish.mu_s and replenish.sigma_s must be numbers")
+        floor = r.mu_s - 3.0 * r.sigma_s if r.t_min_s is None else r.t_min_s
+        return cls(r, max(1.0, floor), random.Random(seed))
 
-    def draw(self) -> float:
+    def next_visit(self, now: float) -> float:
+        """The time of the visit after one at ``now`` (0 for the first):
+        ``now`` plus one draw, at least the floor."""
         r = self.settings
-        if r.mode == REPLENISH_SAMPLED:
-            return max(self.rng.gauss(r.mu_s, r.sigma_s), self.t_min_s)
-        return r.mu_s
+        time = now + max(self.rng.gauss(r.mu_s, r.sigma_s), self.t_min_s)
+        if not math.isfinite(time):
+            raise InputDataError(f"the replenishment visit after t={now!r} s would fall at "
+                                 f"t={time}: replenish.mu_s or replenish.sigma_s is too large")
+        return time
 
 
 class Replenisher:
@@ -89,12 +95,11 @@ class Replenisher:
                 self._date = self.start_date + timedelta(days=day)
             except OverflowError:
                 raise InputDataError(f"a pallet restocked at t={now} s would be dated "
-                                     f"{self.start_date} + {day} days, past {date.max}") from None
+                                     f"past {date.max}") from None
         return self._date
 
     def handle_rp(self, sim: Engine, event: Event) -> float:
         """Restock one pallet; returns the time of the next visit."""
-        gap = self.sampler.draw()
         assignment = self.policy.put_away(event.time, self.sim_date)
         if assignment is not None:
             metrics = self.metrics
@@ -104,4 +109,4 @@ class Replenisher:
         elif "logging" in sys.modules:  # before its import, no handler or level could show it
             _logger(__name__).info("replenishment at t=%s skipped: no product has a vacant slot",
                                    event.time)
-        return event.time + gap
+        return self.sampler.next_visit(event.time)

@@ -22,6 +22,17 @@ START = date(2024, 6, 3)
 DATA_ARGS = ["--seed", "4242", "--items", "12", "--slots", "60", "--lines", "200",
              "--weeks", "2"]
 
+# the replenish settings of a config that sets replenish.mode, as earlier
+# versions read it -> the same settings without it
+OLD_MODES = {
+    "constant": ({"mode": "constant"}, {}),
+    "constant-set": ({"mode": "constant", "mu_s": 300.0, "sigma_s": 90, "t_min_s": 5000},
+                     {"mu_s": 300.0}),
+    "sampled": ({"mode": "sampled"}, {"sigma_s": 60}),
+    "sampled-set": ({"mode": "sampled", "mu_s": 300.0, "sigma_s": 90, "t_min_s": 30},
+                    {"mu_s": 300.0, "sigma_s": 90, "t_min_s": 30}),
+}
+
 
 @pytest.fixture(scope="session")
 def golden_dataset(tmp_path_factory) -> Path:
@@ -64,7 +75,7 @@ def trace_cfg(**overrides) -> SimConfig:
         BTpu=10.0, PPpu=15.0, PMpu=0.0, BTpa=10.0, PPpa=15.0,
         metric_unit="seconds",
         walking=WalkSettings(mode="constant", constant_s=30.0),
-        replenish=ReplenishSettings(mode="constant", mu_s=100.0),
+        replenish=ReplenishSettings(mu_s=100.0),
     )._replace(**overrides)
 
 

@@ -159,11 +159,9 @@ class OracleSim:
 
     def _draw(self) -> float:
         r = self.cfg.replenish
-        if r.mode == "sampled":
-            # the documented floor: t_min_s if set, else three sigma below the mean, >= 1 s
-            floor = r.t_min_s if r.t_min_s is not None else max(1, r.mu_s - 3 * r.sigma_s)
-            return max(self.rng.gauss(r.mu_s, r.sigma_s), floor)
-        return r.mu_s
+        # the documented floor: t_min_s if set, else three sigma below the mean; >= 1 s
+        floor = max(1, r.t_min_s if r.t_min_s is not None else r.mu_s - 3 * r.sigma_s)
+        return max(self.rng.gauss(r.mu_s, r.sigma_s), floor)
 
     def run(self, max_events: int = 2_000_000):
         pending: list[tuple[float, int, str, tuple | None]] = []

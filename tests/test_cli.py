@@ -19,7 +19,7 @@ from picksim import experiment
 from picksim.cli import main
 from picksim.picking import ORDERS_HEADER
 from picksim.warehouse import INVENTORY_HEADER, ITEMS_HEADER, LAYOUT_HEADER
-from conftest import child_env
+from conftest import OLD_MODES, child_env
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ def test_simulate_trace_needs_out(dataset, capsys):
 def test_simulate_trace_files_depend_on_seed(dataset, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"replenish": {"mode": "sampled", "mu_s": 300.0, "sigma_s": 90.0}}))
+        {"replenish": {"mu_s": 300.0, "sigma_s": 90.0}}))
     runs = {}
     for label, seed in (("a", "1"), ("a2", "1"), ("b", "2")):
         out = tmp_path / label
@@ -154,7 +154,7 @@ def test_seed_resolution_order(dataset, tmp_path, capsys, monkeypatch):
     ``--seed 12345`` whatever ``PICKSIM_SEED`` holds, and a config that
     sets ``replenish.seed`` is refused as an unknown field and writes
     nothing."""
-    replenish = {"mode": "sampled", "mu_s": 300.0, "sigma_s": 90.0}
+    replenish = {"mu_s": 300.0, "sigma_s": 90.0}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"replenish": replenish}))
 
@@ -190,7 +190,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(dataset, tmp_path, policy):
     order that the hash seed moves reaches a result."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"walking": {"mode": "distance"},
-                               "replenish": {"mode": "sampled"}}))
+                               "replenish": {"sigma_s": 60.0}}))
     children = []
     for hash_seed in ("0", "1"):
         cwd = tmp_path / f"hash{hash_seed}"
@@ -549,6 +549,43 @@ def test_a_long_flag_value_is_quoted_by_at_most_its_first_200_characters(
     assert not any(tmp_path.iterdir()), "nothing may be written before the rejection"
 
 
+def _usage_error(capsys, argv: list[str]) -> str:
+    """The standard error of a command line that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+RUN = ["simulate", "--data", "D", "--out", "O"]
+
+
+@pytest.mark.parametrize("argv, cut", [
+    (["x" * 5000], ["x" * 200]),
+    ([*RUN, "--unknown-" + "x" * 5000], [*RUN, "--unknown-" + "x" * 190]),
+    ([*RUN, "--policy=" + "x" * 5000], [*RUN, "--policy=" + "x" * 200]),
+    ([*RUN, "--seed=" + "x" * 5000], [*RUN, "--seed=" + "x" * 200]),
+    ([*RUN, "--name", "a/" * 2500], [*RUN, "--name", "a/" * 100]),
+    ([*RUN, "--picking", "x'\n" * 2000], [*RUN, "--picking", "x'\n" * 66 + "x'"]),
+], ids=["command", "unknown-option", "choice-after-equals", "integer-after-equals",
+        "name", "choice-quoted-with-escapes"])
+def test_any_usage_error_quotes_an_argument_by_its_first_200_characters(capsys, argv, cut):
+    """An argument, or the value after an option's ``=``, of more than 200
+    characters is quoted by its first 200 in every argparse message: an
+    unknown command or option and a value refused by its type or choices.
+    The line is the one of that cut argument, so it stays short."""
+    err = _usage_error(capsys, argv)
+    assert err == _usage_error(capsys, cut)
+    # an escape such as \n lengthens the quote by a character
+    assert err.count("\n") == 1 and len(err.encode()) <= 301 + err.count("\\")
+
+
+def test_many_short_unknown_arguments_are_all_quoted(capsys):
+    extra = [f"--unknown-{i}" for i in range(100)]
+    assert _usage_error(capsys, [*RUN, *extra]) == (
+        f"error: unrecognized arguments: {' '.join(extra)}\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare", "gen-data", "stats"])
 @pytest.mark.parametrize("where", ["file", "below-file", "dangling-link", "empty"])
 def test_out_that_cannot_be_a_directory_exits_2(dataset, tmp_path, capsys, monkeypatch,
@@ -776,8 +813,46 @@ def test_a_restock_dated_past_the_last_date_exits_3_naming_it(dataset, tmp_path,
                  "--weeks", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: a pallet restocked at t=100000 s would be dated "
-                            "9999-12-31 + 1 days, past 9999-12-31\n")
+    assert captured.err == ("error: a pallet restocked at t=100000.0 s would be dated "
+                            "past 9999-12-31\n")
+
+
+@pytest.mark.parametrize("old, new", OLD_MODES.values(), ids=OLD_MODES)
+def test_a_config_of_replenish_mode_runs_as_its_translation(dataset, tmp_path, capsys,
+                                                            old, new):
+    """A config that sets ``replenish.mode`` prints and writes, traces
+    included, what the same config in today's fields does, warning of
+    nothing."""
+    runs = []
+    for label, replenish in (("old", old), ("new", new)):
+        config = tmp_path / f"{label}.json"
+        config.write_text(json.dumps({"replenish": replenish}))
+        assert main(["simulate", "--data", dataset, "--config", str(config), "--weeks", "2",
+                     "--name", "t", "--trace", "--out", str(tmp_path / label)]) == 0
+        runs.append((capsys.readouterr(), _written(tmp_path / label)))
+    assert runs[0] == runs[1] and runs[0][0].err == ""
+    assert any(row.endswith(",Replenish,") for row in
+               runs[0][1]["trace_t_week1.csv"].decode().splitlines())
+
+
+def test_a_visit_past_every_finite_time_exits_3_naming_mu_s_and_sigma_s(tmp_path, capsys):
+    """A sigma so wide that a drawn interval overflows to infinity is
+    refused on one line, not in a ``ValueError`` traceback."""
+    data = tmp_path / "demo"
+    assert main(["gen-data", "--out", str(data), "--seed", "12345", "--items", "25",
+                 "--slots", "120", "--lines", "600", "--weeks", "4"]) == 0
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"replenish": {"mode": "sampled", "mu_s": 600,
+                                                "sigma_s": 1e308}}))
+    capsys.readouterr()
+    assert main(["simulate", "--data", str(data), "--config", str(config), "--weeks", "1",
+                 "--seed", "9", "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the replenishment visit after t=")
+    assert captured.err.endswith(" would fall at t=inf: replenish.mu_s or replenish.sigma_s "
+                                 "is too large\n")
+    assert not (tmp_path / "out").exists()
 
 
 # each file whose format an earlier gen-data wrote with more columns ->

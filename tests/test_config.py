@@ -18,6 +18,7 @@ from picksim import (
     load_config,
 )
 from picksim.config import LEGACY_KEYS
+from conftest import OLD_MODES
 
 
 def test_empty_dict_gives_full_defaults():
@@ -28,8 +29,8 @@ def test_empty_dict_gives_full_defaults():
     assert cfg.pieces_per_master == 10
     assert cfg.metric_unit == "minutes"
     assert cfg.walking.mode == "constant" and cfg.walking.constant_s == 120.0
-    assert cfg.replenish.mode == "constant" and cfg.replenish.mu_s == 600.0
-    assert ReplenishmentSampler.from_config(cfg, 0).t_min_s == 600.0 - 3 * 60.0
+    assert cfg.replenish.mu_s == 600.0 and cfg.replenish.sigma_s == 0.0
+    assert ReplenishmentSampler.from_config(cfg, 0).t_min_s == 600.0
     assert cfg.validate() == []
 
 
@@ -43,8 +44,8 @@ def test_configs_are_immutable_and_hashable():
 
 
 def test_null_floor_loads_as_unset():
-    cfg = config_from_dict({"replenish": {"t_min_s": None}})
-    assert cfg == SimConfig()
+    cfg = config_from_dict({"replenish": {"t_min_s": None, "sigma_s": 60.0}})
+    assert cfg == SimConfig(replenish=ReplenishSettings(sigma_s=60.0))
     assert ReplenishmentSampler.from_config(cfg, 0).t_min_s == 600.0 - 3 * 60.0
 
 
@@ -61,6 +62,29 @@ def test_the_readme_table_has_one_row_per_field_in_record_order():
 def test_interval_floor_never_below_one_second():
     cfg = config_from_dict({"replenish": {"mu_s": 50.0, "sigma_s": 60.0}})
     assert ReplenishmentSampler.from_config(cfg, 0).t_min_s == 1.0
+
+
+@pytest.mark.parametrize("old, new", OLD_MODES.values(), ids=OLD_MODES)
+def test_replenish_mode_of_earlier_versions_loads_as_its_intervals(old, new, caplog):
+    """``constant`` drew ``mu_s`` whatever ``sigma_s`` and ``t_min_s`` said;
+    ``sampled`` drew with ``sigma_s``, 60 when unset.  No warning is logged."""
+    assert config_from_dict({"replenish": old}) == config_from_dict({"replenish": new})
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("mode", ["", "Sampled", None, 1, ["constant"]])
+def test_any_other_replenish_mode_is_refused(mode):
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict({"replenish": {"mode": mode, "mu_s": 300}})
+    assert exc.value.messages == ["replenish.mode must be 'constant' or 'sampled'"]
+
+
+@pytest.mark.parametrize("mode", ["constant", "sampled"])
+def test_replenish_mode_keeps_the_refusal_of_a_bad_sigma_or_floor(mode):
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict({"replenish": {"mode": mode, "sigma_s": -1, "t_min_s": 0}})
+    assert exc.value.messages == ["replenish.sigma_s must be non-negative",
+                                  "replenish.t_min_s must be a positive number"]
 
 
 def test_unknown_keys_are_all_reported():

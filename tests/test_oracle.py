@@ -211,7 +211,7 @@ def build_world(k: int, repeats: bool = False) -> dict:
         metric_unit="seconds",
         walking=WalkSettings(mode=walk_mode, constant_s=rng.choice([30.0, 120.0]),
                              equipment=walk_equipment),
-        replenish=ReplenishSettings(mode=rep_mode, mu_s=mu, sigma_s=20.0),
+        replenish=ReplenishSettings(mu_s=mu, sigma_s=20.0 if rep_mode == "sampled" else 0.0),
     )
     return dict(layout=layout, items=items, slot_map=slot_map, initial=initial,
                 orders=orders, cfg=cfg, seed=rng.getrandbits(16), start=START,

@@ -14,6 +14,7 @@ from runners import engine_run
 from picksim import (
     AllocationRule,
     DataPaths,
+    Engine,
     InputDataError,
     PickingMode,
     PolicyKind,
@@ -26,6 +27,7 @@ from picksim import (
     index_layout,
     run_scenario,
 )
+from picksim import experiment
 from picksim.config import ReplenishSettings
 from picksim.datagen import generate_data
 from picksim.replenishment import ReplenishmentSampler
@@ -33,9 +35,8 @@ from picksim.replenishment import ReplenishmentSampler
 START = date(2024, 6, 3)
 
 
-def _sampler(mode="constant", mu=600.0, sigma=60.0, seed=1, t_min=None):
-    cfg = SimConfig(replenish=ReplenishSettings(mode=mode, mu_s=mu, sigma_s=sigma,
-                                                t_min_s=t_min))
+def _sampler(mu=600.0, sigma=0.0, seed=1, t_min=None):
+    cfg = SimConfig(replenish=ReplenishSettings(mu_s=mu, sigma_s=sigma, t_min_s=t_min))
     return ReplenishmentSampler.from_config(cfg, seed)
 
 
@@ -44,43 +45,75 @@ def _sampler(mode="constant", mu=600.0, sigma=60.0, seed=1, t_min=None):
 
 def test_constant_sampler_returns_mu_forever():
     s = _sampler()
-    assert [s.draw() for _ in range(5)] == [600.0] * 5
+    assert [s.next_visit(0.0) for _ in range(5)] == [600.0] * 5
 
 
 def test_sampled_intervals_match_seeded_gaussian():
-    s = _sampler(mode="sampled", mu=600.0, sigma=60.0, seed=77)
+    s = _sampler(mu=600.0, sigma=60.0, seed=77)
     rng = random.Random(77)
     expected = [max(rng.gauss(600.0, 60.0), 420.0) for _ in range(50)]
-    assert [s.draw() for _ in range(50)] == expected
+    assert [s.next_visit(0.0) for _ in range(50)] == expected
 
 
 def test_sampled_intervals_clamp_at_floor():
-    s = _sampler(mode="sampled", mu=10.0, sigma=500.0, seed=3, t_min=9.5)
-    draws = [s.draw() for _ in range(200)]
+    s = _sampler(mu=10.0, sigma=500.0, seed=3, t_min=9.5)
+    draws = [s.next_visit(0.0) for _ in range(200)]
     assert min(draws) == 9.5  # huge sigma: the floor certainly triggers
     assert all(d >= 9.5 for d in draws)
 
 
 def test_same_seed_same_stream():
-    a = _sampler(mode="sampled", seed=5)
-    b = _sampler(mode="sampled", seed=5)
-    assert [a.draw() for _ in range(10)] == [b.draw() for _ in range(10)]
+    a = _sampler(sigma=60.0, seed=5)
+    b = _sampler(sigma=60.0, seed=5)
+    assert [a.next_visit(0.0) for _ in range(10)] == [b.next_visit(0.0) for _ in range(10)]
+
+
+def test_next_visit_adds_the_draw_to_the_time_of_this_one():
+    a, b = _sampler(sigma=60.0, seed=5), _sampler(sigma=60.0, seed=5)
+    assert [a.next_visit(1000.0) for _ in range(10)] == [
+        1000.0 + b.next_visit(0.0) for _ in range(10)]
 
 
 def test_settings_changed_with_replace_draw_with_the_floor_of_their_own_mean():
-    """The default floor, 420 s, belongs to mu_s 600; at mu_s 50 it is 1 s."""
-    settings = SimConfig().replenish._replace(mode="sampled", mu_s=50.0)
+    """The floor of mu_s 600 and sigma_s 60, 420 s, belongs to that mean;
+    at mu_s 50 it is 1 s."""
+    settings = ReplenishSettings(sigma_s=60.0)._replace(mu_s=50.0)
     s = ReplenishmentSampler.from_config(SimConfig(replenish=settings), 11)
     assert s.t_min_s == 1.0
-    draws = [s.draw() for _ in range(1000)]
+    draws = [s.next_visit(0.0) for _ in range(1000)]
     assert min(draws) >= 1.0 and sum(d < 420.0 for d in draws) > 0
+
+
+@pytest.mark.parametrize("mu, t_min", [(0.0001, None), (0.5, 0.25), (1e-300, 1e-9)])
+def test_every_interval_is_at_least_1_s(mu, t_min):
+    """Whatever mu_s, and whatever explicit t_min_s below 1 s, every draw is
+    at least 1 s, so simulated time moves on at each visit."""
+    constant = _sampler(mu=mu, t_min=t_min)
+    assert constant.t_min_s == 1.0
+    assert [constant.next_visit(0.0) for _ in range(3)] == [1.0] * 3
+    assert min(_sampler(mu=mu, sigma=0.1, t_min=t_min).next_visit(0.0)
+               for _ in range(100)) == 1.0
+
+
+def test_a_visit_past_every_finite_time_is_refused():
+    """A sigma so wide that a draw overflows to infinity, or a mean so large
+    that the next visit does, is refused naming both fields."""
+    message = r"replenish\.mu_s or replenish\.sigma_s is too large$"
+    wide = _sampler(sigma=1e308, seed=9)
+    with pytest.raises(InputDataError, match=message):
+        for _ in range(1000):  # a draw of more than 1.8 sigma overflows
+            wide.next_visit(0.0)
+    with pytest.raises(InputDataError, match=r"^the replenishment visit after t=1e\+308 s "
+                                             r"would fall at t=inf: " + message):
+        _sampler(mu=1e308).next_visit(1e308)
 
 
 @pytest.mark.parametrize("field, value", [("mu_s", "x"), ("mu_s", None),
                                           ("mu_s", float("nan")), ("sigma_s", "x")])
 def test_an_unvalidated_non_numeric_mean_or_sigma_leaves_no_floor(field, value):
-    settings = ReplenishSettings(mode="sampled", **{field: value})
-    with pytest.raises(InputDataError, match="^replenishment interval floor must be positive$"):
+    settings = ReplenishSettings(**{field: value})
+    with pytest.raises(InputDataError,
+                       match=r"^replenish\.mu_s and replenish\.sigma_s must be numbers$"):
         ReplenishmentSampler.from_config(SimConfig(replenish=settings), 1)
 
 
@@ -170,12 +203,43 @@ def test_restock_mfg_date_follows_simulation_day():
     initial = [((0, 1, 0), "A", 1, date(2024, 5, 1))]
     orders = [("O1", "T", [("A", 21)])]
     # one restock per day: the pallet placed on day N carries that date
-    cfg = trace_cfg(replenish=ReplenishSettings(mode="constant", mu_s=86_400.0))
+    cfg = trace_cfg(replenish=ReplenishSettings(mu_s=86_400.0))
     completions, _, _, engine = engine_run(layout, items, initial, "random",
                                            None, orders, "area", cfg, 1, START)
     assert completions[0] is not None
     # the finishing pick consumed pallets made on later simulated days
     assert engine.now >= 2 * 86_400.0
+
+
+_MAX_EVENTS = 10_000
+
+
+class _Bounded(Engine):
+    """An engine whose check stops the week after ``_MAX_EVENTS`` events, so
+    a run whose visits do not move the clock fails instead of running on."""
+
+    def __init__(self, picker, replenisher, check=None):
+        super().__init__(picker, replenisher, check=self._bound)
+
+    def _bound(self):
+        if len(self.trace) > _MAX_EVENTS:
+            raise AssertionError(f"more than {_MAX_EVENTS} events by t={self.now} s")
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_a_week_at_a_sub_second_mean_visits_at_least_1_s_apart(monkeypatch, sigma):
+    """At mu_s 0.0001 every interval is the 1 s floor: the picker, done at
+    55 s, sees 31 visits, and the week ends after 34 events."""
+    layout, items = _two_item_world()
+    initial = [((0, 1, 0), "A", 6, date(2024, 5, 1)),
+               ((0, 1, 1), "B", 2, date(2024, 5, 1))]
+    cfg = trace_cfg(replenish=ReplenishSettings(mu_s=0.0001, sigma_s=sigma))
+    monkeypatch.setattr(experiment, "Engine", _Bounded)
+    completions, _, _, engine = engine_run(layout, items, initial, "random", None,
+                                           [("O1", "T", [("A", 16)])], "area", cfg, 1, START)
+    visits = [ev.time for ev in engine.trace if isinstance(ev.kind, Replenish)]
+    assert completions == [55.0] and len(engine.trace) == 34
+    assert visits == [float(t) for t in range(1, 32)]
 
 
 def test_item_without_candidate_slots_is_refused_when_the_policy_is_built():
