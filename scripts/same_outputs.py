@@ -115,9 +115,18 @@ The matrix:
   walking: ``simulate --picking zoning --weeks 2 --trace`` under each of
   the three policies on a single-height dataset (``gen-data --items 6
   --slots 20 --lines 60 --weeks 2``: below 24 slots the generator builds
-  one layer), so the matrix prices handlift legs and their turns; and
-  ``simulate`` on the demo data, whose layers the handlift cannot reach,
-  which ``_check_walking`` refuses with exit 3.
+  one layer), and ``simulate`` on the demo data, whose layers a handlift
+  cannot reach.  A tree in which every leg rides the stacker refuses
+  all four with exit 3, ``walking.equipment must be 'stacker'``, so
+  against a tree that priced handlift legs the first three runs (exit 0
+  there) and the stderr of the fourth (the pre-run lift check there)
+  are the declared differences;
+* the handlift's spellings in a stacker-walking config:
+  ``simulate --weeks 1 --trace`` on the demo data with distance walking
+  and ``sph`` 50, ``tth`` 9 and ``walking.equipment`` ``stacker``.  Under
+  stacker walking no tree reads ``sph`` or ``tth``, so stdout and every
+  file are the same; a tree where they are legacy keys adds the one
+  warning line to stderr, the declared difference.
 
 With ``--workdir`` the datasets and outputs are kept in ``DIR``, which
 must not exist yet; otherwise they go to a temporary directory that is
@@ -164,6 +173,8 @@ CONFIGS = {
     "horizon": {"horizon_s": 3600},
     "horizon-waiting": {"horizon_s": 7200, "replenish": {"mu_s": 3000}},
     "handlift": {"walking": {"mode": "distance", "equipment": "handlift"}},
+    "handlift-era": {"sph": 50.0, "tth": 9.0,
+                     "walking": {"mode": "distance", "equipment": "stacker"}},
     "skipping": {"replenish": {"mu_s": 75.0}},
     "frequent": {"replenish": {"mu_s": 60.0}},
     "sampled": {"replenish": {"mode": "sampled"}},
@@ -294,6 +305,9 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("refuse-demo-handlift", [
         "simulate", "--data", "data/demo", "--config", "data/handlift.json", "--weeks", "4",
         "--out", "out/refuse-demo-handlift"]))
+    runs.append(("demo-handlift-era", [
+        "simulate", "--data", "data/demo", "--config", "data/handlift-era.json", "--weeks", "1",
+        "--trace", "--out", "out/demo-handlift-era"]))
     return runs
 
 

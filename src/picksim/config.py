@@ -6,10 +6,8 @@ base and unit times).  Every field has a documented default, so ``{}``
 is a valid config.  Meanings:
 
 =====================  ==================================================
-``sph``                handlift travel speed, cm/s
 ``sps``                stacker travel speed, cm/s
 ``Lsps``               stacker lift speed, cm/s
-``tth``                handlift turn time, s per aisle change
 ``tts``                stacker turn time, s per aisle change
 ``BTpu``               base time charged once per picking visit, s
 ``BTpa``               base time charged once per put-away, s
@@ -22,27 +20,30 @@ is a valid config.  Meanings:
 
 ``walking`` selects how per-order travel is charged: ``constant`` mode
 charges ``constant_s`` once per route segment, ``distance`` mode walks
-the route with the selected equipment.  ``replenish`` sets the interval
-between restocking visits: a draw of Normal(mu_s, sigma_s), at least
-``t_min_s`` and at least 1 s; ``sigma_s`` is 0 by default, so every
-interval is ``mu_s``, and an unset ``t_min_s`` is derived when a week's
-sampler is built (see ``replenishment.py``).  The config holds no seed:
-the master seed is the scenario's (``ScenarioSpec.seed``, the CLI's
-``--seed``).
+the route on the stacker, the one equipment, which put-away rides too.
+``replenish`` sets the interval between restocking visits: a draw of
+Normal(mu_s, sigma_s), at least ``t_min_s`` and at least 1 s;
+``sigma_s`` is 0 by default, so every interval is ``mu_s``, and an
+unset ``t_min_s`` is derived when a week's sampler is built (see
+``replenishment.py``).  The config holds no seed: the master seed is
+the scenario's (``ScenarioSpec.seed``, the CLI's ``--seed``).
 
 ``SimConfig``, ``WalkSettings`` and ``ReplenishSettings`` are immutable
 ``NamedTuple``s, so a config is hashable and compares field by field; a
 changed copy comes from ``_replace`` or ``config_from_dict``.
 
 Files written for earlier versions may still name equipment counts,
-capability flags, plan durations, a simulated-time ceiling and other
-fields no simulation reads (``LEGACY_KEYS``); they load, and the keys
-are dropped with a warning on the ``picksim.config`` logger.  A week
-has no time ceiling: it ends when its last order completes.  They may
+capability flags, plan durations, a simulated-time ceiling, the
+handlift's speed and turn time and other fields no simulation reads
+(``LEGACY_KEYS``); they load, and the keys are dropped with a warning
+on the ``picksim.config`` logger.  A week has no time ceiling: it ends
+when its last order completes.  They may
 also name ``replenish.mode``, which loads as the same intervals without
 a warning: ``constant`` as ``sigma_s`` 0 with ``t_min_s`` unset,
-``sampled`` as ``sigma_s`` 60 unless the file sets it.  ``json`` is
-imported only when a config file is read.
+``sampled`` as ``sigma_s`` 60 unless the file sets it.  And they may
+name ``walking.equipment``: ``stacker``, the one equipment every leg
+rides, loads without a warning, and any other value is refused.
+``json`` is imported only when a config file is read.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 from typing import Any, NamedTuple
 
 from .errors import ParseError, ValidationError, _logger
-from .warehouse import Equipment, HANDLIFT, STACKER, _TooManyDigits, _int
+from .warehouse import Equipment, STACKER, _TooManyDigits, _int
 
 WALK_CONSTANT = "constant"
 WALK_DISTANCE = "distance"
@@ -60,12 +61,13 @@ METRIC_UNITS = {"seconds": 1.0, "minutes": 1.0 / 60.0, "hours": 1.0 / 3600.0}
 # Documented top-level keys of earlier versions that no simulation reads:
 # equipment counts and operators (h s oh os), capability flags (puh pus
 # pah pas tfh tfs), sorting times (BTs PMs PPs), plan durations (PDpu PDpa
-# PDs), EAT, pallet limits (MPW MPV), WI, OIFW, the break allowance LR and
-# a simulated-time ceiling per week (a week ends with its last order).
+# PDs), EAT, pallet limits (MPW MPV), WI, OIFW, the break allowance LR, a
+# simulated-time ceiling per week (a week ends with its last order) and
+# the handlift's speed and turn time (sph tth: every leg rides the stacker).
 LEGACY_KEYS = frozenset({
     "h", "s", "oh", "os", "puh", "pus", "pah", "pas", "tfh", "tfs",
     "BTs", "PMs", "PPs", "PDpu", "PDpa", "PDs", "EAT", "MPW", "MPV", "WI", "OIFW", "LR",
-    "horizon_s",
+    "horizon_s", "sph", "tth",
 })
 
 
@@ -84,7 +86,6 @@ def _is_nonneg(v: Any) -> bool:
 class WalkSettings(NamedTuple):
     mode: str = WALK_CONSTANT
     constant_s: float = 120.0
-    equipment: str = STACKER
 
 
 class ReplenishSettings(NamedTuple):
@@ -94,10 +95,8 @@ class ReplenishSettings(NamedTuple):
 
 
 class SimConfig(NamedTuple):
-    sph: float = 100.0
     sps: float = 90.0
     Lsps: float = 30.0
-    tth: float = 2.0
     tts: float = 3.0
     BTpu: float = 10.0
     BTpa: float = 10.0
@@ -111,14 +110,8 @@ class SimConfig(NamedTuple):
 
     # -- equipment builders ------------------------------------------------
 
-    def handlift(self) -> Equipment:
-        return Equipment(HANDLIFT, self.sph, 0.0, self.tth)
-
     def stacker(self) -> Equipment:
         return Equipment(STACKER, self.sps, self.Lsps, self.tts)
-
-    def walking_equipment(self) -> Equipment:
-        return self.handlift() if self.walking.equipment == HANDLIFT else self.stacker()
 
     def metric_factor(self) -> float:
         return METRIC_UNITS[self.metric_unit]
@@ -131,9 +124,9 @@ class SimConfig(NamedTuple):
             if not cond:
                 errors.append(message)
 
-        for name in ("sph", "sps", "Lsps"):
+        for name in ("sps", "Lsps"):
             check(_is_pos(getattr(self, name)), f"{name} must be a positive number")
-        for name in ("tth", "tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa"):
+        for name in ("tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa"):
             check(_is_nonneg(getattr(self, name)), f"{name} must be a non-negative number")
         check(type(self.pieces_per_master) is int and self.pieces_per_master >= 1,
               "pieces_per_master must be an integer >= 1")
@@ -142,8 +135,6 @@ class SimConfig(NamedTuple):
         check(self.walking.mode in (WALK_CONSTANT, WALK_DISTANCE),
               "walking.mode must be 'constant' or 'distance'")
         check(_is_nonneg(self.walking.constant_s), "walking.constant_s must be non-negative")
-        check(self.walking.equipment in (HANDLIFT, STACKER),
-              "walking.equipment must be 'handlift' or 'stacker'")
         check(_is_pos(self.replenish.mu_s), "replenish.mu_s must be a positive number")
         check(_is_nonneg(self.replenish.sigma_s), "replenish.sigma_s must be non-negative")
         check(self.replenish.t_min_s is None or _is_pos(self.replenish.t_min_s),
@@ -159,7 +150,7 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
     """Build a config from a JSON-shaped dict, applying defaults and
     validating; raises ValidationError listing every problem found.
     Keys in ``LEGACY_KEYS`` are dropped with one warning; ``replenish.mode``
-    is translated without one."""
+    is translated, and ``walking.equipment`` ``stacker`` dropped, without one."""
     errors: list[str] = []
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
@@ -171,6 +162,10 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
                 value = {"sigma_s": 60.0, **value}
                 if value.pop("mode") not in ("constant", "sampled"):
                     errors.append("replenish.mode must be 'constant' or 'sampled'")
+            if key == "walking" and "equipment" in value:  # of earlier versions
+                value = dict(value)
+                if value.pop("equipment") != STACKER:
+                    errors.append("walking.equipment must be 'stacker'")
             known = set(_NESTED[key]._fields)
             errors.extend(f"unknown config field {key}.{k}" for k in sorted(set(value) - known))
             kwargs[key] = _NESTED[key](**{k: v for k, v in value.items() if k in known})

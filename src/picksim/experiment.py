@@ -13,6 +13,8 @@ which runs until every order is complete.  A week has no time ceiling:
 it ends at its natural terminating event, the last order's completion,
 or raises ``InfeasibleRunError`` at a stall that can never end (the
 README's "Why every week ends" says why one of the two always comes).
+Every leg, the picker's and put-away's alike, rides one equipment, the
+stacker (``SimConfig.stacker``).
 The weekly metric is the total picking time, i.e. the completion time
 of the last order; orders chain back to back from time zero, so this
 equals the sum of per-order durations including any replenishment
@@ -52,7 +54,7 @@ from .allocation import (
     allocate_slots,
     assign_physical_slots,
 )
-from .config import WALK_DISTANCE, SimConfig
+from .config import SimConfig
 from .errors import InfeasibleRunError, InputDataError
 from .events import Engine, Replenish, StartPickOrder, write_trace_csv
 from .picking import (
@@ -67,7 +69,6 @@ from .stats import PairedTest, StatsSummary, gap, paired_test, summarize, total
 from .storage import PolicyKind, StoragePolicy, place_initial
 from .warehouse import (
     ENTRANCE_ID,
-    SPECIAL_AREA_ID,
     Layout,
     ProcessTotals,
     Warehouse,
@@ -132,7 +133,7 @@ class RunResult(NamedTuple):
 
     @property
     def total(self) -> float:
-        return sum(w.metric for w in self.weeks)
+        return total(self.weekly_metrics)
 
 
 def derive_seed(master: int, scenario: str, week: int) -> int:
@@ -251,7 +252,6 @@ def _load_dataset(data: DataPaths, weeks: int):
 def _run_loaded(spec: ScenarioSpec, dataset, audit: bool, trace_dir: str | None) -> RunResult:
     layout, items, initial, run_weeks, avg_picks = dataset
     cfg = spec.config
-    _check_walking(cfg, layout)
     if spec.policy is PolicyKind.FIXED_ZONE:
         for item in items:
             if item.home_zone not in layout.zones:
@@ -278,21 +278,6 @@ def _run_loaded(spec: ScenarioSpec, dataset, audit: bool, trace_dir: str | None)
         weeks.append(WeekOutcome(week_no, session.completions[-1] * cfg.metric_factor(),
                                  session.metrics))
     return RunResult(spec.name, cfg.metric_unit, weeks)
-
-
-def _check_walking(cfg: SimConfig, layout: Layout) -> None:
-    """Distance walking with equipment that cannot lift fails on the first
-    leg between heights; refuse such a run before any week starts."""
-    if cfg.walking.mode != WALK_DISTANCE or cfg.walking_equipment().lift_speed_cm_s > 0:
-        return
-    walked = [*layout.storage.values(), layout.anchors[ENTRANCE_ID],
-              layout.anchors[SPECIAL_AREA_ID]]
-    heights = {loc.z_cm for loc in walked}
-    if len(heights) > 1:
-        raise InputDataError(
-            f"walking.equipment={cfg.walking.equipment} cannot lift, but distance walking "
-            f"on this layout spans {len(heights)} heights; use walking.equipment=stacker"
-        )
 
 
 def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],

@@ -25,10 +25,10 @@ owed of the short line it waits at.  Each sublist is walked from the
 entrance to the drop-off point, and one leg function per week,
 ``leg(from id, to id) -> (turns, seconds)``, prices every leg of every
 route.  Under distance walking it is ``travel_time`` of the two
-locations, cached so each leg is priced once per week; under constant
-walking it is ``(0, constant_s)`` out of the entrance and ``(0, 0.0)``
-for every other leg, so only the stop that opens a sublist costs
-walking.
+locations on the stacker, the one equipment, cached so each leg is
+priced once per week; under constant walking it is ``(0, constant_s)``
+out of the entrance and ``(0, 0.0)`` for every other leg, so only the
+stop that opens a sublist costs walking.
 
 Execution is strictly sequential: one order is in flight at a time and
 the next order starts the moment the previous one is done.  An order
@@ -169,7 +169,7 @@ def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
         def leg(a: LocationId, b: LocationId) -> tuple[int, float]:
             return entered if a == ENTRANCE_ID else walked
     else:
-        location, equipment = warehouse.location, cfg.walking_equipment()
+        location, equipment = warehouse.location, cfg.stacker()
 
         @functools.cache
         def leg(a: LocationId, b: LocationId) -> tuple[int, float]:

@@ -58,7 +58,6 @@ ELEVATOR_ID: LocationId = (ANCHOR_ROW, 0, 2)
 ANCHOR_IDS = (ENTRANCE_ID, SPECIAL_AREA_ID, ELEVATOR_ID)  # in route order
 ANCHOR_ZONE = "anchor"
 
-HANDLIFT = "handlift"
 STACKER = "stacker"
 
 # builds a NamedTuple from a tuple of its fields without its Python-level __new__

@@ -25,7 +25,7 @@ pure function of the dataset and one parameter.  The relation each keeps:
   from the first order date, and replenished pallets are dated from
   each week's first order date.  So the only dates that move are later
   than every initial pallet's, and they all move by the same days.
-* ``scale_layout(2.0)`` with the equipment speeds (``sph``, ``sps``,
+* ``scale_layout(2.0)`` with the stacker's speeds (``sps``,
   ``Lsps``) doubled too - identity: doubling is exact in binary floating
   point, so every coordinate difference doubles exactly, and a doubled
   distance over a doubled speed keeps every travel time's bits.

@@ -40,10 +40,7 @@ class OracleSim:
         self.start = start
 
         # walking equipment parameters straight from the config fields
-        if cfg.walking.equipment == "handlift":
-            self.wspeed, self.wlift, self.wturn = cfg.sph, 0.0, cfg.tth
-        else:
-            self.wspeed, self.wlift, self.wturn = cfg.sps, cfg.Lsps, cfg.tts
+        self.wspeed, self.wlift, self.wturn = cfg.sps, cfg.Lsps, cfg.tts
         # put-away always rides the stacker
         self.pspeed, self.plift, self.pturn = cfg.sps, cfg.Lsps, cfg.tts
 

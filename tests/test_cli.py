@@ -649,10 +649,10 @@ def test_missing_dataset_exits_2(tmp_path, capsys):
 
 def test_invalid_config_value_exits_3(dataset, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"sph": -4}))
+    cfg.write_text(json.dumps({"sps": -4}))
     assert main(["simulate", "--data", dataset, "--config", str(cfg),
                  "--weeks", "1"]) == 3
-    assert "sph" in capsys.readouterr().err
+    assert "sps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, field", [
@@ -670,16 +670,46 @@ def test_config_value_of_the_wrong_type_exits_3(dataset, tmp_path, capsys, confi
     assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
 
 
-def test_distance_walking_with_a_handlift_on_several_levels_exits_3(dataset, tmp_path, capsys):
+def test_a_config_of_the_handlift_era_runs_as_distance_walking_on_the_stacker(dataset,
+                                                                             tmp_path):
+    """``sph`` and ``tth`` are legacy keys and ``walking.equipment``
+    ``stacker`` is what every leg rides: a distance-walking config that adds
+    them prints and writes, traces included, what the config without them
+    does, with the one legacy warning."""
+    walking = {"mode": "distance"}
+    runs, written = [], []
+    for label, config in (("old", {"sph": 50.0, "tth": 9.0,
+                                   "walking": {**walking, "equipment": "stacker"}}),
+                          ("new", {"walking": walking})):
+        path, out = tmp_path / f"{label}.json", tmp_path / f"out-{label}"
+        path.write_text(json.dumps(config))
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "picksim.cli", "simulate", "--data", dataset, "--weeks", "2",
+             "--config", str(path), "--trace", "--out", str(out)],
+            capture_output=True, text=True, env=child_env(),
+        ))
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stderr == "config fields sph, tth are no longer used and were ignored\n"
+    assert runs[1].stderr == ""
+    assert runs[0].stdout == runs[1].stdout
+    assert sorted(written[0]) == ["results.csv", "summary.csv",
+                                  *(f"trace_fixed-homogeneous-area_week{n}.csv" for n in (1, 2))]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("equipment", ["handlift", "x" * 5000], ids=["handlift", "long"])
+def test_any_walking_equipment_but_the_stacker_exits_3_on_one_line(dataset, tmp_path, capsys,
+                                                                   equipment):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"walking": {"mode": "distance", "equipment": "handlift"}}))
+    cfg.write_text(json.dumps({"walking": {"mode": "distance", "equipment": equipment}}))
     out = tmp_path / "out"
     assert main(["simulate", "--data", dataset, "--config", str(cfg), "--weeks", "2",
                  "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: walking.equipment=handlift cannot lift")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "error: walking.equipment must be 'stacker'\n"
+    assert len(captured.err.encode()) < 300
     assert not out.exists()
 
 

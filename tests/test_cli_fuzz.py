@@ -24,12 +24,11 @@ from picksim.cli import main
 
 # one valid value per config field, so a drawn config can also be valid
 VALID = {
-    "sph": 100.0, "sps": 90.0, "Lsps": 30.0, "tth": 2.0, "tts": 3.0, "BTpu": 10.0,
-    "BTpa": 10.0, "PMpu": 2.0, "PPpu": 15.0, "PPpa": 15.0, "pieces_per_master": 10,
-    "metric_unit": "hours",
+    "sps": 90.0, "Lsps": 30.0, "tts": 3.0, "BTpu": 10.0, "BTpa": 10.0, "PMpu": 2.0,
+    "PPpu": 15.0, "PPpa": 15.0, "pieces_per_master": 10, "metric_unit": "hours",
 }
 NESTED_VALID = {
-    "walking": {"mode": "distance", "constant_s": 120.0, "equipment": "handlift"},
+    "walking": {"mode": "distance", "constant_s": 120.0},
     "replenish": {"mode": "sampled", "mu_s": 600.0, "sigma_s": 60.0, "t_min_s": 30.0},
 }
 BAD = st.one_of(

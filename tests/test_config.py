@@ -24,7 +24,7 @@ from conftest import OLD_MODES
 def test_empty_dict_gives_full_defaults():
     cfg = config_from_dict({})
     assert cfg == SimConfig()
-    assert cfg.sph == 100.0 and cfg.sps == 90.0 and cfg.Lsps == 30.0
+    assert cfg.sps == 90.0 and cfg.Lsps == 30.0 and cfg.tts == 3.0
     assert cfg.BTpu == 10.0 and cfg.PPpu == 15.0 and cfg.PMpu == 2.0
     assert cfg.pieces_per_master == 10
     assert cfg.metric_unit == "minutes"
@@ -37,8 +37,8 @@ def test_empty_dict_gives_full_defaults():
 def test_configs_are_immutable_and_hashable():
     cfg = config_from_dict({})
     assert cfg == SimConfig() and hash(cfg) == hash(SimConfig())
-    assert len({cfg, SimConfig(), config_from_dict({"sph": 80.0})}) == 2
-    for record, name in ((cfg, "sph"), (cfg.walking, "mode"), (cfg.replenish, "mu_s")):
+    assert len({cfg, SimConfig(), config_from_dict({"sps": 80.0})}) == 2
+    for record, name in ((cfg, "sps"), (cfg.walking, "mode"), (cfg.replenish, "mu_s")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
 
@@ -100,20 +100,20 @@ def test_unknown_keys_are_all_reported():
 def test_validation_collects_every_violation():
     with pytest.raises(ValidationError) as exc:
         config_from_dict({
-            "sph": -5,
+            "sps": -5,
             "BTpu": -1,
             "metric_unit": "days",
             "replenish": {"mu_s": 0},
         })
     messages = exc.value.messages
-    for needle in ("sph", "BTpu", "metric_unit", "replenish.mu_s"):
+    for needle in ("sps", "BTpu", "metric_unit", "replenish.mu_s"):
         assert any(needle in m for m in messages), f"no message about {needle}"
     assert len(messages) >= 4
 
 
 def test_booleans_are_not_numbers():
-    with pytest.raises(ValidationError, match="sph"):
-        config_from_dict({"sph": True})
+    with pytest.raises(ValidationError, match="sps"):
+        config_from_dict({"sps": True})
 
 
 @pytest.mark.parametrize("data, message", [
@@ -126,18 +126,43 @@ def test_booleans_are_not_integers(data, message):
 
 
 def test_equipment_builders_read_speed_lift_and_turn():
-    cfg = config_from_dict({"sph": 80.0, "tts": 4.0})
-    assert cfg.handlift() == Equipment("handlift", 80.0, 0.0, 2.0)
-    assert cfg.stacker() == Equipment("stacker", 90.0, 30.0, 4.0)
+    cfg = config_from_dict({"sps": 80.0, "tts": 4.0})
+    assert cfg.stacker() == Equipment("stacker", 80.0, 30.0, 4.0)
 
 
 def test_legacy_keys_load_with_one_warning(caplog):
-    assert len(LEGACY_KEYS) == 23 and not LEGACY_KEYS & set(SimConfig._fields)
+    assert len(LEGACY_KEYS) == 25 and not LEGACY_KEYS & set(SimConfig._fields)
     with caplog.at_level(logging.WARNING, logger="picksim.config"):
-        cfg = config_from_dict({**dict.fromkeys(LEGACY_KEYS, 1), "sph": 80.0})
-    assert cfg == config_from_dict({"sph": 80.0})
+        cfg = config_from_dict({**dict.fromkeys(LEGACY_KEYS, 1), "sps": 80.0})
+    assert cfg == config_from_dict({"sps": 80.0})
     assert [r.getMessage() for r in caplog.records] == [
         f"config fields {', '.join(sorted(LEGACY_KEYS))} are no longer used and were ignored"]
+
+
+def test_the_handlift_of_earlier_versions_loads_as_a_legacy_key(caplog):
+    """``sph`` and ``tth`` priced a handlift, which no leg rides now; under
+    stacker walking they were never read."""
+    with caplog.at_level(logging.WARNING, logger="picksim.config"):
+        cfg = config_from_dict({"sph": 80.0, "tth": 1.0, "walking": {"mode": "distance"}})
+    assert cfg == config_from_dict({"walking": {"mode": "distance"}})
+    assert [r.getMessage() for r in caplog.records] == [
+        "config fields sph, tth are no longer used and were ignored"]
+
+
+def test_walking_equipment_stacker_of_earlier_versions_loads_without_a_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="picksim.config"):
+        cfg = config_from_dict({"walking": {"mode": "distance", "equipment": "stacker"}})
+    assert cfg == config_from_dict({"walking": {"mode": "distance"}})
+    assert cfg.walking == WalkSettings(mode="distance")
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("equipment", ["handlift", "Stacker", "", None, 1, ["stacker"],
+                                       "x" * 5000])
+def test_any_other_walking_equipment_is_refused(equipment):
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict({"walking": {"mode": "distance", "equipment": equipment}})
+    assert exc.value.messages == ["walking.equipment must be 'stacker'"]
 
 
 def test_legacy_keys_do_not_hide_unknown_ones(caplog):

@@ -45,6 +45,7 @@ from picksim import (
 )
 from picksim import experiment
 from picksim.experiment import _spanned_weeks
+from picksim.stats import total
 from picksim.config import config_from_dict
 from picksim.datagen import generate_data
 from picksim.warehouse import ProcessTotals, _check_new
@@ -187,8 +188,8 @@ def test_only_the_fixed_policy_builds_a_slot_map(small_dataset, monkeypatch):
 
 
 def test_each_layout_row_is_checked_once_per_run(small_dataset, monkeypatch):
-    """A run checks its layout once, as ``load_layout`` reads it: under each
-    policy, and when distance walking with a handlift is refused on it."""
+    """A run checks its layout once, as ``load_layout`` reads it, under each
+    policy."""
     rows = len(Path(small_dataset, "layout.csv").read_text().splitlines()) - 1
     checked = []
     monkeypatch.setattr("picksim.warehouse._check_new",
@@ -197,11 +198,6 @@ def test_each_layout_row_is_checked_once_per_run(small_dataset, monkeypatch):
         checked.clear()
         run_scenario(_spec(small_dataset, policy=policy))
         assert len(checked) == rows, policy
-    checked.clear()
-    handlift = config_from_dict({"walking": {"mode": "distance", "equipment": "handlift"}})
-    with pytest.raises(InputDataError, match="cannot lift"):
-        run_scenario(_spec(small_dataset, cfg=handlift))
-    assert len(checked) == rows
 
 
 def test_run_scenario_audit_mode_matches_plain(small_dataset):
@@ -456,6 +452,19 @@ def test_summarize_results_gap_is_relative_to_first():
     assert base.stats.mean == 105.0 and alt.total == 186.0
     with pytest.raises(InputDataError, match="nothing"):
         summarize_results([])
+
+
+def test_a_results_total_is_the_total_of_its_weekly_metrics():
+    """``RunResult.total`` and the summaries share one code path: a float sum
+    that overflows midway is rounded once from the exact sum, and a total
+    out of float range is refused."""
+    mk = lambda w, m: WeekOutcome(w, m, ProcessTotals())
+    for metrics in ([100.0, 110.0], [0.1, 0.2, 0.3], [1e308, 1e308, -1e308]):
+        result = RunResult("r", "minutes", [mk(w, m) for w, m in enumerate(metrics, start=1)])
+        assert result.total == total(metrics)
+    assert result.total == 1e308
+    with pytest.raises(InputDataError, match="out of float range"):
+        RunResult("r", "minutes", [mk(1, 1e308), mk(2, 1e308)]).total
 
 
 def test_results_csv_schema_and_float_fidelity(tmp_path):

@@ -122,7 +122,7 @@ def test_doubling_coordinates_and_speeds_changes_no_output(root, golden_dataset,
                                                           walking):
     data = scale_layout(golden_dataset, root / f"scaled-{walking}", 2.0)
     defaults = SimConfig()
-    speeds = {name: 2.0 * getattr(defaults, name) for name in ("sph", "sps", "Lsps")}
+    speeds = {name: 2.0 * getattr(defaults, name) for name in ("sps", "Lsps")}
     (root / f"scaled-{walking}.json").write_text(json.dumps({**WALKING[walking], **speeds}),
                                                 encoding="utf-8")
     outputs = _outputs(root, data, f"scaled-{walking}", root / f"out-scaled-{walking}")
@@ -156,8 +156,8 @@ def test_line_order_within_an_order_is_no_input(root, golden_dataset, original, 
         assert _without_line_indices(files) == _without_line_indices(want_files), run
 
 
-DURATIONS = ("tth", "tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa")
-SPEEDS = ("sph", "sps", "Lsps")
+DURATIONS = ("tts", "BTpu", "BTpa", "PMpu", "PPpu", "PPpa")
+SPEEDS = ("sps", "Lsps")
 RESULT_TIMES = ("metric", "walk_s", "handle_s", "wait_s", "put_travel_s", "put_handle_s")
 
 

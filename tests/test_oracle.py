@@ -202,15 +202,15 @@ def build_world(k: int, repeats: bool = False) -> dict:
             lines.append((code, rng.randint(1, 2 * qpp)))
         orders.append((f"W{k}-O{o + 1}", truck, lines))
 
-    walk_equipment = "handlift" if (layers == 1 and rng.random() < 0.3) else "stacker"
+    if layers == 1:
+        rng.random()  # chose a handlift walker; drawn still, so every later draw stays
     mu = rng.choice([60.0, 100.0, 250.0])
     cfg = SimConfig(
         BTpu=10.0, PPpu=15.0, PMpu=rng.choice([0.0, 2.0]),
         BTpa=10.0, PPpa=15.0,
         pieces_per_master=rng.choice([5, 10]),
         metric_unit="seconds",
-        walking=WalkSettings(mode=walk_mode, constant_s=rng.choice([30.0, 120.0]),
-                             equipment=walk_equipment),
+        walking=WalkSettings(mode=walk_mode, constant_s=rng.choice([30.0, 120.0])),
         replenish=ReplenishSettings(mu_s=mu, sigma_s=20.0 if rep_mode == "sampled" else 0.0),
     )
     return dict(layout=layout, items=items, slot_map=slot_map, initial=initial,

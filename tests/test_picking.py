@@ -13,7 +13,7 @@ from conftest import anchors, make_item, slot, trace_cfg
 from runners import engine_run
 import picksim.picking as picking_module
 from picksim.config import config_from_dict
-from picksim.events import Engine, PartialPick
+from picksim.events import Engine, Event, PartialPick, StartPickOrder
 from picksim import (
     ENTRANCE_ID,
     SPECIAL_AREA_ID,
@@ -26,6 +26,7 @@ from picksim import (
     PickingMode,
     PickingSession,
     PolicyKind,
+    ProcessTotals,
     SimConfig,
     StoragePolicy,
     Warehouse,
@@ -218,6 +219,43 @@ def test_multi_pallet_line_over_several_restocks():
     assert completions is not None and completions[0] is not None
     assert completions[0] > 200.0
     assert metrics.handle_s > 0
+
+
+def _stalled_session():
+    """A session whose picker waits at line 0 of its one order, for 5 more
+    pieces of A at slot (0, 1, 0), and the resume event it asked for."""
+    layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, seq=1),
+                          slot(0, 1, 1, 100.0, 200.0, seq=2)]
+    warehouse = Warehouse(index_layout(layout), [make_item("A", qpp=10), make_item("B")])
+    warehouse.place((0, 1, 0), "A", 4, MFG)
+    warehouse.place((0, 1, 1), "B", 10, MFG)
+    policy = StoragePolicy(PolicyKind.RANDOM, warehouse, SimConfig().stacker())
+    cfg = trace_cfg()
+    plan = prepare_orders([_order("O1", "T", ("A", 9), ("B", 1))], PickingMode.AREA,
+                          warehouse, policy, cfg)
+    session = PickingSession(warehouse, policy, cfg, plan, ProcessTotals())
+    _, resume = session.handle_spo(None, Event(0.0, 0, StartPickOrder(0)))
+    assert resume == PartialPick(0, 0, (0, 1, 0))
+    return session, resume
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"order": 1}, "resume event for an order that is not in flight"),
+    ({"line": 1}, "resume event does not match the picker's position"),
+    ({"location": (0, 1, 1)}, "resume event does not match the picker's position"),
+    ({}, "resume event for a line that is already picked"),
+], ids=["order", "line", "location", "picked"])
+def test_a_resume_event_the_picker_did_not_ask_for_is_refused(change, message):
+    """Each field of a resume event must be the picker's own: the order in
+    flight, and the line index and the slot of the stop it waits at.  No
+    event reaches a waiting picker that owes nothing, so that case sets
+    the session's owed pieces to 0 by hand."""
+    session, resume = _stalled_session()
+    if not change:
+        session._owed = 0
+    with pytest.raises(AssertionError) as exc:
+        session.handle_pp(None, Event(30.0, 1, resume._replace(**change)))
+    assert str(exc.value) == message
 
 
 # -- planned walking ------------------------------------------------------

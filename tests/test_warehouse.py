@@ -94,11 +94,11 @@ _POINTS = st.builds(
 # summed in another order, this stacker leg's seconds change in the last bit
 @example(a=slot(0, 0, 0, 0.0, 0.0), b=slot(1, 1, 0, 7.0, 0.0, z=170.0), kind="stacker")
 def test_travel_time_is_the_documented_leg_price(a, b, kind):
-    """Any two points (rows 0-3 and the anchor row) with either default
-    equipment: the turns and seconds follow the documented rule, summed
-    in the documented order to the bit, in both directions; a handlift
-    leg across heights is refused."""
-    eq = getattr(SimConfig(), kind)()
+    """Any two points (rows 0-3 and the anchor row) with the default
+    stacker or a handlift, which cannot lift: the turns and seconds follow
+    the documented rule, summed in the documented order to the bit, in
+    both directions; a handlift leg across heights is refused."""
+    eq = SimConfig().stacker() if kind == "stacker" else HANDLIFT
     dz = abs(a.z_cm - b.z_cm)
     if dz and eq.lift_speed_cm_s <= 0:
         for p, q in ((a, b), (b, a)):
