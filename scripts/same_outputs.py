@@ -10,13 +10,17 @@ and runs one matrix of CLI runs on that tree and on the working tree
 datasets, generated once by the base tree, and run from directories laid
 out alike, so every path they print is the same.  Per run it compares
 the exit code, stdout, stderr and every file the run writes, and prints
-each difference.  For every run that writes traces and results, it also
-prints how many replenishment visits placed nothing: the traces'
-``Replenish`` rows, less one per week (the visit that closes the week
-is traced but not handled), less the pallets placed.  It also prints
-the size of ``src/picksim/*.py`` in both trees: raw lines, non-blank
-lines and code lines (no blank lines, comments or docstrings).  It exits
-0 when no output differs and 1 otherwise.
+the working tree's exit code, the number of files it wrote and of its
+fallback warnings, and, for a run that writes traces and results, how
+many replenishment visits placed nothing: the traces' ``Replenish``
+rows, less one per week (the visit that closes the week is traced but
+not handled), less the pallets placed.  Then it prints each difference,
+as ``declared`` when ``DECLARED``, the table of the outputs the working
+tree means to move against its parent commit, lists it, and as
+``UNDECLARED`` otherwise, and the size of ``src/picksim/*.py`` in both
+trees: raw lines, non-blank lines and code lines (no blank lines,
+comments or docstrings).  It exits 0 when no difference is undeclared
+and 1 otherwise.
 
 The matrix:
 
@@ -30,19 +34,19 @@ The matrix:
   120, where candidate sets fill and items are parked, and fixed and
   fixed-zone storage skip visits;
 * ``simulate --policy random --picking area --weeks 1 --trace`` on that
-  one-week dataset with the default config (constant walking), the shape
-  of the benchmark's ``random-area-1week``;
+  one-week dataset with the default config, the shape of the benchmark's
+  ``random-area-1week``;
 * ``simulate --picking zoning --weeks 2 --trace`` on the demo data under
-  each of the three policies with the default config, so constant
-  walking is priced on routes of several sublists;
+  each of the three policies with the default config, so walking is
+  priced on routes of several sublists;
 * ``simulate --policy random --weeks 1 --trace`` on the demo data at
-  ``replenish.mu_s`` 75, where the building fills and random storage
-  skips visits too (6 of them);
+  ``replenish.mu_s`` 40, where the building fills and random storage
+  skips visits too (19 of them);
 * ``simulate --policy fixed --weeks 2 --trace`` on the golden dataset of
   the tests (``gen-data --seed 4242 --items 12 --slots 60 --lines 200
-  --weeks 2``) at ``replenish.mu_s`` 60, a trace short enough to read in
+  --weeks 2``) at ``replenish.mu_s`` 40, a trace short enough to read in
   which the picker takes what is on hand at a short line, resumes there
-  after a visit, and fixed storage skips 60 of its 189 handled visits;
+  after a visit, and fixed storage skips 64 of its 192 handled visits;
 * the README quick start (``simulate`` and ``compare`` on the demo data);
 * ``compare`` on the full-scale dataset with distance walking;
 * five runs on a dataset whose initial pallets overflow their fixed
@@ -111,16 +115,16 @@ The matrix:
   storage never read it;
 * ``stats`` on the README's two reference series, ``a.csv`` and
   ``b.csv``, both files and ``a.csv`` alone;
-* handlift walking, ``walking.equipment`` ``handlift`` with distance
-  walking: ``simulate --picking zoning --weeks 2 --trace`` under each of
-  the three policies on a single-height dataset (``gen-data --items 6
-  --slots 20 --lines 60 --weeks 2``: below 24 slots the generator builds
-  one layer), and ``simulate`` on the demo data, whose layers a handlift
-  cannot reach.  A tree in which every leg rides the stacker refuses
-  all four with exit 3, ``walking.equipment must be 'stacker'``, so
-  against a tree that priced handlift legs the first three runs (exit 0
-  there) and the stderr of the fourth (the pre-run lift check there)
-  are the declared differences;
+* ``simulate --picking zoning --weeks 2 --trace`` under each of the
+  three policies with the default config on a single-height dataset
+  (``gen-data --items 6 --slots 20 --lines 60 --weeks 2``: below 24
+  slots the generator builds one layer), so walking is priced on a
+  layout without lifts;
+* ``simulate`` on the demo data with a ``walking`` config that asks for
+  another model: ``equipment`` ``handlift`` with distance walking, and
+  ``mode`` ``constant``.  A tree in which every leg is walked on the
+  stacker refuses both with exit 3 on one line; a tree with handlift or
+  constant walking runs them;
 * the handlift's spellings in a stacker-walking config:
   ``simulate --weeks 1 --trace`` on the demo data with distance walking
   and ``sph`` 50, ``tth`` 9 and ``walking.equipment`` ``stacker``.  Under
@@ -146,6 +150,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -173,10 +178,10 @@ CONFIGS = {
     "horizon": {"horizon_s": 3600},
     "horizon-waiting": {"horizon_s": 7200, "replenish": {"mu_s": 3000}},
     "handlift": {"walking": {"mode": "distance", "equipment": "handlift"}},
+    "constant-walking": {"walking": {"mode": "constant"}},
     "handlift-era": {"sph": 50.0, "tth": 9.0,
                      "walking": {"mode": "distance", "equipment": "stacker"}},
-    "skipping": {"replenish": {"mu_s": 75.0}},
-    "frequent": {"replenish": {"mu_s": 60.0}},
+    "skipping": {"replenish": {"mu_s": 40.0}},
     "sampled": {"replenish": {"mode": "sampled"}},
     "seeded": {"replenish": {"mode": "sampled", "seed": 2}},
     "constant-set": {"replenish": {"mode": "constant", "sigma_s": 90, "t_min_s": 5000}},
@@ -207,6 +212,22 @@ HOMELESS = ("items.csv", 2, 1, "Z9")
 SERIES = {"a": [103, 143, 122, 97], "b": [148, 150, 129, 135]}
 # the handling of one put-away, BTpa + PPpa at their defaults, which no config changes
 PUT_HANDLE_S = 25.0
+# The outputs of a run that a change of the walking model moves
+WALKED = ("<stdout>", "results.csv", "summary.csv", "paired.csv", "trace_*")
+# The differences the working tree declares against its parent commit: run
+# name -> the outputs (``<exit>``, ``<stdout>``, ``<stderr>`` or a written
+# file) that may differ, both as ``fnmatch`` patterns.  Every other
+# difference is undeclared.  A change that moves outputs on purpose
+# replaces the table.  Here: a run without a ``walking`` config walked a
+# constant per route segment and now walks every leg on the stacker, and
+# ``walking.mode`` ``constant`` ran and is now refused.
+DECLARED: dict[str, tuple[str, ...]] = {
+    **dict.fromkeys(("full1-random-area-default", "demo-zoning-*", "demo-random-skipping",
+                     "golden-fixed-skipping", "demo-simulate", "demo-compare", "demo-horizon*",
+                     "demo-sampled*", "demo-constant-set", "demo-sigma-only", "demo-sub-second",
+                     "homeless-fixed", "homeless-random", "flat-*"), WALKED),
+    "refuse-demo-constant-walking": ("*",),
+}
 
 
 def matrix() -> list[tuple[str, list[str]]]:
@@ -226,9 +247,9 @@ def matrix() -> list[tuple[str, list[str]]]:
             "simulate", "--data", "data/full1", "--config", "data/saturated.json",
             "--policy", policy, "--picking", picking, "--weeks", "1", "--seed", "7",
             "--audit", "--trace", "--out", f"out/full1-{policy}-{picking}"]))
-    runs.append(("full1-random-area-constant", [
+    runs.append(("full1-random-area-default", [
         "simulate", "--data", "data/full1", "--policy", "random", "--picking", "area",
-        "--weeks", "1", "--trace", "--out", "out/full1-random-area-constant"]))
+        "--weeks", "1", "--trace", "--out", "out/full1-random-area-default"]))
     for policy in ("fixed", "random", "fixed-zone"):
         runs.append((f"demo-zoning-{policy}", [
             "simulate", "--data", "data/demo", "--policy", policy, "--picking", "zoning",
@@ -237,7 +258,7 @@ def matrix() -> list[tuple[str, list[str]]]:
         "simulate", "--data", "data/demo", "--config", "data/skipping.json", "--policy",
         "random", "--weeks", "1", "--trace", "--out", "out/demo-random-skipping"]))
     runs.append(("golden-fixed-skipping", [
-        "simulate", "--data", "data/golden", "--config", "data/frequent.json", "--policy",
+        "simulate", "--data", "data/golden", "--config", "data/skipping.json", "--policy",
         "fixed", "--weeks", "2", "--trace", "--out", "out/golden-fixed-skipping"]))
     runs.append(("demo-simulate", [
         "simulate", "--data", "data/demo", "--policy", "fixed", "--allocation", "demand",
@@ -298,13 +319,13 @@ def matrix() -> list[tuple[str, list[str]]]:
                                 "--out", "out/stats-pair"]))
     runs.append(("stats-one", ["stats", "--weekly", "data/a.csv", "--out", "out/stats-one"]))
     for policy in ("fixed", "random", "fixed-zone"):
-        runs.append((f"flat-handlift-{policy}", [
-            "simulate", "--data", "data/flat", "--config", "data/handlift.json",
-            "--policy", policy, "--picking", "zoning", "--weeks", "2", "--trace",
-            "--out", f"out/flat-handlift-{policy}"]))
-    runs.append(("refuse-demo-handlift", [
-        "simulate", "--data", "data/demo", "--config", "data/handlift.json", "--weeks", "4",
-        "--out", "out/refuse-demo-handlift"]))
+        runs.append((f"flat-{policy}", [
+            "simulate", "--data", "data/flat", "--policy", policy, "--picking", "zoning",
+            "--weeks", "2", "--trace", "--out", f"out/flat-{policy}"]))
+    for config in ("handlift", "constant-walking"):
+        runs.append((f"refuse-demo-{config}", [
+            "simulate", "--data", "data/demo", "--config", f"data/{config}.json", "--weeks", "4",
+            "--out", f"out/refuse-demo-{config}"]))
     runs.append(("demo-handlift-era", [
         "simulate", "--data", "data/demo", "--config", "data/handlift-era.json", "--weeks", "1",
         "--trace", "--out", "out/demo-handlift-era"]))
@@ -429,23 +450,30 @@ def first_difference(a: bytes, b: bytes) -> str:
     return f"line {line}: {x!r:.120} vs {y!r:.120}"
 
 
-def differences(name: str, base: tuple, work: tuple) -> list[str]:
-    """One line per way the run ``name`` differs between the base tree
-    (first) and the working tree."""
+def differences(name: str, base: tuple, work: tuple) -> list[tuple[str, str]]:
+    """``(output, line)`` per way the run ``name`` differs between the base
+    tree (first) and the working tree; the output is ``<exit>``,
+    ``<stdout>``, ``<stderr>`` or the path of a written file."""
     found = []
     if base[0] != work[0]:
-        found.append(f"{name}: exit code {base[0]} vs {work[0]}")
+        found.append(("<exit>", f"{name}: exit code {base[0]} vs {work[0]}"))
     outputs_a = {"<stdout>": base[1], "<stderr>": base[2], **base[3]}
     outputs_b = {"<stdout>": work[1], "<stderr>": work[2], **work[3]}
     for path in sorted(outputs_a.keys() | outputs_b.keys()):
         if path not in outputs_b:
-            found.append(f"{name}: {path} written by the base tree only")
+            found.append((path, f"{name}: {path} written by the base tree only"))
         elif path not in outputs_a:
-            found.append(f"{name}: {path} written by the working tree only")
+            found.append((path, f"{name}: {path} written by the working tree only"))
         elif outputs_a[path] != outputs_b[path]:
-            found.append(f"{name}: {path} differs at "
-                         f"{first_difference(outputs_a[path], outputs_b[path])}")
+            found.append((path, f"{name}: {path} differs at "
+                                f"{first_difference(outputs_a[path], outputs_b[path])}"))
     return found
+
+
+def declared(name: str, output: str) -> bool:
+    """Whether ``DECLARED`` lists the output ``output`` of the run ``name``."""
+    return any(fnmatchcase(name, run) and fnmatchcase(output, pattern)
+               for run, patterns in DECLARED.items() for pattern in patterns)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -495,20 +523,26 @@ def main(argv: list[str] | None = None) -> int:
                 out = cwd / argv_[argv_.index("--out") + 1]
                 outcomes.append((done.returncode, done.stdout, done.stderr, written(out)))
             these = differences(name, *outcomes)
-            found += these
-            fallbacks = outcomes[0][2].count(b"placed outside its policy slots")
-            skips = skipped_visits(outcomes[0][3])
-            print(f"[{index}/{len(runs)}] {name}: exit {outcomes[0][0]}, "
-                  f"{len(outcomes[0][3])} files, {fallbacks} fallback warning(s), "
+            found += [(name, output, line) for output, line in these]
+            expected = all(declared(name, output) for output, _ in these)
+            code, _, stderr, files = outcomes[1]
+            fallbacks = stderr.count(b"placed outside its policy slots")
+            skips = skipped_visits(files)
+            print(f"[{index}/{len(runs)}] {name}: exit {code}, "
+                  f"{len(files)} files, {fallbacks} fallback warning(s), "
                   + ("" if skips is None else f"{skips} skipped visit(s), ")
-                  + f"{'same' if not these else f'{len(these)} difference(s)'}", flush=True)
-        for line in found:
-            print(line)
+                  + ("same" if not these else f"{len(these)} difference(s)"
+                     + (", all declared" if expected else "")), flush=True)
+        undeclared = 0
+        for name, output, line in found:
+            undeclared += not declared(name, output)
+            print(("declared: " if declared(name, output) else "UNDECLARED: ") + line)
         for label, tree in ((args.base_rev, base_tree), ("working tree", REPO)):
             raw, nonblank, code = source_lines(tree)
             print(f"src/picksim/*.py at {label}: {raw} lines, {nonblank} non-blank, {code} code")
-        print(f"{len(runs)} runs, {len(found)} difference(s) against {args.base_rev}")
-        return 1 if found else 0
+        print(f"{len(runs)} runs, {len(found)} difference(s) against {args.base_rev}, "
+              f"{undeclared} undeclared")
+        return 1 if undeclared else 0
     finally:
         if args.workdir is None:
             shutil.rmtree(work, ignore_errors=True)

@@ -13,7 +13,6 @@ from .allocation import AllocationRule, SlotMap, allocate_slots, assign_physical
 from .config import (
     ReplenishSettings,
     SimConfig,
-    WalkSettings,
     config_from_dict,
     load_config,
 )
@@ -84,7 +83,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationRule", "SlotMap", "allocate_slots", "assign_physical_slots",
-    "ReplenishSettings", "SimConfig", "WalkSettings", "config_from_dict",
+    "ReplenishSettings", "SimConfig", "config_from_dict",
     "load_config",
     "generate_data",
     "InfeasibleRunError", "InputDataError", "ParseError", "PicksimError",

@@ -18,32 +18,33 @@ is a valid config.  Meanings:
 ``metric_unit``        unit of the weekly metric: seconds, minutes, hours
 =====================  ==================================================
 
-``walking`` selects how per-order travel is charged: ``constant`` mode
-charges ``constant_s`` once per route segment, ``distance`` mode walks
-the route on the stacker, the one equipment, which put-away rides too.
-``replenish`` sets the interval between restocking visits: a draw of
-Normal(mu_s, sigma_s), at least ``t_min_s`` and at least 1 s;
-``sigma_s`` is 0 by default, so every interval is ``mu_s``, and an
-unset ``t_min_s`` is derived when a week's sampler is built (see
-``replenishment.py``).  The config holds no seed: the master seed is
-the scenario's (``ScenarioSpec.seed``, the CLI's ``--seed``).
+Every leg of a route is walked on the stacker, the one equipment, which
+put-away rides too, and priced from the slot coordinates by
+``warehouse.travel_time``.  ``replenish`` sets the interval between
+restocking visits: a draw of Normal(mu_s, sigma_s), at least
+``t_min_s`` and at least 1 s; ``sigma_s`` is 0 by default, so every
+interval is ``mu_s``, and an unset ``t_min_s`` is derived when a week's
+sampler is built (see ``replenishment.py``).  The config holds no seed:
+the master seed is the scenario's (``ScenarioSpec.seed``, the CLI's
+``--seed``).
 
-``SimConfig``, ``WalkSettings`` and ``ReplenishSettings`` are immutable
-``NamedTuple``s, so a config is hashable and compares field by field; a
-changed copy comes from ``_replace`` or ``config_from_dict``.
+``SimConfig`` and ``ReplenishSettings`` are immutable ``NamedTuple``s,
+so a config is hashable and compares field by field; a changed copy
+comes from ``_replace`` or ``config_from_dict``.
 
 Files written for earlier versions may still name equipment counts,
 capability flags, plan durations, a simulated-time ceiling, the
 handlift's speed and turn time and other fields no simulation reads
-(``LEGACY_KEYS``); they load, and the keys are dropped with a warning
-on the ``picksim.config`` logger.  A week has no time ceiling: it ends
-when its last order completes.  They may
-also name ``replenish.mode``, which loads as the same intervals without
-a warning: ``constant`` as ``sigma_s`` 0 with ``t_min_s`` unset,
+(``LEGACY_KEYS`` and ``walking.constant_s``); they load, and the keys
+are dropped with a warning on the ``picksim.config`` logger.  A week has
+no time ceiling: it ends when its last order completes.  They may also
+name ``replenish.mode``, which loads as the same intervals without a
+warning: ``constant`` as ``sigma_s`` 0 with ``t_min_s`` unset,
 ``sampled`` as ``sigma_s`` 60 unless the file sets it.  And they may
-name ``walking.equipment``: ``stacker``, the one equipment every leg
-rides, loads without a warning, and any other value is refused.
-``json`` is imported only when a config file is read.
+hold a ``walking`` object: ``mode`` ``distance`` and ``equipment``
+``stacker``, what every run does, load without a warning, and any other
+value or key is refused.  ``json`` is imported only when a config file
+is read.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ from typing import Any, NamedTuple
 from .errors import ParseError, ValidationError, _logger
 from .warehouse import Equipment, STACKER, _TooManyDigits, _int
 
-WALK_CONSTANT = "constant"
-WALK_DISTANCE = "distance"
 METRIC_UNITS = {"seconds": 1.0, "minutes": 1.0 / 60.0, "hours": 1.0 / 3600.0}
 
 # Documented top-level keys of earlier versions that no simulation reads:
@@ -69,6 +68,9 @@ LEGACY_KEYS = frozenset({
     "BTs", "PMs", "PPs", "PDpu", "PDpa", "PDs", "EAT", "MPW", "MPV", "WI", "OIFW", "LR",
     "horizon_s", "sph", "tth",
 })
+# What the ``walking`` object of earlier versions may name besides
+# ``constant_s``: the values every run now has.
+OLD_WALKING = {"mode": "distance", "equipment": STACKER}
 
 
 def _is_num(v: Any) -> bool:
@@ -81,11 +83,6 @@ def _is_pos(v: Any) -> bool:
 
 def _is_nonneg(v: Any) -> bool:
     return _is_num(v) and v >= 0
-
-
-class WalkSettings(NamedTuple):
-    mode: str = WALK_CONSTANT
-    constant_s: float = 120.0
 
 
 class ReplenishSettings(NamedTuple):
@@ -105,7 +102,6 @@ class SimConfig(NamedTuple):
     PPpa: float = 15.0
     pieces_per_master: int = 10
     metric_unit: str = "minutes"
-    walking: WalkSettings = WalkSettings()
     replenish: ReplenishSettings = ReplenishSettings()
 
     # -- equipment builders ------------------------------------------------
@@ -132,9 +128,6 @@ class SimConfig(NamedTuple):
               "pieces_per_master must be an integer >= 1")
         check(isinstance(self.metric_unit, str) and self.metric_unit in METRIC_UNITS,
               f"metric_unit must be one of {sorted(METRIC_UNITS)}")
-        check(self.walking.mode in (WALK_CONSTANT, WALK_DISTANCE),
-              "walking.mode must be 'constant' or 'distance'")
-        check(_is_nonneg(self.walking.constant_s), "walking.constant_s must be non-negative")
         check(_is_pos(self.replenish.mu_s), "replenish.mu_s must be a positive number")
         check(_is_nonneg(self.replenish.sigma_s), "replenish.sigma_s must be non-negative")
         check(self.replenish.t_min_s is None or _is_pos(self.replenish.t_min_s),
@@ -142,33 +135,34 @@ class SimConfig(NamedTuple):
         return errors
 
 
-_NESTED = {"walking": WalkSettings, "replenish": ReplenishSettings}
-_TOP_LEVEL = set(SimConfig._fields) - set(_NESTED)
+_TOP_LEVEL = set(SimConfig._fields) - {"replenish"}
 
 
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
     """Build a config from a JSON-shaped dict, applying defaults and
     validating; raises ValidationError listing every problem found.
-    Keys in ``LEGACY_KEYS`` are dropped with one warning; ``replenish.mode``
-    is translated, and ``walking.equipment`` ``stacker`` dropped, without one."""
+    Keys in ``LEGACY_KEYS`` and ``walking.constant_s`` are dropped with one
+    warning; ``replenish.mode`` is translated, and the rest of a ``walking``
+    object that names ``OLD_WALKING`` dropped, without one."""
     errors: list[str] = []
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
-        if key in _NESTED:
-            if not isinstance(value, dict):
-                errors.append(f"{key} must be an object")
-                continue
-            if key == "replenish" and "mode" in value:  # of earlier versions
+        if key in ("walking", "replenish") and not isinstance(value, dict):
+            errors.append(f"{key} must be an object")
+        elif key == "walking":  # of earlier versions
+            for k in sorted(set(value) - {"constant_s"}):
+                if k not in OLD_WALKING:
+                    errors.append(f"unknown config field walking.{k}")
+                elif value[k] != OLD_WALKING[k]:
+                    errors.append(f"walking.{k} must be {OLD_WALKING[k]!r}")
+        elif key == "replenish":
+            if "mode" in value:  # of earlier versions
                 value = {"sigma_s": 60.0, **value}
                 if value.pop("mode") not in ("constant", "sampled"):
                     errors.append("replenish.mode must be 'constant' or 'sampled'")
-            if key == "walking" and "equipment" in value:  # of earlier versions
-                value = dict(value)
-                if value.pop("equipment") != STACKER:
-                    errors.append("walking.equipment must be 'stacker'")
-            known = set(_NESTED[key]._fields)
+            known = set(ReplenishSettings._fields)
             errors.extend(f"unknown config field {key}.{k}" for k in sorted(set(value) - known))
-            kwargs[key] = _NESTED[key](**{k: v for k, v in value.items() if k in known})
+            kwargs[key] = ReplenishSettings(**{k: v for k, v in value.items() if k in known})
         elif key in _TOP_LEVEL:
             kwargs[key] = value
         elif key not in LEGACY_KEYS:
@@ -182,6 +176,8 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
     if data.get("replenish", {}).get("mode") == "constant":  # every interval mu_s, as it was
         cfg = cfg._replace(replenish=cfg.replenish._replace(sigma_s=0.0, t_min_s=None))
     dropped = sorted(LEGACY_KEYS.intersection(data))
+    if "constant_s" in data.get("walking", ()):
+        dropped.append("walking.constant_s")
     if dropped:
         _logger(__name__).warning("config fields %s are no longer used and were ignored",
                                   ", ".join(dropped))

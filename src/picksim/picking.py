@@ -24,11 +24,8 @@ line after it is owed in full, and the session keeps the pieces still
 owed of the short line it waits at.  Each sublist is walked from the
 entrance to the drop-off point, and one leg function per week,
 ``leg(from id, to id) -> (turns, seconds)``, prices every leg of every
-route.  Under distance walking it is ``travel_time`` of the two
-locations on the stacker, the one equipment, cached so each leg is
-priced once per week; under constant walking it is ``(0, constant_s)``
-out of the entrance and ``(0, 0.0)`` for every other leg, so only the
-stop that opens a sublist costs walking.
+route: ``travel_time`` of the two locations on the stacker, the one
+equipment, cached so each leg is priced once per week.
 
 Execution is strictly sequential: one order is in flight at a time and
 the next order starts the moment the previous one is done.  An order
@@ -77,7 +74,7 @@ import functools
 from datetime import datetime
 from typing import Callable, NamedTuple
 
-from .config import SimConfig, WALK_CONSTANT
+from .config import SimConfig
 from .errors import InfeasibleRunError, InputDataError, _logger
 from .events import Engine, Event, PartialPick, StartPickOrder
 from .storage import StoragePolicy
@@ -149,9 +146,9 @@ PickerEvent = tuple[float, StartPickOrder | PartialPick]
 def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
                    policy: StoragePolicy, cfg: SimConfig) -> PickPlan:
     """Build the pick plan for a horizon's orders against current stock,
-    every leg priced by the one leg function ``cfg.walking`` chooses for
-    the week; an order without lines, and a line of fewer than 1 piece,
-    raise ``InputDataError``.  The orders are not changed."""
+    every leg priced by ``travel_time`` on the stacker, cached for the
+    week; an order without lines, and a line of fewer than 1 piece, raise
+    ``InputDataError``.  The orders are not changed."""
     groups: dict[str, list[Order]] = {}  # in first-appearance order
     for order in orders:
         if not order.lines:
@@ -163,17 +160,11 @@ def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
                                       order.order_no)
         groups.setdefault(key, []).append(order)
 
-    if cfg.walking.mode == WALK_CONSTANT:
-        entered, walked = (0, cfg.walking.constant_s), (0, 0.0)
+    location, equipment = warehouse.location, cfg.stacker()
 
-        def leg(a: LocationId, b: LocationId) -> tuple[int, float]:
-            return entered if a == ENTRANCE_ID else walked
-    else:
-        location, equipment = warehouse.location, cfg.stacker()
-
-        @functools.cache
-        def leg(a: LocationId, b: LocationId) -> tuple[int, float]:
-            return travel_time(location(a), location(b), equipment)
+    @functools.cache
+    def leg(a: LocationId, b: LocationId) -> tuple[int, float]:
+        return travel_time(location(a), location(b), equipment)
 
     return [_plan_entry(order, mode, warehouse, policy, leg)
             for group in groups.values() for order in reversed(group)]

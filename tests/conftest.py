@@ -10,7 +10,7 @@ import pytest
 
 from picksim import Item, Location, SimConfig
 from picksim.cli import main
-from picksim.config import WalkSettings, ReplenishSettings
+from picksim.config import ReplenishSettings
 
 ENTRANCE = (-1, 0, 0)
 DROPOFF = (-1, 0, 1)
@@ -68,13 +68,12 @@ def make_item(code, zone="Z1", qpp=10):
 
 
 def trace_cfg(**overrides) -> SimConfig:
-    """Config for the hand-checked three-order fixture: 30 s walking
-    constant, pick base 10 s, 15 s per pallet, no carton term, restock
-    every 100 s sharp."""
+    """Config for the hand-checked three-order fixture: the stacker at
+    20 cm/s with a 3 s turn, pick base 10 s, 15 s per pallet, no carton
+    term, restock every 100 s sharp."""
     return SimConfig(
-        BTpu=10.0, PPpu=15.0, PMpu=0.0, BTpa=10.0, PPpa=15.0,
+        sps=20.0, tts=3.0, BTpu=10.0, PPpu=15.0, PMpu=0.0, BTpa=10.0, PPpa=15.0,
         metric_unit="seconds",
-        walking=WalkSettings(mode="constant", constant_s=30.0),
         replenish=ReplenishSettings(mu_s=100.0),
     )._replace(**overrides)
 
@@ -86,8 +85,22 @@ def three_slot_world():
     Three slots in one row; dedicated slots B->L1, A->L2, C->L3.  Stock:
     A full (10), B partial (5), C exactly the ordered 2.  Three orders
     on one truck arrive as O1:A x4, O2:B x8, O3:C x2, so picking order
-    is O3, O2, O1.  Expected completions 55 / 125 / 180 s with one
-    stock-out wait of 15 s on O2 (restock at t=100).
+    is O3, O2, O1.
+
+    Every leg is rectilinear cm / 20 cm/s plus one 3 s turn (the anchors
+    stand on row -1, the slots on row 0).  From the entrance (0, 0):
+    B (100, 100) 200 cm -> 13 s, A (100, 200) 300 cm -> 18 s, C (100,
+    300) 400 cm -> 23 s.  To the drop-off (0, 60): from B 140 cm -> 10 s,
+    from A 240 cm -> 15 s, from C 340 cm -> 20 s.  A visit touching one
+    pallet is handled in 10 + 15 = 25 s.
+
+    O3 walks 23 + 20 and is handled 25: done at 68.  O2 reaches B at
+    68 + 13 = 81, takes the 5 on hand and waits for the restock at 100
+    (19 s); the resume walks 10 to the drop-off and handles the other 3
+    in 25: done at 135.  O1 walks 18 + 15 and is handled 25: done at 193.
+    Walking 43 + 23 + 33 = 99 s, handling 75 s, waiting 19 s, and
+    99 + 75 + 19 = 193.  The put-away at 100 drives from the elevator
+    (60, 0) to B, 140 cm -> 10 s, and is handled 25 s.
     """
     layout = anchors() + [
         slot(0, 1, 0, 100.0, 100.0, zone="Z1", seq=1),

@@ -176,20 +176,12 @@ class OracleSim:
 
         active = pos = None
         at_stop = None
-        charged: set[int] = set()
 
         def legs_of(plan, p0, target, complete: bool):
             visit = list(range(p0, target))
             if not complete:
                 visit.append(target)
             out = []
-            if self.cfg.walking.mode == "constant":
-                for q in visit:
-                    sgm = plan["seg"][q]
-                    if sgm not in charged:
-                        charged.add(sgm)
-                        out.append(self.cfg.walking.constant_s)
-                return out
             if at_stop is None:
                 cur_pt, cur_sg = self.locs[ENTRANCE], -1
             else:
@@ -296,7 +288,6 @@ class OracleSim:
                 if all(r == 0 for r in self.plans[i]["rem"]):
                     continue
                 active, pos, at_stop = i, 0, None
-                charged.clear()
                 advance(i, now)
                 continue
 

@@ -61,7 +61,7 @@ def test_gen_data_prints_all_four_paths(tmp_path, capsys):
 def test_gen_data_of_a_week_longer_than_30_days_writes_a_dataset_that_finishes(tmp_path,
                                                                                capsys):
     """One item in one slot and 20,000 order lines: the week needs thousands
-    of restocked pallets, one per visit, and takes about 54 days of
+    of restocked pallets, one per visit, and takes about 38 days of
     simulated time.  A week has no time limit, so the dataset is written
     and its week runs to its last order."""
     data = tmp_path / "data"
@@ -73,7 +73,7 @@ def test_gen_data_of_a_week_longer_than_30_days_writes_a_dataset_that_finishes(t
     assert main(["simulate", "--data", str(data), "--weeks", "1"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert "  week 1: 78482.90\n" in captured.out
+    assert "  week 1: 54551.24\n" in captured.out
 
 
 @pytest.mark.parametrize("lines, weeks", [("3", "4"), ("0", "1")])
@@ -670,19 +670,22 @@ def test_config_value_of_the_wrong_type_exits_3(dataset, tmp_path, capsys, confi
     assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
 
 
-def test_a_config_of_the_handlift_era_runs_as_distance_walking_on_the_stacker(dataset,
-                                                                             tmp_path):
-    """``sph`` and ``tth`` are legacy keys and ``walking.equipment``
-    ``stacker`` is what every leg rides: a distance-walking config that adds
-    them prints and writes, traces included, what the config without them
-    does, with the one legacy warning."""
-    walking = {"mode": "distance"}
+@pytest.mark.parametrize("config, warning", [
+    ({"walking": {"mode": "distance", "equipment": "stacker"}}, ""),
+    ({"walking": {"mode": "distance", "constant_s": 30.0}}, "walking.constant_s"),
+    ({"sph": 50.0, "tth": 9.0, "walking": {"mode": "distance", "equipment": "stacker"}},
+     "sph, tth"),
+], ids=["distance-stacker", "constant", "handlift-era"])
+def test_a_walking_config_of_earlier_versions_runs_as_the_default(dataset, tmp_path, config,
+                                                                  warning):
+    """Every leg is walked on the stacker, so a config that says so runs as
+    ``{}`` does: the same stdout and files, traces included.  A walking
+    constant, ``sph`` and ``tth`` are no longer read and add only the one
+    legacy warning line."""
     runs, written = [], []
-    for label, config in (("old", {"sph": 50.0, "tth": 9.0,
-                                   "walking": {**walking, "equipment": "stacker"}}),
-                          ("new", {"walking": walking})):
+    for label, data in (("old", config), ("new", {})):
         path, out = tmp_path / f"{label}.json", tmp_path / f"out-{label}"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(data))
         runs.append(subprocess.run(
             [sys.executable, "-m", "picksim.cli", "simulate", "--data", dataset, "--weeks", "2",
              "--config", str(path), "--trace", "--out", str(out)],
@@ -690,7 +693,8 @@ def test_a_config_of_the_handlift_era_runs_as_distance_walking_on_the_stacker(da
         ))
         written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert [r.returncode for r in runs] == [0, 0]
-    assert runs[0].stderr == "config fields sph, tth are no longer used and were ignored\n"
+    assert runs[0].stderr == (warning and
+                              f"config fields {warning} are no longer used and were ignored\n")
     assert runs[1].stderr == ""
     assert runs[0].stdout == runs[1].stdout
     assert sorted(written[0]) == ["results.csv", "summary.csv",
@@ -698,17 +702,25 @@ def test_a_config_of_the_handlift_era_runs_as_distance_walking_on_the_stacker(da
     assert written[0] == written[1]
 
 
-@pytest.mark.parametrize("equipment", ["handlift", "x" * 5000], ids=["handlift", "long"])
-def test_any_walking_equipment_but_the_stacker_exits_3_on_one_line(dataset, tmp_path, capsys,
-                                                                   equipment):
+@pytest.mark.parametrize("walking, message", [
+    ({"mode": "distance", "equipment": "handlift"}, "walking.equipment must be 'stacker'"),
+    ({"mode": "distance", "equipment": "x" * 5000}, "walking.equipment must be 'stacker'"),
+    ({"mode": "constant", "constant_s": 120.0}, "walking.mode must be 'distance'"),
+    ({"mode": "x" * 5000}, "walking.mode must be 'distance'"),
+    ({"mode": "distance", "x": 1}, "unknown config field walking.x"),
+], ids=["handlift", "long-equipment", "constant", "long-mode", "unknown"])
+def test_a_walking_config_that_asks_for_another_model_exits_3_on_one_line(
+        dataset, tmp_path, capsys, walking, message):
+    """Running constant walking, or a handlift, at stacker distances would
+    change the results without saying so."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"walking": {"mode": "distance", "equipment": equipment}}))
+    cfg.write_text(json.dumps({"walking": walking}))
     out = tmp_path / "out"
     assert main(["simulate", "--data", dataset, "--config", str(cfg), "--weeks", "2",
                  "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: walking.equipment must be 'stacker'\n"
+    assert captured.err == f"error: {message}\n"
     assert len(captured.err.encode()) < 300
     assert not out.exists()
 

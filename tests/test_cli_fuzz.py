@@ -27,8 +27,10 @@ VALID = {
     "sps": 90.0, "Lsps": 30.0, "tts": 3.0, "BTpu": 10.0, "BTpa": 10.0, "PMpu": 2.0,
     "PPpu": 15.0, "PPpa": 15.0, "pieces_per_master": 10, "metric_unit": "hours",
 }
+# ``walking`` is a spelling of earlier versions: these values load, and
+# ``constant_s``, like ``LR``, loads with a warning
 NESTED_VALID = {
-    "walking": {"mode": "distance", "constant_s": 120.0},
+    "walking": {"mode": "distance", "equipment": "stacker", "constant_s": 120.0},
     "replenish": {"mode": "sampled", "mu_s": 600.0, "sigma_s": 60.0, "t_min_s": 30.0},
 }
 BAD = st.one_of(

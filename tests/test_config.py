@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import logging
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,12 +16,14 @@ from picksim import (
     ReplenishSettings,
     SimConfig,
     ValidationError,
-    WalkSettings,
     config_from_dict,
     load_config,
 )
 from picksim.config import LEGACY_KEYS
-from conftest import OLD_MODES
+from conftest import OLD_MODES, child_env
+from test_golden import DISTANCE_CONFIG
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_empty_dict_gives_full_defaults():
@@ -28,7 +33,6 @@ def test_empty_dict_gives_full_defaults():
     assert cfg.BTpu == 10.0 and cfg.PPpu == 15.0 and cfg.PMpu == 2.0
     assert cfg.pieces_per_master == 10
     assert cfg.metric_unit == "minutes"
-    assert cfg.walking.mode == "constant" and cfg.walking.constant_s == 120.0
     assert cfg.replenish.mu_s == 600.0 and cfg.replenish.sigma_s == 0.0
     assert ReplenishmentSampler.from_config(cfg, 0).t_min_s == 600.0
     assert cfg.validate() == []
@@ -38,7 +42,7 @@ def test_configs_are_immutable_and_hashable():
     cfg = config_from_dict({})
     assert cfg == SimConfig() and hash(cfg) == hash(SimConfig())
     assert len({cfg, SimConfig(), config_from_dict({"sps": 80.0})}) == 2
-    for record, name in ((cfg, "sps"), (cfg.walking, "mode"), (cfg.replenish, "mu_s")):
+    for record, name in ((cfg, "sps"), (cfg.replenish, "mu_s")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
 
@@ -50,12 +54,11 @@ def test_null_floor_loads_as_unset():
 
 
 def test_the_readme_table_has_one_row_per_field_in_record_order():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     rows = [row.split("|")[1].strip() for row in section.splitlines() if row.startswith("| `")]
-    fields = [*SimConfig._fields[:-2], *(f"walking.{f}" for f in WalkSettings._fields),
-              *(f"replenish.{f}" for f in ReplenishSettings._fields)]
-    assert SimConfig._fields[-2:] == ("walking", "replenish")
+    fields = [*SimConfig._fields[:-1], *(f"replenish.{f}" for f in ReplenishSettings._fields)]
+    assert SimConfig._fields[-1] == "replenish" and len(fields) == 13
     assert rows == [f"`{field}`" for field in fields]
 
 
@@ -144,17 +147,67 @@ def test_the_handlift_of_earlier_versions_loads_as_a_legacy_key(caplog):
     stacker walking they were never read."""
     with caplog.at_level(logging.WARNING, logger="picksim.config"):
         cfg = config_from_dict({"sph": 80.0, "tth": 1.0, "walking": {"mode": "distance"}})
-    assert cfg == config_from_dict({"walking": {"mode": "distance"}})
+    assert cfg == SimConfig()
     assert [r.getMessage() for r in caplog.records] == [
         "config fields sph, tth are no longer used and were ignored"]
 
 
-def test_walking_equipment_stacker_of_earlier_versions_loads_without_a_warning(caplog):
+@pytest.mark.parametrize("walking", [{}, {"mode": "distance"}, {"equipment": "stacker"},
+                                     {"mode": "distance", "equipment": "stacker"}])
+def test_the_walking_of_earlier_versions_loads_without_a_warning(caplog, walking):
+    """Distance walking on the stacker is what every run does, so a
+    ``walking`` object that names it is the default config."""
     with caplog.at_level(logging.WARNING, logger="picksim.config"):
-        cfg = config_from_dict({"walking": {"mode": "distance", "equipment": "stacker"}})
-    assert cfg == config_from_dict({"walking": {"mode": "distance"}})
-    assert cfg.walking == WalkSettings(mode="distance")
+        cfg = config_from_dict({"walking": walking})
+    assert cfg == SimConfig()
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("constant_s", [30.0, -1, "x", None])
+def test_a_walking_constant_loads_as_a_legacy_key(caplog, constant_s):
+    """No run reads ``walking.constant_s``: whatever its value, it is
+    dropped with the one legacy warning, which names the other legacy
+    keys of the file too."""
+    with caplog.at_level(logging.WARNING, logger="picksim.config"):
+        cfg = config_from_dict({"sph": 80.0, "sps": 60.0,
+                                "walking": {"mode": "distance", "constant_s": constant_s}})
+    assert cfg == SimConfig(sps=60.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "config fields sph, walking.constant_s are no longer used and were ignored"]
+
+
+@pytest.mark.parametrize("mode", ["constant", "Distance", "", None, 1, ["distance"], "x" * 5000])
+def test_any_walking_mode_but_distance_is_refused(mode):
+    """Constant walking is gone; running such a config at distance would
+    change its results without saying so."""
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict({"walking": {"mode": mode, "constant_s": 30.0}})
+    assert exc.value.messages == ["walking.mode must be 'distance'"]
+
+
+@pytest.mark.parametrize("walking, message", [
+    ({"x": 1}, "unknown config field walking.x"),
+    ("distance", "walking must be an object"),
+    (None, "walking must be an object"),
+], ids=["unknown-key", "string", "null"])
+def test_any_other_walking_is_refused(walking, message):
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict({"walking": walking})
+    assert exc.value.messages == [message]
+
+
+def test_the_config_of_earlier_spellings_loads_without_logging(tmp_path):
+    """``DISTANCE_CONFIG``, which is also the config of the benchmark's
+    ``fixed-zoning-dist-full``, names ``walking.mode`` distance and
+    ``replenish.mode`` sampled.  Neither warns, so loading it in a fresh
+    interpreter logs nothing and leaves ``logging`` unimported."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(DISTANCE_CONFIG))
+    code = ("import sys; from picksim.config import load_config; "
+            "print(load_config(sys.argv[1]).replenish.sigma_s, 'logging' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, env=child_env())
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "60.0 False\n")
 
 
 @pytest.mark.parametrize("equipment", ["handlift", "Stacker", "", None, 1, ["stacker"],

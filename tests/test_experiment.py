@@ -357,14 +357,13 @@ LAYER_CALLS = (
 
 
 # the second run has the settings of the benchmark's fixed-zoning-dist-full
-# workload: fixed storage, zoning picking, distance walking, sampled visits;
-# in the third, visits come so often that the picker stalls but never waits,
-# and some visits place nothing
+# workload: fixed storage, zoning picking, sampled visits; in the third,
+# visits come every 1 s, the floor of every interval, so the picker stalls
+# but never waits, and most visits place nothing
 TRACED_RUNS = {
-    "fixed-area-constant": ([], None),
-    "fixed-zoning-distance": (["--picking", "zoning"],
-                              {"walking": {"mode": "distance"}, "replenish": {"mode": "sampled"}}),
-    "fixed-area-skipping": ([], {"replenish": {"mu_s": 60.0}}),
+    "fixed-area-default": ([], None),
+    "fixed-zoning-sampled": (["--picking", "zoning"], {"replenish": {"mode": "sampled"}}),
+    "fixed-area-skipping": ([], {"replenish": {"mu_s": 1.0}}),
 }
 
 

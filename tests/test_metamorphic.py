@@ -2,15 +2,15 @@
 ``metamorphic.py``).
 
 Every policy x picking run of the golden tables, and fixed storage under
-demand allocation, runs with ``--trace`` under constant walking and under
-distance walking with sampled replenishment, on the golden dataset and
-on each transformed copy of it (the coordinate scaling under a copy of
-each config with the equipment speeds scaled alike).  Each pair of runs
+demand allocation, runs with ``--trace`` under sampled replenishment, on
+the golden dataset and on each transformed copy of it (the coordinate
+scaling under a copy of the config with the equipment speeds scaled
+alike).  Each pair of runs
 must keep the transform's relation.
 
 One relation transforms the config alone: doubling every duration of
-the config (turn, base and handling times, the walking constant, the
-replenishment mean, spread and floor) and the seconds of a
+the config (turn, base and handling times, the replenishment mean,
+spread and floor) and the seconds of a
 simulated day, and halving every speed, doubles every time a run writes
 and leaves every other output cell as it was.  Doubling and halving are
 exact in binary floating point, so the relation holds bit for bit.  It
@@ -20,8 +20,9 @@ is not scaled with the other times breaks it there.
 
 The restock-date world has one item and two slots: ``N`` (route
 position 0, nearer the receiving elevator) and ``F`` (position 1).  An
-old pallet on ``N`` and four orders, each taking the walking constant,
-let the visits restock ``F`` (pallet 1), then ``N`` once the old pallet
+old pallet on ``N`` and four orders, each walked by a stacker so slow
+that it takes a little longer than a visit interval, let the visits
+restock ``F`` (pallet 1), then ``N`` once the old pallet
 has drained (pallet 2), and then, after a third order has drained one of
 the two, the slot it left.  Picks take the oldest pallet, ties by route
 position: pallet 2 drains first when both are dated the same day, and
@@ -59,7 +60,7 @@ RUNS = [("fixed", "area", "homogeneous"), ("fixed", "zoning", "homogeneous"),
         ("random", "area", None), ("random", "zoning", None),
         ("fixed-zone", "area", None), ("fixed-zone", "zoning", None),
         ("fixed", "area", "demand")]
-WALKING = {"constant": {}, "distance": DISTANCE_CONFIG}
+WALKING = {"distance": DISTANCE_CONFIG}
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +182,6 @@ def _slowed(config: dict) -> dict:
         **config,
         **{name: 2.0 * getattr(cfg, name) for name in DURATIONS},
         **{name: getattr(cfg, name) / 2.0 for name in SPEEDS},
-        "walking": {**config.get("walking", {}), "constant_s": 2.0 * cfg.walking.constant_s},
         "replenish": {**config.get("replenish", {}), "t_min_s": 2.0 * floor,
                       **{name: 2.0 * getattr(cfg.replenish, name)
                          for name in ("mu_s", "sigma_s")}},
@@ -228,16 +228,18 @@ RESTOCK_FILES = {
         f"2024-06-03 09:00:00,O{k},T{k},A,{qty}\n" for k, qty in enumerate((1, 9, 10, 1), 1)),
 }
 N, F = (0, 1, 0), (0, 1, 1)
-# visits every mu_s from mu_s on; an order starts every walking constant plus
-# some handling seconds, so order k picks between visits k - 1 and k for k up
-# to 3, and the fourth, after visit 3, keeps the picker busy through it.  Same day: visits at 30,000
-# and 60,000 s date pallets 1 and 2 alike; next day: at 60,000 and 120,000 s
-# pallet 1 is a day older.  Value: the slots of the three put-aways.
+# visits every mu_s from mu_s on.  Every order is planned through N, where
+# the only stock stands at the week's start: 375 cm in and 315 cm out, a
+# turn each way, and 25 to 27 s of handling.  At sps 0.02 cm/s an order
+# takes 34,500 s + 33 s or less, at 0.01 cm/s 69,000 s + 33 s or less,
+# about 1.15 visit intervals; so order k picks between visits k - 1 and k
+# for k up to 3, and the fourth, after visit 3, keeps the picker busy
+# through it.  Same day: visits at 30,000 and 60,000 s date pallets 1 and 2
+# alike; next day: at 60,000 and 120,000 s pallet 1 is a day older.  Value:
+# the slots of the three put-aways.
 RESTOCK_DAYS = {
-    "same-day": ({"walking": {"constant_s": 37_500.0}, "replenish": {"mu_s": 30_000.0}},
-                 (F, N, N)),
-    "next-day": ({"walking": {"constant_s": 75_000.0}, "replenish": {"mu_s": 60_000.0}},
-                 (F, N, F)),
+    "same-day": ({"sps": 0.02, "replenish": {"mu_s": 30_000.0}}, (F, N, N)),
+    "next-day": ({"sps": 0.01, "replenish": {"mu_s": 60_000.0}}, (F, N, F)),
 }
 
 
@@ -270,7 +272,8 @@ def test_the_restock_date_decides_which_pallet_drains_first(restock_world, case)
     for run, (_, files) in zip(RUNS, _outputs(root, root / "data", case,
                                                 root / f"out-{case}", weeks=1)):
         [row] = csv.DictReader(io.StringIO(files["results.csv"].decode("utf-8")))
-        assert (float(row["put_travel_s"]), row["turns"]) == (expected, "3"), run
+        # a turn into and out of N per order, and one per put-away
+        assert (float(row["put_travel_s"]), row["turns"]) == (expected, "11"), run
 
 
 @pytest.mark.parametrize("case", sorted(RESTOCK_DAYS))

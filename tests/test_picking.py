@@ -198,10 +198,11 @@ def test_single_line_stockout_waits_for_restock():
     completions, names, metrics, engine = engine_run(
         layout, items, initial, "random", None, orders, "area", cfg, 1,
         date(2024, 6, 3))
-    # walk 30 -> resume planned at 30; grab 4 on hand, wait until t=100;
-    # restock lands 10 (t=100), take remaining 5: 100 + (10 + 15) = 125
-    assert completions == [125.0]
-    assert metrics.wait_s == 70.0
+    # 200 cm at 20 cm/s and a 3 s turn -> resume planned at 13; grab 4 on
+    # hand, wait until t=100; restock lands 10 (t=100), take remaining 5
+    # and walk 140 cm to the drop-off: 100 + (7 + 3) + (10 + 15) = 135
+    assert completions == [135.0]
+    assert metrics.wait_s == 87.0
     kinds = [type(ev.kind).__name__ for ev in engine.trace]
     assert kinds == ["StartPickOrder", "PartialPick", "Replenish", "PartialPick",
                      "Replenish"]
@@ -295,8 +296,7 @@ def _two_row_world(short=None):
 
 
 @pytest.mark.parametrize("picking", ["area", "zoning"])
-@pytest.mark.parametrize("walking", ["constant", "distance"])
-def test_a_week_books_the_walking_its_plan_priced(walking, picking):
+def test_a_week_books_the_walking_its_plan_priced(picking):
     """Without a stall every stop is walked to once, so the booked walking
     is the plan's, to the bit."""
     wh, pol = _two_row_world()
@@ -304,7 +304,7 @@ def test_a_week_books_the_walking_its_plan_priced(walking, picking):
               _order("O2", "T", ("B", 1), ("C", 1)),
               _order("O3", "U", ("A", 2), ("D", 1))]
     # no restocking visit comes before the picker is done, so every turn is the picker's
-    cfg = config_from_dict({"walking": {"mode": walking}, "replenish": {"mu_s": 1e6}})
+    cfg = config_from_dict({"replenish": {"mu_s": 1e6}})
     session, engine = run_week(wh, pol, orders, PickingMode(picking), cfg, 1, MFG)
     assert not any(isinstance(ev.kind, PartialPick) for ev in engine.trace)
     assert session.metrics.put_travel_s == 0.0
@@ -314,15 +314,14 @@ def test_a_week_books_the_walking_its_plan_priced(walking, picking):
 
 @pytest.mark.parametrize("short, line", [("A", 1), ("C", 2)])
 @pytest.mark.parametrize("picking", ["area", "zoning"])
-@pytest.mark.parametrize("walking", ["constant", "distance"])
-def test_a_stalled_order_books_each_planned_leg_once(walking, picking, short, line):
+def test_a_stalled_order_books_each_planned_leg_once(picking, short, line):
     """The picker waits at the short line of O1 and resumes from there: the
     walk to it is booked by the traversal that stalls, not again.  A is the
     route's first stop; under zoning, C opens the second sublist."""
     wh, pol = _two_row_world(short)
     orders = [_order("O1", "T", ("D", 8), ("A", 8), ("C", 8), ("B", 2)),
               _order("O2", "T", ("A", 1), ("C", 1))]
-    cfg = config_from_dict({"walking": {"mode": walking}, "replenish": {"mu_s": 1000.0}})
+    cfg = config_from_dict({"replenish": {"mu_s": 1000.0}})
     # the turns of the restocking visits, which share ``turns`` with the picker's
     put_turns = []
     put_away = pol.put_away
@@ -344,8 +343,7 @@ def test_a_stalled_order_books_each_planned_leg_once(walking, picking, short, li
 
 
 @pytest.mark.parametrize("picking", ["area", "zoning"])
-@pytest.mark.parametrize("walking", ["constant", "distance"])
-def test_a_week_leaves_its_plan_as_it_was_planned(walking, picking):
+def test_a_week_leaves_its_plan_as_it_was_planned(picking):
     """O2 goes first (a truck's orders are picked back to front) and takes 1
     of the 3 A on hand.  At O1's short line of 8 A the picker grabs the
     other 2, waits, and on resume picks the 6 it still owes.  The week's
@@ -354,7 +352,7 @@ def test_a_week_leaves_its_plan_as_it_was_planned(walking, picking):
     wh, pol = _two_row_world("A")
     orders = [_order("O1", "T", ("D", 8), ("A", 8), ("C", 8), ("B", 2)),
               _order("O2", "T", ("A", 1), ("C", 1))]
-    cfg = config_from_dict({"walking": {"mode": walking}, "replenish": {"mu_s": 1000.0}})
+    cfg = config_from_dict({"replenish": {"mu_s": 1000.0}})
     picks = []
     pick = wh.pick
 
@@ -388,12 +386,9 @@ def _route_legs(plan):
 
 
 @pytest.mark.parametrize("picking", ["area", "zoning"])
-@pytest.mark.parametrize("walking", ["constant", "distance"])
-def test_a_week_prices_its_legs_with_one_leg_function(monkeypatch, walking, picking):
-    """Distance walking prices each distinct leg of the week with one
-    ``travel_time`` call, however often routes walk it (O3 and O4 walk the
-    same route).  Constant walking calls ``travel_time`` never and costs
-    ``constant_s`` exactly at the stops that open a sublist."""
+def test_a_week_prices_its_legs_with_one_leg_function(monkeypatch, picking):
+    """A week prices each distinct leg with one ``travel_time`` call,
+    however often routes walk it (O3 and O4 walk the same route)."""
     calls = []
 
     def recorded(a, b, eq):
@@ -406,24 +401,30 @@ def test_a_week_prices_its_legs_with_one_leg_function(monkeypatch, walking, pick
               _order("O2", "T", ("B", 1), ("C", 1)),
               _order("O3", "U", ("A", 2), ("D", 1)),
               _order("O4", "U", ("D", 1), ("A", 1))]
-    cfg = config_from_dict({"walking": {"mode": walking, "constant_s": 7.5}})
-    plan = prepare_orders(orders, PickingMode(picking), wh, pol, cfg)
+    plan = prepare_orders(orders, PickingMode(picking), wh, pol, SimConfig())
     legs = _route_legs(plan)
-    if walking == "distance":
-        assert len(set(legs)) < len(legs)
-        assert Counter(calls) == Counter(set(legs))
-        return
-    assert calls == []
-    for entry in plan:
-        assert (entry.exit_s, entry.exit_turns) == (0.0, 0)
-        sublist = None
-        for stop in entry.route:
-            opens = stop.sublist != sublist
-            sublist = stop.sublist
-            assert (stop.drop_s, stop.walk_s, stop.turns) == (0.0, 7.5 if opens else 0.0, 0)
-    # under zoning every order opens a second sublist
-    assert sum(len({stop.sublist for stop in entry.route}) for entry in plan) == (
-        4 if picking == "area" else 8)
+    assert len(set(legs)) < len(legs)
+    assert Counter(calls) == Counter(set(legs))
+
+
+@pytest.mark.parametrize("picking", ["area", "zoning"])
+def test_a_pallet_stored_further_away_is_walked_to_for_longer(picking):
+    """Walking sees where a pallet stands.  A's one pallet stands at (300,
+    100) or at (300, 400); the entrance is at (0, 0), the drop-off at
+    (0, 60), and each of the two legs changes row, so makes one turn.  At
+    20 cm/s with a 3 s turn the near route walks 400 + 340 cm, 20 + 17 + 6
+    = 43 s, and the far one 700 + 640 cm, 35 + 32 + 6 = 73 s."""
+    cfg = SimConfig(sps=20.0, tts=3.0)
+    walked = []
+    for x, y in ((300.0, 100.0), (300.0, 400.0)):
+        where = slot(0, 1, 0, x, y, zone="Z1", seq=0)
+        wh = Warehouse(index_layout(anchors() + [where]), [make_item("A", zone="Z1")])
+        wh.place(where.id, "A", 10, MFG)
+        pol = StoragePolicy(PolicyKind.RANDOM, wh, cfg.stacker())
+        plan = prepare_orders([_order("O1", "T", ("A", 1))], PickingMode(picking), wh, pol,
+                              cfg)
+        walked.append(_planned_walking(plan))
+    assert walked == [(43.0, 2), (73.0, 2)]
 
 
 def test_a_picker_waiting_in_a_full_warehouse_stops_the_week_at_once():
@@ -437,7 +438,7 @@ def test_a_picker_waiting_in_a_full_warehouse_stops_the_week_at_once():
         engine_run(layout, [make_item("A"), make_item("B")], initial, "random", None,
                    [("O1", "T", [("A", 1)])], "area", trace_cfg(), 1, MFG)
     assert str(exc.value) == (
-        "cannot finish: at t=30.0 s the picker is waiting for order O1, line index 0, item A, "
+        "cannot finish: at t=13.0 s the picker is waiting for order O1, line index 0, item A, "
         "at slot (0, 1, 0), and no visit can restock A: the warehouse is full")
 
 

@@ -155,11 +155,12 @@ def test_restock_ties_break_by_item_code():
     completions, _, metrics, engine = engine_run(layout, items, [], "random",
                                                  None, orders, "area",
                                                  trace_cfg(), 1, START)
+    # the picker walks 13 s to B's slot (0, 1, 0) and waits there.
     # t=100: tie (0, 'A') < (0, 'B') -> A restocked first (uselessly),
-    # B lands on the t=200 visit and the pick finishes at 200 + 25.
-    # A B-first tiebreak would have finished at 125 instead.
-    assert completions == [225.0]
-    assert metrics.wait_s == 170.0  # 30..100 and 100..200
+    # B lands on the t=200 visit and the pick finishes at 200 + 10 to the
+    # drop-off + 25.  A B-first tiebreak would have finished at 135 instead.
+    assert completions == [235.0]
+    assert metrics.wait_s == 187.0  # 13..100 and 100..200
     rp_times = [ev.time for ev in engine.trace
                 if isinstance(ev.kind, Replenish)]
     assert rp_times == [100.0, 200.0, 300.0]  # final visit sees all done
@@ -175,7 +176,7 @@ def test_next_visit_scheduled_even_when_nothing_fits():
     cfg = trace_cfg()
     completions, _, _, engine = engine_run(layout, items, initial, "random",
                                            None, orders, "area", cfg, 1, START)
-    assert completions == [55.0]  # 30 walk + 25 handling, no wait
+    assert completions == [48.0]  # 13 + 10 walk + 25 handling, no wait
     rps = [ev for ev in engine.trace if isinstance(ev.kind, Replenish)]
     assert len(rps) == 1 and rps[0].time == 100.0  # fired once, then stopped
 
@@ -186,10 +187,10 @@ def test_skipped_visit_is_an_info_record_of_the_replenishment_logger(caplog):
     with caplog.at_level(logging.INFO, logger="picksim.replenishment"):
         completions, _, _, _ = engine_run(
             layout, [make_item("A", qpp=10)], initial, "random", None,
-            [(f"O{i}", "T", [("A", 1)]) for i in range(5)], "area", trace_cfg(), 1, START)
-    # orders start every 55 s, so the visits at 100 and 200 come while the
+            [(f"O{i}", "T", [("A", 1)]) for i in range(6)], "area", trace_cfg(), 1, START)
+    # orders start every 48 s, so the visits at 100 and 200 come while the
     # picker still has one to start, and find the only slot full
-    assert completions == [55.0, 110.0, 165.0, 220.0, 275.0]
+    assert completions == [48.0, 96.0, 144.0, 192.0, 240.0, 288.0]
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("picksim.replenishment", logging.INFO,
          f"replenishment at t={t} skipped: no product has a vacant slot")
@@ -228,8 +229,9 @@ class _Bounded(Engine):
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_a_week_at_a_sub_second_mean_visits_at_least_1_s_apart(monkeypatch, sigma):
-    """At mu_s 0.0001 every interval is the 1 s floor: the picker, done at
-    55 s, sees 31 visits, and the week ends after 34 events."""
+    """At mu_s 0.0001 every interval is the 1 s floor: the picker reaches
+    its short line at 13 s, resumes after the visit there and is done at
+    48 s; it sees 14 visits, and the week ends after 17 events."""
     layout, items = _two_item_world()
     initial = [((0, 1, 0), "A", 6, date(2024, 5, 1)),
                ((0, 1, 1), "B", 2, date(2024, 5, 1))]
@@ -238,8 +240,8 @@ def test_a_week_at_a_sub_second_mean_visits_at_least_1_s_apart(monkeypatch, sigm
     completions, _, _, engine = engine_run(layout, items, initial, "random", None,
                                            [("O1", "T", [("A", 16)])], "area", cfg, 1, START)
     visits = [ev.time for ev in engine.trace if isinstance(ev.kind, Replenish)]
-    assert completions == [55.0] and len(engine.trace) == 34
-    assert visits == [float(t) for t in range(1, 32)]
+    assert completions == [48.0] and len(engine.trace) == 17
+    assert visits == [float(t) for t in range(1, 15)]
 
 
 def test_item_without_candidate_slots_is_refused_when_the_policy_is_built():
