@@ -91,6 +91,20 @@ The matrix:
   and before a float cell was quoted by its first 200 characters, echoes
   all 5,000 digits there, so against such a base the stderr of these two
   runs is the declared difference;
+* date cells of 5,000 characters: an order line's ``order_datetime``
+  (``orders.csv`` line 3) and an initial pallet's ``mfg_date``
+  (``initial_inventory.csv`` line 2), each refused with exit 2.  A tree
+  before a date cell was quoted by its first 200 characters echoes all
+  5,000 characters there, so against such a base the stderr of these two
+  runs is the declared difference;
+* a bad row after a row that spans lines: copies of the demo data in
+  which one cell gets a line break in its middle and its row two blank
+  lines after it, and a later row one bad cell.  The first order's
+  first line gets a break in its ``order_no``, and its second line 0
+  pieces (exit 3 at ``orders.csv:6``); the first storage slot gets a
+  break in its zone, and the second a ``x_cm`` that is not a number
+  (exit 2 at ``layout.csv:9``).  Every tree names the line the bad row
+  starts on;
 * the seed's one source, ``--seed`` (12345 without it):
   ``simulate --weeks 2 --trace`` on the demo data with sampled
   replenishment and no ``--seed``, once as is and once with
@@ -201,6 +215,19 @@ REFUSALS = {
     "layout-bad-x": ("layout.csv", 5, 3, "x"),
     "orders-long-qty": ("orders.csv", 3, 4, "7" * 5000),
     "layout-long-x": ("layout.csv", 5, 3, "7" * 5000),
+    # line 3 is the second line of the first order, so its date is parsed
+    "orders-long-date": ("orders.csv", 3, 0, "x" * 5000),
+    "inventory-long-date": ("initial_inventory.csv", 2, 5, "x" * 5000),
+}
+# refused copy of the demo data whose bad row follows a row with a line break in
+# a quoted cell and two blank lines -> (file, line and column of the cell given the
+# break, line, column and new cell of the bad row), lines as in the demo data
+SPANNED = {
+    # the first order's first line becomes an order of its own, and its second line,
+    # now on line 6, the first line of the order, with 0 pieces
+    "orders-after-break": ("orders.csv", 2, 1, 3, 4, "0"),
+    # the first storage slot's zone, and the second slot's x_cm, now on line 9
+    "layout-after-break": ("layout.csv", 5, 6, 6, 3, "x"),
 }
 # a config file whose number has more digits than Python converts (``json.dumps`` refuses it)
 LONG_NUMBER_CONFIG = '{"BTpu": ' + "7" * 5000 + "}"
@@ -212,21 +239,15 @@ HOMELESS = ("items.csv", 2, 1, "Z9")
 SERIES = {"a": [103, 143, 122, 97], "b": [148, 150, 129, 135]}
 # the handling of one put-away, BTpa + PPpa at their defaults, which no config changes
 PUT_HANDLE_S = 25.0
-# The outputs of a run that a change of the walking model moves
-WALKED = ("<stdout>", "results.csv", "summary.csv", "paired.csv", "trace_*")
 # The differences the working tree declares against its parent commit: run
 # name -> the outputs (``<exit>``, ``<stdout>``, ``<stderr>`` or a written
 # file) that may differ, both as ``fnmatch`` patterns.  Every other
 # difference is undeclared.  A change that moves outputs on purpose
-# replaces the table.  Here: a run without a ``walking`` config walked a
-# constant per route segment and now walks every leg on the stacker, and
-# ``walking.mode`` ``constant`` ran and is now refused.
+# replaces the table.  Here: a date cell that does not parse was quoted
+# whole and is now quoted by its first 200 characters.
 DECLARED: dict[str, tuple[str, ...]] = {
-    **dict.fromkeys(("full1-random-area-default", "demo-zoning-*", "demo-random-skipping",
-                     "golden-fixed-skipping", "demo-simulate", "demo-compare", "demo-horizon*",
-                     "demo-sampled*", "demo-constant-set", "demo-sigma-only", "demo-sub-second",
-                     "homeless-fixed", "homeless-random", "flat-*"), WALKED),
-    "refuse-demo-constant-walking": ("*",),
+    "refuse-orders-long-date": ("<stderr>",),
+    "refuse-inventory-long-date": ("<stderr>",),
 }
 
 
@@ -288,7 +309,7 @@ def matrix() -> list[tuple[str, list[str]]]:
         runs.append((f"demo-{config}", [
             "simulate", "--data", "data/demo", "--config", f"data/{config}.json", "--weeks", "1",
             "--trace", "--out", f"out/demo-{config}"]))
-    for name in REFUSALS:
+    for name in [*REFUSALS, *SPANNED]:
         runs.append((f"refuse-{name}", ["simulate", "--data", f"data/{name}", "--weeks", "4",
                                          "--out", f"out/refuse-{name}"]))
     runs.append(("refuse-oversized", ["simulate", "--data", "data/oversized", "--weeks", "1",
@@ -362,6 +383,22 @@ def edited(src: Path, dst: Path, name: str, line: int, column: int, value: str) 
     with open(src / name, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     rows[line - 1][column] = value
+    with open(dst / name, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def spanned(src: Path, dst: Path, name: str, line: int, column: int, bad_line: int,
+            bad_column: int, value: str) -> None:
+    """Copy the dataset ``src`` to ``dst`` with cell ``bad_column`` of line
+    ``bad_line`` of its file ``name`` set to ``value``, and cell ``column``
+    of the earlier line ``line`` given a line break in its middle, its row
+    followed by two blank lines.  Lines count from 1 in ``src``."""
+    edited(src, dst, name, bad_line, bad_column, value)
+    with open(dst / name, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    cell = rows[line - 1][column]
+    rows[line - 1][column] = cell[:len(cell) // 2] + "\n" + cell[len(cell) // 2:]
+    rows[line:line] = [[], []]
     with open(dst / name, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
@@ -500,6 +537,8 @@ def main(argv: list[str] | None = None) -> int:
         overflow(data / "demo", data / "stuck", 2)
         for name, edit in REFUSALS.items():
             edited(data / "demo", data / name, *edit)
+        for name, edit in SPANNED.items():
+            spanned(data / "demo", data / name, *edit)
         edited(data / "demo", data / "homeless", *HOMELESS)
         oversized(data / "demo", data / "oversized")
         for name, config in CONFIGS.items():

@@ -62,7 +62,7 @@ from .experiment import (
 from .picking import PickingMode
 from .stats import PairedTest, paired_test
 from .storage import PolicyKind
-from .warehouse import _TooManyDigits, _finite, _int, _read_csv
+from .warehouse import _TooManyDigits, _finite, _int, _reading
 
 DEFAULT_SEED = 12345
 WEEKLY_HEADER = ["week", "metric"]
@@ -261,14 +261,12 @@ def _read_weekly(path: str) -> tuple[str, dict[int, float]]:
     """File stem and ``{week: metric}`` in file order; each week is an integer
     that appears once."""
     weekly: dict[int, float] = {}
-
-    def row(cells: list[str]) -> None:
-        week = _int(cells[0])
-        if week in weekly:
-            raise InputDataError(f"week {week} appears twice")
-        weekly[week] = _finite(cells[1])
-
-    _read_csv(path, WEEKLY_HEADER, row)
+    with _reading(path, WEEKLY_HEADER) as rows:
+        for week, metric in rows:
+            week = _int(week)
+            if week in weekly:
+                raise InputDataError(f"week {week} appears twice")
+            weekly[week] = _finite(metric)
     return Path(path).stem, weekly
 
 

@@ -43,6 +43,7 @@ as the caller had it: enabled again only if it was enabled before.
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
@@ -160,10 +161,7 @@ def _spanned_weeks(orders: list[Order]) -> list[tuple[list[Order], date | None]]
 
 def demand_per_week(orders: list[Order], weeks: int) -> dict[str, float]:
     """Average picks (order lines) per product per week over the horizon."""
-    counts: dict[str, int] = {}
-    for order in orders:
-        for line in order.lines:
-            counts[line.item] = counts.get(line.item, 0) + 1
+    counts = Counter(line.item for order in orders for line in order.lines)
     return {code: n / weeks for code, n in counts.items()}
 
 

@@ -87,8 +87,9 @@ from .warehouse import (
     ProcessTotals,
     Warehouse,
     _int,
+    _isoformat,
     _new,
-    _read_csv,
+    _reading,
     _write_csv,
     travel_time,
 )
@@ -390,41 +391,44 @@ ORDERS_HEADER = ["order_datetime", "order_no", "truck_id", "item_code", "qty"]
 
 
 def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
-    orders: dict[str, Order] = {}
-    # order_no -> order_datetime text of the order's first line; a later
-    # line with the same text is not parsed again
-    first_text: dict[str, str] = {}
+    """The orders of an orders file in first-appearance order, each with
+    its lines in file order; a line names its item by the catalog's own
+    code string.  A bad row raises naming ``path:line``."""
+    # order_no -> the order, the order_datetime text of its first line (a
+    # later line with the same text is not parsed again) and its lines
+    orders: dict[str, tuple[Order, str, list[OrderLine]]] = {}
     # whether each parsed order_datetime has a UTC offset: naive and offset
     # times cannot be compared, so a file gives every one an offset or none
     offsets: set[bool] = set()
-    find = orders.get
-    parse_time = datetime.fromisoformat
-
-    def add_line(cells: list[str]) -> None:
-        order_datetime, order_no, truck_id, item_code, qty = cells
-        order = find(order_no)
-        same_text = order is not None and order_datetime == first_text[order_no]
-        if not same_text:
-            when = parse_time(order_datetime)
-            offsets.add(when.tzinfo is not None)
-            if len(offsets) > 1:
-                raise InputDataError(f"order_datetime {order_datetime}: a file's order times "
-                                     "must all have a UTC offset, or none")
-        qty = _int(qty)
-        if qty < 1:  # as planning, at path:line
-            raise InputDataError(f"order line of {item_code}: qty must be >= 1")
-        if item_code not in items:
-            raise InputDataError(f"unknown item {item_code}")
-        if order is None:
-            order = orders[order_no] = _new(Order, (order_no, when, truck_id, []))
-            first_text[order_no] = order_datetime
-        elif truck_id != order.truck_id or not same_text and when != order.order_datetime:
-            # the same instant written differently is the same date
-            raise InputDataError(f"order {order_no}: date or truck differs from its first line")
-        order.lines.append(_new(OrderLine, (item_code, qty)))
-
-    _read_csv(path, ORDERS_HEADER, add_line)
-    return list(orders.values())
+    find, find_item, parse_time = orders.get, items.get, datetime.fromisoformat
+    with _reading(path, ORDERS_HEADER) as rows:
+        for order_datetime, order_no, truck_id, item_code, qty in rows:
+            entry = find(order_no)
+            if entry is None or order_datetime != entry[1]:
+                when = _isoformat(parse_time, order_datetime)
+                offsets.add(when.tzinfo is not None)
+                if len(offsets) > 1:
+                    raise InputDataError(f"order_datetime {order_datetime}: a file's order "
+                                         "times must all have a UTC offset, or none")
+            try:
+                qty = int(qty)
+            except ValueError:
+                qty = _int(qty)  # raises, naming a number of too many digits as such
+            if qty < 1:  # as planning, at path:line
+                raise InputDataError(f"order line of {item_code}: qty must be >= 1")
+            item = find_item(item_code)
+            if item is None:
+                raise InputDataError(f"unknown item {item_code}")
+            if entry is None:
+                order = _new(Order, (order_no, when, truck_id, []))
+                entry = orders[order_no] = (order, order_datetime, order.lines)
+            elif truck_id != entry[0].truck_id or order_datetime != entry[1] and (
+                    when != entry[0].order_datetime):
+                # the same instant written differently is the same date
+                raise InputDataError(f"order {order_no}: date or truck differs from its "
+                                     "first line")
+            entry[2].append(_new(OrderLine, (item.code, qty)))
+    return [order for order, _, _ in orders.values()]
 
 
 def save_orders(orders: list[Order], path: str) -> None:

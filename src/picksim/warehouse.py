@@ -8,9 +8,9 @@ points (entrance, consolidation/special area, elevator) are ordinary
 locations with reserved ids on row -1 so travel to and from them uses
 the same arithmetic as slot-to-slot travel.  A run reads and checks
 its layout once, into one ``Layout`` index (slots and anchors by id,
-slots by zone) that ``load_layout`` or ``index_layout`` builds and that
-each week's warehouse, the slot map, the storage policies and the run's
-checks all read.
+slots by zone) that ``index_layout`` builds, from a list or, for
+``load_layout``, from a file's rows, and that each week's warehouse, the
+slot map, the storage policies and the run's checks all read.
 
 Inventory is one pallet record per slot at most.  Picking always
 consumes the oldest manufacturing date first (ties broken by route
@@ -35,6 +35,14 @@ only when a pick drains it, a pick only ever takes from the head, so
 the drained record is the head and is popped then and there.  Slot
 ``seq_no`` values are unique, so two keys never tie and records are
 never compared.
+
+Every CSV loader reads through one primitive, ``_reading``: it opens
+the file, checks the header and hands the loader the data rows, blank
+lines skipped, which the loader iterates in its own loop, unpacking each
+row into one name per column.  Nothing is counted per row: when a row
+fails, ``_failed_row`` reads the file again to find the line that row
+starts on, and whether it has the wrong number of cells, for the one-line
+``path:line`` error.
 """
 
 from __future__ import annotations
@@ -43,9 +51,10 @@ import csv
 import heapq
 import math
 import sys
+from contextlib import contextmanager, suppress
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import InputDataError, ParseError
 
@@ -202,11 +211,6 @@ def index_layout(locations: Iterable[Location]) -> Layout:
     seqs: set[int] = set()
     for loc in locations:
         _check_new(loc, layout, seqs)
-    return _with_every_anchor(layout)
-
-
-def _with_every_anchor(layout: Layout) -> Layout:
-    """``layout`` with each anchor it lacks added at the origin."""
     for anchor_id, seq_no in zip(ANCHOR_IDS, (-3, -2, -1)):
         if anchor_id not in layout.anchors:
             layout.anchors[anchor_id] = Location(anchor_id, 0.0, 0.0, 0.0, ANCHOR_ZONE, seq_no)
@@ -408,18 +412,23 @@ ITEMS_HEADER = ["item_code", "home_zone", "qty_per_pallet"]
 INVENTORY_HEADER = ["row", "layer", "slot", "item_code", "qty", "mfg_date"]
 
 
-def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], None]) -> None:
-    """Call ``parse(cells)`` on every data row of a CSV file, in file order.
+@contextmanager
+def _reading(path: str, header: list[str]) -> Iterator[Iterator[list[str]]]:
+    """The one reading primitive of every CSV loader: open ``path``, check
+    that its first row is ``header`` and yield its data rows, blank lines
+    skipped, for the loader to iterate in its own loop.
 
-    The first row must be ``header``; blank lines are skipped and every
-    other row must have one cell per header column.  A file that cannot
-    be opened or decoded, a malformed row and a ``ValueError`` from
-    ``parse`` raise a one-line ``ParseError`` naming ``path:line``; an
-    ``InputDataError`` from ``parse`` gets the same prefix.  Rows are
-    read and parsed one at a time.  A leading UTF-8 byte-order mark, as
-    spreadsheet exports write, is dropped.
+    The loader unpacks each row into one name per header column, and that
+    unpacking is the check of the row's width.  A file that cannot be
+    opened or decoded, a malformed row and a ``ValueError`` from the
+    ``with`` block raise a one-line ``ParseError`` naming ``path:line``;
+    an ``InputDataError`` from the block gets the same prefix.  The line
+    is the one the failing row starts on and, like the wrong width that
+    the message then names, is found only after the fact by
+    ``_failed_row``, so reading a row does no bookkeeping for it.  A
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is
+    dropped.
     """
-    line = 1
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh, strict=True)
@@ -430,35 +439,56 @@ def _read_csv(path: str, header: list[str], parse: Callable[[list[str]], None]) 
                         f"{path}: expected header {','.join(header)}, got "
                         f"{','.join(first or ['<empty>'])}"
                     )
-                line = reader.line_num + 1
-                width = len(header)
-                for cells in reader:
-                    if cells:
-                        if len(cells) != width:
-                            raise ParseError(
-                                f"{path}:{line}: expected {width} cells, got {len(cells)}"
-                            )
-                        parse(cells)
-                    line = reader.line_num + 1  # where the next row starts
-            except UnicodeDecodeError as exc:
-                # text is decoded a block ahead of the reader: find the line in the bytes
-                fh.buffer.seek(0)
-                for line, raw in enumerate(fh.buffer, start=1):
-                    try:
-                        raw.decode("utf-8")
-                    except UnicodeDecodeError:
-                        break
-                raise ParseError(f"{path}:{line}: not UTF-8 text") from exc
-            except (ValueError, csv.Error) as exc:
-                raise ParseError(f"{path}:{line}: {exc}") from exc
-            except InputDataError as exc:
-                raise InputDataError(f"{path}:{line}: {exc}") from exc
+                yield filter(None, reader)
+            except (ValueError, csv.Error, InputDataError) as exc:
+                undecodable = isinstance(exc, UnicodeDecodeError)
+                line, cells = _failed_row(fh, reader, undecodable)
+                message = "not UTF-8 text" if undecodable else str(exc)
+                if cells is not None and len(cells) != len(header):
+                    message = f"expected {len(header)} cells, got {len(cells)}"
+                kind = InputDataError if isinstance(exc, InputDataError) else ParseError
+                raise kind(f"{path}:{line}: {message}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _failed_row(fh: TextIO, reader, undecodable: bool) -> tuple[int, list[str] | None]:
+    """The line on which the failing row starts, and its cells if it reads:
+    the row that ``reader``, reading ``fh``, last returned or failed in,
+    or with ``undecodable`` the first row that is not UTF-8 text.
+
+    ``fh`` is read again from its start, its bytes split into lines as
+    the reader splits them and each line decoded on its own, since the
+    reader's text was decoded a block ahead of it.  A quoted cell may span
+    lines, and blank lines count.  A handle that cannot seek, such as a
+    pipe, is not read again: the line named is the one where the reader
+    stopped, and no cells.
+    """
+    if not fh.seekable():
+        return reader.line_num + undecodable, None
+    fh.buffer.seek(0)
+    again = csv.reader((raw.decode("utf-8") for raw in fh.buffer.read().splitlines(True)),
+                       strict=True)
+    start = 1
+    with suppress(ValueError, csv.Error):  # the failing row fails again
+        for cells in again:
+            if again.line_num >= reader.line_num and not undecodable:
+                return start, cells
+            start = again.line_num + 1
+    return start, None
+
+
+def _isoformat(parse: Callable[[str], date], cell: str) -> date:
+    """``parse(cell)``, a ``fromisoformat``, whose ``ValueError`` quotes at
+    most the cell's first 200 characters, as ``_finite``'s does."""
+    try:
+        return parse(cell)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace(repr(cell), repr(cell[:200]))) from None
+
+
 def _finite(cell: str) -> float:
-    """A numeric cell that must be a finite number; ``_read_csv`` reports its
+    """A numeric cell that must be a finite number; ``_reading`` reports its
     ``ValueError`` at ``path:line``.  The message quotes at most the cell's
     first 200 characters, so a cell of thousands is not echoed whole."""
     try:
@@ -506,19 +536,13 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
 
 
 def load_layout(path: str) -> Layout:
-    """The ``Layout`` of a layout file, each row checked by ``_check_new``
-    as it is read, so an error names ``path:line``."""
-    layout = Layout({}, {}, {})
-    seqs: set[int] = set()
-    check, finite = _check_new, _finite
-
-    def location(cells: list[str]) -> None:
-        row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no = cells
-        check(_new(Location, ((_int(row), _int(layer), _int(slot)), finite(x_cm), finite(y_cm),
-                              finite(z_cm), zone, _int(seq_no))), layout, seqs)
-
-    _read_csv(path, LAYOUT_HEADER, location)
-    return _with_every_anchor(layout)
+    """The ``Layout`` of a layout file, built by ``index_layout`` as the
+    rows are read, so an error names ``path:line``."""
+    with _reading(path, LAYOUT_HEADER) as rows:
+        return index_layout(
+            _new(Location, ((_int(row), _int(layer), _int(slot)), _finite(x_cm), _finite(y_cm),
+                            _finite(z_cm), zone, _int(seq_no)))
+            for row, layer, slot, x_cm, y_cm, z_cm, zone, seq_no in rows)
 
 
 def save_layout(locations: Iterable[Location], path: str) -> None:
@@ -529,13 +553,10 @@ def save_layout(locations: Iterable[Location], path: str) -> None:
 
 def load_items(path: str) -> list[Item]:
     items: dict[str, Item] = {}
-
-    def item(cells: list[str]) -> None:
-        code, home_zone, qty_per_pallet = cells
-        # as Warehouse does, here so the error names path:line
-        _check_item(Item(code, home_zone, _int(qty_per_pallet)), items)
-
-    _read_csv(path, ITEMS_HEADER, item)
+    with _reading(path, ITEMS_HEADER) as rows:
+        for code, home_zone, qty_per_pallet in rows:
+            # as Warehouse does, here so the error names path:line
+            _check_item(Item(code, home_zone, _int(qty_per_pallet)), items)
     return list(items.values())
 
 
@@ -547,17 +568,14 @@ def save_items(items: Iterable[Item], path: str) -> None:
 
 def load_inventory(path: str) -> list[PalletRecord]:
     records: list[PalletRecord] = []
-
-    def pallet(cells: list[str]) -> None:
-        row, layer, slot, item_code, qty, mfg_date = cells
-        record = PalletRecord((_int(row), _int(layer), _int(slot)), item_code, _int(qty),
-                              date.fromisoformat(mfg_date))
-        if record.qty < 1:
-            raise InputDataError(f"initial pallet of {item_code}: qty must be >= 1, "
-                                 f"got {record.qty}")
-        records.append(record)
-
-    _read_csv(path, INVENTORY_HEADER, pallet)
+    with _reading(path, INVENTORY_HEADER) as rows:
+        for row, layer, slot, item_code, qty, mfg_date in rows:
+            record = PalletRecord((_int(row), _int(layer), _int(slot)), item_code, _int(qty),
+                                  _isoformat(date.fromisoformat, mfg_date))
+            if record.qty < 1:
+                raise InputDataError(f"initial pallet of {item_code}: qty must be >= 1, "
+                                     f"got {record.qty}")
+            records.append(record)
     return records
 
 

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_item
 from reference_orders import read_orders, week_buckets
 from picksim import InputDataError, ParseError, load_orders
-from picksim.experiment import _spanned_weeks
+from picksim.experiment import _spanned_weeks, demand_per_week
 
-ITEMS = {code: make_item(code) for code in ("A", "B,1", 'C"2')}
-ORDER_NOS = ("O1", "O,2", "O 3", 'O"4', "O5", "O6")
-TRUCKS = ("T1", "T,2", "")
+ITEMS = {code: make_item(code) for code in ("A", "B,1", 'C"2', "D\n3", "E\r\n4")}
+ORDER_NOS = ("O1", "O,2", "O 3", 'O"4', "O5", "O6", "O\n7", "O\r\n8")
+TRUCKS = ("T1", "T,2", "", "T\n3", "T\r\n4")
 OFFSETS = ("+02:00", "-05:00", "+00:00")
 DEFECTS = ("cells", "qty-0", "qty-text", "item", "truck", "date", "offset", "time")
 
@@ -26,10 +26,11 @@ DEFECTS = ("cells", "qty-0", "qty-text", "item", "truck", "date", "offset", "tim
 def orders_files(draw):
     """The text of an ``orders.csv``: its orders' lines in a drawn order, so
     an order's lines need not be adjacent, with blank lines, ``\\n`` or
-    ``\\r\\n`` endings, cells quoted where they hold a comma or a quote,
-    every time naive or every time with an offset, a later line of an order
-    writing its time with a ``T`` now and then (the same instant), and
-    perhaps one defect in one row."""
+    ``\\r\\n`` endings, cells quoted where they hold a comma, a quote or a
+    line break (an order number, truck or item code may hold ``\\n`` or
+    ``\\r\\n``, so its row spans lines), every time naive or every time
+    with an offset, a later line of an order writing its time with a ``T``
+    now and then (the same instant), and perhaps one defect in one row."""
     offset = draw(st.booleans())
     rows = []
     for order_no in draw(st.lists(st.sampled_from(ORDER_NOS), min_size=1, max_size=5,
@@ -99,3 +100,21 @@ def test_orders_load_and_split_as_the_plain_reading_does(path, text):
         ref = want.get(week, [])
         assert [o.order_no for o in bucket] == [order.order_no for order in ref]
         assert first_date == min((order.when.date() for order in ref), default=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=orders_files(), weeks=st.integers(1, 4))
+def test_demand_per_week_is_a_plain_count_of_the_lines(path, text, weeks):
+    """Per item, the order lines over ``weeks``, keyed in the order the
+    items first appear in the orders' lines."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    reading = read_orders(path, ITEMS)
+    if reading.bad_line is not None:
+        return
+    counts: dict[str, int] = {}
+    for order in reading.orders:
+        for item, _ in order.lines:
+            counts[item] = counts.get(item, 0) + 1
+    assert list(demand_per_week(load_orders(path, ITEMS), weeks).items()) == [
+        (item, n / weeks) for item, n in counts.items()]

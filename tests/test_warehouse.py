@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import re
-from datetime import date, timedelta
+import threading
+from contextlib import suppress
+from datetime import date, datetime, timedelta
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -502,6 +505,85 @@ def test_blank_lines_are_skipped(tmp_path, name):
     assert read(str(spaced)) == read(str(plain))
 
 
+# reader name -> a column whose cell may end in a line break in a valid row
+SPANNABLE = {"layout": 6, "items": 1, "inventory": 3, "orders": 1, "weekly": 0}
+
+
+def _spanning(name: str, row: bytes) -> bytes:
+    """``row`` with its ``SPANNABLE`` cell quoted and ending in ``\\n``, so
+    the row spans two lines of the file and stays valid."""
+    cells = row.split(b",")
+    cells[SPANNABLE[name]] = b'"' + cells[SPANNABLE[name]] + b'\n"'
+    return b",".join(cells)
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("name", READERS)
+def test_a_bad_row_spanning_two_lines_names_the_line_it_starts_on(tmp_path, name, case):
+    read, header, (first, second) = READERS[name]
+    path = tmp_path / f"{name}.csv"
+    # the bad row opens on line 3 and goes on on line 4
+    path.write_bytes(b"\n".join([header, first, MALFORMED[case](_spanning(name, second)),
+                                 first, b""]))
+    with pytest.raises(ParseError, match=re.escape(f"{name}.csv:3: ")):
+        read(str(path))
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("name", READERS)
+def test_a_bad_row_after_a_spanning_row_and_blank_lines_names_its_line(tmp_path, name, case):
+    read, header, (first, second) = READERS[name]
+    path = tmp_path / f"{name}.csv"
+    # lines 2-3 hold one good row, lines 4-5 are blank and the bad row is line 6
+    path.write_bytes(b"\n".join([header, _spanning(name, first), b"", b"",
+                                 MALFORMED[case](second), first, b""]))
+    with pytest.raises(ParseError, match=re.escape(f"{name}.csv:6: ")):
+        read(str(path))
+
+
+def _input_error_row(name: str, first: bytes) -> bytes:
+    """A row that parses but breaks a rule of ``name``'s reader when it
+    follows ``first``: a pallet or an order line of 0 pieces, or a repeat
+    of ``first``'s location, item code or week."""
+    if name == "inventory":
+        return first.replace(b",5,", b",0,")
+    if name == "orders":
+        return first[:-1] + b"0"
+    return first
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, "rule"])
+@pytest.mark.parametrize("name", READERS)
+def test_a_bad_row_read_from_a_pipe_raises_the_same_error_class(tmp_path, name, case):
+    """A handle that cannot seek is not read again to find the failing row,
+    so the error names the line where the reader stopped; its class is the
+    one a regular file gives, and the read ends."""
+    read, header, (first, second) = READERS[name]
+    bad = _input_error_row(name, first) if case == "rule" else MALFORMED[case](second)
+    data = b"\n".join([header, first, _spanning(name, second), bad, first, b""])
+    regular = tmp_path / "regular" / f"{name}.csv"
+    regular.parent.mkdir()
+    regular.write_bytes(data)
+    with pytest.raises((ParseError, InputDataError)) as expected:
+        read(str(regular))
+    fifo = tmp_path / "pipe" / f"{name}.csv"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+
+    def write() -> None:
+        with suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    with pytest.raises((ParseError, InputDataError)) as got:
+        read(str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert type(got.value) is type(expected.value)
+    assert str(got.value).startswith(f"{fifo}:")
+
+
 # reader name -> positions of its numeric cells that must be finite
 FLOAT_CELLS = {"layout": (3, 4, 5), "weekly": (1,)}
 
@@ -536,6 +618,32 @@ def test_a_float_cell_is_quoted_by_at_most_its_first_200_characters(cell):
             assert str(exc.value) == str(own.value)
     else:
         assert str(exc.value) == f"{cell[:200]!r} is not a finite number"
+
+
+# reader name -> (position of its date cell, the parser of that cell)
+DATE_CELLS = {"inventory": (5, date.fromisoformat), "orders": (0, datetime.fromisoformat)}
+
+
+@pytest.mark.parametrize("length", [200, 201, 5000])
+@pytest.mark.parametrize("name", DATE_CELLS)
+def test_a_date_cell_is_quoted_by_at_most_its_first_200_characters(tmp_path, name, length):
+    """A date cell that does not parse is quoted as ``_finite`` quotes a
+    number: whole up to 200 characters, where the message is Python's own,
+    and cut to its first 200 beyond."""
+    read, header, (first, second) = READERS[name]
+    column, parse = DATE_CELLS[name]
+    cell = "x" * length
+    cells = second.split(b",")
+    cells[column] = cell.encode()
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(b"\n".join([header, first, b",".join(cells), b""]))
+    with pytest.raises(ParseError) as exc:
+        read(str(path))
+    assert str(exc.value) == f"{path}:3: Invalid isoformat string: {cell[:200]!r}"
+    if length <= 200:
+        with pytest.raises(ValueError) as own:
+            parse(cell)
+        assert str(exc.value) == f"{path}:3: {own.value}"
 
 
 def test_inventory_qty_below_one_is_an_input_error_naming_its_line(tmp_path):
