@@ -56,15 +56,16 @@ The matrix:
   --picking area --weeks 1`` with distance walking on a copy of the demo
   data whose every second initial pallet is given to its most-ordered
   item, so the fallback fills another item's slots;
-* two configs that set the legacy key ``horizon_s``: ``simulate --weeks
-  1 --trace`` on the demo data at ``horizon_s`` 3600, and at
-  ``horizon_s`` 7200 with ``replenish.mu_s`` 3000.  Both load with one
-  warning and run the week to its last order.  A tree that still stops
-  a week at ``horizon_s`` exits 1 there after writing a shorter trace.
-  The second sets ``replenish.mu_s`` as the JSON integer 3000: a tree
-  with a ``replenish.mode`` writes its visit times as integers there
-  (``3000``), and one without as floats (``3000.0``), a declared
-  difference of its trace;
+* two configs that set ``horizon_s``, the simulated-time ceiling of
+  earlier versions: ``simulate --weeks 1 --trace`` on the demo data at
+  ``horizon_s`` 3600, and at ``horizon_s`` 7200 with ``replenish.mu_s``
+  3000.  A tree that refuses the keys of earlier versions exits 3 on
+  both as an unknown field; one that drops them with a warning runs the
+  week to its last order, and one that still stops a week at
+  ``horizon_s`` exits 1 there after writing a shorter trace.  The second
+  sets ``replenish.mu_s`` as the JSON integer 3000: a tree with a
+  ``replenish.mode`` writes its visit times as integers there (``3000``),
+  and one without as floats (``3000.0``);
 * ``simulate --policy fixed --weeks 1`` on the full-scale week's orders
   in a building of 16 times the items and slots (``gen-data --seed 12345
   --items 2448 --slots 18384 --lines 7032 --weeks 1``), with distance
@@ -95,8 +96,16 @@ The matrix:
   (``orders.csv`` line 3) and an initial pallet's ``mfg_date``
   (``initial_inventory.csv`` line 2), each refused with exit 2.  A tree
   before a date cell was quoted by its first 200 characters echoes all
-  5,000 characters there, so against such a base the stderr of these two
-  runs is the declared difference;
+  5,000 characters there;
+* other values of 5,000 characters, each refused with exit 3: an order
+  line's ``item_code`` (``orders.csv`` line 3) and an initial pallet's
+  (``initial_inventory.csv`` line 2), both unknown items, the first two
+  items given one such code, a duplicate, ``simulate --policy
+  fixed-zone`` on a copy whose first item has such a home zone, which has
+  no slot, and a config whose one key is such an unknown field.  A tree
+  before every message quoted a value by its first 200 characters echoes
+  all 5,000 there, so against such a base the stderr of these five runs
+  is the declared difference;
 * a bad row after a row that spans lines: copies of the demo data in
   which one cell gets a line break in its middle and its row two blank
   lines after it, and a later row one bad cell.  The first order's
@@ -139,12 +148,11 @@ The matrix:
   ``mode`` ``constant``.  A tree in which every leg is walked on the
   stacker refuses both with exit 3 on one line; a tree with handlift or
   constant walking runs them;
-* the handlift's spellings in a stacker-walking config:
-  ``simulate --weeks 1 --trace`` on the demo data with distance walking
-  and ``sph`` 50, ``tth`` 9 and ``walking.equipment`` ``stacker``.  Under
-  stacker walking no tree reads ``sph`` or ``tth``, so stdout and every
-  file are the same; a tree where they are legacy keys adds the one
-  warning line to stderr, the declared difference.
+* keys of earlier versions that no simulation reads: ``simulate --weeks
+  1 --trace`` on the demo data with a config setting ``LR`` 2, the
+  handlift's ``sph`` 50 and ``walking.constant_s`` 30.  A tree that
+  refuses them exits 3 on one line naming all three unknown fields; one
+  that drops them with a warning runs the week.
 
 With ``--workdir`` the datasets and outputs are kept in ``DIR``, which
 must not exist yet; otherwise they go to a temporary directory that is
@@ -193,8 +201,8 @@ CONFIGS = {
     "horizon-waiting": {"horizon_s": 7200, "replenish": {"mu_s": 3000}},
     "handlift": {"walking": {"mode": "distance", "equipment": "handlift"}},
     "constant-walking": {"walking": {"mode": "constant"}},
-    "handlift-era": {"sph": 50.0, "tth": 9.0,
-                     "walking": {"mode": "distance", "equipment": "stacker"}},
+    "retired-keys": {"LR": 2, "sph": 50.0, "walking": {"mode": "distance", "constant_s": 30.0}},
+    "long-key": {"k" * 5000: 1},
     "skipping": {"replenish": {"mu_s": 40.0}},
     "sampled": {"replenish": {"mode": "sampled"}},
     "seeded": {"replenish": {"mode": "sampled", "seed": 2}},
@@ -218,6 +226,9 @@ REFUSALS = {
     # line 3 is the second line of the first order, so its date is parsed
     "orders-long-date": ("orders.csv", 3, 0, "x" * 5000),
     "inventory-long-date": ("initial_inventory.csv", 2, 5, "x" * 5000),
+    "orders-long-item": ("orders.csv", 3, 3, "x" * 5000),
+    "inventory-long-item": ("initial_inventory.csv", 2, 3, "x" * 5000),
+    "items-long-duplicate": ("items.csv", (2, 3), 0, "x" * 5000),
 }
 # refused copy of the demo data whose bad row follows a row with a line break in
 # a quoted cell and two blank lines -> (file, line and column of the cell given the
@@ -235,6 +246,8 @@ LONG_NUMBER_CONFIG = '{"BTpu": ' + "7" * 5000 + "}"
 ENVIRONMENTS = {"demo-sampled-env-seed": {"PICKSIM_SEED": "1"}}
 # copy of the demo data whose first item's home zone has no slot, run under each policy
 HOMELESS = ("items.csv", 2, 1, "Z9")
+# the same with a home zone of 5,000 characters, run under fixed-zone storage
+LONG_HOME = ("items.csv", 2, 1, "x" * 5000)
 # the README's reference series for ``stats``: file stem -> weekly metrics from week 1
 SERIES = {"a": [103, 143, 122, 97], "b": [148, 150, 129, 135]}
 # the handling of one put-away, BTpa + PPpa at their defaults, which no config changes
@@ -243,11 +256,17 @@ PUT_HANDLE_S = 25.0
 # name -> the outputs (``<exit>``, ``<stdout>``, ``<stderr>`` or a written
 # file) that may differ, both as ``fnmatch`` patterns.  Every other
 # difference is undeclared.  A change that moves outputs on purpose
-# replaces the table.  Here: a date cell that does not parse was quoted
-# whole and is now quoted by its first 200 characters.
+# replaces the table.  Here: a config naming a key of earlier versions that
+# no simulation reads loaded with a warning and now exits 3 as an unknown
+# field, and every message quotes a value by at most its first 200 characters.
+REFUSED = ("<exit>", "<stdout>", "<stderr>", "results.csv", "trace_*")
 DECLARED: dict[str, tuple[str, ...]] = {
-    "refuse-orders-long-date": ("<stderr>",),
-    "refuse-inventory-long-date": ("<stderr>",),
+    "demo-horizon*": REFUSED,
+    "refuse-retired-keys": REFUSED,
+    "refuse-long-key": ("<stderr>",),
+    "refuse-*-long-item": ("<stderr>",),
+    "refuse-items-long-duplicate": ("<stderr>",),
+    "refuse-long-home": ("<stderr>",),
 }
 
 
@@ -326,6 +345,10 @@ def matrix() -> list[tuple[str, list[str]]]:
         runs.append((f"demo-{config}", [
             "simulate", "--data", "data/demo", "--config", f"data/{config}.json", "--weeks", "1",
             "--trace", "--out", f"out/demo-{config}"]))
+    for config in ("retired-keys", "long-key"):
+        runs.append((f"refuse-{config}", [
+            "simulate", "--data", "data/demo", "--config", f"data/{config}.json", "--weeks", "1",
+            "--trace", "--out", f"out/refuse-{config}"]))
     runs.append(("refuse-seeded-config", ["simulate", "--data", "data/demo", "--config",
                                           "data/seeded.json", "--weeks", "1", "--trace",
                                           "--out", "out/refuse-seeded-config"]))
@@ -336,6 +359,8 @@ def matrix() -> list[tuple[str, list[str]]]:
         runs.append((f"homeless-{policy}", ["simulate", "--data", "data/homeless", "--policy",
                                             policy, "--weeks", "4",
                                             "--out", f"out/homeless-{policy}"]))
+    runs.append(("refuse-long-home", ["simulate", "--data", "data/long-home", "--policy",
+                                      "fixed-zone", "--weeks", "4", "--out", "out/long-home"]))
     runs.append(("stats-pair", ["stats", "--weekly", "data/a.csv", "data/b.csv",
                                 "--out", "out/stats-pair"]))
     runs.append(("stats-one", ["stats", "--weekly", "data/a.csv", "--out", "out/stats-one"]))
@@ -347,9 +372,6 @@ def matrix() -> list[tuple[str, list[str]]]:
         runs.append((f"refuse-demo-{config}", [
             "simulate", "--data", "data/demo", "--config", f"data/{config}.json", "--weeks", "4",
             "--out", f"out/refuse-demo-{config}"]))
-    runs.append(("demo-handlift-era", [
-        "simulate", "--data", "data/demo", "--config", "data/handlift-era.json", "--weeks", "1",
-        "--trace", "--out", "out/demo-handlift-era"]))
     return runs
 
 
@@ -376,13 +398,16 @@ def overflow(src: Path, dst: Path, every: int) -> None:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
-def edited(src: Path, dst: Path, name: str, line: int, column: int, value: str) -> None:
+def edited(src: Path, dst: Path, name: str, line: int | tuple[int, ...], column: int,
+           value: str) -> None:
     """Copy the dataset ``src`` to ``dst`` with cell ``column`` (from 0) of
-    line ``line`` (from 1) of its file ``name`` set to ``value``."""
+    line ``line`` (from 1), or of each of several lines, of its file
+    ``name`` set to ``value``."""
     shutil.copytree(src, dst)
     with open(src / name, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    rows[line - 1][column] = value
+    for number in line if isinstance(line, tuple) else (line,):
+        rows[number - 1][column] = value
     with open(dst / name, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
@@ -540,6 +565,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, edit in SPANNED.items():
             spanned(data / "demo", data / name, *edit)
         edited(data / "demo", data / "homeless", *HOMELESS)
+        edited(data / "demo", data / "long-home", *LONG_HOME)
         oversized(data / "demo", data / "oversized")
         for name, config in CONFIGS.items():
             (data / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")

@@ -45,6 +45,7 @@ from .errors import (
     ParseError,
     PicksimError,
     ValidationError,
+    _cut,
 )
 from .experiment import (
     DataPaths,
@@ -70,8 +71,8 @@ WEEKLY_HEADER = ["week", "metric"]
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage errors on one line and exits 2.  The
-    line quotes an argument, or the value after an option's ``=``, by at
-    most its first 200 characters."""
+    line quotes an argument, or the value after an option's ``=``, by
+    ``_cut``."""
 
     def parse_known_args(self, args=None, namespace=None):  # noqa: D102 - argparse hook
         self._args = sys.argv[1:] if args is None else list(args)
@@ -80,9 +81,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         for arg in self._args:
             for text in (arg, arg.partition("=")[2]):
-                if len(text) > 200:
-                    message = message.replace(repr(text), repr(text[:200])).replace(
-                        text, text[:200])
+                message = message.replace(repr(text), repr(_cut(text))).replace(text, _cut(text))
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(2)
 

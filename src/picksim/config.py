@@ -32,19 +32,18 @@ the master seed is the scenario's (``ScenarioSpec.seed``, the CLI's
 so a config is hashable and compares field by field; a changed copy
 comes from ``_replace`` or ``config_from_dict``.
 
-Files written for earlier versions may still name equipment counts,
-capability flags, plan durations, a simulated-time ceiling, the
-handlift's speed and turn time and other fields no simulation reads
-(``LEGACY_KEYS`` and ``walking.constant_s``); they load, and the keys
-are dropped with a warning on the ``picksim.config`` logger.  A week has
-no time ceiling: it ends when its last order completes.  They may also
-name ``replenish.mode``, which loads as the same intervals without a
-warning: ``constant`` as ``sigma_s`` 0 with ``t_min_s`` unset,
-``sampled`` as ``sigma_s`` 60 unless the file sets it.  And they may
-hold a ``walking`` object: ``mode`` ``distance`` and ``equipment``
-``stacker``, what every run does, load without a warning, and any other
-value or key is refused.  ``json`` is imported only when a config file
-is read.
+A week has no time ceiling: it ends when its last order completes.
+Any key not named here is refused as an unknown field, and so are the
+fields of earlier versions that no simulation reads: equipment counts,
+capability flags, plan durations, the simulated-time ceiling
+``horizon_s``, the handlift's ``sph`` and ``tth``, ``walking.constant_s``
+and the rest.  Two spellings of earlier versions still load, each as the
+run it always was: ``replenish.mode``, ``constant`` as ``sigma_s`` 0
+with ``t_min_s`` unset and ``sampled`` as ``sigma_s`` 60 unless the file
+sets it; and a ``walking`` object naming ``mode`` ``distance`` and
+``equipment`` ``stacker``, what every run does, while any other value or
+key of it is refused.  ``json`` is imported only when a config file is
+read.
 """
 
 from __future__ import annotations
@@ -52,25 +51,14 @@ from __future__ import annotations
 import math
 from typing import Any, NamedTuple
 
-from .errors import ParseError, ValidationError, _logger
-from .warehouse import Equipment, STACKER, _TooManyDigits, _int
+from .errors import ParseError, ValidationError, _cut
+from .warehouse import Equipment, _TooManyDigits, _int
 
 METRIC_UNITS = {"seconds": 1.0, "minutes": 1.0 / 60.0, "hours": 1.0 / 3600.0}
 
-# Documented top-level keys of earlier versions that no simulation reads:
-# equipment counts and operators (h s oh os), capability flags (puh pus
-# pah pas tfh tfs), sorting times (BTs PMs PPs), plan durations (PDpu PDpa
-# PDs), EAT, pallet limits (MPW MPV), WI, OIFW, the break allowance LR, a
-# simulated-time ceiling per week (a week ends with its last order) and
-# the handlift's speed and turn time (sph tth: every leg rides the stacker).
-LEGACY_KEYS = frozenset({
-    "h", "s", "oh", "os", "puh", "pus", "pah", "pas", "tfh", "tfs",
-    "BTs", "PMs", "PPs", "PDpu", "PDpa", "PDs", "EAT", "MPW", "MPV", "WI", "OIFW", "LR",
-    "horizon_s", "sph", "tth",
-})
-# What the ``walking`` object of earlier versions may name besides
-# ``constant_s``: the values every run now has.
-OLD_WALKING = {"mode": "distance", "equipment": STACKER}
+# What the ``walking`` object of earlier versions may name: the values every
+# run now has.
+OLD_WALKING = {"mode": "distance", "equipment": "stacker"}
 
 
 def _is_num(v: Any) -> bool:
@@ -107,7 +95,7 @@ class SimConfig(NamedTuple):
     # -- equipment builders ------------------------------------------------
 
     def stacker(self) -> Equipment:
-        return Equipment(STACKER, self.sps, self.Lsps, self.tts)
+        return Equipment(self.sps, self.Lsps, self.tts)
 
     def metric_factor(self) -> float:
         return METRIC_UNITS[self.metric_unit]
@@ -141,18 +129,17 @@ _TOP_LEVEL = set(SimConfig._fields) - {"replenish"}
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
     """Build a config from a JSON-shaped dict, applying defaults and
     validating; raises ValidationError listing every problem found.
-    Keys in ``LEGACY_KEYS`` and ``walking.constant_s`` are dropped with one
-    warning; ``replenish.mode`` is translated, and the rest of a ``walking``
-    object that names ``OLD_WALKING`` dropped, without one."""
+    ``replenish.mode`` is translated, and a ``walking`` object that names
+    ``OLD_WALKING`` dropped; an unknown key is quoted by ``_cut``."""
     errors: list[str] = []
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
         if key in ("walking", "replenish") and not isinstance(value, dict):
             errors.append(f"{key} must be an object")
         elif key == "walking":  # of earlier versions
-            for k in sorted(set(value) - {"constant_s"}):
+            for k in sorted(value):
                 if k not in OLD_WALKING:
-                    errors.append(f"unknown config field walking.{k}")
+                    errors.append(f"unknown config field walking.{_cut(k)}")
                 elif value[k] != OLD_WALKING[k]:
                     errors.append(f"walking.{k} must be {OLD_WALKING[k]!r}")
         elif key == "replenish":
@@ -161,12 +148,13 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
                 if value.pop("mode") not in ("constant", "sampled"):
                     errors.append("replenish.mode must be 'constant' or 'sampled'")
             known = set(ReplenishSettings._fields)
-            errors.extend(f"unknown config field {key}.{k}" for k in sorted(set(value) - known))
+            errors.extend(f"unknown config field {key}.{_cut(k)}"
+                          for k in sorted(set(value) - known))
             kwargs[key] = ReplenishSettings(**{k: v for k, v in value.items() if k in known})
         elif key in _TOP_LEVEL:
             kwargs[key] = value
-        elif key not in LEGACY_KEYS:
-            errors.append(f"unknown config field {key}")
+        else:
+            errors.append(f"unknown config field {_cut(key)}")
     if errors:
         raise ValidationError(errors)
     cfg = SimConfig(**kwargs)
@@ -175,12 +163,6 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
         raise ValidationError(problems)
     if data.get("replenish", {}).get("mode") == "constant":  # every interval mu_s, as it was
         cfg = cfg._replace(replenish=cfg.replenish._replace(sigma_s=0.0, t_min_s=None))
-    dropped = sorted(LEGACY_KEYS.intersection(data))
-    if "constant_s" in data.get("walking", ()):
-        dropped.append("walking.constant_s")
-    if dropped:
-        _logger(__name__).warning("config fields %s are no longer used and were ignored",
-                                  ", ".join(dropped))
     return cfg
 
 

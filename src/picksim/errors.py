@@ -5,7 +5,7 @@ validation and bad input data exit 3, and runtime aborts exit 1.
 
 ``_logger`` gives each module that logs its ``picksim.*`` logger.  It
 imports ``logging`` at the first record, so a run that logs nothing
-never loads it.
+never loads it.  ``_cut`` is every message's quote of an input value.
 """
 
 from __future__ import annotations
@@ -55,3 +55,9 @@ def _logger(name: str):
     import logging
 
     return logging.getLogger(name)
+
+
+def _cut(text: str) -> str:
+    """An input value as a message quotes it: at most its first 200
+    characters, so a value of thousands is not echoed whole."""
+    return text[:200]

@@ -56,7 +56,7 @@ from .allocation import (
     assign_physical_slots,
 )
 from .config import SimConfig
-from .errors import InfeasibleRunError, InputDataError
+from .errors import InfeasibleRunError, InputDataError, _cut
 from .events import Engine, Replenish, StartPickOrder, write_trace_csv
 from .picking import (
     Order,
@@ -222,14 +222,14 @@ def _load_dataset(data: DataPaths, weeks: int):
     for row in initial:
         item = item_index.get(row.item)
         if item is None:
-            raise InputDataError(f"{data.inventory}: unknown item {row.item}")
+            raise InputDataError(f"{data.inventory}: unknown item {_cut(row.item)}")
         if row.qty > item.qty_per_pallet:
             raise InputDataError(
-                f"{data.inventory}: pallet of {row.item} must hold "
+                f"{data.inventory}: pallet of {_cut(row.item)} must hold "
                 f"1..{item.qty_per_pallet} pieces, got {row.qty}"
             )
         if row.location not in layout.storage:
-            raise InputDataError(f"{data.inventory}: pallet of {row.item} on "
+            raise InputDataError(f"{data.inventory}: pallet of {_cut(row.item)} on "
                                  f"{row.location}, not a storage slot of {data.layout}")
         if row.location in named:
             raise InputDataError(f"{data.inventory}: two pallets on slot {row.location}")
@@ -253,8 +253,8 @@ def _run_loaded(spec: ScenarioSpec, dataset, audit: bool, trace_dir: str | None)
     if spec.policy is PolicyKind.FIXED_ZONE:
         for item in items:
             if item.home_zone not in layout.zones:
-                raise InputDataError(f"{spec.data.items}: home zone {item.home_zone!r} of item "
-                                     f"{item.code} has no slot in {spec.data.layout}")
+                raise InputDataError(f"{spec.data.items}: home zone {_cut(item.home_zone)!r} "
+                                     f"of item {_cut(item.code)} has no slot in {spec.data.layout}")
     slot_map = None
     if spec.policy is PolicyKind.FIXED:
         slot_map = build_slot_map(spec, layout, avg_picks, [i.code for i in items])

@@ -75,7 +75,7 @@ from datetime import datetime
 from typing import Callable, NamedTuple
 
 from .config import SimConfig
-from .errors import InfeasibleRunError, InputDataError, _logger
+from .errors import InfeasibleRunError, InputDataError, _cut, _logger
 from .events import Engine, Event, PartialPick, StartPickOrder
 from .storage import StoragePolicy
 from .warehouse import (
@@ -158,7 +158,7 @@ def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
         if not key:
             key = f"#solo:{order.order_no}"
             _logger(__name__).warning("order %s has no truck id; treating it as its own group",
-                                      order.order_no)
+                                      _cut(order.order_no))
         groups.setdefault(key, []).append(order)
 
     location, equipment = warehouse.location, cfg.stacker()
@@ -415,17 +415,17 @@ def load_orders(path: str, items: dict[str, Item]) -> list[Order]:
             except ValueError:
                 qty = _int(qty)  # raises, naming a number of too many digits as such
             if qty < 1:  # as planning, at path:line
-                raise InputDataError(f"order line of {item_code}: qty must be >= 1")
+                raise InputDataError(f"order line of {_cut(item_code)}: qty must be >= 1")
             item = find_item(item_code)
             if item is None:
-                raise InputDataError(f"unknown item {item_code}")
+                raise InputDataError(f"unknown item {_cut(item_code)}")
             if entry is None:
                 order = _new(Order, (order_no, when, truck_id, []))
                 entry = orders[order_no] = (order, order_datetime, order.lines)
             elif truck_id != entry[0].truck_id or order_datetime != entry[1] and (
                     when != entry[0].order_datetime):
                 # the same instant written differently is the same date
-                raise InputDataError(f"order {order_no}: date or truck differs from its "
+                raise InputDataError(f"order {_cut(order_no)}: date or truck differs from its "
                                      "first line")
             entry[2].append(_new(OrderLine, (item.code, qty)))
     return [order for order, _, _ in orders.values()]

@@ -56,7 +56,7 @@ from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
-from .errors import InputDataError, ParseError
+from .errors import InputDataError, ParseError, _cut
 
 LocationId = tuple[int, int, int]
 
@@ -66,8 +66,6 @@ SPECIAL_AREA_ID: LocationId = (ANCHOR_ROW, 0, 1)
 ELEVATOR_ID: LocationId = (ANCHOR_ROW, 0, 2)
 ANCHOR_IDS = (ENTRANCE_ID, SPECIAL_AREA_ID, ELEVATOR_ID)  # in route order
 ANCHOR_ZONE = "anchor"
-
-STACKER = "stacker"
 
 # builds a NamedTuple from a tuple of its fields without its Python-level __new__
 _new = tuple.__new__
@@ -132,14 +130,12 @@ class PalletRecord(_Record):
 
 
 class Equipment(NamedTuple):
-    """A class of handling equipment and its motion parameters.
-
-    ``speed_cm_s`` is planar travel speed, ``lift_speed_cm_s`` vertical
-    speed (zero means the equipment cannot lift), ``turn_time_s`` the
-    fixed cost per aisle change.
+    """The motion parameters of the stacker, the one equipment, which
+    ``SimConfig.stacker`` builds: ``speed_cm_s`` is planar travel speed,
+    ``lift_speed_cm_s`` vertical speed, both positive, and ``turn_time_s``
+    the fixed cost per aisle change.
     """
 
-    kind: str
     speed_cm_s: float
     lift_speed_cm_s: float
     turn_time_s: float
@@ -173,20 +169,13 @@ def travel_time(a: Location, b: Location, eq: Equipment) -> tuple[int, float]:
     A leg within one row (the first element of both ids) makes no turn;
     any other leg makes one.  Planar distance moves at ``speed_cm_s``,
     vertical distance at ``lift_speed_cm_s``, and each turn costs
-    ``turn_time_s``.  Symmetric in its endpoints.  Vertical travel with
-    non-lifting equipment is an error.
+    ``turn_time_s``.  Symmetric in its endpoints.
     """
     turns = 0 if a.id[0] == b.id[0] else 1
     dx = abs(a.x_cm - b.x_cm)
     dy = abs(a.y_cm - b.y_cm)
     dz = abs(a.z_cm - b.z_cm)
-    t = (dx + dy) / eq.speed_cm_s
-    if dz:
-        if eq.lift_speed_cm_s <= 0:
-            raise InputDataError(
-                f"{eq.kind} cannot lift but travel {a.id} -> {b.id} needs {dz} cm vertical"
-            )
-        t += dz / eq.lift_speed_cm_s
+    t = (dx + dy) / eq.speed_cm_s + dz / eq.lift_speed_cm_s
     return turns, t + turns * eq.turn_time_s
 
 
@@ -246,11 +235,11 @@ def _check_item(item: Item, items: dict[str, Item]) -> None:
     each line's count of loose pieces or master cartons converts to a
     float exactly."""
     if item.code in items:
-        raise InputDataError(f"duplicate item code {item.code}")
+        raise InputDataError(f"duplicate item code {_cut(item.code)}")
     if item.qty_per_pallet < 1:
-        raise InputDataError(f"item {item.code}: qty_per_pallet must be >= 1")
+        raise InputDataError(f"item {_cut(item.code)}: qty_per_pallet must be >= 1")
     if item.qty_per_pallet > 2 ** 53:
-        raise InputDataError(f"item {item.code}: qty_per_pallet must be <= 2**53")
+        raise InputDataError(f"item {_cut(item.code)}: qty_per_pallet must be <= 2**53")
     items[item.code] = item
 
 
@@ -437,7 +426,7 @@ def _reading(path: str, header: list[str]) -> Iterator[Iterator[list[str]]]:
                 if first != header:
                     raise ParseError(
                         f"{path}: expected header {','.join(header)}, got "
-                        f"{','.join(first or ['<empty>'])}"
+                        f"{_cut(','.join(first or ['<empty>']))}"
                     )
                 yield filter(None, reader)
             except (ValueError, csv.Error, InputDataError) as exc:
@@ -479,24 +468,24 @@ def _failed_row(fh: TextIO, reader, undecodable: bool) -> tuple[int, list[str] |
 
 
 def _isoformat(parse: Callable[[str], date], cell: str) -> date:
-    """``parse(cell)``, a ``fromisoformat``, whose ``ValueError`` quotes at
-    most the cell's first 200 characters, as ``_finite``'s does."""
+    """``parse(cell)``, a ``fromisoformat``, whose ``ValueError`` quotes the
+    cell by ``_cut``, as ``_finite``'s does."""
     try:
         return parse(cell)
     except ValueError as exc:
-        raise ValueError(str(exc).replace(repr(cell), repr(cell[:200]))) from None
+        raise ValueError(str(exc).replace(repr(cell), repr(_cut(cell)))) from None
 
 
 def _finite(cell: str) -> float:
     """A numeric cell that must be a finite number; ``_reading`` reports its
-    ``ValueError`` at ``path:line``.  The message quotes at most the cell's
-    first 200 characters, so a cell of thousands is not echoed whole."""
+    ``ValueError`` at ``path:line``.  The message quotes the cell by
+    ``_cut``."""
     try:
         value = float(cell)
     except ValueError:
-        raise ValueError(f"could not convert string to float: {cell[:200]!r}") from None
+        raise ValueError(f"could not convert string to float: {_cut(cell)!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{cell[:200]!r} is not a finite number")
+        raise ValueError(f"{_cut(cell)!r} is not a finite number")
     return value
 
 
@@ -573,7 +562,7 @@ def load_inventory(path: str) -> list[PalletRecord]:
             record = PalletRecord((_int(row), _int(layer), _int(slot)), item_code, _int(qty),
                                   _isoformat(date.fromisoformat, mfg_date))
             if record.qty < 1:
-                raise InputDataError(f"initial pallet of {item_code}: qty must be >= 1, "
+                raise InputDataError(f"initial pallet of {_cut(item_code)}: qty must be >= 1, "
                                      f"got {record.qty}")
             records.append(record)
     return records

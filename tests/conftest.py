@@ -33,6 +33,17 @@ OLD_MODES = {
                     {"mu_s": 300.0, "sigma_s": 90, "t_min_s": 30}),
 }
 
+# the config keys of earlier versions that no simulation reads, each an
+# unknown field now: equipment counts and operators, capability flags,
+# sorting times, plan durations, EAT, pallet limits, WI, OIFW, the break
+# allowance LR, the simulated-time ceiling, the handlift's speed and turn
+# time, and the walking constant
+RETIRED_KEYS = (
+    "h", "s", "oh", "os", "puh", "pus", "pah", "pas", "tfh", "tfs", "BTs", "PMs", "PPs",
+    "PDpu", "PDpa", "PDs", "EAT", "MPW", "MPV", "WI", "OIFW", "LR", "horizon_s", "sph", "tth",
+    "walking.constant_s",
+)
+
 
 @pytest.fixture(scope="session")
 def golden_dataset(tmp_path_factory) -> Path:

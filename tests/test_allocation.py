@@ -16,7 +16,7 @@ from picksim import (
     assign_physical_slots,
 )
 
-EQ = Equipment("stacker", 90.0, 30.0, 3.0)
+EQ = Equipment(90.0, 30.0, 3.0)
 
 
 # -- counting -------------------------------------------------------------

@@ -19,7 +19,7 @@ from picksim import experiment
 from picksim.cli import main
 from picksim.picking import ORDERS_HEADER
 from picksim.warehouse import INVENTORY_HEADER, ITEMS_HEADER, LAYOUT_HEADER
-from conftest import OLD_MODES, child_env
+from conftest import OLD_MODES, RETIRED_KEYS, child_env
 
 
 @pytest.fixture(scope="module")
@@ -670,18 +670,14 @@ def test_config_value_of_the_wrong_type_exits_3(dataset, tmp_path, capsys, confi
     assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("config, warning", [
-    ({"walking": {"mode": "distance", "equipment": "stacker"}}, ""),
-    ({"walking": {"mode": "distance", "constant_s": 30.0}}, "walking.constant_s"),
-    ({"sph": 50.0, "tth": 9.0, "walking": {"mode": "distance", "equipment": "stacker"}},
-     "sph, tth"),
-], ids=["distance-stacker", "constant", "handlift-era"])
-def test_a_walking_config_of_earlier_versions_runs_as_the_default(dataset, tmp_path, config,
-                                                                  warning):
+@pytest.mark.parametrize("config", [
+    {"walking": {"mode": "distance", "equipment": "stacker"}},
+    {"walking": {"equipment": "stacker"}},
+], ids=["distance-stacker", "stacker"])
+def test_a_walking_config_of_earlier_versions_runs_as_the_default(dataset, tmp_path, config):
     """Every leg is walked on the stacker, so a config that says so runs as
-    ``{}`` does: the same stdout and files, traces included.  A walking
-    constant, ``sph`` and ``tth`` are no longer read and add only the one
-    legacy warning line."""
+    ``{}`` does: the same stdout and files, traces included, and nothing on
+    stderr."""
     runs, written = [], []
     for label, data in (("old", config), ("new", {})):
         path, out = tmp_path / f"{label}.json", tmp_path / f"out-{label}"
@@ -693,9 +689,7 @@ def test_a_walking_config_of_earlier_versions_runs_as_the_default(dataset, tmp_p
         ))
         written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert [r.returncode for r in runs] == [0, 0]
-    assert runs[0].stderr == (warning and
-                              f"config fields {warning} are no longer used and were ignored\n")
-    assert runs[1].stderr == ""
+    assert runs[0].stderr == runs[1].stderr == ""
     assert runs[0].stdout == runs[1].stdout
     assert sorted(written[0]) == ["results.csv", "summary.csv",
                                   *(f"trace_fixed-homogeneous-area_week{n}.csv" for n in (1, 2))]
@@ -705,7 +699,7 @@ def test_a_walking_config_of_earlier_versions_runs_as_the_default(dataset, tmp_p
 @pytest.mark.parametrize("walking, message", [
     ({"mode": "distance", "equipment": "handlift"}, "walking.equipment must be 'stacker'"),
     ({"mode": "distance", "equipment": "x" * 5000}, "walking.equipment must be 'stacker'"),
-    ({"mode": "constant", "constant_s": 120.0}, "walking.mode must be 'distance'"),
+    ({"mode": "constant"}, "walking.mode must be 'distance'"),
     ({"mode": "x" * 5000}, "walking.mode must be 'distance'"),
     ({"mode": "distance", "x": 1}, "unknown config field walking.x"),
 ], ids=["handlift", "long-equipment", "constant", "long-mode", "unknown"])
@@ -1167,22 +1161,36 @@ def test_unknown_config_key_exits_3(dataset, tmp_path, capsys):
     assert "unknown config field walk_speed" in capsys.readouterr().err
 
 
-def test_legacy_config_keys_load_with_one_warning(dataset, tmp_path):
-    legacy = tmp_path / "legacy.json"
-    legacy.write_text(json.dumps({"h": 3, "LR": 2}))
-    plain = tmp_path / "plain.json"
-    plain.write_text("{}")
-    runs = []
-    for cfg in (legacy, plain):
-        runs.append(subprocess.run(
-            [sys.executable, "-m", "picksim.cli", "simulate", "--data", dataset,
-             "--weeks", "1", "--config", str(cfg)],
-            capture_output=True, text=True, env=child_env(),
-        ))
-    assert [r.returncode for r in runs] == [0, 0]
-    assert runs[0].stderr == "config fields LR, h are no longer used and were ignored\n"
-    assert runs[1].stderr == ""
-    assert runs[0].stdout == runs[1].stdout
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_a_key_of_earlier_versions_exits_3_as_an_unknown_field(dataset, tmp_path, capsys,
+                                                               key):
+    """A config written for an earlier version that names a key no
+    simulation reads, such as the time ceiling ``horizon_s`` or the
+    handlift's ``sph``, runs nothing and writes nothing."""
+    outer, _, inner = key.rpartition(".")
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({outer: {inner: 1}} if outer else {key: 1}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--data", dataset, "--config", str(cfg), "--weeks", "1",
+                 "--trace", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: unknown config field {key}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"Lsps": 0}, "Lsps"),
+    ({"Lsps": -1}, "Lsps"),
+    ({"sps": 0}, "sps"),
+])
+def test_a_speed_that_is_not_positive_exits_3(dataset, tmp_path, capsys, config, field):
+    """The stacker's speeds divide every leg's distance: a zero or negative
+    speed is refused before anything runs."""
+    cfg = tmp_path / "speed.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--data", dataset, "--config", str(cfg), "--weeks", "1"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {field} must be a positive number\n")
 
 
 def test_weeks_beyond_the_data_exit_3(dataset, tmp_path, capsys):
@@ -1220,29 +1228,6 @@ def test_config_not_json_exits_2(dataset, tmp_path, capsys):
     assert main(["simulate", "--data", dataset, "--config", str(cfg),
                  "--weeks", "1"]) == 2
     assert "not valid JSON" in capsys.readouterr().err
-
-
-def test_a_config_with_a_time_ceiling_runs_every_week_to_its_end(dataset, tmp_path):
-    """``horizon_s`` is a legacy key: a config that sets it loads with one
-    warning, and the run writes what the run without it writes."""
-    ceiling = tmp_path / "ceiling.json"
-    ceiling.write_text(json.dumps({"horizon_s": 10}))
-    runs, written = [], []
-    for cfg in (ceiling, None):
-        out = tmp_path / ("out-ceiling" if cfg else "out-plain")
-        runs.append(subprocess.run(
-            [sys.executable, "-m", "picksim.cli", "simulate", "--data", dataset, "--weeks", "2",
-             "--trace", "--out", str(out), *(["--config", str(cfg)] if cfg else [])],
-            capture_output=True, text=True, env=child_env(),
-        ))
-        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert [r.returncode for r in runs] == [0, 0]
-    assert runs[0].stderr == "config fields horizon_s are no longer used and were ignored\n"
-    assert runs[1].stderr == ""
-    assert runs[0].stdout == runs[1].stdout
-    assert sorted(written[0]) == ["results.csv", "summary.csv",
-                                  *(f"trace_fixed-homogeneous-area_week{n}.csv" for n in (1, 2))]
-    assert written[0] == written[1]
 
 
 def test_a_week_that_never_finishes_names_the_line_the_picker_waits_for(tmp_path, capsys):

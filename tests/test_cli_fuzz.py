@@ -27,10 +27,9 @@ VALID = {
     "sps": 90.0, "Lsps": 30.0, "tts": 3.0, "BTpu": 10.0, "BTpa": 10.0, "PMpu": 2.0,
     "PPpu": 15.0, "PPpa": 15.0, "pieces_per_master": 10, "metric_unit": "hours",
 }
-# ``walking`` is a spelling of earlier versions: these values load, and
-# ``constant_s``, like ``LR``, loads with a warning
+# ``walking`` and ``replenish.mode`` are spellings of earlier versions: these values load
 NESTED_VALID = {
-    "walking": {"mode": "distance", "equipment": "stacker", "constant_s": 120.0},
+    "walking": {"mode": "distance", "equipment": "stacker"},
     "replenish": {"mode": "sampled", "mu_s": 600.0, "sigma_s": 60.0, "t_min_s": 30.0},
 }
 BAD = st.one_of(
@@ -44,10 +43,10 @@ def _field(valid) -> st.SearchStrategy:
 
 
 def _object(valid: dict, nested: dict) -> st.SearchStrategy:
-    """A JSON object over the given fields, an unknown and a legacy key."""
+    """A JSON object over the given fields and an unknown key."""
     optional = {name: _field(v) for name, v in valid.items()}
     optional.update({name: st.one_of(BAD, inner) for name, inner in nested.items()})
-    optional.update({"bogus": BAD, "LR": BAD})
+    optional["bogus"] = BAD
     return st.fixed_dictionaries({}, optional=optional)
 
 

@@ -19,8 +19,7 @@ from picksim import (
     config_from_dict,
     load_config,
 )
-from picksim.config import LEGACY_KEYS
-from conftest import OLD_MODES, child_env
+from conftest import OLD_MODES, RETIRED_KEYS, child_env
 from test_golden import DISTANCE_CONFIG
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -104,14 +103,18 @@ def test_validation_collects_every_violation():
     with pytest.raises(ValidationError) as exc:
         config_from_dict({
             "sps": -5,
+            "Lsps": 0,
             "BTpu": -1,
             "metric_unit": "days",
             "replenish": {"mu_s": 0},
         })
-    messages = exc.value.messages
-    for needle in ("sps", "BTpu", "metric_unit", "replenish.mu_s"):
-        assert any(needle in m for m in messages), f"no message about {needle}"
-    assert len(messages) >= 4
+    assert exc.value.messages == [
+        "sps must be a positive number",
+        "Lsps must be a positive number",
+        "BTpu must be a non-negative number",
+        "metric_unit must be one of ['hours', 'minutes', 'seconds']",
+        "replenish.mu_s must be a positive number",
+    ]
 
 
 def test_booleans_are_not_numbers():
@@ -130,26 +133,18 @@ def test_booleans_are_not_integers(data, message):
 
 def test_equipment_builders_read_speed_lift_and_turn():
     cfg = config_from_dict({"sps": 80.0, "tts": 4.0})
-    assert cfg.stacker() == Equipment("stacker", 80.0, 30.0, 4.0)
+    assert cfg.stacker() == Equipment(80.0, 30.0, 4.0)
 
 
-def test_legacy_keys_load_with_one_warning(caplog):
-    assert len(LEGACY_KEYS) == 25 and not LEGACY_KEYS & set(SimConfig._fields)
-    with caplog.at_level(logging.WARNING, logger="picksim.config"):
-        cfg = config_from_dict({**dict.fromkeys(LEGACY_KEYS, 1), "sps": 80.0})
-    assert cfg == config_from_dict({"sps": 80.0})
-    assert [r.getMessage() for r in caplog.records] == [
-        f"config fields {', '.join(sorted(LEGACY_KEYS))} are no longer used and were ignored"]
-
-
-def test_the_handlift_of_earlier_versions_loads_as_a_legacy_key(caplog):
-    """``sph`` and ``tth`` priced a handlift, which no leg rides now; under
-    stacker walking they were never read."""
-    with caplog.at_level(logging.WARNING, logger="picksim.config"):
-        cfg = config_from_dict({"sph": 80.0, "tth": 1.0, "walking": {"mode": "distance"}})
-    assert cfg == SimConfig()
-    assert [r.getMessage() for r in caplog.records] == [
-        "config fields sph, tth are no longer used and were ignored"]
+def test_the_keys_of_earlier_versions_are_unknown_fields():
+    """No run reads them, so each is refused as any unknown key is, in file
+    order, beside the problems of the fields a run reads."""
+    top = [key for key in RETIRED_KEYS if "." not in key]
+    assert len(top) == 25 and not set(top) & set(SimConfig._fields)
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict({**dict.fromkeys(top, 1), "sps": 80.0,
+                          "walking": {"mode": "distance", "constant_s": 1}})
+    assert exc.value.messages == [f"unknown config field {key}" for key in RETIRED_KEYS]
 
 
 @pytest.mark.parametrize("walking", [{}, {"mode": "distance"}, {"equipment": "stacker"},
@@ -157,23 +152,19 @@ def test_the_handlift_of_earlier_versions_loads_as_a_legacy_key(caplog):
 def test_the_walking_of_earlier_versions_loads_without_a_warning(caplog, walking):
     """Distance walking on the stacker is what every run does, so a
     ``walking`` object that names it is the default config."""
-    with caplog.at_level(logging.WARNING, logger="picksim.config"):
+    with caplog.at_level(logging.WARNING):
         cfg = config_from_dict({"walking": walking})
     assert cfg == SimConfig()
     assert caplog.records == []
 
 
 @pytest.mark.parametrize("constant_s", [30.0, -1, "x", None])
-def test_a_walking_constant_loads_as_a_legacy_key(caplog, constant_s):
+def test_a_walking_constant_is_an_unknown_field(constant_s):
     """No run reads ``walking.constant_s``: whatever its value, it is
-    dropped with the one legacy warning, which names the other legacy
-    keys of the file too."""
-    with caplog.at_level(logging.WARNING, logger="picksim.config"):
-        cfg = config_from_dict({"sph": 80.0, "sps": 60.0,
-                                "walking": {"mode": "distance", "constant_s": constant_s}})
-    assert cfg == SimConfig(sps=60.0)
-    assert [r.getMessage() for r in caplog.records] == [
-        "config fields sph, walking.constant_s are no longer used and were ignored"]
+    refused as any unknown key of ``walking`` is."""
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict({"sps": 60.0, "walking": {"mode": "distance", "constant_s": constant_s}})
+    assert exc.value.messages == ["unknown config field walking.constant_s"]
 
 
 @pytest.mark.parametrize("mode", ["constant", "Distance", "", None, 1, ["distance"], "x" * 5000])
@@ -181,7 +172,7 @@ def test_any_walking_mode_but_distance_is_refused(mode):
     """Constant walking is gone; running such a config at distance would
     change its results without saying so."""
     with pytest.raises(ValidationError) as exc:
-        config_from_dict({"walking": {"mode": mode, "constant_s": 30.0}})
+        config_from_dict({"walking": {"mode": mode}})
     assert exc.value.messages == ["walking.mode must be 'distance'"]
 
 
@@ -218,12 +209,21 @@ def test_any_other_walking_equipment_is_refused(equipment):
     assert exc.value.messages == ["walking.equipment must be 'stacker'"]
 
 
-def test_legacy_keys_do_not_hide_unknown_ones(caplog):
-    with caplog.at_level(logging.WARNING, logger="picksim.config"):
+def test_a_key_of_earlier_versions_is_refused_as_its_misspelling_is(caplog):
+    with caplog.at_level(logging.WARNING):
         with pytest.raises(ValidationError) as exc:
             config_from_dict({"MPV": 100, "MPX": 1})
-    assert exc.value.messages == ["unknown config field MPX"]
-    assert not caplog.records, "a rejected config logs no legacy warning"
+    assert exc.value.messages == ["unknown config field MPV", "unknown config field MPX"]
+    assert not caplog.records
+
+
+def test_an_unknown_key_is_quoted_by_its_first_200_characters():
+    long_key = "k" * 5000
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict({long_key: 1, "replenish": {long_key: 1}, "walking": {long_key: 1}})
+    assert exc.value.messages == [f"unknown config field {'k' * 200}",
+                                  f"unknown config field replenish.{'k' * 200}",
+                                  f"unknown config field walking.{'k' * 200}"]
 
 
 def test_metric_factor():

@@ -35,7 +35,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import ELEVATOR, anchors, make_item, slot
 from picksim import (
-    Equipment,
     InputDataError,
     PalletRecord,
     PolicyKind,
@@ -251,17 +250,6 @@ def test_a_pallet_picked_partly_then_drained_before_a_query(kind):
     _check(pol)
     key = pol._keys[oldest.location]
     assert pol._set_of_slot[oldest.location].vacant.count(key) == 1
-
-
-def test_non_lifting_equipment_on_two_levels_raises_at_construction():
-    """Every slot's travel key is computed up front, so equipment that
-    cannot reach the upper level fails before any query, under every policy."""
-    wh, slots = _world()
-    no_lift = Equipment("handlift", 100.0, 0.0, 2.0)
-    for kind in PolicyKind:
-        slot_map = _slot_map(slots) if kind is PolicyKind.FIXED else None
-        with pytest.raises(InputDataError, match="handlift cannot lift"):
-            StoragePolicy(kind, wh, no_lift, slot_map=slot_map)
 
 
 def test_overlapping_slot_map_is_an_input_error():

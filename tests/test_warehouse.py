@@ -34,8 +34,7 @@ from picksim import (
 from picksim.cli import _read_weekly
 from picksim.warehouse import _finite
 
-STACKER = Equipment("stacker", 90.0, 30.0, 3.0)
-HANDLIFT = Equipment("handlift", 100.0, 0.0, 2.0)
+STACKER = Equipment(90.0, 30.0, 3.0)
 
 
 def _wh(slots=None, items=None, audit=False):
@@ -55,7 +54,7 @@ def test_travel_same_row_no_turns():
     a = slot(0, 1, 0, 100.0, 100.0, seq=1)
     b = slot(0, 1, 1, 100.0, 800.0, seq=2)
     # 700 cm planar at 100 cm/s, no lift, no turns
-    assert travel_time(a, b, HANDLIFT) == (0, 7.0)
+    assert travel_time(a, b, Equipment(100.0, 30.0, 2.0)) == (0, 7.0)
 
 
 def test_travel_cross_row_adds_one_turn():
@@ -69,13 +68,6 @@ def test_travel_vertical_uses_lift_speed():
     a = slot(0, 1, 0, 100.0, 100.0, z=0.0, seq=1)
     b = slot(0, 2, 0, 100.0, 100.0, z=170.0, seq=2)
     assert travel_time(a, b, STACKER) == (0, 170.0 / 30.0)
-
-
-def test_travel_vertical_without_lift_is_an_error():
-    a = slot(0, 1, 0, 100.0, 100.0, z=0.0, seq=1)
-    b = slot(0, 2, 0, 100.0, 100.0, z=170.0, seq=2)
-    with pytest.raises(InputDataError, match="cannot lift"):
-        travel_time(a, b, HANDLIFT)
 
 
 def test_travel_is_symmetric():
@@ -93,21 +85,17 @@ _POINTS = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=_POINTS, b=_POINTS, kind=st.sampled_from(["stacker", "handlift"]))
-# summed in another order, this stacker leg's seconds change in the last bit
-@example(a=slot(0, 0, 0, 0.0, 0.0), b=slot(1, 1, 0, 7.0, 0.0, z=170.0), kind="stacker")
-def test_travel_time_is_the_documented_leg_price(a, b, kind):
+@given(a=_POINTS, b=_POINTS)
+# summed in another order, this leg's seconds change in the last bit
+@example(a=slot(0, 0, 0, 0.0, 0.0), b=slot(1, 1, 0, 7.0, 0.0, z=170.0))
+def test_travel_time_is_the_documented_leg_price(a, b):
     """Any two points (rows 0-3 and the anchor row) with the default
-    stacker or a handlift, which cannot lift: the turns and seconds follow
-    the documented rule, summed in the documented order to the bit, in
-    both directions; a handlift leg across heights is refused."""
-    eq = SimConfig().stacker() if kind == "stacker" else HANDLIFT
+    stacker: the turns and seconds follow the documented rule, summed in
+    the documented order to the bit, in both directions.  A leg on one
+    level adds no lift term, and ``travel_time``'s ``+ 0.0`` for it keeps
+    every bit."""
+    eq = SimConfig().stacker()
     dz = abs(a.z_cm - b.z_cm)
-    if dz and eq.lift_speed_cm_s <= 0:
-        for p, q in ((a, b), (b, a)):
-            with pytest.raises(InputDataError, match="cannot lift"):
-                travel_time(p, q, eq)
-        return
     turns = 0 if a.id[0] == b.id[0] else 1
     seconds = (abs(a.x_cm - b.x_cm) + abs(a.y_cm - b.y_cm)) / eq.speed_cm_s
     if dz:
