@@ -14,12 +14,15 @@ the working tree's exit code, the number of files it wrote and of its
 fallback warnings, and, for a run that writes traces and results, how
 many replenishment visits placed nothing: the traces' ``Replenish``
 rows, less one per week (the visit that closes the week is traced but
-not handled), less the pallets placed.  Then it prints each difference,
-as ``declared`` when ``DECLARED``, the table of the outputs the working
-tree means to move against its parent commit, lists it, and as
-``UNDECLARED`` otherwise, and the size of ``src/picksim/*.py`` in both
-trees: raw lines, non-blank lines and code lines (no blank lines,
-comments or docstrings).  It exits 0 when no difference is undeclared
+not handled), less the pallets placed.  It prints each run's peak
+resident memory in both trees as well, base first, the ``ru_maxrss``
+that ``os.wait4`` reports for the run's process (see ``LAUNCHER``); this
+is for information and never counts as a difference.  Then it prints
+each difference, as ``declared`` when ``DECLARED``, the table of the
+outputs the working tree means to move against its parent commit, lists
+it, and as ``UNDECLARED`` otherwise, and the size of
+``src/picksim/*.py`` in both trees: raw lines, non-blank lines and code
+lines (no blank lines, comments or docstrings).  It exits 0 when no difference is undeclared
 and 1 otherwise.
 
 The matrix:
@@ -42,6 +45,10 @@ The matrix:
 * ``simulate --policy random --weeks 1 --trace`` on the demo data at
   ``replenish.mu_s`` 40, where the building fills and random storage
   skips visits too (19 of them);
+* ``simulate --policy random --weeks 1``, untraced, on the demo data at
+  ``replenish.mu_s`` 1 and a stacker speed ``sps`` of 0.2 cm/s: a week
+  of about 380,000 events in about 1 s of CPU, whose peak memory shows
+  whether a tree keeps the events of an untraced week;
 * ``simulate --policy fixed --weeks 2 --trace`` on the golden dataset of
   the tests (``gen-data --seed 4242 --items 12 --slots 60 --lines 200
   --weeks 2``) at ``replenish.mu_s`` 40, a trace short enough to read in
@@ -56,6 +63,13 @@ The matrix:
   --picking area --weeks 1`` with distance walking on a copy of the demo
   data whose every second initial pallet is given to its most-ordered
   item, so the fallback fills another item's slots;
+* ``simulate --policy fixed --picking area --weeks 1`` on the overflow
+  dataset above with its overflowing item given a code of 5,000
+  characters.  Its fallback warnings name that item, and the week gets
+  stuck, exiting 1 on a line naming it as what fills the waited item's
+  slots.  A tree before warnings and the stuck-week message quoted a code
+  by its first 200 characters echoes all 5,000 there, so against such a
+  base the stderr of this run is the declared difference;
 * two configs that set ``horizon_s``, the simulated-time ceiling of
   earlier versions: ``simulate --weeks 1 --trace`` on the demo data at
   ``horizon_s`` 3600, and at ``horizon_s`` 7200 with ``replenish.mu_s``
@@ -106,6 +120,12 @@ The matrix:
   before every message quoted a value by its first 200 characters echoes
   all 5,000 there, so against such a base the stderr of these five runs
   is the declared difference;
+* a location id of 4,000 digits, which parses: a copy of the demo data
+  whose two ``layout.csv`` rows of layer 1, slot 0 in rows 0 and 1 get
+  the same ``row`` of 4,000 sevens, refused with exit 3 as a duplicate
+  location id.  A tree before a location id was quoted by its first 200
+  characters echoes it whole there, so against such a base the stderr of
+  this run is the declared difference;
 * a bad row after a row that spans lines: copies of the demo data in
   which one cell gets a line break in its middle and its row two blank
   lines after it, and a later row one bad cell.  The first order's
@@ -209,6 +229,7 @@ CONFIGS = {
     "constant-set": {"replenish": {"mode": "constant", "sigma_s": 90, "t_min_s": 5000}},
     "sigma-only": {"replenish": {"sigma_s": 60}},
     "sub-second": {"replenish": {"mu_s": 0.25}},
+    "many-events": {"sps": 0.2, "replenish": {"mu_s": 1.0}},
 }
 COMBOS = [(policy, picking) for policy in ("fixed", "random", "fixed-zone")
           for picking in ("area", "zoning")]
@@ -229,6 +250,8 @@ REFUSALS = {
     "orders-long-item": ("orders.csv", 3, 3, "x" * 5000),
     "inventory-long-item": ("initial_inventory.csv", 2, 3, "x" * 5000),
     "items-long-duplicate": ("items.csv", (2, 3), 0, "x" * 5000),
+    # layer 1, slot 0 of rows 0 and 1, both moved to one row of 4,000 digits
+    "layout-long-row": ("layout.csv", (5, 41), 0, "7" * 4000),
 }
 # refused copy of the demo data whose bad row follows a row with a line break in
 # a quoted cell and two blank lines -> (file, line and column of the cell given the
@@ -256,17 +279,12 @@ PUT_HANDLE_S = 25.0
 # name -> the outputs (``<exit>``, ``<stdout>``, ``<stderr>`` or a written
 # file) that may differ, both as ``fnmatch`` patterns.  Every other
 # difference is undeclared.  A change that moves outputs on purpose
-# replaces the table.  Here: a config naming a key of earlier versions that
-# no simulation reads loaded with a warning and now exits 3 as an unknown
-# field, and every message quotes a value by at most its first 200 characters.
-REFUSED = ("<exit>", "<stdout>", "<stderr>", "results.csv", "trace_*")
+# replaces the table.  Here: every message quotes a location id, and every
+# warning and the stuck-week message an item code or order number, by at most
+# its first 200 characters.
 DECLARED: dict[str, tuple[str, ...]] = {
-    "demo-horizon*": REFUSED,
-    "refuse-retired-keys": REFUSED,
-    "refuse-long-key": ("<stderr>",),
-    "refuse-*-long-item": ("<stderr>",),
-    "refuse-items-long-duplicate": ("<stderr>",),
-    "refuse-long-home": ("<stderr>",),
+    "refuse-layout-long-row": ("<stderr>",),
+    "overflow-long-item": ("<stderr>",),
 }
 
 
@@ -297,6 +315,9 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("demo-random-skipping", [
         "simulate", "--data", "data/demo", "--config", "data/skipping.json", "--policy",
         "random", "--weeks", "1", "--trace", "--out", "out/demo-random-skipping"]))
+    runs.append(("demo-random-many-events", [
+        "simulate", "--data", "data/demo", "--config", "data/many-events.json", "--policy",
+        "random", "--weeks", "1", "--out", "out/demo-random-many-events"]))
     runs.append(("golden-fixed-skipping", [
         "simulate", "--data", "data/golden", "--config", "data/skipping.json", "--policy",
         "fixed", "--weeks", "2", "--trace", "--out", "out/golden-fixed-skipping"]))
@@ -321,6 +342,9 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("stuck-fixed-area", [
         "simulate", "--data", "data/stuck", "--config", "data/walk-distance.json",
         "--policy", "fixed", "--picking", "area", "--weeks", "1", "--out", "out/stuck"]))
+    runs.append(("overflow-long-item", [
+        "simulate", "--data", "data/overflow-long-item", "--policy", "fixed", "--picking",
+        "area", "--weeks", "1", "--out", "out/overflow-long-item"]))
     runs.append(("wide1-fixed-saturated", [
         "simulate", "--data", "data/wide1", "--config", "data/saturated.json", "--policy",
         "fixed", "--weeks", "1", "--out", "out/wide1-fixed-saturated"]))
@@ -386,9 +410,7 @@ def overflow(src: Path, dst: Path, every: int) -> None:
     shutil.copytree(src, dst)
     with open(src / "items.csv", newline="", encoding="utf-8") as fh:
         per_pallet = {row["item_code"]: int(row["qty_per_pallet"]) for row in csv.DictReader(fh)}
-    with open(src / "orders.csv", newline="", encoding="utf-8") as fh:
-        lines = Counter(row["item_code"] for row in csv.DictReader(fh))
-    code = min(lines, key=lambda item: (-lines[item], item))
+    code = most_ordered(src)
     with open(src / "initial_inventory.csv", newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     for row in rows[::every]:
@@ -396,6 +418,29 @@ def overflow(src: Path, dst: Path, every: int) -> None:
         row[4] = str(min(int(row[4]), per_pallet[code]))
     with open(dst / "initial_inventory.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def most_ordered(src: Path) -> str:
+    """The item of the most order lines of the dataset ``src`` (ties by code)."""
+    with open(src / "orders.csv", newline="", encoding="utf-8") as fh:
+        lines = Counter(row["item_code"] for row in csv.DictReader(fh))
+    return min(lines, key=lambda item: (-lines[item], item))
+
+
+def long_item(src: Path, dst: Path) -> None:
+    """Copy the dataset ``src`` to ``dst`` with its most-ordered item, the
+    one ``overflow`` gives pallets to, renamed to a code of 5,000
+    characters in every file that names it."""
+    shutil.copytree(src, dst)
+    code = most_ordered(src)
+    for name, column in (("items.csv", 0), ("initial_inventory.csv", 3), ("orders.csv", 3)):
+        with open(src / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            if row[column] == code:
+                row[column] = "x" * 5000
+        with open(dst / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def edited(src: Path, dst: Path, name: str, line: int | tuple[int, ...], column: int,
@@ -484,15 +529,37 @@ def skipped_visits(files: dict[str, bytes]) -> int | None:
     return sum(data.count(b",Replenish,") for data in traces) - len(weeks) - placed
 
 
+# Starts a run and reports the run's own peak RSS, from ``os.wait4``'s rusage,
+# on the file descriptor ``argv[1]``; it exits with the run's exit code.  On
+# Linux a process's ``ru_maxrss`` counts the memory of the process it was
+# started from, so this script, which holds the outputs of earlier runs,
+# starts each run through this small launcher (about 8 MB), not directly.
+LAUNCHER = """import os, sys
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+os.write(int(sys.argv[1]), str(usage.ru_maxrss).encode())
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def run(tree: Path, cwd: Path, argv: list[str],
-        extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+        extra: dict[str, str] | None = None) -> tuple[subprocess.CompletedProcess, float]:
     """The CLI of ``tree`` on ``argv`` in ``cwd``, in this environment less
     ``PICKSIM_SEED`` (a base tree from before ``--seed`` became the only
-    seed source reads it) and plus ``extra``."""
+    seed source reads it) and plus ``extra``, and its peak resident memory
+    in MB, which ``LAUNCHER`` reads (``ru_maxrss`` is in KiB on Linux)."""
     env = {key: value for key, value in os.environ.items() if key != "PICKSIM_SEED"}
     env.update(extra or {}, PYTHONPATH=str(tree / "src"))
-    return subprocess.run([sys.executable, "-m", "picksim.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True)
+    peak_r, peak_w = os.pipe()
+    try:
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER, str(peak_w),
+                               sys.executable, "-m", "picksim.cli", *argv],
+                              cwd=cwd, env=env, capture_output=True, pass_fds=(peak_w,))
+    finally:
+        os.close(peak_w)
+        with os.fdopen(peak_r) as fh:
+            peak_kib = fh.read()
+    return done, int(peak_kib) / 1024
 
 
 def written(out: Path) -> dict[str, bytes]:
@@ -554,12 +621,13 @@ def main(argv: list[str] | None = None) -> int:
         data = work / "data"
         data.mkdir()
         for name, gen in DATASETS.items():
-            made = run(base_tree, data, ["gen-data", "--out", name, *gen])
+            made, _ = run(base_tree, data, ["gen-data", "--out", name, *gen])
             if made.returncode:
                 sys.stderr.write(made.stderr.decode())
                 return 2
         overflow(data / "demo", data / "overflow", 5)
         overflow(data / "demo", data / "stuck", 2)
+        long_item(data / "overflow", data / "overflow-long-item")
         for name, edit in REFUSALS.items():
             edited(data / "demo", data / name, *edit)
         for name, edit in SPANNED.items():
@@ -578,15 +646,16 @@ def main(argv: list[str] | None = None) -> int:
         found = []
         runs = matrix()
         for index, (name, argv_) in enumerate(runs, start=1):
-            outcomes = []
+            outcomes, peaks = [], []
             for label, tree in (("base", base_tree), ("work", REPO)):
                 cwd = work / f"runs-{label}"
                 cwd.mkdir(exist_ok=True)
                 if not (cwd / "data").exists():
                     (cwd / "data").symlink_to(data)
-                done = run(tree, cwd, argv_, ENVIRONMENTS.get(name))
+                done, peak = run(tree, cwd, argv_, ENVIRONMENTS.get(name))
                 out = cwd / argv_[argv_.index("--out") + 1]
                 outcomes.append((done.returncode, done.stdout, done.stderr, written(out)))
+                peaks.append(peak)
             these = differences(name, *outcomes)
             found += [(name, output, line) for output, line in these]
             expected = all(declared(name, output) for output, _ in these)
@@ -596,6 +665,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[{index}/{len(runs)}] {name}: exit {code}, "
                   f"{len(files)} files, {fallbacks} fallback warning(s), "
                   + ("" if skips is None else f"{skips} skipped visit(s), ")
+                  + f"peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB, "
                   + ("same" if not these else f"{len(these)} difference(s)"
                      + (", all declared" if expected else "")), flush=True)
         undeclared = 0

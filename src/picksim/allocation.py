@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import heapq
 
-from .errors import InputDataError
+from .errors import InputDataError, _cut
 from .warehouse import Equipment, Location, LocationId, travel_time
 
 
@@ -41,7 +41,7 @@ def allocate_slots(avg_picks: dict[str, float], n_slots: int,
         raise InputDataError("cannot allocate slots for an empty product list")
     for code, picks in avg_picks.items():
         if picks < 0:
-            raise InputDataError(f"negative demand for {code}")
+            raise InputDataError(f"negative demand for {_cut(code)}")
     if n_slots < len(avg_picks):
         raise InputDataError(
             f"{n_slots} slots cannot cover {len(avg_picks)} products (one slot each minimum)"

@@ -9,7 +9,13 @@ ch. 1).  ``Engine.run`` executes the earlier pending event and asks its
 actor for the successor.  Each scheduled event gets the next sequence
 number and events run in ``(time, seq)`` order, so ties never reorder.
 The visit chain ends with the first visit after the picker is done:
-that visit is traced but not handled.
+that visit is executed but not handled.
+
+The engine keeps no history of executed events.  Its one per-event hook,
+``observe``, if given, is called with every executed event before the
+event's handler runs, the closing visit included: a trace is the list
+it appends to, and an audit that runs there sees the state each handled
+event left.  ``run_week`` decides what observes a week.
 
 ``run`` binds the three handlers once, picks the picker's handler by the
 exact type of the event kind (``StartPickOrder`` or else ``PartialPick``)
@@ -63,17 +69,17 @@ class Engine:
     The picker's handlers ``handle_spo`` and ``handle_pp`` return ``(time,
     kind)``, or ``None`` once the plan is done; the replenisher's
     ``handle_rp`` returns the time of its next visit.  Each takes ``(engine,
-    event)``.  ``check``, if given, runs after every handled event.
-    ``next_pick`` and ``next_visit`` are the pending events; a visit is
-    always pending while the picker works.
+    event)``.  ``observe``, if given, is called with every executed event
+    before its handler (see the module docstring).  ``next_pick`` and
+    ``next_visit`` are the pending events; a visit is always pending while
+    the picker works.  The engine keeps no executed event.
     """
 
-    def __init__(self, picker, replenisher, check: Callable[[], None] | None = None) -> None:
+    def __init__(self, picker, replenisher, observe: Callable[[Event], None] | None = None) -> None:
         self.now: float = 0.0
-        self.trace: list[Event] = []
         self._picker = picker
         self._replenisher = replenisher
-        self._check = check
+        self._observe = observe
         self._seq = 0
         self.next_pick: Event | None = None
         self.next_visit: Event | None = None
@@ -89,13 +95,13 @@ class Engine:
         else:
             self.next_pick = event
 
-    def run(self) -> list[Event]:
+    def run(self) -> range:
         """Execute events in (time, seq) order until neither actor has one
-        pending.  Returns the executed trace."""
+        pending.  Returns ``range(n)`` for the ``n`` events executed."""
         handle_spo, handle_pp = self._picker.handle_spo, self._picker.handle_pp
         handle_rp = self._replenisher.handle_rp
-        check = self._check
-        executed = self.trace.append
+        observe = self._observe
+        executed = 0
         visit_kind = Replenish()
         start_kind, event_type, new = StartPickOrder, Event, _new
         while True:
@@ -104,7 +110,9 @@ class Engine:
             if event is None:
                 break
             now = self.now = event.time
-            executed(event)
+            executed += 1
+            if observe is not None:
+                observe(event)
             if event is pick:
                 self.next_pick = None
                 kind = event.kind
@@ -125,9 +133,9 @@ class Engine:
                     raise _past(time, visit_kind, now)
                 self.next_visit = new(event_type, (time, self._seq, visit_kind))
                 self._seq += 1
-            if check is not None:
-                check()
-        return self.trace
+        # callers such as perfbench's tracer count the events by len(): a range has it
+        # and holds none of them
+        return range(executed)
 
 
 def _past(time: float, kind: EventKind, now: float) -> SchedulePastError:

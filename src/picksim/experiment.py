@@ -5,14 +5,17 @@ picking mode, the week count and the master seed.  Every week is an
 independent terminating run, set up in two places.  The scenario loop
 rebuilds the warehouse from the same initial inventory (placed under the
 active policy so containment rules hold from the start), runs the week,
-writes its trace and scores it.  ``run_week``, which the oracle tests
-drive too, builds everything the week draws from on the stocked
-warehouse: the plan of its orders, the picking session, the
+writes its trace, if asked for, and scores it.  ``run_week``, which the
+oracle tests drive too, builds everything the week draws from on the
+stocked warehouse: the plan of its orders, the picking session, the
 replenishment sampler (with its interval floor) and the event engine,
-which runs until every order is complete.  A week has no time ceiling:
-it ends at its natural terminating event, the last order's completion,
-or raises ``InfeasibleRunError`` at a stall that can never end (the
-README's "Why every week ends" says why one of the two always comes).
+which runs until every order is complete.  It alone decides what
+observes the week's events: a trace list, the conservation audit, both
+or nothing, so an untraced week keeps no event it has run.  A week has
+no time ceiling: it ends at its natural terminating event, the last
+order's completion, or raises ``InfeasibleRunError`` at a stall that can
+never end (the README's "Why every week ends" says why one of the two
+always comes).
 Every leg, the picker's and put-away's alike, rides one equipment, the
 stacker (``SimConfig.stacker``).
 The weekly metric is the total picking time, i.e. the completion time
@@ -57,7 +60,7 @@ from .allocation import (
 )
 from .config import SimConfig
 from .errors import InfeasibleRunError, InputDataError, _cut
-from .events import Engine, Replenish, StartPickOrder, write_trace_csv
+from .events import Engine, Event, Replenish, StartPickOrder, write_trace_csv
 from .picking import (
     Order,
     PickingMode,
@@ -186,8 +189,10 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False,
     home zone has no slot in the layout; fixed and random storage never
     read ``home_zone``.
 
-    With ``trace_dir`` set, the executed event log of week N is written to
-    ``<trace_dir>/trace_<scenario>_week<N>.csv``.
+    With ``trace_dir`` set, the executed events of week N are held until
+    the week ends and then written to
+    ``<trace_dir>/trace_<scenario>_week<N>.csv``; without it a week holds
+    none.  With ``audit`` set, conservation is verified at every event.
 
     The cyclic garbage collector is paused for the run and left as the
     caller had it on return or raise (see the module docstring).
@@ -230,9 +235,9 @@ def _load_dataset(data: DataPaths, weeks: int):
             )
         if row.location not in layout.storage:
             raise InputDataError(f"{data.inventory}: pallet of {_cut(row.item)} on "
-                                 f"{row.location}, not a storage slot of {data.layout}")
+                                 f"{_cut(str(row.location))}, not a storage slot of {data.layout}")
         if row.location in named:
-            raise InputDataError(f"{data.inventory}: two pallets on slot {row.location}")
+            raise InputDataError(f"{data.inventory}: two pallets on slot {_cut(str(row.location))}")
         named.add(row.location)
     spanned = _spanned_weeks(load_orders(data.orders, item_index))
     # the weeks up to the orders' span only: a week past it has no orders
@@ -261,42 +266,54 @@ def _run_loaded(spec: ScenarioSpec, dataset, audit: bool, trace_dir: str | None)
 
     weeks = []
     for week_no, (week_orders, first_date) in enumerate(run_weeks, start=1):
-        warehouse = Warehouse(layout, items, audit=audit)
+        warehouse = Warehouse(layout, items)
         policy = StoragePolicy(spec.policy, warehouse, cfg.stacker(), slot_map=slot_map)
         place_initial(policy, initial, avg_picks)
+        trace = None if trace_dir is None else []
         try:
-            session, engine = run_week(
+            session, _ = run_week(
                 warehouse, policy, week_orders, spec.picking, cfg,
-                derive_seed(spec.seed, spec.name, week_no), first_date)
+                derive_seed(spec.seed, spec.name, week_no), first_date, audit, trace)
         except InfeasibleRunError as exc:  # a stuck week; it writes no trace
             raise InfeasibleRunError(f"scenario {spec.name} week {week_no}: {exc}") from None
-        if trace_dir is not None:
-            write_trace_csv(engine.trace,
-                            str(Path(trace_dir) / f"trace_{spec.name}_week{week_no}.csv"))
+        if trace is not None:
+            write_trace_csv(trace, str(Path(trace_dir) / f"trace_{spec.name}_week{week_no}.csv"))
         weeks.append(WeekOutcome(week_no, session.completions[-1] * cfg.metric_factor(),
                                  session.metrics))
     return RunResult(spec.name, cfg.metric_unit, weeks)
 
 
 def run_week(warehouse: Warehouse, policy: StoragePolicy, orders: list[Order],
-             picking: PickingMode, cfg: SimConfig, seed: int,
-             start_date: date) -> tuple[PickingSession, Engine]:
+             picking: PickingMode, cfg: SimConfig, seed: int, start_date: date, audit: bool = False,
+             trace: list[Event] | None = None) -> tuple[PickingSession, Engine]:
     """Plan ``orders`` on the stocked ``warehouse`` and run the week until
     its last order completes, seeding the replenishment sampler with
-    ``seed`` and dating its pallets from ``start_date``; an audited
-    warehouse is checked after every event.  Returns the picking session
-    (plan, completions, totals) and the engine (trace, clock).  A week
-    without orders raises ``InputDataError``, and a week that gets stuck,
-    with the picker waiting for an item no visit can restock, raises
-    ``InfeasibleRunError``."""
+    ``seed`` and dating its pallets from ``start_date``.  Returns the
+    picking session (plan, completions, totals) and the engine (clock).
+    A week without orders raises ``InputDataError``, and a week that gets
+    stuck, with the picker waiting for an item no visit can restock,
+    raises ``InfeasibleRunError``.
+
+    This is the one place that decides what observes a week: every
+    executed event is appended to ``trace``, if given, and with ``audit``
+    set the warehouse's conservation is verified at every event, so each
+    handled event's state is checked at the next one (the closing visit
+    checks the last).  Neither is kept otherwise: an untraced week holds
+    no event it has run.  The observer refers to the warehouse and the
+    list, never to the engine, so the week makes no reference cycle."""
     if not orders:
         raise InputDataError("a week needs at least one order")
     plan = prepare_orders(orders, picking, warehouse, policy, cfg)
     session = PickingSession(warehouse, policy, cfg, plan, ProcessTotals())
     sampler = ReplenishmentSampler.from_config(cfg, seed)
     replenisher = Replenisher(policy, cfg, sampler, session.metrics, start_date)
-    engine = Engine(session, replenisher,
-                    check=warehouse.verify_conservation if warehouse.audit else None)
+    observe = record = None if trace is None else trace.append
+    if audit:
+        def observe(event: Event) -> None:
+            if record is not None:
+                record(event)
+            warehouse.verify_conservation()
+    engine = Engine(session, replenisher, observe)
     engine.schedule(0.0, StartPickOrder(0))
     engine.schedule(sampler.next_visit(0.0), Replenish())
     engine.run()
@@ -380,13 +397,8 @@ def write_results_csv(results: list[RunResult], path: str) -> None:
 
 
 def summary_rows(summaries: list[ScenarioSummary]) -> list[list[str]]:
-    rows = []
-    for s in summaries:
-        rows.append([
-            s.scenario, f"{s.stats.mean:.2f}", f"{s.stats.ci_low:.2f}",
-            f"{s.stats.ci_high:.2f}", f"{s.total:.2f}", f"{s.gap_pct:.2f}",
-        ])
-    return rows
+    return [[s.scenario, f"{s.stats.mean:.2f}", f"{s.stats.ci_low:.2f}",
+             f"{s.stats.ci_high:.2f}", f"{s.total:.2f}", f"{s.gap_pct:.2f}"] for s in summaries]
 
 
 def write_summary_csv(summaries: list[ScenarioSummary], path: str) -> None:

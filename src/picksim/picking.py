@@ -153,7 +153,7 @@ def prepare_orders(orders: list[Order], mode: PickingMode, warehouse: Warehouse,
     groups: dict[str, list[Order]] = {}  # in first-appearance order
     for order in orders:
         if not order.lines:
-            raise InputDataError(f"order {order.order_no} has no lines")
+            raise InputDataError(f"order {_cut(order.order_no)} has no lines")
         key = order.truck_id
         if not key:
             key = f"#solo:{order.order_no}"
@@ -186,7 +186,7 @@ def _plan_entry(order: Order, mode: PickingMode, warehouse: Warehouse, policy: S
     keyed = []
     for idx, (item, qty) in enumerate(order.lines):
         if qty < 1:
-            raise InputDataError(f"order line of {item}: qty must be >= 1")
+            raise InputDataError(f"order line of {_cut(item)}: qty must be >= 1")
         lot = lots.get(item)
         if lot:
             loc = storage[lot[0][2].location]
@@ -292,10 +292,11 @@ class PickingSession:
             why = "the warehouse is full"
         else:
             held = sorted({self.warehouse.records[loc.id].item for loc in slots})
-            why = f"its candidate slots hold pallets of {', '.join(held)}"
+            why = f"its candidate slots hold pallets of {', '.join(map(_cut, held))}"
+        item = _cut(item)
         return (f"cannot finish: at t={now} s the picker is waiting for order "
-                f"{entry.order.order_no}, line index {stop.line_index}, item {item}, at slot "
-                f"{stop.location.id}, and no visit can restock {item}: {why}")
+                f"{_cut(entry.order.order_no)}, line index {stop.line_index}, item {item}, "
+                f"at slot {_cut(str(stop.location.id))}, and no visit can restock {item}: {why}")
 
     # -- core traversal ----------------------------------------------------
 

@@ -70,7 +70,7 @@ from datetime import date
 from typing import Callable, NamedTuple
 
 from .allocation import SlotMap
-from .errors import InputDataError, _logger
+from .errors import InputDataError, _cut, _logger
 from .warehouse import (
     ELEVATOR_ID,
     Equipment,
@@ -147,7 +147,7 @@ class StoragePolicy:
         made = _SlotSet(slots)
         for loc in slots:
             if loc.id in self._set_of_slot:
-                raise InputDataError(f"slot map gives slot {loc.id} more than once")
+                raise InputDataError(f"slot map gives slot {_cut(str(loc.id))} more than once")
             self._set_of_slot[loc.id] = made
         made.vacant = sorted(self._keys[loc.id] for loc in slots
                              if self.warehouse.is_vacant(loc.id))
@@ -201,9 +201,10 @@ class StoragePolicy:
         found = self._set_of_item.get(item_code)
         if found is None:
             if self.kind is PolicyKind.FIXED:
-                raise InputDataError(f"item {item_code} has no dedicated slots in the slot map")
+                raise InputDataError(f"item {_cut(item_code)} has no dedicated slots "
+                                     "in the slot map")
             zone = self.warehouse.item(item_code).home_zone
-            raise InputDataError(f"home zone {zone!r} of item {item_code} has no slots")
+            raise InputDataError(f"home zone {_cut(zone)!r} of item {_cut(item_code)} has no slots")
         return found
 
     def _key(self, loc: Location) -> tuple[float, int, LocationId, int]:
@@ -261,7 +262,7 @@ def place_initial(policy: StoragePolicy, pallets: list[PalletRecord],
                 raise InputDataError("initial inventory exceeds total warehouse capacity")
             slot = wh.storage[nearest[2]]
             fallbacks += 1
-            _logger(__name__).warning(
-                "initial pallet of %s placed outside its policy slots (all full)", pallet.item)
+            _logger(__name__).warning("initial pallet of %s placed outside its policy slots "
+                                      "(all full)", _cut(pallet.item))
         wh.place(slot.id, pallet.item, pallet.qty, pallet.mfg_date)
     return fallbacks

@@ -215,14 +215,14 @@ def _check_new(loc: Location, layout: Layout, seqs: set[int]) -> None:
     anchor = loc_id[0] == ANCHOR_ROW
     if anchor and loc_id not in ANCHOR_IDS:
         raise InputDataError(f"row {ANCHOR_ROW} holds only the anchors {ENTRANCE_ID}, "
-                             f"{SPECIAL_AREA_ID} and {ELEVATOR_ID}, got {loc_id}")
+                             f"{SPECIAL_AREA_ID} and {ELEVATOR_ID}, got {_cut(str(loc_id))}")
     points = layout.anchors if anchor else layout.storage
     if loc_id in points:
-        raise InputDataError(f"duplicate location id {loc_id}")
+        raise InputDataError(f"duplicate location id {_cut(str(loc_id))}")
     if not anchor:
         if loc.seq_no in seqs:
-            raise InputDataError(f"seq_no {loc.seq_no} of slot {loc_id} repeats an earlier "
-                                 "storage slot's")
+            raise InputDataError(f"seq_no {_cut(str(loc.seq_no))} of slot {_cut(str(loc_id))} "
+                                 "repeats an earlier storage slot's")
         seqs.add(loc.seq_no)
         layout.zones.setdefault(loc.zone, []).append(loc)
     points[loc_id] = loc
@@ -247,11 +247,10 @@ class Warehouse:
     """A ``Layout`` index, whose ``storage``, ``anchors`` and ``zones`` it
     shares and never changes, plus live inventory and its change log,
     which ``verify_conservation`` audits the inventory against at any
-    instant.  ``audit=True`` only marks a warehouse a run checks after
-    every event.
+    instant; an audited run calls it at every event.
     """
 
-    def __init__(self, layout: Layout, items: Iterable[Item], audit: bool = False):
+    def __init__(self, layout: Layout, items: Iterable[Item]):
         self.storage, self.anchors, self.zones = layout
         self.items: dict[str, Item] = {}
         for item in items:
@@ -264,7 +263,6 @@ class Warehouse:
         self._on_hand: dict[str, int] = dict.fromkeys(self.items, 0)
         self.log: list[tuple[PalletRecord, int, int]] = []  # see the module docstring
 
-        self.audit = audit
         # verify_conservation's log position, placed - picked and last date picked
         self._audited = 0
         self._logged: dict[str, int] = dict.fromkeys(self.items, 0)
@@ -275,18 +273,18 @@ class Warehouse:
     def location(self, loc_id: LocationId) -> Location:
         loc = self.storage.get(loc_id) or self.anchors.get(loc_id)
         if loc is None:
-            raise InputDataError(f"unknown location id {loc_id}")
+            raise InputDataError(f"unknown location id {_cut(str(loc_id))}")
         return loc
 
     def item(self, code: str) -> Item:
         try:
             return self.items[code]
         except KeyError:
-            raise InputDataError(f"unknown item code {code}") from None
+            raise InputDataError(f"unknown item code {_cut(code)}") from None
 
     def is_vacant(self, loc_id: LocationId) -> bool:
         if loc_id not in self.storage:
-            raise InputDataError(f"unknown storage slot {loc_id}")
+            raise InputDataError(f"unknown storage slot {_cut(str(loc_id))}")
         return loc_id not in self.records
 
     def total_on_hand(self, item_code: str) -> int:
@@ -301,12 +299,12 @@ class Warehouse:
         """Create a pallet record on a vacant slot.  Never overwrites."""
         item = self.item(item_code)
         if loc_id not in self.storage:
-            raise InputDataError(f"cannot place pallet on unknown slot {loc_id}")
+            raise InputDataError(f"cannot place pallet on unknown slot {_cut(str(loc_id))}")
         if loc_id in self.records:
-            raise InputDataError(f"slot {loc_id} already holds a pallet")
+            raise InputDataError(f"slot {_cut(str(loc_id))} already holds a pallet")
         if qty < 1 or qty > item.qty_per_pallet:
             raise InputDataError(
-                f"pallet of {item_code} must hold 1..{item.qty_per_pallet} pieces, got {qty}"
+                f"pallet of {_cut(item_code)} must hold 1..{item.qty_per_pallet} pieces, got {qty}"
             )
         record = PalletRecord(loc_id, item_code, qty, mfg_date)
         self.records[loc_id] = record
@@ -358,7 +356,7 @@ class Warehouse:
             if not remaining:
                 return touched, 0
         raise InputDataError(
-            f"pick of {qty} x {item_code} exceeds stock ({qty - remaining} taken)"
+            f"pick of {qty} x {_cut(item_code)} exceeds stock ({qty - remaining} taken)"
         )
 
     def verify_conservation(self) -> None:

@@ -23,11 +23,12 @@ from picksim import (
 
 
 def engine_run(layout, items, initial, policy_kind, slot_map, orders, mode,
-               cfg, seed, start: date, audit: bool = False):
+               cfg, seed, start: date, audit: bool = False, trace: list | None = None):
     """Run one terminating picking horizon; returns completions in plan
     order, the matching order numbers, the metric totals and the engine.
-    With ``audit`` set, stock conservation is checked after every event."""
-    warehouse = Warehouse(index_layout(layout), items, audit=audit)
+    With ``audit`` set, stock conservation is checked at every event, and
+    every executed event is appended to ``trace``, if given."""
+    warehouse = Warehouse(index_layout(layout), items)
     policy = StoragePolicy(PolicyKind(policy_kind), warehouse, cfg.stacker(),
                            slot_map=slot_map)
     for lid, code, qty, mfg in initial:
@@ -37,6 +38,7 @@ def engine_run(layout, items, initial, policy_kind, slot_map, orders, mode,
               [OrderLine(code, qty) for code, qty in lines])
         for no, truck, lines in orders
     ]
-    session, engine = run_week(warehouse, policy, built, PickingMode(mode), cfg, seed, start)
+    session, engine = run_week(warehouse, policy, built, PickingMode(mode), cfg, seed, start,
+                               audit, trace)
     order_nos = [entry.order.order_no for entry in session.plan]
     return session.completions, order_nos, session.metrics, engine

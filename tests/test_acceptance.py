@@ -126,7 +126,7 @@ def test_criterion_3b_picker_time_adds_up_on_sixty_worlds():
 
 def test_criterion_4_conservation_and_fifo(tmp_path):
     with criterion(4, "stock conservation and FIFO hold under continuous audit"):
-        # every third oracle world, re-run with the auditing warehouse
+        # every third oracle world, re-run under the audit
         for k in range(0, 60, 3):
             w = build_world(k)
             engine_run(w["layout"], w["items"], w["initial"], w["policy"],
@@ -143,7 +143,7 @@ def test_criterion_4_conservation_and_fifo(tmp_path):
         run_scenario(spec, audit=True)
         # negative control: the checker must catch a manufactured leak
         wh = Warehouse(index_layout([slot(0, 1, 0, 100.0, 100.0, seq=1)]),
-                       [make_item("A")], audit=True)
+                       [make_item("A")])
         wh.place((0, 1, 0), "A", 5, date(2024, 5, 1))
         wh.records[(0, 1, 0)].qty += 1  # leak one phantom piece
         with pytest.raises(AssertionError, match="conservation"):

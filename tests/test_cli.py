@@ -105,6 +105,23 @@ def test_simulate_writes_identical_results_on_rerun(dataset, tmp_path, capsys):
     assert "week 1:" in out1 and "total:" in out1
 
 
+def test_the_audit_leaves_every_output_of_a_traced_run_as_it_was(dataset, tmp_path, capsys):
+    """``--audit`` and ``--trace`` share the one observer of a week's
+    events: together they write the byte-identical results and traces of
+    ``--trace`` alone."""
+    outputs = []
+    for extra in ([], ["--audit"]):
+        out = tmp_path / ("audited" if extra else "plain")
+        assert main(["simulate", "--data", dataset, "--weeks", "2", "--trace", "--out", str(out),
+                     *extra]) == 0
+        outputs.append((capsys.readouterr().out,
+                        {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+    assert sorted(outputs[0][1]) == ["results.csv", "summary.csv",
+                                     "trace_fixed-homogeneous-area_week1.csv",
+                                     "trace_fixed-homogeneous-area_week2.csv"]
+    assert outputs[1] == outputs[0]
+
+
 def test_simulate_scenario_name_flag(dataset, capsys):
     assert main(["simulate", "--data", dataset, "--weeks", "2",
                  "--name", "mylabel"]) == 0

@@ -48,18 +48,19 @@ class Visits:
         return event.time + self.gap
 
 
-def _executed(eng):
-    return [(ev.time, ev.seq, type(ev.kind).__name__) for ev in eng.trace]
+def _executed(trace):
+    return [(ev.time, ev.seq, type(ev.kind).__name__) for ev in trace]
 
 
 def test_events_run_in_time_order():
     picker = Picker([(5.0, StartPickOrder(1)), (9.0, PartialPick(1, 0, LOC))])
     visits = Visits(3.0)
-    eng = Engine(picker, visits)
+    trace = []
+    eng = Engine(picker, visits, trace.append)
     eng.schedule(0.0, StartPickOrder(0))
     eng.schedule(3.0, Replenish())
-    eng.run()
-    assert _executed(eng) == [
+    assert len(eng.run()) == 6
+    assert _executed(trace) == [
         (0.0, 0, "StartPickOrder"),
         (3.0, 1, "Replenish"),
         (5.0, 2, "StartPickOrder"),
@@ -72,19 +73,21 @@ def test_events_run_in_time_order():
 
 
 def test_same_time_ties_run_in_schedule_order():
-    eng = Engine(Picker(), Visits(1.0))
+    trace = []
+    eng = Engine(Picker(), Visits(1.0), trace.append)
     eng.schedule(7.0, StartPickOrder(0))
     eng.schedule(7.0, Replenish())
     eng.run()
-    assert _executed(eng) == [(7.0, 0, "StartPickOrder"), (7.0, 1, "Replenish")]
+    assert _executed(trace) == [(7.0, 0, "StartPickOrder"), (7.0, 1, "Replenish")]
 
-    eng = Engine(Picker(), Visits(1.0))
+    trace = []
+    eng = Engine(Picker(), Visits(1.0), trace.append)
     eng.schedule(7.0, Replenish())
     eng.schedule(7.0, StartPickOrder(0))
     eng.run()
     # the picker is still working at the first visit, so that visit is handled
-    assert _executed(eng) == [(7.0, 0, "Replenish"), (7.0, 1, "StartPickOrder"),
-                              (8.0, 2, "Replenish")]
+    assert _executed(trace) == [(7.0, 0, "Replenish"), (7.0, 1, "StartPickOrder"),
+                                (8.0, 2, "Replenish")]
 
 
 def test_resume_at_the_next_visit_runs_after_that_visit():
@@ -100,20 +103,28 @@ def test_resume_at_the_next_visit_runs_after_that_visit():
 
         handle_pp = handle_spo
 
-    checks = []
+    trace, checks, visits_handled = [], [], []
+
+    def observe(event):
+        trace.append(event)
+        checks.append(eng.now)
+        visits_handled.append(len(visits.seen))
+
     visits = Visits(4.0)
-    eng = Engine(Waiting(), visits, check=lambda: checks.append(eng.now))
+    eng = Engine(Waiting(), visits, observe)
     eng.schedule(0.0, StartPickOrder(0))
     eng.schedule(4.0, Replenish())
     eng.run()
-    assert _executed(eng) == [
+    assert _executed(trace) == [
         (0.0, 0, "StartPickOrder"),
         (4.0, 1, "Replenish"),
         (4.0, 2, "PartialPick"),
         (8.0, 3, "Replenish"),
     ]
     assert visits.seen == [4.0]
-    assert checks == [0.0, 4.0, 4.0]  # after every handled event, not the closing visit
+    # at every executed event, the closing visit included, with the clock at its time
+    assert checks == [0.0, 4.0, 4.0, 8.0]
+    assert visits_handled == [0, 0, 1, 1]  # before the event's handler
 
 
 def test_handler_chaining_and_clock():
@@ -155,12 +166,13 @@ def test_schedule_at_now_is_allowed():
 
 
 def test_trace_csv_payloads(tmp_path):
-    eng = Engine(Picker([(1.5, PartialPick(3, 2, (1, 2, 3)))]), Visits(1.0))
+    trace = []
+    eng = Engine(Picker([(1.5, PartialPick(3, 2, (1, 2, 3)))]), Visits(1.0), trace.append)
     eng.schedule(0.0, StartPickOrder(3))
     eng.schedule(2.0, Replenish())
     eng.run()
     out = tmp_path / "trace.csv"
-    write_trace_csv(eng.trace, str(out))
+    write_trace_csv(trace, str(out))
     assert out.read_text() == (
         "time,seq,kind,payload\n"
         "0.0,0,StartPickOrder,order=3\n"
@@ -178,16 +190,17 @@ def test_pop_order_is_sorted_by_time_then_seq(gaps, first_visit, gap):
         t += g
         script.append((t, StartPickOrder(i + 1)))
     visits = Visits(gap)
-    eng = Engine(Picker(script), visits)
+    trace = []
+    eng = Engine(Picker(script), visits, trace.append)
     eng.schedule(0.0, StartPickOrder(0))
     eng.schedule(first_visit, Replenish())
-    eng.run()
-    executed = [(ev.time, ev.seq) for ev in eng.trace]
+    assert len(eng.run()) == len(trace)
+    executed = [(ev.time, ev.seq) for ev in trace]
     assert executed == sorted(executed)
     assert sorted(s for _, s in executed) == list(range(len(executed)))
-    picks = [ev for ev in eng.trace if isinstance(ev.kind, StartPickOrder)]
+    picks = [ev for ev in trace if isinstance(ev.kind, StartPickOrder)]
     assert len(picks) == len(gaps) + 1
     # the week ends with the first visit after the last pick
-    last = eng.trace[-1]
+    last = trace[-1]
     assert isinstance(last.kind, Replenish) and last.time >= picks[-1].time
-    assert len(visits.seen) == len(eng.trace) - len(picks) - 1
+    assert len(visits.seen) == len(trace) - len(picks) - 1

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -25,6 +26,7 @@ from picksim import (
     Order,
     OrderLine,
     PickingMode,
+    PickingSession,
     PolicyKind,
     RunResult,
     ScenarioSpec,
@@ -50,6 +52,7 @@ from picksim.config import config_from_dict
 from picksim.datagen import generate_data
 from picksim.warehouse import ProcessTotals, _check_new
 from conftest import anchors, child_env, make_item, slot
+from runners import engine_run
 
 
 def _order(no: str, day: int, hour: int = 9, items=(("A", 1),)) -> Order:
@@ -206,6 +209,31 @@ def test_run_scenario_audit_mode_matches_plain(small_dataset):
     assert plain.weekly_metrics == audited.weekly_metrics
 
 
+def test_the_audit_of_a_run_catches_a_leak_in_the_middle_of_a_week(small_dataset, monkeypatch):
+    """A picker that adds one phantom piece to a pallet after its first
+    order's picks breaks conservation mid-week: the audited run raises at
+    the next event, and the same run without the audit finishes."""
+    start = PickingSession.handle_spo
+    leaked = []
+
+    def leaking(self, sim, event):
+        successor = start(self, sim, event)
+        if not leaked and self.warehouse.records:
+            record = next(iter(self.warehouse.records.values()))
+            record.qty += 1
+            leaked.append(record)
+        return successor
+
+    monkeypatch.setattr(PickingSession, "handle_spo", leaking)
+    spec = _spec(small_dataset, weeks=1)
+    with pytest.raises(AssertionError, match="conservation broken for"):
+        run_scenario(spec, audit=True)
+    assert len(leaked) == 1
+    leaked.clear()
+    assert len(run_scenario(spec).weeks) == 1
+    assert len(leaked) == 1
+
+
 def test_run_scenario_writes_week_traces(small_dataset, tmp_path):
     run_scenario(_spec(small_dataset, name="tr"), trace_dir=str(tmp_path))
     files = sorted(p.name for p in tmp_path.iterdir())
@@ -240,11 +268,40 @@ def test_run_week_twice_on_the_same_orders_gives_identical_totals():
         policy = StoragePolicy(PolicyKind.RANDOM, warehouse, cfg.stacker())
         warehouse.place(layout[3].id, "A", 10, date(2024, 5, 1))
         warehouse.place(layout[4].id, "B", 10, date(2024, 5, 1))
-        session, engine = run_week(warehouse, policy, orders, PickingMode.AREA, cfg, 1,
-                                   date(2024, 6, 3))
-        runs.append((session.completions, session.metrics, len(engine.trace)))
+        trace = []
+        session, _ = run_week(warehouse, policy, orders, PickingMode.AREA, cfg, 1,
+                              date(2024, 6, 3), trace=trace)
+        runs.append((session.completions, session.metrics, len(trace)))
     assert runs[0][1].wait_s > 0, "the week should stall, so that a resume event runs"
     assert runs[1] == runs[0]
+
+
+def _peak_of_an_untraced_week(sps: float) -> tuple[float, int]:
+    """The clock at the end of a week of two orders on one slot, visited
+    every second, at stacker speed ``sps``, and the peak of the memory
+    ``tracemalloc`` saw allocated while it ran."""
+    layout = anchors() + [slot(0, 1, 0, 100.0, 100.0, seq=1)]
+    cfg = config_from_dict({"sps": sps, "replenish": {"mu_s": 1.0}})
+    tracemalloc.start()
+    try:
+        _, _, _, engine = engine_run(layout, [make_item("A")],
+                                     [((0, 1, 0), "A", 10, date(2024, 5, 1))], "random", None,
+                                     [("O1", "T", [("A", 2)]), ("O2", "T", [("A", 2)])], "area",
+                                     cfg, 1, date(2024, 6, 3))
+        return engine.now, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_untraced_week_holds_none_of_its_events():
+    """The second order starts when the first is walked, and a visit comes
+    every second until then: one event per simulated second.  A week of
+    over 10**5 events peaks within 1 MB of one of about 10**3; a week that
+    kept its events would hold some 145 bytes for each."""
+    short_s, short_peak = _peak_of_an_untraced_week(0.4)
+    long_s, long_peak = _peak_of_an_untraced_week(0.0033)
+    assert 500 < short_s < 2_000 and long_s > 100_000
+    assert long_peak - short_peak < 1_000_000
 
 
 def test_run_week_refuses_a_week_without_orders():
@@ -293,7 +350,8 @@ def test_a_run_leaves_nothing_for_the_cyclic_collector(golden_dataset, tmp_path,
                         data=DataPaths.from_dir(golden_dataset))
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
-    for kwargs in ({"audit": True}, {"trace_dir": str(tmp_path)}):
+    for kwargs in ({"audit": True}, {"trace_dir": str(tmp_path)},
+                   {"audit": True, "trace_dir": str(tmp_path)}):
         run_scenario(spec, **kwargs)
         found = gc.collect()
         kinds = Counter(type(obj).__name__ for obj in gc.garbage).most_common(5)

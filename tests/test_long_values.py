@@ -6,14 +6,22 @@ files, and each key and value position of a config (top level,
 ``replenish``, ``walking``).  ``cli.main`` runs ``simulate`` on it
 in-process, and the run ends in the exit code of today's rules with one
 line of stderr, of at most 600 bytes, or with none when it succeeds.
+
+Two kinds of value parse whatever their length and are quoted where the
+run names them: a location id built of a 4,000-digit integer, in the
+refusals of the layout and initial-inventory checks, and an item code of
+5,000 characters in a valid dataset, in the fallback warnings of
+``place_initial`` and the message of a week that gets stuck.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -66,14 +74,29 @@ def _edited(tiny: Path, tmp_path: Path, name: str, value: str, *cells) -> Path:
     ``(line, column name)`` ``cells``, lines counted from 1."""
     data = tmp_path / "data"
     shutil.copytree(tiny, data)
-    with open(data / name, newline="", encoding="utf-8") as fh:
+    _set_cells(data / name, value, *cells)
+    return data
+
+
+def _set_cells(path: Path, value: str, *cells) -> None:
+    """Set each ``(line, column name)`` of ``cells`` of the CSV file ``path``
+    to ``value``, lines counted from 1."""
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     header = list(rows[0])
     for line, column in cells:
         rows[line - 1][header.index(column)] = value
-    with open(data / name, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
-    return data
+
+
+def _same_outputs():
+    """``scripts/same_outputs.py``, whose dataset builders some tests reuse."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -127,3 +150,70 @@ def test_a_long_item_code_twice_exits_3_as_a_duplicate(tiny, tmp_path):
     code, err = _run(["simulate", "--data", str(data), "--weeks", "1"])
     _check(code, err, 3)
     assert err == f"error: {data / 'items.csv'}:3: duplicate item code {'x' * 200}\n"
+
+
+# an integer that still parses (below Python's 4,300-digit limit), so a location id
+# built of it is read, and quoted by the messages about that location
+LONG_ROW = "7" * 4000
+LONG_ID = "(" + "7" * 199  # its location id as a message quotes it
+# case -> the tiny dataset's edits, each (file, line, column, value), and the error
+LONG_IDS = {
+    # two storage slots of layer 1, slot 0 moved into one row
+    "duplicate": ([("layout.csv", 5, "row", LONG_ROW), ("layout.csv", 17, "row", LONG_ROW)],
+                  f"layout.csv:17: duplicate location id {LONG_ID}\n"),
+    "anchor-row": ([("layout.csv", 2, "slot", LONG_ROW)],
+                   f"layout.csv:2: row -1 holds only the anchors (-1, 0, 0), (-1, 0, 1) and "
+                   f"(-1, 0, 2), got {'(-1, 0, ' + '7' * 192}\n"),
+    "repeated-seq-no": ([("layout.csv", 5, "seq_no", LONG_ROW), ("layout.csv", 6, "seq_no",
+                                                                 LONG_ROW)],
+                        f"layout.csv:6: seq_no {'7' * 200} of slot (0, 1, 1) repeats an "
+                        "earlier storage slot's\n"),
+    "off-layout": ([("initial_inventory.csv", 2, "row", LONG_ROW)],
+                   f"initial_inventory.csv: pallet of SKU0004 on {LONG_ID}, not a storage "
+                   "slot of "),
+    # one slot in a row of its own, which holds the first two initial pallets
+    "two-pallets": ([("layout.csv", 5, "row", LONG_ROW),
+                     ("initial_inventory.csv", 2, "row", LONG_ROW),
+                     ("initial_inventory.csv", 3, "row", LONG_ROW),
+                     ("initial_inventory.csv", 3, "slot", "0")],
+                    f"initial_inventory.csv: two pallets on slot {LONG_ID}\n"),
+}
+
+
+@pytest.mark.parametrize("edits, message", LONG_IDS.values(), ids=LONG_IDS)
+def test_a_long_location_id_is_quoted_by_200_characters(tiny, tmp_path, edits, message):
+    """A location id of a 4,000-digit row (or slot, or a seq_no of as many
+    digits), which parses, is quoted by the first 200 characters of its
+    text: one line of at most 600 bytes, exit 3."""
+    data = tmp_path / "data"
+    shutil.copytree(tiny, data)
+    for name, line, column, value in edits:
+        _set_cells(data / name, value, (line, column))
+    code, err = _run(["simulate", "--data", str(data), "--weeks", "1"])
+    _check(code, err, 3)
+    assert message in err
+
+
+def test_a_long_item_code_is_quoted_by_200_characters_in_warnings_and_a_stuck_week(
+        tmp_path, caplog):
+    """``scripts/same_outputs.py``'s overflow copy of the demo data, its
+    overflowing item given a code of 5,000 characters: the pallets of that
+    item that fall back are warned of, and the week gets stuck where the
+    item's pallets fill another item's slots.  Each quotes the code by its
+    first 200 characters."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-data", "--out", str(tmp_path / "demo"), "--items", "25",
+                     "--slots", "120", "--lines", "600", "--weeks", "4"]) == 0
+    same_outputs = _same_outputs()
+    same_outputs.overflow(tmp_path / "demo", tmp_path / "overflow", 5)
+    data = tmp_path / "overflow-long-item"
+    same_outputs.long_item(tmp_path / "overflow", data)
+    with caplog.at_level(logging.WARNING, logger="picksim.storage"):
+        exit_code, err = _run(["simulate", "--data", str(data), "--policy", "fixed",
+                               "--weeks", "1"])
+    _check(exit_code, err, 1)
+    assert f"its candidate slots hold pallets of {'x' * 200}\n" in err
+    warned = [record.getMessage() for record in caplog.records]
+    assert f"initial pallet of {'x' * 200} placed outside its policy slots (all full)" in warned
+    for text in [err, *warned]:
+        assert "x" * 201 not in text

@@ -54,13 +54,14 @@ def test_hand_trace_oracle_agrees(three_slot_world):
 
 
 def test_hand_trace_event_sequence(three_slot_world):
-    _, _, _, engine = engine_run(
+    trace = []
+    engine_run(
         three_slot_world["layout"], three_slot_world["items"],
         three_slot_world["initial"], three_slot_world["policy"],
         three_slot_world["slot_map"], three_slot_world["orders"],
         three_slot_world["mode"], three_slot_world["cfg"],
-        three_slot_world["seed"], three_slot_world["start"])
-    got = [(ev.time, type(ev.kind).__name__) for ev in engine.trace]
+        three_slot_world["seed"], three_slot_world["start"], trace=trace)
+    got = [(ev.time, type(ev.kind).__name__) for ev in trace]
     assert got == [
         (0.0, "StartPickOrder"),   # O3 picked whole, done at 68
         (68.0, "StartPickOrder"),  # O2 walks to B, resume planned at 81
@@ -73,13 +74,14 @@ def test_hand_trace_event_sequence(three_slot_world):
 
 
 def test_hand_trace_partial_pick_targets_slot(three_slot_world):
-    _, _, _, engine = engine_run(
+    trace = []
+    engine_run(
         three_slot_world["layout"], three_slot_world["items"],
         three_slot_world["initial"], three_slot_world["policy"],
         three_slot_world["slot_map"], three_slot_world["orders"],
         three_slot_world["mode"], three_slot_world["cfg"],
-        three_slot_world["seed"], three_slot_world["start"])
-    pps = [ev.kind for ev in engine.trace if isinstance(ev.kind, PartialPick)]
+        three_slot_world["seed"], three_slot_world["start"], trace=trace)
+    pps = [ev.kind for ev in trace if isinstance(ev.kind, PartialPick)]
     assert all(pp.order == 1 and pp.line == 0 and pp.location == (0, 1, 0)
                for pp in pps)
 
@@ -240,13 +242,16 @@ def test_engine_matches_oracle_bitwise_with_repeated_items(k):
 @pytest.mark.parametrize("k", range(0, N_WORLDS, 7))
 def test_engine_rerun_is_identical(k):
     world = build_world(k)
+    trace, trace2 = [], []
     first = engine_run(world["layout"], world["items"], world["initial"],
                        world["policy"], world["slot_map"], world["orders"],
-                       world["mode"], world["cfg"], world["seed"], world["start"])
+                       world["mode"], world["cfg"], world["seed"], world["start"],
+                       trace=trace)
     world2 = build_world(k)
     second = engine_run(world2["layout"], world2["items"], world2["initial"],
                         world2["policy"], world2["slot_map"], world2["orders"],
-                        world2["mode"], world2["cfg"], world2["seed"], world2["start"])
+                        world2["mode"], world2["cfg"], world2["seed"], world2["start"],
+                        trace=trace2)
     assert first[0] == second[0]
-    assert [(e.time, e.seq, repr(e.kind)) for e in first[3].trace] == \
-        [(e.time, e.seq, repr(e.kind)) for e in second[3].trace]
+    assert [(e.time, e.seq, repr(e.kind)) for e in trace] == \
+        [(e.time, e.seq, repr(e.kind)) for e in trace2]

@@ -195,15 +195,16 @@ def _single_short_world():
 def test_single_line_stockout_waits_for_restock():
     layout, items, initial, orders = _single_short_world()
     cfg = trace_cfg()
-    completions, names, metrics, engine = engine_run(
+    trace = []
+    completions, names, metrics, _ = engine_run(
         layout, items, initial, "random", None, orders, "area", cfg, 1,
-        date(2024, 6, 3))
+        date(2024, 6, 3), trace=trace)
     # 200 cm at 20 cm/s and a 3 s turn -> resume planned at 13; grab 4 on
     # hand, wait until t=100; restock lands 10 (t=100), take remaining 5
     # and walk 140 cm to the drop-off: 100 + (7 + 3) + (10 + 15) = 135
     assert completions == [135.0]
     assert metrics.wait_s == 87.0
-    kinds = [type(ev.kind).__name__ for ev in engine.trace]
+    kinds = [type(ev.kind).__name__ for ev in trace]
     assert kinds == ["StartPickOrder", "PartialPick", "Replenish", "PartialPick",
                      "Replenish"]
 
@@ -305,8 +306,9 @@ def test_a_week_books_the_walking_its_plan_priced(picking):
               _order("O3", "U", ("A", 2), ("D", 1))]
     # no restocking visit comes before the picker is done, so every turn is the picker's
     cfg = config_from_dict({"replenish": {"mu_s": 1e6}})
-    session, engine = run_week(wh, pol, orders, PickingMode(picking), cfg, 1, MFG)
-    assert not any(isinstance(ev.kind, PartialPick) for ev in engine.trace)
+    trace = []
+    session, _ = run_week(wh, pol, orders, PickingMode(picking), cfg, 1, MFG, trace=trace)
+    assert not any(isinstance(ev.kind, PartialPick) for ev in trace)
     assert session.metrics.put_travel_s == 0.0
     assert (session.metrics.walk_s, session.metrics.turns) == _planned_walking(session.plan)
     assert session.metrics.walk_s > 0
@@ -333,8 +335,9 @@ def test_a_stalled_order_books_each_planned_leg_once(picking, short, line):
         return assignment
 
     pol.put_away = counted
-    session, engine = run_week(wh, pol, orders, PickingMode(picking), cfg, 1, MFG)
-    stalls = [ev.kind for ev in engine.trace if isinstance(ev.kind, PartialPick)]
+    trace = []
+    session, _ = run_week(wh, pol, orders, PickingMode(picking), cfg, 1, MFG, trace=trace)
+    stalls = [ev.kind for ev in trace if isinstance(ev.kind, PartialPick)]
     assert {(kind.order, kind.line) for kind in stalls} == {(1, line)}
     assert session.metrics.wait_s > 0
     walk, turns = _planned_walking(session.plan)
@@ -497,15 +500,18 @@ class _PastBound(Exception):
 
 
 class _Bounded(Engine):
-    """An engine whose check stops the week once its clock passes ``_BOUND_S``;
-    a run has no time limit of its own."""
+    """An engine whose observer stops the week at its first event past
+    ``_BOUND_S``, after calling the observer ``run_week`` gave it; a run has
+    no time limit of its own."""
 
-    def __init__(self, picker, replenisher, check=None):
-        super().__init__(picker, replenisher, check=self._bound)
+    def __init__(self, picker, replenisher, observe=None):
+        def bounded(event):
+            if observe is not None:
+                observe(event)
+            if event.time > _BOUND_S:
+                raise _PastBound(self)
 
-    def _bound(self):
-        if self.now > _BOUND_S:
-            raise _PastBound(self)
+        super().__init__(picker, replenisher, bounded)
 
 
 def _overflow_week(world, session=PickingSession, engine=Engine):

@@ -136,9 +136,10 @@ def test_lowest_stock_item_is_restocked_first():
     initial = [((0, 1, 0), "A", 6, date(2024, 5, 1)),
                ((0, 1, 1), "B", 2, date(2024, 5, 1))]
     orders = [("O1", "T", [("A", 16)])]
+    trace = []
     _, _, _, engine = engine_run(layout, items, initial, "random", None,
-                                 orders, "area", trace_cfg(), 1, START)
-    rp_times = [ev.time for ev in engine.trace
+                                 orders, "area", trace_cfg(), 1, START, trace=trace)
+    rp_times = [ev.time for ev in trace
                 if isinstance(ev.kind, Replenish)]
     assert rp_times[0] == 100.0
     # first restock goes to B (2 on hand beats A's 6 at t=100)
@@ -152,16 +153,17 @@ def test_restock_ties_break_by_item_code():
     # empty warehouse: both items sit at 0 on hand when the restocker
     # first fires, so only the item-code tiebreak decides who gets stock
     orders = [("O1", "T", [("B", 8)])]
-    completions, _, metrics, engine = engine_run(layout, items, [], "random",
-                                                 None, orders, "area",
-                                                 trace_cfg(), 1, START)
+    trace = []
+    completions, _, metrics, _ = engine_run(layout, items, [], "random",
+                                            None, orders, "area",
+                                            trace_cfg(), 1, START, trace=trace)
     # the picker walks 13 s to B's slot (0, 1, 0) and waits there.
     # t=100: tie (0, 'A') < (0, 'B') -> A restocked first (uselessly),
     # B lands on the t=200 visit and the pick finishes at 200 + 10 to the
     # drop-off + 25.  A B-first tiebreak would have finished at 135 instead.
     assert completions == [235.0]
     assert metrics.wait_s == 187.0  # 13..100 and 100..200
-    rp_times = [ev.time for ev in engine.trace
+    rp_times = [ev.time for ev in trace
                 if isinstance(ev.kind, Replenish)]
     assert rp_times == [100.0, 200.0, 300.0]  # final visit sees all done
 
@@ -174,10 +176,11 @@ def test_next_visit_scheduled_even_when_nothing_fits():
     initial = [((0, 1, 0), "A", 10, date(2024, 5, 1))]
     orders = [("O1", "T", [("A", 2)])]
     cfg = trace_cfg()
-    completions, _, _, engine = engine_run(layout, items, initial, "random",
-                                           None, orders, "area", cfg, 1, START)
+    trace = []
+    completions, _, _, _ = engine_run(layout, items, initial, "random",
+                                      None, orders, "area", cfg, 1, START, trace=trace)
     assert completions == [48.0]  # 13 + 10 walk + 25 handling, no wait
-    rps = [ev for ev in engine.trace if isinstance(ev.kind, Replenish)]
+    rps = [ev for ev in trace if isinstance(ev.kind, Replenish)]
     assert len(rps) == 1 and rps[0].time == 100.0  # fired once, then stopped
 
 
@@ -216,15 +219,22 @@ _MAX_EVENTS = 10_000
 
 
 class _Bounded(Engine):
-    """An engine whose check stops the week after ``_MAX_EVENTS`` events, so
-    a run whose visits do not move the clock fails instead of running on."""
+    """An engine whose observer stops the week at its event past
+    ``_MAX_EVENTS``, after calling the observer ``run_week`` gave it, so a
+    run whose visits do not move the clock fails instead of running on."""
 
-    def __init__(self, picker, replenisher, check=None):
-        super().__init__(picker, replenisher, check=self._bound)
+    def __init__(self, picker, replenisher, observe=None):
+        executed = 0
 
-    def _bound(self):
-        if len(self.trace) > _MAX_EVENTS:
-            raise AssertionError(f"more than {_MAX_EVENTS} events by t={self.now} s")
+        def bounded(event):
+            nonlocal executed
+            if observe is not None:
+                observe(event)
+            executed += 1
+            if executed > _MAX_EVENTS:
+                raise AssertionError(f"more than {_MAX_EVENTS} events by t={event.time} s")
+
+        super().__init__(picker, replenisher, bounded)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
@@ -237,10 +247,12 @@ def test_a_week_at_a_sub_second_mean_visits_at_least_1_s_apart(monkeypatch, sigm
                ((0, 1, 1), "B", 2, date(2024, 5, 1))]
     cfg = trace_cfg(replenish=ReplenishSettings(mu_s=0.0001, sigma_s=sigma))
     monkeypatch.setattr(experiment, "Engine", _Bounded)
-    completions, _, _, engine = engine_run(layout, items, initial, "random", None,
-                                           [("O1", "T", [("A", 16)])], "area", cfg, 1, START)
-    visits = [ev.time for ev in engine.trace if isinstance(ev.kind, Replenish)]
-    assert completions == [48.0] and len(engine.trace) == 17
+    trace = []
+    completions, _, _, _ = engine_run(layout, items, initial, "random", None,
+                                      [("O1", "T", [("A", 16)])], "area", cfg, 1, START,
+                                      trace=trace)
+    visits = [ev.time for ev in trace if isinstance(ev.kind, Replenish)]
+    assert completions == [48.0] and len(trace) == 17
     assert visits == [float(t) for t in range(1, 15)]
 
 

@@ -37,14 +37,14 @@ from picksim.warehouse import _finite
 STACKER = Equipment(90.0, 30.0, 3.0)
 
 
-def _wh(slots=None, items=None, audit=False):
+def _wh(slots=None, items=None):
     slots = slots if slots is not None else [
         slot(0, 1, 0, 100.0, 100.0, seq=1),
         slot(0, 1, 1, 100.0, 200.0, seq=2),
         slot(1, 1, 0, 500.0, 100.0, seq=3),
     ]
     items = items if items is not None else [make_item("A"), make_item("B")]
-    return Warehouse(index_layout(anchors() + slots), items, audit=audit)
+    return Warehouse(index_layout(anchors() + slots), items)
 
 
 # -- travel ---------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_fifo_lot_date_tie_breaks_by_route_position():
 
 
 def test_pick_splits_across_pallets_and_frees_slots():
-    wh = _wh(audit=True)
+    wh = _wh()
     wh.place((0, 1, 0), "A", 4, date(2024, 5, 1))
     wh.place((0, 1, 1), "A", 6, date(2024, 5, 2))
     # two pallets touched; the 3 pieces of the second are taken loose
@@ -254,7 +254,7 @@ def test_pick_beyond_stock_is_an_error():
 
 
 def test_audit_tracks_conservation_across_sources():
-    wh = _wh(audit=True)
+    wh = _wh()
     wh.place((0, 1, 0), "A", 4, date(2024, 5, 1))
     wh.place((0, 1, 1), "A", 10, date(2024, 5, 2))
     wh.pick("A", 6)
@@ -263,8 +263,8 @@ def test_audit_tracks_conservation_across_sources():
 
 
 def test_conservation_is_checked_without_the_audit_marker():
-    """The audit reads the change log, so a warehouse built without
-    ``audit=True`` is checked just the same."""
+    """The audit reads the change log and the pallet records, so any
+    warehouse can be checked: no flag marks a warehouse for it."""
     wh = _wh()
     wh.place((0, 1, 0), "A", 4, date(2024, 5, 1))
     wh.place((0, 1, 1), "A", 10, date(2024, 5, 2))
@@ -276,7 +276,7 @@ def test_conservation_is_checked_without_the_audit_marker():
 
 
 def test_audit_catches_on_hand_counter_drift():
-    wh = _wh(audit=True)
+    wh = _wh()
     wh.place((0, 1, 0), "A", 5, date(2024, 5, 1))
     wh.pick("A", 2)
     wh.verify_conservation()
@@ -294,13 +294,13 @@ def test_total_on_hand_of_unknown_item_is_an_error():
 
 
 def test_audit_catches_fifo_violation_via_direct_tampering():
-    wh = _wh(audit=True)
+    wh = _wh()
     wh.place((0, 1, 0), "A", 4, date(2024, 5, 10))
     wh.pick("A", 2)
     # sneak in an older pallet: consuming it now would violate FIFO
     wh.place((0, 1, 1), "A", 4, date(2024, 5, 1))
     wh.pick("A", 1)
-    # the audit reads the pick from the log; a run checks after every event
+    # the audit reads the pick from the log; an audited run checks at every event
     with pytest.raises(AssertionError, match="FIFO violation"):
         wh.verify_conservation()
 
@@ -324,7 +324,7 @@ def test_pick_matches_a_reference_model(ops, audit):
     log, whose drain entries (``left == 0``) are exactly the slots the
     step freed."""
     wh = Warehouse(index_layout(anchors() + _PICK_SLOTS),
-                   [make_item(code, qpp=qpp) for code, qpp in _PICK_ITEMS.items()], audit=audit)
+                   [make_item(code, qpp=qpp) for code, qpp in _PICK_ITEMS.items()])
     seq = {loc.id: loc.seq_no for loc in _PICK_SLOTS}
     pallets = {}  # slot -> [item, qty, mfg_date], the model's inventory
     # dates never go back, as in a run, so the audit's FIFO check holds
